@@ -7,17 +7,21 @@
 // append-only event log that clients poll via /events, /async/tickets/{id}
 // and /settlements.
 //
+// There is one serving path: the gateway always boots a federated market
+// (internal/federation) of -shards arbiter shards behind one dmms.Server.
+// With N > 1 shards — each a full platform + engine + WAL lineage under
+// <wal-dir>/shard-<i> — epochs run concurrently behind a router, and mashups
+// spanning shards settle through the cross-shard coordinator's two-phase
+// commit. -shards 1 (the default) is a federation of one: bare ticket and
+// transaction IDs, the WAL directly under <wal-dir>, an idle coordinator —
+// the classic single-arbiter gateway, byte-identical to previous releases'
+// replay fingerprints and able to boot their WAL directories.
+//
 // With -wal-dir the event log is durable: every event is written ahead to a
 // segmented, checksummed WAL (fsync policy via -fsync), boot replays the log
 // (resuming from the newest snapshot when one exists), POST /snapshot writes
-// a checkpoint on demand, and -snapshot-on-drain writes one during shutdown.
-//
-// With -shards N (N > 1) the market itself federates (internal/federation):
-// N arbiter shards — each a full platform + engine + WAL lineage under
-// <wal-dir>/shard-<i> — run their epochs concurrently behind a router, and
-// mashups spanning shards settle through the cross-shard coordinator's
-// two-phase commit. -shards 1 (the default) is the classic single-arbiter
-// gateway, byte-identical to previous releases' replay fingerprints.
+// a checkpoint per shard on demand, and -snapshot-on-drain writes one during
+// shutdown.
 //
 // Usage:
 //
@@ -171,7 +175,6 @@ func main() {
 		EpochMatchCap:  *epochCap,
 		DoDWorkers:     *dodWorkers,
 		BuildDeadline:  *buildDeadline,
-		Metrics:        reg,
 		Admission: engine.AdmissionConfig{
 			QuotaPerEpoch:   quotaPerEpoch,
 			QuotaBurst:      *quotaBurst,
@@ -186,208 +189,54 @@ func main() {
 		platOpts.Allocator = market.AdaptiveShapley{ExactMax: *allocExactMax, TargetErr: *allocErr}
 	}
 
-	// A multi-shard market takes the federated path: N arbiter shards behind
-	// the routing surface, each with its own WAL lineage. -shards 1 stays on
-	// the classic single-engine path below, byte-identical to prior releases.
-	if *shards > 1 {
-		runFederated(*addr, *shards, cfg, platOpts, reg,
-			*walDir, *fsync, *segBytes, *snapOnDrain, *cacheEntries, *verbose)
-		return
-	}
-
-	var (
-		p   *core.Platform
-		eng *engine.Engine
-		w   *wal.Log
-	)
-	if *walDir != "" {
-		syncPolicy, perr := wal.ParseSyncPolicy(*fsync)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		var res wal.BootResult
-		p, eng, w, res, err = wal.Boot(platOpts, cfg,
-			wal.Options{Dir: *walDir, Policy: syncPolicy, SegmentBytes: *segBytes, Metrics: reg})
-		if err != nil {
-			log.Fatalf("dmgateway: WAL boot: %v", err)
-		}
-		log.Printf("dmgateway: WAL %s: recovered %d events (snapshot seq %d, replayed %d), fsync=%s",
-			*walDir, res.Recovered, res.FromSnapshotSeq, res.Replayed, syncPolicy)
-	} else {
-		p, err = core.NewPlatform(platOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng = engine.New(p, cfg)
-	}
-	if *cacheEntries > 0 {
-		p.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})
-	}
-	eng.Start()
-
-	// Metrics subscriber: tail the event log and surface epoch summaries —
-	// the same consumption pattern settlement uses internally.
-	if *verbose {
-		// Tail from the boot-time head: replayed history was already
-		// logged in its first life.
-		bootHead := eng.Log().LastSeq()
-		go func() {
-			cursor := bootHead
-			for {
-				evs, open := eng.Log().WaitAfter(cursor)
-				for _, ev := range evs {
-					cursor = ev.Seq
-					switch ev.Kind {
-					case engine.EventEpochEnd:
-						log.Printf("epoch %d: %s", ev.Epoch, ev.Note)
-					case engine.EventTxSettled:
-						log.Printf("epoch %d: %s settled for %.2f (%s)", ev.Epoch, ev.TxID, ev.Price, ev.Participant)
-					}
-				}
-				if !open {
-					return
-				}
-			}
-		}()
-	}
-
-	server := dmms.NewEngineServer(p, eng)
-	if reg != nil {
-		server.SetMetrics(reg)
-	}
-	// Prune keeps the newest two checkpoints (the older one is the
-	// corruption fallback) and drops segments + snapshots behind them.
-	pruneAfterSnapshot := func() {
-		if !*pruneOnSnap {
-			return
-		}
-		if segs, snaps, err := wal.PruneAfterSnapshot(*walDir, w); err != nil {
-			log.Printf("dmgateway: WAL prune: %v", err)
-		} else if segs > 0 || snaps > 0 {
-			log.Printf("dmgateway: pruned %d covered WAL segment(s) and %d old snapshot(s)", segs, snaps)
-		}
-	}
-	if w != nil {
-		dir := *walDir
-		server.SetSnapshotFunc(func() (string, int, error) {
-			snap, err := eng.Snapshot()
-			if err != nil {
-				return "", 0, err
-			}
-			path, err := wal.WriteSnapshot(dir, snap)
-			if err == nil {
-				pruneAfterSnapshot()
-			}
-			return path, snap.TakenAtSeq, err
-		})
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: server}
-	done := make(chan struct{})
-	exitCode := 0
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		// Stop accepting submissions first, then drain the engine — the
-		// other order would hand out tickets no epoch will ever run.
-		log.Print("dmgateway: shutting down HTTP")
-		_ = srv.Shutdown(context.Background())
-		log.Print("dmgateway: draining engine")
-		eng.Stop()
-		if w != nil {
-			if *snapOnDrain {
-				writeDrain := func() error {
-					snap, err := eng.Snapshot()
-					if err != nil {
-						return err
-					}
-					path, err := wal.WriteSnapshot(*walDir, snap)
-					if err != nil {
-						return err
-					}
-					log.Printf("dmgateway: drain snapshot %s (seq %d)", path, snap.TakenAtSeq)
-					pruneAfterSnapshot()
-					return nil
-				}
-				if err := writeDrain(); err != nil {
-					// A refused checkpoint must not be silently lost: retry
-					// once after a flush epoch and exit nonzero if the
-					// checkpoint still cannot be written, so supervisors see
-					// the failed drain. The retry covers transient snapshot
-					// write failures; a wedged WAL stays wedged and reaches
-					// the nonzero exit.
-					log.Printf("dmgateway: drain snapshot refused: %v; retrying after a flush epoch", err)
-					eng.TriggerEpoch()
-					if err := writeDrain(); err != nil {
-						log.Printf("dmgateway: drain snapshot failed after retry: %v", err)
-						exitCode = 1
-					}
-				}
-			}
-			if err := w.Close(); err != nil {
-				log.Printf("dmgateway: WAL close: %v", err)
-			}
-		}
-	}()
-
-	log.Printf("dmgateway: design=%q intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g dod-workers=%d on %s",
-		p.Design.Label, *intakeShards, *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *dodWorkers, *addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
-	}
-	<-done
-	if exitCode != 0 {
-		os.Exit(exitCode)
-	}
-}
-
-// runFederated boots the sharded market (internal/federation) behind the
-// federation HTTP surface and blocks until shutdown. Mirrors the single-
-// engine path: SIGTERM stops HTTP first, then drains; with -snapshot-on-drain
-// every shard is checkpointed atomically w.r.t. the coordinator log before
-// the engines stop, so no snapshot ever captures a shard mid-2PC.
-func runFederated(addr string, shards int, cfg engine.Config, platOpts core.Options, reg *obs.Registry,
-	walDir, fsync string, segBytes int64, snapOnDrain bool, cacheEntries int, verbose bool) {
 	fcfg := federation.Config{
-		Shards: shards, Dir: walDir, SegmentBytes: segBytes,
+		Shards: *shards, Dir: *walDir, SegmentBytes: *segBytes,
 		Engine: cfg, Platform: platOpts, Metrics: reg,
 	}
-	if walDir != "" {
-		syncPolicy, err := wal.ParseSyncPolicy(fsync)
-		if err != nil {
+	if *walDir != "" {
+		if fcfg.Sync, err = wal.ParseSyncPolicy(*fsync); err != nil {
 			log.Fatal(err)
 		}
-		fcfg.Sync = syncPolicy
 	}
 	m, err := federation.Open(fcfg)
 	if err != nil {
-		log.Fatalf("dmgateway: federation boot: %v", err)
+		log.Fatalf("dmgateway: boot: %v", err)
 	}
-	if cacheEntries > 0 {
-		for _, sh := range m.Shards() {
-			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: cacheEntries})
+	// Log lines name the shard only when there is more than one.
+	shardTag := func(sh *federation.Shard) string {
+		if m.NumShards() == 1 {
+			return ""
+		}
+		return fmt.Sprintf("shard %d ", sh.Index)
+	}
+	for _, sh := range m.Shards() {
+		if sh.WAL != nil {
+			log.Printf("dmgateway: %sWAL %s: recovered %d events (snapshot seq %d, replayed %d), fsync=%s",
+				shardTag(sh), sh.Dir, sh.Boot.Recovered, sh.Boot.FromSnapshotSeq, sh.Boot.Replayed, fcfg.Sync)
+		}
+		if *cacheEntries > 0 {
+			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})
 		}
 	}
 	m.Start()
 
-	if verbose {
+	// Metrics subscriber: tail each shard's event log and surface epoch
+	// summaries — the same consumption pattern settlement uses internally.
+	if *verbose {
 		for _, sh := range m.Shards() {
-			sh := sh
-			bootHead := sh.Engine.Log().LastSeq()
+			// Tail from the boot-time head: replayed history was already
+			// logged in its first life.
+			evlog, cursor, tag := sh.Engine.Log(), sh.Engine.Log().LastSeq(), shardTag(sh)
 			go func() {
-				cursor := bootHead
 				for {
-					evs, open := sh.Engine.Log().WaitAfter(cursor)
+					evs, open := evlog.WaitAfter(cursor)
 					for _, ev := range evs {
 						cursor = ev.Seq
 						switch ev.Kind {
 						case engine.EventEpochEnd:
-							log.Printf("shard %d epoch %d: %s", sh.Index, ev.Epoch, ev.Note)
+							log.Printf("%sepoch %d: %s", tag, ev.Epoch, ev.Note)
 						case engine.EventTxSettled:
-							log.Printf("shard %d epoch %d: %s settled for %.2f (%s)",
-								sh.Index, ev.Epoch, ev.TxID, ev.Price, ev.Participant)
+							log.Printf("%sepoch %d: %s settled for %.2f (%s)", tag, ev.Epoch, ev.TxID, ev.Price, ev.Participant)
 						}
 					}
 					if !open {
@@ -398,11 +247,13 @@ func runFederated(addr string, shards int, cfg engine.Config, platOpts core.Opti
 		}
 	}
 
-	server := dmms.NewFederationServer(m)
+	server := dmms.NewMarketServer(m)
+	server.PruneOnSnapshot = *pruneOnSnap
 	if reg != nil {
 		server.SetMetrics(reg)
 	}
-	srv := &http.Server{Addr: addr, Handler: server}
+
+	srv := &http.Server{Addr: *addr, Handler: server}
 	done := make(chan struct{})
 	exitCode := 0
 	go func() {
@@ -410,22 +261,29 @@ func runFederated(addr string, shards int, cfg engine.Config, platOpts core.Opti
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
+		// Stop accepting submissions first, then drain the engines — the
+		// other order would hand out tickets no epoch will ever run.
 		log.Print("dmgateway: shutting down HTTP")
 		_ = srv.Shutdown(context.Background())
-		if walDir != "" && snapOnDrain {
-			// Flush whatever intake still holds into a final epoch, then
-			// checkpoint all shards (SnapshotAll prunes each shard's covered
-			// segments itself).
-			m.TriggerEpoch()
+		log.Print("dmgateway: draining engine")
+		m.Drain()
+		if *walDir != "" && *snapOnDrain {
+			// Every shard is checkpointed under the coordinator mutex, so no
+			// snapshot ever captures a shard mid-2PC.
 			writeDrain := func() error {
-				paths, err := m.SnapshotAll()
-				if err != nil {
-					return err
+				cps, err := m.SnapshotAll(*pruneOnSnap)
+				for _, cp := range cps {
+					log.Printf("dmgateway: drain snapshot %s (seq %d)", cp.Path, cp.Seq)
 				}
-				log.Printf("dmgateway: drain snapshots: %s", strings.Join(paths, ", "))
-				return nil
+				return err
 			}
 			if err := writeDrain(); err != nil {
+				// A refused checkpoint must not be silently lost: retry
+				// once after a flush epoch and exit nonzero if the
+				// checkpoint still cannot be written, so supervisors see
+				// the failed drain. The retry covers transient snapshot
+				// write failures; a wedged WAL stays wedged and reaches
+				// the nonzero exit.
 				log.Printf("dmgateway: drain snapshot refused: %v; retrying after a flush epoch", err)
 				m.TriggerEpoch()
 				if err := writeDrain(); err != nil {
@@ -434,12 +292,11 @@ func runFederated(addr string, shards int, cfg engine.Config, platOpts core.Opti
 				}
 			}
 		}
-		log.Print("dmgateway: draining shards")
 		m.Stop()
 	}()
 
-	log.Printf("dmgateway: federated design=%q shards=%d intake-shards=%d epoch=%v policy=%s dod-workers=%d on %s",
-		platOpts.Design, m.NumShards(), cfg.Shards, cfg.EpochEvery, cfg.Policy.Name(), cfg.DoDWorkers, addr)
+	log.Printf("dmgateway: design=%q shards=%d intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g dod-workers=%d on %s",
+		m.Shards()[0].Platform.Design.Label, m.NumShards(), *intakeShards, *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *dodWorkers, *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func (a *Arbiter) fileRequestLocked(r *Request) {
 // openLocked compacts settled requests out of openList and returns the open
 // requests in filing order. Caller holds a.mu. Compaction keeps the slice
 // proportional to the open set, so every matching round — MatchRound and
-// MatchRoundFor alike — costs O(open), not O(lifetime requests).
+// PriceRound alike — costs O(open), not O(lifetime requests).
 func (a *Arbiter) openLocked() []*Request {
 	kept := a.openList[:0]
 	for _, r := range a.openList {
@@ -263,7 +263,7 @@ type MatchResult struct {
 	Unsatisfied  []string // request IDs with no acceptable mashup
 	// UnmetCols are this round's demand-signal increments: wanted columns no
 	// mashup could supply, counted once per request group. MatchRound folds
-	// them into the arbiter's demand signals itself; MatchRoundFor leaves
+	// them into the arbiter's demand signals itself; PriceRound leaves
 	// that to the caller (see AddUnmet).
 	UnmetCols map[string]int
 }
@@ -280,19 +280,6 @@ func (a *Arbiter) MatchRound() (*MatchResult, error) {
 	return res, nil
 }
 
-// MatchRoundFor runs the pipeline over the given open requests only, in the
-// given order — the engine's matching-policy hook: a policy ranks the open
-// requests, a per-epoch cap truncates them, and the surviving IDs are handed
-// here. Unknown or closed IDs are skipped. Unlike MatchRound it does not
-// fold res.UnmetCols into the demand signals: the engine commits them only
-// when the round is actually counted (an aborted round leaves no trace, so
-// WAL replay stays deterministic). A nil slice matches every open request in
-// arrival order, exactly like MatchRound. Mashups are built inline; the
-// pipelined engine hands pre-built candidates to PriceRound instead.
-func (a *Arbiter) MatchRoundFor(ids []string) (*MatchResult, error) {
-	return a.PriceRound(context.Background(), ids, nil)
-}
-
 // PriceRound is the price stage of the split Fig. 2 pipeline: it runs the
 // matching round over the given open requests (nil = all, in arrival order)
 // but lets each want group consume a pre-built CandidateSet from the map
@@ -302,7 +289,11 @@ func (a *Arbiter) MatchRoundFor(ids []string) (*MatchResult, error) {
 // (cache-aware) inline build, so a dataset updated between build and price
 // can never settle against its pre-update mashup. ctx bounds any inline
 // rebuild a stale or missing prebuilt set forces (the DoD build deadline
-// applies on top), so one wedged group cannot stall the whole round.
+// applies on top), so one wedged group cannot stall the whole round. Unknown
+// or closed IDs are skipped. Unlike MatchRound it does not fold
+// res.UnmetCols into the demand signals: the engine commits them (AddUnmet)
+// only when the round is actually counted, so an aborted round leaves no
+// trace and WAL replay stays deterministic.
 func (a *Arbiter) PriceRound(ctx context.Context, ids []string, prebuilt map[string]*dod.CandidateSet) (*MatchResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // BenchmarkMatchRound measures round cost against the size of the *settled*
 // request history. Before the open-request index (reqByID + openList) every
-// round — MatchRound and MatchRoundFor alike — walked the full request
+// round — MatchRound and PriceRound alike — walked the full request
 // history, so cost grew with lifetime volume; now it tracks the open set.
 //
 // Measured on a linux/amd64 Xeon @2.10GHz (go -benchtime 100x), four
@@ -21,7 +22,7 @@ import (
 //	history=10000           13.7 µs/op                 1.6 µs/op
 //	history=100000         363.0 µs/op                 3.4 µs/op
 //
-// (MatchRoundFor tracked the same curve: 355 µs -> 3.1 µs at 100k.)
+// (PriceRound over explicit IDs tracked the same curve: 355 µs -> 3.1 µs at 100k.)
 // The old round cost ~O(open + settled); the new one tracks O(open).
 func BenchmarkMatchRound(b *testing.B) {
 	for _, hist := range []int{0, 10_000, 100_000} {
@@ -71,10 +72,10 @@ func BenchmarkMatchRound(b *testing.B) {
 					}
 				}
 			})
-			b.Run("MatchRoundFor", func(b *testing.B) {
+			b.Run("PriceRound", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := a.MatchRoundFor(ids); err != nil {
+					if _, err := a.PriceRound(context.Background(), ids, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

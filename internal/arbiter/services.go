@@ -22,8 +22,14 @@ type DemandSignal struct {
 func (a *Arbiter) DemandSignals() []DemandSignal {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]DemandSignal, 0, len(a.unmet))
-	for c, n := range a.unmet {
+	return DemandFromCounts(a.unmet)
+}
+
+// DemandFromCounts turns per-column unmet counts (UnmetCounts, possibly
+// summed over several arbiters) into demand signals, strongest first.
+func DemandFromCounts(counts map[string]int) []DemandSignal {
+	out := make([]DemandSignal, 0, len(counts))
+	for c, n := range counts {
 		out = append(out, DemandSignal{Column: c, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -147,13 +147,6 @@ func (p *Platform) MatchRound() (*arbiter.MatchResult, error) {
 	return p.Arbiter.MatchRound()
 }
 
-// MatchRoundFor runs one matching round over the given open requests in the
-// given order — the engine's policy-ordered round. Unmet demand from the
-// result is not recorded until the caller commits it via AddUnmet.
-func (p *Platform) MatchRoundFor(ids []string) (*arbiter.MatchResult, error) {
-	return p.Arbiter.MatchRoundFor(ids)
-}
-
 // AddUnmet commits a round's unmet-demand increments to the demand signals.
 func (p *Platform) AddUnmet(cols map[string]int) {
 	p.Arbiter.AddUnmet(cols)
@@ -177,7 +170,7 @@ func (p *Platform) BuildCandidates(ctx context.Context, want dod.Want) *dod.Cand
 
 // PriceRoundFor runs the price stage over the given open requests,
 // consuming pre-built candidate sets (keyed by Want.Key()) where still
-// valid. A nil map prices with inline builds, exactly like MatchRoundFor.
+// valid. A nil map prices with inline builds.
 // ctx bounds inline rebuilds forced by stale or missing sets.
 func (p *Platform) PriceRoundFor(ctx context.Context, ids []string, prebuilt map[string]*dod.CandidateSet) (*arbiter.MatchResult, error) {
 	return p.Arbiter.PriceRound(ctx, ids, prebuilt)

@@ -1,13 +1,21 @@
 package dmms
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/federation"
+	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -35,118 +43,273 @@ func asyncRelation(name string, rows int) *relation.Relation {
 	return r
 }
 
-// TestAsyncSubmitPoll walks the full async lifecycle over HTTP: register,
-// share and request return tickets; an epoch clears the market; tickets,
-// events and settlements report the outcome.
-func TestAsyncSubmitPoll(t *testing.T) {
-	_, _, c, done := asyncFixture(t, engine.Config{Shards: 4})
-	defer done()
-
-	regT, err := c.RegisterAsync("b1", 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shareT, err := c.ShareDatasetAsync("s1", "s1/d1", asyncRelation("s1/d1", 30), "open")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqT, err := c.SubmitRequestAsync(RequestReq{
-		Buyer:   "b1",
-		Columns: []string{"x", "y"},
-		Curve:   []CurvePointSpec{{MinSatisfaction: 0.5, Price: 150}},
+// marketFixture opens an in-memory market of the given shard count behind
+// the gateway's server, with telemetry on so tickets carry stage traces.
+func marketFixture(t *testing.T, shards int) (*federation.Market, *Server) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	m, err := federation.Open(federation.Config{
+		Shards:   shards,
+		Engine:   engine.Config{Shards: 2},
+		Platform: core.Options{Design: "posted-baseline"},
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(m.Stop)
+	s := NewMarketServer(m)
+	s.SetMetrics(reg)
+	return m, s
+}
 
-	if tk, err := c.Ticket(reqT); err != nil || tk.Status.Terminal() {
-		t.Fatalf("request should still be queued before the epoch: %+v err=%v", tk, err)
+// nameOn brute-forces a participant name hashing to the given home shard,
+// so the HTTP workload can pin buyers and sellers to shards deterministically.
+func nameOn(t *testing.T, prefix string, shard, shards int) string {
+	t.Helper()
+	for i := 0; i < 100000; i++ {
+		n := fmt.Sprintf("%s%d", prefix, i)
+		if federation.HomeOf(n, shards) == shard {
+			return n
+		}
 	}
-	if _, ran, err := c.TriggerEpoch(); err != nil || !ran {
-		t.Fatalf("epoch did not run: ran=%v err=%v", ran, err)
-	}
+	t.Fatalf("no name with prefix %q on shard %d/%d", prefix, shard, shards)
+	return ""
+}
 
-	for _, id := range []string{regT, shareT} {
-		tk, err := c.WaitTicket(id, time.Second)
-		if err != nil {
+// keyedRel builds a join-half relation (shared key k + one value column),
+// so a want for both value columns clears only through a cross-dataset join.
+func keyedRel(name, valCol string, rows int) *relation.Relation {
+	r := relation.New(name, relation.NewSchema(
+		relation.Col("k", relation.KindInt), relation.Col(valCol, relation.KindFloat)))
+	for i := 0; i < rows; i++ {
+		r.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)*2.5))
+	}
+	return r
+}
+
+// do runs one request against the handler and decodes the JSON response
+// into out (skipped when out is nil).
+func do(t *testing.T, h http.Handler, method, path string, body, out any) *httptest.ResponseRecorder {
+	t.Helper()
+	var buf []byte
+	if body != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		if tk.Status != engine.TicketDone {
-			t.Fatalf("ticket %s: %+v", id, tk)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(buf)))
+	if out != nil {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("%s %s: decode %q: %v", method, path, rec.Body.String(), err)
 		}
 	}
-	tk, err := c.WaitTicket(reqT, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tk.Status != engine.TicketDone || tk.TxID == "" || tk.Price != 100 {
-		t.Fatalf("request not settled at posted price: %+v", tk)
-	}
+	return rec
+}
 
-	// Balance reflects the purchase through the regular sync endpoint.
-	bal, err := c.Balance("b1")
-	if err != nil {
-		t.Fatal(err)
+func wantCode(t *testing.T, rec *httptest.ResponseRecorder, code int) {
+	t.Helper()
+	if rec.Code != code {
+		t.Fatalf("got HTTP %d (%s), want %d", rec.Code, rec.Body.String(), code)
 	}
-	if bal != 1900 {
-		t.Fatalf("buyer balance: want 1900, got %v", bal)
-	}
+}
 
-	// The event log saw the whole story, in order.
-	evs, err := c.Events(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []engine.EventKind
-	for _, ev := range evs {
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []engine.EventKind{
-		engine.EventEpochStart, engine.EventRegistered, engine.EventDatasetShared,
-		engine.EventRequestFiled, engine.EventTxSettled, engine.EventEpochEnd,
-	}
-	if len(kinds) != len(want) {
-		t.Fatalf("event kinds: want %v, got %v", want, kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event %d: want %s, got %s", i, want[i], kinds[i])
-		}
-	}
-
-	// Incremental cursor: nothing new after the last seq.
-	tail, err := c.Events(evs[len(evs)-1].Seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tail) != 0 {
-		t.Fatalf("expected empty tail, got %d events", len(tail))
-	}
-
-	// Settlement subscriber caught the sale and conservation holds.
-	deadline := time.Now().Add(time.Second)
-	for {
-		sts, conserved, err := c.Settlements()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sts) == 1 {
-			if !conserved {
-				t.Fatal("settlement conservation violated")
+// TestAsyncSubmitPoll walks the full async lifecycle over HTTP at one and
+// two shards — the same server, the same handlers: register, share and
+// request return tickets; an epoch clears the market; tickets (with their
+// stage trace), per-shard events, the merged settlement / history / stats
+// views and home-routed balances report the outcome. What differs by shard
+// count is only what the federation derives from it: bare IDs and an
+// addressable bare /events at one shard; shard-prefixed IDs, a coordinator
+// ticket and a 2PC settlement for the spanning want at two.
+func TestAsyncSubmitPoll(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, s := marketFixture(t, shards)
+			last := shards - 1
+			prefix := func(shard int) string {
+				if shards == 1 {
+					return ""
+				}
+				return fmt.Sprintf("s%d:", shard)
 			}
-			if sts[0].Buyer != "b1" || sts[0].Price != 100 {
-				t.Fatalf("unexpected settlement %+v", sts[0])
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("settlement subscriber never caught up (%d entries)", len(sts))
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+			buyer := nameOn(t, "buyer", 0, shards)
+			sellA := nameOn(t, "sellA", 0, shards)
+			sellB := nameOn(t, "sellB", last, shards)
 
-	if st, err := c.EngineStats(); err != nil || st.Matched != 1 || st.Epochs < 1 {
-		t.Fatalf("stats: %+v err=%v", st, err)
+			var tk TicketResp
+			wantCode(t, do(t, s, "POST", "/async/participants", ParticipantReq{Name: buyer, Funds: 5000}, &tk), http.StatusAccepted)
+			if tk.Ticket != prefix(0)+"sub-000001" {
+				t.Fatalf("buyer ticket %q, want %q", tk.Ticket, prefix(0)+"sub-000001")
+			}
+			wantCode(t, do(t, s, "POST", "/async/datasets", DatasetReq{
+				Seller: sellA, ID: sellA + "/d0", Relation: keyedRel(sellA+"/d0", "a", 40)}, nil), http.StatusAccepted)
+			wantCode(t, do(t, s, "POST", "/async/datasets", DatasetReq{
+				Seller: sellB, ID: sellB + "/d0", Relation: keyedRel(sellB+"/d0", "b", 40)}, &tk), http.StatusAccepted)
+			if !strings.HasPrefix(tk.Ticket, prefix(last)+"sub-") {
+				t.Fatalf("sellB ticket %q not on shard %d", tk.Ticket, last)
+			}
+			var tv TicketView
+			wantCode(t, do(t, s, "GET", "/async/tickets/"+tk.Ticket, nil, &tv), http.StatusOK)
+			if tv.Status.Terminal() {
+				t.Fatalf("share should still be queued before the epoch: %+v", tv.Ticket)
+			}
+			var ep struct {
+				Ran bool `json:"ran"`
+			}
+			wantCode(t, do(t, s, "POST", "/epoch", nil, &ep), http.StatusOK)
+			if !ep.Ran {
+				t.Fatal("epoch did not run")
+			}
+
+			// A want the buyer's home shard covers alone, and one needing both
+			// sellers: a local join at one shard, a spanning want at two.
+			var local, span TicketResp
+			wantCode(t, do(t, s, "POST", "/async/requests", RequestReq{
+				Buyer: buyer, Columns: []string{"k", "a"},
+				Task:  TaskSpec{Kind: "coverage", WantRows: 1},
+				Curve: []CurvePointSpec{{MinSatisfaction: 0.5, Price: 100}},
+			}, &local), http.StatusAccepted)
+			wantCode(t, do(t, s, "POST", "/async/requests", RequestReq{
+				Buyer: buyer, Columns: []string{"a", "b"},
+				Task:  TaskSpec{Kind: "coverage", WantRows: 1},
+				Curve: []CurvePointSpec{{MinSatisfaction: 0.9, Price: 900}},
+			}, &span), http.StatusAccepted)
+			if !strings.HasPrefix(local.Ticket, prefix(0)+"sub-") {
+				t.Fatalf("local want ticket %q not on shard 0", local.Ticket)
+			}
+			if onCoord := strings.HasPrefix(span.Ticket, "x:"); onCoord != (shards > 1) {
+				t.Fatalf("two-seller want ticket %q at %d shard(s)", span.Ticket, shards)
+			}
+			do(t, s, "POST", "/epoch", nil, nil)
+
+			// Shard tickets carry their stage trace at every shard count.
+			wantCode(t, do(t, s, "GET", "/async/tickets/"+local.Ticket, nil, &tv), http.StatusOK)
+			if tv.Status != engine.TicketDone || !strings.HasPrefix(tv.TxID, prefix(0)+"tx-") || tv.Price != 100 {
+				t.Fatalf("local want not settled at the posted price: %+v", tv.Ticket)
+			}
+			if _, ok := tv.Trace[obs.StageSettle]; !ok {
+				t.Fatalf("shard ticket carries no settle stamp: %v", tv.Trace)
+			}
+			tv = TicketView{}
+			wantCode(t, do(t, s, "GET", "/async/tickets/"+span.Ticket, nil, &tv), http.StatusOK)
+			if tv.Status != engine.TicketDone || (shards > 1) != (tv.TxID == "xtx-000001") {
+				t.Fatalf("two-seller ticket = %+v", tv.Ticket)
+			}
+			if (shards > 1) != (len(tv.Trace) == 0) {
+				t.Fatalf("trace on a %d-shard two-seller ticket: %v", shards, tv.Trace)
+			}
+			wantCode(t, do(t, s, "GET", "/async/tickets/nope", nil, nil), http.StatusNotFound)
+
+			// Stats: both settles counted, federation block present.
+			var sv StatsView
+			wantCode(t, do(t, s, "GET", "/engine/stats", nil, &sv), http.StatusOK)
+			if sv.Matched != 2 || sv.Epochs < 1 {
+				t.Fatalf("stats = %+v", sv.Stats)
+			}
+			if want := (FederationDetail{Shards: shards, XTxCommitted: uint64(shards - 1)}); !reflect.DeepEqual(sv.Federation, want) {
+				t.Fatalf("federation block = %+v, want %+v", sv.Federation, want)
+			}
+			wantCode(t, do(t, s, "GET", "/engine/stats?per-shard=1", nil, &sv), http.StatusOK)
+			if len(sv.Federation.PerShard) != shards {
+				t.Fatalf("per-shard detail has %d entries, want %d", len(sv.Federation.PerShard), shards)
+			}
+			var one engine.Stats
+			wantCode(t, do(t, s, "GET", fmt.Sprintf("/engine/stats?shard=%d", last), nil, &one), http.StatusOK)
+			if want := uint64(2 - 2*last); one.Matched != want {
+				t.Fatalf("shard %d Matched = %d, want %d (every settle touches shard 0's book)", last, one.Matched, want)
+			}
+			wantCode(t, do(t, s, "GET", "/engine/stats?shard=9", nil, nil), http.StatusBadRequest)
+
+			// Settlement book and history: merged across shards, IDs in
+			// federation form. The book is fed by each engine's event-log
+			// subscriber, so poll briefly. The cross-shard settle appears in
+			// neither (its legs are xtx events), so one entry at two shards.
+			var book struct {
+				Settlements []SettlementView `json:"settlements"`
+				Conserved   bool             `json:"conserved"`
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+				wantCode(t, do(t, s, "GET", "/settlements", nil, &book), http.StatusOK)
+				if len(book.Settlements) == 3-shards || time.Now().After(deadline) {
+					break
+				}
+			}
+			if !book.Conserved || len(book.Settlements) != 3-shards {
+				t.Fatalf("settlement book = %+v", book)
+			}
+			var hist []TxView
+			wantCode(t, do(t, s, "GET", "/history", nil, &hist), http.StatusOK)
+			if len(hist) != 3-shards {
+				t.Fatalf("history has %d entries, want %d", len(hist), 3-shards)
+			}
+			for i, st := range book.Settlements {
+				if !strings.HasPrefix(st.TxID, prefix(0)+"tx-") || st.Buyer != buyer || hist[i].ID != st.TxID || hist[i].Mashup != nil {
+					t.Fatalf("settlement %+v / history %+v", st, hist[i])
+				}
+			}
+			wantCode(t, do(t, s, "GET", "/demand", nil, &[]map[string]any{}), http.StatusOK)
+
+			// Events are per-shard orderings: the bare path addresses the only
+			// shard, a multi-shard market demands ?shard=i.
+			bare := do(t, s, "GET", "/events", nil, nil)
+			if shards == 1 {
+				wantCode(t, bare, http.StatusOK)
+			} else {
+				wantCode(t, bare, http.StatusBadRequest)
+			}
+			var evs []engine.Event
+			wantCode(t, do(t, s, "GET", "/events?shard=0", nil, &evs), http.StatusOK)
+			settled := 0
+			for i, ev := range evs {
+				if ev.Seq != i+1 || ev.Payload != nil {
+					t.Fatalf("event %d: seq %d, payload redacted=%v", i, ev.Seq, ev.Payload == nil)
+				}
+				if ev.Kind == engine.EventTxSettled {
+					settled++
+				}
+			}
+			if len(evs) == 0 || evs[0].Kind != engine.EventEpochStart || settled != 3-shards {
+				t.Fatalf("shard 0 log: %d events, %d settles", len(evs), settled)
+			}
+			// Incremental cursor: nothing new after the last seq.
+			wantCode(t, do(t, s, "GET", fmt.Sprintf("/events?shard=0&after=%d", len(evs)), nil, &evs), http.StatusOK)
+			if len(evs) != 0 {
+				t.Fatalf("expected empty tail, got %d events", len(evs))
+			}
+
+			// Balances route to the home shard's ledger; unknown accounts are
+			// 404 at every shard count.
+			var bal map[string]float64
+			wantCode(t, do(t, s, "GET", "/balance?account="+sellB, nil, &bal), http.StatusOK)
+			if bal["balance"] <= 0 {
+				t.Fatalf("seller B balance = %v, want > 0", bal["balance"])
+			}
+			wantCode(t, do(t, s, "GET", "/balance?account=nobody", nil, nil), http.StatusNotFound)
+			wantCode(t, do(t, s, "GET", "/balance", nil, nil), http.StatusBadRequest)
+
+			var designs map[string]any
+			wantCode(t, do(t, s, "GET", "/designs", nil, &designs), http.StatusOK)
+			if designs["design"] != "posted-baseline" || designs["shards"] != float64(shards) {
+				t.Fatalf("designs = %v", designs)
+			}
+
+			// In-memory market: no snapshot lineage.
+			wantCode(t, do(t, s, "POST", "/snapshot", nil, nil), http.StatusServiceUnavailable)
+			// The synchronous surface is dmmsd's, not the gateway's.
+			wantCode(t, do(t, s, "POST", "/match", nil, nil), http.StatusNotFound)
+			wantCode(t, do(t, s, "POST", "/participants", ParticipantReq{Name: "x", Funds: 1}, nil), http.StatusNotFound)
+
+			if shards > 1 {
+				// Ex-post reports against cross-shard transactions are refused
+				// (they settle up-front); the refusal travels as an ordinary
+				// submit error.
+				wantCode(t, do(t, s, "POST", "/async/report",
+					ReportReq{TxID: "xtx-000001", Reported: 1, TrueValue: 1}, nil), http.StatusBadRequest)
+			}
+		})
 	}
 }
 
@@ -202,20 +365,5 @@ func TestAsyncConcurrentClients(t *testing.T) {
 	}
 	if i := p.Arbiter.Ledger.VerifyChain(); i >= 0 {
 		t.Fatalf("audit chain corrupted at entry %d", i)
-	}
-}
-
-// TestAsyncWithoutEngine confirms the sync-only server answers 503 on the
-// async surface instead of panicking.
-func TestAsyncWithoutEngine(t *testing.T) {
-	p, err := core.NewPlatform(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(p))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-	if _, err := c.RegisterAsync("b1", 10); err == nil {
-		t.Fatal("expected 503 from async endpoint without engine")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,13 +25,6 @@ const DefaultTimeout = 30 * time.Second
 // nil-pointer panic waiting to happen.
 var defaultHTTP = &http.Client{Timeout: DefaultTimeout}
 
-// ErrSyncDisabled is returned when a synchronous mutation (Register,
-// ShareDataset, SubmitRequest, Report, Match) hits a WAL-backed server,
-// which only accepts mutations through the async, event-logged surface.
-// Match with errors.Is and switch to the *Async methods; the wrapped
-// message carries the server's guidance text.
-var ErrSyncDisabled = errors.New("dmms: synchronous mutations disabled on durable server")
-
 // OverloadedError is returned when the server sheds load (HTTP 429 from
 // admission control): back off for RetryAfter before resubmitting.
 type OverloadedError struct {
@@ -46,7 +38,10 @@ func (e *OverloadedError) Error() string {
 }
 
 // Client is the Go client for a remote DMMS server — what a seller or buyer
-// management platform embeds when the arbiter runs elsewhere.
+// management platform embeds when the arbiter runs elsewhere. The synchronous
+// methods (Register, ShareDataset, SubmitRequest, Match, Report) talk to
+// cmd/dmmsd; the *Async methods, tickets, events, stats, settlements and
+// Snapshot talk to cmd/dmgateway; History and Balance work against both.
 //
 // HTTP may be left nil: calls then use a shared client with DefaultTimeout.
 // Every method also has ctx-threaded plumbing underneath — the *Ctx variants
@@ -138,9 +133,6 @@ func decode(resp *http.Response, out any) error {
 				retry = time.Duration(secs) * time.Second
 			}
 			return &OverloadedError{Msg: e.Error, RetryAfter: retry}
-		}
-		if resp.StatusCode == http.StatusConflict && resp.Header.Get(SyncDisabledHeader) != "" {
-			return fmt.Errorf("%w: %s", ErrSyncDisabled, e.Error)
 		}
 		if e.Error != "" {
 			return fmt.Errorf("dmms: %s: %s", resp.Status, e.Error)

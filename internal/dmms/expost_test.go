@@ -1,37 +1,29 @@
 package dmms
 
 import (
-	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/wal"
+	"repro/internal/federation"
 )
 
 // TestAsyncExPostReportEndToEnd is the wire-level ex-post durability story:
-// on a WAL-backed server the sync /report path answers the typed
-// ErrSyncDisabled, the async path settles deliver -> report through the
-// event log, a pending escrow survives a snapshot + restart intact, and the
-// buyer's report settles against the restored escrow on the second server
-// lifetime.
+// on a WAL-backed gateway the async path settles deliver -> report through
+// the event log, a pending escrow survives a snapshot + restart intact, and
+// the buyer's report settles against the restored escrow on the second
+// server lifetime.
 func TestAsyncExPostReportEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	walOpts := wal.Options{Dir: dir, Policy: wal.SyncAlways}
+	cfg := durableConfig(t.TempDir(), 1, "expost-audited")
 
 	// --- first server lifetime -------------------------------------------
-	w, err := wal.Open(walOpts)
+	m, err := federation.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewPlatform(core.Options{Design: "expost-audited"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(p, engine.Config{Shards: 4, Persister: w})
-	srv := httptest.NewServer(NewEngineServer(p, eng))
+	p := m.Shards()[0].Platform
+	srv := httptest.NewServer(NewMarketServer(m))
 	c := NewClient(srv.URL)
 
 	if _, err := c.RegisterAsync("b1", 2000); err != nil {
@@ -63,14 +55,6 @@ func TestAsyncExPostReportEndToEnd(t *testing.T) {
 		return tk
 	}
 	tx1 := deliver(300)
-
-	// Sync mutations answer the typed refusal on a durable server.
-	if _, err := c.Report(tx1.TxID, 250, 250); !errors.Is(err, ErrSyncDisabled) {
-		t.Fatalf("sync /report on durable server: got %v, want ErrSyncDisabled", err)
-	}
-	if err := c.Register("b9", 10); !errors.Is(err, ErrSyncDisabled) {
-		t.Fatalf("sync /participants on durable server: got %v, want ErrSyncDisabled", err)
-	}
 
 	// The async report settles the escrow through the event log.
 	repT, err := c.ReportAsync(tx1.TxID, 250, 250)
@@ -106,30 +90,22 @@ func TestAsyncExPostReportEndToEnd(t *testing.T) {
 	if p.Arbiter.PendingExPostCount() != 1 {
 		t.Fatalf("want 1 pending escrow, have %d", p.Arbiter.PendingExPostCount())
 	}
-	snap, err := eng.Snapshot()
-	if err != nil {
+	if _, _, err := c.Snapshot(); err != nil {
 		t.Fatalf("snapshot with pending escrow refused: %v", err)
 	}
-	if _, err := wal.WriteSnapshot(dir, snap); err != nil {
-		t.Fatal(err)
-	}
 	srv.Close()
-	eng.Stop()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	m.Stop()
 
 	// --- second server lifetime ------------------------------------------
-	p2, eng2, w2, _, err := wal.Boot(core.Options{Design: "expost-audited"},
-		engine.Config{Shards: 4}, walOpts)
+	m2, err := federation.Open(cfg)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
-	srv2 := httptest.NewServer(NewEngineServer(p2, eng2))
+	p2 := m2.Shards()[0].Platform
+	srv2 := httptest.NewServer(NewMarketServer(m2))
 	defer func() {
 		srv2.Close()
-		eng2.Stop()
-		w2.Close()
+		m2.Stop()
 	}()
 	c2 := NewClient(srv2.URL)
 

@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
 // scrapeMetrics GETs /metrics and returns the exposition text plus a map of
@@ -53,23 +53,20 @@ func scrapeMetrics(t *testing.T, url string) (string, map[string]float64) {
 }
 
 // TestMetricsEndpointEndToEnd drives market traffic through a WAL-backed
-// engine gateway and scrapes /metrics twice: the families the telemetry layer
-// promises must be present with non-zero activity, and every cumulative
+// one-shard gateway (the -shards 1 boot path) and scrapes /metrics twice: the
+// families the telemetry layer promises must be present with non-zero activity, and every cumulative
 // sample must be monotone across scrapes.
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncAlways, Metrics: reg})
+	cfg := durableConfig(t.TempDir(), 1, "posted-baseline")
+	cfg.Engine.DoDWorkers = 2
+	cfg.Metrics = reg
+	m, err := federation.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(p, engine.Config{Shards: 4, DoDWorkers: 2, Persister: w, Metrics: reg})
-	defer eng.Stop()
-	s := NewEngineServer(p, eng)
+	defer m.Stop()
+	s := NewMarketServer(m)
 	s.SetMetrics(reg)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -201,5 +198,19 @@ func TestMetricsEndpointDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("GET /metrics on a metrics-less server = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestMetricsEndpointMultiShard wires a registry into a two-shard market and
+// asserts the scrape carries the HTTP families plus the federation aggregates.
+func TestMetricsEndpointMultiShard(t *testing.T) {
+	_, s := marketFixture(t, 2)
+	do(t, s, "POST", "/epoch", nil, nil)
+	rec := do(t, s, "GET", "/metrics", nil, nil)
+	wantCode(t, rec, http.StatusOK)
+	for _, want := range []string{"federation_shards 2", "dmms_http_requests_total", "engine_epochs_total"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("scrape missing %q:\n%s", want, rec.Body)
+		}
 	}
 }

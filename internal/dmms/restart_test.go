@@ -1,14 +1,32 @@
 package dmms
 
 import (
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/wal"
 )
+
+// durableConfig is the WAL-backed market the durability tests open — the
+// gateway's own boot path (federation.Open), always-fsync so the log holds
+// exactly what the live process saw.
+func durableConfig(dir string, shards int, design string) federation.Config {
+	return federation.Config{
+		Shards:   shards,
+		Dir:      dir,
+		Sync:     wal.SyncAlways,
+		Engine:   engine.Config{Shards: 4},
+		Platform: core.Options{Design: design},
+	}
+}
 
 // TestAsyncSurfaceSurvivesRestart covers the client-visible durability
 // contract: a client holding a ticket and an /events cursor from before a
@@ -16,20 +34,14 @@ import (
 // gaps or duplicates, and its old ticket must still resolve to the same
 // terminal state.
 func TestAsyncSurfaceSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	walOpts := wal.Options{Dir: dir, Policy: wal.SyncAlways}
+	cfg := durableConfig(t.TempDir(), 1, "posted-baseline")
 
 	// --- first server lifetime -------------------------------------------
-	w, err := wal.Open(walOpts)
+	m, err := federation.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(p, engine.Config{Shards: 4, Persister: w})
-	srv := httptest.NewServer(NewEngineServer(p, eng))
+	srv := httptest.NewServer(NewMarketServer(m))
 	c := NewClient(srv.URL)
 
 	regT, err := c.RegisterAsync("b1", 2000)
@@ -76,24 +88,17 @@ func TestAsyncSurfaceSurvivesRestart(t *testing.T) {
 
 	// --- restart ----------------------------------------------------------
 	srv.Close()
-	eng.Stop()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	m.Stop()
 
-	p2, eng2, w2, res, err := wal.Boot(core.Options{Design: "posted-baseline"},
-		engine.Config{Shards: 4}, walOpts)
+	m2, err := federation.Open(cfg)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
-	defer func() {
-		eng2.Stop()
-		w2.Close()
-	}()
-	if res.Recovered != total {
+	defer m2.Stop()
+	if res := m2.Shards()[0].Boot; res.Recovered != total {
 		t.Fatalf("recovered %d events, want %d", res.Recovered, total)
 	}
-	srv2 := httptest.NewServer(NewEngineServer(p2, eng2))
+	srv2 := httptest.NewServer(NewMarketServer(m2))
 	defer srv2.Close()
 	c2 := NewClient(srv2.URL)
 
@@ -173,100 +178,75 @@ func TestAsyncSurfaceSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndpoint exercises the /snapshot admin surface: 503 without a
-// configured store, and path+seq with one.
+// TestSnapshotEndpoint exercises the /snapshot admin surface at one and two
+// shards: 503 without a snapshot lineage; with one, a checkpoint per shard,
+// shard 0's path + seq for single-checkpoint clients (Client.Snapshot), and
+// -prune-on-snapshot honoured either way.
 func TestSnapshotEndpoint(t *testing.T) {
-	_, eng, c, done := asyncFixture(t, engine.Config{Shards: 2})
+	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2})
 	defer done()
-
-	if _, _, err := c.Snapshot(); err == nil {
-		t.Fatal("snapshot without a store must fail")
+	if _, _, err := c.Snapshot(); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("snapshot without a store must answer 503, got %v", err)
 	}
 
-	dir := t.TempDir()
-	// Reach into the handler wiring the way the gateway does.
-	regT, err := c.RegisterAsync("b1", 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.TriggerEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitTicket(regT, time.Second); err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{1, 2} {
+		for _, prune := range []bool{true, false} {
+			t.Run(fmt.Sprintf("shards=%d/prune=%v", shards, prune), func(t *testing.T) {
+				dir := t.TempDir()
+				m, err := federation.Open(durableConfig(dir, shards, "posted-baseline"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Stop()
+				s := NewMarketServer(m)
+				s.PruneOnSnapshot = prune
+				srv := httptest.NewServer(s)
+				defer srv.Close()
+				c := NewClient(srv.URL)
 
-	srv2 := httptest.NewServer(func() *Server {
-		s := NewEngineServer(nil, eng)
-		s.SetSnapshotFunc(func() (string, int, error) {
-			snap, err := eng.Snapshot()
-			if err != nil {
-				return "", 0, err
-			}
-			path, err := wal.WriteSnapshot(dir, snap)
-			return path, snap.TakenAtSeq, err
-		})
-		return s
-	}())
-	defer srv2.Close()
-	c2 := NewClient(srv2.URL)
-
-	path, seq, err := c2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq == 0 || path == "" {
-		t.Fatalf("snapshot wrote nothing: path=%q seq=%d", path, seq)
-	}
-	snap, err := wal.LoadSnapshot(dir)
-	if err != nil || snap == nil || snap.TakenAtSeq != seq {
-		t.Fatalf("written snapshot not loadable: %+v err=%v", snap, err)
-	}
-}
-
-// TestDurableServerRejectsSyncMutations: with a WAL attached, the
-// synchronous mutation endpoints would change state without an event-log
-// record — the server must refuse them and point at the async surface.
-func TestDurableServerRejectsSyncMutations(t *testing.T) {
-	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(p, engine.Config{Shards: 2, Persister: w})
-	defer eng.Stop()
-	srv := httptest.NewServer(NewEngineServer(p, eng))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	if err := c.Register("alice", 100); err == nil {
-		t.Fatal("sync /participants must be rejected on a durable server")
-	}
-	if err := c.ShareDataset("s1", "s1/d1", asyncRelation("s1/d1", 5), "open"); err == nil {
-		t.Fatal("sync /datasets must be rejected on a durable server")
-	}
-	if _, err := c.SubmitRequest(RequestReq{Buyer: "alice", Columns: []string{"x"},
-		Curve: []CurvePointSpec{{MinSatisfaction: 0.5, Price: 10}}}); err == nil {
-		t.Fatal("sync /requests must be rejected on a durable server")
-	}
-	// The async path still works.
-	if _, err := c.RegisterAsync("alice", 100); err != nil {
-		t.Fatalf("async surface broken on durable server: %v", err)
-	}
-	// A non-durable engine server keeps accepting sync mutations.
-	p2, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := engine.New(p2, engine.Config{Shards: 2})
-	defer eng2.Stop()
-	srv2 := httptest.NewServer(NewEngineServer(p2, eng2))
-	defer srv2.Close()
-	if err := NewClient(srv2.URL).Register("bob", 50); err != nil {
-		t.Fatalf("sync mutation on non-durable engine server: %v", err)
+				// Three checkpoints with work in between: pruning keeps the
+				// newest two per shard, not pruning keeps all three.
+				var path string
+				var seq int
+				for i := 0; i < 3; i++ {
+					for shard := 0; shard < shards; shard++ {
+						name := nameOn(t, fmt.Sprintf("b%d-", i), shard, shards)
+						if _, err := c.RegisterAsync(name, 500); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, _, err := c.TriggerEpoch(); err != nil {
+						t.Fatal(err)
+					}
+					if path, seq, err = c.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if seq == 0 || path == "" {
+					t.Fatalf("snapshot wrote nothing: path=%q seq=%d", path, seq)
+				}
+				var resp SnapshotResp
+				wantCode(t, do(t, s, "POST", "/snapshot", nil, &resp), http.StatusOK)
+				if len(resp.Paths) != shards || resp.Path != resp.Paths[0] || resp.Seq != seq {
+					t.Fatalf("snapshot response %+v, want %d paths led by shard 0 at seq %d", resp, shards, seq)
+				}
+				for _, sh := range m.Shards() {
+					if shards == 1 && sh.Dir != dir {
+						t.Fatalf("one-shard lineage lives in %s, want %s itself", sh.Dir, dir)
+					}
+					snap, err := wal.LoadSnapshot(sh.Dir)
+					if err != nil || snap == nil {
+						t.Fatalf("shard %d snapshot not loadable: %+v err=%v", sh.Index, snap, err)
+					}
+					files, err := filepath.Glob(filepath.Join(sh.Dir, "snapshot-*.json"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := map[bool]int{true: 2, false: 3}[prune]; len(files) != want {
+						t.Fatalf("shard %d keeps %d snapshot files with prune=%v, want %d", sh.Index, len(files), prune, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dod"
 	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/license"
 	"repro/internal/mltask"
 	"repro/internal/obs"
@@ -28,15 +29,20 @@ import (
 	"repro/internal/wtp"
 )
 
-// Server wraps a core.Platform with an HTTP API. When built with an engine
-// (NewEngineServer) it additionally serves the async submit/poll surface:
-// submissions return tickets immediately, epochs clear the market in the
-// background, and clients follow progress via tickets and the event log.
+// Server is the gateway's HTTP API over a market (internal/federation): the
+// async submit/poll surface. Submissions are routed to their home shard (or
+// the cross-shard coordinator) and return tickets immediately, epochs clear
+// the market in the background, and clients follow progress via tickets and
+// the per-shard event logs. The read views (/engine/stats, /settlements,
+// /history, /demand) merge every shard. There are no synchronous mutations
+// here — they would bypass routing and the durable event log; SyncServer
+// (cmd/dmmsd) serves those over a bare platform.
 type Server struct {
 	routeSet
-	platform *core.Platform
-	engine   *engine.Engine
-	snapshot SnapshotFunc
+	market *federation.Market
+	// PruneOnSnapshot makes POST /snapshot drop the WAL segments and old
+	// snapshots each new checkpoint covers (the gateway's -prune-on-snapshot).
+	PruneOnSnapshot bool
 }
 
 // httpMetrics bundles the per-route instruments with the registry that
@@ -47,11 +53,11 @@ type httpMetrics struct {
 	dur  *obs.HistogramVec // dmms_http_request_seconds{route}
 }
 
-// routeSet is the HTTP plumbing shared by the market servers (single-engine
-// Server and FederationServer): a mux whose routes gain per-route count and
-// latency series once a telemetry registry is wired. hm is an atomic pointer
-// so metrics can be wired after construction — the gateway builds the server
-// first — without racing in-flight requests.
+// routeSet is the HTTP plumbing shared by Server and SyncServer: a mux whose
+// routes gain per-route count and latency series once a telemetry registry
+// is wired. hm is an atomic pointer so metrics can be wired after
+// construction — the gateway builds the server first — without racing
+// in-flight requests.
 type routeSet struct {
 	mux *http.ServeMux
 	hm  atomic.Pointer[httpMetrics]
@@ -74,47 +80,35 @@ func (rs *routeSet) SetMetrics(reg *obs.Registry) {
 	})
 }
 
-// SnapshotFunc persists an engine checkpoint (see internal/wal) and returns
-// its path and the last event seq it covers. Wired by the gateway when a WAL
-// is configured; without one the /snapshot endpoint answers 503.
-type SnapshotFunc func() (path string, seq int, err error)
-
-// SetSnapshotFunc enables the POST /snapshot admin endpoint.
-func (s *Server) SetSnapshotFunc(fn SnapshotFunc) { s.snapshot = fn }
-
-// NewServer builds the synchronous HTTP front end (no engine; the async
-// endpoints answer 503).
-func NewServer(p *core.Platform) *Server { return NewEngineServer(p, nil) }
-
-// NewEngineServer builds the HTTP front end over a concurrent market engine.
-// The caller owns the engine's lifecycle (Start/Stop).
-func NewEngineServer(p *core.Platform, eng *engine.Engine) *Server {
-	s := &Server{routeSet: routeSet{mux: http.NewServeMux()}, platform: p, engine: eng}
-	s.handle("POST /participants", s.syncMutation(s.handleParticipants))
-	s.handle("POST /datasets", s.syncMutation(s.handleDatasets))
-	s.handle("POST /requests", s.syncMutation(s.handleRequests))
-	s.handle("POST /match", s.handleMatch)
-	s.handle("POST /report", s.syncMutation(s.handleReport))
+// NewMarketServer builds the HTTP front end over a market. The caller owns
+// the market's lifecycle (Start/Stop).
+func NewMarketServer(m *federation.Market) *Server {
+	s := &Server{routeSet: routeSet{mux: http.NewServeMux()}, market: m}
+	s.handle("POST /async/participants", s.handleParticipants)
+	s.handle("POST /async/datasets", s.handleDatasets)
+	s.handle("POST /async/requests", s.handleRequests)
+	s.handle("POST /async/report", s.handleReport)
+	s.handle("GET /async/tickets/{id}", s.handleTicket)
+	s.handle("GET /events", s.handleEvents)
+	s.handle("POST /epoch", s.handleEpoch)
+	s.handle("GET /engine/stats", s.handleStats)
+	s.handle("GET /settlements", s.handleSettlements)
 	s.handle("GET /history", s.handleHistory)
 	s.handle("GET /demand", s.handleDemand)
 	s.handle("GET /balance", s.handleBalance)
 	s.handle("GET /designs", s.handleDesigns)
-	s.handle("POST /save", s.handleSave)
-	// Async (engine-backed) surface.
-	s.handle("POST /async/participants", s.withEngine(s.handleAsyncParticipants))
-	s.handle("POST /async/datasets", s.withEngine(s.handleAsyncDatasets))
-	s.handle("POST /async/requests", s.withEngine(s.handleAsyncRequests))
-	s.handle("POST /async/report", s.withEngine(s.handleAsyncReport))
-	s.handle("GET /async/tickets/{id}", s.withEngine(s.handleTicket))
-	s.handle("GET /events", s.withEngine(s.handleEvents))
-	s.handle("POST /epoch", s.withEngine(s.handleEpoch))
-	s.handle("GET /engine/stats", s.withEngine(s.handleEngineStats))
-	s.handle("GET /settlements", s.withEngine(s.handleSettlements))
-	s.handle("POST /snapshot", s.withEngine(s.handleSnapshot))
+	s.handle("POST /snapshot", s.handleSnapshot)
 	// Telemetry exposition — deliberately uninstrumented: a scrape should
 	// never perturb the series it is reading.
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// NewEngineServer builds the HTTP front end over one platform + engine pair,
+// adopted as a one-shard in-memory market. The caller owns the engine's
+// lifecycle (Start/Stop).
+func NewEngineServer(p *core.Platform, eng *engine.Engine) *Server {
+	return NewMarketServer(federation.Adopt(p, eng))
 }
 
 // handle registers an instrumented route. The metric label is the pattern's
@@ -167,36 +161,6 @@ func (rs *routeSet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = hm.reg.WritePrometheus(w)
 }
 
-// syncMutation guards the synchronous state-changing endpoints: on a
-// WAL-backed (durable) engine server they would mutate the platform without
-// an event-log record, making the durable log incomplete — and a later
-// replay could even fail outright (e.g. a settlement against a buyer whose
-// registration was never logged). Durable servers accept mutations only
-// through the async, event-logged surface.
-func (s *Server) syncMutation(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.engine != nil && s.engine.Durable() {
-			// The marker header lets clients branch on the refusal
-			// (ErrSyncDisabled) instead of string-matching the guidance.
-			w.Header().Set(SyncDisabledHeader, "1")
-			writeErr(w, http.StatusConflict, fmt.Errorf(
-				"dmms: this server is WAL-backed; synchronous mutations bypass the durable event log — use the /async endpoints"))
-			return
-		}
-		h(w, r)
-	}
-}
-
-func (s *Server) withEngine(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.engine == nil {
-			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("dmms: no engine configured; use the synchronous endpoints"))
-			return
-		}
-		h(w, r)
-	}
-}
-
 // ServeHTTP implements http.Handler.
 func (rs *routeSet) ServeHTTP(w http.ResponseWriter, r *http.Request) { rs.mux.ServeHTTP(w, r) }
 
@@ -210,14 +174,20 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// readJSON decodes the request body into v; on a malformed body it answers
+// 400 and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
 // PriorityHeader carries a request's priority class ("low" | "normal" |
 // "high" or an integer) on POST /async/requests; it overrides the JSON
 // body's priority field.
 const PriorityHeader = "X-DMMS-Priority"
-
-// SyncDisabledHeader marks a 409 as "synchronous mutations disabled on this
-// WAL-backed server"; the client maps it to ErrSyncDisabled.
-const SyncDisabledHeader = "X-DMMS-Sync-Disabled"
 
 // writeSubmitErr maps an engine intake error onto the wire: admission
 // rejections become 429 Too Many Requests with a Retry-After header (whole
@@ -243,19 +213,6 @@ type ParticipantReq struct {
 	Funds float64 `json:"funds"`
 }
 
-func (s *Server) handleParticipants(w http.ResponseWriter, r *http.Request) {
-	var req ParticipantReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.platform.Arbiter.RegisterParticipant(req.Name, req.Funds); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"name": req.Name})
-}
-
 // DatasetReq shares a dataset with the arbiter.
 type DatasetReq struct {
 	Seller   string             `json:"seller"`
@@ -279,24 +236,6 @@ func datasetTerms(req DatasetReq) (license.Terms, wtp.DatasetMeta, error) {
 	terms := license.Terms{Kind: kind, ExclusivityTaxRate: req.TaxRate}
 	meta := wtp.DatasetMeta{Dataset: req.ID, UpdatedAt: time.Now(), Author: req.Author, HasProvenance: true}
 	return terms, meta, nil
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	var req DatasetReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	terms, meta, err := datasetTerms(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.platform.Arbiter.ShareDataset(req.Seller, catalog.DatasetID(req.ID), req.Relation, meta, terms); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 // TaskSpec is the serializable task package of a WTP-function.
@@ -353,25 +292,6 @@ func buildRequest(req RequestReq) (dod.Want, *wtp.Function, error) {
 	return want, f, nil
 }
 
-func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
-	var req RequestReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	want, f, err := buildRequest(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := s.platform.Arbiter.SubmitRequest(want, f)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"request_id": id})
-}
-
 // TxView is the wire form of a transaction.
 type TxView struct {
 	ID           string             `json:"id"`
@@ -397,32 +317,6 @@ func txView(tx *arbiter.Transaction, includeData bool) TxView {
 	return v
 }
 
-// MatchResp reports one matching round.
-type MatchResp struct {
-	Transactions []TxView `json:"transactions"`
-	Unsatisfied  []string `json:"unsatisfied"`
-}
-
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	// With an engine, matching rounds belong to the epoch runner: a direct
-	// MatchRound here would settle engine-tracked requests without event-log
-	// publication, leaving tickets stuck and the settlement book incomplete.
-	if s.engine != nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("dmms: matching is epoch-driven on this server; POST /epoch instead"))
-		return
-	}
-	res, err := s.platform.MatchRound()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := MatchResp{Unsatisfied: res.Unsatisfied}
-	for _, tx := range res.Transactions {
-		resp.Transactions = append(resp.Transactions, txView(tx, true))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // ReportReq settles an ex-post transaction.
 type ReportReq struct {
 	TxID      string  `json:"tx_id"`
@@ -430,87 +324,16 @@ type ReportReq struct {
 	TrueValue float64 `json:"true_value"`
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var req ReportReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	paid, err := s.platform.Arbiter.ReportValue(req.TxID, req.Reported, req.TrueValue)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"paid": paid})
-}
-
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	var out []TxView
-	for _, tx := range s.platform.Arbiter.History() {
-		out = append(out, txView(tx, false))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.platform.Arbiter.DemandSignals())
-}
-
-func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
-	account := r.URL.Query().Get("account")
-	if account == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: account query parameter required"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{
-		"balance": s.platform.Arbiter.Ledger.Balance(account).Float(),
-	})
-}
-
-func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"design": s.platform.Design.Label})
-}
-
-// SaveReq asks the server to persist its catalog to a directory.
-type SaveReq struct {
-	Dir string `json:"dir"`
-}
-
-func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
-	var req SaveReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Dir == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: dir is required"))
-		return
-	}
-	if err := s.platform.Arbiter.Catalog.SaveDir(req.Dir); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"saved": req.Dir})
-}
-
-// --- async (engine-backed) handlers ---------------------------------------
+// --- market handlers ------------------------------------------------------
 
 // TicketResp acknowledges an async submission.
 type TicketResp struct {
 	Ticket string `json:"ticket"`
 }
 
-func (s *Server) handleAsyncParticipants(w http.ResponseWriter, r *http.Request) {
-	var req ParticipantReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Name == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: name is required"))
-		return
-	}
-	ticket, err := s.engine.SubmitRegister(req.Name, req.Funds)
+// writeTicket answers an async submission: 202 with its ticket, or the
+// intake error (see writeSubmitErr).
+func writeTicket(w http.ResponseWriter, ticket string, err error) {
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
@@ -518,10 +341,22 @@ func (s *Server) handleAsyncParticipants(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
 }
 
-func (s *Server) handleAsyncDatasets(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleParticipants(w http.ResponseWriter, r *http.Request) {
+	var req ParticipantReq
+	if !readJSON(w, r, &req) {
+		return
+	}
+	if req.Name == "" {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: name is required"))
+		return
+	}
+	ticket, err := s.market.SubmitRegister(req.Name, req.Funds)
+	writeTicket(w, ticket, err)
+}
+
+func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	var req DatasetReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	terms, meta, err := datasetTerms(req)
@@ -529,18 +364,13 @@ func (s *Server) handleAsyncDatasets(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ticket, err := s.engine.SubmitShare(req.Seller, catalog.DatasetID(req.ID), req.Relation, meta, terms)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitShare(req.Seller, catalog.DatasetID(req.ID), req.Relation, meta, terms)
+	writeTicket(w, ticket, err)
 }
 
-func (s *Server) handleAsyncRequests(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	var req RequestReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	want, f, err := buildRequest(req)
@@ -557,52 +387,75 @@ func (s *Server) handleAsyncRequests(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ticket, err := s.engine.SubmitRequestPriority(want, f, priority)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitRequestPriority(want, f, priority)
+	writeTicket(w, ticket, err)
 }
 
-// handleAsyncReport queues an ex-post value report through the engine, so
-// the settlement is epoch-applied and event-logged (value-reported) — the
-// only report path a durable server accepts.
-func (s *Server) handleAsyncReport(w http.ResponseWriter, r *http.Request) {
+// handleReport queues an ex-post value report through the owning shard's
+// engine, so the settlement is epoch-applied and event-logged
+// (value-reported).
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req ReportReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if req.TxID == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: tx_id is required"))
 		return
 	}
-	ticket, err := s.engine.SubmitReport(req.TxID, req.Reported, req.TrueValue)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitReport(req.TxID, req.Reported, req.TrueValue)
+	writeTicket(w, ticket, err)
 }
 
-// TicketView is a ticket plus its stamped pipeline trace (present only when
-// telemetry is on and the span has not been evicted).
+// TicketView is a ticket plus its stamped shard-local pipeline trace (present
+// only for shard tickets, when telemetry is on and the span has not been
+// evicted).
 type TicketView struct {
 	engine.Ticket
 	Trace map[obs.Stage]time.Time `json:"trace,omitempty"`
 }
 
 func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.engine.Ticket(r.PathValue("id"))
+	id := r.PathValue("id")
+	t, ok := s.market.Ticket(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown ticket %q", r.PathValue("id")))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown ticket %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, TicketView{Ticket: t, Trace: s.engine.TicketTrace(t.ID)})
+	writeJSON(w, http.StatusOK, TicketView{Ticket: t, Trace: s.market.TicketTrace(id)})
 }
 
+// shardParam resolves the optional ?shard=i query parameter: (i, nil) when
+// given and in range, (-1, nil) when absent.
+func (s *Server) shardParam(r *http.Request) (int, error) {
+	v := r.URL.Query().Get("shard")
+	if v == "" {
+		return -1, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 || n >= s.market.NumShards() {
+		return 0, fmt.Errorf("dmms: shard must be an integer in [0,%d)", s.market.NumShards())
+	}
+	return n, nil
+}
+
+// handleEvents serves one shard's event log. Event logs are strictly
+// per-shard orderings (seq numbers restart per shard), so a multi-shard
+// market requires an explicit ?shard=i rather than inventing a merged order.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	shard, err := s.shardParam(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if shard < 0 {
+		if s.market.NumShards() > 1 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf(
+				"dmms: event logs are per shard on a federated market; pass ?shard=i (0..%d)", s.market.NumShards()-1))
+			return
+		}
+		shard = 0
+	}
 	after := 0
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -612,7 +465,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	evs := s.engine.Events(after)
+	evs := s.market.Shards()[shard].Engine.Events(after)
 	if evs == nil {
 		evs = []engine.Event{}
 	}
@@ -625,31 +478,51 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	epoch, ran := s.engine.TriggerEpoch()
+	epoch, ran := s.market.TriggerEpoch()
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "ran": ran})
 }
 
-func (s *Server) handleEngineStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Stats())
+// FederationDetail is the federation block of the stats view.
+type FederationDetail struct {
+	Shards             int            `json:"shards"`
+	CoordinatorPending int            `json:"coordinator_pending"`
+	XTxCommitted       uint64         `json:"xtx_committed"`
+	XTxAborted         uint64         `json:"xtx_aborted"`
+	PerShard           []engine.Stats `json:"per_shard,omitempty"`
 }
 
-// SnapshotResp reports a written checkpoint.
-type SnapshotResp struct {
-	Path string `json:"path"`
-	Seq  int    `json:"seq"`
+// StatsView is GET /engine/stats: the market-wide engine.Stats shape — at
+// one shard, that engine's own Stats — plus a federation block (shard count,
+// coordinator counters, and — with ?per-shard=1 — each shard's own stats).
+type StatsView struct {
+	engine.Stats
+	Federation FederationDetail `json:"federation"`
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snapshot == nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("dmms: no snapshot store configured (run the gateway with -wal-dir)"))
-		return
-	}
-	path, seq, err := s.snapshot()
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	shard, err := s.shardParam(r)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResp{Path: path, Seq: seq})
+	if shard >= 0 {
+		writeJSON(w, http.StatusOK, s.market.Shards()[shard].Engine.Stats())
+		return
+	}
+	pending, settled, aborted := s.market.CoordStats()
+	view := StatsView{
+		Stats: s.market.Stats(),
+		Federation: FederationDetail{
+			Shards:             s.market.NumShards(),
+			CoordinatorPending: pending,
+			XTxCommitted:       settled,
+			XTxAborted:         aborted,
+		},
+	}
+	if q := r.URL.Query().Get("per-shard"); q == "1" || q == "true" {
+		view.Federation.PerShard = s.market.ShardStats()
+	}
+	writeJSON(w, http.StatusOK, view)
 }
 
 // SettlementView is the wire form of one settlement-book entry.
@@ -663,24 +536,131 @@ type SettlementView struct {
 	ExPost     bool               `json:"ex_post,omitempty"`
 }
 
+// viewShards returns the shards a merged read view covers: all of them, or
+// only ?shard=i.
+func (s *Server) viewShards(r *http.Request) ([]*federation.Shard, error) {
+	shard, err := s.shardParam(r)
+	if err != nil || shard < 0 {
+		return s.market.Shards(), err
+	}
+	return s.market.Shards()[shard : shard+1], nil
+}
+
+// handleSettlements merges every shard's settlement book, with TxIDs in
+// federation form. Conserved is the AND across shards — cross-shard
+// transactions move value between shard ledgers, so only the market-wide
+// view is meaningful. ?shard=i narrows to one shard.
 func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
-	book := s.engine.Settlements()
+	shards, err := s.viewShards(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	out := []SettlementView{}
-	for _, st := range book.All() {
-		v := SettlementView{
-			TxID: st.TxID, Epoch: st.Epoch, Buyer: st.Buyer,
-			Price: st.Price.Float(), ArbiterCut: st.ArbiterCut.Float(), ExPost: st.ExPost,
-		}
-		if len(st.SellerCuts) > 0 {
-			v.SellerCuts = map[string]float64{}
-			for name, c := range st.SellerCuts {
-				v.SellerCuts[name] = c.Float()
+	conserved := true
+	for _, sh := range shards {
+		book := sh.Engine.Settlements()
+		conserved = conserved && book.Conserved()
+		for _, st := range book.All() {
+			v := SettlementView{
+				TxID: s.market.ShardID(sh.Index, st.TxID), Epoch: st.Epoch, Buyer: st.Buyer,
+				Price: st.Price.Float(), ArbiterCut: st.ArbiterCut.Float(), ExPost: st.ExPost,
 			}
+			if len(st.SellerCuts) > 0 {
+				v.SellerCuts = map[string]float64{}
+				for name, c := range st.SellerCuts {
+					v.SellerCuts[name] = c.Float()
+				}
+			}
+			out = append(out, v)
 		}
-		out = append(out, v)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"settlements": out,
-		"conserved":   book.Conserved(),
+		"conserved":   conserved,
 	})
+}
+
+// handleHistory merges every shard arbiter's completed transactions (without
+// mashup payloads), IDs in federation form. ?shard=i narrows to one shard.
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+	shards, err := s.viewShards(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	var out []TxView
+	for _, sh := range shards {
+		for _, tx := range sh.Platform.Arbiter.History() {
+			v := txView(tx, false)
+			v.ID = s.market.ShardID(sh.Index, v.ID)
+			out = append(out, v)
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// handleDemand merges the shards' unmet-demand signals: counts sum per
+// column, strongest first. ?shard=i narrows to one shard.
+func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
+	shards, err := s.viewShards(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	counts := map[string]int{}
+	for _, sh := range shards {
+		for col, n := range sh.Platform.Arbiter.UnmetCounts() {
+			counts[col] += n
+		}
+	}
+	writeJSON(w, http.StatusOK, arbiter.DemandFromCounts(counts))
+}
+
+func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
+	account := r.URL.Query().Get("account")
+	if account == "" {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: account query parameter required"))
+		return
+	}
+	bal, ok := s.market.Balance(account)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown account %q", account))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]float64{"balance": bal.Float()})
+}
+
+func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"design": s.market.Shards()[0].Platform.Design.Label,
+		"shards": s.market.NumShards(),
+	})
+}
+
+// SnapshotResp reports the checkpoints POST /snapshot wrote: one path per
+// shard, plus shard 0's path and the last event seq it covers (all there is
+// on a one-shard market).
+type SnapshotResp struct {
+	Path  string   `json:"path"`
+	Seq   int      `json:"seq"`
+	Paths []string `json:"paths"`
+}
+
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	cps, err := s.market.SnapshotAll(s.PruneOnSnapshot)
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, federation.ErrNoSnapshotLineage) {
+			code = http.StatusServiceUnavailable
+			err = fmt.Errorf("dmms: no snapshot store configured (run the gateway with -wal-dir): %w", err)
+		}
+		writeErr(w, code, err)
+		return
+	}
+	resp := SnapshotResp{Path: cps[0].Path, Seq: cps[0].Seq}
+	for _, cp := range cps {
+		resp.Paths = append(resp.Paths, cp.Path)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,6 +1,8 @@
 package dmms
 
 import (
+	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -77,5 +79,36 @@ func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 		} else if stats.CacheHits <= first.CacheHits {
 			t.Errorf("cache hits did not climb over the wire: %d -> %d", first.CacheHits, stats.CacheHits)
 		}
+	}
+}
+
+// TestSingleShardStatsAreTheEnginesOwn: at one shard GET /engine/stats is the
+// engine's own Stats — field for field, not a re-aggregation — plus a zero
+// federation block.
+func TestSingleShardStatsAreTheEnginesOwn(t *testing.T) {
+	p, eng, _, done := asyncFixture(t, engine.Config{Shards: 2})
+	defer done()
+	s := NewEngineServer(p, eng)
+
+	do(t, s, "POST", "/async/participants", ParticipantReq{Name: "b1", Funds: 5000}, nil)
+	do(t, s, "POST", "/async/datasets", DatasetReq{Seller: "s1", ID: "s1/d1", Relation: asyncRelation("s1/d1", 30)}, nil)
+	do(t, s, "POST", "/epoch", nil, nil)
+	do(t, s, "POST", "/async/requests", RequestReq{Buyer: "b1", Columns: []string{"x", "y"},
+		Curve: []CurvePointSpec{{MinSatisfaction: 0.5, Price: 150}}}, nil)
+	do(t, s, "POST", "/epoch", nil, nil)
+
+	var got StatsView
+	wantCode(t, do(t, s, "GET", "/engine/stats", nil, &got), http.StatusOK)
+	want := eng.Stats()
+	if want.Matched != 1 || want.BuildMillis <= 0 {
+		t.Fatalf("fixture did not settle: %+v", want)
+	}
+	// The two reads are microseconds apart; only the clock-derived fields move.
+	got.Uptime, got.MatchesPerSec = want.Uptime, want.MatchesPerSec
+	if got.Stats != want {
+		t.Fatalf("one-shard /engine/stats diverged from Engine.Stats:\n got %+v\nwant %+v", got.Stats, want)
+	}
+	if !reflect.DeepEqual(got.Federation, FederationDetail{Shards: 1}) {
+		t.Fatalf("federation block = %+v, want shards=1 and zeros", got.Federation)
 	}
 }

@@ -69,8 +69,8 @@ type Config struct {
 	// event stream (see doc.go, "Durability").
 	Metrics *obs.Registry
 	// ShardLabel, when non-empty, marks this engine as one arbiter shard of
-	// a federated market (internal/federation) sharing a registry with its
-	// siblings: per-shard instruments carry it as a `shard` label (distinct
+	// a multi-shard market (internal/federation sets it, and only when there
+	// is more than one shard) sharing a registry with its siblings: per-shard instruments carry it as a `shard` label (distinct
 	// families, so the unlabeled aggregates keep their names), and the
 	// engine skips the process-wide sampled families — several engines
 	// registering the same closure would leave only the last one visible —
@@ -417,11 +417,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 	return e
 }
 
-// Durable reports whether a write-ahead persister is attached to the event
-// log. dmms uses it to refuse synchronous mutations that would bypass the
-// log on a durable server.
-func (e *Engine) Durable() bool { return e.log.durable() }
-
 // Start launches the background epoch loop (ticker- and threshold-driven).
 func (e *Engine) Start() {
 	e.loopWG.Add(1)
@@ -724,8 +719,8 @@ func (e *Engine) setTicket(id string, f func(*Ticket)) {
 // run a policy-ordered matching round if requests are open, publish events.
 // Epochs with no work are skipped (returns the current epoch number and
 // false). With an empty batch but open requests, the matching round still
-// runs — supply can arrive through the synchronous dmms endpoints, bypassing
-// intake — but a round that matches nothing is not counted as an epoch and
+// runs — an in-process embedder can add supply through direct platform
+// calls, bypassing intake — but a round that matches nothing is not counted as an epoch and
 // publishes no events (its unmet-demand increments are discarded too, so
 // uncounted rounds leave no state the WAL could not replay). The one
 // exception: pending admission-rejection audits force a flush-only counted
@@ -858,8 +853,8 @@ func (e *Engine) selectRound(ep uint64) (ids []string, deferred []RequestCandida
 	for i, c := range selected {
 		ids[i] = c.RequestID
 	}
-	// Requests filed outside the engine (the synchronous dmms surface on a
-	// non-durable server) have no ticket or policy metadata; they ride
+	// Requests filed outside the engine (direct platform calls by an
+	// in-process embedder) have no ticket or policy metadata; they ride
 	// along in every round, outside the cap, so a policy configuration can
 	// never strand them — exactly the pre-policy MatchRound behavior.
 	for _, id := range e.platform.Arbiter.OpenRequests() {

@@ -352,7 +352,7 @@ func TestFederationSnapshotRestartByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveMixedWorkload(t, m, shards)
-			paths, err := m.SnapshotAll()
+			paths, err := m.SnapshotAll(true)
 			if err != nil {
 				t.Fatalf("SnapshotAll: %v", err)
 			}

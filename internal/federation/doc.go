@@ -1,4 +1,6 @@
-// Package federation shards the market itself.
+// Package federation shards the market itself, and is the gateway's only
+// serving path: cmd/dmgateway always boots Open and serves one dmms.Server
+// over the Market, whatever the shard count.
 //
 // A single arbiter — one platform, one engine, one WAL — serializes every
 // epoch. Federation runs N of them side by side and puts a router in front:
@@ -28,8 +30,27 @@
 // engine uses for intake queues). A seller's datasets live on the seller's
 // home shard; a buyer's funds and requests live on the buyer's. Epochs run
 // per shard, concurrently — the perf point of the whole layer: N shards
-// drain, apply, build and match in parallel, and `-shards 1` degrades to
-// exactly the single-arbiter behavior (same hash, same order, same bytes).
+// drain, apply, build and match in parallel.
+//
+// # A federation of one
+//
+// `-shards 1` is not a second mode but the same path with N = 1, and it is
+// exactly the single-arbiter gateway: same hash, same order, same bytes.
+// This package owns the ID and directory scheme, so everything that differs
+// by shard count is derived from it here and nowhere else:
+//
+//   - IDs (Market.ShardID): "s<i>:"-prefixed with several shards, bare at one;
+//   - layout: <Dir>/shard-<i>/ + <Dir>/coord.log with several shards, the
+//     WAL segments and snapshots directly in <Dir> at one — the layout of a
+//     bare wal.Boot, so either boots the other's directory;
+//   - telemetry: shard-labelled per-shard families plus summed aggregates
+//     with several shards; at one, the engine and WAL register their own
+//     unlabelled families and the federation adds only federation_*;
+//   - the router is inert at one shard (nothing indexed on the share path,
+//     nothing seeded at boot) and the coordinator never sees a want.
+//
+// Adopt wraps an already-built platform + engine pair as a one-shard
+// in-memory market (tests, in-process probes).
 //
 // # Routing
 //
@@ -65,10 +86,11 @@
 //
 // # Snapshots
 //
-// Each shard snapshots and prunes independently (same lineage rules as a
-// single market). Market.SnapshotAll takes the coordinator mutex first, so
-// no shard is ever captured mid-2PC; the engine additionally refuses to
-// snapshot while any escrow is in flight, making the invariant local too.
+// Each shard snapshots and (when asked to) prunes independently (same
+// lineage rules as a single market). Market.SnapshotAll takes the
+// coordinator mutex first, so no shard is ever captured mid-2PC; the engine
+// additionally refuses to snapshot while any escrow is in flight, making the
+// invariant local too.
 //
 // # Observability
 //

@@ -5,9 +5,11 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +36,10 @@ type Config struct {
 	Shards int
 	// Dir, when non-empty, makes the federation durable: each shard gets an
 	// independent WAL + snapshot lineage under <Dir>/shard-<i>, and the
-	// coordinator log lives at <Dir>/coord.log. Empty = fully in-memory.
+	// coordinator log lives at <Dir>/coord.log. A single shard keeps its
+	// lineage directly in Dir and has no coordinator log — the layout of a
+	// bare wal.Boot, so either can boot the other's directory. Empty = fully
+	// in-memory.
 	Dir string
 	// Sync is the per-shard WAL fsync policy (default wal.SyncEpoch).
 	Sync wal.SyncPolicy
@@ -49,9 +54,11 @@ type Config struct {
 	// design: the coordinator prices cross-shard mashups on a scratch
 	// platform built from these same options.
 	Platform core.Options
-	// Metrics, when non-nil, receives federation telemetry: each shard's
-	// instruments carry a `shard` label (engine.Config.ShardLabel), and the
-	// federation registers the process-wide aggregates once.
+	// Metrics, when non-nil, receives federation telemetry. With several
+	// shards each shard's instruments carry a `shard` label
+	// (engine.Config.ShardLabel) and the federation registers the
+	// process-wide aggregates once; a single shard registers its own
+	// unlabelled engine and WAL families, exactly like a bare engine.
 	Metrics *obs.Registry
 
 	// testCrash, when non-nil, is the crash-injection hook for the 2PC kill
@@ -74,14 +81,15 @@ type Shard struct {
 	Index    int
 	Platform *core.Platform
 	Engine   *engine.Engine
-	WAL      *wal.Log // nil when in-memory
-	Dir      string   // "" when in-memory
+	WAL      *wal.Log       // nil when in-memory
+	Dir      string         // "" when in-memory
+	Boot     wal.BootResult // what recovery found (zero when in-memory)
 }
 
 // Market is the federation: the routing surface in front of the shards and
-// the cross-shard coordinator behind them. Its submit/ticket/stats surface
-// mirrors *engine.Engine so callers (the gateway, benchmarks) can swap one
-// for the other.
+// the cross-shard coordinator behind them. A market of one shard is the
+// classic single-arbiter gateway: bare IDs, one WAL lineage directly in Dir,
+// an inert router and an idle coordinator.
 type Market struct {
 	cfg    Config
 	shards []*Shard
@@ -98,13 +106,29 @@ type Market struct {
 	started atomic.Bool
 }
 
+func newMarket(cfg Config) *Market {
+	return &Market{cfg: cfg, router: newRouter(cfg.Shards), stop: make(chan struct{})}
+}
+
+// Adopt wraps an existing platform + engine pair as a one-shard in-memory
+// market (no snapshot lineage; a persister the engine already carries keeps
+// working). The caller keeps the engine's lifecycle: Start and Stop it
+// directly, or through the market.
+func Adopt(p *core.Platform, eng *engine.Engine) *Market {
+	m := newMarket(Config{Shards: 1})
+	m.shards = []*Shard{{Platform: p, Engine: eng}}
+	m.coord = newCoordinator(m, nil)
+	return m
+}
+
 // Open boots a federated market: every shard recovers from its own WAL
 // (durable mode), the coordinator resolves in-doubt cross-shard
 // transactions from the logs, and the router is seeded from the recovered
 // catalogs. Engines are not started; call Start.
 func Open(cfg Config) (*Market, error) {
 	cfg = cfg.withDefaults()
-	m := &Market{cfg: cfg, router: newRouter(cfg.Shards), stop: make(chan struct{})}
+	m := newMarket(cfg)
+	single := cfg.Shards == 1
 
 	var coordRecs []coordRecord
 	var clog *coordLog
@@ -112,30 +136,40 @@ func Open(cfg Config) (*Market, error) {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, err
 		}
-		var err error
-		clog, coordRecs, err = openCoordLog(cfg.Dir)
-		if err != nil {
-			return nil, err
+		// One shard can never span, so it has no coordinator log to keep.
+		if !single {
+			var err error
+			clog, coordRecs, err = openCoordLog(cfg.Dir)
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
 	for i := 0; i < cfg.Shards; i++ {
 		ecfg := cfg.Engine
 		ecfg.Metrics = cfg.Metrics
-		ecfg.ShardLabel = strconv.Itoa(i)
 		ecfg.Persister = nil
+		wopts := wal.Options{Dir: cfg.Dir, Policy: cfg.Sync, SegmentBytes: cfg.SegmentBytes}
+		if single {
+			// The only engine and WAL on the registry own the unlabelled
+			// engine_*/dod_*/wal_* families themselves.
+			wopts.Metrics = cfg.Metrics
+		} else {
+			// Sibling engines share the registry under a shard label; their
+			// WALs skip wal-level metrics: N logs setting the same unlabeled
+			// wal_segments gauge would flap it meaninglessly.
+			ecfg.ShardLabel = strconv.Itoa(i)
+			wopts.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))
+		}
 		sh := &Shard{Index: i}
 		if cfg.Dir != "" {
-			sh.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))
-			// Shard WALs skip wal-level metrics: N logs setting the same
-			// unlabeled wal_segments gauge would flap it meaninglessly.
-			p, e, w, _, err := wal.Boot(cfg.Platform, ecfg, wal.Options{
-				Dir: sh.Dir, Policy: cfg.Sync, SegmentBytes: cfg.SegmentBytes})
+			p, e, w, res, err := wal.Boot(cfg.Platform, ecfg, wopts)
 			if err != nil {
-				m.closeShards()
+				m.closeLogs()
 				return nil, fmt.Errorf("federation: boot shard %d: %w", i, err)
 			}
-			sh.Platform, sh.Engine, sh.WAL = p, e, w
+			sh.Platform, sh.Engine, sh.WAL, sh.Dir, sh.Boot = p, e, w, wopts.Dir, res
 		} else {
 			p, err := core.NewPlatform(cfg.Platform)
 			if err != nil {
@@ -154,31 +188,24 @@ func Open(cfg Config) (*Market, error) {
 	err := m.coord.recover(coordRecs)
 	m.coordMu.Unlock()
 	if err != nil {
-		m.closeShards()
+		m.closeLogs()
 		return nil, err
 	}
 
-	for _, sh := range m.shards {
-		m.router.seedFromShard(sh.Index, sh.Platform.DatasetStates())
-	}
+	m.router.seed(m.shards)
 	registerFederationMetrics(cfg.Metrics, m)
 	return m, nil
 }
 
-func (m *Market) closeShards() {
+func (m *Market) closeLogs() {
 	for _, sh := range m.shards {
 		if sh.WAL != nil {
 			_ = sh.WAL.Close()
 		}
 	}
-	_ = m.coordLogClose()
-}
-
-func (m *Market) coordLogClose() error {
-	if m.coord == nil {
-		return nil
+	if m.coord != nil {
+		_ = m.coord.log.close()
 	}
-	return m.coord.log.close()
 }
 
 // Start launches every shard's epoch machinery, plus the coordinator's own
@@ -190,7 +217,7 @@ func (m *Market) Start() {
 	for _, sh := range m.shards {
 		sh.Engine.Start()
 	}
-	if every := m.cfg.Engine.EpochEvery; every > 0 {
+	if every := m.cfg.Engine.EpochEvery; every > 0 && len(m.shards) > 1 {
 		m.loopWG.Add(1)
 		go func() {
 			defer m.loopWG.Done()
@@ -208,9 +235,10 @@ func (m *Market) Start() {
 	}
 }
 
-// Stop shuts the federation down: coordinator loop first, then every shard
-// engine in parallel (each runs its final flush epoch), then the logs.
-func (m *Market) Stop() {
+// Drain stops the market without closing its logs: coordinator loop first,
+// then every shard engine in parallel (each runs its final flush epoch).
+// The quiescent market can still SnapshotAll; Stop releases the logs.
+func (m *Market) Drain() {
 	select {
 	case <-m.stop:
 	default:
@@ -226,7 +254,12 @@ func (m *Market) Stop() {
 		}(sh)
 	}
 	wg.Wait()
-	m.closeShards()
+}
+
+// Stop shuts the federation down: Drain, then the logs.
+func (m *Market) Stop() {
+	m.Drain()
+	m.closeLogs()
 }
 
 // Shards returns the shard handles (read-only use: tests, the gateway's
@@ -235,6 +268,27 @@ func (m *Market) Shards() []*Shard { return m.shards }
 
 // NumShards returns the shard count.
 func (m *Market) NumShards() int { return len(m.shards) }
+
+// ShardID puts a shard-local ticket or transaction ID in federation form:
+// prefixed with its shard ("s2:sub-000017") so IDs stay unique when every
+// shard numbers its own from 1, bare on a one-shard market, where the local
+// ID already is.
+func (m *Market) ShardID(shard int, local string) string {
+	if len(m.shards) == 1 {
+		return local
+	}
+	return shardTicket(shard, local)
+}
+
+// splitID is the inverse of ShardID; ok is false for IDs naming no shard of
+// this market (coordinator tickets included).
+func (m *Market) splitID(id string) (shard int, local string, ok bool) {
+	if len(m.shards) == 1 {
+		return 0, id, true
+	}
+	shard, local, ok = splitShardID(id)
+	return shard, local, ok && shard < len(m.shards)
+}
 
 // --- routing surface ------------------------------------------------------
 
@@ -245,7 +299,7 @@ func (m *Market) SubmitRegister(name string, funds float64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return shardTicket(s, tk), nil
+	return m.ShardID(s, tk), nil
 }
 
 // SubmitShare files a dataset share with the seller's home shard and
@@ -259,7 +313,7 @@ func (m *Market) SubmitShare(seller string, id catalog.DatasetID, rel *relation.
 		return "", err
 	}
 	m.router.addRelation(s, rel)
-	return shardTicket(s, tk), nil
+	return m.ShardID(s, tk), nil
 }
 
 // SubmitRequest routes a buyer's want: to the home shard when its columns
@@ -278,47 +332,58 @@ func (m *Market) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority 
 	if err != nil {
 		return "", err
 	}
-	return shardTicket(home, tk), nil
+	return m.ShardID(home, tk), nil
 }
 
 // SubmitReport files an ex-post value report for a shard-local transaction.
 // Cross-shard transactions settle up-front at the delivered price (the
 // escrowed 2PC pays out immediately), so "xtx-" IDs take no reports.
 func (m *Market) SubmitReport(txID string, reported, trueValue float64) (string, error) {
-	if strings.HasPrefix(txID, "xtx-") {
-		return "", fmt.Errorf("federation: cross-shard transaction %s settled up-front; no ex-post report", txID)
-	}
-	s, local, ok := splitShardID(txID)
-	if !ok || s >= len(m.shards) {
+	s, local, ok := m.splitID(txID)
+	if !ok {
+		if strings.HasPrefix(txID, "xtx-") {
+			return "", fmt.Errorf("federation: cross-shard transaction %s settled up-front; no ex-post report", txID)
+		}
 		return "", fmt.Errorf("federation: unknown transaction %q", txID)
 	}
 	tk, err := m.shards[s].Engine.SubmitReport(local, reported, trueValue)
 	if err != nil {
 		return "", err
 	}
-	return shardTicket(s, tk), nil
+	return m.ShardID(s, tk), nil
 }
 
 // Ticket resolves a federation ticket: coordinator tickets ("x:...") from
-// the coordinator, shard tickets ("s<i>:...") from their shard with IDs
-// rewritten back to federation form.
+// the coordinator, shard tickets from their shard with IDs rewritten back to
+// federation form.
 func (m *Market) Ticket(id string) (engine.Ticket, bool) {
 	if strings.HasPrefix(id, "x:") {
 		return m.coord.ticket(id)
 	}
-	s, local, ok := splitShardID(id)
-	if !ok || s >= len(m.shards) {
+	s, local, ok := m.splitID(id)
+	if !ok {
 		return engine.Ticket{}, false
 	}
 	t, ok := m.shards[s].Engine.Ticket(local)
 	if !ok {
 		return engine.Ticket{}, false
 	}
-	t.ID = shardTicket(s, t.ID)
+	t.ID = m.ShardID(s, t.ID)
 	if t.TxID != "" {
-		t.TxID = shardTicket(s, t.TxID)
+		t.TxID = m.ShardID(s, t.TxID)
 	}
 	return t, true
+}
+
+// TicketTrace returns the shard-local pipeline stages stamped on a shard
+// ticket (nil for coordinator tickets, with telemetry off, or once the span
+// is evicted).
+func (m *Market) TicketTrace(id string) map[obs.Stage]time.Time {
+	s, local, ok := m.splitID(id)
+	if !ok {
+		return nil
+	}
+	return m.shards[s].Engine.TicketTrace(local)
 }
 
 // Balance returns a participant's ledger balance on its home shard.
@@ -347,30 +412,18 @@ func (m *Market) TotalSupply() ledger.Currency {
 // coordinator round. Returns the max shard epoch and whether any shard
 // counted an epoch or the coordinator settled a want.
 func (m *Market) TriggerEpoch() (uint64, bool) {
+	epochs := make([]uint64, len(m.shards))
+	counted := make([]bool, len(m.shards))
 	var wg sync.WaitGroup
-	var counted atomic.Bool
-	var maxEpoch atomic.Uint64
-	for _, sh := range m.shards {
+	for i, sh := range m.shards {
 		wg.Add(1)
-		go func(sh *Shard) {
+		go func() {
 			defer wg.Done()
-			ep, ok := sh.Engine.TriggerEpoch()
-			if ok {
-				counted.Store(true)
-			}
-			for {
-				cur := maxEpoch.Load()
-				if ep <= cur || maxEpoch.CompareAndSwap(cur, ep) {
-					return
-				}
-			}
-		}(sh)
+			epochs[i], counted[i] = sh.Engine.TriggerEpoch()
+		}()
 	}
 	wg.Wait()
-	if m.CoordRound() > 0 {
-		counted.Store(true)
-	}
-	return maxEpoch.Load(), counted.Load()
+	return slices.Max(epochs), m.CoordRound() > 0 || slices.Contains(counted, true)
 }
 
 // CoordRound runs one coordinator round (all pending cross-shard wants get
@@ -386,10 +439,11 @@ func (m *Market) CoordRound() int {
 // Stats merges every shard's engine stats into one market-wide view:
 // throughput counters sum; process-wide gauges (allocator counters, policy,
 // worker config) come from shard 0; cross-shard settles count as matches.
+// A one-shard market reports exactly its engine's own Stats.
 func (m *Market) Stats() engine.Stats {
-	var agg engine.Stats
-	for i, sh := range m.shards {
-		s := sh.Engine.Stats()
+	per := m.ShardStats()
+	agg := per[0]
+	for _, s := range per[1:] {
 		agg.Epochs += s.Epochs
 		agg.Submitted += s.Submitted
 		agg.Applied += s.Applied
@@ -410,32 +464,18 @@ func (m *Market) Stats() engine.Stats {
 		agg.PriceMillis += s.PriceMillis
 		agg.MatchesPerSec += s.MatchesPerSec
 		agg.LastPersisted += s.LastPersisted
-		if s.Uptime > agg.Uptime {
-			agg.Uptime = s.Uptime
-		}
-		if s.PersistErr != "" && agg.PersistErr == "" {
-			agg.PersistErr = fmt.Sprintf("shard %d: %s", i, s.PersistErr)
-		}
-		if i == 0 {
-			agg.Policy = s.Policy
-			agg.DoDWorkers = s.DoDWorkers
-			agg.AllocEvals = s.AllocEvals
-			agg.AllocMemoHits = s.AllocMemoHits
-			agg.AllocExact = s.AllocExact
-			agg.AllocSampled = s.AllocSampled
-			agg.AllocEscalations = s.AllocEscalations
+		agg.Uptime = max(agg.Uptime, s.Uptime)
+	}
+	if len(per) > 1 {
+		// Name the first shard whose persister is wedged.
+		if i := slices.IndexFunc(per, func(s engine.Stats) bool { return s.PersistErr != "" }); i >= 0 {
+			agg.PersistErr = fmt.Sprintf("shard %d: %s", i, per[i].PersistErr)
 		}
 	}
 	settled, _ := m.coord.counters()
 	agg.Matched += settled
 	agg.OpenRequests += m.coord.pendingCount()
 	if agg.Uptime > 0 {
-		// Recompute the blended rate from the merged counters so the
-		// cross-shard settles participate.
-		agg.MatchesPerSec = 0
-		for _, sh := range m.shards {
-			agg.MatchesPerSec += sh.Engine.Stats().MatchesPerSec
-		}
 		agg.MatchesPerSec += float64(settled) / agg.Uptime.Seconds()
 	}
 	return agg
@@ -459,42 +499,70 @@ func (m *Market) CoordStats() (pending int, settled, aborted uint64) {
 
 // --- snapshots ------------------------------------------------------------
 
-// SnapshotAll snapshots every shard and prunes its covered WAL segments,
-// all under the coordinator mutex — no shard can be mid-2PC in the
-// resulting snapshot set, so the per-shard snapshots are mutually
-// consistent with the coordinator log. Returns the snapshot paths.
-func (m *Market) SnapshotAll() ([]string, error) {
+// ErrNoSnapshotLineage is SnapshotAll's answer on an in-memory market: with
+// no Dir there is nowhere to keep a checkpoint.
+var ErrNoSnapshotLineage = errors.New("federation: in-memory market has no snapshot lineage")
+
+// Checkpoint names one shard's written snapshot and the last event seq it
+// covers.
+type Checkpoint struct {
+	Path string
+	Seq  int
+}
+
+// SnapshotAll snapshots every shard and, with prune set, drops the WAL
+// segments and old snapshots the new checkpoint covers (keeping the newest
+// two checkpoints; the older one is the corruption fallback) — all under the
+// coordinator mutex, so no shard can be mid-2PC in the resulting snapshot
+// set and the per-shard snapshots are mutually consistent with the
+// coordinator log. Returns one checkpoint per shard, index-aligned.
+func (m *Market) SnapshotAll(prune bool) ([]Checkpoint, error) {
 	if m.cfg.Dir == "" {
-		return nil, fmt.Errorf("federation: in-memory market has no snapshot lineage")
+		return nil, ErrNoSnapshotLineage
 	}
 	m.coordMu.Lock()
 	defer m.coordMu.Unlock()
-	paths := make([]string, 0, len(m.shards))
+	cps := make([]Checkpoint, 0, len(m.shards))
 	for _, sh := range m.shards {
 		snap, err := sh.Engine.Snapshot()
 		if err != nil {
-			return paths, fmt.Errorf("federation: snapshot shard %d: %w", sh.Index, err)
+			return cps, fmt.Errorf("federation: snapshot shard %d: %w", sh.Index, err)
 		}
 		p, err := wal.WriteSnapshot(sh.Dir, snap)
 		if err != nil {
-			return paths, err
+			return cps, err
 		}
-		if _, _, err := wal.PruneAfterSnapshot(sh.Dir, sh.WAL); err != nil {
-			return paths, err
+		cps = append(cps, Checkpoint{Path: p, Seq: snap.TakenAtSeq})
+		if prune {
+			if _, _, err := wal.PruneAfterSnapshot(sh.Dir, sh.WAL); err != nil {
+				return cps, err
+			}
 		}
-		paths = append(paths, p)
 	}
-	return paths, nil
+	return cps, nil
 }
 
-// registerFederationMetrics registers the process-wide sampled families the
-// per-shard engines skip (ShardLabel gates them off: several shards
-// registering one closure under the same name would shadow each other),
-// aggregated across shards, under the exact names a single engine uses —
-// dashboards keep working unchanged. Uses StatsLite — the scrape-safe
-// counter view — so a scrape never waits on a shard's in-flight epoch.
+// registerFederationMetrics registers the federation's own families and, on
+// a multi-shard market, the process-wide sampled families the per-shard
+// engines skip (ShardLabel gates them off: several shards registering one
+// closure under the same name would shadow each other), aggregated across
+// shards, under the exact names a single engine uses — dashboards keep
+// working unchanged. (A single shard's engine registers them itself.) Uses
+// StatsLite — the scrape-safe counter view — so a scrape never waits on a
+// shard's in-flight epoch.
 func registerFederationMetrics(reg *obs.Registry, m *Market) {
 	if reg == nil {
+		return
+	}
+	reg.NewGaugeFunc("federation_shards", "Arbiter shards in this market.",
+		func() float64 { return float64(len(m.shards)) })
+	reg.NewGaugeFunc("federation_coordinator_pending_wants", "Cross-shard wants awaiting settlement.",
+		func() float64 { return float64(m.coord.pendingCount()) })
+	reg.NewCounterFunc("federation_xtx_committed_total", "Cross-shard transactions committed.",
+		func() float64 { s, _ := m.coord.counters(); return float64(s) })
+	reg.NewCounterFunc("federation_xtx_aborted_total", "Cross-shard attempts aborted.",
+		func() float64 { _, a := m.coord.counters(); return float64(a) })
+	if len(m.shards) == 1 {
 		return
 	}
 	sum := func(f func(engine.Stats) float64) func() float64 {
@@ -558,12 +626,4 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		sumCache(func(c dod.CacheStats) float64 { return float64(c.Stale) }))
 	reg.NewCounterFunc("dod_subjoin_memo_hits_total", "Sub-join memo reuses during candidate materialization (all shards).",
 		sumCache(func(c dod.CacheStats) float64 { return float64(c.SubJoinHits) }))
-	reg.NewGaugeFunc("federation_shards", "Arbiter shards in this market.",
-		func() float64 { return float64(len(m.shards)) })
-	reg.NewGaugeFunc("federation_coordinator_pending_wants", "Cross-shard wants awaiting settlement.",
-		func() float64 { return float64(m.coord.pendingCount()) })
-	reg.NewCounterFunc("federation_xtx_committed_total", "Cross-shard transactions committed.",
-		func() float64 { s, _ := m.coord.counters(); return float64(s) })
-	reg.NewCounterFunc("federation_xtx_aborted_total", "Cross-shard attempts aborted.",
-		func() float64 { _, a := m.coord.counters(); return float64(a) })
 }

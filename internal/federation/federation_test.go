@@ -3,6 +3,8 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/license"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/wal"
 	"repro/internal/wtp"
 )
 
@@ -302,83 +305,155 @@ func TestUnmatchableSpanningWantStaysPending(t *testing.T) {
 	}
 }
 
-// TestSingleShardFederationMatchesBareEngine: with -shards 1 the federation
-// is a pass-through — the underlying shard's state is byte-identical to a
-// bare engine driven with the same submissions.
+// submitSurface is what a *Market and a bare *engine.Engine have in common:
+// the single-shard equivalence tests drive one script through either.
+type submitSurface interface {
+	SubmitRegister(name string, funds float64) (string, error)
+	SubmitShare(seller string, id catalog.DatasetID, rel *relation.Relation,
+		meta wtp.DatasetMeta, terms license.Terms) (string, error)
+	SubmitRequest(want dod.Want, f *wtp.Function) (string, error)
+	TriggerEpoch() (uint64, bool)
+}
+
+// driveSingle runs the fixed register / share / request script and returns
+// the ticket IDs the surface handed out, in order.
+func driveSingle(s submitSurface) []string {
+	var ids []string
+	request := func(buyer string, price float64) {
+		w, f := coverWant(buyer, price, "a", "b")
+		ids = append(ids, mustTk(s.SubmitRequest(w, f)))
+		s.TriggerEpoch()
+	}
+	ids = append(ids, mustTk(s.SubmitRegister("b1", 5000)), mustTk(s.SubmitRegister("b2", 3000)))
+	ids = append(ids, mustTk(s.SubmitShare("s1", "s1/d0", flatRel("s1/d0", 20),
+		wtp.DatasetMeta{Dataset: "s1/d0", HasProvenance: true}, license.Terms{Kind: license.Open})))
+	s.TriggerEpoch()
+	request("b1", 150)
+	request("b2", 120)
+	return ids
+}
+
+// driveLate is the post-snapshot tail of the durable runs: work that lands
+// in the WAL behind the checkpoint.
+func driveLate(s submitSurface) {
+	mustTk(s.SubmitRegister("late", 777))
+	s.TriggerEpoch()
+}
+
+// TestSingleShardFederationMatchesBareEngine: a market of one shard IS the
+// bare engine — same state bytes, same bare ticket and transaction IDs, and
+// in durable mode the same directory layout, so a WAL directory written by
+// wal.Boot + a bare engine (every pre-federation -shards 1 gateway) boots
+// under federation.Open and the other way round.
 func TestSingleShardFederationMatchesBareEngine(t *testing.T) {
 	ecfg := engine.Config{Shards: 4}
-	drive := func(sub func(kind string, args ...interface{}) (string, error)) {
-		// register / share / request in a fixed script, via either surface.
-		mustPanic := func(id string, err error) {
-			if err != nil {
-				panic(err)
+	popts := core.Options{Design: testDesign}
+	bareShard := func(p *core.Platform, e *engine.Engine) *Shard { return &Shard{Platform: p, Engine: e} }
+	// sameTickets asserts the market resolves every bare ID to exactly the
+	// engine's own ticket: no prefix on the ID or the settled TxID.
+	sameTickets := func(t *testing.T, m *Market, e *engine.Engine, ids []string) {
+		t.Helper()
+		for _, id := range ids {
+			want, ok := e.Ticket(id)
+			got, gok := m.Ticket(id)
+			if !ok || !gok || got != want {
+				t.Fatalf("ticket %s: market %+v (ok=%v), engine %+v (ok=%v)", id, got, gok, want, ok)
 			}
-			_ = id
 		}
-		mustPanic(sub("register", "b1", 5000.0))
-		mustPanic(sub("register", "b2", 3000.0))
-		mustPanic(sub("share", "s1", "s1/d0", 20))
-		mustPanic(sub("epoch"))
-		mustPanic(sub("request", "b1", 150.0))
-		mustPanic(sub("epoch"))
-		mustPanic(sub("request", "b2", 120.0))
-		mustPanic(sub("epoch"))
 	}
 
-	m, err := Open(Config{Shards: 1, Engine: ecfg, Platform: core.Options{Design: testDesign}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(func(kind string, args ...interface{}) (string, error) {
-		switch kind {
-		case "register":
-			return m.SubmitRegister(args[0].(string), args[1].(float64))
-		case "share":
-			return m.SubmitShare(args[0].(string), catalog.DatasetID(args[1].(string)),
-				flatRel(args[1].(string), args[2].(int)),
-				wtp.DatasetMeta{Dataset: args[1].(string), HasProvenance: true}, license.Terms{Kind: license.Open})
-		case "request":
-			w, f := coverWant(args[0].(string), args[1].(float64), "a", "b")
-			return m.SubmitRequest(w, f)
-		case "epoch":
-			m.TriggerEpoch()
-			return "", nil
+	t.Run("in-memory", func(t *testing.T) {
+		m, err := Open(Config{Shards: 1, Engine: ecfg, Platform: popts})
+		if err != nil {
+			t.Fatal(err)
 		}
-		panic(kind)
+		fedIDs := driveSingle(m)
+		m.Stop()
+
+		p, err := core.NewPlatform(popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(p, ecfg)
+		bareIDs := driveSingle(e)
+		e.Stop()
+
+		if fmt.Sprint(fedIDs) != fmt.Sprint(bareIDs) {
+			t.Fatalf("market handed out %v, bare engine %v", fedIDs, bareIDs)
+		}
+		sameTickets(t, m, e, bareIDs)
+		if fed, bare := shardFingerprint(t, m.Shards()[0]), shardFingerprint(t, bareShard(p, e)); string(fed) != string(bare) {
+			t.Fatalf("shards=1 federation diverged from bare engine:\n--- federation\n%s\n--- bare\n%s", fed, bare)
+		}
 	})
-	m.Stop()
-	fedPrint := shardFingerprint(t, m.Shards()[0])
 
-	p, err := core.NewPlatform(core.Options{Design: testDesign})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ShardLabel mirrors what the federation sets on its only shard — it is
-	// observational only and must not (and does not) reach any logged byte.
-	e := engine.New(p, engine.Config{Shards: 4, ShardLabel: "0"})
-	drive(func(kind string, args ...interface{}) (string, error) {
-		switch kind {
-		case "register":
-			return e.SubmitRegister(args[0].(string), args[1].(float64))
-		case "share":
-			return e.SubmitShare(args[0].(string), catalog.DatasetID(args[1].(string)),
-				flatRel(args[1].(string), args[2].(int)),
-				wtp.DatasetMeta{Dataset: args[1].(string), HasProvenance: true}, license.Terms{Kind: license.Open})
-		case "request":
-			w, f := coverWant(args[0].(string), args[1].(float64), "a", "b")
-			return e.SubmitRequest(w, f)
-		case "epoch":
-			e.TriggerEpoch()
-			return "", nil
+	t.Run("wal.Boot directory boots under federation.Open", func(t *testing.T) {
+		dir := t.TempDir()
+		p, e, w, _, err := wal.Boot(popts, ecfg, wal.Options{Dir: dir, Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
 		}
-		panic(kind)
-	})
-	e.Stop()
-	barePrint := shardFingerprint(t, &Shard{Index: 0, Platform: p, Engine: e})
+		ids := driveSingle(e)
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wal.WriteSnapshot(dir, snap); err != nil {
+			t.Fatal(err)
+		}
+		driveLate(e)
+		e.Stop()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := shardFingerprint(t, bareShard(p, e))
 
-	if string(fedPrint) != string(barePrint) {
-		t.Fatalf("shards=1 federation diverged from bare engine:\n--- federation\n%s\n--- bare\n%s", fedPrint, barePrint)
-	}
+		m, err := Open(Config{Shards: 1, Dir: dir, Sync: wal.SyncAlways, Engine: ecfg, Platform: popts})
+		if err != nil {
+			t.Fatalf("federation.Open over a bare-engine WAL dir: %v", err)
+		}
+		m.Stop()
+		if got := shardFingerprint(t, m.Shards()[0]); string(got) != string(want) {
+			t.Fatalf("bare WAL dir diverged under federation.Open:\n--- bare\n%s\n--- federation\n%s", want, got)
+		}
+		sameTickets(t, m, e, ids)
+		for _, extra := range []string{"shard-0", "coord.log"} {
+			if _, err := os.Stat(filepath.Join(dir, extra)); !os.IsNotExist(err) {
+				t.Fatalf("one-shard market created %s in the WAL dir (err=%v)", extra, err)
+			}
+		}
+	})
+
+	t.Run("federation.Open directory boots under wal.Boot", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config{Shards: 1, Dir: dir, Sync: wal.SyncAlways, Engine: ecfg, Platform: popts}
+		m, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveSingle(m)
+		if cps, err := m.SnapshotAll(false); err != nil || len(cps) != 1 || filepath.Dir(cps[0].Path) != dir {
+			t.Fatalf("SnapshotAll = %+v, %v; want one checkpoint directly in %s", cps, err, dir)
+		}
+		driveLate(m)
+		m.Stop()
+		want := shardFingerprint(t, m.Shards()[0])
+
+		p, e, w, res, err := wal.Boot(popts, ecfg, wal.Options{Dir: dir, Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatalf("wal.Boot over a one-shard market's dir: %v", err)
+		}
+		if res.FromSnapshotSeq == 0 || res.Replayed == 0 {
+			t.Fatalf("boot ignored the market's snapshot or WAL tail: %+v", res)
+		}
+		e.Stop()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := shardFingerprint(t, bareShard(p, e)); string(got) != string(want) {
+			t.Fatalf("one-shard market dir diverged under wal.Boot:\n--- federation\n%s\n--- bare\n%s", want, got)
+		}
+	})
 }
 
 // TestShardLabeledMetrics: every shard's per-shard families carry the shard
@@ -420,6 +495,43 @@ func TestShardLabeledMetrics(t *testing.T) {
 	}
 	if st := m.Stats(); st.Matched != 1 {
 		t.Fatalf("aggregate stats Matched = %d", st.Matched)
+	}
+}
+
+// TestSingleShardMetricsUnlabelled: a durable one-shard market exposes the
+// bare engine's series — the engine and WAL register their own unlabelled
+// families (each exactly once), nothing carries a shard label, and the
+// federation adds only its own federation_* families.
+func TestSingleShardMetricsUnlabelled(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := Open(Config{Shards: 1, Dir: t.TempDir(), Platform: core.Options{Design: testDesign}, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	driveSingle(m)
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, family := range []string{
+		"engine_epochs_total", "engine_matched_total", "engine_price_seconds_total",
+		"dod_builds_total", "dod_cache_misses_total", "engine_intake_queue_depth",
+		"wal_append_seconds", "wal_fsync_seconds", "wal_segments", "federation_shards",
+	} {
+		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
+			t.Errorf("family %s registered %d times, want once", family, n)
+		}
+	}
+	for _, absent := range []string{"engine_shard_", `shard="0",queue=`} {
+		if strings.Contains(text, absent) {
+			t.Errorf("one-shard scrape carries shard-labelled series %q", absent)
+		}
+	}
+	if !strings.Contains(text, "engine_matched_total 2") || !strings.Contains(text, "federation_shards 1") {
+		t.Errorf("one-shard scrape misses its settles or shard count:\n%s", text)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/dod"
 	"repro/internal/relation"
 )
@@ -26,17 +25,11 @@ func HomeOf(participant string, shards int) int {
 }
 
 // shardTicket prefixes a shard-local ticket or transaction ID with its shard
-// ("s2:sub-000017"), making IDs unique at the federation surface — every
-// shard numbers its own tickets from 1.
+// ("s2:sub-000017"), making IDs unique at a multi-shard federation surface —
+// every shard numbers its own tickets from 1. Market.ShardID applies it.
 func shardTicket(shard int, id string) string {
 	return fmt.Sprintf("s%d:%s", shard, id)
 }
-
-// ShardID is the exported form of the federation's ID scheme: it prefixes a
-// shard-local ticket or transaction ID with its shard ("s2:tx-000017"). The
-// gateway uses it to present per-shard views (events, settlements) under the
-// same IDs the routing surface hands out.
-func ShardID(shard int, id string) string { return shardTicket(shard, id) }
 
 // splitShardID parses a "s<i>:<id>" federation ID back into its shard and
 // local form. ok is false for coordinator tickets ("x:...") and bare IDs.
@@ -64,7 +57,9 @@ func splitShardID(id string) (shard int, local string, ok bool) {
 // routing a want by a column that is still in intake just means the want
 // waits open at its home shard a little longer, exactly like a single
 // market). Transform-derived columns are invisible here, so wants for them
-// stay at the home shard, where the DoD engine's transforms live.
+// stay at the home shard, where the DoD engine's transforms live. With one
+// shard nothing can span, so the router is inert: it indexes nothing on the
+// share path and seeds nothing at boot.
 type router struct {
 	shards int
 
@@ -76,66 +71,43 @@ func newRouter(shards int) *router {
 	return &router{shards: shards, cols: map[string]map[int]bool{}}
 }
 
-// addColumns records that a shard holds a dataset with these columns.
-func (r *router) addColumns(shard int, names []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, n := range names {
-		set := r.cols[n]
-		if set == nil {
-			set = map[int]bool{}
-			r.cols[n] = set
-		}
-		set[shard] = true
-	}
-}
-
 // addRelation indexes a shared relation's schema for a shard.
 func (r *router) addRelation(shard int, rel *relation.Relation) {
-	if rel == nil {
+	if rel == nil || r.shards <= 1 {
 		return
 	}
-	r.addColumns(shard, rel.Schema.Names())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range rel.Schema.Names() {
+		if r.cols[n] == nil {
+			r.cols[n] = map[int]bool{}
+		}
+		r.cols[n][shard] = true
+	}
 }
 
-// seedFromShard rebuilds a shard's slice of the index from its catalog (used
-// at Open, after recovery replayed the shard's WAL).
-func (r *router) seedFromShard(shard int, states []core.DatasetState) {
-	for _, d := range states {
-		r.addRelation(shard, d.Relation)
+// seed rebuilds the index from the shard catalogs (used at Open, after
+// recovery replayed every shard's WAL).
+func (r *router) seed(shards []*Shard) {
+	if r.shards <= 1 {
+		return
+	}
+	for _, sh := range shards {
+		for _, d := range sh.Platform.DatasetStates() {
+			r.addRelation(sh.Index, d.Relation)
+		}
 	}
 }
 
-// colOnShard reports whether col (or one of its aliases) is indexed on the
-// shard.
-func (r *router) colOnShard(col string, aliases []string, shard int) bool {
-	if r.cols[col][shard] {
-		return true
+// locate reports whether a column name is indexed on the home shard, and
+// whether on any other. Caller holds r.mu.
+func (r *router) locate(name string, home int) (atHome, elsewhere bool) {
+	set := r.cols[name]
+	others := len(set)
+	if set[home] {
+		others--
 	}
-	for _, a := range aliases {
-		if r.cols[a][shard] {
-			return true
-		}
-	}
-	return false
-}
-
-// colAnywhere reports whether col (or an alias) is indexed on any shard
-// other than home.
-func (r *router) colElsewhere(col string, aliases []string, home int) bool {
-	for s := range r.cols[col] {
-		if s != home {
-			return true
-		}
-	}
-	for _, a := range aliases {
-		for s := range r.cols[a] {
-			if s != home {
-				return true
-			}
-		}
-	}
-	return false
+	return set[home], others > 0
 }
 
 // spans decides whether a want must go to the cross-shard coordinator: true
@@ -150,11 +122,12 @@ func (r *router) spans(want dod.Want, home int) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, col := range want.Columns {
-		aliases := want.Aliases[col]
-		if r.colOnShard(col, aliases, home) {
-			continue
+		atHome, elsewhere := r.locate(col, home)
+		for _, alias := range want.Aliases[col] {
+			h, e := r.locate(alias, home)
+			atHome, elsewhere = atHome || h, elsewhere || e
 		}
-		if r.colElsewhere(col, aliases, home) {
+		if !atHome && elsewhere {
 			return true
 		}
 	}
