@@ -157,7 +157,11 @@ func (a *Arbiter) RegisterParticipant(name string, funds float64) error {
 }
 
 // ShareDataset ingests a seller's dataset: catalog registration, profiling,
-// incremental indexing, metadata capture and license terms.
+// incremental indexing, metadata capture and license terms. Supply arriving
+// costs only the buyers it could serve a rebuild: the catalog version bump
+// stales the cached candidate sets whose want the new dataset can provide
+// for (directly, by alias, fuzzy name or transform) and carries the rest
+// forward — see the footprint rule in internal/dod/cache.go.
 func (a *Arbiter) ShareDataset(seller string, id catalog.DatasetID, rel *relation.Relation,
 	meta wtp.DatasetMeta, terms license.Terms) error {
 	if err := a.Catalog.Register(id, seller, rel); err != nil {
@@ -172,9 +176,8 @@ func (a *Arbiter) ShareDataset(seller string, id catalog.DatasetID, rel *relatio
 	a.metas[string(id)] = meta
 	a.shareOrder = append(a.shareOrder, string(id))
 	// Index through the DoD engine's mutation seam: worker-goroutine builds
-	// never see a half-indexed dataset, and the catalog version bump marks
-	// every cached candidate set stale.
-	a.dod.MutateCatalog(func() bool {
+	// never see a half-indexed dataset.
+	a.dod.MutateCatalog(id, func() bool {
 		a.ix.Add(profile.Profile(string(id), rel))
 		return true
 	})
@@ -190,10 +193,11 @@ func (a *Arbiter) UpdateDataset(id catalog.DatasetID, rel *relation.Relation, co
 	// build/mutate seam: an in-flight build can never read the new rows
 	// through the old index (or under the old version stamp), and the
 	// version bump inside MutateCatalog is what keeps a prebuilt mashup of
-	// the old version from ever settling — price-time validity checks
-	// compare against the bumped version and rebuild.
+	// the old version from ever settling — every set the dataset provided
+	// for keeps its old stamp, so price-time validity checks compare it
+	// against the bumped version and rebuild.
 	var uerr error
-	a.dod.MutateCatalog(func() bool {
+	a.dod.MutateCatalog(id, func() bool {
 		if _, uerr = a.Catalog.Update(id, rel, comment); uerr != nil {
 			return false // nothing applied; keep the cache warm
 		}
@@ -438,9 +442,9 @@ func gameKey(cand *dod.Candidate) string {
 func (a *Arbiter) matchGroup(ctx context.Context, reqs []*Request, unmet map[string]int, cs *dod.CandidateSet, memo *market.RoundMemo) ([]*Transaction, []string) {
 	want := reqs[0].Want
 	if !a.dod.Valid(cs, want) {
-		// Stale (a ShareDataset/UpdateDataset/RegisterTransform bumped the
-		// catalog since the build), foreign or missing: rebuild at the
-		// current version. BuildCached counts the stale/miss.
+		// Stale (a ShareDataset/UpdateDataset/RegisterTransform touched the
+		// want's footprint since the build), foreign or missing: rebuild at
+		// the current version. BuildCached counts the stale/miss.
 		cs = a.dod.BuildCached(ctx, want)
 	}
 	cands := cs.Candidates

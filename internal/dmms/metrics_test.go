@@ -117,6 +117,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		"dod_builds_total",
 		"dod_cache_hits_total",
 		"dod_cache_stale_total",
+		"dod_cache_retained_total",
 		"dod_cache_misses_total",
 		"dod_cache_evictions_total",
 		"dod_worker_panics_total",

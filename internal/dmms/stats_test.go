@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/relation"
 )
 
 // TestEngineStatsExposeBuilderCounters: the /engine/stats surface carries
-// the builder-pool split — BuildMillis, CacheHits, CacheStale and the
-// configured worker count — so operators can see the build/price pipeline
-// working over the wire.
+// the builder-pool split — BuildMillis, CacheHits, CacheStale,
+// CacheRetained and the configured worker count — so operators can see the
+// build/price pipeline working over the wire.
 func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2, DoDWorkers: 2})
 	defer done()
@@ -79,6 +80,24 @@ func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 		} else if stats.CacheHits <= first.CacheHits {
 			t.Errorf("cache hits did not climb over the wire: %d -> %d", first.CacheHits, stats.CacheHits)
 		}
+	}
+
+	// A share that provides nothing the cached want asks for bumps the
+	// catalog version but carries the cached set forward.
+	other := relation.New("s2/d1", relation.NewSchema(relation.Col("p", relation.KindInt)))
+	other.MustAppend(relation.Int(1))
+	if _, err := c.ShareDatasetAsync("s2", "s2/d1", other, "open"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.TriggerEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.EngineStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheRetained != 1 || stats.CacheStale != 0 {
+		t.Errorf("unrelated share: retained %d, stale %d over the wire, want 1 and 0", stats.CacheRetained, stats.CacheStale)
 	}
 }
 

@@ -6,19 +6,37 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/catalog"
 )
 
 // This file is the versioned candidate store behind the pipelined arbiter:
 // Build results are cached per want-key and stamped with the catalog version
-// current when the build started. ShareDataset/UpdateDataset (through
-// MutateCatalog) and RegisterTransform bump the version, so a cached mashup
-// built against yesterday's catalog is detected — and rebuilt — rather than
-// served. Candidates are derived state: they are never logged or snapshotted,
-// which is what lets the engine build them on worker goroutines without
-// touching replay determinism (a valid cached set is byte-identical to what
-// an inline build of the same want at the same version would produce,
-// because Build is deterministic).
+// they are valid at. ShareDataset/UpdateDataset (through MutateCatalog) and
+// RegisterTransform bump the version, and readers only ever compare a set's
+// stamp with the current version — so a cached mashup built against
+// yesterday's catalog is detected, and rebuilt, rather than served.
+//
+// A bump does not stale every set, though. Each mutation names the one dataset
+// D it touches, and — still under the exclusive build/mutate lock — re-stamps
+// to the new version every set that was valid at the old one and whose want D
+// cannot influence (MutateCatalog). The footprint rule is the search's own
+// predicate: buildLocked only seeds or grows a state with a dataset for which
+// providersFor is non-empty, and the index only adds or drops join edges that
+// touch the dataset being (re-)indexed, so a want is affected by a touch of D
+// iff providersFor(D, want) is non-empty before or after the mutation. The one
+// assumption is that every dataset in a beam state is a provider; if the
+// search ever admits bridge-only datasets (joined through without supplying a
+// wanted column) the footprint must widen to the join-reachable ones.
+//
+// Candidates are derived state: they are never logged or snapshotted, which is
+// what lets the engine build them on worker goroutines — and carry them across
+// unrelated mutations — without touching replay determinism: a valid cached
+// set is byte-identical to what an inline build of the same want at the
+// current version would produce, because Build is deterministic and a function
+// of the want's footprint datasets only.
 
 // Key is the group key of a want: buyers with the same wanted columns share
 // one auction, so they share one cache slot. The arbiter groups requests by
@@ -49,21 +67,23 @@ func (w Want) fingerprint() string {
 }
 
 // CandidateSet is one cached build outcome: the ranked candidates (or the
-// build failure) for one want, stamped with the catalog version they were
-// built against. A set whose Version no longer matches the engine's catalog
+// build failure) for one want, stamped with the catalog version they are
+// valid at. A set whose Version no longer matches the engine's catalog
 // version is stale and must not be priced.
 type CandidateSet struct {
 	// Key is the want's group key (sorted wanted columns).
 	Key string
 	// Want is the exact want the set was built from.
 	Want Want
-	// Version is the catalog version at build start.
-	Version uint64
+	// Version is the catalog version at build start, moved forward by every
+	// later mutation that could not have changed the build. Atomic: pricing
+	// reads it without the engine's locks while a mutation re-stamps it.
+	Version atomic.Uint64
 	// Candidates are the ranked mashups; empty when the build failed.
 	Candidates []Candidate
 	// Err carries the build failure, cached like a positive result so a
-	// hopeless want does not re-run the beam search every round — the next
-	// catalog change invalidates it like everything else.
+	// hopeless want does not re-run the beam search every round — a catalog
+	// change that touches its footprint invalidates it like everything else.
 	Err string
 	// BuildMillis is how long the build took (0 for cache hits).
 	BuildMillis float64
@@ -93,8 +113,11 @@ type CacheStats struct {
 	// Hits counts version-valid cache reuses.
 	Hits uint64 `json:"hits"`
 	// Stale counts lookups that found an entry invalidated by a catalog
-	// version bump (the entry was rebuilt).
+	// change that touched the want's footprint (the entry was rebuilt).
 	Stale uint64 `json:"stale"`
+	// Retained counts sets carried across a catalog version bump because the
+	// touched dataset could not influence their want.
+	Retained uint64 `json:"retained"`
 	// Misses counts lookups with no reusable entry.
 	Misses uint64 `json:"misses"`
 	// Builds counts beam searches actually run.
@@ -177,7 +200,7 @@ func (e *Engine) evictLocked() {
 	ver := e.version.Load()
 	// evictBefore reports whether a is a better eviction victim than b.
 	evictBefore := func(a, b *CandidateSet) bool {
-		aStale, bStale := a.Version != ver, b.Version != ver
+		aStale, bStale := a.Version.Load() != ver, b.Version.Load() != ver
 		if aStale != bStale {
 			return aStale
 		}
@@ -206,23 +229,46 @@ func (e *Engine) evictLocked() {
 }
 
 // CatalogVersion returns the current catalog version. Every mutation that
-// can change what Build would produce — dataset shares, updates, transform
-// registrations — bumps it.
+// can change what some Build would produce — dataset shares, updates,
+// transform registrations — bumps it.
 func (e *Engine) CatalogVersion() uint64 { return e.version.Load() }
 
-// MutateCatalog runs a catalog/index mutation exclusively against in-flight
-// builds. The arbiter routes its index writes (ShareDataset, UpdateDataset)
-// through here so worker-goroutine builds never observe a half-applied
-// mutation. The closure reports whether it actually applied: only then is
-// the catalog version bumped (invalidating every cached candidate set) — a
-// rejected update must not flush the cache for a no-op.
-func (e *Engine) MutateCatalog(mutate func() bool) uint64 {
+// MutateCatalog runs a mutation of one dataset — its catalog content, its
+// index entry, its transforms — exclusively against in-flight builds. The
+// arbiter routes its index writes (ShareDataset, UpdateDataset) through here
+// so worker-goroutine builds never observe a half-applied mutation. The
+// closure reports whether it actually applied: only then is the catalog
+// version bumped — a rejected update must not stale anything.
+//
+// A bump carries forward every cached set that was valid at the old version
+// and for which the touched dataset provides nothing both before and after
+// the mutation — the sets a fresh Build at the new version would reproduce
+// exactly. Sets already stale are never promoted, whatever their stamp;
+// affected sets keep their old stamp and rebuild at the next lookup. Builds
+// insert under the shared lock, so none can slip in between the two scans.
+func (e *Engine) MutateCatalog(touched catalog.DatasetID, mutate func() bool) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if mutate() {
-		return e.version.Add(1)
+	ds, old := string(touched), e.version.Load()
+	var keep []*CandidateSet
+	e.cacheMu.Lock()
+	for _, cs := range e.cache {
+		if cs.Version.Load() == old && len(e.providersFor(ds, cs.Want)) == 0 {
+			keep = append(keep, cs)
+		}
 	}
-	return e.version.Load()
+	e.cacheMu.Unlock()
+	if !mutate() {
+		return old
+	}
+	ver := e.version.Add(1)
+	for _, cs := range keep {
+		if len(e.providersFor(ds, cs.Want)) == 0 {
+			cs.Version.Store(ver)
+			e.retained.Add(1)
+		}
+	}
+	return ver
 }
 
 // Valid reports whether a candidate set can be priced for the given want
@@ -230,7 +276,7 @@ func (e *Engine) MutateCatalog(mutate func() bool) uint64 {
 // the current catalog version. The price-time check is what keeps an
 // UpdateDataset racing a prebuild from settling against a pre-update mashup.
 func (e *Engine) Valid(cs *CandidateSet, want Want) bool {
-	return cs != nil && cs.fp == want.fingerprint() && cs.Version == e.version.Load()
+	return cs != nil && cs.fp == want.fingerprint() && cs.Version.Load() == e.version.Load()
 }
 
 // CacheStats snapshots the candidate-store counters.
@@ -241,6 +287,7 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{
 		Hits:             e.cacheHits.Load(),
 		Stale:            e.cacheStale.Load(),
+		Retained:         e.retained.Load(),
 		Misses:           e.cacheMisses.Load(),
 		Builds:           e.builds.Load(),
 		BuildMillis:      float64(e.buildNanos.Load()) / 1e6,
@@ -264,13 +311,13 @@ type inflightBuild struct {
 
 // BuildCached is the cache-aware, supervised Build: a version-valid entry for
 // the same want is returned as-is (hit); an entry invalidated by a catalog
-// bump (stale) or absent (miss) triggers a build, whose outcome — success or
-// failure — is stored under the want's key. Safe for concurrent use; builds
-// for distinct wants run in parallel (they hold the catalog read-lock, so a
-// MutateCatalog waits for them and they never see partial mutations), while
-// concurrent callers for the same want at the same version share one build:
-// a speculative prebuild racing the next epoch's build stage costs one beam
-// search, not two.
+// change to its footprint (stale) or absent (miss) triggers a build, whose
+// outcome — success or failure — is stored under the want's key. Safe for
+// concurrent use; builds for distinct wants run in parallel (they hold the
+// catalog read-lock, so a MutateCatalog waits for them and they never see
+// partial mutations), while concurrent callers for the same want at the same
+// version share one build: a speculative prebuild racing the next epoch's
+// build stage costs one beam search, not two.
 //
 // ctx bounds the request (nil is treated as context.Background()); on top of
 // it, a deadline configured via SetBuildDeadline is applied per call. When the
@@ -330,14 +377,15 @@ func (e *Engine) countAbandoned(err error) {
 // version so the price-time Valid check passes and the group is skipped like
 // any failed build, instead of being rebuilt inline mid-round.
 func (e *Engine) abandonedSet(want Want, err error) *CandidateSet {
-	return &CandidateSet{
-		Key:     want.Key(),
-		Want:    want,
-		Version: e.version.Load(),
-		Err:     fmt.Sprintf("dod: build abandoned: %v", err),
-		fp:      want.fingerprint(),
-		ctxErr:  err,
+	cs := &CandidateSet{
+		Key:    want.Key(),
+		Want:   want,
+		Err:    fmt.Sprintf("dod: build abandoned: %v", err),
+		fp:     want.fingerprint(),
+		ctxErr: err,
 	}
+	cs.Version.Store(e.version.Load())
+	return cs
 }
 
 // buildCachedSync is the cache lookup + singleflight + build path. It honors
@@ -351,7 +399,7 @@ func (e *Engine) buildCachedSync(ctx context.Context, want Want) *CandidateSet {
 	e.mu.RLock()
 	ver := e.version.Load() // stable while the read-lock pins out writers
 	e.cacheMu.Lock()
-	if cs, ok := e.cache[key]; ok && cs.fp == fp && cs.Version == ver {
+	if cs, ok := e.cache[key]; ok && cs.fp == fp && cs.Version.Load() == ver {
 		cs.lastUse = e.useSeq.Add(1)
 		e.cacheMu.Unlock()
 		e.mu.RUnlock()
@@ -384,15 +432,10 @@ func (e *Engine) buildCachedSync(ctx context.Context, want Want) *CandidateSet {
 
 	start := time.Now()
 	cands, err := e.buildRecover(ctx, want)
-	e.mu.RUnlock()
-	ms := float64(time.Since(start).Nanoseconds()) / 1e6
+	took := time.Since(start)
 
-	e.builds.Add(1)
-	e.buildNanos.Add(time.Since(start).Nanoseconds())
-	if hook := e.buildHook.Load(); hook != nil {
-		(*hook)(time.Since(start).Seconds())
-	}
-	cs := &CandidateSet{Key: key, Want: want, Version: ver, Candidates: cands, BuildMillis: ms, fp: fp}
+	cs := &CandidateSet{Key: key, Want: want, Candidates: cands, BuildMillis: float64(took.Nanoseconds()) / 1e6, fp: fp}
+	cs.Version.Store(ver)
 	if err != nil {
 		cs.Err = err.Error()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -401,12 +444,12 @@ func (e *Engine) buildCachedSync(ctx context.Context, want Want) *CandidateSet {
 	}
 	e.cacheMu.Lock()
 	cs.lastUse = e.useSeq.Add(1)
-	// A laggard build (e.g. a speculative prebuild that lost the race with
-	// a catalog bump) must not evict a fresher entry — the stale set would
-	// just force yet another rebuild at the next lookup. An abandoned build
-	// is never cached at all: unlike a genuine failure, it says nothing
-	// about the catalog, and the next round must retry.
-	if cur, ok := e.cache[key]; cs.ctxErr == nil && (!ok || cur.Version <= cs.Version) {
+	// The insert happens before the catalog read-lock is released, so ver is
+	// still the current version and the next mutation sees this set — and can
+	// carry it forward — instead of racing it. An abandoned build is never
+	// cached at all: unlike a genuine failure, it says nothing about the
+	// catalog, and the next round must retry.
+	if cs.ctxErr == nil {
 		e.cache[key] = cs
 		e.evictLocked()
 	}
@@ -414,6 +457,13 @@ func (e *Engine) buildCachedSync(ctx context.Context, want Want) *CandidateSet {
 		delete(e.inflight, flKey)
 	}
 	e.cacheMu.Unlock()
+	e.mu.RUnlock()
+
+	e.builds.Add(1)
+	e.buildNanos.Add(took.Nanoseconds())
+	if hook := e.buildHook.Load(); hook != nil {
+		(*hook)(took.Seconds())
+	}
 	fl.cs = cs // happens-before the close; waiters read after <-done
 	close(fl.done)
 	return cs
@@ -432,15 +482,4 @@ func (e *Engine) buildRecover(ctx context.Context, want Want) (cands []Candidate
 		}
 	}()
 	return e.buildLocked(ctx, want)
-}
-
-// InvalidateAll drops every cached candidate set and bumps the version (so
-// in-flight sets built before the call go stale too). Tests and
-// administrative resets use it; normal operation relies on version bumps
-// alone.
-func (e *Engine) InvalidateAll() {
-	e.cacheMu.Lock()
-	e.cache = map[string]*CandidateSet{}
-	e.cacheMu.Unlock()
-	e.version.Add(1)
 }

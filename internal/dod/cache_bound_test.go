@@ -67,8 +67,9 @@ func TestCacheEvictionPrefersStale(t *testing.T) {
 	a, b := Want{Columns: []string{"a"}}, Want{Columns: []string{"b"}}
 	eng.BuildCached(context.Background(), a)
 	eng.BuildCached(context.Background(), b)
-	// ...then a catalog mutation strands them at the old version.
-	eng.MutateCatalog(func() bool { return true })
+	// ...then a mutation of s1, which provides both, strands them at the old
+	// version.
+	eng.MutateCatalog("s1", func() bool { return true })
 
 	// Two fresh builds push the population to 4 > 3: the eviction must take
 	// a stale entry, never the just-built fresh ones.

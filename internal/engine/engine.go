@@ -202,10 +202,13 @@ type Stats struct {
 	// cache misses), never to the matching round. In-memory observability
 	// only: like Shed it is not logged and not durable.
 	BuildMillis float64 `json:"build_millis,omitempty"`
-	// CacheHits / CacheStale count candidate-cache reuses and version
-	// invalidations in the DoD engine's versioned candidate store.
-	CacheHits  uint64 `json:"cache_hits,omitempty"`
-	CacheStale uint64 `json:"cache_stale,omitempty"`
+	// CacheHits / CacheStale / CacheRetained count, in the DoD engine's
+	// versioned candidate store: reuses; lookups invalidated by a catalog
+	// change that touched the want's footprint; and sets carried across a
+	// catalog change that could not have changed them.
+	CacheHits     uint64 `json:"cache_hits,omitempty"`
+	CacheStale    uint64 `json:"cache_stale,omitempty"`
+	CacheRetained uint64 `json:"cache_retained,omitempty"`
 	// SubJoinHits counts join prefixes reused from the DoD engine's
 	// per-build sub-join memo during candidate materialization.
 	SubJoinHits uint64 `json:"subjoin_hits,omitempty"`
@@ -507,6 +510,7 @@ func (e *Engine) Stats() Stats {
 		BuildMillis:           cache.BuildMillis,
 		CacheHits:             cache.Hits,
 		CacheStale:            cache.Stale,
+		CacheRetained:         cache.Retained,
 		SubJoinHits:           cache.SubJoinHits,
 		BuildDeadlineExceeded: cache.DeadlineExceeded,
 		BuildsCancelled:       cache.Cancelled,

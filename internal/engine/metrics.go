@@ -203,8 +203,11 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 		"Version-valid candidate-cache reuses.",
 		func() float64 { return float64(e.platform.DoDCacheStats().Hits) })
 	reg.NewCounterFunc("dod_cache_stale_total",
-		"Cache lookups invalidated by a catalog version bump.",
+		"Cache lookups invalidated by a catalog change that touched the want's footprint.",
 		func() float64 { return float64(e.platform.DoDCacheStats().Stale) })
+	reg.NewCounterFunc("dod_cache_retained_total",
+		"Cached candidate sets carried across a catalog change that could not have changed them.",
+		func() float64 { return float64(e.platform.DoDCacheStats().Retained) })
 	reg.NewCounterFunc("dod_cache_misses_total",
 		"Cache lookups with no reusable entry.",
 		func() float64 { return float64(e.platform.DoDCacheStats().Misses) })

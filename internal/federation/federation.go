@@ -458,6 +458,7 @@ func (m *Market) Stats() engine.Stats {
 		agg.BuildMillis += s.BuildMillis
 		agg.CacheHits += s.CacheHits
 		agg.CacheStale += s.CacheStale
+		agg.CacheRetained += s.CacheRetained
 		agg.SubJoinHits += s.SubJoinHits
 		agg.BuildDeadlineExceeded += s.BuildDeadlineExceeded
 		agg.BuildsCancelled += s.BuildsCancelled
@@ -622,8 +623,10 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		sumCache(func(c dod.CacheStats) float64 { return float64(c.Builds) }))
 	reg.NewCounterFunc("dod_cache_hits_total", "Version-valid candidate-cache reuses (all shards).",
 		sumCache(func(c dod.CacheStats) float64 { return float64(c.Hits) }))
-	reg.NewCounterFunc("dod_cache_stale_total", "Cache lookups invalidated by a catalog version bump (all shards).",
+	reg.NewCounterFunc("dod_cache_stale_total", "Cache lookups invalidated by a catalog change that touched the want's footprint (all shards).",
 		sumCache(func(c dod.CacheStats) float64 { return float64(c.Stale) }))
+	reg.NewCounterFunc("dod_cache_retained_total", "Cached candidate sets carried across a catalog change that could not have changed them (all shards).",
+		sumCache(func(c dod.CacheStats) float64 { return float64(c.Retained) }))
 	reg.NewCounterFunc("dod_subjoin_memo_hits_total", "Sub-join memo reuses during candidate materialization (all shards).",
 		sumCache(func(c dod.CacheStats) float64 { return float64(c.SubJoinHits) }))
 }

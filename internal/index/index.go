@@ -66,7 +66,7 @@ type Index struct {
 	profiles map[string]*profile.DatasetProfile
 	tokens   map[string][]ColRef // token -> columns mentioning it
 	edges    []JoinEdge
-	byCol    map[ColRef][]int // column -> edge indices
+	byDS     map[string][]int // dataset -> indices of the edges touching it
 }
 
 // Build constructs the index from the dataset profiles.
@@ -75,7 +75,7 @@ func Build(cfg Config, profiles []*profile.DatasetProfile) *Index {
 		cfg:      cfg,
 		profiles: map[string]*profile.DatasetProfile{},
 		tokens:   map[string][]ColRef{},
-		byCol:    map[ColRef][]int{},
+		byDS:     map[string][]int{},
 	}
 	for _, dp := range profiles {
 		ix.profiles[dp.Dataset] = dp
@@ -123,10 +123,10 @@ func (ix *Index) remove(dataset string) {
 		}
 	}
 	ix.edges = kept
-	ix.byCol = map[ColRef][]int{}
+	ix.byDS = map[string][]int{}
 	for i, e := range ix.edges {
-		ix.byCol[e.A] = append(ix.byCol[e.A], i)
-		ix.byCol[e.B] = append(ix.byCol[e.B], i)
+		ix.byDS[e.A.Dataset] = append(ix.byDS[e.A.Dataset], i)
+		ix.byDS[e.B.Dataset] = append(ix.byDS[e.B.Dataset], i)
 	}
 }
 
@@ -295,8 +295,8 @@ func (ix *Index) tryEdge(a, b *profile.ColumnProfile) {
 	}
 	i := len(ix.edges)
 	ix.edges = append(ix.edges, e)
-	ix.byCol[e.A] = append(ix.byCol[e.A], i)
-	ix.byCol[e.B] = append(ix.byCol[e.B], i)
+	ix.byDS[e.A.Dataset] = append(ix.byDS[e.A.Dataset], i)
+	ix.byDS[e.B.Dataset] = append(ix.byDS[e.B.Dataset], i)
 }
 
 func kindsJoinable(a, b *profile.ColumnProfile) bool {
@@ -312,15 +312,19 @@ func (ix *Index) Edges() []JoinEdge {
 	return out
 }
 
-// EdgesFor returns the join edges touching any column of the dataset.
+// EdgesFor returns the join edges touching any column of the dataset, by
+// descending Jaccard; ties — every exact key↔key edge scores 1.0 — keep the
+// order the edges were indexed in. The DoD beam search breaks its own ties by
+// this order, so it must not depend on which other edges exist: an unstable
+// sort reorders more than 12 ties whenever the slice length changes, i.e.
+// whenever an unrelated dataset joins the same key column.
 func (ix *Index) EdgesFor(dataset string) []JoinEdge {
-	var out []JoinEdge
-	for _, e := range ix.edges {
-		if e.A.Dataset == dataset || e.B.Dataset == dataset {
-			out = append(out, e)
-		}
+	ids := ix.byDS[dataset]
+	out := make([]JoinEdge, len(ids))
+	for i, id := range ids {
+		out[i] = ix.edges[id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Jaccard > out[j].Jaccard })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Jaccard > out[j].Jaccard })
 	return out
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/profile"
@@ -174,5 +175,64 @@ func TestEdgesFor(t *testing.T) {
 	}
 	if len(ix.EdgesFor("ghost")) != 0 {
 		t.Error("unknown dataset has no edges")
+	}
+}
+
+// TestEdgesForTieOrderIgnoresUnrelatedEdges: every exact key↔key edge ties at
+// Jaccard 1.0, and the DoD beam search breaks its own ties by EdgesFor's
+// order. With more than 12 edges an unstable sort reorders the ties depending
+// on the slice length, so sharing — or re-indexing — an unrelated dataset
+// that merely joins the same key column could change which join path a build
+// takes. Ties must keep their indexing order.
+func TestEdgesForTieOrderIgnoresUnrelatedEdges(t *testing.T) {
+	keyed := func(id string, rows int) *profile.DatasetProfile {
+		r := relation.New(id, relation.NewSchema(
+			relation.Col("k", relation.KindInt), relation.Col("k2", relation.KindInt)))
+		for i := 0; i < rows; i++ {
+			r.MustAppend(relation.Int(int64(i)), relation.Int(int64(i)))
+		}
+		return profile.Profile(id, r)
+	}
+	// spokes lists hub's edges as "far-dataset far-column hub-column", leaving
+	// out the unrelated dataset's own.
+	spokes := func(ix *Index) []string {
+		var out []string
+		for _, e := range ix.EdgesFor("hub") {
+			near, far := e.A, e.B
+			if near.Dataset != "hub" {
+				near, far = far, near
+			}
+			if far.Dataset != "late" {
+				out = append(out, fmt.Sprintf("%.2f %s %s %s", 1-e.Jaccard, far.Dataset, far.Column, near.Column))
+			}
+		}
+		return out
+	}
+	ix := Build(DefaultConfig(), nil)
+	ix.Add(keyed("hub", 40))
+	for n := 1; n <= 20; n++ {
+		// Every third spoke holds only part of the key range, so its edges
+		// score lower and the sort has real work to do between the ties.
+		rows := 40
+		if n%3 == 0 {
+			rows = 25
+		}
+		ix.Add(keyed(fmt.Sprintf("s%02d", n), rows))
+		before := spokes(ix)
+		if len(before) != 4*n {
+			t.Fatalf("%d spokes: hub has %d edges, want %d", n, len(before), 4*n)
+		}
+		// Spokes are indexed in name order, so "by Jaccard, ties in indexing
+		// order" is the sorted order of the descriptions.
+		if !sort.StringsAreSorted(before) {
+			t.Fatalf("%d spokes: ties not in indexing order: %q", n, before)
+		}
+		for _, why := range []string{"adding", "re-indexing"} {
+			ix.Add(keyed("late", 40)) // an unrelated dataset joining the same key
+			if got := spokes(ix); fmt.Sprint(got) != fmt.Sprint(before) {
+				t.Fatalf("%d spokes: %s an unrelated dataset reordered the ties:\n%q\n%q", n, why, before, got)
+			}
+		}
+		ix.remove("late")
 	}
 }

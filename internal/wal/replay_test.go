@@ -54,6 +54,10 @@ type op struct {
 	// request: minSat overrides the 0.5 curve threshold, so half-coverage
 	// single-source candidates price to zero and only the join sells.
 	minSat float64
+	// share: fresh > 0 builds churn share number fresh instead — column names
+	// and value ranges disjoint from every other dataset, so it provides no
+	// wanted column and adds no join edge.
+	fresh int
 }
 
 // script is the deterministic workload: epochs of ops covering
@@ -154,6 +158,47 @@ func joinScript() [][]op {
 	}
 }
 
+// churnScript is joinScript with supply arriving between the requests that
+// cannot serve them: fresh shares (no provider, no edge) and a bridge share
+// (joins every dataset on k, provides nothing wanted) — the mutations that
+// bump the catalog version yet leave the cached ⟨a, b⟩ candidates valid — plus
+// one share that does add an a-provider and so must stale them. The live run
+// prices retained candidate sets across the former; every reboot starts with
+// a cold cache and rebuilds. Both must settle byte-identically.
+func churnScript() [][]op {
+	return [][]op{
+		{ // epoch 1: funding registrations
+			{kind: "register", name: "b1", funds: 5000},
+			{kind: "register", name: "b2", funds: 8000},
+		},
+		{ // epoch 2: split supply + first demand (cold build in every run)
+			{kind: "share", name: "s1", ds: "s1/d0", rows: 20, valCol: "a"},
+			{kind: "share", name: "s2", ds: "s2/d0", rows: 30, valCol: "b"},
+			{kind: "request", name: "b1", offer: 150, cols: []string{"a", "b"}, minSat: 0.9},
+		},
+		{ // epoch 3: an unrelated share lands before more demand
+			{kind: "share", name: "x1", ds: "x1/d", rows: 12, fresh: 1},
+			{kind: "request", name: "b2", offer: 120, cols: []string{"a", "b"}, minSat: 0.9},
+			{kind: "request", name: "b2", offer: 60, cols: []string{"never", "supplied"}},
+		},
+		{ // epoch 4: a bridge share and another fresh one around a request
+			{kind: "share", name: "s4", ds: "s4/d0", rows: 30, valCol: "z"},
+			{kind: "request", name: "b1", offer: 130, cols: []string{"a", "b"}, minSat: 0.9},
+			{kind: "share", name: "x2", ds: "x2/d", rows: 12, fresh: 2},
+		},
+		{ // epoch 5: a second a-provider (stales ⟨a, b⟩) + late buyer
+			{kind: "share", name: "s3", ds: "s3/d0", rows: 25, valCol: "a"},
+			{kind: "register", name: "b4", funds: 1500},
+			{kind: "request", name: "b2", offer: 140, cols: []string{"a", "b"}, minSat: 0.9},
+		},
+		{ // epoch 6: a below-posted-price offer (stays open), churn, a match
+			{kind: "request", name: "b4", offer: 80, cols: []string{"a", "b"}, minSat: 0.9},
+			{kind: "share", name: "x3", ds: "x3/d", rows: 12, fresh: 3},
+			{kind: "request", name: "b1", offer: 200, cols: []string{"a", "b"}, minSat: 0.9},
+		},
+	}
+}
+
 // mustTicket unwraps a Submit* result for scripts with no admission control
 // configured (where intake can never reject).
 func mustTicket(id string, err error) string {
@@ -184,6 +229,17 @@ func keyedRelation(name, valCol string, rows int) *relation.Relation {
 	return r
 }
 
+// freshRelation is churn share n: column names and value ranges no other
+// scripted dataset shares.
+func freshRelation(name string, n, rows int) *relation.Relation {
+	r := relation.New(name, relation.NewSchema(
+		relation.Col(fmt.Sprintf("xk%d", n), relation.KindInt), relation.Col(fmt.Sprintf("xv%d", n), relation.KindFloat)))
+	for i := 0; i < rows; i++ {
+		r.MustAppend(relation.Int(int64(1000000*n+i)), relation.Float(float64(1000000*n+i)+0.25))
+	}
+	return r
+}
+
 func submitOp(e *engine.Engine, o op) string {
 	switch o.kind {
 	case "register":
@@ -192,6 +248,9 @@ func submitOp(e *engine.Engine, o op) string {
 		rel := scriptRelation(o.ds, o.rows)
 		if o.valCol != "" {
 			rel = keyedRelation(o.ds, o.valCol, o.rows)
+		}
+		if o.fresh > 0 {
+			rel = freshRelation(o.ds, o.fresh, o.rows)
 		}
 		return mustTicket(e.SubmitShare(o.name, catalog.DatasetID(o.ds), rel,
 			wtp.DatasetMeta{Dataset: o.ds, HasProvenance: true}, license.Terms{Kind: license.Open}))
@@ -568,6 +627,21 @@ func TestCrashReplayDeterminism(t *testing.T) {
 		opts := core.Options{Design: testDesign,
 			Allocator: market.AdaptiveShapley{ExactMax: 1, TargetErr: 0.02}}
 		crashMatrix(t, opts, joinScript(), SyncEpoch, 2, false, 0)
+	})
+	// The churn variants: the uninterrupted baseline carries its cached
+	// candidate sets across every share that cannot influence them, while
+	// each reboot rebuilds them from a cold cache — byte-identical
+	// fingerprints prove footprint retention is optimisation-only. Once with
+	// inline builds, once with the crashed and rebooted engines on the pool.
+	t.Run("churn", func(t *testing.T) {
+		live, _, _ := runUninterrupted(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch)
+		if st := live.DoDCacheStats(); st.Retained == 0 || st.Stale == 0 {
+			t.Fatalf("script exercises no retention or no invalidation: %+v", st)
+		}
+		crashMatrix(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch, 0, false, 0)
+	})
+	t.Run("churn-dod-workers", func(t *testing.T) {
+		crashMatrix(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch, 2, false, 0)
 	})
 }
 
