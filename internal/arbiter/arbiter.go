@@ -29,6 +29,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
@@ -88,13 +89,17 @@ type Arbiter struct {
 	// shareOrder records dataset IDs in ingestion order; snapshot/restore
 	// replays shares in this order so profile indexing is deterministic.
 	shareOrder []string
-	// reqByID indexes every request ever filed (settled included) for O(1)
-	// ID lookups and duplicate checks; openList holds the open ones in
-	// filing order, compacted lazily, so per-round cost tracks the open set
-	// instead of the full request history.
+	// reqByID indexes the open requests by ID; a request leaves it the
+	// moment it settles (nothing looks a closed one up; the ID counter rules
+	// out filing it twice). openList holds them in filing order, compacted
+	// lazily, so rounds and memory track the open set, not the history.
 	reqByID  map[string]*Request
 	openList []*Request
-	history  []*Transaction
+	// history is the newest retain.Windows.History completed transactions,
+	// oldest first, and settled the count of all of them. The record of who
+	// sold what is the engine's event log and settlement book.
+	history []*Transaction
+	settled int
 	// unmet tracks wanted columns no mashup could supply — the demand
 	// signal opportunistic sellers mine (paper §7.1).
 	unmet map[string]int
@@ -235,6 +240,24 @@ func (a *Arbiter) SubmitRequest(want dod.Want, f *wtp.Function) (string, error) 
 func (a *Arbiter) fileRequestLocked(r *Request) {
 	a.reqByID[r.ID] = r
 	a.openList = append(a.openList, r)
+}
+
+// closeRequest marks a request settled and forgets it: openList drops it at
+// its next compaction. Caller holds a.mu.
+func (a *Arbiter) closeRequest(r *Request) {
+	r.Open = false
+	delete(a.reqByID, r.ID)
+}
+
+// recordTx appends a completed transaction to the history window, dropping
+// the oldest one beyond it. Caller holds a.mu.
+func (a *Arbiter) recordTx(tx *Transaction) {
+	a.history = append(a.history, tx)
+	a.settled++
+	if len(a.history) > retain.Sizes().History {
+		a.history[0] = nil
+		a.history = a.history[1:]
+	}
 }
 
 // openLocked compacts settled requests out of openList and returns the open
@@ -515,7 +538,7 @@ func (a *Arbiter) matchGroup(ctx context.Context, reqs []*Request, unmet map[str
 		}
 		txs = append(txs, tx)
 		satisfied[o.req.ID] = true
-		o.req.Open = false
+		a.closeRequest(o.req)
 	}
 	var unsat []string
 	for _, r := range reqs {
@@ -626,7 +649,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 		tx.ExPostShares = a.Design.RevenueFractionsCtx(cand.Anno, a.ownersOf(cand.Datasets), nil, actx)
 		a.pendingExPost[txID] = &exPostState{tx: tx, deposit: dep, buyer: buyer, fracs: tx.ExPostShares}
 		a.recordPurchase(buyer, cand.Datasets)
-		a.history = append(a.history, tx)
+		a.recordTx(tx)
 		a.issueLicenses(cand.Datasets, buyer, sale.Price)
 		return tx, nil
 	}
@@ -643,7 +666,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 	tx.SellerCuts = split.SellerCut
 	a.issueLicenses(cand.Datasets, buyer, sale.Price)
 	a.recordPurchase(buyer, cand.Datasets)
-	a.history = append(a.history, tx)
+	a.recordTx(tx)
 	a.Ledger.Note(fmt.Sprintf("%s: %s bought %s for %.2f (satisfaction %.2f)",
 		txID, buyer, cand.Rel().Name, sale.Price, ev.Satisfaction))
 	return tx, nil
@@ -806,13 +829,29 @@ func (a *Arbiter) SettleReport(txID string, reported, trueValue float64) (Report
 	}, nil
 }
 
-// History returns completed transactions.
+// History returns the newest completed transactions (at most
+// retain.Windows.History), oldest first; see Settled for the total.
 func (a *Arbiter) History() []*Transaction {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]*Transaction, len(a.history))
 	copy(out, a.history)
 	return out
+}
+
+// Settled returns how many transactions were ever completed, including those
+// History no longer holds.
+func (a *Arbiter) Settled() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.settled
+}
+
+// HistoryHeld returns how many transactions History holds.
+func (a *Arbiter) HistoryHeld() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.history)
 }
 
 // OpenCount returns the number of unmatched requests. Cheap enough to call

@@ -3,6 +3,7 @@ package arbiter
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/license"
 	"repro/internal/market"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
@@ -462,5 +464,164 @@ func TestMultipleRoundsIdempotent(t *testing.T) {
 	}
 	if len(a.OpenRequests()) != 0 {
 		t.Errorf("open = %v", a.OpenRequests())
+	}
+}
+
+// TestClosedStateLeaves: a settled request leaves the ID index at once, the
+// history keeps only its newest window while Settled keeps counting, and a
+// closed request's ID still cannot be filed again — the counter, not the
+// index, rules that out.
+func TestClosedStateLeaves(t *testing.T) {
+	defer retain.Shrink(func(w *retain.Windows) { w.History = 3 })()
+	a := setupMarket(t, mkDesign())
+	want := dod.Want{Columns: []string{"a", "b", "d"}}
+	var ids []string
+	for i := 0; i < 7; i++ {
+		id, err := a.SubmitRequest(want, coverageWTP("b1", 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		if res, err := a.MatchRound(); err != nil || len(res.Transactions) != 1 {
+			t.Fatalf("round %d: %v %+v", i, err, res)
+		}
+	}
+	// One request that stays open (offer below the posted price).
+	open, err := a.SubmitRequest(want, coverageWTP("b2", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.MatchRound(); err != nil {
+		t.Fatal(err)
+	}
+
+	a.mu.Lock()
+	indexed, listed := len(a.reqByID), len(a.openLocked())
+	a.mu.Unlock()
+	if indexed != 1 || listed != 1 || a.OpenCount() != 1 {
+		t.Fatalf("%d requests indexed, %d listed, want only the open one", indexed, listed)
+	}
+	hist := a.History()
+	if len(hist) != 3 || a.HistoryHeld() != 3 || a.Settled() != 7 {
+		t.Fatalf("history holds %d (held %d) of %d, want 3 of 7", len(hist), a.HistoryHeld(), a.Settled())
+	}
+	for i, tx := range hist {
+		if tx.RequestID != ids[4+i] {
+			t.Fatalf("history[%d] answers %s, want the newest three in order (%v)", i, tx.RequestID, ids[4:])
+		}
+	}
+	if got := len(a.HistorySkeletons()); got != 3 {
+		t.Fatalf("snapshot carries %d skeletons, want the window", got)
+	}
+
+	f := coverageWTP("b1", 100)
+	for _, id := range []string{ids[0], ids[6], open} {
+		if err := a.RestoreRequest(id, want, f); err == nil {
+			t.Fatalf("request %s filed twice", id)
+		}
+	}
+	if err := a.RestoreRequest(fmt.Sprintf("req-%04d", a.ReplayNextID()+1), want, f); err != nil {
+		t.Fatalf("a fresh ID must still file: %v", err)
+	}
+}
+
+// TestReplayFilingOrder pins the invariant RestoreRequest's duplicate check
+// rests on: requests and transactions draw their numbers from one counter, in
+// the order their events are logged, so a replay meets every filing before
+// any higher-numbered ID — even when filings and settlements interleave
+// across rounds and a request carried over from the first round settles
+// after requests filed (and transactions numbered) long after it. A stream
+// that breaks the order is refused loudly, not absorbed.
+func TestReplayFilingOrder(t *testing.T) {
+	type rec struct {
+		req  string // a filing: the request ID …
+		want dod.Want
+		f    *wtp.Function
+		tx   *Transaction // … or a settlement, or (neither) the late share
+	}
+	lateWant := dod.Want{Columns: []string{"a", "z"}}
+	lateWTP := func(buyer string) *wtp.Function {
+		return &wtp.Function{Buyer: buyer, Task: wtp.CoverageTask{Columns: lateWant.Columns, WantRows: 50},
+			Curve: wtp.PriceCurve{{MinSatisfaction: 0.9, Price: 100}}}
+	}
+	shareLate := func(a *Arbiter) {
+		s3 := relation.New("s3", relation.NewSchema(relation.Col("a", relation.KindInt), relation.Col("z", relation.KindFloat)))
+		for i := 0; i < 100; i++ {
+			s3.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)))
+		}
+		if err := a.ShareDataset("seller1", "s3", s3, meta("s3"), license.Terms{Kind: license.Open}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	live := setupMarket(t, mkDesign())
+	var log []rec
+	file := func(want dod.Want, f *wtp.Function) {
+		id, err := live.SubmitRequest(want, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, rec{req: id, want: want, f: f})
+	}
+	round := func(settles int) {
+		res, err := live.MatchRound()
+		if err != nil || len(res.Transactions) != settles {
+			t.Fatalf("round settled %d (%v), want %d", len(res.Transactions), err, settles)
+		}
+		for _, tx := range res.Transactions {
+			log = append(log, rec{tx: tx})
+		}
+	}
+	want := dod.Want{Columns: []string{"a", "b", "d"}}
+	file(lateWant, lateWTP("b2"))      // req-0001: no supply yet, carried over
+	file(want, coverageWTP("b2", 10))  // req-0002: below the posted price, open for good
+	file(want, coverageWTP("b1", 100)) // req-0003
+	round(1)                           // tx-0004
+	file(want, coverageWTP("b1", 100)) // req-0005
+	round(1)                           // tx-0006
+	shareLate(live)
+	log = append(log, rec{})
+	file(want, coverageWTP("b1", 100)) // req-0007
+	round(2)                           // tx-0008, tx-0009: the new request and the carried-over one
+	if log[0].req != "req-0001" || live.OpenCount() != 1 || live.Settled() != 4 {
+		t.Fatalf("script went off: first %q, %d open, %d settled", log[0].req, live.OpenCount(), live.Settled())
+	}
+
+	replay := func(log []rec) (*Arbiter, error) {
+		a := setupMarket(t, mkDesign())
+		for _, r := range log {
+			var err error
+			switch {
+			case r.req != "":
+				err = a.RestoreRequest(r.req, r.want, r.f)
+			case r.tx != nil:
+				err = a.ReplaySettlement(ReplayedSettlement{TxID: r.tx.ID, RequestID: r.tx.RequestID, Buyer: r.tx.Buyer,
+					Price: r.tx.Price, ArbiterCut: r.tx.ArbiterCut, SellerCuts: r.tx.SellerCuts, Datasets: r.tx.Datasets})
+			default:
+				shareLate(a)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s%v: %w", r.req, r.tx, err)
+			}
+		}
+		return a, nil
+	}
+	a, err := replay(log)
+	if err != nil {
+		t.Fatalf("replay in log order: %v", err)
+	}
+	if a.ReplayNextID() != live.ReplayNextID() || a.OpenCount() != 1 || a.Settled() != 4 ||
+		a.OpenRequests()[0] != "req-0002" {
+		t.Fatalf("replayed arbiter: next ID %d (live %d), %d open, %d settled", a.ReplayNextID(), live.ReplayNextID(), a.OpenCount(), a.Settled())
+	}
+	for _, acct := range live.Ledger.Accounts() {
+		if a.Ledger.Balance(acct) != live.Ledger.Balance(acct) {
+			t.Fatalf("balance of %s: %v replayed, %v live", acct, a.Ledger.Balance(acct), live.Ledger.Balance(acct))
+		}
+	}
+	// The carried-over filing moved behind a higher-numbered settlement.
+	broken := append(append([]rec{}, log[1:4]...), log[0])
+	if _, err := replay(broken); err == nil || !strings.Contains(err.Error(), `"req-0001" already filed`) {
+		t.Fatalf("out-of-order replay: %v, want req-0001 refused as already filed", err)
 	}
 }

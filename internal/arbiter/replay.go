@@ -69,6 +69,10 @@ type PendingEscrow struct {
 	// Shares are the delivery-time revenue fractions the report settles by
 	// (see Transaction.ExPostShares).
 	Shares map[string]float64 `json:"shares,omitempty"`
+	// RequestID names the request the delivery answered. It is carried only
+	// for a delivery whose transaction has left the history window; while it
+	// is still there, restore reads it from the history entry.
+	RequestID string `json:"request_id,omitempty"`
 }
 
 // PendingEscrows returns the pending ex-post set in TxID order for
@@ -76,9 +80,17 @@ type PendingEscrow struct {
 func (a *Arbiter) PendingEscrows() []PendingEscrow {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	held := make(map[*Transaction]bool, len(a.history))
+	for _, tx := range a.history {
+		held[tx] = true
+	}
 	out := make([]PendingEscrow, 0, len(a.pendingExPost))
 	for txID, st := range a.pendingExPost {
-		out = append(out, PendingEscrow{TxID: txID, Buyer: st.buyer, Deposit: st.deposit, Shares: st.fracs})
+		pe := PendingEscrow{TxID: txID, Buyer: st.buyer, Deposit: st.deposit, Shares: st.fracs}
+		if !held[st.tx] {
+			pe.RequestID = st.tx.RequestID
+		}
+		out = append(out, pe)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TxID < out[j].TxID })
 	if len(out) == 0 {
@@ -91,7 +103,8 @@ func (a *Arbiter) PendingEscrows() []PendingEscrow {
 // the ledger escrow is recreated without debiting the buyer (snapshot
 // balances were taken after the original Hold), and the pending entry is
 // wired to the restored history transaction so a later report updates it in
-// place. Call after RestoreHistory.
+// place — or, when the delivery has left the history window, to a skeleton
+// rebuilt from the escrow record itself. Call after RestoreHistory.
 func (a *Arbiter) RestorePendingEscrows(pes []PendingEscrow) error {
 	if len(pes) == 0 {
 		return nil
@@ -105,7 +118,8 @@ func (a *Arbiter) RestorePendingEscrows(pes []PendingEscrow) error {
 	for _, pe := range pes {
 		tx, ok := byTx[pe.TxID]
 		if !ok {
-			return fmt.Errorf("arbiter: pending escrow %s has no history transaction", pe.TxID)
+			tx = &Transaction{ID: pe.TxID, RequestID: pe.RequestID, Buyer: pe.Buyer,
+				SellerCuts: map[string]float64{}, ExPost: true, ExPostShares: pe.Shares}
 		}
 		if err := a.Ledger.RestoreEscrow(pe.TxID, pe.Buyer, pe.Deposit); err != nil {
 			return fmt.Errorf("arbiter: restore escrow %s: %w", pe.TxID, err)
@@ -155,13 +169,15 @@ func (a *Arbiter) RestoreNextID(n int) {
 // bumpNextID parses the numeric suffix of a logged ID ("req-0007",
 // "tx-0012") and raises the counter past it. Caller holds a.mu.
 func (a *Arbiter) bumpNextID(id string) {
-	i := strings.LastIndexByte(id, '-')
-	if i < 0 {
-		return
-	}
-	if n, err := strconv.Atoi(id[i+1:]); err == nil && n > a.nextID {
+	if n, ok := idNum(id); ok && n > a.nextID {
 		a.nextID = n
 	}
+}
+
+// idNum parses the numeric suffix of an arbiter-assigned ID.
+func idNum(id string) (int, bool) {
+	n, err := strconv.Atoi(id[strings.LastIndexByte(id, '-')+1:])
+	return n, err == nil
 }
 
 // RestoreRequest re-files a request under its original ID. Unlike
@@ -177,7 +193,14 @@ func (a *Arbiter) RestoreRequest(id string, want dod.Want, f *wtp.Function) erro
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.reqByID[id] != nil {
+	// Settled requests leave reqByID, so the ID counter backs the duplicate
+	// check. It rests on one invariant: requests and transactions draw their
+	// numbers from the same counter in the order their events are logged
+	// (and snapshots list open requests in filing order, before the history
+	// and the counter are restored), so a faithful replay meets every filing
+	// before any higher-numbered ID, however filings and settlements
+	// interleave. A number at or below the counter has been handed out.
+	if n, ok := idNum(id); a.reqByID[id] != nil || (ok && n <= a.nextID) {
 		return fmt.Errorf("arbiter: request %q already filed", id)
 	}
 	a.bumpNextID(id)
@@ -204,8 +227,8 @@ type ReplayedSettlement struct {
 	ExPostShares map[string]float64 `json:"ex_post_shares,omitempty"`
 }
 
-// HistorySkeletons returns the completed-transaction history in its durable
-// form (no mashup or plan) for snapshots.
+// HistorySkeletons returns the retained transaction history (see History)
+// in its durable form (no mashup or plan) for snapshots.
 func (a *Arbiter) HistorySkeletons() []ReplayedSettlement {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -227,20 +250,23 @@ func (a *Arbiter) HistorySkeletons() []ReplayedSettlement {
 	return out
 }
 
-// RestoreHistory re-seeds the transaction history from snapshot skeletons.
-// Purely archival: the ledger effects of these transactions are already in
-// the snapshot's balances, so nothing is transferred. The ID counter is
-// raised past every restored transaction.
-func (a *Arbiter) RestoreHistory(skels []ReplayedSettlement) {
+// RestoreHistory re-seeds the transaction history from snapshot skeletons;
+// dropped is how many older transactions the snapshot's window had already
+// let go. Purely archival: the ledger effects of these transactions are
+// already in the snapshot's balances, so nothing is transferred. The ID
+// counter is raised past every restored transaction. A snapshot from before
+// the window existed carries the whole history; it is trimmed here.
+func (a *Arbiter) RestoreHistory(skels []ReplayedSettlement, dropped int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.settled += dropped
 	for _, rs := range skels {
 		a.bumpNextID(rs.TxID)
 		cuts := map[string]float64{}
 		for s, c := range rs.SellerCuts {
 			cuts[s] = c
 		}
-		a.history = append(a.history, &Transaction{
+		a.recordTx(&Transaction{
 			ID:           rs.TxID,
 			RequestID:    rs.RequestID,
 			Buyer:        rs.Buyer,
@@ -266,7 +292,7 @@ func (a *Arbiter) ReplaySettlement(rs ReplayedSettlement) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if r := a.reqByID[rs.RequestID]; r != nil {
-		r.Open = false
+		a.closeRequest(r)
 	}
 	a.bumpNextID(rs.TxID)
 
@@ -307,7 +333,7 @@ func (a *Arbiter) ReplaySettlement(rs ReplayedSettlement) error {
 
 	a.issueLicenses(rs.Datasets, rs.Buyer, rs.Price)
 	a.recordPurchase(rs.Buyer, rs.Datasets)
-	a.history = append(a.history, tx)
+	a.recordTx(tx)
 	return nil
 }
 

@@ -257,8 +257,7 @@ func (p *Platform) Participants() (sellers, buyers []string) {
 
 // Summary renders the platform state for CLI display.
 func (p *Platform) Summary() string {
-	h := p.Arbiter.History()
 	return fmt.Sprintf("design=%s datasets=%d transactions=%d arbiter_fees=%.2f",
-		p.Design.Label, p.Arbiter.Catalog.Len(), len(h),
+		p.Design.Label, p.Arbiter.Catalog.Len(), p.Arbiter.Settled(),
 		p.Arbiter.Ledger.Balance(arbiter.ArbiterAccount).Float())
 }

@@ -218,8 +218,11 @@ type RequestState struct {
 // Derived state — profiles, the discovery index, seller platforms — is
 // recomputed on restore by re-ingesting datasets in share order, so a
 // restored platform matches a replayed one exactly. Not captured: catalog
-// version history, the audit log (restart is an audit-visible event), and
-// open requests carrying non-serializable code tasks.
+// version history, the audit chain (a verification window over recent
+// activity, restarted with the process), closed requests, completed
+// transactions older than the arbiter's history window (HistoryDropped
+// counts them; the event log and the engine's settlement book are the
+// record), and open requests carrying non-serializable code tasks.
 type PlatformSnapshot struct {
 	Design   string         `json:"design"`
 	Sellers  []string       `json:"sellers,omitempty"` // creation order
@@ -227,9 +230,13 @@ type PlatformSnapshot struct {
 	Accounts []AccountState `json:"accounts,omitempty"`
 	Datasets []DatasetState `json:"datasets,omitempty"` // share order
 	Requests []RequestState `json:"requests,omitempty"` // filing order
-	// History preserves the completed-transaction record (sans mashups);
-	// its ledger effects are already inside Accounts.
-	History []arbiter.ReplayedSettlement `json:"history,omitempty"`
+	// History is the arbiter's window of recent completed transactions
+	// (sans mashups), HistoryDropped how many older ones it had let go; the
+	// ledger effects of all of them are already inside Accounts. Snapshots
+	// from before the window existed list every transaction and are trimmed
+	// on load.
+	History        []arbiter.ReplayedSettlement `json:"history,omitempty"`
+	HistoryDropped int                          `json:"history_dropped,omitempty"`
 	// PendingExPost carries delivered-but-unreported ex-post escrows: the
 	// deposits are held outside every account balance, so the checkpoint
 	// must name them explicitly or restore would destroy the money. Restore
@@ -298,6 +305,7 @@ func (p *Platform) Snapshot() *PlatformSnapshot {
 		snap.Requests = append(snap.Requests, RequestState{ID: r.ID, Spec: spec})
 	}
 	snap.History = a.HistorySkeletons()
+	snap.HistoryDropped = a.Settled() - len(snap.History)
 	snap.PendingExPost = a.PendingEscrows()
 	snap.Unmet = a.UnmetCounts()
 	snap.NextID = a.ReplayNextID()
@@ -354,7 +362,7 @@ func RestorePlatform(opts Options, snap *PlatformSnapshot) (*Platform, error) {
 			return nil, fmt.Errorf("core: restore request %s: %w", r.ID, err)
 		}
 	}
-	p.Arbiter.RestoreHistory(snap.History)
+	p.Arbiter.RestoreHistory(snap.History, snap.HistoryDropped)
 	if err := p.Arbiter.RestorePendingEscrows(snap.PendingExPost); err != nil {
 		return nil, err
 	}

@@ -240,10 +240,11 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			if !book.Conserved || len(book.Settlements) != 3-shards {
 				t.Fatalf("settlement book = %+v", book)
 			}
-			var hist []TxView
-			wantCode(t, do(t, s, "GET", "/history", nil, &hist), http.StatusOK)
-			if len(hist) != 3-shards {
-				t.Fatalf("history has %d entries, want %d", len(hist), 3-shards)
+			var page HistoryResp
+			wantCode(t, do(t, s, "GET", "/history", nil, &page), http.StatusOK)
+			hist := page.Transactions
+			if len(hist) != 3-shards || page.Total != 3-shards {
+				t.Fatalf("history has %d entries (total %d), want %d", len(hist), page.Total, 3-shards)
 			}
 			for i, st := range book.Settlements {
 				if !strings.HasPrefix(st.TxID, prefix(0)+"tx-") || st.Buyer != buyer || hist[i].ID != st.TxID || hist[i].Mashup != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,6 +37,12 @@ type OverloadedError struct {
 func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("dmms: overloaded, retry after %v: %s", e.RetryAfter, e.Msg)
 }
+
+// ErrTicketRetired is returned (wrapped) by the ticket calls when the server
+// answers 410 Gone: the ticket was issued and reached a terminal state, but
+// has since left the gateway's ticket window. Its outcome is in the event log
+// (Events).
+var ErrTicketRetired = errors.New("dmms: ticket retired")
 
 // Client is the Go client for a remote DMMS server — what a seller or buyer
 // management platform embeds when the arbiter runs elsewhere. The synchronous
@@ -134,6 +141,9 @@ func decode(resp *http.Response, out any) error {
 			}
 			return &OverloadedError{Msg: e.Error, RetryAfter: retry}
 		}
+		if resp.StatusCode == http.StatusGone {
+			return fmt.Errorf("%w: %s", ErrTicketRetired, e.Error)
+		}
 		if e.Error != "" {
 			return fmt.Errorf("dmms: %s: %s", resp.Status, e.Error)
 		}
@@ -182,13 +192,14 @@ func (c *Client) Report(txID string, reported, trueValue float64) (float64, erro
 	return out["paid"], nil
 }
 
-// History fetches completed transactions (without mashup payloads).
-func (c *Client) History() ([]TxView, error) {
-	var out []TxView
+// History fetches the most recent completed transactions (without mashup
+// payloads; the server keeps a bounded window) and the all-time total.
+func (c *Client) History() ([]TxView, int, error) {
+	var out HistoryResp
 	if err := c.get("/history", &out); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out.Transactions, out.Total, nil
 }
 
 // Balance fetches an account balance.

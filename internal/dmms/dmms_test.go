@@ -80,12 +80,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Error("match must deliver the mashup payload")
 	}
 	// History omits payload.
-	hist, err := c.History()
+	hist, total, err := c.History()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 1 || hist[0].Mashup != nil {
-		t.Errorf("history = %+v", hist)
+	if len(hist) != 1 || total != 1 || hist[0].Mashup != nil {
+		t.Errorf("history = %+v (total %d)", hist, total)
 	}
 	bal, err := c.Balance("b1")
 	if err != nil {

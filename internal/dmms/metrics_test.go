@@ -113,6 +113,12 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		"engine_matched_total",
 		"arbiter_round_seconds_count",
 		"arbiter_open_requests",
+		"engine_events_held",
+		"engine_tickets_held",
+		"arbiter_history_held",
+		"ledger_audit_held",
+		"engine_log_readback_events_total 0",
+		"engine_tickets_retired_total 0",
 		"dod_build_seconds_bucket",
 		"dod_builds_total",
 		"dod_cache_hits_total",
@@ -209,7 +215,9 @@ func TestMetricsEndpointMultiShard(t *testing.T) {
 	do(t, s, "POST", "/epoch", nil, nil)
 	rec := do(t, s, "GET", "/metrics", nil, nil)
 	wantCode(t, rec, http.StatusOK)
-	for _, want := range []string{"federation_shards 2", "dmms_http_requests_total", "engine_epochs_total"} {
+	for _, want := range []string{"federation_shards 2", "dmms_http_requests_total", "engine_epochs_total",
+		"engine_events_held", "engine_tickets_held", "arbiter_history_held", "ledger_audit_held",
+		"engine_log_readback_events_total", "engine_tickets_retired_total"} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("scrape missing %q:\n%s", want, rec.Body)
 		}

@@ -422,6 +422,13 @@ func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown ticket %q", id))
 		return
 	}
+	if t.Status == engine.TicketRetired {
+		// Issued, finished, and since retired from the ticket window: the
+		// outcome is one GET /events away, unlike an ID never issued.
+		writeErr(w, http.StatusGone, fmt.Errorf(
+			"dmms: ticket %q is no longer held; its outcome is in the event log (GET /events)", id))
+		return
+	}
 	writeJSON(w, http.StatusOK, TicketView{Ticket: t, Trace: s.market.TicketTrace(id)})
 }
 
@@ -581,23 +588,33 @@ func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleHistory merges every shard arbiter's completed transactions (without
-// mashup payloads), IDs in federation form. ?shard=i narrows to one shard.
+// HistoryResp is GET /history: the most recent completed transactions — each
+// arbiter keeps a bounded window, oldest first — and how many were ever
+// completed. /settlements lists every settlement.
+type HistoryResp struct {
+	Transactions []TxView `json:"transactions"`
+	Total        int      `json:"total"`
+}
+
+// handleHistory merges every shard arbiter's history window (without mashup
+// payloads), IDs in federation form, with the all-time total. ?shard=i
+// narrows to one shard.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	shards, err := s.viewShards(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var out []TxView
+	resp := HistoryResp{Transactions: []TxView{}}
 	for _, sh := range shards {
+		resp.Total += sh.Platform.Arbiter.Settled()
 		for _, tx := range sh.Platform.Arbiter.History() {
 			v := txView(tx, false)
 			v.ID = s.market.ShardID(sh.Index, v.ID)
-			out = append(out, v)
+			resp.Transactions = append(resp.Transactions, v)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDemand merges the shards' unmet-demand signals: counts sum per

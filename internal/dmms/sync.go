@@ -115,11 +115,11 @@ func (s *SyncServer) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *SyncServer) handleHistory(w http.ResponseWriter, r *http.Request) {
-	var out []TxView
+	resp := HistoryResp{Transactions: []TxView{}, Total: s.platform.Arbiter.Settled()}
 	for _, tx := range s.platform.Arbiter.History() {
-		out = append(out, txView(tx, false))
+		resp.Transactions = append(resp.Transactions, txView(tx, false))
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *SyncServer) handleDemand(w http.ResponseWriter, r *http.Request) {

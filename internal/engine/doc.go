@@ -32,6 +32,13 @@
 //	queued -> done                   (registrations and shares)
 //	queued -> failed                 (validation or apply error)
 //
+// The engine holds every non-terminal ticket plus a window of the newest
+// terminal ones: a ticket retires once retain.Windows.Tickets later tickets
+// have turned terminal (Ticket then answers status TicketRetired; dmms, 410
+// Gone naming /events). Its outcome stays in the event log, the record. The window is counted in
+// events of the stream, never in time, so a replay retires exactly the
+// tickets the live run did and snapshots carry only the held ones.
+//
 // # Epochs
 //
 // An epoch is one batched coordination step. It is triggered by a ticker
@@ -80,7 +87,14 @@
 // log instead of being returned to one caller. Subscribers — settlement
 // (ledger.SettlementBook), provenance, metrics, the dmms polling endpoints —
 // consume the log at their own pace via cursor-based reads (Events/WaitAfter);
-// nothing is ever dropped. Event schema (JSON over the wire):
+// nothing is ever dropped. On a durable engine the in-memory log is a tail:
+// chunks older than retain.Windows.EventTail whose events the WAL holds are
+// released, and a cursor behind the tail is served by reading the gap back
+// from the WAL — outside every engine and log lock, so a cold reader cannot
+// stall an epoch — and joining it to memory without a gap or a duplicate. The
+// stream a cursor sees is the same bytes either way. With no persister, one that
+// cannot read back, or a wedged one, nothing leaves memory. Event schema
+// (JSON over the wire):
 //
 //	seq          int     total order, 1-based, no gaps
 //	epoch        uint64  epoch that produced the event
@@ -153,10 +167,19 @@
 // under their original IDs, tickets, the settlement book, and the request/
 // transaction ID counter. Replay applies logged outcomes; it never re-runs
 // matching, so recovery is deterministic regardless of design or mechanism.
-// Snapshot checkpoints (Engine.Snapshot + core.PlatformSnapshot) let Restore
-// start from a watermark instead of seq 1; the in-memory log is still
-// re-seeded with the full recovered history so subscriber cursors resume
-// without gaps. Ex-post settlement is durable end to end: deliveries fix
+// Restore consumes the recovered log as a stream of batches (wal.Boot feeds
+// it one segment at a time): each is replayed, its settlements folded into
+// the book, and only the log's tail stays in memory — older cursors still
+// resume without gaps, from the WAL. Snapshot checkpoints (Engine.Snapshot +
+// core.PlatformSnapshot) let Restore start from a watermark instead of seq
+// 1. Memory follows live state, not lifetime: besides the log tail and the
+// ticket window, the arbiter forgets a request when it settles and keeps a
+// window of recent transactions, and the ledger a window of its audit chain
+// (sized in internal/retain; Stats.EventsHeld and the fields after it, the
+// engine_*_held gauges). Each window is a pure
+// function of the event stream, so live runs and replays agree byte for
+// byte, and a checkpoint carries only what is retained plus counts of what
+// is not. Ex-post settlement is durable end to end: deliveries fix
 // their revenue fractions on the tx-settled record, SubmitReport settles the
 // escrow through a value-reported record, snapshots carry outstanding
 // escrows (and the audit RNG), and replay repeats the logged transfers

@@ -18,6 +18,7 @@ import (
 	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
@@ -95,10 +96,16 @@ const (
 	TicketApplied TicketStatus = "applied" // request filed, awaiting a match
 	TicketDone    TicketStatus = "done"    // applied (shares/registers) or matched (requests)
 	TicketFailed  TicketStatus = "failed"  // rejected at apply time
+	// TicketRetired is what Engine.Ticket answers for a ticket that turned
+	// terminal and has since left the ticket window: only ID and Status are
+	// set, the outcome is in the event log. It is never stored.
+	TicketRetired TicketStatus = "retired"
 )
 
 // Terminal reports whether the status can no longer change.
-func (s TicketStatus) Terminal() bool { return s == TicketDone || s == TicketFailed }
+func (s TicketStatus) Terminal() bool {
+	return s == TicketDone || s == TicketFailed || s == TicketRetired
+}
 
 // SubmissionKind names what a ticket tracks.
 type SubmissionKind string
@@ -227,15 +234,25 @@ type Stats struct {
 	// counters (monotone; shared across every engine in the process):
 	// characteristic-function evaluations, memo hits, exact/sampled
 	// allocation runs, and exact→sampled escalations on wide mashups.
-	AllocEvals       uint64        `json:"alloc_evals,omitempty"`
-	AllocMemoHits    uint64        `json:"alloc_memo_hits,omitempty"`
-	AllocExact       uint64        `json:"alloc_exact,omitempty"`
-	AllocSampled     uint64        `json:"alloc_sampled,omitempty"`
-	AllocEscalations uint64        `json:"alloc_escalations,omitempty"`
-	LastPersisted    int           `json:"last_persisted,omitempty"`
-	PersistErr       string        `json:"persist_error,omitempty"`
-	Uptime           time.Duration `json:"uptime"`
-	MatchesPerSec    float64       `json:"matches_per_sec"`
+	AllocEvals       uint64 `json:"alloc_evals,omitempty"`
+	AllocMemoHits    uint64 `json:"alloc_memo_hits,omitempty"`
+	AllocExact       uint64 `json:"alloc_exact,omitempty"`
+	AllocSampled     uint64 `json:"alloc_sampled,omitempty"`
+	AllocEscalations uint64 `json:"alloc_escalations,omitempty"`
+	LastPersisted    int    `json:"last_persisted,omitempty"`
+	PersistErr       string `json:"persist_error,omitempty"`
+	// What the bounded windows (internal/retain) hold in memory right now —
+	// Events counts the whole log, EventsHeld its tail — and what left them:
+	// events read back from the WAL for cursors behind the tail, retired
+	// tickets. Flat lines here show that memory follows live state.
+	EventsHeld     int           `json:"events_held"`
+	TicketsHeld    int           `json:"tickets_held"`
+	HistoryHeld    int           `json:"history_held"`
+	AuditHeld      int           `json:"audit_held"`
+	ReadBackEvents uint64        `json:"readback_events,omitempty"`
+	TicketsRetired uint64        `json:"tickets_retired,omitempty"`
+	Uptime         time.Duration `json:"uptime"`
+	MatchesPerSec  float64       `json:"matches_per_sec"`
 }
 
 // Engine is the concurrent front end to a core.Platform: sharded intake,
@@ -250,9 +267,19 @@ type Engine struct {
 	shards  []*shard
 	seq     atomic.Uint64
 	pending atomic.Int64
+	// appliedSeq is the highest submission number an epoch has drained:
+	// every ticket up to it has left the queued state. Guarded by epochMu.
+	appliedSeq uint64
 
+	// tickets holds every non-terminal ticket plus the newest
+	// retain.Windows.Tickets terminal ones; done lists those in the order
+	// they turned terminal and retired counts the ones dropped off its front.
+	// The held set is a pure function of the event stream: a replay holds
+	// the same one.
 	tmu     sync.Mutex
 	tickets map[string]*Ticket
+	done    []string
+	retired uint64
 
 	epochMu  sync.Mutex // serializes epochs; guards openReqs, reqMeta
 	openReqs map[string]string
@@ -312,10 +339,11 @@ type Engine struct {
 // cfg.Persister set, every event is written ahead to it; use Restore to
 // boot from the persisted log after a restart.
 func New(p *core.Platform, cfg Config) *Engine {
-	e := newEngine(p, cfg, NewEventLog(), ledger.NewSettlementBook(), 0)
+	e := newEngine(p, cfg, NewEventLog(), ledger.NewSettlementBook())
 	if cfg.Persister != nil {
 		e.log.SetPersister(cfg.Persister)
 	}
+	e.startBook(0)
 	return e
 }
 
@@ -341,10 +369,10 @@ func settlementFromEvent(ev Event) ledger.Settlement {
 	}
 }
 
-// newEngine wires an engine over a (possibly pre-seeded) log and settlement
-// book; the subscriber starts folding at bookCursor, so restores that seed
-// the book from a snapshot skip the already-folded prefix.
-func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.SettlementBook, bookCursor int) *Engine {
+// newEngine wires an engine over a log and settlement book. The settlement
+// subscriber is not running yet: New starts it at seq 0, Restore at the head
+// once replay has folded the recovered log itself.
+func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.SettlementBook) *Engine {
 	cfg = cfg.withDefaults()
 	policy := cfg.Policy
 	if policy == nil {
@@ -384,12 +412,17 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		p.SetBuildObserver(func(s float64) { buildDur.Observe(s) })
 	}
 	e.bookCond = sync.NewCond(&e.bookMu)
-	e.bookSeq = bookCursor
 	for i := range e.shards {
 		e.shards[i] = &shard{}
 	}
-	// Settlement subscriber: folds tx-settled events into the settlement
-	// book. Runs until Stop closes the log and the tail is drained.
+	return e
+}
+
+// startBook launches the settlement subscriber: it folds every tx-settled
+// and value-reported event past cursor into the settlement book, until Stop
+// closes the log and the tail is drained.
+func (e *Engine) startBook(cursor int) {
+	e.bookSeq = cursor
 	e.consWG.Add(1)
 	go func() {
 		defer e.consWG.Done()
@@ -399,7 +432,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 			e.bookCond.Broadcast()
 			e.bookMu.Unlock()
 		}()
-		cursor := bookCursor
 		for {
 			evs, open := e.log.WaitAfter(cursor)
 			for _, ev := range evs {
@@ -417,7 +449,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 			}
 		}
 	}()
-	return e
 }
 
 // Start launches the background epoch loop (ticker- and threshold-driven).
@@ -469,15 +500,19 @@ func (e *Engine) Settlements() *ledger.SettlementBook { return e.book }
 // Events returns all events with Seq > after.
 func (e *Engine) Events(after int) []Event { return e.log.Since(after) }
 
-// Ticket returns a snapshot of one submission's state.
+// Ticket returns a snapshot of one submission's state; false for an ID never
+// issued. A ticket this engine issued but no longer holds — it turned
+// terminal and a window of later ones did so after it — answers TicketRetired.
 func (e *Engine) Ticket(id string) (Ticket, bool) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	t, ok := e.tickets[id]
-	if !ok {
+	if t, ok := e.tickets[id]; ok {
+		return *t, true
+	}
+	if n := ticketNum(id); n == 0 || n > e.seq.Load() || id != ticketID(n) {
 		return Ticket{}, false
 	}
-	return *t, true
+	return Ticket{ID: id, Status: TicketRetired}, true
 }
 
 // Stats snapshots the engine counters.
@@ -492,53 +527,46 @@ func (e *Engine) Stats() Stats {
 		mps = float64(matched-e.stMatchedAtBoot) / up.Seconds()
 	}
 	persisted, perr := e.log.Persisted()
+	if _, _, rerr := e.log.Held(); perr == nil {
+		perr = rerr // a failed read-back is the persister failing too
+	}
 	cache := e.platform.DoDCacheStats()
 	alloc := market.AllocCounters()
-	st := Stats{
-		Epochs:                e.epoch.Load(),
-		Submitted:             e.stSubmitted.Load(),
-		Applied:               e.stApplied.Load(),
-		Matched:               matched,
-		Failed:                e.stFailed.Load(),
-		OpenRequests:          open,
-		Pending:               e.pending.Load(),
-		Events:                e.log.Len(),
-		Rejected:              e.stRejected.Load(),
-		Shed:                  e.stShed.Load(),
-		Aged:                  e.stAged.Load(),
-		Policy:                e.policy.Name(),
-		BuildMillis:           cache.BuildMillis,
-		CacheHits:             cache.Hits,
-		CacheStale:            cache.Stale,
-		CacheRetained:         cache.Retained,
-		SubJoinHits:           cache.SubJoinHits,
-		BuildDeadlineExceeded: cache.DeadlineExceeded,
-		BuildsCancelled:       cache.Cancelled,
-		DoDWorkers:            e.cfg.DoDWorkers,
-		PriceMillis:           float64(e.stPriceNanos.Load()) / 1e6,
-		AllocEvals:            alloc.Evals,
-		AllocMemoHits:         alloc.MemoHits,
-		AllocExact:            alloc.ExactRuns,
-		AllocSampled:          alloc.SampledRuns,
-		AllocEscalations:      alloc.Escalations,
-		LastPersisted:         persisted,
-		Uptime:                up,
-		MatchesPerSec:         mps,
-	}
+	st := e.StatsLite()
+	st.Matched, st.OpenRequests = matched, open
+	st.Policy = e.policy.Name()
+	st.BuildMillis = cache.BuildMillis
+	st.CacheHits, st.CacheStale, st.CacheRetained = cache.Hits, cache.Stale, cache.Retained
+	st.SubJoinHits = cache.SubJoinHits
+	st.BuildDeadlineExceeded, st.BuildsCancelled = cache.DeadlineExceeded, cache.Cancelled
+	st.DoDWorkers = e.cfg.DoDWorkers
+	st.PriceMillis = float64(e.stPriceNanos.Load()) / 1e6
+	st.AllocEvals, st.AllocMemoHits = alloc.Evals, alloc.MemoHits
+	st.AllocExact, st.AllocSampled, st.AllocEscalations = alloc.ExactRuns, alloc.SampledRuns, alloc.Escalations
+	st.LastPersisted = persisted
+	st.Uptime, st.MatchesPerSec = up, mps
 	if perr != nil {
 		st.PersistErr = perr.Error()
 	}
 	return st
 }
 
-// StatsLite returns the atomic-counter slice of Stats without taking the
-// epoch lock, so it is safe to sample at scrape time even while an epoch is
+// StatsLite returns the counter and held-window slice of Stats without
+// taking the epoch lock (it takes the log, ticket, arbiter and ledger locks
+// in turn), so it is safe to sample at scrape time even while an epoch is
 // mid-flight. OpenRequests comes from the arbiter's own registry rather than
 // the engine's epoch-locked map; the derived fields (cache/allocator
 // counters, rates) are left zero — the federation layer's aggregated
 // /metrics funcs use this, the full Stats serves /engine/stats.
 func (e *Engine) StatsLite() Stats {
+	e.tmu.Lock()
+	tickets, retired := len(e.tickets), e.retired
+	e.tmu.Unlock()
+	events, readBack, _ := e.log.Held()
+	_, audit := e.platform.Arbiter.Ledger.AuditSize()
 	return Stats{
+		EventsHeld: events, ReadBackEvents: readBack, TicketsHeld: tickets, TicketsRetired: retired,
+		HistoryHeld: e.platform.Arbiter.HistoryHeld(), AuditHeld: audit,
 		Epochs:       e.epoch.Load(),
 		Submitted:    e.stSubmitted.Load(),
 		Applied:      e.stApplied.Load(),
@@ -546,7 +574,7 @@ func (e *Engine) StatsLite() Stats {
 		Failed:       e.stFailed.Load(),
 		OpenRequests: e.platform.OpenRequestCount(),
 		Pending:      e.pending.Load(),
-		Events:       e.log.Len(),
+		Events:       e.log.LastSeq(),
 		Rejected:     e.stRejected.Load(),
 		Shed:         e.stShed.Load(),
 		Aged:         e.stAged.Load(),
@@ -655,7 +683,7 @@ func (e *Engine) admitDepth(participant string) error {
 // participant is what the ticket records.
 func (e *Engine) enqueue(s submission, shardKey, participant string) string {
 	s.seq = e.seq.Add(1)
-	s.ticket = fmt.Sprintf("sub-%06d", s.seq)
+	s.ticket = ticketID(s.seq)
 
 	e.tmu.Lock()
 	e.tickets[s.ticket] = &Ticket{ID: s.ticket, Kind: s.kind, Status: TicketQueued,
@@ -686,6 +714,9 @@ func (e *Engine) enqueue(s submission, shardKey, participant string) string {
 	return s.ticket
 }
 
+// ticketID is the ticket of the n-th submission.
+func ticketID(n uint64) string { return fmt.Sprintf("sub-%06d", n) }
+
 func shardOf(participant string, n int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(participant))
@@ -693,7 +724,7 @@ func shardOf(participant string, n int) int {
 }
 
 // drain swaps out every shard queue and returns the batch in global
-// submission order.
+// submission order. Caller holds epochMu.
 func (e *Engine) drain() []submission {
 	var batch []submission
 	for i, sh := range e.shards {
@@ -708,14 +739,35 @@ func (e *Engine) drain() []submission {
 	}
 	e.pending.Add(-int64(len(batch)))
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
+	if n := len(batch); n > 0 && batch[n-1].seq > e.appliedSeq {
+		e.appliedSeq = batch[n-1].seq
+	}
 	return batch
 }
 
+// setTicket updates a held ticket. One that turns terminal joins the done
+// window, which then retires its oldest tickets beyond the ticket window.
 func (e *Engine) setTicket(id string, f func(*Ticket)) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	if t, ok := e.tickets[id]; ok {
-		f(t)
+	t, ok := e.tickets[id]
+	if !ok {
+		return
+	}
+	was := t.Status.Terminal()
+	f(t)
+	if !was && t.Status.Terminal() {
+		e.done = append(e.done, id)
+		e.retireLocked()
+	}
+}
+
+// retireLocked trims the done window. Caller holds tmu.
+func (e *Engine) retireLocked() {
+	for len(e.done) > retain.Sizes().Tickets {
+		delete(e.tickets, e.done[0])
+		e.done = e.done[1:]
+		e.retired++
 	}
 }
 

@@ -315,7 +315,7 @@ func TestEventLogWaitAfter(t *testing.T) {
 	if len(evs) != 1 || evs[0].Kind != EventEpochEnd {
 		t.Fatalf("tail not drained: %+v", evs)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("want 2 events, got %d", l.Len())
+	if l.LastSeq() != 2 {
+		t.Fatalf("want 2 events, got %d", l.LastSeq())
 	}
 }

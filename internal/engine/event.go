@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
@@ -158,14 +160,28 @@ type Persister interface {
 	Persist(Event) error
 }
 
+// readBacker is a Persister that can return what it persisted: the events
+// with after < Seq <= upto, in order, from the first one it still retains
+// (older ones may be pruned behind a snapshot). internal/wal's Log is one.
+type readBacker interface {
+	ReadBack(after, upto int) ([]Event, error)
+}
+
 // EventLog is an append-only, totally ordered event log with cursor-based
 // consumption. Producers Append; consumers either poll Since or block in
 // WaitAfter. There are no per-subscriber buffers, so a slow consumer can
 // never stall the epoch runner or lose events.
 //
-// A log may start at a base sequence > 0 after a snapshot restore with a
-// pruned WAL: events 1..base are no longer held, and cursors older than base
-// resume at base+1.
+// The log holds a tail, not a lifetime. Events are stored in fixed-size
+// chunks (appends never copy old events). Once a chunk is a tail length
+// (retain.Windows.EventTail) behind the head and all of it is persisted by a
+// persister that can read back, it is dropped and base advances: the durable
+// copy is the record. A cursor below base is served by reading the gap back
+// from the persister, with no log lock held, and joining it to the in-memory
+// tail, so every cursor sees the same gap-free stream from memory or disk.
+// With no such persister, or a wedged one, nothing is dropped. What the
+// persister has pruned too (WAL segments behind a snapshot) is gone: older
+// cursors resume at the first retained seq.
 type EventLog struct {
 	// appendMu serializes the whole append path (seq assignment + persist +
 	// publish), so persists reach the WAL in exact seq order while the
@@ -175,22 +191,26 @@ type EventLog struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	base   int // seq of the last event no longer held (0 = complete log)
-	events []Event
+	base   int       // seq of the last event no longer held in memory
+	head   int       // seq of the newest event
+	chunks [][]Event // held events; every chunk but the last is full
 	closed bool
 
 	persister Persister
-	persisted int   // highest seq durably forwarded to the persister
-	perr      error // first persist failure; persister is wedged once set
+	reader    readBacker // persister, when it can read back
+	persisted int        // highest seq durably forwarded to the persister
+	perr      error      // first persist failure; persister is wedged once set
+	rerr      error      // first read-back failure (that read resumed past the gap)
+	readBack  uint64     // events served from the persister, not memory
 }
 
 // NewEventLog creates an empty log starting at seq 1.
 func NewEventLog() *EventLog { return NewEventLogAt(0) }
 
 // NewEventLogAt creates an empty log whose first appended event gets seq
-// base+1. Used by snapshot restores where events up to base are compacted.
+// base+1. Used by restores whose recovered log starts past seq 1.
 func NewEventLogAt(base int) *EventLog {
-	l := &EventLog{base: base}
+	l := &EventLog{base: base, head: base}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -204,7 +224,8 @@ func (l *EventLog) SetPersister(p Persister) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.persister = p
-	l.persisted = l.base + len(l.events)
+	l.reader, _ = p.(readBacker)
+	l.persisted = l.head
 	l.perr = nil
 }
 
@@ -235,7 +256,7 @@ func (l *EventLog) Append(e Event) int {
 	defer l.appendMu.Unlock()
 
 	l.mu.Lock()
-	e.Seq = l.base + len(l.events) + 1
+	e.Seq = l.head + 1
 	if e.At.IsZero() {
 		e.At = time.Now()
 	}
@@ -259,30 +280,50 @@ func (l *EventLog) Append(e Event) int {
 			l.persisted = e.Seq
 		}
 	}
-	l.events = append(l.events, e)
+	l.storeLocked(e)
 	l.cond.Broadcast()
 	return e.Seq
 }
 
-// seed loads recovered events into an empty log without invoking the
-// persister (they came from the WAL in the first place). Events must be
-// contiguous starting at base+1.
+// seed appends a batch of recovered events without invoking the persister
+// (they came from it). The batch must continue the log without a gap.
 func (l *EventLog) seed(events []Event) error {
 	l.appendMu.Lock()
 	defer l.appendMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.events) != 0 {
-		return fmt.Errorf("engine: seed on non-empty log")
-	}
-	for i, e := range events {
-		if e.Seq != l.base+i+1 {
-			return fmt.Errorf("engine: seed event %d has seq %d, want %d", i, e.Seq, l.base+i+1)
+	for _, e := range events {
+		if e.Seq != l.head+1 {
+			return fmt.Errorf("engine: recovered events not contiguous: seq %d after %d", e.Seq, l.head)
 		}
+		if l.persister != nil {
+			l.persisted = e.Seq
+		}
+		l.storeLocked(e)
 	}
-	l.events = append(l.events, events...)
 	l.cond.Broadcast()
 	return nil
+}
+
+// storeLocked files e as the newest event, then drops every chunk that is a
+// tail length behind it and readable from the persister. Caller holds l.mu.
+func (l *EventLog) storeLocked(e Event) {
+	w, n := retain.Sizes(), len(l.chunks)
+	if n == 0 || len(l.chunks[n-1]) == w.EventChunk {
+		l.chunks = append(l.chunks, make([]Event, 0, w.EventChunk))
+		n++
+	}
+	l.chunks[n-1] = append(l.chunks[n-1], e)
+	l.head = e.Seq
+	for l.reader != nil && l.perr == nil && len(l.chunks) > 1 {
+		last := l.base + len(l.chunks[0]) // seq of the oldest chunk's last event
+		if last > l.head-w.EventTail || last > l.persisted {
+			break
+		}
+		l.chunks[0] = nil
+		l.chunks = l.chunks[1:]
+		l.base = last
+	}
 }
 
 // Since returns all events with Seq > after (non-blocking). The returned
@@ -292,9 +333,8 @@ func (l *EventLog) seed(events []Event) error {
 // (SellerCuts, Datasets, Payload) still point into the log's records and
 // must be treated as read-only.
 func (l *EventLog) Since(after int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.copyAfter(after)
+	evs, _ := l.read(after, false)
+	return evs
 }
 
 // WaitAfter blocks until at least one event with Seq > after exists or the
@@ -303,39 +343,76 @@ func (l *EventLog) Since(after int) []Event {
 // just before Close would be lost. Like Since, the returned batch is a
 // shallow copy: private to the caller, reference fields read-only.
 func (l *EventLog) WaitAfter(after int) ([]Event, bool) {
+	return l.read(after, true)
+}
+
+// read serves Since and WaitAfter. A cursor inside the tail is answered
+// under l.mu alone (readHeld). A colder one first reads (after, base] back
+// from the persister with no lock held — a cold /events?after=0 must not
+// stall Append, and with it every epoch — then re-checks base, which may have
+// advanced meanwhile, until the cursor reaches the tail: disk and memory
+// join without a gap or a duplicate. What the persister does not return (a
+// pruned prefix; the rest of a failed read, kept in rerr) is skipped.
+func (l *EventLog) read(after int, wait bool) (evs []Event, open bool) {
+	for {
+		var r readBacker
+		var base int
+		if evs, open, r, base = l.readHeld(evs, after, wait); r == nil {
+			return evs, open
+		}
+		cold, err := r.ReadBack(after, base)
+		evs, after = append(evs, cold...), base
+		l.mu.Lock()
+		l.readBack += uint64(len(cold))
+		if l.rerr == nil {
+			l.rerr = err
+		}
+		l.mu.Unlock()
+	}
+}
+
+// readHeld is the locked half of read: it waits for an event past after if
+// asked to, then either appends the held events past after to evs, or — the
+// cursor is below base and there is a persister to ask — returns that
+// persister and base for the caller to read back up to. A cursor at or past
+// the head (a client's typo, a cursor that outlived an unsynced tail) holds
+// nothing.
+func (l *EventLog) readHeld(evs []Event, after int, wait bool) (_ []Event, open bool, r readBacker, base int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.base+len(l.events) <= after && !l.closed {
+	for wait && l.head <= after && !l.closed {
 		l.cond.Wait()
 	}
-	return l.copyAfter(after), !l.closed
+	if after < l.base && l.reader != nil {
+		return evs, false, l.reader, l.base
+	}
+	if after = max(after, l.base); after < l.head {
+		evs = slices.Grow(evs, l.head-after)
+		chunk, off := retain.Sizes().EventChunk, after-l.base
+		for _, c := range l.chunks[off/chunk:] {
+			evs = append(evs, c[off%chunk:]...)
+			off = 0
+		}
+	}
+	return evs, !l.closed, nil, 0
 }
 
-// copyAfter returns a copy of events with Seq > after. Caller holds l.mu.
-func (l *EventLog) copyAfter(after int) []Event {
-	if after < l.base {
-		after = l.base // events up to base are compacted away
-	}
-	idx := after - l.base
-	if idx >= len(l.events) {
-		return nil
-	}
-	out := make([]Event, len(l.events)-idx)
-	copy(out, l.events[idx:])
-	return out
-}
-
-// Len returns the total number of events appended over the log's lifetime,
-// including any compacted below the base.
-func (l *EventLog) Len() int {
+// LastSeq is the sequence number of the newest event — with no gaps, also
+// the number of events ever appended, held in memory or not.
+func (l *EventLog) LastSeq() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + len(l.events)
+	return l.head
 }
 
-// LastSeq is the sequence number of the newest event (== Len, by the no-gaps
-// invariant).
-func (l *EventLog) LastSeq() int { return l.Len() }
+// Held reports how many events are in memory (the tail, plus up to a chunk,
+// on a durable log), how many reads have fetched from the persister instead,
+// and the first such read that failed.
+func (l *EventLog) Held() (held int, readBack uint64, rerr error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.head - l.base, l.readBack, l.rerr
+}
 
 // Close wakes all blocked consumers; subsequent WaitAfter calls drain the
 // remaining events and report the log closed.

@@ -196,6 +196,21 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	reg.NewGaugeFunc("arbiter_unmet_wants",
 		"Distinct wanted columns carrying unmet-demand signals.", func() float64 { return float64(e.platform.UnmetWantCount()) })
 
+	// The bounded windows (internal/retain): no per-ticket labels — the point
+	// is that these stay flat.
+	reg.NewGaugeFunc("engine_events_held", "Events held in memory: the log tail on a durable engine, the whole log otherwise.",
+		func() float64 { return float64(e.StatsLite().EventsHeld) })
+	reg.NewGaugeFunc("engine_tickets_held", "Tickets held in memory: every non-terminal one plus the done window.",
+		func() float64 { return float64(e.StatsLite().TicketsHeld) })
+	reg.NewGaugeFunc("arbiter_history_held", "Completed transactions in the arbiter's history window.",
+		func() float64 { return float64(e.StatsLite().HistoryHeld) })
+	reg.NewGaugeFunc("ledger_audit_held", "Audit-chain entries in the ledger's verification window.",
+		func() float64 { return float64(e.StatsLite().AuditHeld) })
+	reg.NewCounterFunc("engine_log_readback_events_total", "Events served from the WAL because their cursor was older than the in-memory tail.",
+		func() float64 { return float64(e.StatsLite().ReadBackEvents) })
+	reg.NewCounterFunc("engine_tickets_retired_total", "Terminal tickets dropped from the ticket window.",
+		func() float64 { return float64(e.StatsLite().TicketsRetired) })
+
 	reg.NewCounterFunc("dod_builds_total",
 		"Beam searches actually run by the DoD engine.",
 		func() float64 { return float64(e.platform.DoDCacheStats().Builds) })

@@ -45,7 +45,7 @@ func TestEventLogReadersNotBlockedByPersist(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Since blocked behind an in-flight persist (fsync under the reader lock)")
 	}
-	if n := l.Len(); n != 1 {
+	if n := l.LastSeq(); n != 1 {
 		t.Fatalf("Len = %d during in-flight persist, want 1", n)
 	}
 

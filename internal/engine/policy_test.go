@@ -341,7 +341,7 @@ func TestPolicyStateSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Restore(p2, cfg, nil, e.Events(0))
+	e2, err := Restore(p2, cfg, nil, sliceSource(e.Events(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,5 +458,16 @@ func TestQuotaOverrideWithoutGlobalQuota(t *testing.T) {
 		if err := submit("exempt"); err != nil {
 			t.Fatalf("exempt participant %d throttled: %v", i, err)
 		}
+	}
+}
+
+// sliceSource replays an in-memory event slice as a Restore source, in two
+// batches so the batch seam is exercised.
+func sliceSource(evs []Event) EventSource {
+	return func(yield func([]Event) error) error {
+		if err := yield(evs[:len(evs)/2]); err != nil {
+			return err
+		}
+		return yield(evs[len(evs)/2:])
 	}
 }

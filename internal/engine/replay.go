@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -60,17 +61,26 @@ type PolicyState struct {
 // plus the engine's own registries (tickets, open-request ownership, epoch
 // and submission counters), the settlement book and the policy layer.
 // Restores seed from it and replay only log events with Seq > TakenAtSeq.
+//
+// Tickets lists the tickets the engine held — the non-terminal ones by
+// ticket number, then the done window in the order its tickets turned
+// terminal, which is the order they will retire in — and TicketsRetired how
+// many older terminal tickets had already left it, so a checkpoint is not
+// O(lifetime submissions). Snapshots from before the window existed list
+// every ticket by number (and no TicketsRetired); they load the same way and
+// are trimmed to the window.
 type SnapshotState struct {
-	TakenAt    time.Time              `json:"taken_at"`
-	TakenAtSeq int                    `json:"taken_at_seq"`
-	Epoch      uint64                 `json:"epoch"`
-	SubmitSeq  uint64                 `json:"submit_seq"`
-	Platform   *core.PlatformSnapshot `json:"platform"`
-	Tickets    []Ticket               `json:"tickets,omitempty"`
-	OpenReqs   map[string]string      `json:"open_reqs,omitempty"` // request ID -> ticket
-	Settles    []ledger.Settlement    `json:"settlements,omitempty"`
-	Counters   Counters               `json:"counters"`
-	Policy     *PolicyState           `json:"policy,omitempty"`
+	TakenAt        time.Time              `json:"taken_at"`
+	TakenAtSeq     int                    `json:"taken_at_seq"`
+	Epoch          uint64                 `json:"epoch"`
+	SubmitSeq      uint64                 `json:"submit_seq"`
+	Platform       *core.PlatformSnapshot `json:"platform"`
+	Tickets        []Ticket               `json:"tickets,omitempty"`
+	TicketsRetired uint64                 `json:"tickets_retired,omitempty"`
+	OpenReqs       map[string]string      `json:"open_reqs,omitempty"` // request ID -> ticket
+	Settles        []ledger.Settlement    `json:"settlements,omitempty"`
+	Counters       Counters               `json:"counters"`
+	Policy         *PolicyState           `json:"policy,omitempty"`
 }
 
 // Snapshot captures a consistent checkpoint. It holds the epoch lock, so no
@@ -135,6 +145,7 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		TakenAt:    time.Now(),
 		TakenAtSeq: seq,
 		Epoch:      e.epoch.Load(),
+		SubmitSeq:  e.appliedSeq,
 		Platform:   e.platform.Snapshot(),
 		OpenReqs:   map[string]string{},
 		Settles:    e.book.All(),
@@ -149,25 +160,25 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 	}
 	e.tmu.Lock()
 	for _, t := range e.tickets {
-		if t.Status == TicketQueued {
-			// Queued intake has no events yet and is not durable; after a
-			// restore its clients re-submit. Excluding it here (and from
-			// SubmitSeq below) guarantees re-submissions get their original
-			// ticket IDs, exactly like the no-snapshot replay path.
-			continue
+		// Queued intake has no events yet and is not durable; after a
+		// restore its clients re-submit. Excluding it here (and from
+		// SubmitSeq above) guarantees re-submissions get their original
+		// ticket IDs, exactly like the no-snapshot replay path.
+		if t.Status == TicketApplied {
+			snap.Tickets = append(snap.Tickets, *t)
 		}
-		snap.Tickets = append(snap.Tickets, *t)
 	}
-	e.tmu.Unlock()
 	sort.Slice(snap.Tickets, func(i, j int) bool {
 		return ticketNum(snap.Tickets[i].ID) < ticketNum(snap.Tickets[j].ID)
 	})
-	for _, t := range snap.Tickets {
-		if n := ticketNum(t.ID); n > snap.SubmitSeq {
-			snap.SubmitSeq = n
-		}
+	for _, id := range e.done {
+		snap.Tickets = append(snap.Tickets, *e.tickets[id])
 	}
-	snap.Counters.Submitted = uint64(len(snap.Tickets))
+	snap.TicketsRetired = e.retired
+	e.tmu.Unlock()
+	// Submitted counts what the checkpoint covers: every ticket that ever
+	// left the queue, held here or retired since.
+	snap.Counters.Submitted = snap.TicketsRetired + uint64(len(snap.Tickets))
 
 	ps := &PolicyState{Rejected: e.stRejected.Load(), Aged: e.stAged.Load()}
 	for id := range e.openReqs {
@@ -199,75 +210,70 @@ func ticketNum(id string) uint64 {
 	return n
 }
 
+// EventSource streams a recovered event log to Restore: it calls yield with
+// consecutive batches in seq order (wal.Boot hands over one WAL segment at a
+// time) and stops at the first error either side returns.
+type EventSource func(yield func([]Event) error) error
+
+// ErrLogBehindCheckpoint is Restore's refusal to continue a recovered log
+// that ends short of the checkpoint: appending to it would reuse seqs the
+// snapshot covers. Nothing was replayed, so the caller can drop the stale
+// segments and restore the same platform from the snapshot alone (wal.Boot
+// does).
+var ErrLogBehindCheckpoint = errors.New("engine: recovered log ends short of the checkpoint")
+
 // Restore rebuilds an engine from a recovered event log, optionally on top
 // of a checkpoint. The caller builds the platform first — from
 // core.RestorePlatform(opts, snap.Platform) when a snapshot exists, else
-// core.NewPlatform — and passes every recovered event (wal.Load). Events up
-// to snap.TakenAtSeq only re-seed the in-memory log (cursors resume without
-// gaps); events after it are applied to the platform. The engine is returned
-// stopped; call Start (and attach the reopened WAL via cfg.Persister before
-// calling Restore, or engine appends after boot will not be persisted).
+// core.NewPlatform — and streams every recovered event through src. Events
+// up to snap.TakenAtSeq only re-seed the in-memory log; later ones are
+// applied to the platform, the engine's registries and the settlement book,
+// batch by batch: the whole log is never held at once, and with a persister
+// that reads back (cfg.Persister, attached up front, never written to here)
+// only the log's tail stays in memory. The engine is returned stopped.
 //
 // Non-replayable records — a request-filed event whose payload was a code
 // task — leave their request lost; everything the dmms wire surface can
 // express replays exactly.
-func Restore(p *core.Platform, cfg Config, snap *SnapshotState, events []Event) (*Engine, error) {
+func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource) (*Engine, error) {
 	watermark := 0
 	if snap != nil {
 		watermark = snap.TakenAtSeq
 	}
-
-	// The log base: events before the first recovered seq are compacted
-	// (possible only under a snapshot at or past them).
-	base := 0
-	if len(events) > 0 {
-		first := events[0].Seq
-		for i, ev := range events {
-			if ev.Seq != first+i {
-				return nil, fmt.Errorf("engine: recovered events not contiguous at seq %d", ev.Seq)
-			}
-		}
-		base = first - 1
-	} else if snap != nil {
-		base = watermark
-	}
-	if base > watermark {
-		return nil, fmt.Errorf("engine: recovered events start at seq %d but checkpoint covers only %d", base+1, watermark)
-	}
-	if len(events) > 0 && events[len(events)-1].Seq < watermark {
-		// Seeding a log that ends short of the checkpoint would hand out
-		// seqs the snapshot already covers. The caller must drop the stale
-		// segments (they are fully covered) and restore from the snapshot
-		// alone — wal.Boot does this automatically.
-		return nil, fmt.Errorf("engine: recovered events end at seq %d, short of checkpoint %d",
-			events[len(events)-1].Seq, watermark)
-	}
-
-	log := NewEventLogAt(base)
-	if err := log.seed(events); err != nil {
-		return nil, err
-	}
-
-	book := ledger.NewSettlementBook()
-	if snap != nil {
-		for _, s := range snap.Settles {
-			book.Record(s)
-		}
-	}
-	e := newEngine(p, cfg, log, book, watermark)
-
-	// Seed engine registries from the checkpoint.
 	var (
+		e         *Engine
 		epoch     uint64
 		submitSeq uint64
 		counters  Counters
 	)
-	if snap != nil {
-		epoch, submitSeq, counters = snap.Epoch, snap.SubmitSeq, snap.Counters
-		for _, t := range snap.Tickets {
-			tc := t
-			e.tickets[t.ID] = &tc
+	// start builds the engine once the log's base — the seq before the first
+	// recovered event — is known, and seeds it from the checkpoint.
+	start := func(base int) error {
+		if base > watermark {
+			return fmt.Errorf("engine: recovered events start at seq %d but checkpoint covers only %d", base+1, watermark)
 		}
+		book := ledger.NewSettlementBook()
+		e = newEngine(p, cfg, NewEventLogAt(base), book)
+		if cfg.Persister != nil {
+			e.log.SetPersister(cfg.Persister)
+		}
+		if snap == nil {
+			return nil
+		}
+		for _, s := range snap.Settles {
+			book.Record(s)
+		}
+		epoch, submitSeq, counters = snap.Epoch, snap.SubmitSeq, snap.Counters
+		// Terminal tickets join the done window in the order listed; a
+		// pre-window snapshot holds every ticket ever issued and is trimmed.
+		e.retired = snap.TicketsRetired
+		for _, t := range snap.Tickets {
+			e.tickets[t.ID] = &t
+			if t.Status.Terminal() {
+				e.done = append(e.done, t.ID)
+			}
+		}
+		e.retireLocked()
 		for id, ticket := range snap.OpenReqs {
 			e.openReqs[id] = ticket
 		}
@@ -284,43 +290,68 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, events []Event) 
 				e.adm.restoreState(ps.Buckets, ps.EpochAdmitted)
 			}
 		}
+		return nil
 	}
 
-	// Replay the tail onto the platform and the engine registries.
-	for _, ev := range events {
-		if ev.Seq <= watermark {
-			continue
+	err := src(func(batch []Event) error {
+		if len(batch) == 0 {
+			return nil
 		}
-		if ev.Epoch > epoch {
-			epoch = ev.Epoch
+		if e == nil {
+			if err := start(batch[0].Seq - 1); err != nil {
+				return err
+			}
 		}
-		if n := ticketNum(ev.Ticket); n > submitSeq {
-			submitSeq = n
+		if err := e.log.seed(batch); err != nil {
+			return err
 		}
-		if err := e.replayEvent(ev, &counters); err != nil {
-			return nil, fmt.Errorf("engine: replay seq %d (%s): %w", ev.Seq, ev.Kind, err)
+		for _, ev := range batch {
+			if ev.Seq <= watermark {
+				continue
+			}
+			if ev.Epoch > epoch {
+				epoch = ev.Epoch
+			}
+			if n := ticketNum(ev.Ticket); n > submitSeq {
+				submitSeq = n
+			}
+			if err := e.replayEvent(ev, &counters); err != nil {
+				return fmt.Errorf("engine: replay seq %d (%s): %w", ev.Seq, ev.Kind, err)
+			}
 		}
+		return nil
+	})
+	if err == nil && e == nil {
+		err = start(watermark) // nothing recovered: the log continues at the checkpoint
+	}
+	if err == nil && e.log.LastSeq() < watermark {
+		err = fmt.Errorf("%w: seq %d < %d", ErrLogBehindCheckpoint, e.log.LastSeq(), watermark)
+	}
+	if err != nil {
+		if e != nil && e.pool != nil {
+			e.pool.close()
+		}
+		return nil, err
 	}
 
 	e.epoch.Store(epoch)
 	e.seq.Store(submitSeq)
-	counters.Submitted = uint64(len(e.tickets))
+	e.appliedSeq = submitSeq
+	counters.Submitted = e.retired + uint64(len(e.tickets))
 	e.stSubmitted.Store(counters.Submitted)
 	e.stApplied.Store(counters.Applied)
 	e.stMatched.Store(counters.Matched)
 	e.stFailed.Store(counters.Failed)
 	e.stMatchedAtBoot = counters.Matched
-	// Attach the write-ahead hook only now: the seeded events came from the
-	// WAL, re-persisting them would duplicate the log.
-	if cfg.Persister != nil {
-		e.log.SetPersister(cfg.Persister)
-	}
+	// The book already holds every settlement the log carries; the
+	// subscriber picks up at the head.
+	e.startBook(e.log.LastSeq())
 	return e, nil
 }
 
-// replayEvent applies one recovered event: platform mutation plus ticket and
-// counter bookkeeping. It mirrors apply/publishRound without re-running
-// matching — the log already fixes every outcome.
+// replayEvent applies one recovered event: platform mutation plus ticket,
+// counter and settlement-book bookkeeping. It mirrors apply/publishRound
+// without re-running matching — the log already fixes every outcome.
 func (e *Engine) replayEvent(ev Event, c *Counters) error {
 	ensureTicket := func(kind SubmissionKind) {
 		if ev.Ticket == "" {
@@ -399,6 +430,7 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 			return err
 		}
 		c.Matched++
+		e.book.Record(settlementFromEvent(ev))
 		delete(e.openReqs, ev.RequestID)
 		delete(e.reqMeta, ev.RequestID)
 		ensureTicket(KindRequest)
@@ -416,6 +448,7 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 			return err
 		}
 		c.Applied++
+		e.book.Record(settlementFromEvent(ev))
 		ensureTicket(KindReport)
 		e.setTicket(ev.Ticket, func(t *Ticket) {
 			t.Status, t.Epoch, t.TxID, t.Price = TicketDone, ev.Epoch, ev.TxID, ev.Price

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ledger"
+	"repro/internal/retain"
 	"repro/internal/wal"
 )
 
@@ -60,6 +61,13 @@ func runBaseline(t *testing.T) (map[string]ledger.Currency, [][]byte, ledger.Cur
 	}
 	bals := accountBalances(m, fx)
 	supply := m.TotalSupply()
+	// Under tinyWindows (the only way a log this short is trimmed) the
+	// fixture must cross the ticket and audit windows as well, on both shards.
+	if st := m.Stats(); st.EventsHeld < st.Events {
+		if st.TicketsRetired == 0 || st.AuditHeld != 2*2 {
+			t.Fatalf("fixture crosses the log tail but not the ticket and audit windows: %+v", st)
+		}
+	}
 	m.Stop()
 	prints := make([][]byte, 2)
 	for i, sh := range m.Shards() {
@@ -90,6 +98,29 @@ var killPoints = []struct {
 // every kill at or after the durable commit decision the recovered shards
 // are byte-identical to the uncrashed baseline.
 func TestXTxKillMatrix(t *testing.T) {
+	xtxKillMatrix(t)
+	// The bounded-state variant: every shard keeps only a few events,
+	// tickets, transactions and audit entries in memory, through the crash,
+	// both recoveries and the idle reboot. Retention is a pure function of
+	// each shard's event stream, so every assertion above holds unchanged.
+	t.Run("tiny-tail", func(t *testing.T) {
+		tinyWindows(t)
+		xtxKillMatrix(t)
+	})
+}
+
+// tinyWindows forces every retention window of every shard built for the
+// rest of the test below the fixtures' length (the 2PC fixture logs only six
+// and four events on its two shards): a 2-event log tail, one pollable
+// terminal ticket, one transaction of history, two audit entries.
+func tinyWindows(t *testing.T) {
+	t.Helper()
+	t.Cleanup(retain.Shrink(func(w *retain.Windows) {
+		*w = retain.Windows{EventTail: 2, EventChunk: 2, Tickets: 1, History: 1, Audit: 2}
+	}))
+}
+
+func xtxKillMatrix(t *testing.T) {
 	baseBals, basePrints, baseSupply := runBaseline(t)
 
 	for _, kp := range killPoints {
@@ -342,8 +373,18 @@ func TestFederationRestartByteIdentical(t *testing.T) {
 // WAL tail and must match the pre-restart bytes; covered segments were
 // pruned underneath.
 func TestFederationSnapshotRestartByteIdentical(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, v := range []struct {
+		shards int
+		tiny   bool // every retention window forced below the workload's length
+	}{{2, false}, {4, false}, {2, true}} {
+		shards, name := v.shards, fmt.Sprintf("shards=%d", v.shards)
+		if v.tiny {
+			name = "tiny-tail-" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			if v.tiny {
+				tinyWindows(t)
+			}
 			dir := t.TempDir()
 			cfg := fedConfig(dir, shards)
 			cfg.SegmentBytes = 4 << 10 // small segments so pruning has work

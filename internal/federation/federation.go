@@ -465,6 +465,12 @@ func (m *Market) Stats() engine.Stats {
 		agg.PriceMillis += s.PriceMillis
 		agg.MatchesPerSec += s.MatchesPerSec
 		agg.LastPersisted += s.LastPersisted
+		agg.EventsHeld += s.EventsHeld
+		agg.TicketsHeld += s.TicketsHeld
+		agg.HistoryHeld += s.HistoryHeld
+		agg.AuditHeld += s.AuditHeld
+		agg.ReadBackEvents += s.ReadBackEvents
+		agg.TicketsRetired += s.TicketsRetired
 		agg.Uptime = max(agg.Uptime, s.Uptime)
 	}
 	if len(per) > 1 {
@@ -611,6 +617,18 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 			}
 			return t + float64(m.coord.pendingCount())
 		})
+	reg.NewGaugeFunc("engine_events_held", "Events held in memory (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.EventsHeld) }))
+	reg.NewGaugeFunc("engine_tickets_held", "Tickets held in memory (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.TicketsHeld) }))
+	reg.NewGaugeFunc("arbiter_history_held", "Completed transactions in the arbiters' history windows (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.HistoryHeld) }))
+	reg.NewGaugeFunc("ledger_audit_held", "Audit-chain entries in the ledgers' verification windows (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.AuditHeld) }))
+	reg.NewCounterFunc("engine_log_readback_events_total", "Events served from the WAL to cursors older than the in-memory tail (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.ReadBackEvents) }))
+	reg.NewCounterFunc("engine_tickets_retired_total", "Terminal tickets dropped from the ticket window (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.TicketsRetired) }))
 	reg.NewGaugeFunc("arbiter_unmet_wants", "Distinct wanted columns carrying unmet-demand signals (all shards).",
 		func() float64 {
 			var t float64

@@ -518,6 +518,8 @@ func TestSingleShardMetricsUnlabelled(t *testing.T) {
 	text := sb.String()
 	for _, family := range []string{
 		"engine_epochs_total", "engine_matched_total", "engine_price_seconds_total",
+		"engine_events_held", "engine_tickets_held", "arbiter_history_held", "ledger_audit_held",
+		"engine_log_readback_events_total", "engine_tickets_retired_total",
 		"dod_builds_total", "dod_cache_misses_total", "engine_intake_queue_depth",
 		"wal_append_seconds", "wal_fsync_seconds", "wal_segments", "federation_shards",
 	} {

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/retain"
 )
 
 // Currency is an amount of market incentive: dollars in external markets,
@@ -74,7 +76,14 @@ type Ledger struct {
 	balances map[string]Currency
 	escrow   map[string]Currency // escrow ID -> held amount
 	escrowBy map[string]string   // escrow ID -> funding account
-	log      []AuditEntry
+	// log is the newest retain.Windows.Audit audit entries, entries how many
+	// were ever appended (the next Seq), anchor the hash of the last one
+	// dropped — what the oldest retained entry chains to. The chain is a
+	// verification window, not the record (that is the engine's event log):
+	// a restart begins a new one and nothing reads old entries back.
+	log     []AuditEntry
+	entries int
+	anchor  string
 }
 
 // New creates an empty ledger.
@@ -87,12 +96,17 @@ func New() *Ledger {
 }
 
 func (l *Ledger) append(kind EntryKind, from, to string, amount Currency, memo string) {
-	e := AuditEntry{Seq: len(l.log), Kind: kind, From: from, To: to, Amount: amount, Memo: memo}
+	e := AuditEntry{Seq: l.entries, Kind: kind, From: from, To: to, Amount: amount, Memo: memo, PrevHash: l.anchor}
 	if len(l.log) > 0 {
 		e.PrevHash = l.log[len(l.log)-1].Hash
 	}
 	e.Hash = e.computeHash()
 	l.log = append(l.log, e)
+	l.entries++
+	if len(l.log) > retain.Sizes().Audit {
+		l.anchor = l.log[0].Hash
+		l.log = l.log[1:]
+	}
 }
 
 // Open creates an account with an initial balance. Opening an existing
@@ -274,7 +288,9 @@ func (l *Ledger) Note(memo string) {
 	l.append(KindNote, "", "", 0, memo)
 }
 
-// Log returns a copy of the audit log.
+// Log returns a copy of the audit log: the newest entries only (at most
+// retain.Windows.Audit), oldest first. AuditSize counts all ever appended; an
+// entry's Seq is its position among them.
 func (l *Ledger) Log() []AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -283,17 +299,26 @@ func (l *Ledger) Log() []AuditEntry {
 	return out
 }
 
-// VerifyChain recomputes the hash chain, returning the index of the first
-// corrupted entry, or -1 when the log is intact. Buyers/sellers use this to
-// audit the arbiter (paper §4.4 Transparency).
+// AuditSize returns how many audit entries were ever appended and how many
+// of them Log still holds.
+func (l *Ledger) AuditSize() (total, held int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.entries, len(l.log)
+}
+
+// VerifyChain recomputes the hash chain over the retained entries, starting
+// from the anchor, and returns the Seq of the first corrupted entry, or -1
+// when the window is an intact suffix of the chain. Buyers/sellers use this
+// to audit the arbiter (paper §4.4 Transparency).
 func (l *Ledger) VerifyChain() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	prev := ""
+	prev := l.anchor
 	for i := range l.log {
 		e := l.log[i]
 		if e.PrevHash != prev || e.computeHash() != e.Hash {
-			return i
+			return e.Seq
 		}
 		prev = e.Hash
 	}

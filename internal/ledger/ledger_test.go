@@ -1,8 +1,11 @@
 package ledger
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/retain"
 )
 
 func TestOpenDepositTransfer(t *testing.T) {
@@ -161,5 +164,65 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAuditWindow: the audit chain keeps its newest entries only. Once the
+// window has wrapped, VerifyChain still proves the retained entries are an
+// unbroken suffix — from the anchor, the hash of the last dropped entry — and
+// still catches a tampered retained entry and a tampered anchor.
+func TestAuditWindow(t *testing.T) {
+	defer retain.Shrink(func(w *retain.Windows) { w.Audit = 8 })()
+	l := New()
+	_ = l.Open("a", FromFloat(1000))
+	_ = l.Open("b", 0)
+	var hashes []string // every entry's hash, kept by the test only
+	record := func() {
+		log := l.Log()
+		hashes = append(hashes, log[len(log)-1].Hash)
+	}
+	hashes = append(hashes, l.Log()[0].Hash)
+	record()
+	for i := 0; i < 40; i++ {
+		if err := l.Transfer("a", "b", FromFloat(1), fmt.Sprintf("t%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		record()
+		if got := l.VerifyChain(); got != -1 {
+			t.Fatalf("intact chain reported corrupt at %d after %d transfers", got, i+1)
+		}
+	}
+	log := l.Log()
+	if total, held := l.AuditSize(); len(log) != 8 || held != 8 || total != 42 {
+		t.Fatalf("window holds %d entries (held %d) of %d, want 8 of 42", len(log), held, total)
+	}
+	for i, e := range log {
+		if e.Seq != 34+i || e.Hash != hashes[e.Seq] || e.PrevHash != hashes[e.Seq-1] {
+			t.Fatalf("retained entry %d: seq %d does not continue the full chain", i, e.Seq)
+		}
+	}
+	if l.TotalSupply() != FromFloat(1000) {
+		t.Fatalf("supply %v", l.TotalSupply())
+	}
+
+	l.mu.Lock()
+	l.log[5].Memo = "doctored"
+	l.mu.Unlock()
+	if got := l.VerifyChain(); got != 39 {
+		t.Fatalf("tampered retained entry detected at %d, want seq 39", got)
+	}
+	l.mu.Lock()
+	l.log[5].Memo = "t37"
+	good := l.anchor
+	l.anchor = hashes[0]
+	l.mu.Unlock()
+	if got := l.VerifyChain(); got != 34 {
+		t.Fatalf("tampered anchor detected at %d, want the first retained seq 34", got)
+	}
+	l.mu.Lock()
+	l.anchor = good
+	l.mu.Unlock()
+	if got := l.VerifyChain(); got != -1 {
+		t.Fatalf("restored chain reported corrupt at %d", got)
 	}
 }

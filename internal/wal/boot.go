@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -12,7 +13,7 @@ type BootResult struct {
 	// FromSnapshotSeq is the checkpoint watermark recovery started from
 	// (0 = no snapshot, full replay).
 	FromSnapshotSeq int
-	// Recovered is the number of WAL events loaded into the in-memory log.
+	// Recovered is the number of valid WAL events the scan found.
 	Recovered int
 	// Replayed is how many of those were applied to the platform (the ones
 	// past the snapshot watermark).
@@ -24,11 +25,13 @@ type BootResult struct {
 // reopened and attached as the engine's persister:
 //
 //  1. load the newest parseable snapshot, if any;
-//  2. load every valid WAL record (torn tails truncate, never fail);
-//  3. rebuild the platform — from the snapshot checkpoint, or fresh;
-//  4. open the WAL for appending after the valid prefix;
-//  5. engine.Restore: re-seed the in-memory event log (subscriber cursors
-//     resume gap-free), replay post-snapshot events, attach the WAL.
+//  2. rebuild the platform — from the snapshot checkpoint, or fresh;
+//  3. scan the WAL once, segment by segment (torn tails truncate, never
+//     fail), streaming each segment's events into engine.Restore: events past
+//     the snapshot watermark are replayed onto the platform and folded into
+//     the settlement book, and only the newest tail stays in the in-memory
+//     log (older cursors are served by Log.ReadBack);
+//  4. the same scan leaves the WAL open for appending after the valid prefix.
 //
 // The engine is returned stopped; the caller owns Start/Stop and must Close
 // the returned Log after Stop.
@@ -40,32 +43,6 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	if err != nil {
 		return nil, nil, nil, res, fmt.Errorf("wal: load snapshot: %w", err)
 	}
-
-	// One scan recovers the events AND opens the log for appending
-	// (truncating any torn tail at the same time).
-	w, events, err := openScan(walOpts)
-	if err != nil {
-		return nil, nil, nil, res, fmt.Errorf("wal: open: %w", err)
-	}
-
-	// A log that ends short of the snapshot watermark (a crash under
-	// fsync=off, or a wedged persister before the checkpoint) would reuse
-	// seqs the checkpoint already covers. Every surviving record is covered
-	// by the snapshot too, so archive the stale segments and restore from
-	// the snapshot alone; appends continue at the watermark.
-	if snap != nil && w.LastSeq() < snap.TakenAtSeq {
-		if err := w.Close(); err != nil {
-			return nil, nil, nil, res, err
-		}
-		if err := archiveCoveredSegments(walOpts.Dir); err != nil {
-			return nil, nil, nil, res, err
-		}
-		events = nil
-		if w, _, err = openScan(walOpts); err != nil {
-			return nil, nil, nil, res, fmt.Errorf("wal: reopen after archiving covered segments: %w", err)
-		}
-	}
-
 	var p *core.Platform
 	if snap != nil {
 		res.FromSnapshotSeq = snap.TakenAtSeq
@@ -74,31 +51,54 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 		p, err = core.NewPlatform(platOpts)
 	}
 	if err != nil {
-		w.Close()
 		return nil, nil, nil, res, err
 	}
 
-	cfg.Persister = w
-	eng, err := engine.Restore(p, cfg, snap, events)
+	// restore scans a fresh Log into engine.Restore. The Log is the engine's
+	// persister from the start — that is what lets the seeded log drop
+	// everything but its tail — but nothing is appended until Restore returns.
+	restore := func() (*engine.Engine, *Log, error) {
+		w := &Log{opt: walOpts}
+		cfg.Persister = w
+		res.Recovered, res.Replayed = 0, 0
+		eng, err := engine.Restore(p, cfg, snap, func(yield func([]engine.Event) error) error {
+			return w.openScan(func(evs []engine.Event) error {
+				res.Recovered += len(evs)
+				res.Replayed += min(len(evs), max(0, evs[len(evs)-1].Seq-res.FromSnapshotSeq))
+				return yield(evs)
+			})
+		})
+		if err != nil {
+			w.Close()
+			return nil, nil, err
+		}
+		return eng, w, nil
+	}
+	eng, w, err := restore()
+	if errors.Is(err, engine.ErrLogBehindCheckpoint) {
+		// A log that ends short of the snapshot watermark (a crash under
+		// fsync=off, or a wedged persister before the checkpoint) would reuse
+		// seqs the checkpoint already covers. Every surviving record is
+		// covered by the snapshot too — none was replayed, the platform is
+		// untouched — so archive the stale segments and restore from the
+		// snapshot alone; appends continue at the watermark.
+		if err := archiveCoveredSegments(walOpts.Dir); err != nil {
+			return nil, nil, nil, res, err
+		}
+		eng, w, err = restore()
+	}
 	if err != nil {
-		w.Close()
-		return nil, nil, nil, res, err
+		return nil, nil, nil, res, fmt.Errorf("wal: boot: %w", err)
 	}
 	// Segments fully pruned (or archived) behind a snapshot leave the
 	// append cursor short of the checkpoint; skip it forward — those seqs
 	// are durable in the snapshot itself.
-	if snap != nil && len(events) == 0 {
+	if snap != nil && res.Recovered == 0 {
 		w.SkipTo(snap.TakenAtSeq)
 	}
 	if got, want := w.LastSeq(), eng.Log().LastSeq(); got != want {
 		w.Close()
 		return nil, nil, nil, res, fmt.Errorf("wal: append cursor at seq %d but log ends at %d", got, want)
-	}
-	res.Recovered = len(events)
-	for _, ev := range events {
-		if ev.Seq > res.FromSnapshotSeq {
-			res.Replayed++
-		}
 	}
 	return p, eng, w, res, nil
 }

@@ -21,12 +21,29 @@
 // # Torn tails
 //
 // A crash can leave a partial record at the end of the newest segment. The
-// reader never fails on this: Load and Open both stop at the first record
-// whose length prefix is truncated, whose CRC mismatches, or whose payload
-// does not parse, and recover the longest valid prefix. Open additionally
-// truncates the file there so new appends continue from a clean boundary.
-// Corruption in the middle of the log (a torn non-final segment) likewise
-// ends the valid prefix; later segments are beyond it and are dropped.
+// reader never fails on this: it stops at the first record whose length
+// prefix is truncated, whose CRC mismatches, or whose payload does not parse,
+// and recovers the longest valid prefix. Open additionally truncates the file
+// there so new appends continue from a clean boundary. Corruption in the
+// middle of the log (a torn non-final segment) likewise ends the valid
+// prefix; later segments are beyond it and are dropped. There is one segment
+// reader, scanSegments; Load, Open/Boot and ReadBack differ only in which
+// segments they hand it and what they do with each decoded one. It decodes
+// one segment ahead of its caller, so a boot replays segment N while N+1 is
+// read and parsed: recovery time is the longer of the two, not their sum.
+//
+// # Read-back
+//
+// The engine's in-memory log is only a tail; the WAL is the record. ReadBack
+// (after, upto) returns the persisted events in that range so cursors older
+// than the tail can still be served. Segment names encode their first seq, so
+// it opens only the segments that can intersect the range: sealed ones whole,
+// the active one up to the size noted under the append lock (a prefix of
+// whole records). Nothing else is locked — appends, fsyncs and rotations
+// proceed beside a cold read. If PruneCovered has removed segments, before
+// or during the read, the result starts at the first retained seq: pruned
+// history is gone, exactly as after a restore from the snapshot that covered
+// it.
 //
 // # Fsync policy
 //
@@ -43,11 +60,12 @@
 // # Boot sequence
 //
 // Boot wires recovery end to end: load the newest parseable snapshot (if
-// any), load every WAL record, rebuild the platform from the snapshot (or
-// fresh), open the WAL for appending (truncating any torn tail), and hand
-// both to engine.Restore — which re-seeds the in-memory log so subscriber
-// cursors resume gap-free, replays post-snapshot events onto the platform,
-// and attaches the WAL as the persister for everything after. Snapshots are
-// written by Engine.Snapshot via WriteSnapshot — on demand (dmms /snapshot),
-// or on drain (dmgateway -snapshot-on-drain).
+// any), rebuild the platform from it (or fresh), then scan the WAL once —
+// truncating any torn tail and leaving it open for appending — streaming each
+// segment's events into engine.Restore, which replays the ones past the
+// snapshot onto the platform and keeps only the newest tail in memory; the
+// whole log is never materialised. Subscriber cursors from before the restart
+// resume gap-free, served by ReadBack. Snapshots are written by
+// Engine.Snapshot via WriteSnapshot — on demand (dmms /snapshot), or on
+// drain (dmgateway -snapshot-on-drain).
 package wal

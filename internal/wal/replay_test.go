@@ -18,6 +18,7 @@ import (
 	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
@@ -267,20 +268,35 @@ func submitOp(e *engine.Engine, o op) string {
 		}
 		return mustTicket(e.SubmitRequest(want, f))
 	case "report":
-		tk, _ := e.Ticket(expectedTicket(o.ref))
-		if tk.TxID == "" {
+		txID := settledTx(e, expectedTicket(o.ref))
+		if txID == "" {
 			// Re-driving after a crash that lost the delivery but kept the
 			// filing: the open request settles at the next counted epoch, so
 			// flush one before the report can address its transaction.
 			e.TriggerEpoch()
-			tk, _ = e.Ticket(expectedTicket(o.ref))
+			txID = settledTx(e, expectedTicket(o.ref))
 		}
-		if tk.TxID == "" {
+		if txID == "" {
 			panic(fmt.Sprintf("report ref %d has no settled transaction", o.ref))
 		}
-		return mustTicket(e.SubmitReport(tk.TxID, o.reported, o.trueVal))
+		return mustTicket(e.SubmitReport(txID, o.reported, o.trueVal))
 	}
 	panic("unknown op kind " + o.kind)
+}
+
+// settledTx resolves a request ticket to its transaction the way a client
+// does: from the ticket while the engine holds it, from the event log — the
+// record — once the ticket window has retired it.
+func settledTx(e *engine.Engine, ticket string) string {
+	if tk, _ := e.Ticket(ticket); tk.Status != engine.TicketRetired {
+		return tk.TxID
+	}
+	for _, ev := range e.Events(0) {
+		if ev.Kind == engine.EventTxSettled && ev.Ticket == ticket {
+			return ev.TxID
+		}
+	}
+	return ""
 }
 
 // expectedTicket is the ticket ID the k-th submission (0-based, global
@@ -303,6 +319,25 @@ func (f *faultPersister) Persist(ev engine.Event) error {
 	}
 	f.remaining--
 	return f.inner.Persist(ev)
+}
+
+// ReadBack forwards to the real WAL, so the engine under test trims its
+// event log to a tail in its first life too (until the fault wedges it).
+func (f *faultPersister) ReadBack(after, upto int) ([]engine.Event, error) {
+	return f.inner.(*Log).ReadBack(after, upto)
+}
+
+// tinyWindows forces every retention window — the event-log tail (and its
+// chunks), the ticket window, the arbiter's history and the ledger's audit
+// chain — far below the scripts' length for the rest of the test, so events
+// are served from disk, tickets retire and history and audit entries drop
+// within a few epochs. Retention is a pure function of the event stream:
+// everything the default-window variants assert must hold unchanged.
+func tinyWindows(t *testing.T) {
+	t.Helper()
+	t.Cleanup(retain.Shrink(func(w *retain.Windows) {
+		*w = retain.Windows{EventTail: 8, EventChunk: 8, Tickets: 3, History: 2, Audit: 8}
+	}))
 }
 
 // driveAll submits every scripted op in order, triggering one epoch per
@@ -341,6 +376,8 @@ func redrive(t *testing.T, e *engine.Engine, sc [][]op) {
 		for _, o := range epoch {
 			id := expectedTicket(k)
 			k++
+			// Durable: applied, or terminal (failed, done, or since retired
+			// from the ticket window).
 			if tk, ok := e.Ticket(id); ok && (tk.Status.Terminal() || tk.Status == engine.TicketApplied) {
 				if tk.Status == engine.TicketApplied {
 					openInGroup = true
@@ -643,6 +680,19 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	t.Run("churn-dod-workers", func(t *testing.T) {
 		crashMatrix(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch, 2, false, 0)
 	})
+	// The bounded-state variant: every engine in the matrix (baseline,
+	// crashed, rebooted) keeps only a few events, tickets, transactions and
+	// audit entries in memory. Live and every kill point must still agree
+	// byte for byte — on the retained tickets and history too.
+	t.Run("tiny-tail", func(t *testing.T) {
+		tinyWindows(t)
+		_, live, _ := runUninterrupted(t, core.Options{Design: testDesign}, script(), SyncEpoch)
+		if st := live.Stats(); st.EventsHeld >= st.Events || st.TicketsRetired == 0 ||
+			st.HistoryHeld >= int(st.Matched) || st.AuditHeld != 8 {
+			t.Fatalf("script crosses no window: %+v", st)
+		}
+		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, 0, false, 0)
+	})
 }
 
 // TestExPostCrashReplayDeterminism runs the crash matrix over the ex-post
@@ -668,11 +718,45 @@ func TestExPostCrashReplayDeterminism(t *testing.T) {
 	t.Run("build-deadline", func(t *testing.T) {
 		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 2, false, 2*time.Second)
 	})
+	// Bounded state: deliveries leave the history window while their escrow
+	// is still pending, and the report must settle them all the same.
+	t.Run("tiny-tail", func(t *testing.T) {
+		tinyWindows(t)
+		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 0, false, 0)
+	})
 }
 
 // TestCleanRestartIsByteIdentical: a full run, a clean shutdown, a reboot
 // from the WAL with nothing to re-drive — the strongest determinism claim.
 func TestCleanRestartIsByteIdentical(t *testing.T) {
+	t.Run("default", cleanRestart)
+	t.Run("tiny-tail", func(t *testing.T) {
+		tinyWindows(t)
+		cleanRestart(t)
+	})
+}
+
+// sameCounters asserts the lifetime counters read the same on a rebooted
+// engine as on the one that wrote the log — with tiny windows the reboot
+// happens long after tickets retired and history dropped, so a length used
+// as a counter (submitted = tickets held, transactions = history held) would
+// run backwards here.
+func sameCounters(t *testing.T, p, p2 *core.Platform, e, e2 *engine.Engine) {
+	t.Helper()
+	st, st2 := e.Stats(), e2.Stats()
+	if st.Submitted != st2.Submitted || st.Matched != st2.Matched || st.Applied != st2.Applied || st.Failed != st2.Failed {
+		t.Fatalf("counters moved across the reboot: submitted %d->%d matched %d->%d applied %d->%d failed %d->%d",
+			st.Submitted, st2.Submitted, st.Matched, st2.Matched, st.Applied, st2.Applied, st.Failed, st2.Failed)
+	}
+	if int(st2.Matched) != p2.Arbiter.Settled() {
+		t.Fatalf("arbiter counts %d settlements, engine %d matches", p2.Arbiter.Settled(), st2.Matched)
+	}
+	if p.Summary() != p2.Summary() {
+		t.Fatalf("summary moved across the reboot:\n%s\n%s", p.Summary(), p2.Summary())
+	}
+}
+
+func cleanRestart(t *testing.T) {
 	basePlat, baseEng, dir := runUninterrupted(t, core.Options{Design: testDesign}, script(), SyncEpoch)
 	baseStrong := fingerprint(t, basePlat, baseEng, true)
 
@@ -689,12 +773,24 @@ func TestCleanRestartIsByteIdentical(t *testing.T) {
 	if got := fingerprint(t, p2, e2, true); string(got) != string(baseStrong) {
 		t.Fatalf("clean restart diverged:\n--- baseline\n%s\n--- restarted\n%s", baseStrong, got)
 	}
+	sameCounters(t, basePlat, p2, baseEng, e2)
 }
 
 // TestSnapshotRestartIsByteIdentical checkpoints mid-script, finishes the
 // run, reboots — recovery must start from the snapshot, replay only the
 // tail, and still match the uninterrupted state byte for byte.
 func TestSnapshotRestartIsByteIdentical(t *testing.T) {
+	t.Run("default", snapshotRestart)
+	// With tiny windows the checkpoint carries a handful of tickets and
+	// transactions instead of all of them, and the restored engine must go on
+	// retiring and dropping exactly where the uninterrupted one does.
+	t.Run("tiny-tail", func(t *testing.T) {
+		tinyWindows(t)
+		snapshotRestart(t)
+	})
+}
+
+func snapshotRestart(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
@@ -744,6 +840,7 @@ func TestSnapshotRestartIsByteIdentical(t *testing.T) {
 	if got := fingerprint(t, p2, e2, true); string(got) != string(baseStrong) {
 		t.Fatalf("snapshot restart diverged:\n--- baseline\n%s\n--- restarted\n%s", baseStrong, got)
 	}
+	sameCounters(t, p, p2, e, e2)
 
 	// Cursors must resume gap-free even though state came from the snapshot:
 	// the full event history is still served.
@@ -1100,4 +1197,62 @@ func TestSnapshotQueuedResubmissionKeepsTicketID(t *testing.T) {
 	if !p2.Arbiter.Ledger.Exists("b2") {
 		t.Fatal("re-driven registration not applied")
 	}
+}
+
+// TestPreWindowSnapshotIsTrimmedOnLoad: a checkpoint written without
+// retention — every ticket and every transaction ever, no retired or dropped
+// counts, the format of snapshots from before the windows existed — must load
+// on an engine that has them, be trimmed to the windows on load, and from
+// there behave exactly like an engine that ran with the windows all along:
+// same retained tickets and history, same lifetime counters.
+func TestPreWindowSnapshotIsTrimmedOnLoad(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, Policy: SyncEpoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPlatform(core.Options{Design: testDesign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	for i, epoch := range script() {
+		for _, o := range epoch {
+			submitOp(e, o)
+		}
+		e.TriggerEpoch()
+		if i == 3 { // after epoch 4: late settlements are out of ticket order by now
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.TicketsRetired != 0 || snap.Platform.HistoryDropped != 0 || len(snap.Tickets) != 13 {
+				t.Fatalf("default windows already dropped state: %d tickets, %d retired, %d dropped",
+					len(snap.Tickets), snap.TicketsRetired, snap.Platform.HistoryDropped)
+			}
+			if _, err := WriteSnapshot(dir, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.Stop()
+	w.Close()
+
+	tinyWindows(t)
+	basePlat, baseEng, _ := runUninterrupted(t, core.Options{Design: testDesign}, script(), SyncEpoch)
+	want := fingerprint(t, basePlat, baseEng, true)
+
+	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if res.FromSnapshotSeq == 0 {
+		t.Fatal("boot ignored the snapshot")
+	}
+	e2.Stop()
+	if got := fingerprint(t, p2, e2, true); string(got) != string(want) {
+		t.Fatalf("trimmed-on-load state differs from a run that always had the windows:\n--- always\n%s\n--- loaded\n%s", want, got)
+	}
+	sameCounters(t, basePlat, p2, baseEng, e2)
 }

@@ -1,0 +1,95 @@
+//go:build !race
+
+package wal
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/retain"
+)
+
+// TestSteadyStateIsBounded pushes 50,000 settling requests through a
+// WAL-backed engine at the default window sizes and compares the state held
+// at 25,000 and at 50,000: the event-log tail, tickets, history, audit chain
+// and open requests must not have grown at all, and the live heap (after a
+// forced GC) by no more than what is meant to be kept per settlement — the
+// settlement book entry, the licence grants and the WAL's own bookkeeping,
+// measured at ~0.45 KiB — with headroom: under 1 KiB per settlement. Before
+// the windows existed the same run grew by ~3.3 KiB per settlement (event
+// log, audit chain, closed requests, history, tickets). Not run under the
+// race detector, which distorts both the timing and the heap.
+func TestSteadyStateIsBounded(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir(), Policy: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p, err := core.NewPlatform(core.Options{Design: testDesign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	defer e.Stop()
+
+	const buyers, batch, half = 8, 50, 25000
+	for b := 0; b < buyers; b++ {
+		submitOp(e, op{kind: "register", name: fmt.Sprintf("b%d", b), funds: 1e9})
+	}
+	submitOp(e, op{kind: "share", name: "s1", ds: "s1/d0", rows: 40})
+	e.TriggerEpoch()
+
+	type sample struct {
+		engine.Stats // the held windows, counters and open requests
+		heap         uint64
+	}
+	run := func(n int) sample {
+		t.Helper()
+		for i := 0; i < n; i += batch {
+			for j := 0; j < batch; j++ {
+				submitOp(e, op{kind: "request", name: fmt.Sprintf("b%d", (i+j)%buyers), offer: 150, cols: []string{"a", "b"}})
+			}
+			e.TriggerEpoch()
+		}
+		st := e.Stats()
+		if st.PersistErr != "" {
+			t.Fatalf("log trouble: %s", st.PersistErr)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return sample{Stats: st, heap: ms.HeapAlloc}
+	}
+	at25 := run(half)
+	at50 := run(half)
+	if st := e.Stats(); st.Matched != 2*half || int(st.Matched) != p.Arbiter.Settled() || !e.Settlements().Conserved() {
+		t.Fatalf("matched %d of %d (arbiter %d)", st.Matched, 2*half, p.Arbiter.Settled())
+	}
+	for _, s := range []sample{at25, at50} {
+		t.Logf("at %d: events=%d tickets=%d history=%d audit=%d held, open=%d, heap=%.1f MB", s.Matched,
+			s.EventsHeld, s.TicketsHeld, s.HistoryHeld, s.AuditHeld, s.OpenRequests, float64(s.heap)/(1<<20))
+	}
+	if at25.TicketsHeld != at50.TicketsHeld || at25.HistoryHeld != at50.HistoryHeld ||
+		at25.AuditHeld != at50.AuditHeld || at25.OpenRequests != 0 || at50.OpenRequests != 0 {
+		t.Fatalf("held state grew between 25k and 50k:\n%+v\n%+v", at25, at50)
+	}
+	// The log drops whole 1024-event chunks, so the tail is equal up to the
+	// phase of the newest chunk.
+	tail, chunk := retain.Sizes().EventTail, retain.Sizes().EventChunk
+	for _, s := range []sample{at25, at50} {
+		if s.EventsHeld < tail || s.EventsHeld >= tail+chunk {
+			t.Fatalf("log holds %d events, want [%d, %d)", s.EventsHeld, tail, tail+chunk)
+		}
+	}
+	if at50.TicketsRetired-at25.TicketsRetired != half || at50.ReadBackEvents != 0 {
+		t.Fatalf("retired %d tickets over the second half (want %d), read back %d events (want 0: every live cursor stays in the tail)",
+			at50.TicketsRetired-at25.TicketsRetired, half, at50.ReadBackEvents)
+	}
+	if grown := int64(at50.heap) - int64(at25.heap); grown > half*1024 {
+		t.Fatalf("live heap grew %.1f MB over 25k settlements (%.0f B each), want under 1 KiB each",
+			float64(grown)/(1<<20), float64(grown)/half)
+	}
+}

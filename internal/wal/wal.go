@@ -133,6 +133,76 @@ func segmentFiles(dir string) ([]string, error) {
 	return segs, nil
 }
 
+// scanSegments is the one segment reader behind recovery (openScan), Load
+// and ReadBack. It decodes the named segments of dir in order, enforcing seq
+// contiguity across them, and hands visit each one's index, events,
+// valid-prefix length and size. The scan ends after the first torn segment
+// (valid < size: later ones are beyond the valid prefix), when visit returns
+// false, or on an error. Only activeBytes of the segment named active are
+// decoded — its tail may be mid-append. skipMissing tolerates a segment
+// PruneCovered removed under the scan: contiguity restarts at the next one.
+//
+// A reader goroutine decodes one segment ahead of visit, so recovery — where
+// visit replays the events, about as much work as decoding them — runs its
+// two halves side by side; at most two decoded segments exist at a time. The
+// reader has exited when scanSegments returns.
+func scanSegments(dir string, names []string, active string, activeBytes int64, skipMissing bool,
+	visit func(i int, evs []engine.Event, valid, size int) (bool, error)) error {
+	type segment struct {
+		i           int
+		evs         []engine.Event
+		valid, size int
+		err         error
+	}
+	ahead, stop := make(chan segment), make(chan struct{})
+	go func() {
+		defer close(ahead)
+		wantNext := 0
+		for i, name := range names {
+			s := segment{i: i}
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			switch {
+			case err != nil && skipMissing && os.IsNotExist(err):
+				wantNext = 0
+				continue
+			case err != nil:
+				s.err = fmt.Errorf("wal: read segment %s: %w", name, err)
+			default:
+				if name == active && int64(len(raw)) > activeBytes {
+					raw = raw[:activeBytes]
+				}
+				s.evs, s.valid = DecodeAll(raw, wantNext)
+				s.size = len(raw)
+				if len(s.evs) > 0 {
+					wantNext = s.evs[len(s.evs)-1].Seq + 1
+				}
+			}
+			select {
+			case ahead <- s:
+			case <-stop:
+				return
+			}
+			if s.err != nil || s.valid < s.size {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range ahead {
+		}
+	}()
+	for s := range ahead {
+		if s.err != nil {
+			return s.err
+		}
+		if more, err := visit(s.i, s.evs, s.valid, s.size); err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
 // Load reads every valid event from the WAL in dir: segments in order, each
 // decoded up to its valid prefix. A torn or corrupt record ends the log —
 // whatever was durably written before it is returned, never an error.
@@ -143,24 +213,11 @@ func Load(dir string) ([]engine.Event, error) {
 		return nil, err
 	}
 	var events []engine.Event
-	wantNext := 0
-	for _, name := range segs {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("wal: read segment %s: %w", name, err)
-		}
-		evs, valid := DecodeAll(raw, wantNext)
+	err = scanSegments(dir, segs, "", 0, false, func(_ int, evs []engine.Event, _, _ int) (bool, error) {
 		events = append(events, evs...)
-		if valid < len(raw) {
-			// Torn tail: the valid prefix ends here; later segments are
-			// beyond it and cannot be contiguous.
-			break
-		}
-		if len(evs) > 0 {
-			wantNext = evs[len(evs)-1].Seq + 1
-		}
-	}
-	return events, nil
+		return true, nil
+	})
+	return events, err
 }
 
 // Open prepares the WAL in opts.Dir for appending: scans existing segments,
@@ -168,78 +225,136 @@ func Load(dir string) ([]engine.Event, error) {
 // the valid prefix, and positions the append cursor after the last durable
 // record. The returned Log expects the next Persist to carry seq LastSeq()+1.
 func Open(opts Options) (*Log, error) {
-	w, _, err := openScan(opts)
-	return w, err
+	w := &Log{opt: opts.withDefaults()}
+	if err := w.openScan(nil); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// openScan is Open plus the decoded events — Boot uses it so recovery reads
-// each segment exactly once.
-func openScan(opts Options) (*Log, []engine.Event, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, err
+// openScan is Open on a fresh Log, streaming: each segment's events go to
+// yield (nil = discard) as it is decoded — Boot replays them from there, so
+// recovery reads every segment once and holds two segments' events at most
+// (the one being replayed and the one decoded ahead of it).
+func (w *Log) openScan(yield func([]engine.Event) error) error {
+	dir := w.opt.Dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	segs, err := segmentFiles(opts.Dir)
+	segs, err := segmentFiles(dir)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-
-	w := &Log{opt: opts}
-	var events []engine.Event
 	appendTo := "" // segment to continue appending into
 	var appendSize int64
-	wantNext := 0
 	liveSegs := len(segs)
 	truncations := 0
-	for i, name := range segs {
-		path := filepath.Join(opts.Dir, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: read segment %s: %w", name, err)
-		}
-		evs, valid := DecodeAll(raw, wantNext)
-		events = append(events, evs...)
+	err = scanSegments(dir, segs, "", 0, false, func(i int, evs []engine.Event, valid, size int) (bool, error) {
 		if len(evs) > 0 {
 			w.lastSeq = evs[len(evs)-1].Seq
-			wantNext = w.lastSeq + 1
+			if yield != nil {
+				if err := yield(evs); err != nil {
+					return false, err
+				}
+			}
 		}
-		if valid < len(raw) {
+		appendTo, appendSize = segs[i], int64(valid)
+		if valid < size {
 			// Torn tail: truncate to the valid prefix and drop everything
 			// beyond it.
 			truncations++
-			if err := os.Truncate(path, int64(valid)); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
+			if err := os.Truncate(filepath.Join(dir, segs[i]), int64(valid)); err != nil {
+				return false, fmt.Errorf("wal: truncate torn tail of %s: %w", segs[i], err)
 			}
 			for _, later := range segs[i+1:] {
-				if err := os.Remove(filepath.Join(opts.Dir, later)); err != nil {
-					return nil, nil, fmt.Errorf("wal: drop segment %s beyond valid prefix: %w", later, err)
+				if err := os.Remove(filepath.Join(dir, later)); err != nil {
+					return false, fmt.Errorf("wal: drop segment %s beyond valid prefix: %w", later, err)
 				}
 			}
-			appendTo, appendSize = name, int64(valid)
 			liveSegs = i + 1
-			break
 		}
-		appendTo, appendSize = name, int64(valid)
+		return true, nil
+	})
+	if err != nil {
+		return err
 	}
 
 	if appendTo == "" {
 		appendTo = segmentName(w.lastSeq + 1)
-		appendSize = 0
 		liveSegs = 1
 	}
-	f, err := os.OpenFile(filepath.Join(opts.Dir, appendTo), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, appendTo), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if err := syncDir(opts.Dir); err != nil {
+	if err := syncDir(dir); err != nil {
 		f.Close()
-		return nil, nil, err
+		return err
 	}
 	w.f = f
 	w.curName = appendTo
 	w.segBytes = appendSize
-	w.initMetrics(opts.Metrics, liveSegs, truncations)
-	return w, events, nil
+	w.initMetrics(w.opt.Metrics, liveSegs, truncations)
+	return nil
+}
+
+// ReadBack returns the persisted events with after < Seq <= upto, in order —
+// the engine's event log serves cursors older than its in-memory tail from
+// here. It takes w.mu only to note the append position: sealed segments are
+// read whole and the active one up to the noted size (Persist writes whole
+// records under w.mu), so appends and epochs run beside a cold read. Where
+// PruneCovered has removed segments, before or under the read, the result
+// starts at the first retained seq. It keeps working on a closed log.
+func (w *Log) ReadBack(after, upto int) ([]engine.Event, error) {
+	w.mu.Lock()
+	active, activeBytes, last := w.curName, w.segBytes, w.lastSeq
+	w.mu.Unlock()
+	if upto = min(upto, last); after >= upto {
+		return nil, nil
+	}
+	segs, err := segmentFiles(w.opt.Dir)
+	if err != nil {
+		return nil, err
+	}
+	// Segment names encode their first seq: start at the last segment that
+	// begins at or below after+1, stop before the first that begins past
+	// upto or past the noted active one (a later name is a rotation that
+	// happened after the note).
+	from, to := 0, 0
+	for i, name := range segs {
+		if name > active || segmentFirstSeq(name) > upto {
+			break
+		}
+		to = i + 1
+		if segmentFirstSeq(name) <= after+1 {
+			from = i
+		}
+	}
+	var out []engine.Event
+	err = scanSegments(w.opt.Dir, segs[from:to], active, activeBytes, true,
+		func(_ int, evs []engine.Event, _, _ int) (bool, error) {
+			out = appendRange(out, evs, after, upto)
+			return len(evs) == 0 || evs[len(evs)-1].Seq < upto, nil
+		})
+	return out, err
+}
+
+// appendRange appends the part of one decoded segment (a contiguous run)
+// that falls in (after, upto] to out. If the run does not continue out — the
+// segment between them was pruned under the read — out restarts with it.
+func appendRange(out, evs []engine.Event, after, upto int) []engine.Event {
+	if len(evs) == 0 {
+		return out
+	}
+	first := evs[0].Seq
+	lo, hi := max(after+1-first, 0), min(upto+1-first, len(evs))
+	if lo >= hi {
+		return out
+	}
+	if n := len(out); n > 0 && out[n-1].Seq+1 != evs[lo].Seq {
+		out = out[:0]
+	}
+	return append(out, evs[lo:hi]...)
 }
 
 // archiveCoveredSegments renames every segment to <name>.covered[.N],
