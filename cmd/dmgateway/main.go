@@ -18,10 +18,15 @@
 // replay fingerprints and able to boot their WAL directories.
 //
 // With -wal-dir the event log is durable: every event is written ahead to a
-// segmented, checksummed WAL (fsync policy via -fsync), boot replays the log
-// (resuming from the newest snapshot when one exists), POST /snapshot writes
-// a checkpoint per shard on demand, and -snapshot-on-drain writes one during
-// shutdown.
+// segmented, checksummed WAL (fsync policy via -fsync). The market checkpoints
+// itself in the background whenever a shard's log has run a fixed number of
+// events (internal/retain) past its last checkpoint, POST /snapshot writes one
+// on demand and -snapshot-on-drain one during shutdown — all through the same
+// federation.Market.SnapshotAll, which with -prune-on-snapshot also drops the
+// WAL segments the previous checkpoint covers. Boot loads the newest snapshot
+// and reads only the WAL segments it does not wholly cover, decoding and
+// replaying just the events past it; its log line per shard gives the
+// records read, the snapshot seq and the events replayed.
 //
 // Usage:
 //
@@ -134,7 +139,7 @@ func main() {
 	fsync := flag.String("fsync", "epoch", "WAL fsync policy: always | epoch | off")
 	segBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
 	snapOnDrain := flag.Bool("snapshot-on-drain", true, "write a snapshot after draining the engine on shutdown (needs -wal-dir)")
-	pruneOnSnap := flag.Bool("prune-on-snapshot", true, "remove WAL segments fully covered by a written snapshot")
+	pruneOnSnap := flag.Bool("prune-on-snapshot", true, "remove WAL segments fully covered by the previous checkpoint each time one is written (snapshot files beyond the newest two are retired either way)")
 	policyName := flag.String("policy", "fifo", "matching policy: fifo | priority | aging")
 	ageBoost := flag.Float64("age-boost", 1, "aging policy: score added per epoch an open request waits")
 	epochCap := flag.Int("epoch-cap", 0, "max open requests admitted into each matching round (0 = all)")
@@ -190,7 +195,7 @@ func main() {
 	}
 
 	fcfg := federation.Config{
-		Shards: *shards, Dir: *walDir, SegmentBytes: *segBytes,
+		Shards: *shards, Dir: *walDir, SegmentBytes: *segBytes, PruneOnSnapshot: *pruneOnSnap,
 		Engine: cfg, Platform: platOpts, Metrics: reg,
 	}
 	if *walDir != "" {
@@ -211,7 +216,7 @@ func main() {
 	}
 	for _, sh := range m.Shards() {
 		if sh.WAL != nil {
-			log.Printf("dmgateway: %sWAL %s: recovered %d events (snapshot seq %d, replayed %d), fsync=%s",
+			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d), fsync=%s",
 				shardTag(sh), sh.Dir, sh.Boot.Recovered, sh.Boot.FromSnapshotSeq, sh.Boot.Replayed, fcfg.Sync)
 		}
 		if *cacheEntries > 0 {
@@ -248,7 +253,6 @@ func main() {
 	}
 
 	server := dmms.NewMarketServer(m)
-	server.PruneOnSnapshot = *pruneOnSnap
 	if reg != nil {
 		server.SetMetrics(reg)
 	}
@@ -266,12 +270,12 @@ func main() {
 		log.Print("dmgateway: shutting down HTTP")
 		_ = srv.Shutdown(context.Background())
 		log.Print("dmgateway: draining engine")
-		m.Drain()
+		m.Drain() // stops the background checkpointer too
 		if *walDir != "" && *snapOnDrain {
-			// Every shard is checkpointed under the coordinator mutex, so no
-			// snapshot ever captures a shard mid-2PC.
+			// Every shard is cut under the coordinator mutex, so no snapshot
+			// ever captures a shard mid-2PC.
 			writeDrain := func() error {
-				cps, err := m.SnapshotAll(*pruneOnSnap)
+				cps, err := m.SnapshotAll()
 				for _, cp := range cps {
 					log.Printf("dmgateway: drain snapshot %s (seq %d)", cp.Path, cp.Seq)
 				}

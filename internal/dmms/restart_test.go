@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -181,7 +182,7 @@ func TestAsyncSurfaceSurvivesRestart(t *testing.T) {
 // TestSnapshotEndpoint exercises the /snapshot admin surface at one and two
 // shards: 503 without a snapshot lineage; with one, a checkpoint per shard,
 // shard 0's path + seq for single-checkpoint clients (Client.Snapshot), and
-// -prune-on-snapshot honoured either way.
+// -prune-on-snapshot (federation.Config.PruneOnSnapshot) honoured either way.
 func TestSnapshotEndpoint(t *testing.T) {
 	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2})
 	defer done()
@@ -193,19 +194,21 @@ func TestSnapshotEndpoint(t *testing.T) {
 		for _, prune := range []bool{true, false} {
 			t.Run(fmt.Sprintf("shards=%d/prune=%v", shards, prune), func(t *testing.T) {
 				dir := t.TempDir()
-				m, err := federation.Open(durableConfig(dir, shards, "posted-baseline"))
+				cfg := durableConfig(dir, shards, "posted-baseline")
+				cfg.SegmentBytes, cfg.PruneOnSnapshot = 512, prune // rotate, so there is something to prune
+				m, err := federation.Open(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer m.Stop()
 				s := NewMarketServer(m)
-				s.PruneOnSnapshot = prune
 				srv := httptest.NewServer(s)
 				defer srv.Close()
 				c := NewClient(srv.URL)
 
-				// Three checkpoints with work in between: pruning keeps the
-				// newest two per shard, not pruning keeps all three.
+				// Three checkpoints with work in between: every lineage keeps
+				// the newest two snapshots; only pruning drops the segments the
+				// older of them covers.
 				var path string
 				var seq int
 				for i := 0; i < 3; i++ {
@@ -242,8 +245,12 @@ func TestSnapshotEndpoint(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := map[bool]int{true: 2, false: 3}[prune]; len(files) != want {
-						t.Fatalf("shard %d keeps %d snapshot files with prune=%v, want %d", sh.Index, len(files), prune, want)
+					if len(files) != 2 {
+						t.Fatalf("shard %d keeps %d snapshot files with prune=%v, want 2", sh.Index, len(files), prune)
+					}
+					_, err = os.Stat(filepath.Join(sh.Dir, "wal-0000000001.seg"))
+					if kept := err == nil; kept == prune {
+						t.Fatalf("shard %d: first segment kept = %v with prune=%v", sh.Index, kept, prune)
 					}
 				}
 			})

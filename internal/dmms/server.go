@@ -40,9 +40,6 @@ import (
 type Server struct {
 	routeSet
 	market *federation.Market
-	// PruneOnSnapshot makes POST /snapshot drop the WAL segments and old
-	// snapshots each new checkpoint covers (the gateway's -prune-on-snapshot).
-	PruneOnSnapshot bool
 }
 
 // httpMetrics bundles the per-route instruments with the registry that
@@ -513,7 +510,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if shard >= 0 {
-		writeJSON(w, http.StatusOK, s.market.Shards()[shard].Engine.Stats())
+		writeJSON(w, http.StatusOK, s.market.ShardStats()[shard])
 		return
 	}
 	pending, settled, aborted := s.market.CoordStats()
@@ -665,7 +662,7 @@ type SnapshotResp struct {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	cps, err := s.market.SnapshotAll(s.PruneOnSnapshot)
+	cps, err := s.market.SnapshotAll()
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, federation.ErrNoSnapshotLineage) {

@@ -338,6 +338,12 @@ func TestConcurrentBuildsAndMutations(t *testing.T) {
 		}(b)
 	}
 	for step := 0; step < 40; step++ {
+		// Every want holds a valid set when the version bumps, whatever the
+		// builders happened to be doing: retention across the bump is then a
+		// function of the seeded script alone, not of goroutine scheduling.
+		for _, want := range wants {
+			w.eng.BuildCached(context.Background(), want)
+		}
 		w.next().run()
 	}
 	close(stop)

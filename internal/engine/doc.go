@@ -172,7 +172,12 @@
 // the book, and only the log's tail stays in memory — older cursors still
 // resume without gaps, from the WAL. Snapshot checkpoints (Engine.Snapshot +
 // core.PlatformSnapshot) let Restore start from a watermark instead of seq
-// 1. Memory follows live state, not lifetime: besides the log tail and the
+// 1, and wal.Boot then decodes only the segments past it. Snapshot is only
+// the cut — taken under the epoch lock, the settlement book shared rather than
+// copied — and its caller encodes and writes it after the lock is released;
+// a durable federation.Market checkpoints every shard in the background each
+// retain.Windows.Checkpoint events, so a restart replays a bounded suffix,
+// not the market's life. Memory follows live state, not lifetime: besides the log tail and the
 // ticket window, the arbiter forgets a request when it settles and keeps a
 // window of recent transactions, and the ledger a window of its audit chain
 // (sized in internal/retain; Stats.EventsHeld and the fields after it, the

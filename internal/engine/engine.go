@@ -245,14 +245,18 @@ type Stats struct {
 	// Events counts the whole log, EventsHeld its tail — and what left them:
 	// events read back from the WAL for cursors behind the tail, retired
 	// tickets. Flat lines here show that memory follows live state.
-	EventsHeld     int           `json:"events_held"`
-	TicketsHeld    int           `json:"tickets_held"`
-	HistoryHeld    int           `json:"history_held"`
-	AuditHeld      int           `json:"audit_held"`
-	ReadBackEvents uint64        `json:"readback_events,omitempty"`
-	TicketsRetired uint64        `json:"tickets_retired,omitempty"`
-	Uptime         time.Duration `json:"uptime"`
-	MatchesPerSec  float64       `json:"matches_per_sec"`
+	EventsHeld     int    `json:"events_held"`
+	TicketsHeld    int    `json:"tickets_held"`
+	HistoryHeld    int    `json:"history_held"`
+	AuditHeld      int    `json:"audit_held"`
+	ReadBackEvents uint64 `json:"readback_events,omitempty"`
+	TicketsRetired uint64 `json:"tickets_retired,omitempty"`
+	// CheckpointSeq is the seq the newest durable checkpoint covers (summed
+	// across shards), which a restart replays from. Checkpoints are the
+	// federation's to write, so federation.Market fills it in; 0 = none.
+	CheckpointSeq int           `json:"checkpoint_seq,omitempty"`
+	Uptime        time.Duration `json:"uptime"`
+	MatchesPerSec float64       `json:"matches_per_sec"`
 }
 
 // Engine is the concurrent front end to a core.Platform: sharded intake,

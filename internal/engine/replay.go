@@ -69,6 +69,10 @@ type PolicyState struct {
 // O(lifetime submissions). Snapshots from before the window existed list
 // every ticket by number (and no TicketsRetired); they load the same way and
 // are trimmed to the window.
+//
+// Settles is the settlement book's own recorded prefix, shared, not copied
+// (ledger.SettlementBook.All): read-only, so the cut under the epoch lock stays
+// O(1) in the book's length.
 type SnapshotState struct {
 	TakenAt        time.Time              `json:"taken_at"`
 	TakenAtSeq     int                    `json:"taken_at_seq"`
@@ -85,7 +89,8 @@ type SnapshotState struct {
 
 // Snapshot captures a consistent checkpoint. It holds the epoch lock, so no
 // epoch is mid-flight, waits for the settlement subscriber to catch up with
-// the log, then snapshots platform and engine registries as one cut.
+// the log, then snapshots platform and engine registries as one cut. Only the
+// cut holds the lock: encoding and writing it (wal.WriteSnapshot) happen after.
 // Intake queued behind the lock is not part of the checkpoint — it has no
 // events yet, so it is not durable until its epoch runs; its tickets are
 // likewise excluded, and clients re-submit after a restore (the submission
@@ -159,6 +164,7 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		snap.OpenReqs[id] = t
 	}
 	e.tmu.Lock()
+	snap.Tickets = make([]Ticket, 0, len(e.tickets))
 	for _, t := range e.tickets {
 		// Queued intake has no events yet and is not durable; after a
 		// restore its clients re-submit. Excluding it here (and from
@@ -252,16 +258,17 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 		if base > watermark {
 			return fmt.Errorf("engine: recovered events start at seq %d but checkpoint covers only %d", base+1, watermark)
 		}
-		book := ledger.NewSettlementBook()
-		e = newEngine(p, cfg, NewEventLogAt(base), book)
+		var settled []ledger.Settlement
+		if snap != nil {
+			// Clipped, so the book's appends never write into the snapshot.
+			settled = snap.Settles[:len(snap.Settles):len(snap.Settles)]
+		}
+		e = newEngine(p, cfg, NewEventLogAt(base), ledger.NewSettlementBook(settled...))
 		if cfg.Persister != nil {
 			e.log.SetPersister(cfg.Persister)
 		}
 		if snap == nil {
 			return nil
-		}
-		for _, s := range snap.Settles {
-			book.Record(s)
 		}
 		epoch, submitSeq, counters = snap.Epoch, snap.SubmitSeq, snap.Counters
 		// Terminal tickets join the done window in the order listed; a

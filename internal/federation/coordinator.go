@@ -44,6 +44,13 @@ type coordinator struct {
 	settled uint64 // committed cross-shard transactions
 	aborted uint64 // aborted attempts (prepare failures + presumed aborts)
 
+	// inDoubt names the transaction between its begin and done records. A
+	// settle that dies there (crash hook or I/O failure) leaves it set: the
+	// transaction may sit between two commit legs until the next Open's
+	// recovery resolves it, and SnapshotAll refuses to cut until then.
+	// Guarded by the Market's coordMu.
+	inDoubt string
+
 	// crash, when non-nil, is the test hook simulating process death at a
 	// named 2PC boundary: a non-nil return abandons the settle mid-flight
 	// with all durable records exactly as a crash would leave them.
@@ -230,6 +237,7 @@ func (c *coordinator) settle(w *fedWant) (bool, error) {
 	xid := fmt.Sprintf("xtx-%06d", c.xidSeq)
 	c.mu.Unlock()
 
+	c.inDoubt = xid
 	if err := c.log.append(coordRecord{Type: recBegin, Xid: xid, Ticket: w.ticket,
 		Buyer: tx.Buyer, Home: home, Price: tx.Price, ArbiterCut: tx.ArbiterCut,
 		CutsByShrd: cutsByShard, Datasets: tx.Datasets}); err != nil {
@@ -256,6 +264,7 @@ func (c *coordinator) settle(w *fedWant) (bool, error) {
 		if lerr := c.log.append(coordRecord{Type: recDone, Xid: xid}); lerr != nil {
 			return false, lerr
 		}
+		c.inDoubt = ""
 		return true, nil
 	}
 	if err := c.crashAt("prepared"); err != nil {
@@ -282,6 +291,7 @@ func (c *coordinator) settle(w *fedWant) (bool, error) {
 	if err := c.log.append(coordRecord{Type: recDone, Xid: xid}); err != nil {
 		return false, err
 	}
+	c.inDoubt = ""
 	if err := c.crashAt("done"); err != nil {
 		return false, err
 	}

@@ -2,13 +2,18 @@ package federation
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ledger"
+	"repro/internal/obs"
 	"repro/internal/retain"
 	"repro/internal/wal"
 )
@@ -98,14 +103,23 @@ var killPoints = []struct {
 // every kill at or after the durable commit decision the recovered shards
 // are byte-identical to the uncrashed baseline.
 func TestXTxKillMatrix(t *testing.T) {
-	xtxKillMatrix(t)
+	xtxKillMatrix(t, false)
 	// The bounded-state variant: every shard keeps only a few events,
 	// tickets, transactions and audit entries in memory, through the crash,
 	// both recoveries and the idle reboot. Retention is a pure function of
 	// each shard's event stream, so every assertion above holds unchanged.
 	t.Run("tiny-tail", func(t *testing.T) {
 		tinyWindows(t)
-		xtxKillMatrix(t)
+		xtxKillMatrix(t, false)
+	})
+	// The checkpoint variant: the crashed market and the recovered one run
+	// the background checkpointer every two events, pruning behind it, so
+	// checkpoints interleave the fixture, the 2PC, recovery and the retry. No
+	// cut may land while a transaction is in doubt, and every assertion above
+	// holds unchanged — reboots now start from those checkpoints.
+	t.Run("checkpoint", func(t *testing.T) {
+		t.Cleanup(retain.Shrink(func(w *retain.Windows) { w.Checkpoint = 2 }))
+		xtxKillMatrix(t, true)
 	})
 }
 
@@ -120,13 +134,23 @@ func tinyWindows(t *testing.T) {
 	}))
 }
 
-func xtxKillMatrix(t *testing.T) {
+// xtxKillMatrix runs the kill matrix; with checkpoints the crashed and the
+// recovering markets run the background checkpointer (the caller shrinks its
+// interval) over small, pruned segments.
+func xtxKillMatrix(t *testing.T, checkpoints bool) {
 	baseBals, basePrints, baseSupply := runBaseline(t)
+	config := func(dir string) Config {
+		cfg := fedConfig(dir, 2)
+		if checkpoints {
+			cfg.SegmentBytes, cfg.PruneOnSnapshot = 1<<10, true
+		}
+		return cfg
+	}
 
 	for _, kp := range killPoints {
 		t.Run(kp.point, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := fedConfig(dir, 2)
+			cfg := config(dir)
 			cfg.testCrash = func(point string) error {
 				if point == kp.point {
 					return fmt.Errorf("injected death at %s", point)
@@ -138,7 +162,13 @@ func xtxKillMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			fx := newCrossShardFixture(t)
-			fx.drive(t, m)
+			if checkpoints {
+				m.Start()
+				fx.drive(t, m)
+				waitCheckpointed(t, m)
+			} else {
+				fx.drive(t, m)
+			}
 			fx.submitSpanning(t, m)
 			settledLive := m.CoordRound()
 			if settledLive != 0 {
@@ -149,13 +179,22 @@ func xtxKillMatrix(t *testing.T) {
 			if got := m.TotalSupply(); got > baseSupply {
 				t.Fatalf("mid-crash supply %v exceeds baseline %v", got, baseSupply)
 			}
+			// Until recovery resolves it, the transaction the round left
+			// behind is in doubt: no checkpoint may cut a shard now — unless
+			// the kill came after its done record.
+			if _, err := m.SnapshotAll(); checkpoints && (err == nil) != (kp.point == "done") {
+				t.Fatalf("checkpoint after a kill at %s: err = %v", kp.point, err)
+			}
 			m.Stop()
 
 			// Reboot: every shard replays its WAL, then the coordinator
 			// resolves the in-doubt transaction from the two logs.
-			m2, err := Open(fedConfig(dir, 2))
+			m2, err := Open(config(dir))
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
+			}
+			if checkpoints {
+				m2.Start()
 			}
 			if got := m2.TotalSupply(); got != baseSupply {
 				t.Fatalf("post-recovery supply %v, want %v", got, baseSupply)
@@ -215,7 +254,7 @@ func xtxKillMatrix(t *testing.T) {
 
 			// A further clean reboot must be a no-op: recovery is idempotent
 			// and replays to the exact same per-shard bytes.
-			m3, err := Open(fedConfig(dir, 2))
+			m3, err := Open(config(dir))
 			if err != nil {
 				t.Fatalf("second recovery open: %v", err)
 			}
@@ -230,6 +269,20 @@ func xtxKillMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// waitCheckpointed waits for the background checkpointer to have covered
+// every shard of m at least once.
+func waitCheckpointed(t *testing.T, m *Market) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if !slices.ContainsFunc(m.ShardStats(), func(s engine.Stats) bool { return s.CheckpointSeq == 0 }) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no background checkpoint on every shard: %+v", m.ShardStats())
+		}
 	}
 }
 
@@ -388,12 +441,13 @@ func TestFederationSnapshotRestartByteIdentical(t *testing.T) {
 			dir := t.TempDir()
 			cfg := fedConfig(dir, shards)
 			cfg.SegmentBytes = 4 << 10 // small segments so pruning has work
+			cfg.PruneOnSnapshot = true
 			m, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			driveMixedWorkload(t, m, shards)
-			paths, err := m.SnapshotAll(true)
+			paths, err := m.SnapshotAll()
 			if err != nil {
 				t.Fatalf("SnapshotAll: %v", err)
 			}
@@ -461,5 +515,73 @@ func TestSnapshotRefusedMidXTx(t *testing.T) {
 	}
 	if _, err := m.Shards()[1].Engine.Snapshot(); err != nil {
 		t.Fatalf("uninvolved shard refused to snapshot: %v", err)
+	}
+}
+
+// TestBackgroundCheckpoints: a started durable market checkpoints itself each
+// time a shard's log runs the interval past its last checkpoint — a count of
+// events, reported as checkpoint_seq and on /metrics — retires all but two
+// snapshots per lineage, prunes behind them, and a reboot starts from the
+// newest checkpoint, replaying less than one interval.
+func TestBackgroundCheckpoints(t *testing.T) {
+	const every = 16
+	t.Cleanup(retain.Shrink(func(w *retain.Windows) { w.Checkpoint = every }))
+	reg := obs.NewRegistry()
+	cfg := fedConfig(t.TempDir(), 2)
+	cfg.SegmentBytes, cfg.PruneOnSnapshot, cfg.Metrics = 1<<10, true, reg
+	m, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	for i := 0; i < 40; i++ {
+		for shard := 0; shard < 2; shard++ {
+			mustTk(m.SubmitRegister(nameOn(t, fmt.Sprintf("p%d-", i), shard, 2), 100))
+		}
+		m.TriggerEpoch()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		per := m.ShardStats()
+		if !slices.ContainsFunc(per, func(s engine.Stats) bool { return s.Events-s.CheckpointSeq >= every }) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoints never caught up with the logs: %+v", per)
+		}
+	}
+	m.Stop() // waits for a checkpoint still in flight
+	per := m.ShardStats()
+	if got, want := m.Stats().CheckpointSeq, per[0].CheckpointSeq+per[1].CheckpointSeq; got != want {
+		t.Fatalf("market checkpoint_seq %d, want the shards' sum %d", got, want)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var written float64
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "wal_checkpoints_total "); ok {
+			fmt.Sscan(v, &written)
+		}
+	}
+	if min := float64(2 * per[0].Events / every); written < min || !strings.Contains(sb.String(), "wal_checkpoint_seconds_count") {
+		t.Fatalf("wal_checkpoints_total %v, want at least %v, and a wal_checkpoint_seconds histogram", written, min)
+	}
+	for _, sh := range m.Shards() {
+		snaps, _ := filepath.Glob(filepath.Join(sh.Dir, "snapshot-*.json"))
+		if _, err := os.Stat(filepath.Join(sh.Dir, "wal-0000000001.seg")); len(snaps) != 2 || err == nil {
+			t.Fatalf("shard %d holds snapshots %v and its first segment (stat err %v)", sh.Index, snaps, err)
+		}
+	}
+
+	m2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Stop()
+	for i, sh := range m2.Shards() {
+		if b := sh.Boot; b.FromSnapshotSeq != per[i].CheckpointSeq || b.Replayed >= every {
+			t.Fatalf("shard %d booted %+v, want the checkpoint at %d and under %d events replayed", i, b, per[i].CheckpointSeq, every)
+		}
 	}
 }

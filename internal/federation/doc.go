@@ -86,11 +86,20 @@
 //
 // # Snapshots
 //
-// Each shard snapshots and (when asked to) prunes independently (same
-// lineage rules as a single market). Market.SnapshotAll takes the
-// coordinator mutex first, so no shard is ever captured mid-2PC; the engine
-// additionally refuses to snapshot while any escrow is in flight, making the
-// invariant local too.
+// Market.SnapshotAll is the one checkpoint path: POST /snapshot, the drain
+// snapshot and the background checkpointer all call it. A started durable
+// market runs one watcher per shard that sleeps in the shard log's WaitAfter
+// until the log is retain.Windows.Checkpoint events past its last checkpoint
+// — a count, never a timer — and then checkpoints every shard. The cuts are
+// taken under the coordinator mutex, so no shard is ever captured mid-2PC;
+// the engine additionally refuses to snapshot while any escrow is in flight,
+// and the market while a round that died between a transaction's begin and
+// done records leaves it in doubt (a snapshot does not carry the xtx
+// bookkeeping, so recovery could apply a commit leg twice). Encoding, fsync
+// and pruning run after the mutex is released, one checkpoint at a time.
+// Each shard's lineage keeps its newest two snapshots; with
+// Config.PruneOnSnapshot the WAL segments the older one covers go too. Drain
+// stops the checkpointer before the caller's final snapshot.
 //
 // # Observability
 //

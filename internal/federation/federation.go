@@ -24,6 +24,7 @@ import (
 	"repro/internal/license"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wal"
 	"repro/internal/wtp"
 )
@@ -45,6 +46,10 @@ type Config struct {
 	Sync wal.SyncPolicy
 	// SegmentBytes is the per-shard WAL segment size (0 = wal default).
 	SegmentBytes int64
+	// PruneOnSnapshot makes every checkpoint drop the WAL segments its
+	// predecessor covers (the gateway's -prune-on-snapshot). Old snapshot
+	// files are retired either way: a lineage keeps the newest two.
+	PruneOnSnapshot bool
 	// Engine is the per-shard engine template. Metrics and ShardLabel are
 	// managed by the federation; everything else applies to each shard
 	// verbatim (so EpochEvery > 0 gives every shard — and the coordinator —
@@ -84,6 +89,8 @@ type Shard struct {
 	WAL      *wal.Log       // nil when in-memory
 	Dir      string         // "" when in-memory
 	Boot     wal.BootResult // what recovery found (zero when in-memory)
+
+	checkpointed atomic.Int64 // seq the newest checkpoint covers
 }
 
 // Market is the federation: the routing surface in front of the shards and
@@ -97,12 +104,18 @@ type Market struct {
 	coord  *coordinator
 
 	// coordMu is the coordinator mutex: settle rounds, recovery and
-	// SnapshotAll serialize on it, so a snapshot can never observe a shard
-	// mid-2PC.
+	// SnapshotAll's cuts serialize on it, so a snapshot can never observe a
+	// shard mid-2PC.
 	coordMu sync.Mutex
+	// ckMu keeps one checkpoint in flight: SnapshotAll holds it from the cuts
+	// through the writes and prunes, which run after coordMu is released.
+	ckMu      sync.Mutex
+	ckWrites  *obs.Counter   // wal_checkpoints_total
+	ckSeconds *obs.Histogram // wal_checkpoint_seconds
 
 	stop    chan struct{}
-	loopWG  sync.WaitGroup
+	loopWG  sync.WaitGroup // the coordinator's round ticker
+	ckWG    sync.WaitGroup // the checkpointer, one watcher per shard
 	started atomic.Bool
 }
 
@@ -170,6 +183,7 @@ func Open(cfg Config) (*Market, error) {
 				return nil, fmt.Errorf("federation: boot shard %d: %w", i, err)
 			}
 			sh.Platform, sh.Engine, sh.WAL, sh.Dir, sh.Boot = p, e, w, wopts.Dir, res
+			sh.checkpointed.Store(int64(res.FromSnapshotSeq))
 		} else {
 			p, err := core.NewPlatform(cfg.Platform)
 			if err != nil {
@@ -208,14 +222,21 @@ func (m *Market) closeLogs() {
 	}
 }
 
-// Start launches every shard's epoch machinery, plus the coordinator's own
-// periodic round when the engine template has one.
+// Start launches every shard's epoch machinery, the background checkpointer
+// of a durable market, and the coordinator's own periodic round when the
+// engine template has one.
 func (m *Market) Start() {
 	if !m.started.CompareAndSwap(false, true) {
 		return
 	}
 	for _, sh := range m.shards {
 		sh.Engine.Start()
+	}
+	if every := retain.Sizes().Checkpoint; m.cfg.Dir != "" && every > 0 {
+		for _, sh := range m.shards {
+			m.ckWG.Add(1)
+			go m.watchCheckpoints(sh, every)
+		}
 	}
 	if every := m.cfg.Engine.EpochEvery; every > 0 && len(m.shards) > 1 {
 		m.loopWG.Add(1)
@@ -236,8 +257,9 @@ func (m *Market) Start() {
 }
 
 // Drain stops the market without closing its logs: coordinator loop first,
-// then every shard engine in parallel (each runs its final flush epoch).
-// The quiescent market can still SnapshotAll; Stop releases the logs.
+// then every shard engine in parallel (each runs its final flush epoch), then
+// the checkpointer, whose watchers end with their shards' logs. The quiescent
+// market can still SnapshotAll; Stop releases the logs.
 func (m *Market) Drain() {
 	select {
 	case <-m.stop:
@@ -254,6 +276,7 @@ func (m *Market) Drain() {
 		}(sh)
 	}
 	wg.Wait()
+	m.ckWG.Wait()
 }
 
 // Stop shuts the federation down: Drain, then the logs.
@@ -471,6 +494,7 @@ func (m *Market) Stats() engine.Stats {
 		agg.AuditHeld += s.AuditHeld
 		agg.ReadBackEvents += s.ReadBackEvents
 		agg.TicketsRetired += s.TicketsRetired
+		agg.CheckpointSeq += s.CheckpointSeq
 		agg.Uptime = max(agg.Uptime, s.Uptime)
 	}
 	if len(per) > 1 {
@@ -489,11 +513,13 @@ func (m *Market) Stats() engine.Stats {
 }
 
 // ShardStats returns each shard's own engine stats, index-aligned — the
-// per-shard detail behind the aggregate /engine/stats view.
+// per-shard detail behind the aggregate /engine/stats view — with the seq its
+// newest checkpoint covers.
 func (m *Market) ShardStats() []engine.Stats {
 	out := make([]engine.Stats, len(m.shards))
 	for i, sh := range m.shards {
 		out[i] = sh.Engine.Stats()
+		out[i].CheckpointSeq = int(sh.checkpointed.Load())
 	}
 	return out
 }
@@ -517,36 +543,98 @@ type Checkpoint struct {
 	Seq  int
 }
 
-// SnapshotAll snapshots every shard and, with prune set, drops the WAL
-// segments and old snapshots the new checkpoint covers (keeping the newest
-// two checkpoints; the older one is the corruption fallback) — all under the
-// coordinator mutex, so no shard can be mid-2PC in the resulting snapshot
-// set and the per-shard snapshots are mutually consistent with the
-// coordinator log. Returns one checkpoint per shard, index-aligned.
-func (m *Market) SnapshotAll(prune bool) ([]Checkpoint, error) {
+// SnapshotAll checkpoints every shard: the one checkpoint path, behind POST
+// /snapshot, the drain snapshot and the background checkpointer. Every
+// shard's cut is taken under the coordinator mutex, so no shard can be
+// mid-2PC in the resulting snapshot set and the set is mutually consistent
+// with the coordinator log; encoding, fsync and pruning run after it is
+// released (ckMu keeps one checkpoint in flight). With Config.PruneOnSnapshot
+// each write also drops the WAL segments the previous checkpoint covers; old
+// snapshot files are retired either way (each lineage keeps its newest two,
+// the older one as the corruption fallback). Returns one checkpoint per
+// shard, index-aligned.
+func (m *Market) SnapshotAll() ([]Checkpoint, error) {
 	if m.cfg.Dir == "" {
 		return nil, ErrNoSnapshotLineage
 	}
-	m.coordMu.Lock()
-	defer m.coordMu.Unlock()
+	m.ckMu.Lock()
+	defer m.ckMu.Unlock()
+	snaps, cuts, err := m.cutAll()
+	if err != nil {
+		return nil, err
+	}
 	cps := make([]Checkpoint, 0, len(m.shards))
-	for _, sh := range m.shards {
-		snap, err := sh.Engine.Snapshot()
-		if err != nil {
-			return cps, fmt.Errorf("federation: snapshot shard %d: %w", sh.Index, err)
-		}
-		p, err := wal.WriteSnapshot(sh.Dir, snap)
+	for i, sh := range m.shards {
+		start := time.Now()
+		p, err := wal.WriteSnapshot(sh.Dir, snaps[i])
 		if err != nil {
 			return cps, err
 		}
-		cps = append(cps, Checkpoint{Path: p, Seq: snap.TakenAtSeq})
-		if prune {
-			if _, _, err := wal.PruneAfterSnapshot(sh.Dir, sh.WAL); err != nil {
-				return cps, err
-			}
+		sh.checkpointed.Store(int64(snaps[i].TakenAtSeq))
+		m.ckWrites.Inc()
+		m.ckSeconds.Observe((cuts[i] + time.Since(start)).Seconds())
+		cps = append(cps, Checkpoint{Path: p, Seq: snaps[i].TakenAtSeq})
+		snaps[i] = nil
+		if err := wal.PruneAfterSnapshot(sh.Dir, sh.WAL, m.cfg.PruneOnSnapshot); err != nil {
+			return cps, err
 		}
 	}
 	return cps, nil
+}
+
+// cutAll takes every shard's snapshot under the coordinator mutex and
+// reports how long each cut took.
+func (m *Market) cutAll() ([]*engine.SnapshotState, []time.Duration, error) {
+	m.coordMu.Lock()
+	defer m.coordMu.Unlock()
+	if xid := m.coord.inDoubt; xid != "" {
+		// A snapshot does not carry a shard's cross-shard bookkeeping, so a cut
+		// between two commit legs would let recovery apply one of them twice.
+		return nil, nil, fmt.Errorf("federation: checkpoint refused: cross-shard transaction %s is in doubt until a restart resolves it", xid)
+	}
+	snaps := make([]*engine.SnapshotState, len(m.shards))
+	cuts := make([]time.Duration, len(m.shards))
+	for i, sh := range m.shards {
+		start := time.Now()
+		snap, err := sh.Engine.Snapshot()
+		if err != nil {
+			return nil, nil, fmt.Errorf("federation: snapshot shard %d: %w", sh.Index, err)
+		}
+		snaps[i], cuts[i] = snap, time.Since(start)
+	}
+	return snaps, cuts, nil
+}
+
+// watchCheckpoints is one shard's part of the background checkpointer: it
+// sleeps in WaitAfter until the shard's log runs every events past its newest
+// checkpoint, then checkpoints the market — a count of events, never a timer.
+// ckMu lets one checkpoint run at a time, and a shard another watcher's
+// checkpoint already covered waits for its new mark. After a refused or
+// failed checkpoint the next attempt comes every events later, not in a loop.
+// It returns once the market stops or the shard's log closes.
+func (m *Market) watchCheckpoints(sh *Shard, every int) {
+	defer m.ckWG.Done()
+	evlog := sh.Engine.Log()
+	mark := int(sh.checkpointed.Load()) + every
+	for {
+		if evlog.LastSeq() < mark {
+			if _, open := evlog.WaitAfter(mark - 1); !open {
+				return
+			}
+		}
+		select {
+		case <-m.stop:
+			return
+		default:
+		}
+		if next := int(sh.checkpointed.Load()) + every; next > mark {
+			mark = next
+			continue
+		}
+		head := evlog.LastSeq()
+		_, _ = m.SnapshotAll() // a failure leaves checkpointed behind: the next mark retries
+		mark = max(int(sh.checkpointed.Load()), head) + every
+	}
 }
 
 // registerFederationMetrics registers the federation's own families and, on
@@ -561,6 +649,9 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 	if reg == nil {
 		return
 	}
+	m.ckWrites = reg.NewCounter("wal_checkpoints_total", "Shard checkpoints written (all shards).")
+	m.ckSeconds = reg.NewHistogram("wal_checkpoint_seconds",
+		"Time to cut one shard's checkpoint under its epoch lock and write it durably.", obs.DefBuckets)
 	reg.NewGaugeFunc("federation_shards", "Arbiter shards in this market.",
 		func() float64 { return float64(len(m.shards)) })
 	reg.NewGaugeFunc("federation_coordinator_pending_wants", "Cross-shard wants awaiting settlement.",

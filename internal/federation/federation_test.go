@@ -432,7 +432,7 @@ func TestSingleShardFederationMatchesBareEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		driveSingle(m)
-		if cps, err := m.SnapshotAll(false); err != nil || len(cps) != 1 || filepath.Dir(cps[0].Path) != dir {
+		if cps, err := m.SnapshotAll(); err != nil || len(cps) != 1 || filepath.Dir(cps[0].Path) != dir {
 			t.Fatalf("SnapshotAll = %+v, %v; want one checkpoint directly in %s", cps, err, dir)
 		}
 		driveLate(m)

@@ -39,9 +39,11 @@ type SettlementBook struct {
 	settlements []Settlement
 }
 
-// NewSettlementBook creates an empty book.
-func NewSettlementBook() *SettlementBook {
-	return &SettlementBook{}
+// NewSettlementBook creates a book holding recorded, in order. It adopts
+// the slice rather than copying it (a restore hands over the settlements it
+// just decoded); the caller must not change it afterwards.
+func NewSettlementBook(recorded ...Settlement) *SettlementBook {
+	return &SettlementBook{settlements: recorded}
 }
 
 // Record appends one settlement.
@@ -58,13 +60,15 @@ func (b *SettlementBook) Count() int {
 	return len(b.settlements)
 }
 
-// All returns a copy of every settlement in record order.
+// All returns every settlement in record order, read-only. The book only
+// appends and never changes an entry, so this is the recorded prefix clipped
+// to its length and capacity — later Records cannot reach into it — shared
+// rather than copied: O(1) however long the book.
 func (b *SettlementBook) All() []Settlement {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Settlement, len(b.settlements))
-	copy(out, b.settlements)
-	return out
+	n := len(b.settlements)
+	return b.settlements[:n:n]
 }
 
 // Epochs returns the distinct epochs that produced settlements, ascending.

@@ -1,4 +1,5 @@
-// Package retain sizes the bounded in-memory windows of the settle path.
+// Package retain sizes the bounded in-memory windows of the settle path, and
+// the checkpoint interval that bounds what a restart replays.
 // Memory holds live state, the settlement book, and these recent windows,
 // whose durable copy is the WAL. Every window is a pure function of the
 // event stream (counts and seqs, never wall time), so a live run and a replay
@@ -37,9 +38,19 @@ type Windows struct {
 	// auditing the arbiter looks at, recent activity: at four to five entries
 	// per settlement, the last ~1,800 settlements, ~1.5 MB.
 	Audit int
+	// Checkpoint is how many events a shard's log may run past its last
+	// checkpoint before the market writes the next one in the background, so
+	// a restart replays about this many at most (and reads one segment more).
+	// It is sized by replay speed: boot replays ~85k events/s on the
+	// benchmark's two cores, so 32k bounds the tail to ≲0.4 s, about six
+	// checkpoints over a cover run's ~200k events, each ~0.1 s of encode and
+	// fsync off the epoch path. Zero turns background checkpoints off (only
+	// Shrink can set it).
+	Checkpoint int
 }
 
-var sizes = Windows{EventTail: 16 << 10, EventChunk: 1 << 10, Tickets: 16 << 10, History: 1 << 10, Audit: 8 << 10}
+var sizes = Windows{EventTail: 16 << 10, EventChunk: 1 << 10, Tickets: 16 << 10, History: 1 << 10, Audit: 8 << 10,
+	Checkpoint: 32 << 10}
 
 // Sizes returns the windows in force.
 func Sizes() Windows { return sizes }

@@ -13,10 +13,12 @@ type BootResult struct {
 	// FromSnapshotSeq is the checkpoint watermark recovery started from
 	// (0 = no snapshot, full replay).
 	FromSnapshotSeq int
-	// Recovered is the number of valid WAL events the scan found.
+	// Recovered is how many valid WAL records the scan read, from the first
+	// segment the snapshot does not wholly cover on (all of them with no
+	// snapshot).
 	Recovered int
-	// Replayed is how many of those were applied to the platform (the ones
-	// past the snapshot watermark).
+	// Replayed is how many of those were decoded and applied to the platform:
+	// the ones past the snapshot watermark.
 	Replayed int
 }
 
@@ -24,13 +26,15 @@ type BootResult struct {
 // platform + engine pair whose state matches the durable log, with the WAL
 // reopened and attached as the engine's persister:
 //
-//  1. load the newest parseable snapshot, if any;
+//  1. remove snapshot tmp files a crash left mid-write, then load the newest
+//     parseable snapshot, if any;
 //  2. rebuild the platform — from the snapshot checkpoint, or fresh;
-//  3. scan the WAL once, segment by segment (torn tails truncate, never
-//     fail), streaming each segment's events into engine.Restore: events past
-//     the snapshot watermark are replayed onto the platform and folded into
-//     the settlement book, and only the newest tail stays in the in-memory
-//     log (older cursors are served by Log.ReadBack);
+//  3. scan the WAL once, segment by segment, from the first segment the
+//     snapshot does not wholly cover (torn tails truncate, never fail),
+//     decoding only the events past the snapshot watermark and streaming
+//     them into engine.Restore, which replays them onto the platform and
+//     folds them into the settlement book; only the newest tail stays in the
+//     in-memory log (older cursors are served by Log.ReadBack);
 //  4. the same scan leaves the WAL open for appending after the valid prefix.
 //
 // The engine is returned stopped; the caller owns Start/Stop and must Close
@@ -39,6 +43,9 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	walOpts = walOpts.withDefaults()
 	var res BootResult
 
+	if err := removeSnapshotTmps(walOpts.Dir); err != nil {
+		return nil, nil, nil, res, err
+	}
 	snap, err := LoadSnapshot(walOpts.Dir)
 	if err != nil {
 		return nil, nil, nil, res, fmt.Errorf("wal: load snapshot: %w", err)
@@ -62,11 +69,20 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 		cfg.Persister = w
 		res.Recovered, res.Replayed = 0, 0
 		eng, err := engine.Restore(p, cfg, snap, func(yield func([]engine.Event) error) error {
-			return w.openScan(func(evs []engine.Event) error {
+			err := w.openScan(res.FromSnapshotSeq, func(evs []engine.Event) error {
 				res.Recovered += len(evs)
-				res.Replayed += min(len(evs), max(0, evs[len(evs)-1].Seq-res.FromSnapshotSeq))
+				// The snapshot covers the placeholders in front.
+				evs = evs[min(len(evs), max(0, res.FromSnapshotSeq+1-evs[0].Seq)):]
+				res.Replayed += len(evs)
+				if len(evs) == 0 {
+					return nil
+				}
 				return yield(evs)
 			})
+			if err == nil && res.Recovered > 0 && w.lastSeq < res.FromSnapshotSeq {
+				return engine.ErrLogBehindCheckpoint // every record found is covered: see below
+			}
+			return err
 		})
 		if err != nil {
 			w.Close()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -79,6 +80,14 @@ func nextRecord(buf []byte, off int) (payload []byte, next int, done bool, err e
 // JSON, out-of-order seq — ends the prefix, and everything before it is
 // returned. wantNext is the first expected seq (0 accepts any start).
 func DecodeAll(raw []byte, wantNext int) (events []engine.Event, validBytes int) {
+	return decodeRecords(raw, wantNext, 0)
+}
+
+// decodeRecords is DecodeAll that leaves the records with seq <= covered — a
+// checkpoint holds their effects — undecoded: each comes back as a
+// placeholder carrying only its seq, read off the front of the payload, so
+// framing, checksums and seq contiguity are checked exactly as before.
+func decodeRecords(raw []byte, wantNext, covered int) (events []engine.Event, validBytes int) {
 	off := 0
 	for {
 		payload, next, done, err := nextRecord(raw, off)
@@ -86,7 +95,9 @@ func DecodeAll(raw []byte, wantNext int) (events []engine.Event, validBytes int)
 			return events, off
 		}
 		var ev engine.Event
-		if err := json.Unmarshal(payload, &ev); err != nil {
+		if seq, ok := leadingSeq(payload); ok && seq <= covered {
+			ev.Seq = seq
+		} else if err := json.Unmarshal(payload, &ev); err != nil {
 			return events, off
 		}
 		if wantNext != 0 && ev.Seq != wantNext {
@@ -96,4 +107,27 @@ func DecodeAll(raw []byte, wantNext int) (events []engine.Event, validBytes int)
 		wantNext = ev.Seq + 1
 		off = next
 	}
+}
+
+// seqPrefix is how every event record begins: json.Marshal writes
+// engine.Event's fields in declaration order, and Seq is the first.
+var seqPrefix = []byte(`{"seq":`)
+
+// leadingSeq reads the seq off the front of an event record's payload
+// without decoding the rest; ok is false for any other shape.
+func leadingSeq(payload []byte) (seq int, ok bool) {
+	digits, ok := bytes.CutPrefix(payload, seqPrefix)
+	if !ok {
+		return 0, false
+	}
+	for i, c := range digits {
+		switch {
+		case c == ',' && i > 0:
+			return seq, true
+		case c < '0' || c > '9' || i >= 18:
+			return 0, false
+		}
+		seq = seq*10 + int(c-'0')
+	}
+	return 0, false
 }

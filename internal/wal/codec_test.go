@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -153,5 +154,32 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 	if back.Seq != ev.Seq || back.SellerCuts["s1"] != 12.5 {
 		t.Fatalf("round trip mismatch: %+v", back)
+	}
+}
+
+// TestDecodeRecordsLeavesCoveredUndecoded: the records a checkpoint covers
+// come back as seq-only placeholders, with the same valid prefix and the same
+// contiguity check as a full decode; the rest decode exactly as DecodeAll
+// decodes them.
+func TestDecodeRecordsLeavesCoveredUndecoded(t *testing.T) {
+	raw := encodeN(t, 8)
+	full, fullValid := DecodeAll(raw, 0)
+	for covered := 0; covered <= 9; covered++ {
+		got, valid := decodeRecords(raw, 0, covered)
+		if valid != fullValid || len(got) != len(full) {
+			t.Fatalf("covered %d: %d events, valid %d; want %d, %d", covered, len(got), valid, len(full), fullValid)
+		}
+		for i, ev := range got {
+			want := full[i]
+			if ev.Seq <= covered {
+				want = engine.Event{Seq: ev.Seq}
+			}
+			if !reflect.DeepEqual(ev, want) {
+				t.Fatalf("covered %d: event %d = %+v, want %+v", covered, i, ev, want)
+			}
+		}
+	}
+	if got, _ := decodeRecords(raw, 2, 5); len(got) != 0 {
+		t.Fatalf("a placeholder out of sequence was accepted: %+v", got)
 	}
 }

@@ -59,13 +59,29 @@
 //
 // # Boot sequence
 //
-// Boot wires recovery end to end: load the newest parseable snapshot (if
-// any), rebuild the platform from it (or fresh), then scan the WAL once —
-// truncating any torn tail and leaving it open for appending — streaming each
-// segment's events into engine.Restore, which replays the ones past the
-// snapshot onto the platform and keeps only the newest tail in memory; the
-// whole log is never materialised. Subscriber cursors from before the restart
-// resume gap-free, served by ReadBack. Snapshots are written by
-// Engine.Snapshot via WriteSnapshot — on demand (dmms /snapshot), or on
+// Boot wires recovery end to end: delete the tmp files of snapshot writes a
+// crash cut short, load the newest parseable snapshot (if any), rebuild the
+// platform from it (or fresh), then scan the WAL once — from the first
+// segment the snapshot does not wholly cover, truncating any torn tail and
+// leaving it open for appending — streaming each segment's events into
+// engine.Restore, which replays the ones past the snapshot onto the platform
+// and keeps only the newest tail in memory. Segments the snapshot covers are
+// not read at all, and in the first one that is read the records it covers
+// are checked but not decoded, so recovery costs the snapshot plus the log
+// suffix behind it, not the market's lifetime. Covered segments stay on disk
+// until a prune, and subscriber cursors from before the restart resume
+// gap-free from them and the rest, served by ReadBack.
+//
+// # Checkpoints
+//
+// Engine.Snapshot cuts a checkpoint under the engine's epoch lock — the book
+// is shared, not copied — and WriteSnapshot encodes it after the lock is
+// released, streaming the settlements and the ticket window through a
+// buffered writer into a tmp file that is fsynced, renamed into place and
+// made durable with a directory fsync. PruneAfterSnapshot then retires all but the newest two snapshots and
+// optionally drops the segments the older of them covers. The one caller that
+// sequences all three is federation.Market.SnapshotAll, which runs in the
+// background whenever a shard's log has grown retain.Windows.Checkpoint
+// events past its last checkpoint, on demand (dmms POST /snapshot) and on
 // drain (dmgateway -snapshot-on-drain).
 package wal

@@ -110,7 +110,7 @@ func (s *oracleSide) checkpoint(t *testing.T) {
 	if _, err := WriteSnapshot(s.dir, snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := PruneAfterSnapshot(s.dir, s.w); err != nil {
+	if err := PruneAfterSnapshot(s.dir, s.w, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,16 +192,16 @@ func TestEventLogTransparencyOracle(t *testing.T) {
 			sc := oracleScript(rand.New(rand.NewSource(seed)))
 
 			// The reference run: default windows, which a script this short
-			// never crosses — the engine holds its whole log.
+			// never crosses — the engine holds everything it appended or
+			// replayed. (A reboot decodes only the segments its checkpoint
+			// does not cover, so from then on the reference, too, serves older
+			// cursors from disk.)
 			whole, refs := &oracleSide{dir: t.TempDir()}, map[string]oracleRef{}
 			wantTickets, wantPrint := driveOracle(t, whole, sc, func(string) {}, func(where string) {
 				ref := oracleRef{stats: whole.e.Stats(), events: whole.e.Events(0),
 					book: whole.e.Settlements().All(), balances: map[string]ledger.Currency{}}
 				for _, acct := range whole.p.Arbiter.Ledger.Accounts() {
 					ref.balances[acct] = whole.p.Arbiter.Ledger.Balance(acct)
-				}
-				if ref.stats.ReadBackEvents != 0 {
-					t.Fatalf("seed %d %s: the reference engine read %d events back", seed, where, ref.stats.ReadBackEvents)
 				}
 				refs[where] = ref
 			})

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -129,7 +132,7 @@ func TestPruneAfterSnapshotKeepsCorruptionFallback(t *testing.T) {
 		if _, err := WriteSnapshot(dir, snap); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := PruneAfterSnapshot(dir, w); err != nil {
+		if err := PruneAfterSnapshot(dir, w, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,5 +223,149 @@ func TestPruneKeepsActiveSegment(t *testing.T) {
 	defer func() { e2.Stop(); w2.Close() }()
 	if !p2.Arbiter.Ledger.Exists("b9") {
 		t.Fatal("post-prune registration lost on reboot")
+	}
+}
+
+// TestBootDecodesOnlyUncoveredSegments: a snapshot beside the full WAL (no
+// prune) makes boot decode only the segments past its watermark — the ones it
+// does not wholly cover — and a corrupt covered segment, never read, no
+// longer truncates anything. Both boots match the uninterrupted run.
+func TestBootDecodesOnlyUncoveredSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Policy: SyncEpoch, SegmentBytes: 512}
+	w, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPlatform(core.Options{Design: testDesign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	var watermark int
+	for i, epoch := range script() {
+		for _, o := range epoch {
+			submitOp(e, o)
+		}
+		e.TriggerEpoch()
+		if i == 2 {
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := WriteSnapshot(dir, snap); err != nil {
+				t.Fatal(err)
+			}
+			watermark = snap.TakenAtSeq
+		}
+	}
+	e.Stop()
+	w.Close()
+	want, head := fingerprint(t, p, e, true), e.Log().LastSeq()
+
+	segs, _ := segmentFiles(dir)
+	first := 0 // the segment holding seq watermark+1 begins here
+	for _, name := range segs {
+		if s := segmentFirstSeq(name); s <= watermark+1 {
+			first = s
+		}
+	}
+	if first <= 1 {
+		t.Fatalf("no segment wholly below the watermark %d: %v", watermark, segs)
+	}
+	boot := func(what string) {
+		t.Helper()
+		p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		defer w2.Close()
+		if want := (BootResult{FromSnapshotSeq: watermark, Recovered: head - first + 1, Replayed: head - watermark}); res != want {
+			t.Fatalf("%s: %+v, want %+v", what, res, want)
+		}
+		e2.Stop()
+		if got := fingerprint(t, p2, e2, true); string(got) != string(want) {
+			t.Fatalf("%s diverged:\n--- baseline\n%s\n--- restarted\n%s", what, want, got)
+		}
+	}
+	boot("boot from snapshot + full WAL")
+
+	covered := filepath.Join(dir, segs[0])
+	raw, err := os.ReadFile(covered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(covered, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot("boot past a corrupt covered segment")
+	if after, _ := segmentFiles(dir); len(after) != len(segs) {
+		t.Fatalf("segments %v became %v", segs, after)
+	}
+	if st, err := os.Stat(covered); err != nil || st.Size() != int64(len(raw)) {
+		t.Fatalf("corrupt covered segment was touched: %v %v", st, err)
+	}
+}
+
+// TestBootRemovesStaleSnapshotTmp: a crash between a snapshot's tmp write and
+// its rename leaves the tmp file behind; the next boot deletes it and leaves
+// the real snapshots alone.
+func TestBootRemovesStaleSnapshotTmp(t *testing.T) {
+	_, e, dir := runUninterrupted(t, core.Options{Design: testDesign}, script(), SyncEpoch)
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteSnapshot(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := writeSnapshotTmp(dir, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e2.Stop(); w2.Close() }()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stale tmp %s survived boot: %v", tmp, err)
+	}
+	if res.FromSnapshotSeq != snap.TakenAtSeq {
+		t.Fatalf("boot ignored the real snapshot: %+v", res)
+	}
+}
+
+// TestStreamedSnapshotIsTheMarshalledObject: the streamed snapshot encoding
+// is the JSON object json.Marshal gives — same keys and values, only in
+// another order — so snapshots written before and after streaming load on
+// either side.
+func TestStreamedSnapshotIsTheMarshalledObject(t *testing.T) {
+	_, e, _ := runUninterrupted(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch)
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Tickets) == 0 || len(snap.Settles) == 0 {
+		t.Fatalf("snapshot streams nothing: %d tickets, %d settlements", len(snap.Tickets), len(snap.Settles))
+	}
+	var streamed bytes.Buffer
+	if err := encodeSnapshot(&streamed, snap); err != nil {
+		t.Fatal(err)
+	}
+	marshalled, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want any
+	if err := json.Unmarshal(streamed.Bytes(), &got); err != nil {
+		t.Fatalf("streamed snapshot is not JSON: %v", err)
+	}
+	if err := json.Unmarshal(marshalled, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed snapshot differs from json.Marshal:\n%s\n%s", streamed.Bytes(), marshalled)
 	}
 }

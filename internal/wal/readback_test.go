@@ -124,7 +124,7 @@ func TestReadBackSurvivesPruneUnderScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs [][2]int
-	err = scanSegments(dir, segs, "", 0, true, func(_ int, evs []engine.Event, _, _ int) (bool, error) {
+	err = scanSegments(dir, segs, "", 0, true, 0, func(_ int, evs []engine.Event, _, _ int) (bool, error) {
 		if len(evs) > 0 {
 			runs = append(runs, [2]int{evs[0].Seq, evs[len(evs)-1].Seq})
 		}
@@ -136,7 +136,7 @@ func TestReadBackSurvivesPruneUnderScan(t *testing.T) {
 	if len(runs) < 3 || runs[0][0] != 1 || runs[1][0] != segmentFirstSeq(segs[2]) || runs[len(runs)-1][1] != 120 {
 		t.Fatalf("scan over a missing segment visited %v", runs)
 	}
-	if err := scanSegments(dir, segs, "", 0, false, func(int, []engine.Event, int, int) (bool, error) {
+	if err := scanSegments(dir, segs, "", 0, false, 0, func(int, []engine.Event, int, int) (bool, error) {
 		return true, nil
 	}); err == nil {
 		t.Fatal("recovery scan must fail on a missing segment, not skip it")
@@ -175,7 +175,7 @@ func TestScanStopsItsReader(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		want := []error{nil, boom}[i%2]
 		visited := 0
-		err := scanSegments(dir, segs, "", 0, false, func(int, []engine.Event, int, int) (bool, error) {
+		err := scanSegments(dir, segs, "", 0, false, 0, func(int, []engine.Event, int, int) (bool, error) {
 			visited++
 			return false, want
 		})

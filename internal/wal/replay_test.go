@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -415,6 +416,7 @@ func fingerprint(t *testing.T, p *core.Platform, e *engine.Engine, withEpochs bo
 			snap.Tickets[i].Epoch = 0
 			snap.Tickets[i].MatchedEpoch = 0
 		}
+		snap.Settles = slices.Clone(snap.Settles) // the book's own entries: read-only
 		for i := range snap.Settles {
 			snap.Settles[i].Epoch = 0
 		}
@@ -624,6 +626,128 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 	}
 }
 
+// checkpointStages are where a kill can land in one checkpoint cycle: after
+// the tmp file is written and synced but before its rename, after the rename
+// but before the prune, and after the prune — the last once more with the
+// newest snapshot corrupted afterwards, so boot has to fall back one
+// checkpoint.
+var checkpointStages = []string{"tmp", "renamed", "pruned", "corrupt"}
+
+// checkpointMatrix drives the script through a WAL-backed engine that
+// checkpoints — cut, write, prune behind — whenever its log has run
+// retain.Windows.Checkpoint events past the previous checkpoint, as
+// federation.Market's checkpointer does, and kills it at every stage of every
+// checkpoint. Each reboot must sweep the tmp file a kill before the rename
+// leaves, come back from the newest intact checkpoint plus the WAL segments it
+// does not cover, and after re-driving the script match the uninterrupted run
+// byte for byte.
+func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
+	t.Helper()
+	t.Cleanup(retain.Shrink(func(w *retain.Windows) { w.Checkpoint = 5 }))
+	basePlat, baseEng, _ := runUninterrupted(t, platOpts, sc, SyncEpoch)
+	baseStrong := fingerprint(t, basePlat, baseEng, true)
+	opts := func(dir string) Options { return Options{Dir: dir, Policy: SyncEpoch, SegmentBytes: 512} }
+
+	// run drives the script into dir and dies at stage of checkpoint number
+	// kill (0 = never). It returns the seqs of the checkpoints it renamed into
+	// place and the durable log head.
+	run := func(dir string, kill int, stage string) (written []int, head int) {
+		w, err := Open(opts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.NewPlatform(platOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := &faultPersister{inner: w, remaining: 1 << 30}
+		e := engine.New(p, engine.Config{Shards: 4, Persister: fp})
+		cut := 0
+		for _, epoch := range sc {
+			for _, o := range epoch {
+				submitOp(e, o)
+			}
+			e.TriggerEpoch()
+			if e.Log().LastSeq()-cut < retain.Sizes().Checkpoint {
+				continue
+			}
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut = snap.TakenAtSeq
+			if n := len(written) + 1; n == kill && stage == "tmp" {
+				if _, err := writeSnapshotTmp(dir, snap); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			path, err := WriteSnapshot(dir, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written = append(written, cut)
+			if len(written) == kill && stage == "renamed" {
+				break
+			}
+			if err := PruneAfterSnapshot(dir, w, true); err != nil {
+				t.Fatal(err)
+			}
+			if len(written) == kill {
+				if stage == "corrupt" {
+					if err := os.WriteFile(path, []byte(`{"taken_at_seq":`), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				break
+			}
+		}
+		fp.remaining = 0 // dead: nothing after this point is durable
+		e.Stop()
+		w.Close()
+		return written, e.Log().LastSeq()
+	}
+
+	ckpts, _ := run(t.TempDir(), 0, "")
+	if len(ckpts) < 3 {
+		t.Fatalf("script crosses the checkpoint interval %d times, want several", len(ckpts))
+	}
+	for kill := 1; kill <= len(ckpts); kill++ {
+		for _, stage := range checkpointStages {
+			t.Run(fmt.Sprintf("ckpt%d-%s", kill, stage), func(t *testing.T) {
+				dir := t.TempDir()
+				written, head := run(dir, kill, stage)
+				want := 0 // the newest intact checkpoint
+				if n := len(written); stage == "corrupt" && n > 1 {
+					want = written[n-2]
+				} else if stage != "corrupt" && n > 0 {
+					want = written[n-1]
+				}
+
+				p2, e2, w2, res, err := Boot(platOpts, engine.Config{Shards: 4}, opts(dir))
+				if err != nil {
+					t.Fatalf("boot: %v", err)
+				}
+				defer w2.Close()
+				if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+tmpInfix+"*")); len(tmps) > 0 {
+					t.Fatalf("boot left snapshot tmp files behind: %v", tmps)
+				}
+				if res.FromSnapshotSeq != want || res.FromSnapshotSeq+res.Replayed != head {
+					t.Fatalf("boot %+v, want snapshot seq %d and the rest up to %d replayed", res, want, head)
+				}
+				if want > 0 && res.Recovered >= head {
+					t.Fatalf("boot from the checkpoint at %d still decoded %d of %d events", want, res.Recovered, head)
+				}
+				redrive(t, e2, sc)
+				e2.Stop()
+				if got := fingerprint(t, p2, e2, true); string(got) != string(baseStrong) {
+					t.Fatalf("kill at checkpoint %d (%s) diverged:\n--- baseline\n%s\n--- restarted\n%s", kill, stage, baseStrong, got)
+				}
+			})
+		}
+	}
+}
+
 // TestCrashReplayDeterminism is the crash/replay harness, table-driven over
 // fsync policies on the up-front (posted-price) script.
 func TestCrashReplayDeterminism(t *testing.T) {
@@ -693,6 +817,11 @@ func TestCrashReplayDeterminism(t *testing.T) {
 		}
 		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, 0, false, 0)
 	})
+	// The checkpoint variant: background checkpoints every few events, killed
+	// at every stage of every one of them.
+	t.Run("checkpoint", func(t *testing.T) {
+		checkpointMatrix(t, core.Options{Design: testDesign}, script())
+	})
 }
 
 // TestExPostCrashReplayDeterminism runs the crash matrix over the ex-post
@@ -723,6 +852,11 @@ func TestExPostCrashReplayDeterminism(t *testing.T) {
 	t.Run("tiny-tail", func(t *testing.T) {
 		tinyWindows(t)
 		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 0, false, 0)
+	})
+	// Checkpoints carry pending escrows: every kill during one must restore
+	// them exactly.
+	t.Run("checkpoint", func(t *testing.T) {
+		checkpointMatrix(t, core.Options{Design: "expost-audited"}, expostScript())
 	})
 }
 

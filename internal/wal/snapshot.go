@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,7 +16,8 @@ import (
 
 // Snapshot files live beside the segments as snapshot-<seq>.json, where
 // <seq> is the checkpoint's TakenAtSeq. They are written atomically
-// (tmp + rename) so a crash mid-write never shadows an older good snapshot.
+// (tmp + rename) so a crash mid-write never shadows an older good snapshot;
+// Boot removes the tmp files such a crash leaves behind.
 
 func snapshotName(seq int) string { return fmt.Sprintf("snapshot-%010d.json", seq) }
 
@@ -50,51 +53,116 @@ func snapshotFiles(dir string) ([]string, error) {
 	return names, nil
 }
 
-// WriteSnapshot persists an engine checkpoint into dir and returns its path.
+// tmpInfix marks a snapshot still being written: snapshot-<seq>.json.tmp-<rand>.
+const tmpInfix = ".tmp-"
+
+// WriteSnapshot persists an engine checkpoint into dir and returns its path
+// once the file and its directory entry are durable.
 func WriteSnapshot(dir string, snap *engine.SnapshotState) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	raw, err := json.Marshal(snap)
+	tmp, err := writeSnapshotTmp(dir, snap)
 	if err != nil {
-		return "", fmt.Errorf("wal: encode snapshot: %w", err)
+		return "", err
 	}
 	path := filepath.Join(dir, snapshotName(snap.TakenAtSeq))
-	// Unique tmp name: concurrent snapshot requests must not interleave
-	// writes into the same file before the atomic rename.
-	f, err := os.CreateTemp(dir, snapshotName(snap.TakenAtSeq)+".tmp-*")
-	if err != nil {
-		return "", err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return "", err
 	}
 	// Make the rename itself durable — without a directory fsync the
-	// snapshot can vanish on power loss even though its bytes were synced.
-	if d, err := os.Open(dir); err == nil {
-		derr := d.Sync()
-		d.Close()
-		if derr != nil {
-			return "", derr
-		}
+	// snapshot can vanish on power loss even though its bytes were synced,
+	// and a prune behind it would have dropped what it covers.
+	if err := syncDir(dir); err != nil {
+		return "", err
 	}
 	return path, nil
+}
+
+// writeSnapshotTmp encodes snap into a fresh tmp file in dir and fsyncs it:
+// everything WriteSnapshot does before the rename. The unique name keeps
+// concurrent writers apart; a crash leaves the file for Boot to sweep.
+func writeSnapshotTmp(dir string, snap *engine.SnapshotState) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	f, err := os.CreateTemp(dir, snapshotName(snap.TakenAtSeq)+tmpInfix+"*")
+	if err != nil {
+		return "", err
+	}
+	err = encodeSnapshot(f, snap)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}
+
+// encodeSnapshot writes snap as the JSON object json.Marshal would, with its
+// two long lists — the settlements, which grow with the market's lifetime, and
+// the ticket window — last and streamed one entry at a time through a
+// buffered writer, so encoding never holds a second copy of either.
+func encodeSnapshot(w io.Writer, snap *engine.SnapshotState) error {
+	rest := *snap
+	rest.Tickets, rest.Settles = nil, nil
+	head, err := json.Marshal(&rest)
+	if err != nil {
+		return fmt.Errorf("wal: encode snapshot: %w", err)
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.Write(head[:len(head)-1]) // reopen the object: drop its closing brace
+	enc := json.NewEncoder(bw)
+	if err := encodeList(bw, enc, "tickets", snap.Tickets); err != nil {
+		return err
+	}
+	if err := encodeList(bw, enc, "settlements", snap.Settles); err != nil {
+		return err
+	}
+	bw.WriteByte('}')
+	return bw.Flush()
+}
+
+// encodeList appends `,"key":[...]` to an open JSON object, one element at a
+// time; like omitempty, it writes nothing for an empty list.
+func encodeList[T any](bw *bufio.Writer, enc *json.Encoder, key string, list []T) error {
+	if len(list) == 0 {
+		return nil
+	}
+	bw.WriteString(`,"` + key + `":[`)
+	for i := range list {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := enc.Encode(&list[i]); err != nil {
+			return fmt.Errorf("wal: encode snapshot %s: %w", key, err)
+		}
+	}
+	return bw.WriteByte(']')
+}
+
+// removeSnapshotTmps deletes the tmp files of snapshot writes a crash cut
+// short before their rename. Boot calls it, when no write can be in flight.
+func removeSnapshotTmps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, "snapshot-") && strings.Contains(name, ".json"+tmpInfix) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("wal: remove stale snapshot tmp %s: %w", name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // LoadSnapshot returns the newest parseable snapshot in dir, or (nil, nil)
@@ -120,36 +188,36 @@ func LoadSnapshot(dir string) (*engine.SnapshotState, error) {
 }
 
 // PruneAfterSnapshot bounds WAL-directory growth after a successful
-// checkpoint without giving up LoadSnapshot's corruption fallback: segments
-// are pruned only up to the *second*-newest snapshot's watermark — so the
-// newest snapshot going corrupt still leaves a fallback checkpoint plus
-// every segment it needs to replay forward — and snapshot files older than
-// that fallback are deleted. With fewer than two snapshots nothing is
-// removed (the first checkpoint cycle keeps the full log as its own
-// fallback). Returns how many segments and snapshots were removed.
-func PruneAfterSnapshot(dir string, w *Log) (segments, snapshots int, err error) {
+// checkpoint without giving up LoadSnapshot's corruption fallback: snapshot
+// files older than the *second*-newest are deleted, so the directory never
+// holds more than two checkpoints, and with segments set the WAL segments are
+// pruned up to that fallback's watermark — so the newest snapshot going
+// corrupt still leaves a fallback checkpoint plus every segment it needs to
+// replay forward. With fewer than two snapshots nothing is removed (the first
+// checkpoint cycle keeps the full log as its own fallback).
+func PruneAfterSnapshot(dir string, w *Log, segments bool) error {
 	names, err := snapshotFiles(dir)
 	if err != nil || len(names) < 2 {
-		return 0, 0, err
+		return err
 	}
-	fallback := snapshotSeq(names[1])
-	if segments, err = w.PruneCovered(fallback); err != nil {
-		return segments, 0, err
+	if segments {
+		if _, err := w.PruneCovered(snapshotSeq(names[1])); err != nil {
+			return err
+		}
 	}
+	removed := false
 	for _, name := range names[2:] {
 		// A concurrent prune may already have removed it; idempotent.
 		if err := os.Remove(filepath.Join(dir, name)); err != nil {
 			if os.IsNotExist(err) {
 				continue
 			}
-			return segments, snapshots, fmt.Errorf("wal: prune snapshot %s: %w", name, err)
+			return fmt.Errorf("wal: prune snapshot %s: %w", name, err)
 		}
-		snapshots++
+		removed = true
 	}
-	if snapshots > 0 {
-		if err := syncDir(dir); err != nil {
-			return segments, snapshots, err
-		}
+	if removed {
+		return syncDir(dir)
 	}
-	return segments, snapshots, nil
+	return nil
 }

@@ -141,12 +141,14 @@ func segmentFiles(dir string) ([]string, error) {
 // false, or on an error. Only activeBytes of the segment named active are
 // decoded — its tail may be mid-append. skipMissing tolerates a segment
 // PruneCovered removed under the scan: contiguity restarts at the next one.
+// Events with seq <= covered come back as seq-only placeholders
+// (decodeRecords).
 //
 // A reader goroutine decodes one segment ahead of visit, so recovery — where
 // visit replays the events, about as much work as decoding them — runs its
 // two halves side by side; at most two decoded segments exist at a time. The
 // reader has exited when scanSegments returns.
-func scanSegments(dir string, names []string, active string, activeBytes int64, skipMissing bool,
+func scanSegments(dir string, names []string, active string, activeBytes int64, skipMissing bool, covered int,
 	visit func(i int, evs []engine.Event, valid, size int) (bool, error)) error {
 	type segment struct {
 		i           int
@@ -171,7 +173,7 @@ func scanSegments(dir string, names []string, active string, activeBytes int64, 
 				if name == active && int64(len(raw)) > activeBytes {
 					raw = raw[:activeBytes]
 				}
-				s.evs, s.valid = DecodeAll(raw, wantNext)
+				s.evs, s.valid = decodeRecords(raw, wantNext, covered)
 				s.size = len(raw)
 				if len(s.evs) > 0 {
 					wantNext = s.evs[len(s.evs)-1].Seq + 1
@@ -213,7 +215,7 @@ func Load(dir string) ([]engine.Event, error) {
 		return nil, err
 	}
 	var events []engine.Event
-	err = scanSegments(dir, segs, "", 0, false, func(_ int, evs []engine.Event, _, _ int) (bool, error) {
+	err = scanSegments(dir, segs, "", 0, false, 0, func(_ int, evs []engine.Event, _, _ int) (bool, error) {
 		events = append(events, evs...)
 		return true, nil
 	})
@@ -226,7 +228,7 @@ func Load(dir string) ([]engine.Event, error) {
 // record. The returned Log expects the next Persist to carry seq LastSeq()+1.
 func Open(opts Options) (*Log, error) {
 	w := &Log{opt: opts.withDefaults()}
-	if err := w.openScan(nil); err != nil {
+	if err := w.openScan(0, nil); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -234,9 +236,14 @@ func Open(opts Options) (*Log, error) {
 
 // openScan is Open on a fresh Log, streaming: each segment's events go to
 // yield (nil = discard) as it is decoded — Boot replays them from there, so
-// recovery reads every segment once and holds two segments' events at most
-// (the one being replayed and the one decoded ahead of it).
-func (w *Log) openScan(yield func([]engine.Event) error) error {
+// recovery reads each segment once and holds two segments' events at most
+// (the one being replayed and the one decoded ahead of it). Sealed segments a
+// checkpoint at watermark covers entirely — their successor begins at or
+// below watermark+1 — are not read at all: they stay on disk for ReadBack
+// (and PruneCovered), and a torn record inside one truncates nothing. In the
+// segments it does read, the records up to watermark are checked but not
+// decoded: yield gets them as seq-only placeholders.
+func (w *Log) openScan(watermark int, yield func([]engine.Event) error) error {
 	dir := w.opt.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -245,11 +252,18 @@ func (w *Log) openScan(yield func([]engine.Event) error) error {
 	if err != nil {
 		return err
 	}
+	from := 0 // the last segment that begins at or below watermark+1
+	for i, name := range segs {
+		if segmentFirstSeq(name) <= watermark+1 {
+			from = i
+		}
+	}
 	appendTo := "" // segment to continue appending into
 	var appendSize int64
 	liveSegs := len(segs)
 	truncations := 0
-	err = scanSegments(dir, segs, "", 0, false, func(i int, evs []engine.Event, valid, size int) (bool, error) {
+	err = scanSegments(dir, segs[from:], "", 0, false, watermark, func(i int, evs []engine.Event, valid, size int) (bool, error) {
+		i += from
 		if len(evs) > 0 {
 			w.lastSeq = evs[len(evs)-1].Seq
 			if yield != nil {
@@ -331,7 +345,7 @@ func (w *Log) ReadBack(after, upto int) ([]engine.Event, error) {
 		}
 	}
 	var out []engine.Event
-	err = scanSegments(w.opt.Dir, segs[from:to], active, activeBytes, true,
+	err = scanSegments(w.opt.Dir, segs[from:to], active, activeBytes, true, 0,
 		func(_ int, evs []engine.Event, _, _ int) (bool, error) {
 			out = appendRange(out, evs, after, upto)
 			return len(evs) == 0 || evs[len(evs)-1].Seq < upto, nil
