@@ -327,17 +327,12 @@ func exactShapleySplit(players []string, v market.ValueFunc) map[string]float64 
 // The coverage variant is the cheap-build baseline; the transform-heavy
 // variants make the Mashup Builder the dominant epoch cost (many distinct
 // want groups over transform-materialized columns, with fresh shares
-// continuously invalidating the candidate cache) and contrast synchronous
-// in-round builds against the async DoD builder pool, whose build stage
-// overlaps the per-group beam searches (build-ms/epoch is accounted to the
-// workers either way; with the pool the epoch only waits for the slowest
-// group instead of the sum).
+// continuously invalidating the candidate cache), built inside the round
+// (build-ms/epoch is the builds' share of it).
 func BenchmarkEngineThroughput(b *testing.B) {
 	b.Run("coverage", benchCoverageThroughput)
-	b.Run("transform-heavy/sync", func(b *testing.B) { benchTransformHeavy(b, 0, false) })
-	b.Run("transform-heavy/workers=4", func(b *testing.B) { benchTransformHeavy(b, 4, false) })
-	b.Run("transform-join/sync", func(b *testing.B) { benchTransformHeavy(b, 0, true) })
-	b.Run("transform-join/workers=4", func(b *testing.B) { benchTransformHeavy(b, 4, true) })
+	b.Run("transform-heavy/sync", func(b *testing.B) { benchTransformHeavy(b, false) })
+	b.Run("transform-join/sync", func(b *testing.B) { benchTransformHeavy(b, true) })
 	b.Run("federation/shards=1", func(b *testing.B) { benchFederationThroughput(b, 1) })
 	b.Run("federation/shards=2", func(b *testing.B) { benchFederationThroughput(b, 2) })
 	b.Run("federation/shards=4", func(b *testing.B) { benchFederationThroughput(b, 4) })
@@ -412,7 +407,7 @@ func benchCoverageThroughput(b *testing.B) {
 // dataset covers it and every build materializes cross-dataset joins. This
 // variant is what makes the Mashup Builder's join pipeline (streaming
 // lineage-carrying joins, sub-join memo) the dominant build-stage cost.
-func benchTransformHeavy(b *testing.B, workers int, joinWants bool) {
+func benchTransformHeavy(b *testing.B, joinWants bool) {
 	const (
 		buyers = 16
 		groups = 6
@@ -423,7 +418,7 @@ func benchTransformHeavy(b *testing.B, workers int, joinWants bool) {
 		b.Fatal(err)
 	}
 	reg := benchRegistry()
-	eng := engine.New(p, engine.Config{Shards: 8, BatchThreshold: 128, DoDWorkers: workers, Metrics: reg})
+	eng := engine.New(p, engine.Config{Shards: 8, BatchThreshold: 128, Metrics: reg})
 	defer eng.Stop()
 	for i := 0; i < buyers; i++ {
 		if _, err := eng.SubmitRegister(fmt.Sprintf("b%02d", i), 1e9); err != nil {

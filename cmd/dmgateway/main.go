@@ -31,7 +31,7 @@
 // Usage:
 //
 //	dmgateway -addr :8080 -design posted-baseline -epoch 250ms -batch 64 \
-//	          -shards 4 -intake-shards 8 -dod-workers 4 -quota-rps 50 \
+//	          -shards 4 -intake-shards 8 -build-deadline 2s -quota-rps 50 \
 //	          -quota-override etl=500:1000 \
 //	          -wal-dir /var/lib/dmms/wal -fsync epoch -snapshot-on-drain
 package main
@@ -127,6 +127,31 @@ func (q quotaOverrideFlag) toConfig(epoch time.Duration) map[string]engine.Quota
 	return out
 }
 
+// checkLimits refuses a negative value for any gateway limit in fs. The
+// engine reads a negative limit as "off" (a queue-depth bound <= 0 admits
+// everything, a negative quota disables quotas), so a typo would silently
+// unthrottle the market; -quota-override refuses negatives for the same
+// reason.
+func checkLimits(fs *flag.FlagSet) error {
+	for _, name := range []string{"quota-rps", "quota-burst", "admit-cap", "max-pending",
+		"epoch-cap", "dod-cache-entries", "build-deadline"} {
+		f := fs.Lookup(name)
+		var negative bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			negative = v < 0
+		case float64:
+			negative = v < 0
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative {
+			return fmt.Errorf("-%s %s: must be >= 0", name, f.Value)
+		}
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	design := flag.String("design", "posted-baseline", "market design label")
@@ -147,15 +172,17 @@ func main() {
 	quotaBurst := flag.Float64("quota-burst", 0, "token-bucket burst capacity (0 = auto)")
 	admitCap := flag.Int("admit-cap", 0, "global requests admitted per epoch window; excess get 429 (0 = unlimited)")
 	maxPending := flag.Int("max-pending", 0, "queue-depth backpressure: reject submissions while this many are queued (0 = unlimited)")
-	dodWorkers := flag.Int("dod-workers", 0, "async DoD builder pool size: mashup builds run on this many workers so epochs only price pre-built candidates (0 = build inline in the round)")
-	metrics := flag.Bool("metrics", true, "serve Prometheus telemetry on GET /metrics (engine, builder pool, WAL, arbiter and HTTP families)")
+	metrics := flag.Bool("metrics", true, "serve Prometheus telemetry on GET /metrics (engine, DoD, WAL, arbiter and HTTP families)")
 	cacheEntries := flag.Int("dod-cache-entries", 0, "max cached DoD candidate sets; stale-first, cost-weighted eviction beyond it (0 = unlimited)")
-	buildDeadline := flag.Duration("build-deadline", 0, "per-want-group DoD build deadline: a build outrunning it resolves as failed for the round (the group retries next epoch) instead of wedging a worker or the epoch (0 = unbounded)")
+	buildDeadline := flag.Duration("build-deadline", 0, "per-want-group DoD build deadline: a build outrunning it resolves as failed for the round (the group retries next epoch) instead of wedging the epoch (0 = unbounded)")
 	allocExactMax := flag.Int("allocator-exact-max", 0, "replace the design's revenue allocator with adaptive Shapley: exact enumeration up to this many contributing datasets, confidence-bounded permutation sampling above (0 = keep the design's allocator)")
 	allocErr := flag.Float64("allocator-err", 0.05, "adaptive allocator target L1 error for sampled revenue splits (with -allocator-exact-max)")
 	var overrides quotaOverrideFlag
 	flag.Var(&overrides, "quota-override", "per-participant quota override name=rps[:burst], overriding -quota-rps/-quota-burst for that participant (rps 0 = exempt); repeatable")
 	flag.Parse()
+	if err := checkLimits(flag.CommandLine); err != nil {
+		log.Fatalf("dmgateway: %v", err)
+	}
 
 	policy, err := engine.ParsePolicy(*policyName, *ageBoost)
 	if err != nil {
@@ -178,7 +205,6 @@ func main() {
 		BatchThreshold: *batch,
 		Policy:         policy,
 		EpochMatchCap:  *epochCap,
-		DoDWorkers:     *dodWorkers,
 		BuildDeadline:  *buildDeadline,
 		Admission: engine.AdmissionConfig{
 			QuotaPerEpoch:   quotaPerEpoch,
@@ -299,8 +325,8 @@ func main() {
 		m.Stop()
 	}()
 
-	log.Printf("dmgateway: design=%q shards=%d intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g dod-workers=%d on %s",
-		m.Shards()[0].Platform.Design.Label, m.NumShards(), *intakeShards, *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *dodWorkers, *addr)
+	log.Printf("dmgateway: design=%q shards=%d intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g on %s",
+		m.Shards()[0].Platform.Design.Label, m.NumShards(), *intakeShards, *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -180,8 +180,8 @@ func (a *Arbiter) ShareDataset(seller string, id catalog.DatasetID, rel *relatio
 	meta.Dataset = string(id)
 	a.metas[string(id)] = meta
 	a.shareOrder = append(a.shareOrder, string(id))
-	// Index through the DoD engine's mutation seam: worker-goroutine builds
-	// never see a half-indexed dataset.
+	// Index through the DoD engine's mutation seam: concurrent builds never
+	// see a half-indexed dataset.
 	a.dod.MutateCatalog(id, func() bool {
 		a.ix.Add(profile.Profile(string(id), rel))
 		return true
@@ -336,43 +336,12 @@ func (a *Arbiter) PriceRound(ctx context.Context, ids []string, prebuilt map[str
 	return a.matchRoundLocked(ctx, pool, prebuilt), nil
 }
 
-// OpenWantGroups is the build stage's work list: the distinct want groups of
-// the given open requests (nil = every open request), one representative
-// Want per group key in pool order — exactly the wants the matching round
-// over the same ids would build. The engine's builder pool fans these out to
-// workers before PriceRound runs.
-func (a *Arbiter) OpenWantGroups(ids []string) []dod.Want {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var pool []*Request
-	if ids == nil {
-		pool = a.openLocked()
-	} else {
-		pool = make([]*Request, 0, len(ids))
-		for _, id := range ids {
-			if r := a.reqByID[id]; r != nil && r.Open {
-				pool = append(pool, r)
-			}
-		}
-	}
-	seen := map[string]bool{}
-	var wants []dod.Want
-	for _, r := range pool {
-		k := wantKey(r.Want)
-		if !seen[k] {
-			seen[k] = true
-			wants = append(wants, r.Want)
-		}
-	}
-	return wants
-}
-
 // BuildFor builds (through the versioned candidate cache) the mashup
 // candidates for one want. It deliberately does not take the arbiter lock:
-// builds from many worker goroutines run concurrently with each other and
-// with intake, serialized only against catalog mutations inside the DoD
-// engine. ctx cancels or bounds the build (the configured build deadline
-// applies on top); an abandoned build resolves to a failed CandidateSet.
+// builds from several goroutines run concurrently with each other and with
+// intake, serialized only against catalog mutations inside the DoD engine.
+// ctx cancels or bounds the build (the configured build deadline applies on
+// top); an abandoned build resolves to a failed CandidateSet.
 func (a *Arbiter) BuildFor(ctx context.Context, want dod.Want) *dod.CandidateSet {
 	return a.dod.BuildCached(ctx, want)
 }

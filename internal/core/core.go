@@ -152,18 +152,11 @@ func (p *Platform) AddUnmet(cols map[string]int) {
 	p.Arbiter.AddUnmet(cols)
 }
 
-// OpenWantGroups returns the distinct want groups of the given open requests
-// (nil = all open), one representative Want per group in pool order — the
-// build stage's work list for the engine's DoD worker pool.
-func (p *Platform) OpenWantGroups(ids []string) []dod.Want {
-	return p.Arbiter.OpenWantGroups(ids)
-}
-
 // BuildCandidates builds (through the DoD engine's versioned candidate
-// cache) the mashup candidates for one want. Safe to call from worker
-// goroutines concurrently with intake; only catalog mutations serialize
-// against it. ctx cancels or bounds the build (the configured build
-// deadline applies on top); an abandoned build resolves to a failed set.
+// cache) the mashup candidates for one want. Safe to call concurrently with
+// intake; only catalog mutations serialize against it. ctx cancels or bounds
+// the build (the configured build deadline applies on top); an abandoned
+// build resolves to a failed set.
 func (p *Platform) BuildCandidates(ctx context.Context, want dod.Want) *dod.CandidateSet {
 	return p.Arbiter.BuildFor(ctx, want)
 }

@@ -59,7 +59,6 @@ func scrapeMetrics(t *testing.T, url string) (string, map[string]float64) {
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := durableConfig(t.TempDir(), 1, "posted-baseline")
-	cfg.Engine.DoDWorkers = 2
 	cfg.Metrics = reg
 	m, err := federation.Open(cfg)
 	if err != nil {

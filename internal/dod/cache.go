@@ -32,11 +32,10 @@ import (
 // wanted column) the footprint must widen to the join-reachable ones.
 //
 // Candidates are derived state: they are never logged or snapshotted, which is
-// what lets the engine build them on worker goroutines — and carry them across
-// unrelated mutations — without touching replay determinism: a valid cached
-// set is byte-identical to what an inline build of the same want at the
-// current version would produce, because Build is deterministic and a function
-// of the want's footprint datasets only.
+// what lets the engine carry them across unrelated mutations without touching
+// replay determinism: a valid cached set is byte-identical to what a fresh
+// build of the same want at the current version would produce, because Build
+// is deterministic and a function of the want's footprint datasets only.
 
 // Key is the group key of a want: buyers with the same wanted columns share
 // one auction, so they share one cache slot. The arbiter groups requests by
@@ -137,7 +136,7 @@ type CacheStats struct {
 	// build they were waiting on) outran the configured build deadline.
 	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 	// Cancelled counts build requests abandoned to an external cancellation
-	// (engine shutdown, cancel-on-settle of a speculative prebuild).
+	// (the caller's context ending before the build did).
 	Cancelled uint64 `json:"cancelled"`
 	// SubJoinHits counts join prefixes reused from the per-build sub-join
 	// memo during candidate materialization instead of being recomputed.
@@ -157,7 +156,7 @@ type CacheConfig struct {
 
 // SetBuildDeadline bounds every build request: a BuildCached call whose build
 // outruns d resolves to a failed CandidateSet carrying the context error and
-// frees the caller, rather than wedging a worker. Zero (the default) disables
+// frees the caller, rather than wedging it. Zero (the default) disables
 // the bound. Safe for concurrent use.
 func (e *Engine) SetBuildDeadline(d time.Duration) {
 	if d < 0 {
@@ -236,7 +235,7 @@ func (e *Engine) CatalogVersion() uint64 { return e.version.Load() }
 // MutateCatalog runs a mutation of one dataset — its catalog content, its
 // index entry, its transforms — exclusively against in-flight builds. The
 // arbiter routes its index writes (ShareDataset, UpdateDataset) through here
-// so worker-goroutine builds never observe a half-applied mutation. The
+// so concurrent builds never observe a half-applied mutation. The
 // closure reports whether it actually applied: only then is the catalog
 // version bumped — a rejected update must not stale anything.
 //
@@ -316,8 +315,8 @@ type inflightBuild struct {
 // concurrent use; builds for distinct wants run in parallel (they hold the
 // catalog read-lock, so a MutateCatalog waits for them and they never see
 // partial mutations), while concurrent callers for the same want at the same
-// version share one build: a speculative prebuild racing the next epoch's
-// build stage costs one beam search, not two.
+// version share one build: a retry racing a still-running search for the
+// same want costs one beam search, not two.
 //
 // ctx bounds the request (nil is treated as context.Background()); on top of
 // it, a deadline configured via SetBuildDeadline is applied per call. When the
@@ -327,9 +326,9 @@ type inflightBuild struct {
 // for this round — and the caller is freed. The abandoned search keeps running
 // on its own goroutine until it notices the cancellation (the beam search
 // checks at node-expansion granularity; an uninterruptible user transform can
-// pin that goroutine, and with it the catalog read-lock, but never a worker,
-// an epoch, or Engine.Stop). Abandoned results are never cached: the next
-// round retries instead of trusting a timeout.
+// pin that goroutine, and with it the catalog read-lock, but never an epoch
+// or Engine.Stop). Abandoned results are never cached: the next round
+// retries instead of trusting a timeout.
 func (e *Engine) BuildCached(ctx context.Context, want Want) *CandidateSet {
 	if ctx == nil {
 		ctx = context.Background()

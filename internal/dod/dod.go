@@ -113,10 +113,10 @@ type transKey struct {
 	Dataset, Column, Target string
 }
 
-// Engine is the DoD engine. Builds may run on many goroutines at once (the
-// market engine's builder pool): mu serializes catalog/index/transform
-// mutations against in-flight builds, and the versioned candidate cache
-// (cache.go) memoizes build outcomes per want-key.
+// Engine is the DoD engine. Builds may run on many goroutines at once (a
+// deadline-abandoned search keeps running beside later ones): mu serializes
+// catalog/index/transform mutations against in-flight builds, and the
+// versioned candidate cache (cache.go) memoizes build outcomes per want-key.
 type Engine struct {
 	cat  *catalog.Catalog
 	disc *discovery.Engine

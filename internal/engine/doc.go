@@ -3,21 +3,16 @@
 // logic of the arbiter (internal/arbiter). The arbiter's MatchRound — the
 // paper's Fig. 2 pipeline — is inherently a discrete matching round over the
 // full set of open requests, so it cannot itself be parallelized across
-// buyers; what can be made concurrent is everything around it. The engine
-// does exactly that, splitting the round's most expensive stage — the Mashup
-// Builder — out onto a worker pool:
+// buyers; what can be made concurrent is everything around it:
 //
 //	many goroutines                 one epoch runner
 //	---------------                 ----------------
 //	SubmitRegister ─┐
-//	SubmitShare    ─┼─> sharded     drain -> apply ─┐        ┌-> PriceRound -> publish
-//	SubmitRequest  ─┘   intake                      │        │   (pre-built, version-
-//	                    queues                      v        │    valid candidates only)
-//	                                       ┌─────────────────┴──┐
-//	DoD builder pool (Config.DoDWorkers):  │ BuildFor(want) x N │
-//	N concurrent beam searches into the    └────────────────────┘
-//	versioned candidate cache; between     speculative prebuilds for
-//	epochs it re-warms unmet wants         unmet wants run between epochs
+//	SubmitShare    ─┼─> sharded     drain -> apply -> PriceRound -> publish
+//	SubmitRequest  ─┘   intake                        │
+//	                    queues                        v
+//	                                        build each want group through
+//	                                        the versioned candidate cache
 //
 // # Intake sharding
 //
@@ -51,35 +46,31 @@
 // a buyer whose need precedes the matching supply is served as soon as a
 // seller shows up. Epochs with nothing to do are skipped.
 //
-// # Builder pool and candidate cache
+// # Candidate cache
 //
-// With Config.DoDWorkers > 0 each epoch is itself a two-stage pipeline.
-// After drain+apply, the runner snapshots the distinct open want groups and
-// fans their mashup builds out to up to DoDWorkers concurrent workers (the
-// build stage); the matching round then prices only the pre-built candidate
-// sets (the price stage), so the single-threaded commit path — pricing,
-// settlement, WAL — never pays for a beam search. Builds land in the DoD
-// engine's versioned candidate cache (internal/dod): every ShareDataset,
-// UpdateDataset and RegisterTransform bumps a catalog version, each cached
-// set is stamped with the version it is valid at, and the price stage
-// re-validates at settlement time — a dataset updated between build and
-// price can never settle against its pre-update mashup; the round rebuilds
-// inline instead. A bump stales only the sets it could have changed: the
-// mutation names the dataset it touches, and a cached set for whose want
-// that dataset provides nothing, before and after (the beam search's own
-// admission test), is re-stamped to the new version under the mutation's
-// exclusive lock. The engine is untouched by this — pool, prebuild and
-// cancel-on-settle only ever ask whether a set's stamp is current. The rule
-// assumes every dataset in a beam state is a provider; a search that joined
-// through bridge-only datasets would need the footprint widened to the
-// join-reachable ones. Between epochs the pool speculatively re-warms the
-// cache for wants the last round left unmet. Candidates are derived state:
-// they are never logged or snapshotted, and a version-valid cached set —
-// fresh or carried forward — is identical to what an inline build would
-// produce (Build is deterministic and a function of the want's footprint
-// datasets), so none of this is visible to replay. Stats surfaces the
-// split: BuildMillis (cumulative build time, accounted to the builders),
-// CacheHits, CacheStale and CacheRetained.
+// Building a want group's mashup and pricing it are one discrete matching
+// round: PriceRound builds each group's candidates inline, in the epoch.
+// Builds go through the DoD engine's versioned candidate cache
+// (internal/dod): every ShareDataset, UpdateDataset and RegisterTransform
+// bumps a catalog version, each cached set is stamped with the version it is
+// valid at, and the round re-validates at settlement time — a dataset
+// updated since a set was built can never settle against its pre-update
+// mashup; the round rebuilds instead. A bump stales only the sets it could
+// have changed: the mutation names the dataset it touches, and a cached set
+// for whose want that dataset provides nothing, before and after (the beam
+// search's own admission test), is re-stamped to the new version under the
+// mutation's exclusive lock. The engine is untouched by this — it only ever
+// asks whether a set's stamp is current. The rule assumes every dataset in a
+// beam state is a provider; a search that joined through bridge-only
+// datasets would need the footprint widened to the join-reachable ones.
+// Candidates are derived state: they are never logged or snapshotted, and a
+// version-valid cached set — fresh or carried forward — is identical to what
+// a fresh build would produce (Build is deterministic and a function of the
+// want's footprint datasets), so none of this is visible to replay.
+// Config.BuildDeadline bounds each build; since builds run one after another
+// inside the round, k wedged groups hold it for k deadlines. Stats surfaces
+// BuildMillis (cumulative build time — part of the round, so PriceMillis
+// includes it), CacheHits, CacheStale and CacheRetained.
 //
 // # Event log
 //
@@ -218,10 +209,10 @@
 //
 // With Config.Metrics set to an obs.Registry, the engine instruments itself:
 // epoch duration and lag, per-shard intake depth, admission rejections by
-// reason, builder-pool busy time/queue depth/panic isolations, candidate-
-// cache counters, and a submit→settle tracer that stamps each request ticket
-// through the pipeline stages (submit → admit → enqueue → build → price →
-// settle → report), exposed as per-stage and end-to-end latency histograms
+// reason, build panic isolations, candidate-cache counters, and a
+// submit→settle tracer that stamps each request ticket through the pipeline
+// stages (submit → admit → enqueue → price → settle → report; builds fall
+// inside price), exposed as per-stage and end-to-end latency histograms
 // plus per-ticket traces (TicketTrace, the dmms ticket view).
 //
 // Metrics are *derived state*, strictly observational: no instrument writes

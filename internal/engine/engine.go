@@ -47,25 +47,18 @@ type Config struct {
 	// Admission configures intake admission control (quotas, per-epoch
 	// request cap, queue-depth backpressure). Zero value = admit everything.
 	Admission AdmissionConfig
-	// DoDWorkers, when > 0, enables the async DoD builder pool: after each
-	// epoch's drain+apply the distinct open want groups are built on up to
-	// this many concurrent workers, and the matching round prices only the
-	// pre-built, version-valid candidate sets; the pool also speculatively
-	// re-warms the candidate cache between epochs for wants left unmet. 0
-	// keeps builds inline inside the round (the pre-pipeline behavior).
-	DoDWorkers int
 	// BuildDeadline, when > 0, bounds every DoD candidate build: a want
 	// group whose beam search outruns the deadline resolves to a failed
-	// CandidateSet carrying context.DeadlineExceeded, the pricing stage
-	// skips it like any failed build (the group retries next round), and
-	// the worker — or the inline round — is freed rather than wedged.
-	// Candidates are derived state, so the deadline never affects WAL
-	// replay. 0 disables the bound.
+	// CandidateSet carrying context.DeadlineExceeded, the round skips it
+	// like any failed build (the group retries next round) and moves on
+	// rather than wedging. Builds run one after another inside the round,
+	// so k wedged groups hold it for k deadlines. Candidates are derived
+	// state, so the deadline never affects WAL replay. 0 disables the bound.
 	BuildDeadline time.Duration
 	// Metrics, when non-nil, receives the engine's telemetry: epoch/round
 	// histograms, per-shard intake depth, admission rejections by reason,
-	// builder-pool and candidate-cache counters, and the submit→settle
-	// request tracer. Metrics are derived state — nothing here is logged,
+	// candidate-cache counters, and the submit→settle request tracer.
+	// Metrics are derived state — nothing here is logged,
 	// snapshotted or replayed, so enabling telemetry never changes the
 	// event stream (see doc.go, "Durability").
 	Metrics *obs.Registry
@@ -205,9 +198,9 @@ type Stats struct {
 	Aged   uint64 `json:"aged,omitempty"`
 	Policy string `json:"policy,omitempty"`
 	// BuildMillis is cumulative wall-clock time spent building mashup
-	// candidates — accounted to the DoD builders (worker pool or inline
-	// cache misses), never to the matching round. In-memory observability
-	// only: like Shed it is not logged and not durable.
+	// candidates (cache misses and stale entries). Builds run inside the
+	// price stage, so PriceMillis includes this time. In-memory
+	// observability only: like Shed it is not logged and not durable.
 	BuildMillis float64 `json:"build_millis,omitempty"`
 	// CacheHits / CacheStale / CacheRetained count, in the DoD engine's
 	// versioned candidate store: reuses; lookups invalidated by a catalog
@@ -219,16 +212,12 @@ type Stats struct {
 	// SubJoinHits counts join prefixes reused from the DoD engine's
 	// per-build sub-join memo during candidate materialization.
 	SubJoinHits uint64 `json:"subjoin_hits,omitempty"`
-	// BuildDeadlineExceeded / BuildsCancelled count DoD build requests
-	// abandoned to Config.BuildDeadline or to cancellation (shutdown,
-	// cancel-on-settle of speculative prebuilds).
+	// BuildDeadlineExceeded counts DoD build requests abandoned to
+	// Config.BuildDeadline.
 	BuildDeadlineExceeded uint64 `json:"build_deadline_exceeded,omitempty"`
-	BuildsCancelled       uint64 `json:"builds_cancelled,omitempty"`
-	// DoDWorkers echoes the configured builder-pool size (0 = inline).
-	DoDWorkers int `json:"dod_workers,omitempty"`
 	// PriceMillis is cumulative wall-clock time spent in the price stage of
-	// matching rounds (mechanism + revenue allocation). In-memory
-	// observability only, like BuildMillis.
+	// matching rounds (candidate builds, mechanism and revenue allocation).
+	// In-memory observability only, like BuildMillis.
 	PriceMillis float64 `json:"price_millis,omitempty"`
 	// Allocator counters, sampled from the market package's process-wide
 	// counters (monotone; shared across every engine in the process):
@@ -301,7 +290,6 @@ type Engine struct {
 	policy   MatchPolicy
 	matchCap int
 	adm      *admission     // nil when quota/cap admission is disabled
-	pool     *buildPool     // nil when DoDWorkers is 0 (inline builds)
 	m        *engineMetrics // telemetry sink; non-nil, disabled without cfg.Metrics
 
 	// bookSeq is the settlement subscriber's high-water mark: the last log
@@ -404,9 +392,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 	if cfg.BuildDeadline > 0 {
 		p.SetBuildDeadline(cfg.BuildDeadline)
 	}
-	if cfg.DoDWorkers > 0 {
-		e.pool = newBuildPool(p, cfg.DoDWorkers, e.m)
-	}
 	if cfg.Metrics != nil {
 		if cfg.ShardLabel == "" {
 			e.registerFuncMetrics(cfg.Metrics)
@@ -488,9 +473,6 @@ func (e *Engine) Stop() {
 	close(e.stop)
 	e.loopWG.Wait()
 	e.TriggerEpoch()
-	if e.pool != nil {
-		e.pool.close()
-	}
 	e.log.Close()
 	e.consWG.Wait()
 }
@@ -542,8 +524,7 @@ func (e *Engine) Stats() Stats {
 	st.BuildMillis = cache.BuildMillis
 	st.CacheHits, st.CacheStale, st.CacheRetained = cache.Hits, cache.Stale, cache.Retained
 	st.SubJoinHits = cache.SubJoinHits
-	st.BuildDeadlineExceeded, st.BuildsCancelled = cache.DeadlineExceeded, cache.Cancelled
-	st.DoDWorkers = e.cfg.DoDWorkers
+	st.BuildDeadlineExceeded = cache.DeadlineExceeded
 	st.PriceMillis = float64(e.stPriceNanos.Load()) / 1e6
 	st.AllocEvals, st.AllocMemoHits = alloc.Evals, alloc.MemoHits
 	st.AllocExact, st.AllocSampled, st.AllocEscalations = alloc.ExactRuns, alloc.SampledRuns, alloc.Escalations
@@ -1034,28 +1015,17 @@ func (e *Engine) apply(ep uint64, s submission) {
 	}
 }
 
-// runRound executes the two-stage pipeline for one prospective round: policy
-// selection, then — with a builder pool — the build stage (distinct open
-// want groups fanned out to workers, epoch runner blocked only on the
-// slowest build, not the sum) and the price stage over the pre-built,
-// version-valid candidate sets. Without a pool, PriceRoundFor builds inline
-// through the candidate cache, preserving the pre-pipeline behavior. Caller
-// holds epochMu.
+// runRound executes one prospective round: policy selection, then the price
+// stage, which builds each want group's candidates through the versioned
+// candidate cache and prices them. Build and price are one discrete
+// matching round, so build time counts toward the round. Caller holds
+// epochMu.
 func (e *Engine) runRound(ep uint64) (deferred []RequestCandidate, res *arbiter.MatchResult, err error) {
 	ids, deferred := e.selectRound(ep)
-	// The build path is ctx-threaded end to end; the per-group deadline
-	// itself (Config.BuildDeadline) is applied inside dod.BuildCached, so it
-	// bounds pool, inline-fallback and price-time rebuild builds alike.
-	ctx := context.Background()
-	var prebuilt map[string]*dod.CandidateSet
-	if e.pool != nil {
-		prebuilt = e.pool.buildAll(ctx, e.platform.OpenWantGroups(ids))
-		if e.m.on() {
-			e.stampOpen(ids, obs.StageBuild)
-		}
-	}
 	priceStart := time.Now()
-	res, err = e.platform.PriceRoundFor(ctx, ids, prebuilt)
+	// The per-group deadline (Config.BuildDeadline) is applied inside
+	// dod.BuildCached, so the round needs no context of its own.
+	res, err = e.platform.PriceRoundFor(context.Background(), ids, nil)
 	priceDur := time.Since(priceStart)
 	e.stPriceNanos.Add(priceDur.Nanoseconds())
 	if e.m.on() {
@@ -1075,23 +1045,6 @@ func (e *Engine) clear(ep uint64) (matched, unmet int, unmetCols map[string]int)
 	e.emitAged(ep, deferred)
 	e.platform.AddUnmet(res.UnmetCols)
 	matched, unmet = e.publishRound(ep, res)
-	if e.pool != nil {
-		// Cancel-on-settle: abandon speculative builds for wants this round
-		// cleared — their result would warm a slot nobody will price. The
-		// active set is every still-open want group.
-		active := map[string]bool{}
-		for _, w := range e.platform.OpenWantGroups(nil) {
-			active[w.Key()] = true
-		}
-		e.pool.cancelSettled(active)
-		if len(res.Unsatisfied) > 0 {
-			// Speculative stage: re-warm the cache for the wants this round left
-			// unmet, off the epoch path. If supply arrives before the next round
-			// (bumping the catalog version), the rebuild has already happened by
-			// the time the next build stage asks.
-			e.pool.prebuild(e.platform.OpenWantGroups(res.Unsatisfied))
-		}
-	}
 	return matched, unmet, res.UnmetCols
 }
 

@@ -38,7 +38,6 @@ type engineMetrics struct {
 	shardDepth []*obs.Gauge    // engine_intake_queue_depth{shard} (or {shard,queue} when labeled)
 	rejections *obs.CounterVec // engine_admission_rejections_total{reason}
 	aged       *obs.Counter    // engine_aged_requests_total
-	workerBusy *obs.CounterVec // dod_worker_busy_seconds_total{worker}
 	tracer     *obs.Tracer     // submit→settle spans
 
 	// Per-shard views, nil unless label != "".
@@ -76,8 +75,6 @@ func newEngineMetrics(reg *obs.Registry, shards int, label string) *engineMetric
 			"Submissions rejected by admission control, by reason.", "reason"),
 		aged: reg.NewCounter("engine_aged_requests_total",
 			"Requests the matching policy's per-epoch cap deferred at least once."),
-		workerBusy: reg.NewCounterVec("dod_worker_busy_seconds_total",
-			"Cumulative busy time of each DoD builder-pool worker.", "worker"),
 		tracer: obs.NewTracer(
 			reg.NewHistogram("engine_submit_to_settle_seconds",
 				"End-to-end latency from request submission to settlement.", obs.DefBuckets),
@@ -158,14 +155,6 @@ func (m *engineMetrics) observeEpoch(start time.Time) {
 	}
 }
 
-// observeWorkerBusy accounts one build's wall clock to a pool worker.
-func (m *engineMetrics) observeWorkerBusy(worker int, seconds float64) {
-	if !m.on() {
-		return
-	}
-	m.workerBusy.With(strconv.Itoa(worker)).Add(seconds)
-}
-
 // shardGauge returns the intake-depth gauge for one shard (nil when off).
 func (m *engineMetrics) shardGauge(i int) *obs.Gauge {
 	if !m.on() || i >= len(m.shardDepth) {
@@ -175,9 +164,9 @@ func (m *engineMetrics) shardGauge(i int) *obs.Gauge {
 }
 
 // registerFuncMetrics wires the sampled families — counters and gauges other
-// subsystems already maintain as atomics — after the engine (and its pool)
-// exist. Sampling happens at scrape time; none of these closures touch
-// epochMu, so a scrape can never stall the epoch runner.
+// subsystems already maintain as atomics — after the engine exists. Sampling
+// happens at scrape time; none of these closures touch epochMu, so a scrape
+// can never stall the epoch runner.
 func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("engine_epochs_total",
 		"Counted epochs since boot.", func() float64 { return float64(e.epoch.Load()) })
@@ -235,27 +224,9 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("dod_build_deadline_exceeded_total",
 		"Build requests abandoned because they outran Config.BuildDeadline.",
 		func() float64 { return float64(e.platform.DoDCacheStats().DeadlineExceeded) })
-	reg.NewCounterFunc("dod_builds_cancelled_total",
-		"Build requests abandoned to cancellation (shutdown, cancel-on-settle).",
-		func() float64 { return float64(e.platform.DoDCacheStats().Cancelled) })
 	reg.NewCounterFunc("dod_worker_panics_total",
-		"Builds that panicked and were isolated to their want group (DoD recover plus pool backstop).",
-		func() float64 {
-			n := float64(e.platform.DoDCacheStats().Panics)
-			if e.pool != nil {
-				n += float64(e.pool.panics.Load())
-			}
-			return n
-		})
-	reg.NewGaugeFunc("dod_build_queue_depth",
-		"Build jobs dispatched to the worker pool and not yet picked up.",
-		func() float64 {
-			if e.pool == nil {
-				return 0
-			}
-			return float64(e.pool.queued.Load())
-		})
-
+		"Builds that panicked and were isolated to their want group.",
+		func() float64 { return float64(e.platform.DoDCacheStats().Panics) })
 	reg.NewCounterFunc("dod_subjoin_memo_hits_total",
 		"Join prefixes reused from the per-build sub-join memo during candidate materialization.",
 		func() float64 { return float64(e.platform.DoDCacheStats().SubJoinHits) })

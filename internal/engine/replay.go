@@ -335,9 +335,6 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 		err = fmt.Errorf("%w: seq %d < %d", ErrLogBehindCheckpoint, e.log.LastSeq(), watermark)
 	}
 	if err != nil {
-		if e != nil && e.pool != nil {
-			e.pool.close()
-		}
 		return nil, err
 	}
 

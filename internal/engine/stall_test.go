@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dod"
 	"repro/internal/license"
 	"repro/internal/relation"
@@ -15,7 +12,7 @@ import (
 
 // blockingTransform returns a user transform that parks every call on gate —
 // a build that never panics, never errors, and never returns until the gate
-// closes: the stalled-worker failure mode Config.BuildDeadline exists for.
+// closes: the stalled-build failure mode Config.BuildDeadline exists for.
 func blockingTransform(gate chan struct{}) *dod.Transform {
 	return &dod.Transform{Name: "stall", Kind: relation.KindFloat,
 		Fn: func(relation.Value) relation.Value { <-gate; return relation.Float(1) }}
@@ -27,88 +24,84 @@ func blockingTransform(gate chan struct{}) *dod.Transform {
 // in the same round still settles, the deadline is counted, and — once the
 // stall clears — the abandoned group re-enters a later round and matches
 // (abandoned results are never cached, so nothing has to be invalidated).
-// Runs against both the worker pool and inline builds.
+// The workers=0 subtest is the inline build path, the only one the engine
+// has.
 func TestBuildDeadlineFreesEpoch(t *testing.T) {
-	for _, workers := range []int{2, 0} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			gate := make(chan struct{})
-			t.Cleanup(func() {
-				select {
-				case <-gate:
-				default:
-					close(gate)
-				}
-			})
-			p, e := newTestEngine(t, Config{Shards: 2, DoDWorkers: workers,
-				BuildDeadline: 150 * time.Millisecond})
-			defer e.Stop()
-			p.Arbiter.DoD().RegisterTransform("s1/d", "b", "z", blockingTransform(gate))
-
-			mustTicket(e.SubmitRegister("b1", 100000))
-			mustTicket(e.SubmitShare("s1", "s1/d", testRelation("s1/d", 20),
-				wtp.DatasetMeta{Dataset: "s1/d", HasProvenance: true}, license.Terms{Kind: license.Open}))
-			e.TriggerEpoch()
-
-			stalledTk := mustTicket(e.SubmitRequest(
-				dod.Want{Columns: []string{"a", "z"}},
-				&wtp.Function{Buyer: "b1",
-					Task:  wtp.CoverageTask{Columns: []string{"a", "z"}, WantRows: 1},
-					Curve: []wtp.CurvePoint{{MinSatisfaction: 0.5, Price: 100}}}))
-			healthyTk := mustTicket(e.SubmitRequest(coverageRequest("b1", 150)))
-
-			// The epoch containing the wedged build must complete in bounded
-			// time: well under the forever the transform would take, with room
-			// for a couple of deadline waits (epoch build + price-time paths).
-			start := time.Now()
-			e.TriggerEpoch()
-			if took := time.Since(start); took > 5*time.Second {
-				t.Fatalf("epoch with a stalled build took %v", took)
-			}
-			waitTerminal(t, e, []string{healthyTk}, 2*time.Second)
-			if tk, _ := e.Ticket(healthyTk); tk.Status != TicketDone {
-				t.Fatalf("healthy ticket status = %v, want done", tk.Status)
-			}
-			if tk, _ := e.Ticket(stalledTk); tk.Status != TicketApplied {
-				t.Fatalf("stalled ticket status = %v, want still applied (open)", tk.Status)
-			}
-			if st := e.Stats(); st.BuildDeadlineExceeded < 1 {
-				t.Fatalf("Stats().BuildDeadlineExceeded = %d, want >= 1", st.BuildDeadlineExceeded)
-			}
-
-			// Clear the stall: the deadline-failed group re-enters the next
-			// round and — because the abandoned result was never cached — a
-			// fresh build now succeeds and the request settles. The first
-			// retry can still collide with the draining stuck goroutine's
-			// singleflight entry, so poll a few rounds.
-			close(gate)
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				e.TriggerEpoch()
-				if tk, _ := e.Ticket(stalledTk); tk.Status == TicketDone {
-					break
-				}
-				if time.Now().After(deadline) {
-					tk, _ := e.Ticket(stalledTk)
-					t.Fatalf("deadline-failed group never re-entered and matched: %+v", tk)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			if st := e.Stats(); st.Matched != 2 {
-				t.Fatalf("matched %d requests, want 2", st.Matched)
+	t.Run("workers=0", func(t *testing.T) {
+		gate := make(chan struct{})
+		t.Cleanup(func() {
+			select {
+			case <-gate:
+			default:
+				close(gate)
 			}
 		})
-	}
+		p, e := newTestEngine(t, Config{Shards: 2, BuildDeadline: 150 * time.Millisecond})
+		defer e.Stop()
+		p.Arbiter.DoD().RegisterTransform("s1/d", "b", "z", blockingTransform(gate))
+
+		mustTicket(e.SubmitRegister("b1", 100000))
+		mustTicket(e.SubmitShare("s1", "s1/d", testRelation("s1/d", 20),
+			wtp.DatasetMeta{Dataset: "s1/d", HasProvenance: true}, license.Terms{Kind: license.Open}))
+		e.TriggerEpoch()
+
+		stalledTk := mustTicket(e.SubmitRequest(
+			dod.Want{Columns: []string{"a", "z"}},
+			&wtp.Function{Buyer: "b1",
+				Task:  wtp.CoverageTask{Columns: []string{"a", "z"}, WantRows: 1},
+				Curve: []wtp.CurvePoint{{MinSatisfaction: 0.5, Price: 100}}}))
+		healthyTk := mustTicket(e.SubmitRequest(coverageRequest("b1", 150)))
+
+		// The epoch containing the wedged build must complete in bounded
+		// time: well under the forever the transform would take.
+		start := time.Now()
+		e.TriggerEpoch()
+		if took := time.Since(start); took > 5*time.Second {
+			t.Fatalf("epoch with a stalled build took %v", took)
+		}
+		waitTerminal(t, e, []string{healthyTk}, 2*time.Second)
+		if tk, _ := e.Ticket(healthyTk); tk.Status != TicketDone {
+			t.Fatalf("healthy ticket status = %v, want done", tk.Status)
+		}
+		if tk, _ := e.Ticket(stalledTk); tk.Status != TicketApplied {
+			t.Fatalf("stalled ticket status = %v, want still applied (open)", tk.Status)
+		}
+		if st := e.Stats(); st.BuildDeadlineExceeded < 1 {
+			t.Fatalf("Stats().BuildDeadlineExceeded = %d, want >= 1", st.BuildDeadlineExceeded)
+		}
+
+		// Clear the stall: the deadline-failed group re-enters the next
+		// round and — because the abandoned result was never cached — a
+		// fresh build now succeeds and the request settles. The first
+		// retry can still collide with the draining stuck goroutine's
+		// singleflight entry, so poll a few rounds.
+		close(gate)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			e.TriggerEpoch()
+			if tk, _ := e.Ticket(stalledTk); tk.Status == TicketDone {
+				break
+			}
+			if time.Now().After(deadline) {
+				tk, _ := e.Ticket(stalledTk)
+				t.Fatalf("deadline-failed group never re-entered and matched: %+v", tk)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if st := e.Stats(); st.Matched != 2 {
+			t.Fatalf("matched %d requests, want 2", st.Matched)
+		}
+	})
 }
 
 // TestStalledBuildDoesNotHangStop is the shutdown-wedge regression:
-// Engine.Stop (which runs a final flush epoch and then drains the builder
-// pool) must return promptly while a build is still parked inside user code
-// that never returns. Only the abandoned goroutine stays pinned — never a
-// worker, the epoch runner, or Stop itself.
+// Engine.Stop (which runs a final flush epoch, rebuilding the stalled group)
+// must return promptly while a build is still parked inside user code that
+// never returns. Only the abandoned goroutine stays pinned — never the epoch
+// runner or Stop itself.
 func TestStalledBuildDoesNotHangStop(t *testing.T) {
 	gate := make(chan struct{})
-	p, e := newTestEngine(t, Config{Shards: 2, DoDWorkers: 2,
-		BuildDeadline: 100 * time.Millisecond})
+	p, e := newTestEngine(t, Config{Shards: 2, BuildDeadline: 100 * time.Millisecond})
 	p.Arbiter.DoD().RegisterTransform("s1/d", "b", "z", blockingTransform(gate))
 
 	mustTicket(e.SubmitRegister("b1", 100000))
@@ -120,7 +113,7 @@ func TestStalledBuildDoesNotHangStop(t *testing.T) {
 		&wtp.Function{Buyer: "b1",
 			Task:  wtp.CoverageTask{Columns: []string{"a", "z"}, WantRows: 1},
 			Curve: []wtp.CurvePoint{{MinSatisfaction: 0.5, Price: 100}}}))
-	e.TriggerEpoch() // leaves the stalled group open + a speculative prebuild behind
+	e.TriggerEpoch() // leaves the stalled group open
 
 	done := make(chan struct{})
 	go func() { e.Stop(); close(done) }()
@@ -130,61 +123,4 @@ func TestStalledBuildDoesNotHangStop(t *testing.T) {
 		t.Fatal("Engine.Stop wedged behind a stalled build")
 	}
 	close(gate) // release the abandoned goroutine before the test exits
-}
-
-// TestBuildPoolCloseWithBlockedDispatch is the dispatch/close deadlock
-// regression at the pool level: with every worker busy, dispatchers are
-// parked on the unbuffered job channel when close() arrives. The old code
-// held bp.mu across that send, so close()'s mu.Lock deadlocked behind a full
-// pool; now close() kicks blocked dispatchers out via the quit channel and
-// they report the job undelivered.
-func TestBuildPoolCloseWithBlockedDispatch(t *testing.T) {
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) })
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Arbiter.DoD().RegisterTransform("s1/d", "b", "z", blockingTransform(gate))
-	if err := p.ShareDataset("s1", "s1/d", testRelation("s1/d", 8),
-		wtp.DatasetMeta{Dataset: "s1/d", HasProvenance: true}, license.Terms{Kind: license.Open}); err != nil {
-		t.Fatal(err)
-	}
-	p.SetBuildDeadline(150 * time.Millisecond) // bounds the in-flight build at close
-
-	bp := newBuildPool(p, 1, nil)
-	out := make(chan *dod.CandidateSet, 3)
-	// Three dispatchers race for the single worker: one job is picked up and
-	// stalls it (deadline-bounded), the other two park on the unbuffered
-	// channel send behind it.
-	stalled := dod.Want{Columns: []string{"a", "z"}}
-	delivered := make(chan bool, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			delivered <- bp.dispatch(buildJob{ctx: context.Background(), want: stalled, out: out})
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // worker busy; remaining dispatchers parked
-
-	closed := make(chan struct{})
-	go func() { bp.close(); close(closed) }()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("buildPool.close deadlocked behind blocked dispatchers")
-	}
-	got := 0
-	for i := 0; i < 3; i++ {
-		if <-delivered {
-			got++
-		}
-	}
-	// Exactly one job reached the worker before close; the two dispatchers
-	// parked mid-send were kicked out and report the job undelivered.
-	if got != 1 {
-		t.Fatalf("%d dispatches reported delivery across close, want exactly 1", got)
-	}
-	if bp.dispatch(buildJob{ctx: context.Background(), want: stalled, out: out}) {
-		t.Fatal("dispatch after close reported delivery")
-	}
 }

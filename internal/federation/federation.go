@@ -460,8 +460,8 @@ func (m *Market) CoordRound() int {
 // --- aggregate views ------------------------------------------------------
 
 // Stats merges every shard's engine stats into one market-wide view:
-// throughput counters sum; process-wide gauges (allocator counters, policy,
-// worker config) come from shard 0; cross-shard settles count as matches.
+// throughput counters sum; process-wide gauges (allocator counters, policy)
+// come from shard 0; cross-shard settles count as matches.
 // A one-shard market reports exactly its engine's own Stats.
 func (m *Market) Stats() engine.Stats {
 	per := m.ShardStats()
@@ -484,7 +484,6 @@ func (m *Market) Stats() engine.Stats {
 		agg.CacheRetained += s.CacheRetained
 		agg.SubJoinHits += s.SubJoinHits
 		agg.BuildDeadlineExceeded += s.BuildDeadlineExceeded
-		agg.BuildsCancelled += s.BuildsCancelled
 		agg.PriceMillis += s.PriceMillis
 		agg.MatchesPerSec += s.MatchesPerSec
 		agg.LastPersisted += s.LastPersisted

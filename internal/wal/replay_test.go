@@ -483,16 +483,13 @@ func runUninterrupted(t *testing.T, platOpts core.Options, sc [][]op, policy Syn
 // a crash between a settlement's WAL append and the surrounding records is
 // always exercised — reboots from the durable prefix and re-drives the lost
 // part of the script (epoch-insensitive assertion).
-// workers > 0 runs the crashed and rebooted engines with the async DoD
-// builder pool enabled while the baseline stays synchronous — so the
-// byte-identical assertions double as proof that worker-built candidates
-// change no outcome. telemetry runs them with a live obs registry on both
-// the engine and the WAL (the baseline stays uninstrumented), proving
+// telemetry runs the crashed and rebooted engines with a live obs registry
+// on both the engine and the WAL (the baseline stays uninstrumented), proving
 // metrics are derived state that never leaks into replayed bytes. deadline
 // > 0 runs them with supervised builds (Config.BuildDeadline) enabled while
 // the baseline stays unbounded: a deadline generous enough that no build in
 // this workload ever trips it must leave every replayed byte untouched.
-func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPolicy, workers int, telemetry bool, deadline time.Duration) {
+func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPolicy, telemetry bool, deadline time.Duration) {
 	t.Helper()
 	basePlat, baseEng, _ := runUninterrupted(t, platOpts, sc, policy)
 	baseStrong := fingerprint(t, basePlat, baseEng, true)
@@ -553,7 +550,7 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := engine.New(p, engine.Config{Shards: 4, DoDWorkers: workers, Metrics: reg,
+			e := engine.New(p, engine.Config{Shards: 4, Metrics: reg,
 				BuildDeadline: deadline,
 				Persister:     &faultPersister{inner: w, remaining: crashAfter}})
 			driveAll(t, e, sc)
@@ -572,7 +569,7 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 				reg2 = obs.NewRegistry()
 			}
 			p2, e2, w2, res, err := Boot(platOpts,
-				engine.Config{Shards: 4, DoDWorkers: workers, Metrics: reg2, BuildDeadline: deadline},
+				engine.Config{Shards: 4, Metrics: reg2, BuildDeadline: deadline},
 				Options{Dir: dir, Policy: policy, Metrics: reg2})
 			if err != nil {
 				t.Fatalf("boot: %v", err)
@@ -753,28 +750,22 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 func TestCrashReplayDeterminism(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncEpoch, SyncOff} {
 		t.Run(string(policy), func(t *testing.T) {
-			crashMatrix(t, core.Options{Design: testDesign}, script(), policy, 0, false, 0)
+			crashMatrix(t, core.Options{Design: testDesign}, script(), policy, false, 0)
 		})
 	}
-	// The pipelined-epoch variant: crashed and rebooted engines build
-	// mashups on the async DoD worker pool; state must still match the
-	// synchronous baseline byte for byte.
-	t.Run("epoch-dod-workers", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, 2, false, 0)
-	})
 	// The telemetry variant: crashed and rebooted engines run with a live
 	// metrics registry on engine and WAL while the baseline stays
 	// uninstrumented — byte-identical fingerprints prove metrics are derived
 	// state that never reaches the log.
 	t.Run("telemetry", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, 2, true, 0)
+		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, true, 0)
 	})
-	// The supervised-builds variant: crashed and rebooted engines run with
-	// workers AND a per-group build deadline while the baseline stays
+	// The supervised-builds variant: crashed and rebooted engines run with a
+	// per-group build deadline while the baseline stays
 	// unbounded — deadlines are derived-state plumbing that must never reach
 	// a replayed byte.
 	t.Run("build-deadline", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, 2, false, 2*time.Second)
+		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, false, 2*time.Second)
 	})
 	// The sampled-pricing variant: every engine in the matrix (baseline,
 	// crashed, rebooted) prices through the permutation-sampled allocator
@@ -787,22 +778,18 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	t.Run("sampled-pricing", func(t *testing.T) {
 		opts := core.Options{Design: testDesign,
 			Allocator: market.AdaptiveShapley{ExactMax: 1, TargetErr: 0.02}}
-		crashMatrix(t, opts, joinScript(), SyncEpoch, 2, false, 0)
+		crashMatrix(t, opts, joinScript(), SyncEpoch, false, 0)
 	})
 	// The churn variants: the uninterrupted baseline carries its cached
 	// candidate sets across every share that cannot influence them, while
 	// each reboot rebuilds them from a cold cache — byte-identical
-	// fingerprints prove footprint retention is optimisation-only. Once with
-	// inline builds, once with the crashed and rebooted engines on the pool.
+	// fingerprints prove footprint retention is optimisation-only.
 	t.Run("churn", func(t *testing.T) {
 		live, _, _ := runUninterrupted(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch)
 		if st := live.DoDCacheStats(); st.Retained == 0 || st.Stale == 0 {
 			t.Fatalf("script exercises no retention or no invalidation: %+v", st)
 		}
-		crashMatrix(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch, 0, false, 0)
-	})
-	t.Run("churn-dod-workers", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch, 2, false, 0)
+		crashMatrix(t, core.Options{Design: testDesign}, churnScript(), SyncEpoch, false, 0)
 	})
 	// The bounded-state variant: every engine in the matrix (baseline,
 	// crashed, rebooted) keeps only a few events, tickets, transactions and
@@ -815,7 +802,7 @@ func TestCrashReplayDeterminism(t *testing.T) {
 			st.HistoryHeld >= int(st.Matched) || st.AuditHeld != 8 {
 			t.Fatalf("script crosses no window: %+v", st)
 		}
-		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, 0, false, 0)
+		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, false, 0)
 	})
 	// The checkpoint variant: background checkpoints every few events, killed
 	// at every stage of every one of them.
@@ -835,23 +822,20 @@ func TestCrashReplayDeterminism(t *testing.T) {
 func TestExPostCrashReplayDeterminism(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncEpoch} {
 		t.Run(string(policy), func(t *testing.T) {
-			crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), policy, 0, false, 0)
+			crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), policy, false, 0)
 		})
 	}
-	t.Run("epoch-dod-workers", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 2, false, 0)
-	})
 	t.Run("telemetry", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 2, true, 0)
+		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, true, 0)
 	})
 	t.Run("build-deadline", func(t *testing.T) {
-		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 2, false, 2*time.Second)
+		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, false, 2*time.Second)
 	})
 	// Bounded state: deliveries leave the history window while their escrow
 	// is still pending, and the report must settle them all the same.
 	t.Run("tiny-tail", func(t *testing.T) {
 		tinyWindows(t)
-		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, 0, false, 0)
+		crashMatrix(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch, false, 0)
 	})
 	// Checkpoints carry pending escrows: every kill during one must restore
 	// them exactly.
