@@ -23,10 +23,16 @@
 // events (internal/retain) past its last checkpoint, POST /snapshot writes one
 // on demand and -snapshot-on-drain one during shutdown — all through the same
 // federation.Market.SnapshotAll, which with -prune-on-snapshot also drops the
-// WAL segments the previous checkpoint covers. Boot loads the newest snapshot
-// and reads only the WAL segments it does not wholly cover, decoding and
-// replaying just the events past it; its log line per shard gives the
-// records read, the snapshot seq and the events replayed.
+// WAL segments the previous checkpoint covers. A checkpoint appends the
+// settlements sold since the previous one to the shard's settlement-book
+// archive (settlements.archive beside the segments) and the snapshot carries
+// only the archive's mark, so neither checkpoints nor boots decode the
+// market's whole sales history. Boot loads the newest snapshot whose archive
+// prefix checks out and reads only the WAL segments it does not wholly cover,
+// decoding and replaying just the events past it; its log line per shard
+// gives the records read, the snapshot seq, the events replayed and the
+// settlements archived, after one line per newer snapshot it had to skip and
+// why.
 //
 // Usage:
 //
@@ -242,8 +248,12 @@ func main() {
 	}
 	for _, sh := range m.Shards() {
 		if sh.WAL != nil {
-			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d), fsync=%s",
-				shardTag(sh), sh.Dir, sh.Boot.Recovered, sh.Boot.FromSnapshotSeq, sh.Boot.Replayed, fcfg.Sync)
+			for _, skipped := range sh.Boot.SkippedSnapshots {
+				log.Printf("dmgateway: %sWAL %s: skipped snapshot %s", shardTag(sh), sh.Dir, skipped)
+			}
+			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d, %d settlements archived), fsync=%s",
+				shardTag(sh), sh.Dir, sh.Boot.Recovered, sh.Boot.FromSnapshotSeq, sh.Boot.Replayed,
+				sh.Boot.ArchivedSettlements, fcfg.Sync)
 		}
 		if *cacheEntries > 0 {
 			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})

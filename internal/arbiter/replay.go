@@ -2,6 +2,7 @@ package arbiter
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,6 +130,32 @@ func (a *Arbiter) RestorePendingEscrows(pes []PendingEscrow) error {
 	return nil
 }
 
+// PurchaseCounts returns the purchase history the recommendation service
+// reads — buyer -> dataset -> times bought — as a copy for snapshots. It is
+// buyers × datasets in size, not one entry per sale.
+func (a *Arbiter) PurchaseCounts() map[string]map[string]int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.purchases) == 0 {
+		return nil
+	}
+	out := make(map[string]map[string]int, len(a.purchases))
+	for buyer, bought := range a.purchases {
+		out[buyer] = maps.Clone(bought)
+	}
+	return out
+}
+
+// RestorePurchases reinstates a snapshot's purchase history, so Recommend
+// answers after a restore exactly as in the uninterrupted run.
+func (a *Arbiter) RestorePurchases(counts map[string]map[string]int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for buyer, bought := range counts {
+		a.purchases[buyer] = maps.Clone(bought)
+	}
+}
+
 // RngState reads the audit RNG for snapshots; RestoreRngState reinstates it
 // so post-restore audit decisions match the uninterrupted run.
 func (a *Arbiter) RngState() uint64 {
@@ -253,7 +280,8 @@ func (a *Arbiter) HistorySkeletons() []ReplayedSettlement {
 // RestoreHistory re-seeds the transaction history from snapshot skeletons;
 // dropped is how many older transactions the snapshot's window had already
 // let go. Purely archival: the ledger effects of these transactions are
-// already in the snapshot's balances, so nothing is transferred. The ID
+// already in the snapshot's balances, so nothing is transferred, and their
+// purchases are in the snapshot's purchase history (RestorePurchases). The ID
 // counter is raised past every restored transaction. A snapshot from before
 // the window existed carries the whole history; it is trimmed here.
 func (a *Arbiter) RestoreHistory(skels []ReplayedSettlement, dropped int) {

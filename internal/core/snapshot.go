@@ -214,15 +214,19 @@ type RequestState struct {
 
 // PlatformSnapshot is a point-in-time checkpoint of the platform state the
 // engine's event-log replay rebuilds: participants and balances, shared
-// datasets (current version), open requests, and the arbiter's ID counter.
-// Derived state — profiles, the discovery index, seller platforms — is
-// recomputed on restore by re-ingesting datasets in share order, so a
-// restored platform matches a replayed one exactly. Not captured: catalog
-// version history, the audit chain (a verification window over recent
-// activity, restarted with the process), closed requests, completed
-// transactions older than the arbiter's history window (HistoryDropped
-// counts them; the event log and the engine's settlement book are the
-// record), and open requests carrying non-serializable code tasks.
+// datasets (current version), open requests, the purchase history the
+// recommendation service reads, and the arbiter's ID counter. Derived state —
+// profiles, the discovery index, seller platforms — is recomputed on restore
+// by re-ingesting datasets in share order, so a restored platform matches a
+// replayed one exactly. Not captured: catalog version history, the audit
+// chain (a verification window over recent activity, restarted with the
+// process), licence grants (one per dataset per sale — lifetime-sized, so
+// they wait for a compaction; a restored platform holds only the grants of
+// the sales it replayed), closed requests, completed transactions older than
+// the arbiter's history window (HistoryDropped counts them; the event log
+// and the engine's settlement book — archived beside the snapshot by the
+// checkpointer, never inside it — are the record), and open requests
+// carrying non-serializable code tasks.
 type PlatformSnapshot struct {
 	Design   string         `json:"design"`
 	Sellers  []string       `json:"sellers,omitempty"` // creation order
@@ -251,8 +255,12 @@ type PlatformSnapshot struct {
 	// Unmet carries the demand-signal counters (column -> times wanted but
 	// unsupplied) so the recommendation/negotiation services keep their
 	// signal across a restore.
-	Unmet  map[string]int `json:"unmet,omitempty"`
-	NextID int            `json:"next_id"`
+	Unmet map[string]int `json:"unmet,omitempty"`
+	// Purchases is the recommendation service's purchase history (buyer ->
+	// dataset -> times bought): buyers × datasets in size, not one entry per
+	// sale. Snapshots from before it was carried restore without it.
+	Purchases map[string]map[string]int `json:"purchases,omitempty"`
+	NextID    int                       `json:"next_id"`
 }
 
 // DatasetStates returns the currently shared datasets in share order, each
@@ -308,6 +316,7 @@ func (p *Platform) Snapshot() *PlatformSnapshot {
 	snap.HistoryDropped = a.Settled() - len(snap.History)
 	snap.PendingExPost = a.PendingEscrows()
 	snap.Unmet = a.UnmetCounts()
+	snap.Purchases = a.PurchaseCounts()
 	snap.NextID = a.ReplayNextID()
 	snap.Rng = a.RngState()
 	return snap
@@ -367,6 +376,7 @@ func RestorePlatform(opts Options, snap *PlatformSnapshot) (*Platform, error) {
 		return nil, err
 	}
 	p.Arbiter.AddUnmet(snap.Unmet)
+	p.Arbiter.RestorePurchases(snap.Purchases)
 	p.Arbiter.RestoreNextID(snap.NextID)
 	p.Arbiter.RestoreRngState(snap.Rng)
 	return p, nil

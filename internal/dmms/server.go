@@ -22,6 +22,7 @@ import (
 	"repro/internal/dod"
 	"repro/internal/engine"
 	"repro/internal/federation"
+	"repro/internal/ledger"
 	"repro/internal/license"
 	"repro/internal/mltask"
 	"repro/internal/obs"
@@ -551,9 +552,11 @@ func (s *Server) viewShards(r *http.Request) ([]*federation.Shard, error) {
 }
 
 // handleSettlements merges every shard's settlement book, with TxIDs in
-// federation form. Conserved is the AND across shards — cross-shard
-// transactions move value between shard ledgers, so only the market-wide
-// view is meaningful. ?shard=i narrows to one shard.
+// federation form. Each shard's entries and its conservation verdict come
+// from one cut of its book — the archived prefix streamed from the book
+// archive, then the entries held in memory. Conserved is the AND across
+// shards — cross-shard transactions move value between shard ledgers, so
+// only the market-wide view is meaningful. ?shard=i narrows to one shard.
 func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
 	shards, err := s.viewShards(r)
 	if err != nil {
@@ -563,9 +566,9 @@ func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
 	out := []SettlementView{}
 	conserved := true
 	for _, sh := range shards {
-		book := sh.Engine.Settlements()
-		conserved = conserved && book.Conserved()
-		for _, st := range book.All() {
+		cut := sh.Engine.Settlements().Cut()
+		conserved = conserved && cut.Conserved()
+		err := cut.Each(func(st ledger.Settlement) error {
 			v := SettlementView{
 				TxID: s.market.ShardID(sh.Index, st.TxID), Epoch: st.Epoch, Buyer: st.Buyer,
 				Price: st.Price.Float(), ArbiterCut: st.ArbiterCut.Float(), ExPost: st.ExPost,
@@ -577,6 +580,11 @@ func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			out = append(out, v)
+			return nil
+		})
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

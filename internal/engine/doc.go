@@ -119,7 +119,12 @@
 // The settlement subscriber folds every tx-settled event into a
 // ledger.SettlementBook, which checks conservation (price == arbiter cut +
 // seller cuts) per transaction — the invariant the race tests assert across
-// epochs.
+// epochs — and keeps running totals, so the check is O(1). On a durable
+// engine (Config.BookArchive, which wal.Boot attaches) the book holds only
+// the entries past its newest checkpoint: each checkpoint appends the new
+// ones to the WAL directory's book archive, and whole-book readers take a
+// BookCut — entries and totals from one instant — and stream the archived
+// prefix back before the entries in memory.
 //
 // # Admission control and matching policy
 //
@@ -165,17 +170,21 @@
 // core.PlatformSnapshot) let Restore start from a watermark instead of seq
 // 1, and wal.Boot then decodes only the segments past it. Snapshot is only
 // the cut — taken under the epoch lock, the settlement book shared rather than
-// copied — and its caller encodes and writes it after the lock is released;
-// a durable federation.Market checkpoints every shard in the background each
+// copied — and its caller writes it after the lock is released: wal.WriteSnapshot
+// archives the book's new entries and puts only the archive's mark in the
+// snapshot, so neither a checkpoint nor a boot decodes every sale ever made.
+// A durable federation.Market checkpoints every shard in the background each
 // retain.Windows.Checkpoint events, so a restart replays a bounded suffix,
-// not the market's life. Memory follows live state, not lifetime: besides the log tail and the
-// ticket window, the arbiter forgets a request when it settles and keeps a
-// window of recent transactions, and the ledger a window of its audit chain
-// (sized in internal/retain; Stats.EventsHeld and the fields after it, the
-// engine_*_held gauges). Each window is a pure
+// not the market's life. Memory follows live state, not lifetime: besides the
+// log tail and the ticket window, the arbiter forgets a request when it
+// settles and keeps a window of recent transactions, and the ledger a window
+// of its audit chain (sized in internal/retain; Stats.EventsHeld and the
+// fields after it, the engine_*_held gauges). Each window is a pure
 // function of the event stream, so live runs and replays agree byte for
 // byte, and a checkpoint carries only what is retained plus counts of what
-// is not. Ex-post settlement is durable end to end: deliveries fix
+// is not. The settlement book keeps only what the last checkpoint has not
+// archived — which depends on when checkpoints ran, but what a reader sees
+// does not: the archive serves the rest. Ex-post settlement is durable end to end: deliveries fix
 // their revenue fractions on the tx-settled record, SubmitReport settles the
 // escrow through a value-reported record, snapshots carry outstanding
 // escrows (and the audit RNG), and replay repeats the logged transfers

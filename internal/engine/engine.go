@@ -37,6 +37,11 @@ type Config struct {
 	// it attached after the recovered events are seeded, so replay never
 	// re-persists.
 	Persister Persister
+	// BookArchive, when non-nil, is where checkpoints archive the settlement
+	// book (wal.Boot attaches its directory's): the entries a checkpoint has
+	// archived leave memory and whole-book readers stream them back from it.
+	// Without one the whole book stays in memory.
+	BookArchive ledger.Archive
 	// Policy orders open requests into matching rounds (nil = FIFO arrival
 	// order). See policy.go.
 	Policy MatchPolicy
@@ -331,7 +336,7 @@ type Engine struct {
 // cfg.Persister set, every event is written ahead to it; use Restore to
 // boot from the persisted log after a restart.
 func New(p *core.Platform, cfg Config) *Engine {
-	e := newEngine(p, cfg, NewEventLog(), ledger.NewSettlementBook())
+	e := newEngine(p, cfg, NewEventLog(), ledger.NewSettlementBook(cfg.BookArchive))
 	if cfg.Persister != nil {
 		e.log.SetPersister(cfg.Persister)
 	}

@@ -40,6 +40,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dod"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 	"repro/internal/license"
 	"repro/internal/relation"
 	"repro/internal/wal"
@@ -334,11 +335,16 @@ func propFingerprint(t *testing.T, p *core.Platform, e *engine.Engine) string {
 		t.Fatalf("snapshot for fingerprint: %v", err)
 	}
 	snap.TakenAt = time.Time{}
+	var book []ledger.Settlement
+	if err := snap.Book.Each(func(s ledger.Settlement) error { book = append(book, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	out, err := json.Marshal(struct {
 		Snap      *engine.SnapshotState
+		Book      []ledger.Settlement
 		Demand    any
 		Conserved bool
-	}{snap, p.Arbiter.DemandSignals(), e.Settlements().Conserved()})
+	}{snap, book, p.Arbiter.DemandSignals(), snap.Book.Conserved()})
 	if err != nil {
 		t.Fatal(err)
 	}

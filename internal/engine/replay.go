@@ -70,9 +70,12 @@ type PolicyState struct {
 // every ticket by number (and no TicketsRetired); they load the same way and
 // are trimmed to the window.
 //
-// Settles is the settlement book's own recorded prefix, shared, not copied
-// (ledger.SettlementBook.All): read-only, so the cut under the epoch lock stays
-// O(1) in the book's length.
+// Book is the settlement book's cut: its archived mark plus the entries past
+// it, shared with the book, not copied, so the cut under the epoch lock stays
+// O(1) in the book's length. It has no JSON form of its own: wal.WriteSnapshot
+// appends the entries past the mark to the directory's book archive and
+// writes only the extended mark, and wal.Boot hands Restore a cut of that
+// mark alone.
 type SnapshotState struct {
 	TakenAt        time.Time              `json:"taken_at"`
 	TakenAtSeq     int                    `json:"taken_at_seq"`
@@ -82,7 +85,7 @@ type SnapshotState struct {
 	Tickets        []Ticket               `json:"tickets,omitempty"`
 	TicketsRetired uint64                 `json:"tickets_retired,omitempty"`
 	OpenReqs       map[string]string      `json:"open_reqs,omitempty"` // request ID -> ticket
-	Settles        []ledger.Settlement    `json:"settlements,omitempty"`
+	Book           ledger.BookCut         `json:"-"`
 	Counters       Counters               `json:"counters"`
 	Policy         *PolicyState           `json:"policy,omitempty"`
 }
@@ -153,7 +156,7 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		SubmitSeq:  e.appliedSeq,
 		Platform:   e.platform.Snapshot(),
 		OpenReqs:   map[string]string{},
-		Settles:    e.book.All(),
+		Book:       e.book.Cut(),
 		Counters: Counters{
 			Applied: e.stApplied.Load(),
 			Matched: e.stMatched.Load(),
@@ -233,7 +236,9 @@ var ErrLogBehindCheckpoint = errors.New("engine: recovered log ends short of the
 // core.RestorePlatform(opts, snap.Platform) when a snapshot exists, else
 // core.NewPlatform — and streams every recovered event through src. Events
 // up to snap.TakenAtSeq only re-seed the in-memory log; later ones are
-// applied to the platform, the engine's registries and the settlement book,
+// applied to the platform, the engine's registries and the settlement book
+// (restored from snap.Book, reading its archived prefix through
+// cfg.BookArchive),
 // batch by batch: the whole log is never held at once, and with a persister
 // that reads back (cfg.Persister, attached up front, never written to here)
 // only the log's tail stays in memory. The engine is returned stopped.
@@ -258,12 +263,15 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 		if base > watermark {
 			return fmt.Errorf("engine: recovered events start at seq %d but checkpoint covers only %d", base+1, watermark)
 		}
-		var settled []ledger.Settlement
+		var cut ledger.BookCut
 		if snap != nil {
-			// Clipped, so the book's appends never write into the snapshot.
-			settled = snap.Settles[:len(snap.Settles):len(snap.Settles)]
+			cut = snap.Book
 		}
-		e = newEngine(p, cfg, NewEventLogAt(base), ledger.NewSettlementBook(settled...))
+		book, err := ledger.RestoreSettlementBook(cut, cfg.BookArchive)
+		if err != nil {
+			return err
+		}
+		e = newEngine(p, cfg, NewEventLogAt(base), book)
 		if cfg.Persister != nil {
 			e.log.SetPersister(cfg.Persister)
 		}

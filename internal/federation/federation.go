@@ -162,7 +162,7 @@ func Open(cfg Config) (*Market, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		ecfg := cfg.Engine
 		ecfg.Metrics = cfg.Metrics
-		ecfg.Persister = nil
+		ecfg.Persister, ecfg.BookArchive = nil, nil // wal.Boot attaches the shard's own
 		wopts := wal.Options{Dir: cfg.Dir, Policy: cfg.Sync, SegmentBytes: cfg.SegmentBytes}
 		if single {
 			// The only engine and WAL on the registry own the unlabelled
@@ -546,8 +546,9 @@ type Checkpoint struct {
 // /snapshot, the drain snapshot and the background checkpointer. Every
 // shard's cut is taken under the coordinator mutex, so no shard can be
 // mid-2PC in the resulting snapshot set and the set is mutually consistent
-// with the coordinator log; encoding, fsync and pruning run after it is
-// released (ckMu keeps one checkpoint in flight). With Config.PruneOnSnapshot
+// with the coordinator log; archiving each shard's new settlements, encoding,
+// fsync and pruning run after it is released (ckMu keeps one checkpoint in
+// flight; see wal.WriteSnapshot for the order). With Config.PruneOnSnapshot
 // each write also drops the WAL segments the previous checkpoint covers; old
 // snapshot files are retired either way (each lineage keeps its newest two,
 // the older one as the corruption fallback). Returns one checkpoint per

@@ -89,7 +89,7 @@ func openShare(t *testing.T, m *Market, seller, ds string, rel *relation.Relatio
 }
 
 // shardFingerprint canonicalizes one shard's externally observable state —
-// the wal replay-test fingerprint, per shard.
+// the wal replay-test fingerprint, per shard, whole settlement book streamed.
 func shardFingerprint(t *testing.T, sh *Shard) []byte {
 	t.Helper()
 	snap, err := sh.Engine.Snapshot()
@@ -97,16 +97,21 @@ func shardFingerprint(t *testing.T, sh *Shard) []byte {
 		t.Fatalf("shard %d snapshot: %v", sh.Index, err)
 	}
 	snap.TakenAt = time.Time{}
+	var book []ledger.Settlement
+	if err := snap.Book.Each(func(s ledger.Settlement) error { book = append(book, s); return nil }); err != nil {
+		t.Fatalf("shard %d book: %v", sh.Index, err)
+	}
 	var history []string
 	for _, tx := range sh.Platform.Arbiter.History() {
 		history = append(history, fmt.Sprintf("%s/%s/%s/%.2f", tx.ID, tx.RequestID, tx.Buyer, tx.Price))
 	}
 	out, err := json.MarshalIndent(struct {
 		Snap      *engine.SnapshotState
+		Book      []ledger.Settlement
 		History   []string
 		Supply    ledger.Currency
 		Conserved bool
-	}{snap, history, sh.Platform.Arbiter.Ledger.TotalSupply(), sh.Engine.Settlements().Conserved()}, "", " ")
+	}{snap, book, history, sh.Platform.Arbiter.Ledger.TotalSupply(), snap.Book.Conserved()}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package ledger
 
 import (
-	"sort"
+	"errors"
+	"slices"
 	"sync"
 )
 
@@ -31,107 +32,221 @@ func (s Settlement) credits() Currency {
 	return total
 }
 
-// SettlementBook records settlements consumed from the engine's event log
-// and checks the market's conservation invariant: every settled price is
-// fully accounted for by the arbiter cut plus the seller cuts.
-type SettlementBook struct {
-	mu          sync.Mutex
-	settlements []Settlement
+// leaks reports an upfront settlement whose fan-out misses its price by more
+// than the rounding tolerance: one micro-unit per cut plus one for the fee.
+// Ex-post deliveries never leak: their revenue split happens at report time.
+func (s Settlement) leaks() bool {
+	if s.ExPost {
+		return false
+	}
+	diff := s.Price - s.credits()
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff > Currency(len(s.SellerCuts)+1)
 }
 
-// NewSettlementBook creates a book holding recorded, in order. It adopts
-// the slice rather than copying it (a restore hands over the settlements it
-// just decoded); the caller must not change it afterwards.
-func NewSettlementBook(recorded ...Settlement) *SettlementBook {
-	return &SettlementBook{settlements: recorded}
+// BookMark describes the prefix of a settlement book an archive holds
+// durably: how many entries and archive bytes it spans, the CRC-32C of those
+// bytes, and the book's totals over it — so a book restored from a checkpoint
+// knows its debits, credits and conservation without reading an archived
+// entry back.
+type BookMark struct {
+	Count     int      `json:"count"`
+	Bytes     int64    `json:"bytes"`
+	CRC       uint32   `json:"crc32c"`
+	Debits    Currency `json:"debits"`
+	Credits   Currency `json:"credits"`
+	Conserved bool     `json:"conserved"`
+}
+
+// Archive reads back the archived prefix of a settlement book.
+type Archive interface {
+	// Scan calls fn with the m.Count archived settlements in record order. It
+	// fails unless they fill exactly the m.Bytes archive bytes whose CRC-32C
+	// is m.CRC, and stops at fn's first error.
+	Scan(m BookMark, fn func(Settlement) error) error
+}
+
+// totals are a book's running sums over every entry: what buyers paid and
+// what the arbiter and sellers received across upfront settlements, and
+// whether any of them leaked.
+type totals struct {
+	debits, credits Currency
+	leaky           bool
+}
+
+func (t *totals) add(s Settlement) {
+	if !s.ExPost {
+		t.debits += s.Price
+		t.credits += s.credits()
+	}
+	t.leaky = t.leaky || s.leaks()
+}
+
+// SettlementBook records settlements consumed from the engine's event log
+// and checks the market's conservation invariant: every settled price is
+// fully accounted for by the arbiter cut plus the seller cuts. It keeps
+// running totals, so its checks are O(1). With an archive, the entries a
+// checkpoint has archived leave memory and are read back from it; without
+// one, every entry stays in memory.
+type SettlementBook struct {
+	mu      sync.Mutex
+	archive Archive
+	mark    BookMark     // the prefix the archive holds durably
+	dropped int          // entries only the archive holds: mark.Count with an archive, else 0
+	held    []Settlement // the entries from number dropped on
+	sum     totals
+}
+
+// NewSettlementBook creates an empty book. With a non-nil archive, entries
+// leave memory once a checkpoint has archived them (BookCut.Archived).
+func NewSettlementBook(archive Archive) *SettlementBook {
+	return &SettlementBook{archive: archive}
+}
+
+// RestoreSettlementBook rebuilds a book from a checkpoint's cut: its totals
+// and archived mark, plus the entries past the mark. With an archive the
+// book reads the archived prefix from it and holds only what follows the
+// mark; without one the cut must still hold every entry itself.
+func RestoreSettlementBook(c BookCut, archive Archive) (*SettlementBook, error) {
+	if archive == nil && c.dropped > 0 {
+		return nil, errors.New("ledger: the checkpoint archived settlements but the book has no archive to read them from")
+	}
+	// A cut's entries are clipped (Cut), so the book's appends never write
+	// into them.
+	b := &SettlementBook{archive: archive, mark: c.Mark, dropped: c.dropped, held: c.held, sum: c.sum}
+	if archive != nil && c.dropped < c.Mark.Count {
+		b.held, b.dropped = slices.Clone(c.Unarchived()), c.Mark.Count
+	}
+	return b, nil
 }
 
 // Record appends one settlement.
 func (b *SettlementBook) Record(s Settlement) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.settlements = append(b.settlements, s)
+	b.held = append(b.held, s)
+	b.sum.add(s)
 }
 
 // Count returns the number of recorded settlements.
 func (b *SettlementBook) Count() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.settlements)
-}
-
-// All returns every settlement in record order, read-only. The book only
-// appends and never changes an entry, so this is the recorded prefix clipped
-// to its length and capacity — later Records cannot reach into it — shared
-// rather than copied: O(1) however long the book.
-func (b *SettlementBook) All() []Settlement {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.settlements)
-	return b.settlements[:n:n]
-}
-
-// Epochs returns the distinct epochs that produced settlements, ascending.
-func (b *SettlementBook) Epochs() []uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, s := range b.settlements {
-		if !seen[s.Epoch] {
-			seen[s.Epoch] = true
-			out = append(out, s.Epoch)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return b.dropped + len(b.held)
 }
 
 // Debits sums what buyers paid across all upfront settlements.
-func (b *SettlementBook) Debits() Currency {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var total Currency
-	for _, s := range b.settlements {
-		if !s.ExPost {
-			total += s.Price
-		}
-	}
-	return total
-}
+func (b *SettlementBook) Debits() Currency { return b.Cut().Debits() }
 
 // Credits sums what the arbiter and sellers received across all upfront
 // settlements.
-func (b *SettlementBook) Credits() Currency {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var total Currency
-	for _, s := range b.settlements {
-		if !s.ExPost {
-			total += s.credits()
-		}
-	}
-	return total
-}
+func (b *SettlementBook) Credits() Currency { return b.Cut().Credits() }
 
 // Conserved verifies credits == debits for every upfront settlement, within
 // a per-settlement tolerance covering FromFloat rounding of the individual
 // cuts (one micro-unit per cut plus one for the fee). Ex-post settlements
 // are skipped: their revenue split happens at report time.
-func (b *SettlementBook) Conserved() bool {
+func (b *SettlementBook) Conserved() bool { return b.Cut().Conserved() }
+
+// Cut returns a consistent view of the book as it stands: the entries and
+// the totals over them agree however many are recorded meanwhile. O(1): the
+// entries held in memory are shared, not copied — the book only appends and
+// never changes an entry.
+func (b *SettlementBook) Cut() BookCut {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, s := range b.settlements {
-		if s.ExPost {
-			continue
+	n := len(b.held)
+	return BookCut{Mark: b.mark, sum: b.sum, dropped: b.dropped, held: b.held[:n:n], archive: b.archive, book: b}
+}
+
+// archived records that the archive durably holds the book up to m: the
+// entries m covers leave memory when the book can read them back. A mark
+// behind the current one (an older checkpoint finishing late) changes
+// nothing.
+func (b *SettlementBook) archived(m BookMark) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if m.Count <= b.mark.Count {
+		return
+	}
+	b.mark = m
+	if b.archive != nil {
+		// A fresh slice, so the dropped entries are not pinned behind it.
+		b.held, b.dropped = slices.Clone(b.held[m.Count-b.dropped:]), m.Count
+	}
+}
+
+// BookCut is a read-only view of a settlement book at one instant — the
+// settlement half of an engine checkpoint. Mark is the prefix the book's
+// archive held at the cut; the entries past it are Unarchived.
+type BookCut struct {
+	Mark    BookMark
+	sum     totals
+	dropped int          // entries to read from the archive: 0 or Mark.Count
+	held    []Settlement // the entries from number dropped on
+	archive Archive
+	book    *SettlementBook // nil for a cut decoded from a checkpoint
+}
+
+// ArchivedCut is the cut a checkpoint describes by its mark alone: every
+// entry is in the archive.
+func ArchivedCut(m BookMark) BookCut {
+	return BookCut{Mark: m, dropped: m.Count,
+		sum: totals{debits: m.Debits, credits: m.Credits, leaky: m.Count > 0 && !m.Conserved}}
+}
+
+// Count returns the number of entries in the cut.
+func (c BookCut) Count() int { return c.dropped + len(c.held) }
+
+// Debits sums what buyers paid across the cut's upfront settlements.
+func (c BookCut) Debits() Currency { return c.sum.debits }
+
+// Credits sums what the arbiter and sellers received across the cut's
+// upfront settlements.
+func (c BookCut) Credits() Currency { return c.sum.credits }
+
+// Conserved reports whether every upfront settlement in the cut is fully
+// accounted for (see SettlementBook.Conserved).
+func (c BookCut) Conserved() bool { return !c.sum.leaky }
+
+// Unarchived returns the entries past Mark, read-only: what the next
+// checkpoint appends to the archive.
+func (c BookCut) Unarchived() []Settlement { return c.held[c.Mark.Count-c.dropped:] }
+
+// Extended returns the mark of an archive holding the whole cut: Mark
+// extended by the unarchived entries, which took the archive to bytes bytes
+// with checksum crc.
+func (c BookCut) Extended(bytes int64, crc uint32) BookMark {
+	return BookMark{Count: c.Count(), Bytes: bytes, CRC: crc,
+		Debits: c.sum.debits, Credits: c.sum.credits, Conserved: !c.sum.leaky}
+}
+
+// Archived tells the book the cut was taken from that its archive now
+// durably holds everything up to m (a mark Extended from this cut).
+func (c BookCut) Archived(m BookMark) {
+	if c.book != nil {
+		c.book.archived(m)
+	}
+}
+
+// Each calls fn with every entry of the cut in record order — the archived
+// prefix streamed from the archive, then the entries held in memory — and
+// stops at fn's first error.
+func (c BookCut) Each(fn func(Settlement) error) error {
+	if c.dropped > 0 {
+		if c.archive == nil {
+			return errors.New("ledger: archived settlements with no archive to read them from")
 		}
-		diff := s.Price - s.credits()
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > Currency(len(s.SellerCuts)+1) {
-			return false
+		if err := c.archive.Scan(c.Mark, fn); err != nil {
+			return err
 		}
 	}
-	return true
+	for _, s := range c.held {
+		if err := fn(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,12 +2,23 @@ package ledger
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
 
+// entries collects every entry of a cut in record order.
+func entries(t *testing.T, c BookCut) []Settlement {
+	t.Helper()
+	var out []Settlement
+	if err := c.Each(func(s Settlement) error { out = append(out, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSettlementBookConservation(t *testing.T) {
-	b := NewSettlementBook()
+	b := NewSettlementBook(nil)
 	b.Record(Settlement{
 		TxID: "tx-1", Epoch: 1, Buyer: "b1", Price: FromFloat(100),
 		ArbiterCut: FromFloat(10),
@@ -27,8 +38,8 @@ func TestSettlementBookConservation(t *testing.T) {
 	if got := b.Credits(); got != FromFloat(160) {
 		t.Fatalf("credits: want 160, got %s", got)
 	}
-	if got := b.Epochs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("epochs: %v", got)
+	if got := entries(t, b.Cut()); len(got) != 2 || got[0].Epoch != 1 || got[1].Epoch != 2 {
+		t.Fatalf("entries: %v", got)
 	}
 
 	// A leaky settlement (price not fully fanned out) breaks conservation.
@@ -43,7 +54,7 @@ func TestSettlementBookConservation(t *testing.T) {
 }
 
 func TestSettlementBookExPostSkipped(t *testing.T) {
-	b := NewSettlementBook()
+	b := NewSettlementBook(nil)
 	// Ex-post: deposit escrowed, cuts unknown until the report — must not
 	// count against conservation or the credit/debit totals.
 	b.Record(Settlement{TxID: "tx-1", Epoch: 1, Buyer: "b1", Price: FromFloat(500), ExPost: true})
@@ -59,7 +70,7 @@ func TestSettlementBookExPostSkipped(t *testing.T) {
 }
 
 func TestSettlementBookRoundingTolerance(t *testing.T) {
-	b := NewSettlementBook()
+	b := NewSettlementBook(nil)
 	// Each cut may round by one micro-unit; a 3-way split may be off by up
 	// to len(cuts)+1 micro-units in total and still conserve.
 	b.Record(Settlement{
@@ -76,7 +87,7 @@ func TestSettlementBookRoundingTolerance(t *testing.T) {
 }
 
 func TestSettlementBookConcurrent(t *testing.T) {
-	b := NewSettlementBook()
+	b := NewSettlementBook(nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -98,7 +109,177 @@ func TestSettlementBookConcurrent(t *testing.T) {
 	if !b.Conserved() {
 		t.Fatal("conservation violated")
 	}
-	if len(b.All()) != 400 || len(b.Epochs()) != 8 {
-		t.Fatalf("All/Epochs inconsistent: %d/%d", len(b.All()), len(b.Epochs()))
+	epochs := map[uint64]bool{}
+	for _, s := range entries(t, b.Cut()) {
+		epochs[s.Epoch] = true
+	}
+	if b.Cut().Count() != 400 || len(epochs) != 8 {
+		t.Fatalf("cut inconsistent: %d entries over %d epochs", b.Cut().Count(), len(epochs))
+	}
+}
+
+// memArchive is an in-memory Archive: the entries a checkpoint appended.
+type memArchive struct {
+	mu  sync.Mutex
+	got []Settlement
+}
+
+func (a *memArchive) Scan(m BookMark, fn func(Settlement) error) error {
+	a.mu.Lock()
+	got := a.got
+	a.mu.Unlock()
+	if m.Count > len(got) {
+		return fmt.Errorf("archive holds %d entries, mark %d", len(got), m.Count)
+	}
+	for _, s := range got[:m.Count] {
+		if err := fn(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkpoint archives what c has not yet archived into a, as a checkpointer
+// does, and tells the book.
+func (a *memArchive) checkpoint(c BookCut) BookMark {
+	a.mu.Lock()
+	a.got = append(a.got[:c.Mark.Count:c.Mark.Count], c.Unarchived()...)
+	m := c.Extended(int64(len(a.got)), 0)
+	a.mu.Unlock()
+	c.Archived(m)
+	return m
+}
+
+// TestSettlementBookConcurrentCheckpoints: recording, checkpointing and
+// whole-book reading run at once, as the epoch loop, the background
+// checkpointer and GET /settlements do. Every cut a reader takes streams
+// exactly the entries recorded before it, in order, with totals to match.
+func TestSettlementBookConcurrentCheckpoints(t *testing.T) {
+	const total = 2000
+	arc := &memArchive{}
+	b := NewSettlementBook(arc)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the checkpointer
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				arc.checkpoint(b.Cut())
+			}
+		}
+	}()
+	go func() { // a whole-book reader
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			c := b.Cut()
+			n := 0
+			err := c.Each(func(s Settlement) error {
+				if s.TxID != fmt.Sprintf("tx-%d", n) {
+					return fmt.Errorf("entry %d is %s", n, s.TxID)
+				}
+				n++
+				return nil
+			})
+			if err == nil && (n != c.Count() || c.Debits() != FromFloat(10)*Currency(n)) {
+				err = fmt.Errorf("cut of %d streamed %d entries, debits %s", c.Count(), n, c.Debits())
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < total; i++ {
+		b.Record(Settlement{TxID: fmt.Sprintf("tx-%d", i), Buyer: "b", Price: FromFloat(10),
+			ArbiterCut: FromFloat(1), SellerCuts: map[string]Currency{"s": FromFloat(9)}})
+	}
+	close(done)
+	wg.Wait()
+	if got := entries(t, b.Cut()); len(got) != total || !b.Conserved() {
+		t.Fatalf("book streams %d of %d entries", len(got), total)
+	}
+}
+
+// TestSettlementBookArchive: with an archive, what a checkpoint archived
+// leaves memory and is streamed back ahead of the entries held; a cut stays
+// the book as it was however the book moves on; a restored book needs only
+// the mark and the entries past it; and without an archive nothing leaves.
+func TestSettlementBookArchive(t *testing.T) {
+	sale := func(i int, leak Currency) Settlement {
+		return Settlement{TxID: fmt.Sprintf("tx-%d", i), Epoch: uint64(i), Buyer: "b", Price: FromFloat(10),
+			ArbiterCut: FromFloat(1) - leak, SellerCuts: map[string]Currency{"s": FromFloat(9)}}
+	}
+	var all []Settlement
+	arc := &memArchive{}
+	b, mem := NewSettlementBook(arc), NewSettlementBook(nil)
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			s := sale(len(all), 0)
+			all = append(all, s)
+			b.Record(s)
+			mem.Record(s)
+		}
+	}
+	record(5)
+	before := b.Cut()
+	m := arc.checkpoint(before)
+	arc.checkpoint(mem.Cut())
+	record(3)
+	if b.Count() != 8 || len(b.held) != 3 || b.dropped != 5 || len(mem.held) != 8 {
+		t.Fatalf("archived entries did not leave memory: count %d, held %d, dropped %d (in-memory book holds %d)",
+			b.Count(), len(b.held), b.dropped, len(mem.held))
+	}
+	if got := entries(t, before); !reflect.DeepEqual(got, all[:5]) {
+		t.Fatalf("the cut moved with the book: %v", got)
+	}
+	for _, book := range []*SettlementBook{b, mem} {
+		if got := entries(t, book.Cut()); !reflect.DeepEqual(got, all) {
+			t.Fatalf("book streams %v, want %v", got, all)
+		}
+	}
+	if u := b.Cut().Unarchived(); len(u) != 3 || u[0].TxID != "tx-5" {
+		t.Fatalf("unarchived entries %v", u)
+	}
+	if m.Count != 5 || m.Debits != FromFloat(50) || m.Credits != FromFloat(50) || !m.Conserved {
+		t.Fatalf("mark %+v", m)
+	}
+
+	// A checkpoint decoded from disk carries only the mark.
+	if _, err := RestoreSettlementBook(ArchivedCut(m), nil); err == nil {
+		t.Fatal("restored an archived book with no archive")
+	}
+	r, err := RestoreSettlementBook(ArchivedCut(m), arc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Record(sale(5, FromFloat(1)))
+	if r.Count() != 6 || r.Conserved() || r.Debits() != FromFloat(60) || r.Credits() != FromFloat(59) {
+		t.Fatalf("restored totals: count %d conserved %v debits %s credits %s", r.Count(), r.Conserved(), r.Debits(), r.Credits())
+	}
+	if got := entries(t, r.Cut()); len(got) != 6 || !reflect.DeepEqual(got[:5], all[:5]) {
+		t.Fatalf("restored book streams %v", got)
+	}
+	// An in-memory book's cut restores onto an archive by dropping what the
+	// mark covers.
+	r2, err := RestoreSettlementBook(mem.Cut(), arc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r2.held) != 3 || r2.dropped != 5 || !reflect.DeepEqual(entries(t, r2.Cut()), all) {
+		t.Fatalf("restored from an in-memory cut: held %d, dropped %d", len(r2.held), r2.dropped)
+	}
+	// An older checkpoint finishing late moves nothing back.
+	before.Archived(ArchivedCut(BookMark{}).Extended(0, 0))
+	if b.dropped != 5 {
+		t.Fatalf("a stale mark moved the book back to %d dropped", b.dropped)
 	}
 }

@@ -3,9 +3,11 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 )
 
 // BootResult reports what recovery found.
@@ -20,6 +22,14 @@ type BootResult struct {
 	// Replayed is how many of those were decoded and applied to the platform:
 	// the ones past the snapshot watermark.
 	Replayed int
+	// ArchivedSettlements is how many settlements the snapshot's book archive
+	// prefix holds: entries boot checked but did not decode, and that the
+	// book reads back from the archive instead of holding them.
+	ArchivedSettlements int
+	// SkippedSnapshots names each snapshot newer than the one recovery
+	// started from, with why it was passed over: unreadable, unparseable, or
+	// a book archive prefix that does not match its mark.
+	SkippedSnapshots []string
 }
 
 // Boot performs the full recovery sequence in opts.Dir and returns a
@@ -27,15 +37,22 @@ type BootResult struct {
 // reopened and attached as the engine's persister:
 //
 //  1. remove snapshot tmp files a crash left mid-write, then load the newest
-//     parseable snapshot, if any;
+//     snapshot that parses and whose settlement-book archive prefix matches
+//     its mark, if any (checked by CRC, not decoded); a snapshot from before
+//     the archive, which lists its settlements, is imported into the archive
+//     and rewritten without them;
 //  2. rebuild the platform — from the snapshot checkpoint, or fresh;
 //  3. scan the WAL once, segment by segment, from the first segment the
 //     snapshot does not wholly cover (torn tails truncate, never fail),
 //     decoding only the events past the snapshot watermark and streaming
 //     them into engine.Restore, which replays them onto the platform and
 //     folds them into the settlement book; only the newest tail stays in the
-//     in-memory log (older cursors are served by Log.ReadBack);
-//  4. the same scan leaves the WAL open for appending after the valid prefix.
+//     in-memory log (older cursors are served by Log.ReadBack), and only the
+//     entries past the archive's mark in the book;
+//  4. the same scan leaves the WAL open for appending after the valid prefix;
+//  5. cut the book archive back to the snapshot's mark: whatever a later,
+//     unfinished or unusable checkpoint appended past it, the replayed WAL
+//     tail has recorded again.
 //
 // The engine is returned stopped; the caller owns Start/Stop and must Close
 // the returned Log after Stop.
@@ -46,13 +63,26 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	if err := removeSnapshotTmps(walOpts.Dir); err != nil {
 		return nil, nil, nil, res, err
 	}
-	snap, err := LoadSnapshot(walOpts.Dir)
+	snap, skipped, err := loadSnapshot(walOpts.Dir)
+	res.SkippedSnapshots = skipped
 	if err != nil {
 		return nil, nil, nil, res, fmt.Errorf("wal: load snapshot: %w", err)
 	}
+	if snap != nil && snap.Book.Mark.Count < snap.Book.Count() {
+		// Listed, not archived: move the list into the archive once, so no
+		// later boot decodes it again.
+		_, mark, err := writeSnapshot(walOpts.Dir, snap)
+		if err != nil {
+			return nil, nil, nil, res, fmt.Errorf("wal: import settlements into the book archive: %w", err)
+		}
+		snap.Book = ledger.ArchivedCut(mark)
+	}
 	var p *core.Platform
+	var mark ledger.BookMark
 	if snap != nil {
 		res.FromSnapshotSeq = snap.TakenAtSeq
+		mark = snap.Book.Mark
+		res.ArchivedSettlements = mark.Count
 		p, err = core.RestorePlatform(platOpts, snap.Platform)
 	} else {
 		p, err = core.NewPlatform(platOpts)
@@ -64,6 +94,7 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	// restore scans a fresh Log into engine.Restore. The Log is the engine's
 	// persister from the start — that is what lets the seeded log drop
 	// everything but its tail — but nothing is appended until Restore returns.
+	cfg.BookArchive = bookArchive(filepath.Join(walOpts.Dir, bookArchiveName))
 	restore := func() (*engine.Engine, *Log, error) {
 		w := &Log{opt: walOpts}
 		cfg.Persister = w
@@ -115,6 +146,10 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	if got, want := w.LastSeq(), eng.Log().LastSeq(); got != want {
 		w.Close()
 		return nil, nil, nil, res, fmt.Errorf("wal: append cursor at seq %d but log ends at %d", got, want)
+	}
+	if err := trimBook(walOpts.Dir, mark.Bytes); err != nil {
+		w.Close()
+		return nil, nil, nil, res, err
 	}
 	return p, eng, w, res, nil
 }

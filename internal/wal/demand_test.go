@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -53,6 +55,80 @@ func TestDemandSignalsSurviveRestore(t *testing.T) {
 		t.Fatalf("opportunistic dataset not shared: %v", err)
 	}
 	_ = baseEng
+}
+
+// recommendScript gives the buyers overlapping but different purchase
+// histories on both sides of a checkpoint after its third epoch, so the
+// recommendation service has something to rank.
+func recommendScript() [][]op {
+	req := func(buyer, col string) op {
+		return op{kind: "request", name: buyer, offer: 150, cols: []string{col}}
+	}
+	return [][]op{
+		{
+			{kind: "register", name: "b1", funds: 5000},
+			{kind: "register", name: "b2", funds: 5000},
+			{kind: "register", name: "b3", funds: 5000},
+			{kind: "register", name: "b4", funds: 5000},
+		},
+		{
+			{kind: "share", name: "s1", ds: "s1/a", rows: 8, valCol: "a"},
+			{kind: "share", name: "s2", ds: "s2/b", rows: 8, valCol: "b"},
+			{kind: "share", name: "s3", ds: "s3/c", rows: 8, valCol: "c"},
+			{kind: "share", name: "s3", ds: "s3/d", rows: 8, valCol: "d"},
+		},
+		{req("b1", "a"), req("b2", "a"), req("b2", "b"), req("b3", "b"), req("b3", "c")},
+		{req("b4", "c"), req("b1", "d"), req("b4", "a")},
+	}
+}
+
+// TestRecommendSurvivesRestore: the recommendation service (paper §4.1)
+// ranks by every purchase ever made, so a gateway restarted from a
+// checkpoint plus the WAL tail, and one replaying the WAL alone, must
+// recommend exactly what the uninterrupted run does, to every buyer.
+func TestRecommendSurvivesRestore(t *testing.T) {
+	sc := recommendScript()
+	live, _, dir, _ := checkpointedRun(t, sc, 2)
+	walOnly := t.TempDir()
+	segs, err := segmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range segs {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(walOnly, name), raw, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		dir      string
+		snapshot bool
+	}{{"snapshot+tail", dir, true}, {"wal-only", walOnly, false}} {
+		p, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: c.dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Stop()
+		w.Close()
+		if (res.FromSnapshotSeq > 0) != c.snapshot {
+			t.Fatalf("%s: boot %+v", c.name, res)
+		}
+		ranked := 0
+		for _, b := range []string{"b1", "b2", "b3", "b4"} {
+			want, got := live.Arbiter.Recommend(b, 10), p.Arbiter.Recommend(b, 10)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Recommend(%s) = %v, the uninterrupted run says %v", c.name, b, got, want)
+			}
+			ranked += len(want)
+		}
+		if ranked == 0 {
+			t.Fatal("the script gives the recommendation service nothing to rank")
+		}
+	}
 }
 
 // TestDemandSignalsSurviveSnapshotRestore: signals also ride the checkpoint

@@ -1,7 +1,31 @@
 // Package wal is the durable half of the market engine's event log: a
 // segmented write-ahead log that persists every engine.Event before it
 // becomes visible to in-memory subscribers, plus the snapshot files that let
-// a restart skip replaying from seq 1.
+// a restart skip replaying from seq 1 and the archive that holds the
+// settlement book.
+//
+// # Directory layout
+//
+// One WAL directory is one engine's lineage (a federation shard's, or the
+// whole market's with one shard):
+//
+//	wal-<firstseq>.seg             the log, in rotating segments
+//	snapshot-<seq>.json            the newest two checkpoints, each covering
+//	                               the log up to <seq>
+//	snapshot-<seq>.json.tmp-<rand> a checkpoint a crash cut short; Boot
+//	                               removes it
+//	settlements.archive            the settlement book up to the newest
+//	                               checkpoint, one record per settlement
+//	wal-<firstseq>.seg.covered[.N] segments set aside because a snapshot
+//	                               superseded them (see Boot)
+//
+// The archive is written only by checkpoints and only ever appended to. A
+// snapshot names the archive prefix it covers by a ledger.BookMark — entry
+// count, byte length, CRC-32C of those bytes, and the book's debits, credits
+// and conservation over them — in place of the settlements themselves, so
+// neither writing a checkpoint nor loading one costs O(settlements ever
+// made). The archive is created by the first checkpoint that has a
+// settlement to archive, never at boot.
 //
 // # Record format
 //
@@ -13,7 +37,9 @@
 //	8       N     payload: one engine.Event, JSON-encoded
 //
 // Records are concatenated into segment files named wal-<firstseq>.seg,
-// rotated once a segment exceeds Options.SegmentBytes. Sequence numbers are
+// rotated once a segment exceeds Options.SegmentBytes. The settlement-book
+// archive uses the same framing with one ledger.Settlement per payload.
+// Sequence numbers are
 // assigned by the engine's event log (1-based, no gaps); the WAL verifies
 // contiguity on append and on load, so a decoded log is always a prefix of
 // the in-memory history.
@@ -60,28 +86,56 @@
 // # Boot sequence
 //
 // Boot wires recovery end to end: delete the tmp files of snapshot writes a
-// crash cut short, load the newest parseable snapshot (if any), rebuild the
-// platform from it (or fresh), then scan the WAL once — from the first
-// segment the snapshot does not wholly cover, truncating any torn tail and
-// leaving it open for appending — streaming each segment's events into
-// engine.Restore, which replays the ones past the snapshot onto the platform
-// and keeps only the newest tail in memory. Segments the snapshot covers are
-// not read at all, and in the first one that is read the records it covers
-// are checked but not decoded, so recovery costs the snapshot plus the log
-// suffix behind it, not the market's lifetime. Covered segments stay on disk
-// until a prune, and subscriber cursors from before the restart resume
-// gap-free from them and the rest, served by ReadBack.
+// crash cut short, load the newest snapshot that parses and whose
+// settlement-book archive prefix matches its mark (a CRC over the prefix; no
+// archived settlement is decoded), rebuild the platform from it (or fresh),
+// then scan the WAL once — from the first segment the snapshot does not
+// wholly cover, truncating any torn tail and leaving it open for appending —
+// streaming each segment's events into engine.Restore, which replays the ones
+// past the snapshot onto the platform and keeps only the newest tail in
+// memory; finally cut the archive back to the snapshot's mark, dropping what
+// a later, unfinished or unusable checkpoint appended (the replayed tail has
+// recorded those settlements again). Segments the snapshot covers are not
+// read at all, and in the first one that is read the records it covers are
+// checked but not decoded, so recovery costs the snapshot plus the log suffix
+// behind it, not the market's lifetime. Covered segments stay on disk until a
+// prune, and subscriber cursors from before the restart resume gap-free from
+// them and the rest, served by ReadBack.
+//
+// A snapshot that does not parse, or whose archive prefix does not match, is
+// passed over for the one before it and named in BootResult.SkippedSnapshots;
+// if no snapshot that parses has an intact prefix, Boot refuses with an error
+// naming the archive rather than restore a wrong book. A snapshot from before
+// the archive lists its settlements; Boot imports them into a fresh archive
+// and rewrites the snapshot with the mark, once. Such a release, in turn,
+// cannot decode a snapshot that carries a mark: it passes it over and
+// replays the WAL, or refuses when the segments it would need were pruned.
 //
 // # Checkpoints
 //
 // Engine.Snapshot cuts a checkpoint under the engine's epoch lock — the book
-// is shared, not copied — and WriteSnapshot encodes it after the lock is
-// released, streaming the settlements and the ticket window through a
-// buffered writer into a tmp file that is fsynced, renamed into place and
-// made durable with a directory fsync. PruneAfterSnapshot then retires all but the newest two snapshots and
-// optionally drops the segments the older of them covers. The one caller that
-// sequences all three is federation.Market.SnapshotAll, which runs in the
-// background whenever a shard's log has grown retain.Windows.Checkpoint
-// events past its last checkpoint, on demand (dmms POST /snapshot) and on
-// drain (dmgateway -snapshot-on-drain).
+// is shared, not copied — and WriteSnapshot writes it after the lock is
+// released, in this order:
+//
+//  1. append the settlements the book recorded since its archived mark to
+//     the archive and fsync it — O(new settlements), not O(book);
+//  2. encode the snapshot, the extended mark in place of the book and the
+//     ticket window streamed through a buffered writer, into a tmp file and
+//     fsync it;
+//  3. rename the tmp file into place;
+//  4. fsync the directory;
+//  5. let the archived entries leave the book's memory (BookCut.Archived):
+//     whole-book readers — GET /settlements, the crash tests' fingerprints —
+//     stream them back from the archive, then the entries held in memory.
+//
+// A kill anywhere before step 4 leaves the previous checkpoint the newest one
+// and at most some archive bytes past its mark, which the next boot cuts off;
+// the next checkpoint rewrites them identically either way, since the
+// encoding of an entry never changes. PruneAfterSnapshot then retires all but
+// the newest two snapshots and optionally drops the segments the older of
+// them covers; the archive is never pruned. The one caller that sequences
+// these is federation.Market.SnapshotAll, which runs in the background
+// whenever a shard's log has grown retain.Windows.Checkpoint events past its
+// last checkpoint, on demand (dmms POST /snapshot) and on drain (dmgateway
+// -snapshot-on-drain).
 package wal

@@ -1,11 +1,88 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/ledger"
 )
+
+// FuzzBookArchive throws damaged settlement-book archives at the archive's two
+// readers — boot's prefix check (checkPrefix, behind checkBook) and the
+// streaming reader (readBook, behind bookArchive.Scan) — under the marks of a
+// known book's three checkpoints. Invariants: neither panics; a read that
+// succeeds yields exactly the book up to the mark; and a prefix the check
+// accepts reads back, so whichever mark boot falls back to, the book it
+// serves is right. The seeds are the clean archive, a torn tail, bit flips in
+// a payload and in a checksum, a file shorter than the newest mark, garbage
+// past it, and two records swapped. CI runs this with a short -fuzztime
+// budget.
+func FuzzBookArchive(f *testing.F) {
+	book := ledger.NewSettlementBook(nil)
+	var want []ledger.Settlement
+	marks := []ledger.BookMark{{}}
+	dir := f.TempDir()
+	for i, n := range []int{3, 4} {
+		for j := 0; j < n; j++ {
+			s := ledger.Settlement{TxID: "tx-" + string(rune('a'+len(want))), Epoch: uint64(i + 1), Buyer: "b1",
+				Price: ledger.FromFloat(100), ArbiterCut: ledger.FromFloat(5),
+				SellerCuts: map[string]ledger.Currency{"s1": ledger.FromFloat(60), "s2": ledger.FromFloat(35)}}
+			if j == 2 {
+				s.ExPost, s.SellerCuts = true, nil
+			}
+			want = append(want, s)
+			book.Record(s)
+		}
+		cut := book.Cut()
+		m, err := appendBook(dir, cut)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cut.Archived(m)
+		marks = append(marks, m)
+	}
+	clean, err := os.ReadFile(filepath.Join(dir, bookArchiveName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flip := func(off int) []byte {
+		b := append([]byte{}, clean...)
+		b[off] ^= 0x04
+		return b
+	}
+	f.Add(clean)
+	f.Add(clean[:len(clean)-5])                  // torn tail
+	f.Add(flip(headerSize + 3))                  // bit flip in the first payload
+	f.Add(flip(5))                               // bit flip in the first checksum
+	f.Add(flip(len(clean) - 1))                  // bit flip in the newest checkpoint's last record
+	f.Add(clean[:marks[1].Bytes+2])              // shorter than the newest mark
+	f.Add(append(append([]byte{}, clean...), 1)) // garbage past the newest mark
+	f.Add([]byte{})
+	// The first two records swapped: every record checks out on its own, only
+	// the prefix CRC tells the book is wrong.
+	n := headerSize + int(binary.LittleEndian.Uint32(clean))
+	f.Add(append(append(append([]byte{}, clean[n:2*n]...), clean[:n]...), clean[2*n:]...))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, m := range marks {
+			checked := checkPrefix(bytes.NewReader(raw), m)
+			got := []ledger.Settlement{}
+			err := readBook(bytes.NewReader(raw), m, func(s ledger.Settlement) error { got = append(got, s); return nil })
+			if err == nil && !reflect.DeepEqual(got, want[:m.Count]) {
+				t.Fatalf("mark %+v: the reader accepted a wrong book:\n%+v\nwant\n%+v", m, got, want[:m.Count])
+			}
+			if checked == nil && err != nil {
+				t.Fatalf("mark %+v: the check accepted a prefix the reader rejects: %v", m, err)
+			}
+		}
+	})
+}
 
 // FuzzWALDecode throws arbitrary bytes at the record decoder. Invariants:
 // never panic, never read past the input, decode a contiguous seq run, and

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 )
 
 // TestPruneAfterSnapshotReboots: with tiny segments, checkpoint mid-script,
@@ -280,8 +281,10 @@ func TestBootDecodesOnlyUncoveredSegments(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		defer w2.Close()
-		if want := (BootResult{FromSnapshotSeq: watermark, Recovered: head - first + 1, Replayed: head - watermark}); res != want {
-			t.Fatalf("%s: %+v, want %+v", what, res, want)
+		if res.FromSnapshotSeq != watermark || res.Recovered != head-first+1 || res.Replayed != head-watermark ||
+			res.ArchivedSettlements == 0 || len(res.SkippedSnapshots) != 0 {
+			t.Fatalf("%s: %+v, want snapshot seq %d, %d events read and %d replayed, a book archive and no snapshot skipped",
+				what, res, watermark, head-first+1, head-watermark)
 		}
 		e2.Stop()
 		if got := fingerprint(t, p2, e2, true); string(got) != string(want) {
@@ -320,7 +323,7 @@ func TestBootRemovesStaleSnapshotTmp(t *testing.T) {
 	if _, err := WriteSnapshot(dir, snap); err != nil {
 		t.Fatal(err)
 	}
-	tmp, err := writeSnapshotTmp(dir, snap)
+	tmp, _, err := writeSnapshotTmp(dir, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,22 +342,29 @@ func TestBootRemovesStaleSnapshotTmp(t *testing.T) {
 
 // TestStreamedSnapshotIsTheMarshalledObject: the streamed snapshot encoding
 // is the JSON object json.Marshal gives — same keys and values, only in
-// another order — so snapshots written before and after streaming load on
-// either side.
+// another order — plus the book's archive mark under "settlements", so
+// snapshots written before and after streaming load on either side.
 func TestStreamedSnapshotIsTheMarshalledObject(t *testing.T) {
-	_, e, _ := runUninterrupted(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch)
+	_, e, dir := runUninterrupted(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch)
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Tickets) == 0 || len(snap.Settles) == 0 {
-		t.Fatalf("snapshot streams nothing: %d tickets, %d settlements", len(snap.Tickets), len(snap.Settles))
+	if len(snap.Tickets) == 0 || snap.Book.Count() == 0 {
+		t.Fatalf("snapshot streams nothing: %d tickets, %d settlements", len(snap.Tickets), snap.Book.Count())
 	}
-	var streamed bytes.Buffer
-	if err := encodeSnapshot(&streamed, snap); err != nil {
+	mark, err := appendBook(dir, snap.Book)
+	if err != nil {
 		t.Fatal(err)
 	}
-	marshalled, err := json.Marshal(snap)
+	var streamed bytes.Buffer
+	if err := encodeSnapshot(&streamed, snap, mark); err != nil {
+		t.Fatal(err)
+	}
+	marshalled, err := json.Marshal(struct {
+		*engine.SnapshotState
+		Settlements ledger.BookMark `json:"settlements"`
+	}{snap, mark})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,5 +377,8 @@ func TestStreamedSnapshotIsTheMarshalledObject(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed snapshot differs from json.Marshal:\n%s\n%s", streamed.Bytes(), marshalled)
+	}
+	if mark.Count != snap.Book.Count() || !mark.Conserved {
+		t.Fatalf("mark %+v does not cover the book's %d settlements", mark, snap.Book.Count())
 	}
 }

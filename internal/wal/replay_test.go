@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -397,11 +396,22 @@ func redrive(t *testing.T, e *engine.Engine, sc [][]op) {
 	e.TriggerEpoch()
 }
 
+// bookEntries streams a book cut whole: the archived prefix, then the entries
+// held in memory.
+func bookEntries(t *testing.T, c ledger.BookCut) []ledger.Settlement {
+	t.Helper()
+	var out []ledger.Settlement
+	if err := c.Each(func(s ledger.Settlement) error { out = append(out, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // fingerprint canonicalizes the externally observable state of a platform +
 // engine pair: balances, catalog (including the data), open requests on both
-// layers, ID counters, tickets, the settlement book, and history. With
-// withEpochs=false every epoch tag is scrubbed — the only field re-driven
-// work is allowed to move.
+// layers, ID counters, tickets, the whole settlement book — streamed, however
+// much of it the archive holds — and history. With withEpochs=false every
+// epoch tag is scrubbed — the only field re-driven work is allowed to move.
 func fingerprint(t *testing.T, p *core.Platform, e *engine.Engine, withEpochs bool) []byte {
 	t.Helper()
 	snap, err := e.Snapshot()
@@ -409,6 +419,7 @@ func fingerprint(t *testing.T, p *core.Platform, e *engine.Engine, withEpochs bo
 		t.Fatalf("snapshot for fingerprint: %v", err)
 	}
 	snap.TakenAt = time.Time{}
+	book := bookEntries(t, snap.Book)
 	if !withEpochs {
 		snap.Epoch = 0
 		snap.TakenAtSeq = 0
@@ -416,9 +427,8 @@ func fingerprint(t *testing.T, p *core.Platform, e *engine.Engine, withEpochs bo
 			snap.Tickets[i].Epoch = 0
 			snap.Tickets[i].MatchedEpoch = 0
 		}
-		snap.Settles = slices.Clone(snap.Settles) // the book's own entries: read-only
-		for i := range snap.Settles {
-			snap.Settles[i].Epoch = 0
+		for i := range book {
+			book[i].Epoch = 0
 		}
 		if snap.Policy != nil {
 			// Re-driven filings land in later epochs at later event seqs;
@@ -441,10 +451,11 @@ func fingerprint(t *testing.T, p *core.Platform, e *engine.Engine, withEpochs bo
 	}
 	out, err := json.MarshalIndent(struct {
 		Snap      *engine.SnapshotState
+		Book      []ledger.Settlement
 		History   []string
 		Supply    ledger.Currency
 		Conserved bool
-	}{snap, history, p.Arbiter.Ledger.TotalSupply(), e.Settlements().Conserved()}, "", " ")
+	}{snap, book, history, p.Arbiter.Ledger.TotalSupply(), snap.Book.Conserved()}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,31 +635,41 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 }
 
 // checkpointStages are where a kill can land in one checkpoint cycle: after
-// the tmp file is written and synced but before its rename, after the rename
-// but before the prune, and after the prune — the last once more with the
-// newest snapshot corrupted afterwards, so boot has to fall back one
-// checkpoint.
-var checkpointStages = []string{"tmp", "renamed", "pruned", "corrupt"}
+// the book archive append, after the tmp file is written and synced but
+// before its rename, after the rename but before the archived entries leave
+// the book's memory, and after the prune — the last twice more: with a torn
+// record appended to the archive past the mark, and with the newest snapshot
+// corrupted, so boot has to fall back one checkpoint while the archive runs
+// past that checkpoint's mark.
+var checkpointStages = []string{"archived", "tmp", "renamed", "pruned", "torn-archive", "corrupt"}
 
 // checkpointMatrix drives the script through a WAL-backed engine that
 // checkpoints — cut, write, prune behind — whenever its log has run
 // retain.Windows.Checkpoint events past the previous checkpoint, as
 // federation.Market's checkpointer does, and kills it at every stage of every
 // checkpoint. Each reboot must sweep the tmp file a kill before the rename
-// leaves, come back from the newest intact checkpoint plus the WAL segments it
-// does not cover, and after re-driving the script match the uninterrupted run
-// byte for byte.
+// leaves, cut the book archive back to the mark of the newest intact
+// checkpoint, come back from that checkpoint plus the WAL segments it does
+// not cover, and after re-driving the script match the uninterrupted run byte
+// for byte, whole book included.
 func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 	t.Helper()
 	t.Cleanup(retain.Shrink(func(w *retain.Windows) { w.Checkpoint = 5 }))
 	basePlat, baseEng, _ := runUninterrupted(t, platOpts, sc, SyncEpoch)
 	baseStrong := fingerprint(t, basePlat, baseEng, true)
 	opts := func(dir string) Options { return Options{Dir: dir, Policy: SyncEpoch, SegmentBytes: 512} }
+	archiveSize := func(dir string) int64 {
+		st, err := os.Stat(filepath.Join(dir, bookArchiveName))
+		if err != nil {
+			return 0
+		}
+		return st.Size()
+	}
 
 	// run drives the script into dir and dies at stage of checkpoint number
-	// kill (0 = never). It returns the seqs of the checkpoints it renamed into
-	// place and the durable log head.
-	run := func(dir string, kill int, stage string) (written []int, head int) {
+	// kill (0 = never). It returns the seqs and book marks of the checkpoints
+	// it renamed into place and the durable log head.
+	run := func(dir string, kill int, stage string) (written []int, marks []ledger.BookMark, head int) {
 		w, err := Open(opts(dir))
 		if err != nil {
 			t.Fatal(err)
@@ -658,7 +679,8 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 			t.Fatal(err)
 		}
 		fp := &faultPersister{inner: w, remaining: 1 << 30}
-		e := engine.New(p, engine.Config{Shards: 4, Persister: fp})
+		e := engine.New(p, engine.Config{Shards: 4, Persister: fp,
+			BookArchive: bookArchive(filepath.Join(dir, bookArchiveName))})
 		cut := 0
 		for _, epoch := range sc {
 			for _, o := range epoch {
@@ -673,25 +695,39 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 				t.Fatal(err)
 			}
 			cut = snap.TakenAtSeq
-			if n := len(written) + 1; n == kill && stage == "tmp" {
-				if _, err := writeSnapshotTmp(dir, snap); err != nil {
+			if n := len(written) + 1; n == kill && (stage == "archived" || stage == "tmp") {
+				if stage == "archived" {
+					_, err = appendBook(dir, snap.Book)
+				} else {
+					_, _, err = writeSnapshotTmp(dir, snap)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				break
 			}
-			path, err := WriteSnapshot(dir, snap)
+			path, mark, err := writeSnapshot(dir, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			written = append(written, cut)
+			written, marks = append(written, cut), append(marks, mark)
 			if len(written) == kill && stage == "renamed" {
 				break
 			}
+			snap.Book.Archived(mark)
 			if err := PruneAfterSnapshot(dir, w, true); err != nil {
 				t.Fatal(err)
 			}
 			if len(written) == kill {
-				if stage == "corrupt" {
+				switch stage {
+				case "torn-archive":
+					f, err := os.OpenFile(filepath.Join(dir, bookArchiveName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.Write(appendRecord(nil, []byte(`{"TxID":"tx-torn"}`))[:13])
+					f.Close()
+				case "corrupt":
 					if err := os.WriteFile(path, []byte(`{"taken_at_seq":`), 0o644); err != nil {
 						t.Fatal(err)
 					}
@@ -702,10 +738,10 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 		fp.remaining = 0 // dead: nothing after this point is durable
 		e.Stop()
 		w.Close()
-		return written, e.Log().LastSeq()
+		return written, marks, e.Log().LastSeq()
 	}
 
-	ckpts, _ := run(t.TempDir(), 0, "")
+	ckpts, _, _ := run(t.TempDir(), 0, "")
 	if len(ckpts) < 3 {
 		t.Fatalf("script crosses the checkpoint interval %d times, want several", len(ckpts))
 	}
@@ -713,12 +749,16 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 		for _, stage := range checkpointStages {
 			t.Run(fmt.Sprintf("ckpt%d-%s", kill, stage), func(t *testing.T) {
 				dir := t.TempDir()
-				written, head := run(dir, kill, stage)
-				want := 0 // the newest intact checkpoint
+				written, marks, head := run(dir, kill, stage)
+				want, wantMark := 0, ledger.BookMark{} // the newest intact checkpoint
 				if n := len(written); stage == "corrupt" && n > 1 {
-					want = written[n-2]
+					want, wantMark = written[n-2], marks[n-2]
 				} else if stage != "corrupt" && n > 0 {
-					want = written[n-1]
+					want, wantMark = written[n-1], marks[n-1]
+				}
+				if stage == "corrupt" && len(written) > 1 && marks[len(marks)-1].Count > wantMark.Count &&
+					archiveSize(dir) <= wantMark.Bytes {
+					t.Fatalf("the archive (%d bytes) does not run past the fallback's mark %+v", archiveSize(dir), wantMark)
 				}
 
 				p2, e2, w2, res, err := Boot(platOpts, engine.Config{Shards: 4}, opts(dir))
@@ -734,6 +774,13 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 				}
 				if want > 0 && res.Recovered >= head {
 					t.Fatalf("boot from the checkpoint at %d still decoded %d of %d events", want, res.Recovered, head)
+				}
+				if res.ArchivedSettlements != wantMark.Count || archiveSize(dir) != wantMark.Bytes {
+					t.Fatalf("boot left a %d-byte archive and reports %d archived settlements, want the mark %+v",
+						archiveSize(dir), res.ArchivedSettlements, wantMark)
+				}
+				if skipped := len(res.SkippedSnapshots); (stage == "corrupt" && len(written) > 0) != (skipped == 1) || skipped > 1 {
+					t.Fatalf("boot skipped snapshots %q", res.SkippedSnapshots)
 				}
 				redrive(t, e2, sc)
 				e2.Stop()

@@ -13,27 +13,41 @@ import (
 )
 
 // TestSteadyStateIsBounded pushes 50,000 settling requests through a
-// WAL-backed engine at the default window sizes and compares the state held
-// at 25,000 and at 50,000: the event-log tail, tickets, history, audit chain
+// WAL-backed market that checkpoints the way a durable gateway does — every
+// retain.Windows.Checkpoint events, and once more before each sample, as a
+// drain would — at the default window sizes, and compares the state held at
+// 25,000 and at 50,000: the event-log tail, tickets, history, audit chain
 // and open requests must not have grown at all, and the live heap (after a
 // forced GC) by no more than what is meant to be kept per settlement — the
-// settlement book entry, the licence grants and the WAL's own bookkeeping,
-// measured at ~0.45 KiB — with headroom: under 1 KiB per settlement. Before
-// the windows existed the same run grew by ~3.3 KiB per settlement (event
-// log, audit chain, closed requests, history, tickets). Not run under the
-// race detector, which distorts both the timing and the heap.
+// licence grants and the WAL's own bookkeeping; the settlement book lives in
+// its archive once checkpointed — at most 256 B per settlement. Before the
+// windows existed the same run grew by ~3.3 KiB per settlement (event log,
+// audit chain, closed requests, history, tickets), and before the book
+// archive by ~465 B (~333 B of it the book). Not run under the race
+// detector, which distorts both the timing and the heap.
 func TestSteadyStateIsBounded(t *testing.T) {
-	w, err := Open(Options{Dir: t.TempDir(), Policy: SyncOff})
+	dir := t.TempDir()
+	p, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	p, err := core.NewPlatform(core.Options{Design: testDesign})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
 	defer e.Stop()
+	checkpointed := 0
+	checkpoint := func() {
+		t.Helper()
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteSnapshot(dir, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := PruneAfterSnapshot(dir, w, true); err != nil {
+			t.Fatal(err)
+		}
+		checkpointed = snap.TakenAtSeq
+	}
 
 	const buyers, batch, half = 8, 50, 25000
 	for b := 0; b < buyers; b++ {
@@ -53,6 +67,13 @@ func TestSteadyStateIsBounded(t *testing.T) {
 				submitOp(e, op{kind: "request", name: fmt.Sprintf("b%d", (i+j)%buyers), offer: 150, cols: []string{"a", "b"}})
 			}
 			e.TriggerEpoch()
+			if e.Log().LastSeq()-checkpointed >= retain.Sizes().Checkpoint {
+				checkpoint()
+			}
+		}
+		checkpoint()
+		if held := len(e.Settlements().Cut().Unarchived()); held != 0 {
+			t.Fatalf("%d settlements still unarchived after a checkpoint", held)
 		}
 		st := e.Stats()
 		if st.PersistErr != "" {
@@ -88,8 +109,10 @@ func TestSteadyStateIsBounded(t *testing.T) {
 		t.Fatalf("retired %d tickets over the second half (want %d), read back %d events (want 0: every live cursor stays in the tail)",
 			at50.TicketsRetired-at25.TicketsRetired, half, at50.ReadBackEvents)
 	}
-	if grown := int64(at50.heap) - int64(at25.heap); grown > half*1024 {
-		t.Fatalf("live heap grew %.1f MB over 25k settlements (%.0f B each), want under 1 KiB each",
+	grown := int64(at50.heap) - int64(at25.heap)
+	t.Logf("live heap grew %.0f B per settlement", float64(grown)/half)
+	if grown > half*256 {
+		t.Fatalf("live heap grew %.1f MB over 25k settlements (%.0f B each), want at most 256 B each",
 			float64(grown)/(1<<20), float64(grown)/half)
 	}
 }
