@@ -30,9 +30,10 @@
 // market's whole sales history. Boot loads the newest snapshot whose archive
 // prefix checks out and reads only the WAL segments it does not wholly cover,
 // decoding and replaying just the events past it; its log line per shard
-// gives the records read, the snapshot seq, the events replayed and the
-// settlements archived, after one line per newer snapshot it had to skip and
-// why.
+// gives the records read, the snapshot seq, the events replayed, the
+// settlements archived and the time each boot phase took (snapshot load,
+// platform restore, tail replay), after one line per newer snapshot it had to
+// skip and why.
 //
 // Usage:
 //
@@ -251,9 +252,11 @@ func main() {
 			for _, skipped := range sh.Boot.SkippedSnapshots {
 				log.Printf("dmgateway: %sWAL %s: skipped snapshot %s", shardTag(sh), sh.Dir, skipped)
 			}
-			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d, %d settlements archived), fsync=%s",
-				shardTag(sh), sh.Dir, sh.Boot.Recovered, sh.Boot.FromSnapshotSeq, sh.Boot.Replayed,
-				sh.Boot.ArchivedSettlements, fcfg.Sync)
+			b := sh.Boot
+			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d, %d settlements archived; load %s, restore %s, replay %s), fsync=%s",
+				shardTag(sh), sh.Dir, b.Recovered, b.FromSnapshotSeq, b.Replayed, b.ArchivedSettlements,
+				b.SnapshotLoad.Round(time.Millisecond), b.PlatformRestore.Round(time.Millisecond),
+				b.TailReplay.Round(time.Millisecond), fcfg.Sync)
 		}
 		if *cacheEntries > 0 {
 			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})

@@ -8,14 +8,23 @@
 //
 //   - an inverted token index over column names and frequent values, used by
 //     keyword discovery;
-//   - LSH buckets over MinHash sketches, used to prune the quadratic
-//     pairwise column-similarity search (ablation E6);
 //   - the join graph: scored (dataset, column)↔(dataset, column) edges with
 //     estimated Jaccard and containment, the raw material for DoD join-path
-//     enumeration.
+//     enumeration;
+//   - an inverted posting per MinHash sketch slot — the value a column holds
+//     there → the columns holding it — from which Add draws every column a
+//     new one can join and few others, so indexing one more dataset costs
+//     its own columns × profile.MinHashSize, not the catalog.
+//
+// Build seeds the join graph from a batch of profiles, pruning the quadratic
+// pairwise search with LSH buckets over the sketches (ablation E6) or, with
+// Config.Exhaustive, comparing every pair. The metadata engine is always on
+// (paper §5.1): the platform builds an empty index and Adds each dataset as
+// it is shared, and a restore re-Adds the whole catalog in share order.
 package index
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,54 +76,93 @@ type Index struct {
 	tokens   map[string][]ColRef // token -> columns mentioning it
 	edges    []JoinEdge
 	byDS     map[string][]int // dataset -> indices of the edges touching it
+	slots    postings         // the joinable columns, by sketch slot value
 }
 
-// Build constructs the index from the dataset profiles.
+// Build constructs the index from the dataset profiles. cfg.MinJaccard must be
+// positive: Add only considers columns sharing a sketch value, i.e. those
+// estimating a Jaccard above zero.
 func Build(cfg Config, profiles []*profile.DatasetProfile) *Index {
+	if !(cfg.MinJaccard > 0) {
+		panic("index: Config.MinJaccard must be positive")
+	}
 	ix := &Index{
 		cfg:      cfg,
 		profiles: map[string]*profile.DatasetProfile{},
 		tokens:   map[string][]ColRef{},
 		byDS:     map[string][]int{},
+		slots:    newPostings(),
 	}
 	for _, dp := range profiles {
 		ix.profiles[dp.Dataset] = dp
+		ix.indexTokens(dp)
+		ix.post(dp)
 	}
-	ix.buildTokens(profiles)
 	ix.buildJoinGraph(profiles)
 	return ix
 }
 
-// Add incrementally indexes one more dataset profile, comparing its columns
-// against all existing ones. The metadata engine is always-on (paper §5.1);
-// Add is the hook it calls after re-profiling a changed dataset.
+// Add incrementally indexes one more dataset profile — replacing the stored
+// one of the same dataset — by comparing each of its columns with the
+// existing columns that share a sketch slot value with it: every column it can
+// make a join edge with, and in practice few others. The metadata engine is
+// always-on (paper §5.1); Add is the hook it calls after re-profiling a
+// changed dataset.
 func (ix *Index) Add(dp *profile.DatasetProfile) {
 	if _, ok := ix.profiles[dp.Dataset]; ok {
 		ix.remove(dp.Dataset)
 	}
-	existing := ix.allProfiles()
 	ix.profiles[dp.Dataset] = dp
 	ix.indexTokens(dp)
+	var cands []int32
 	for i := range dp.Columns {
 		a := &dp.Columns[i]
-		for _, other := range existing {
-			for j := range other.Columns {
-				ix.tryEdge(a, &other.Columns[j])
-			}
+		if !ix.joinable(a) {
+			continue
+		}
+		cands = ix.slots.candidates(&a.Sketch, cands[:0])
+		for _, o := range cands {
+			c := ix.slots.cols[o]
+			ix.tryEdge(a, &c.dp.Columns[c.ci])
+		}
+	}
+	ix.post(dp)
+}
+
+// joinable reports whether a column can take part in a join edge at all, and
+// so whether it is posted: tryEdge refuses one with fewer distinct values than
+// MinDistinct, and an empty one estimates a Jaccard of zero with anything.
+func (ix *Index) joinable(cp *profile.ColumnProfile) bool {
+	return cp.Distinct > 0 && cp.Distinct >= ix.cfg.MinDistinct
+}
+
+// post enters dp's joinable columns into the slot postings.
+func (ix *Index) post(dp *profile.DatasetProfile) {
+	for i := range dp.Columns {
+		if ix.joinable(&dp.Columns[i]) {
+			ix.slots.add(dp, i)
 		}
 	}
 }
 
+// remove drops a dataset: its own tokens' and slot values' postings (keys it
+// leaves empty go too) and the edges touching it.
 func (ix *Index) remove(dataset string) {
+	dp := ix.profiles[dataset]
 	delete(ix.profiles, dataset)
-	for tok, refs := range ix.tokens {
-		out := refs[:0]
-		for _, r := range refs {
-			if r.Dataset != dataset {
-				out = append(out, r)
+	for i := range dp.Columns {
+		cp := &dp.Columns[i]
+		for _, tok := range columnTokens(cp) {
+			out := slices.DeleteFunc(ix.tokens[tok], func(r ColRef) bool { return r.Dataset == dataset })
+			if len(out) == 0 {
+				delete(ix.tokens, tok)
+			} else {
+				ix.tokens[tok] = out
 			}
 		}
-		ix.tokens[tok] = out
+		if ix.joinable(cp) {
+			ix.slots.remove(dp, i)
+		}
 	}
 	var kept []JoinEdge
 	for _, e := range ix.edges {
@@ -128,15 +176,6 @@ func (ix *Index) remove(dataset string) {
 		ix.byDS[e.A.Dataset] = append(ix.byDS[e.A.Dataset], i)
 		ix.byDS[e.B.Dataset] = append(ix.byDS[e.B.Dataset], i)
 	}
-}
-
-func (ix *Index) allProfiles() []*profile.DatasetProfile {
-	out := make([]*profile.DatasetProfile, 0, len(ix.profiles))
-	for _, dp := range ix.profiles {
-		out = append(out, dp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
-	return out
 }
 
 // Tokenize splits an identifier or value into lowercase tokens on non-alnum
@@ -171,34 +210,38 @@ func Tokenize(s string) []string {
 	return out
 }
 
-func (ix *Index) buildTokens(profiles []*profile.DatasetProfile) {
-	for _, dp := range profiles {
-		ix.indexTokens(dp)
-	}
-}
-
 func (ix *Index) indexTokens(dp *profile.DatasetProfile) {
 	for i := range dp.Columns {
 		cp := &dp.Columns[i]
 		ref := ColRef{dp.Dataset, cp.Column}
-		seen := map[string]bool{}
-		add := func(tok string) {
-			if tok == "" || seen[tok] {
-				return
-			}
-			seen[tok] = true
+		for _, tok := range columnTokens(cp) {
 			ix.tokens[tok] = append(ix.tokens[tok], ref)
 		}
-		for _, tok := range Tokenize(cp.Column) {
+	}
+}
+
+// columnTokens lists, once each, the tokens a column is looked up by: those of
+// its name, its whole lowercased name, and those of its frequent values.
+func columnTokens(cp *profile.ColumnProfile) []string {
+	var out []string
+	seen := map[string]bool{}
+	add := func(tok string) {
+		if tok == "" || seen[tok] {
+			return
+		}
+		seen[tok] = true
+		out = append(out, tok)
+	}
+	for _, tok := range Tokenize(cp.Column) {
+		add(tok)
+	}
+	add(strings.ToLower(cp.Column))
+	for _, v := range cp.TopValues {
+		for _, tok := range Tokenize(v) {
 			add(tok)
 		}
-		add(strings.ToLower(cp.Column))
-		for _, v := range cp.TopValues {
-			for _, tok := range Tokenize(v) {
-				add(tok)
-			}
-		}
 	}
+	return out
 }
 
 func (ix *Index) buildJoinGraph(profiles []*profile.DatasetProfile) {
@@ -277,21 +320,15 @@ func (ix *Index) tryEdge(a, b *profile.ColumnProfile) {
 	if a.Distinct < ix.cfg.MinDistinct || b.Distinct < ix.cfg.MinDistinct {
 		return
 	}
-	j := a.Sketch.Jaccard(b.Sketch)
+	j := a.Sketch.Jaccard(&b.Sketch)
 	if j < ix.cfg.MinJaccard {
 		return
-	}
-	cab := profile.ContainmentEstimate(a, b)
-	cba := profile.ContainmentEstimate(b, a)
-	c := cab
-	if cba > c {
-		c = cba
 	}
 	e := JoinEdge{
 		A:           ColRef{a.Dataset, a.Column},
 		B:           ColRef{b.Dataset, b.Column},
 		Jaccard:     j,
-		Containment: c,
+		Containment: max(profile.ContainmentEstimate(a, b, j), profile.ContainmentEstimate(b, a, j)),
 	}
 	i := len(ix.edges)
 	ix.edges = append(ix.edges, e)

@@ -49,6 +49,6 @@ func BenchmarkMinHashJaccard(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		x.Jaccard(y)
+		x.Jaccard(&y)
 	}
 }

@@ -9,7 +9,7 @@ package profile
 import (
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -52,7 +52,7 @@ func (m *MinHash) Add(key string) {
 }
 
 // Jaccard estimates the Jaccard similarity of the two underlying sets.
-func (m MinHash) Jaccard(o MinHash) float64 {
+func (m *MinHash) Jaccard(o *MinHash) float64 {
 	match := 0
 	nonEmpty := 0
 	for i := 0; i < MinHashSize; i++ {
@@ -130,9 +130,22 @@ func (d *DatasetProfile) Column(name string) *ColumnProfile {
 	return nil
 }
 
+// valueCount is one distinct value of a column: its Key, how many rows hold
+// it, and the first of them (whose display form TopValues shows).
+type valueCount struct {
+	key      string
+	n, first int
+}
+
+// moreFrequent orders values for TopValues: by count, descending, then by key.
+func moreFrequent(a, b *valueCount) bool {
+	return a.n > b.n || a.n == b.n && a.key < b.key
+}
+
 // Profile computes the full dataset profile in one pass per column.
 func Profile(datasetID string, r *relation.Relation) *DatasetProfile {
 	dp := &DatasetProfile{Dataset: datasetID, RowCount: r.NumRows()}
+	var buf []byte
 	for ci, col := range r.Schema {
 		cp := ColumnProfile{
 			Dataset:  datasetID,
@@ -141,20 +154,26 @@ func Profile(datasetID string, r *relation.Relation) *DatasetProfile {
 			RowCount: r.NumRows(),
 			Sketch:   NewMinHash(),
 		}
-		freq := map[string]int{}
+		at := map[string]int{} // key -> its entry in vals
+		var vals []valueCount
 		var sum, sumSq float64
 		first := true
-		for _, row := range r.Rows {
+		for ri, row := range r.Rows {
 			v := row[ci]
 			if v.IsNull() {
 				cp.NullCount++
 				continue
 			}
-			k := v.Key()
-			if freq[k] == 0 {
+			buf = v.AppendKey(buf[:0])
+			i, ok := at[string(buf)]
+			if !ok {
+				k := string(buf)
+				i = len(vals)
+				at[k] = i
+				vals = append(vals, valueCount{key: k, first: ri})
 				cp.Sketch.Add(k)
 			}
-			freq[k]++
+			vals[i].n++
 			if v.IsNumeric() {
 				f := v.AsFloat()
 				cp.NumCount++
@@ -173,7 +192,7 @@ func Profile(datasetID string, r *relation.Relation) *DatasetProfile {
 				}
 			}
 		}
-		cp.Distinct = len(freq)
+		cp.Distinct = len(vals)
 		if cp.NumCount > 0 {
 			cp.Mean = sum / float64(cp.NumCount)
 			variance := sumSq/float64(cp.NumCount) - cp.Mean*cp.Mean
@@ -182,58 +201,42 @@ func Profile(datasetID string, r *relation.Relation) *DatasetProfile {
 			}
 			cp.Std = math.Sqrt(variance)
 		}
-		cp.TopValues = topKeys(freq, 8, r, ci)
+		cp.TopValues = topValues(vals, 8, r, ci)
 		dp.Columns = append(dp.Columns, cp)
 	}
 	return dp
 }
 
-func topKeys(freq map[string]int, k int, r *relation.Relation, ci int) []string {
-	// Re-derive display strings: map key -> first display form seen.
-	disp := map[string]string{}
-	for _, row := range r.Rows {
-		v := row[ci]
-		if v.IsNull() {
+// topValues formats the k most frequent of a column's values, each in the
+// display form of the first row holding it.
+func topValues(vals []valueCount, k int, r *relation.Relation, ci int) []string {
+	top := make([]valueCount, 0, k+1)
+	for _, v := range vals {
+		i := len(top)
+		for i > 0 && moreFrequent(&v, &top[i-1]) {
+			i--
+		}
+		if i == k {
 			continue
 		}
-		key := v.Key()
-		if _, ok := disp[key]; !ok {
-			disp[key] = v.String()
+		top = slices.Insert(top, i, v)
+		if len(top) > k {
+			top = top[:k]
 		}
 	}
-	type kv struct {
-		key string
-		n   int
-	}
-	all := make([]kv, 0, len(freq))
-	for key, n := range freq {
-		all = append(all, kv{key, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].key < all[j].key
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = disp[e.key]
+	out := make([]string, len(top))
+	for i, v := range top {
+		out[i] = r.Rows[v.first][ci].String()
 	}
 	return out
 }
 
 // ContainmentEstimate estimates |A∩B|/|A| (how much of column a's content is
-// contained in b) from the sketches and distinct counts. Join-path discovery
-// ranks inclusion-dependency candidates with this.
-func ContainmentEstimate(a, b *ColumnProfile) float64 {
-	if a.Distinct == 0 {
-		return 0
-	}
-	j := a.Sketch.Jaccard(b.Sketch)
-	if j == 0 {
+// contained in b) from j, the Jaccard estimate a.Sketch.Jaccard(&b.Sketch),
+// and the distinct counts. Join-path discovery ranks inclusion-dependency
+// candidates with this.
+func ContainmentEstimate(a, b *ColumnProfile, j float64) float64 {
+	if a.Distinct == 0 || j == 0 {
 		return 0
 	}
 	// |A∩B| = J·|A∪B| = J·(|A|+|B|)/(1+J)

@@ -3,6 +3,9 @@ package profile
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -71,7 +74,7 @@ func TestMinHashIdentical(t *testing.T) {
 		a.Add(k)
 		b.Add(k)
 	}
-	if j := a.Jaccard(b); j != 1 {
+	if j := a.Jaccard(&b); j != 1 {
 		t.Errorf("identical sets jaccard = %v, want 1", j)
 	}
 }
@@ -82,7 +85,7 @@ func TestMinHashDisjoint(t *testing.T) {
 		a.Add(fmt.Sprintf("a%d", i))
 		b.Add(fmt.Sprintf("b%d", i))
 	}
-	if j := a.Jaccard(b); j > 0.15 {
+	if j := a.Jaccard(&b); j > 0.15 {
 		t.Errorf("disjoint sets jaccard = %v, want ~0", j)
 	}
 }
@@ -96,7 +99,7 @@ func TestMinHashOverlapEstimate(t *testing.T) {
 	for i := 100; i < 300; i++ {
 		b.Add(fmt.Sprintf("v%d", i))
 	}
-	j := a.Jaccard(b)
+	j := a.Jaccard(&b)
 	if j < 0.15 || j > 0.55 {
 		t.Errorf("estimated jaccard = %v, want ~0.33", j)
 	}
@@ -104,11 +107,11 @@ func TestMinHashOverlapEstimate(t *testing.T) {
 
 func TestEmptyMinHash(t *testing.T) {
 	a, b := NewMinHash(), NewMinHash()
-	if a.Jaccard(b) != 0 {
+	if a.Jaccard(&b) != 0 {
 		t.Error("two empty sketches estimate 0")
 	}
 	b.Add("x")
-	if a.Jaccard(b) != 0 {
+	if a.Jaccard(&b) != 0 {
 		t.Error("empty vs non-empty estimates 0")
 	}
 }
@@ -125,10 +128,10 @@ func TestContainmentEstimate(t *testing.T) {
 	}
 	pa := Profile("a", sub).Column("k")
 	pb := Profile("b", sup).Column("k")
-	if c := ContainmentEstimate(pa, pb); c < 0.5 {
+	if c := ContainmentEstimate(pa, pb, pa.Sketch.Jaccard(&pb.Sketch)); c < 0.5 {
 		t.Errorf("containment of subset in superset = %v, want high", c)
 	}
-	if c := ContainmentEstimate(pb, pa); c > 0.6 {
+	if c := ContainmentEstimate(pb, pa, pb.Sketch.Jaccard(&pa.Sketch)); c > 0.6 {
 		t.Errorf("containment of superset in subset = %v, want ~0.25", c)
 	}
 }
@@ -143,11 +146,160 @@ func TestJaccardProperties(t *testing.T) {
 		for _, y := range ys {
 			b.Add(fmt.Sprint(y))
 		}
-		j1, j2 := a.Jaccard(b), b.Jaccard(a)
+		j1, j2 := a.Jaccard(&b), b.Jaccard(&a)
 		return j1 == j2 && j1 >= 0 && j1 <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// twoPassProfile is Profile as it was before it walked the rows once: a
+// frequency map, then a second walk of the rows for every value's first
+// display form and a sort of all distinct values (twoPassTopValues). It is
+// the reference TestProfileMatchesTwoPass holds Profile to.
+func twoPassProfile(datasetID string, r *relation.Relation) *DatasetProfile {
+	dp := &DatasetProfile{Dataset: datasetID, RowCount: r.NumRows()}
+	for ci, col := range r.Schema {
+		cp := ColumnProfile{Dataset: datasetID, Column: col.Name, Kind: col.Kind, RowCount: r.NumRows(), Sketch: NewMinHash()}
+		freq := map[string]int{}
+		var sum, sumSq float64
+		first := true
+		for _, row := range r.Rows {
+			v := row[ci]
+			if v.IsNull() {
+				cp.NullCount++
+				continue
+			}
+			k := v.Key()
+			if freq[k] == 0 {
+				cp.Sketch.Add(k)
+			}
+			freq[k]++
+			if v.IsNumeric() {
+				f := v.AsFloat()
+				cp.NumCount++
+				sum += f
+				sumSq += f * f
+				if first {
+					cp.Min, cp.Max = f, f
+					first = false
+				} else {
+					if f < cp.Min {
+						cp.Min = f
+					}
+					if f > cp.Max {
+						cp.Max = f
+					}
+				}
+			}
+		}
+		cp.Distinct = len(freq)
+		if cp.NumCount > 0 {
+			cp.Mean = sum / float64(cp.NumCount)
+			variance := sumSq/float64(cp.NumCount) - cp.Mean*cp.Mean
+			if variance < 0 {
+				variance = 0
+			}
+			cp.Std = math.Sqrt(variance)
+		}
+		cp.TopValues = twoPassTopValues(freq, 8, r, ci)
+		dp.Columns = append(dp.Columns, cp)
+	}
+	return dp
+}
+
+func twoPassTopValues(freq map[string]int, k int, r *relation.Relation, ci int) []string {
+	disp := map[string]string{}
+	for _, row := range r.Rows {
+		v := row[ci]
+		if v.IsNull() {
+			continue
+		}
+		key := v.Key()
+		if _, ok := disp[key]; !ok {
+			disp[key] = v.String()
+		}
+	}
+	type kv struct {
+		key string
+		n   int
+	}
+	all := make([]kv, 0, len(freq))
+	for key, n := range freq {
+		all = append(all, kv{key, n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].n != all[j].n {
+			return all[i].n > all[j].n
+		}
+		return all[i].key < all[j].key
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	out := make([]string, len(all))
+	for i, e := range all {
+		out[i] = disp[e.key]
+	}
+	return out
+}
+
+// randomRelation draws a relation whose columns exercise what TopValues and
+// the stats depend on: NULLs, an all-NULL column, values sharing a key but
+// not a display form (ints past 2^53; the int and the float 1e18), a float
+// column holding ints, value ranges narrow enough for frequency ties and
+// wide enough for more than 8 distinct values, and empty relations.
+func randomRelation(rng *rand.Rand) *relation.Relation {
+	r := relation.New("r", relation.NewSchema(
+		relation.Col("i", relation.KindInt),
+		relation.Col("f", relation.KindFloat),
+		relation.Col("s", relation.KindString),
+		relation.Col("b", relation.KindBool),
+		relation.Col("n", relation.KindInt), // all NULL
+	))
+	span := 1 + rng.Intn(20)
+	for range rng.Intn(60) {
+		maybeNull := func(v relation.Value) relation.Value {
+			if rng.Intn(5) == 0 {
+				return relation.Null()
+			}
+			return v
+		}
+		i := relation.Int(int64(rng.Intn(span) - span/2))
+		f := relation.Float(float64(rng.Intn(span)) / 2)
+		switch rng.Intn(6) {
+		case 0: // beyond 2^53 distinct ints share a key but not a display form
+			i = relation.Int(1<<53 + int64(rng.Intn(2)))
+		case 1: // so do an int and a float of the same large value
+			f = relation.Float(1e18)
+		case 2:
+			f = relation.Int(1e18)
+		case 3:
+			f = relation.Int(int64(rng.Intn(span)))
+		}
+		r.MustAppend(
+			maybeNull(i),
+			maybeNull(f),
+			maybeNull(relation.String_(fmt.Sprintf("v%d", rng.Intn(span)))),
+			maybeNull(relation.Bool(rng.Intn(2) == 0)),
+			relation.Null(),
+		)
+	}
+	return r
+}
+
+// TestProfileMatchesTwoPass: the one-pass Profile gives exactly what the
+// two-pass one did — TopValues' order and display forms, Distinct, the stats
+// and the Sketch — on random relations.
+func TestProfileMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 300 {
+		r := randomRelation(rng)
+		got, want := Profile("d", r), twoPassProfile("d", r)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d rows): one-pass profile differs:\n got %+v\nwant %+v", trial, r.NumRows(), got, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -30,6 +31,13 @@ type BootResult struct {
 	// started from, with why it was passed over: unreadable, unparseable, or
 	// a book archive prefix that does not match its mark.
 	SkippedSnapshots []string
+	// Where boot's time went, phase by phase (their sum is at most the whole
+	// boot): SnapshotLoad finds, reads and checks the newest usable snapshot
+	// (importing a listed book into the archive); PlatformRestore rebuilds
+	// the platform from it — re-sharing, so re-profiling and re-indexing,
+	// the whole catalog — or creates an empty one; TailReplay scans the WAL
+	// segments the snapshot does not cover and replays the events past it.
+	SnapshotLoad, PlatformRestore, TailReplay time.Duration
 }
 
 // Boot performs the full recovery sequence in opts.Dir and returns a
@@ -63,6 +71,7 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	if err := removeSnapshotTmps(walOpts.Dir); err != nil {
 		return nil, nil, nil, res, err
 	}
+	phase := time.Now()
 	snap, skipped, err := loadSnapshot(walOpts.Dir)
 	res.SkippedSnapshots = skipped
 	if err != nil {
@@ -77,6 +86,8 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 		}
 		snap.Book = ledger.ArchivedCut(mark)
 	}
+	res.SnapshotLoad = time.Since(phase)
+	phase = time.Now()
 	var p *core.Platform
 	var mark ledger.BookMark
 	if snap != nil {
@@ -90,6 +101,8 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	if err != nil {
 		return nil, nil, nil, res, err
 	}
+	res.PlatformRestore = time.Since(phase)
+	phase = time.Now()
 
 	// restore scans a fresh Log into engine.Restore. The Log is the engine's
 	// persister from the start — that is what lets the seeded log drop
@@ -134,6 +147,7 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 		}
 		eng, w, err = restore()
 	}
+	res.TailReplay = time.Since(phase)
 	if err != nil {
 		return nil, nil, nil, res, fmt.Errorf("wal: boot: %w", err)
 	}

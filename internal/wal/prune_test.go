@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -276,11 +277,18 @@ func TestBootDecodesOnlyUncoveredSegments(t *testing.T) {
 	}
 	boot := func(what string) {
 		t.Helper()
+		start := time.Now()
 		p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, opts)
+		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		defer w2.Close()
+		if res.SnapshotLoad <= 0 || res.PlatformRestore <= 0 || res.TailReplay <= 0 ||
+			res.SnapshotLoad+res.PlatformRestore+res.TailReplay > elapsed {
+			t.Fatalf("%s: phases load %v + restore %v + replay %v, want each set and their sum at most the boot's %v",
+				what, res.SnapshotLoad, res.PlatformRestore, res.TailReplay, elapsed)
+		}
 		if res.FromSnapshotSeq != watermark || res.Recovered != head-first+1 || res.Replayed != head-watermark ||
 			res.ArchivedSettlements == 0 || len(res.SkippedSnapshots) != 0 {
 			t.Fatalf("%s: %+v, want snapshot seq %d, %d events read and %d replayed, a book archive and no snapshot skipped",
