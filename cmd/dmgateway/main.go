@@ -27,13 +27,16 @@
 // settlements sold since the previous one to the shard's settlement-book
 // archive (settlements.archive beside the segments) and the snapshot carries
 // only the archive's mark, so neither checkpoints nor boots decode the
-// market's whole sales history. Boot loads the newest snapshot whose archive
-// prefix checks out and reads only the WAL segments it does not wholly cover,
-// decoding and replaying just the events past it; its log line per shard
-// gives the records read, the snapshot seq, the events replayed, the
-// settlements archived and the time each boot phase took (snapshot load,
-// platform restore, tail replay), after one line per newer snapshot it had to
-// skip and why.
+// market's whole sales history; the ticket window follows the snapshot's JSON
+// as binary records. Boot loads the newest snapshot whose archive prefix
+// checks out and reads only the WAL segments it does not wholly cover,
+// decoding and replaying just the events past it — the decode starts before
+// the snapshot load, on the watermark the newest snapshot's name gives, and
+// runs beside it. Its log line per shard gives the records read, the snapshot
+// seq, the events replayed, the settlements archived, the time each boot phase
+// took (snapshot load, platform restore, tail replay) and the decoder's own
+// time, which overlaps them; before it comes one line per newer snapshot it
+// had to skip and why.
 //
 // Usage:
 //
@@ -253,10 +256,10 @@ func main() {
 				log.Printf("dmgateway: %sWAL %s: skipped snapshot %s", shardTag(sh), sh.Dir, skipped)
 			}
 			b := sh.Boot
-			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d, %d settlements archived; load %s, restore %s, replay %s), fsync=%s",
+			log.Printf("dmgateway: %sWAL %s: read %d events (snapshot seq %d, replayed %d, %d settlements archived; load %s, restore %s, replay %s; decode %s alongside), fsync=%s",
 				shardTag(sh), sh.Dir, b.Recovered, b.FromSnapshotSeq, b.Replayed, b.ArchivedSettlements,
 				b.SnapshotLoad.Round(time.Millisecond), b.PlatformRestore.Round(time.Millisecond),
-				b.TailReplay.Round(time.Millisecond), fcfg.Sync)
+				b.TailReplay.Round(time.Millisecond), b.TailDecode.Round(time.Millisecond), fcfg.Sync)
 		}
 		if *cacheEntries > 0 {
 			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})

@@ -172,7 +172,11 @@
 // the cut — taken under the epoch lock, the settlement book shared rather than
 // copied — and its caller writes it after the lock is released: wal.WriteSnapshot
 // archives the book's new entries and puts only the archive's mark in the
-// snapshot, so neither a checkpoint nor a boot decodes every sale ever made.
+// snapshot, so neither a checkpoint nor a boot decodes every sale ever made,
+// and writes the SnapshotState as JSON except for its ticket window, which
+// follows as binary records. wal.Boot decodes the WAL tail while it loads the
+// snapshot and rebuilds the platform, so Restore's source hands it segments
+// that are already decoded.
 // A durable federation.Market checkpoints every shard in the background each
 // retain.Windows.Checkpoint events, so a restart replays a bounded suffix,
 // not the market's life. Memory follows live state, not lifetime: besides the

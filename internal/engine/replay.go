@@ -68,7 +68,10 @@ type PolicyState struct {
 // many older terminal tickets had already left it, so a checkpoint is not
 // O(lifetime submissions). Snapshots from before the window existed list
 // every ticket by number (and no TicketsRetired); they load the same way and
-// are trimmed to the window.
+// are trimmed to the window. The "tickets" JSON key is how older snapshot
+// files carry the list: wal.WriteSnapshot writes it after the JSON instead,
+// as binary records (the window is most of a checkpoint), and wal's reader
+// loads either form.
 //
 // Book is the settlement book's cut: its archived mark plus the entries past
 // it, shared with the book, not copied, so the cut under the epoch lock stays

@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/retain"
@@ -64,10 +65,22 @@ type AuditEntry struct {
 	Hash     string
 }
 
+// computeHash is the hex SHA-256 of the entry's fields and PrevHash, joined
+// by '|': Seq and Amount (micro-units) in decimal, the strings verbatim — the
+// bytes fmt's "%d|%s|%s|%s|%d|%s|%s" gives, built without fmt.
 func (e *AuditEntry) computeHash() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%d|%s|%s|%s|%d|%s|%s", e.Seq, e.Kind, e.From, e.To, e.Amount, e.Memo, e.PrevHash)
-	return hex.EncodeToString(h.Sum(nil))
+	var scratch [256]byte
+	b := strconv.AppendInt(scratch[:0], int64(e.Seq), 10)
+	b = append(append(b, '|'), e.Kind...)
+	b = append(append(b, '|'), e.From...)
+	b = append(append(b, '|'), e.To...)
+	b = strconv.AppendInt(append(b, '|'), int64(e.Amount), 10)
+	b = append(append(b, '|'), e.Memo...)
+	b = append(append(b, '|'), e.PrevHash...)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Ledger is a concurrency-safe double-entry ledger with escrow accounts.

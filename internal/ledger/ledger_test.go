@@ -1,7 +1,12 @@
 package ledger
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -224,5 +229,61 @@ func TestAuditWindow(t *testing.T) {
 	l.mu.Unlock()
 	if got := l.VerifyChain(); got != -1 {
 		t.Fatalf("restored chain reported corrupt at %d", got)
+	}
+}
+
+// fmtHash is the audit hash as it was first written, through fmt: the form
+// computeHash must reproduce byte for byte, since a chain is only as
+// verifiable as its hashes are stable.
+func fmtHash(e *AuditEntry) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%s|%s|%s|%d|%s|%s", e.Seq, e.Kind, e.From, e.To, e.Amount, e.Memo, e.PrevHash)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAuditHashMatchesFmt: computeHash gives exactly fmtHash's bytes for
+// random entries — negative, zero and extreme amounts and seqs, empty,
+// non-ASCII, invalid-UTF-8, '|'-bearing and longer-than-scratch strings —
+// and for the entries of a real chain whose window has wrapped, the first of
+// which chains to the anchor.
+func TestAuditHashMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	strs := []string{"", "open", "escrow refund", "mashup m7 delivered to b1", "größe→ü", "市场", "\xff\xfe",
+		"a|b", strings.Repeat("x", 300), hex.EncodeToString(make([]byte, 32))}
+	kinds := []EntryKind{KindOpen, KindDeposit, KindWithdraw, KindTransfer, KindEscrow, KindRelease, KindRefund, KindNote, ""}
+	amounts := []Currency{0, 1, -1, FromFloat(100), FromFloat(-0.5), math.MaxInt64, math.MinInt64}
+	pick := func(list []string) string { return list[rng.Intn(len(list))] }
+	for i := 0; i < 2000; i++ {
+		e := AuditEntry{Seq: rng.Intn(1 << 20), Kind: kinds[rng.Intn(len(kinds))], From: pick(strs), To: pick(strs),
+			Amount: amounts[rng.Intn(len(amounts))], Memo: pick(strs), PrevHash: pick(strs)}
+		switch i % 4 {
+		case 1:
+			e.Amount = Currency(rng.Int63() - rng.Int63())
+		case 2:
+			e.Seq = -e.Seq
+		case 3:
+			e.Memo = string(rune(rng.Intn(0x10ffff)))
+		}
+		if got, want := e.computeHash(), fmtHash(&e); got != want {
+			t.Fatalf("entry %+v: hash %s, fmt gives %s", e, got, want)
+		}
+	}
+
+	defer retain.Shrink(func(w *retain.Windows) { w.Audit = 4 })()
+	l := New()
+	_ = l.Open("a", FromFloat(50))
+	_ = l.Open("ü", 0)
+	for i := 0; i < 9; i++ {
+		_ = l.Transfer("a", "ü", FromFloat(1), strs[i%len(strs)])
+	}
+	l.Note("")
+	log := l.Log()
+	if log[0].PrevHash != l.anchor || l.anchor == "" {
+		t.Fatalf("the window's first entry does not chain to the anchor %q", l.anchor)
+	}
+	for _, e := range log {
+		if e.Hash != fmtHash(&e) {
+			t.Fatalf("chain entry %+v: hash %s, fmt gives %s", e, e.Hash, fmtHash(&e))
+		}
 	}
 }

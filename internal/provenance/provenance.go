@@ -16,7 +16,9 @@ package provenance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/relation"
 )
@@ -50,10 +52,16 @@ func merge(a, b Lineage) Lineage {
 	return dedup
 }
 
-// Annotated is a relation whose rows each carry lineage.
+// Annotated is a relation whose rows each carry lineage. Its lineage is
+// final once the constructor or operator that built it returns: nothing here
+// changes an Annotated's Lineage afterwards (operators build new ones), and
+// callers must not either — Datasets memoizes what it finds there.
 type Annotated struct {
 	Rel     *relation.Relation
 	Lineage []Lineage // parallel to Rel.Rows
+
+	datasetsOnce sync.Once
+	datasets     []string // Datasets, computed on its first call
 }
 
 // FromSource wraps a source relation: row i's lineage is {(datasetID, i)}.
@@ -570,19 +578,24 @@ func (a *Annotated) RowShares() map[string]float64 {
 }
 
 // Datasets returns the sorted set of datasets appearing anywhere in lineage.
+// The lineage walk runs once per Annotated — a cached candidate answers every
+// sale of its want group from one — and each caller gets its own copy of the
+// result.
 func (a *Annotated) Datasets() []string {
-	set := map[string]bool{}
-	for _, lin := range a.Lineage {
-		for _, ref := range lin {
-			set[ref.Dataset] = true
+	a.datasetsOnce.Do(func() {
+		set := map[string]bool{}
+		for _, lin := range a.Lineage {
+			for _, ref := range lin {
+				set[ref.Dataset] = true
+			}
 		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
+		a.datasets = make([]string, 0, len(set))
+		for d := range set {
+			a.datasets = append(a.datasets, d)
+		}
+		sort.Strings(a.datasets)
+	})
+	return slices.Clone(a.datasets)
 }
 
 // RestrictToDatasets returns a copy of the annotated relation keeping only

@@ -1,6 +1,9 @@
 package provenance
 
 import (
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -154,5 +157,53 @@ func TestLineageMergeDedup(t *testing.T) {
 	}
 	if m[0] != (RowRef{"c", 2}) || m[1] != (RowRef{"d", 1}) || m[2] != (RowRef{"d", 3}) {
 		t.Errorf("merge order = %v", m)
+	}
+}
+
+// walkDatasets is Datasets as a fresh lineage walk every call.
+func walkDatasets(a *Annotated) []string {
+	set := map[string]bool{}
+	for _, lin := range a.Lineage {
+		for _, ref := range lin {
+			set[ref.Dataset] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for d := range set {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDatasetsMemoized: Datasets is the lineage walk's answer on every call —
+// for sources, joins, a join that matches nothing, unions, restrictions and a
+// distinct — while its callers run concurrently and scribble over what they
+// got back.
+func TestDatasetsMemoized(t *testing.T) {
+	l, r := mkAnno()
+	j, _ := HashJoin(l, r, relation.JoinPair{Left: "k", Right: "k"})
+	none, _ := HashJoin(Select(l, relation.ColEquals("a", relation.String_("z"))), r, relation.JoinPair{Left: "k", Right: "k"})
+	u, _ := Union(l, l)
+	for _, a := range []*Annotated{l, r, j, none, u, j.RestrictToDatasets(map[string]bool{"dl": true}), Distinct(j)} {
+		want := walkDatasets(a)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					got := a.Datasets()
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: Datasets %v, the lineage holds %v", a.Rel.Name, got, want)
+						return
+					}
+					for k := range got {
+						got[k] = "scribbled"
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,12 +80,8 @@ func TestCheckpointArchivesTheBook(t *testing.T) {
 		t.Fatalf("book streams %d entries back, want %d", len(got), cut.Count())
 	}
 	names, _ := snapshotFiles(dir)
-	raw, err := os.ReadFile(filepath.Join(dir, names[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var onDisk struct{ Settlements ledger.BookMark }
-	if err := json.Unmarshal(raw, &onDisk); err != nil || onDisk.Settlements != marks[2] {
+	if err := json.Unmarshal(snapshotHead(t, filepath.Join(dir, names[0])), &onDisk); err != nil || onDisk.Settlements != marks[2] {
 		t.Fatalf("snapshot carries %+v (%v), want the mark %+v", onDisk.Settlements, err, marks[2])
 	}
 
@@ -126,13 +125,13 @@ func TestBootDecodesNoArchivedSettlement(t *testing.T) {
 	}
 	names, _ := snapshotFiles(dir)
 	snapPath := filepath.Join(dir, names[0])
-	var fields map[string]json.RawMessage
-	if raw, err := os.ReadFile(snapPath); err != nil || json.Unmarshal(raw, &fields) != nil {
-		t.Fatalf("read snapshot: %v", err)
+	snap, err := readSnapshot(snapPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	m.CRC = crc32.Checksum(raw, crcTable)
-	fields["settlements"], _ = json.Marshal(m)
-	if patched, err := json.Marshal(fields); err != nil || os.WriteFile(snapPath, patched, 0o644) != nil {
+	var patched bytes.Buffer
+	if err := encodeSnapshot(&patched, snap, m); err != nil || os.WriteFile(snapPath, patched.Bytes(), 0o644) != nil {
 		t.Fatalf("patch snapshot: %v", err)
 	}
 
@@ -215,6 +214,87 @@ func TestBootFallsBackPastCorruption(t *testing.T) {
 	}
 }
 
+// TestBootDropsAWrongEarlyDecode is TestBootFallsBackPastCorruption's
+// corrupt-snapshot case with the corruption landing after boot has started
+// decoding the WAL tail on the newest snapshot's watermark: the early decode
+// must be dropped, and the boot must report and restore exactly what the
+// plain path does. With nothing corrupted, boot consumes the early decode.
+func TestBootDropsAWrongEarlyDecode(t *testing.T) {
+	sc := script()
+	basePlat, baseEng, _ := runUninterrupted(t, core.Options{Design: testDesign}, sc, SyncEpoch)
+	want := fingerprint(t, basePlat, baseEng, true)
+	_, _, dir, _ := checkpointedRun(t, sc, 2, 4)
+	corrupt := func(dir string) {
+		names, _ := snapshotFiles(dir)
+		if err := os.WriteFile(filepath.Join(dir, names[0]), []byte(`{"platform":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(what, dir string, early *segmentScan) BootResult {
+		t.Helper()
+		p, e, w, res, err := boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir}.withDefaults(), early)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		defer w.Close()
+		e.Stop()
+		if got := fingerprint(t, p, e, true); string(got) != string(want) {
+			t.Fatalf("%s diverged:\n--- baseline\n%s\n--- restarted\n%s", what, want, got)
+		}
+		if res.TailDecode <= 0 {
+			t.Fatalf("%s: no decoder time reported: %+v", what, res)
+		}
+		res.SnapshotLoad, res.PlatformRestore, res.TailReplay, res.TailDecode = 0, 0, 0, 0
+		return res
+	}
+
+	intact := copyDir(t, dir)
+	sc0 := earlyScan(intact)
+	run("intact", intact, sc0)
+	if !sc0.adopted {
+		t.Fatal("boot on an intact directory dropped the early decode")
+	}
+
+	late := copyDir(t, dir)
+	early := earlyScan(late)
+	if len(early.names) == 0 {
+		t.Fatal("the early decode has no segment to read")
+	}
+	for len(early.ahead) == 0 { // the reader has decoded a segment at least
+		runtime.Gosched()
+	}
+	corrupt(late)
+	corrupt(dir)
+	plain := run("plain", dir, nil)
+	got := run("early", late, early)
+	if early.adopted {
+		t.Fatal("boot consumed a decode made for a snapshot it skipped")
+	}
+	if plain.FromSnapshotSeq == 0 || len(plain.SkippedSnapshots) != 1 || !reflect.DeepEqual(got, plain) {
+		t.Fatalf("boot after a wrong early decode: %+v\nplain path: %+v", got, plain)
+	}
+}
+
+// copyDir copies the files of dir into a fresh temporary directory.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(out, e.Name()), raw, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func flipByte(path string, off int64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -225,14 +305,17 @@ func flipByte(path string, off int64) error {
 }
 
 // TestArchivedSnapshotKeepsOldReadersOut: a release from before the archive
-// decodes "settlements" as a list. On a snapshot carrying a mark there its
-// decode fails, so it passes the snapshot over and replays the WAL — or
-// refuses, when the segments the snapshot covers are pruned — instead of
-// loading the checkpoint with an empty book.
+// decodes "settlements" as a list, and one from before the ticket trailer
+// decodes the whole file as JSON. On a snapshot with a mark and a trailer
+// both decodes fail — the older one even on the JSON head alone — so either
+// release passes the snapshot over and replays the WAL — or refuses, when the
+// segments the snapshot covers are pruned — instead of loading the checkpoint
+// with an empty book or ticket window.
 func TestArchivedSnapshotKeepsOldReadersOut(t *testing.T) {
 	_, _, dir, _ := checkpointedRun(t, script(), 4)
 	names, _ := snapshotFiles(dir)
-	raw, err := os.ReadFile(filepath.Join(dir, names[0]))
+	path := filepath.Join(dir, names[0])
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +323,27 @@ func TestArchivedSnapshotKeepsOldReadersOut(t *testing.T) {
 		Platform *core.PlatformSnapshot `json:"platform"`
 		Settles  []ledger.Settlement    `json:"settlements,omitempty"`
 	}
-	if err := json.Unmarshal(raw, &old); err == nil {
-		t.Fatalf("a pre-archive reader decodes the snapshot (%d settlements)", len(old.Settles))
+	for _, in := range [][]byte{raw, snapshotHead(t, path)} {
+		if err := json.Unmarshal(in, &old); err == nil {
+			t.Fatalf("a pre-archive reader decodes the snapshot (%d settlements)", len(old.Settles))
+		}
 	}
+	var parent diskSnapshot
+	if err := json.Unmarshal(raw, &parent); err == nil {
+		t.Fatalf("a reader from before the ticket trailer decodes the snapshot (%d tickets)", len(parent.Tickets))
+	}
+}
+
+// snapshotHead returns the JSON head of the snapshot file at path.
+func snapshotHead(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, _, trailer, err := splitSnapshot(raw)
+	if err != nil || !trailer {
+		t.Fatalf("%s: trailer %v, %v", path, trailer, err)
+	}
+	return head
 }

@@ -35,30 +35,41 @@ type BootResult struct {
 	// boot): SnapshotLoad finds, reads and checks the newest usable snapshot
 	// (importing a listed book into the archive); PlatformRestore rebuilds
 	// the platform from it — re-sharing, so re-profiling and re-indexing,
-	// the whole catalog — or creates an empty one; TailReplay scans the WAL
-	// segments the snapshot does not cover and replays the events past it.
+	// the whole catalog — or creates an empty one; TailReplay replays the
+	// events past it from the WAL segments the snapshot does not cover,
+	// waiting for their decode where it has not finished yet.
 	SnapshotLoad, PlatformRestore, TailReplay time.Duration
+	// TailDecode is the segment reader's own time reading and decoding the
+	// segments boot replayed from. It is not a phase: the reader runs on a
+	// goroutine of its own, from before SnapshotLoad when the newest
+	// snapshot's name guessed the watermark right, so it overlaps the phases
+	// and is not part of their sum.
+	TailDecode time.Duration
 }
 
 // Boot performs the full recovery sequence in opts.Dir and returns a
 // platform + engine pair whose state matches the durable log, with the WAL
 // reopened and attached as the engine's persister:
 //
-//  1. remove snapshot tmp files a crash left mid-write, then load the newest
+//  1. start decoding the WAL tail that the newest snapshot's file name says
+//     recovery will replay (earlyScan), on a goroutine of its own;
+//  2. remove snapshot tmp files a crash left mid-write, then load the newest
 //     snapshot that parses and whose settlement-book archive prefix matches
 //     its mark, if any (checked by CRC, not decoded); a snapshot from before
 //     the archive, which lists its settlements, is imported into the archive
 //     and rewritten without them;
-//  2. rebuild the platform — from the snapshot checkpoint, or fresh;
-//  3. scan the WAL once, segment by segment, from the first segment the
+//  3. rebuild the platform — from the snapshot checkpoint, or fresh;
+//  4. scan the WAL once, segment by segment, from the first segment the
 //     snapshot does not wholly cover (torn tails truncate, never fail),
 //     decoding only the events past the snapshot watermark and streaming
 //     them into engine.Restore, which replays them onto the platform and
 //     folds them into the settlement book; only the newest tail stays in the
 //     in-memory log (older cursors are served by Log.ReadBack), and only the
-//     entries past the archive's mark in the book;
-//  4. the same scan leaves the WAL open for appending after the valid prefix;
-//  5. cut the book archive back to the snapshot's mark: whatever a later,
+//     entries past the archive's mark in the book. The scan is step 1's when
+//     that read the segments and watermark recovery settled on — then steps
+//     2 and 3 ran beside the decode — and a fresh one otherwise;
+//  5. the same scan leaves the WAL open for appending after the valid prefix;
+//  6. cut the book archive back to the snapshot's mark: whatever a later,
 //     unfinished or unusable checkpoint appended past it, the replayed WAL
 //     tail has recorded again.
 //
@@ -66,6 +77,33 @@ type BootResult struct {
 // the returned Log after Stop.
 func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Platform, *engine.Engine, *Log, BootResult, error) {
 	walOpts = walOpts.withDefaults()
+	return boot(platOpts, cfg, walOpts, earlyScan(walOpts.Dir))
+}
+
+// earlyScan starts the segment reader on the WAL tail that recovery from the
+// newest snapshot in dir would replay, taking the watermark from the
+// snapshot's file name before the snapshot is read. It is a guess, and only
+// ever consumed whole or dropped (openScan): recovery may settle on an older
+// snapshot, or none. nil when dir cannot be listed.
+func earlyScan(dir string) *segmentScan {
+	snaps, err := snapshotFiles(dir)
+	if err != nil {
+		return nil
+	}
+	watermark := 0
+	if len(snaps) > 0 {
+		watermark = snapshotSeq(snaps[0])
+	}
+	segs, from, err := tailSegments(dir, watermark)
+	if err != nil {
+		return nil
+	}
+	return startScan(dir, segs[from:], "", 0, false, watermark)
+}
+
+// boot is Boot with the early scan already started; it owns it.
+func boot(platOpts core.Options, cfg engine.Config, walOpts Options, early *segmentScan) (*core.Platform, *engine.Engine, *Log, BootResult, error) {
+	defer early.close()
 	var res BootResult
 
 	if err := removeSnapshotTmps(walOpts.Dir); err != nil {
@@ -107,13 +145,14 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 	// restore scans a fresh Log into engine.Restore. The Log is the engine's
 	// persister from the start — that is what lets the seeded log drop
 	// everything but its tail — but nothing is appended until Restore returns.
+	// sc is the early scan for openScan to consume or drop (nil for none).
 	cfg.BookArchive = bookArchive(filepath.Join(walOpts.Dir, bookArchiveName))
-	restore := func() (*engine.Engine, *Log, error) {
+	restore := func(sc *segmentScan) (*engine.Engine, *Log, error) {
 		w := &Log{opt: walOpts}
 		cfg.Persister = w
 		res.Recovered, res.Replayed = 0, 0
 		eng, err := engine.Restore(p, cfg, snap, func(yield func([]engine.Event) error) error {
-			err := w.openScan(res.FromSnapshotSeq, func(evs []engine.Event) error {
+			decode, err := w.openScan(res.FromSnapshotSeq, sc, func(evs []engine.Event) error {
 				res.Recovered += len(evs)
 				// The snapshot covers the placeholders in front.
 				evs = evs[min(len(evs), max(0, res.FromSnapshotSeq+1-evs[0].Seq)):]
@@ -123,6 +162,7 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 				}
 				return yield(evs)
 			})
+			res.TailDecode += decode
 			if err == nil && res.Recovered > 0 && w.lastSeq < res.FromSnapshotSeq {
 				return engine.ErrLogBehindCheckpoint // every record found is covered: see below
 			}
@@ -134,18 +174,19 @@ func Boot(platOpts core.Options, cfg engine.Config, walOpts Options) (*core.Plat
 		}
 		return eng, w, nil
 	}
-	eng, w, err := restore()
+	eng, w, err := restore(early)
 	if errors.Is(err, engine.ErrLogBehindCheckpoint) {
 		// A log that ends short of the snapshot watermark (a crash under
 		// fsync=off, or a wedged persister before the checkpoint) would reuse
 		// seqs the checkpoint already covers. Every surviving record is
 		// covered by the snapshot too — none was replayed, the platform is
 		// untouched — so archive the stale segments and restore from the
-		// snapshot alone; appends continue at the watermark.
+		// snapshot alone; appends continue at the watermark. The early scan
+		// is spent: the first attempt consumed or dropped it.
 		if err := archiveCoveredSegments(walOpts.Dir); err != nil {
 			return nil, nil, nil, res, err
 		}
-		eng, w, err = restore()
+		eng, w, err = restore(nil)
 	}
 	res.TailReplay = time.Since(phase)
 	if err != nil {

@@ -88,6 +88,7 @@ func DecodeAll(raw []byte, wantNext int) (events []engine.Event, validBytes int)
 // placeholder carrying only its seq, read off the front of the payload, so
 // framing, checksums and seq contiguity are checked exactly as before.
 func decodeRecords(raw []byte, wantNext, covered int) (events []engine.Event, validBytes int) {
+	events = make([]engine.Event, 0, countFrames(raw))
 	off := 0
 	for {
 		payload, next, done, err := nextRecord(raw, off)
@@ -107,6 +108,23 @@ func decodeRecords(raw []byte, wantNext, covered int) (events []engine.Event, va
 		wantNext = ev.Seq + 1
 		off = next
 	}
+}
+
+// countFrames counts the records that raw's length prefixes chain through,
+// up to the first empty or overrunning one, without checking a checksum: a
+// bound on how many events decodeRecords can return, so it sizes its slice
+// once. (An empty payload is never an event; stopping there keeps a
+// zero-filled tail from sizing a slice by its length.)
+func countFrames(raw []byte) int {
+	n := 0
+	for off := 0; len(raw)-off >= headerSize; n++ {
+		size := binary.LittleEndian.Uint32(raw[off:])
+		if size == 0 || size > maxRecordSize || len(raw)-off-headerSize < int(size) {
+			break
+		}
+		off += headerSize + int(size)
+	}
+	return n
 }
 
 // seqPrefix is how every event record begins: json.Marshal writes

@@ -11,7 +11,8 @@
 //
 //	wal-<firstseq>.seg             the log, in rotating segments
 //	snapshot-<seq>.json            the newest two checkpoints, each covering
-//	                               the log up to <seq>
+//	                               the log up to <seq>: a JSON head, then the
+//	                               ticket window as binary records
 //	snapshot-<seq>.json.tmp-<rand> a checkpoint a crash cut short; Boot
 //	                               removes it
 //	settlements.archive            the settlement book up to the newest
@@ -27,6 +28,23 @@
 // made). The archive is created by the first checkpoint that has a
 // settlement to archive, never at boot.
 //
+// # Snapshot form
+//
+// A snapshot file is the engine checkpoint as JSON — the head, everything
+// but the ticket window, with the book's mark under "settlements" — followed
+// by a trailer: one framed record (the segment record format below) per
+// ticket of the window, in window order, each a compact binary encoding of
+// the ticket, then a framed footer record holding the head's length and the
+// ticket count, then a fixed magic string with a NUL byte in it. The window
+// is most of a busy market's checkpoint (16,384 terminal tickets) and decodes
+// an order of magnitude faster this way than as JSON. The magic tells the
+// forms apart: snapshots written before the trailer are JSON alone, tickets
+// under "tickets" (and streamed with a newline after each), and no JSON text
+// can end in a NUL; they load as before. A release from before the trailer
+// cannot read the new form — JSON may not continue past its value — so it
+// skips such a snapshot and replays the WAL, or refuses to boot when the
+// segments it would need were pruned, never restoring an empty window.
+//
 // # Record format
 //
 // Each record is length-prefixed, checksummed JSON:
@@ -38,7 +56,8 @@
 //
 // Records are concatenated into segment files named wal-<firstseq>.seg,
 // rotated once a segment exceeds Options.SegmentBytes. The settlement-book
-// archive uses the same framing with one ledger.Settlement per payload.
+// archive uses the same framing with one ledger.Settlement (JSON) per
+// payload, a snapshot's ticket trailer with one binary ticket per payload.
 // Sequence numbers are
 // assigned by the engine's event log (1-based, no gaps); the WAL verifies
 // contiguity on append and on load, so a decoded log is always a prefix of
@@ -55,8 +74,9 @@
 // prefix; later segments are beyond it and are dropped. There is one segment
 // reader, scanSegments; Load, Open/Boot and ReadBack differ only in which
 // segments they hand it and what they do with each decoded one. It decodes
-// one segment ahead of its caller, so a boot replays segment N while N+1 is
-// read and parsed: recovery time is the longer of the two, not their sum.
+// on a goroutine of its own, up to scanAhead segments ahead of its caller, so
+// a boot replays segment N while the next ones are read and parsed: recovery
+// time is the longer of the two, not their sum.
 //
 // # Read-back
 //
@@ -85,22 +105,34 @@
 //
 // # Boot sequence
 //
-// Boot wires recovery end to end: delete the tmp files of snapshot writes a
-// crash cut short, load the newest snapshot that parses and whose
-// settlement-book archive prefix matches its mark (a CRC over the prefix; no
-// archived settlement is decoded), rebuild the platform from it (or fresh),
-// then scan the WAL once — from the first segment the snapshot does not
-// wholly cover, truncating any torn tail and leaving it open for appending —
-// streaming each segment's events into engine.Restore, which replays the ones
-// past the snapshot onto the platform and keeps only the newest tail in
-// memory; finally cut the archive back to the snapshot's mark, dropping what
-// a later, unfinished or unusable checkpoint appended (the replayed tail has
-// recorded those settlements again). Segments the snapshot covers are not
-// read at all, and in the first one that is read the records it covers are
-// checked but not decoded, so recovery costs the snapshot plus the log suffix
-// behind it, not the market's lifetime. Covered segments stay on disk until a
-// prune, and subscriber cursors from before the restart resume gap-free from
-// them and the rest, served by ReadBack.
+// Boot wires recovery end to end: start decoding the WAL tail, delete the tmp
+// files of snapshot writes a crash cut short, load the newest snapshot that
+// parses and whose settlement-book archive prefix matches its mark (a CRC
+// over the prefix; no archived settlement is decoded), rebuild the platform
+// from it (or fresh), then scan the WAL once — from the first segment the
+// snapshot does not wholly cover, truncating any torn tail and leaving it
+// open for appending — streaming each segment's events into engine.Restore,
+// which replays the ones past the snapshot onto the platform and keeps only
+// the newest tail in memory; finally cut the archive back to the snapshot's
+// mark, dropping what a later, unfinished or unusable checkpoint appended
+// (the replayed tail has recorded those settlements again). Segments the
+// snapshot covers are not read at all, and in the first one that is read the
+// records it covers are checked but not decoded, so recovery costs the
+// snapshot plus the log suffix behind it, not the market's lifetime. Covered
+// segments stay on disk until a prune, and subscriber cursors from before the
+// restart resume gap-free from them and the rest, served by ReadBack.
+//
+// The decode starts first, on the watermark the newest snapshot's file name
+// gives: the segment reader works through the tail on its own goroutine — on
+// a second core — while the snapshot loads and the platform is rebuilt, so
+// replay finds its segments decoded. That scan is a guess, consumed whole or
+// not at all: when boot settles on another watermark (the newest snapshot
+// does not load, and an older one or none is used) the scan is dropped and
+// the tail scanned afresh, and a boot that finds the log behind its snapshot
+// rescans without it. Torn tails are truncated by the scan boot consumes,
+// after the decode, exactly as without the early start. BootResult times the
+// three phases (load, restore, replay; their sum is at most the boot) and,
+// apart from them, the reader's own decode time, which overlaps them.
 //
 // A snapshot that does not parse, or whose archive prefix does not match, is
 // passed over for the one before it and named in BootResult.SkippedSnapshots;
@@ -119,9 +151,9 @@
 //
 //  1. append the settlements the book recorded since its archived mark to
 //     the archive and fsync it — O(new settlements), not O(book);
-//  2. encode the snapshot, the extended mark in place of the book and the
-//     ticket window streamed through a buffered writer, into a tmp file and
-//     fsync it;
+//  2. encode the snapshot — the JSON head with the extended mark in place of
+//     the book, then the ticket trailer, streamed through a buffered writer —
+//     into a tmp file and fsync it;
 //  3. rename the tmp file into place;
 //  4. fsync the directory;
 //  5. let the archived entries leave the book's memory (BookCut.Archived):

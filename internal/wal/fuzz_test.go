@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ledger"
 )
@@ -80,6 +81,90 @@ func FuzzBookArchive(f *testing.F) {
 			if checked == nil && err != nil {
 				t.Fatalf("mark %+v: the check accepted a prefix the reader rejects: %v", m, err)
 			}
+		}
+	})
+}
+
+// FuzzSnapshot throws damaged snapshot files at the ticket-trailer decoder
+// (splitSnapshot, behind readSnapshot). Invariants: it never panics; a file
+// without the trailer's magic is JSON alone, returned whole; a trailer it
+// accepts consists of records whose checksums all hold, and its tickets
+// survive a re-encode; and any change to the trailer of a known snapshot that
+// keeps the magic is refused. The seeds are the clean file, tears at every
+// region boundary, bit flips in a ticket record, a checksum, the footer, the
+// magic and the head, two records swapped, and the older JSON-only form. CI
+// runs this with a short -fuzztime budget.
+func FuzzSnapshot(f *testing.F) {
+	snap := &engine.SnapshotState{TakenAtSeq: 42, Epoch: 7, Platform: &core.PlatformSnapshot{Design: "posted-baseline"},
+		Tickets: []engine.Ticket{
+			{ID: "sub-000001", Kind: engine.KindRegister, Status: engine.TicketDone, Participant: "b1", Epoch: 1},
+			{ID: "sub-000002", Kind: engine.KindRequest, Status: engine.TicketApplied, Participant: "b2", Epoch: 2,
+				RequestID: "req-0002", Priority: -1},
+			{ID: "sub-000003", Kind: engine.KindRequest, Status: engine.TicketDone, Participant: "bü", Epoch: 2,
+				RequestID: "req-0003", TxID: "tx-0004", Price: 123.45, Priority: 2, MatchedEpoch: 5},
+			{ID: "sub-000004", Kind: engine.KindShare, Status: engine.TicketFailed, Participant: "s1", Epoch: 3,
+				Err: "ledger: account \"s1\" already open"},
+		}}
+	var buf bytes.Buffer
+	if err := encodeSnapshot(&buf, snap, ledger.BookMark{}); err != nil {
+		f.Fatal(err)
+	}
+	clean := buf.Bytes()
+	head, _, _, err := splitSnapshot(clean)
+	if err != nil {
+		f.Fatal(err)
+	}
+	headLen := len(head)
+	end := len(clean) - len(ticketsMagic) - footerSize
+	rec := headerSize + int(binary.LittleEndian.Uint32(clean[headLen:])) // the first ticket record's size
+	flip := func(off int) []byte {
+		b := append([]byte{}, clean...)
+		b[off] ^= 0x10
+		return b
+	}
+	f.Add(clean)
+	for _, n := range []int{headLen, headLen + 3, headLen + rec, end, end + 5, len(clean) - 1} {
+		f.Add(clean[:n]) // torn
+	}
+	f.Add(flip(headLen + headerSize + 2)) // in the first ticket's payload
+	f.Add(flip(headLen + 5))              // in its checksum
+	f.Add(flip(end + headerSize + 1))     // in the footer's head length
+	f.Add(flip(end + headerSize + 8))     // in the footer's ticket count
+	f.Add(flip(len(clean) - 3))           // in the magic
+	f.Add(flip(headLen / 2))              // in the head
+	f.Add(append(append(append(append([]byte{}, clean[:headLen]...), clean[headLen+rec:headLen+2*rec]...),
+		clean[headLen:headLen+rec]...), clean[headLen+2*rec:]...)) // the first two records swapped
+	f.Add(append(append([]byte{}, head[:len(head)-1]...), `,"tickets":[{"id":"sub-000001"}]}`...)) // JSON only
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		head, tickets, trailer, err := splitSnapshot(raw)
+		if !trailer {
+			if err != nil || !bytes.Equal(head, raw) || tickets != nil {
+				t.Fatalf("a file without the magic is not passed through as JSON: %d-byte head, %d tickets, %v", len(head), len(tickets), err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		// Accepted: every record between the head and the magic checks out.
+		region := raw[len(head) : len(raw)-len(ticketsMagic)]
+		for off, i := 0, 0; off < len(region); i++ {
+			_, next, _, err := nextRecord(region, off)
+			if err != nil || i > len(tickets) {
+				t.Fatalf("accepted a trailer whose record %d is bad (%v) or surplus", i, err)
+			}
+			off = next
+		}
+		var again bytes.Buffer
+		if err := encodeSnapshot(&again, &engine.SnapshotState{Platform: snap.Platform, Tickets: tickets}, ledger.BookMark{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, back, _, err := splitSnapshot(again.Bytes()); err != nil || !reflect.DeepEqual(back, tickets) {
+			t.Fatalf("accepted tickets do not survive a re-encode (%v):\n%+v\n%+v", err, back, tickets)
+		}
+		if len(raw) == len(clean) && !bytes.Equal(raw, clean) && bytes.Equal(raw[:headLen], clean[:headLen]) {
+			t.Fatalf("accepted a changed trailer: %d tickets", len(tickets))
 		}
 	})
 }

@@ -349,9 +349,11 @@ func TestBootRemovesStaleSnapshotTmp(t *testing.T) {
 }
 
 // TestStreamedSnapshotIsTheMarshalledObject: the streamed snapshot encoding
-// is the JSON object json.Marshal gives — same keys and values, only in
-// another order — plus the book's archive mark under "settlements", so
-// snapshots written before and after streaming load on either side.
+// is a JSON head — the object json.Marshal gives for the checkpoint without
+// its tickets, plus the book's archive mark under "settlements" — followed by
+// the ticket trailer, which decodes to exactly the checkpoint's tickets, in
+// order. The head plus the tickets under "tickets" is the older, JSON-only
+// form, and both load to the same checkpoint.
 func TestStreamedSnapshotIsTheMarshalledObject(t *testing.T) {
 	_, e, dir := runUninterrupted(t, core.Options{Design: "expost-audited"}, expostScript(), SyncEpoch)
 	snap, err := e.Snapshot()
@@ -369,24 +371,52 @@ func TestStreamedSnapshotIsTheMarshalledObject(t *testing.T) {
 	if err := encodeSnapshot(&streamed, snap, mark); err != nil {
 		t.Fatal(err)
 	}
-	marshalled, err := json.Marshal(struct {
-		*engine.SnapshotState
-		Settlements ledger.BookMark `json:"settlements"`
-	}{snap, mark})
-	if err != nil {
-		t.Fatal(err)
+	head, tickets, trailer, err := splitSnapshot(streamed.Bytes())
+	if err != nil || !trailer {
+		t.Fatalf("streamed snapshot has no ticket trailer (%v)", err)
+	}
+	if !reflect.DeepEqual(tickets, snap.Tickets) {
+		t.Fatalf("ticket trailer decodes to\n%+v\nwant\n%+v", tickets, snap.Tickets)
+	}
+	headless := *snap
+	headless.Tickets = nil
+	marshalled := func(s *engine.SnapshotState) []byte {
+		raw, err := json.Marshal(struct {
+			*engine.SnapshotState
+			Settlements ledger.BookMark `json:"settlements"`
+		}{s, mark})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
 	var got, want any
-	if err := json.Unmarshal(streamed.Bytes(), &got); err != nil {
-		t.Fatalf("streamed snapshot is not JSON: %v", err)
+	if err := json.Unmarshal(head, &got); err != nil {
+		t.Fatalf("snapshot head is not JSON: %v", err)
 	}
-	if err := json.Unmarshal(marshalled, &want); err != nil {
+	if err := json.Unmarshal(marshalled(&headless), &want); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed snapshot differs from json.Marshal:\n%s\n%s", streamed.Bytes(), marshalled)
+		t.Fatalf("snapshot head differs from json.Marshal:\n%s\n%s", head, marshalled(&headless))
 	}
 	if mark.Count != snap.Book.Count() || !mark.Conserved {
 		t.Fatalf("mark %+v does not cover the book's %d settlements", mark, snap.Book.Count())
+	}
+
+	// Both forms load to the same checkpoint.
+	loaded := map[string]*engine.SnapshotState{}
+	for form, raw := range map[string][]byte{"trailer": streamed.Bytes(), "json": marshalled(snap)} {
+		path := filepath.Join(t.TempDir(), snapshotName(snap.TakenAtSeq))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if loaded[form], err = readSnapshot(path); err != nil {
+			t.Fatalf("%s form: %v", form, err)
+		}
+		loaded[form].TakenAt = snap.TakenAt
+	}
+	if !reflect.DeepEqual(loaded["trailer"], loaded["json"]) || !reflect.DeepEqual(loaded["json"].Tickets, snap.Tickets) {
+		t.Fatalf("the two forms load differently:\n%+v\n%+v", loaded["trailer"], loaded["json"])
 	}
 }

@@ -2,10 +2,14 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,14 +23,29 @@ import (
 // Snapshot files live beside the segments as snapshot-<seq>.json, where
 // <seq> is the checkpoint's TakenAtSeq. They are written atomically
 // (tmp + rename) so a crash mid-write never shadows an older good snapshot;
-// Boot removes the tmp files such a crash leaves behind. A snapshot's
-// "settlements" key holds the ledger.BookMark of the book archive prefix it
-// covers (book.go); snapshots from before the archive list every settlement
-// there instead, and Boot imports them. The object in place of the list is
-// also what keeps binaries from before the archive out: their decoder fails
-// on it, skips the snapshot and replays the WAL instead — refusing to boot
-// if the segments the snapshot covers were pruned — rather than restore an
-// empty book.
+// Boot removes the tmp files such a crash leaves behind. A snapshot is a JSON
+// head followed by a binary ticket trailer:
+//
+//	head     the checkpoint as json.Marshal writes it, without "tickets"; its
+//	         "settlements" key holds the ledger.BookMark of the book archive
+//	         prefix it covers (book.go)
+//	tickets  the ticket window, one framed record per ticket in window order
+//	         (the segment record format; payload: appendTicket)
+//	footer   one framed record of 12 bytes — the head's length (uint64) and
+//	         the ticket count (uint32), little-endian — then ticketsMagic
+//
+// Older snapshots are JSON alone, the ticket window under "tickets"; they
+// still load. The two forms tell apart by the last bytes: ticketsMagic holds
+// a NUL byte, which JSON text cannot, so no JSON-only snapshot ends in it.
+// Snapshots from before the archive list every settlement under
+// "settlements"; Boot imports them.
+//
+// Each change of form keeps the previous release out instead of letting it
+// load the snapshot wrong: its decoder fails — on the object in place of the
+// settlement list, or on the trailer after the head (a JSON text must end
+// where its value does) — so it skips the snapshot and replays the WAL
+// instead, refusing to boot if the segments the snapshot covers were pruned,
+// rather than restore an empty book or ticket window.
 
 func snapshotName(seq int) string { return fmt.Sprintf("snapshot-%010d.json", seq) }
 
@@ -132,10 +151,19 @@ func writeSnapshotTmp(dir string, snap *engine.SnapshotState) (string, ledger.Bo
 	return f.Name(), mark, nil
 }
 
-// encodeSnapshot writes snap as the JSON object json.Marshal would, plus the
-// book's archive mark under "settlements", with the ticket window last and
-// streamed one entry at a time through a buffered writer, so encoding never
-// holds a second copy of it.
+// ticketsMagic ends every snapshot with a ticket trailer. Its NUL byte is what
+// no JSON text holds; the version names the trailer's layout (appendTicket).
+const ticketsMagic = "\x00tickets/1"
+
+// footerSize is the framed record in front of ticketsMagic: the head's length
+// and the ticket count.
+const footerSize = headerSize + 12
+
+// encodeSnapshot writes snap in the snapshot file form: the JSON head — snap
+// as json.Marshal writes it, the book's archive mark under "settlements", no
+// "tickets" — then the ticket trailer and the footer, streamed one record at
+// a time through a buffered writer, so encoding never holds a second copy of
+// the ticket window.
 func encodeSnapshot(w io.Writer, snap *engine.SnapshotState, mark ledger.BookMark) error {
 	book, err := json.Marshal(mark)
 	if err != nil {
@@ -148,30 +176,148 @@ func encodeSnapshot(w io.Writer, snap *engine.SnapshotState, mark ledger.BookMar
 		return fmt.Errorf("wal: encode snapshot: %w", err)
 	}
 	bw := bufio.NewWriterSize(w, 64<<10)
-	bw.Write(head[:len(head)-1]) // reopen the object: drop its closing brace
-	if err := encodeList(bw, json.NewEncoder(bw), "tickets", snap.Tickets); err != nil {
-		return err
+	bw.Write(head)
+	var payload, rec []byte
+	for i := range snap.Tickets {
+		payload = appendTicket(payload[:0], &snap.Tickets[i])
+		rec = appendRecord(rec[:0], payload)
+		bw.Write(rec)
 	}
-	bw.WriteByte('}')
+	var foot [footerSize - headerSize]byte
+	binary.LittleEndian.PutUint64(foot[:8], uint64(len(head)))
+	binary.LittleEndian.PutUint32(foot[8:], uint32(len(snap.Tickets)))
+	bw.Write(appendRecord(rec[:0], foot[:]))
+	bw.WriteString(ticketsMagic)
 	return bw.Flush()
 }
 
-// encodeList appends `,"key":[...]` to an open JSON object, one element at a
-// time; like omitempty, it writes nothing for an empty list.
-func encodeList[T any](bw *bufio.Writer, enc *json.Encoder, key string, list []T) error {
-	if len(list) == 0 {
-		return nil
+// splitSnapshot separates a snapshot file into its JSON head and its ticket
+// trailer, decoded. trailer is false for a snapshot that is JSON alone (head
+// is then all of raw). A trailer that does not check out — a footer or
+// ticket record torn, bit-flipped or inconsistent with the rest — is an
+// error, never a shorter window.
+func splitSnapshot(raw []byte) (head []byte, tickets []engine.Ticket, trailer bool, err error) {
+	body, ok := bytes.CutSuffix(raw, []byte(ticketsMagic))
+	if !ok {
+		return raw, nil, false, nil
 	}
-	bw.WriteString(`,"` + key + `":[`)
-	for i := range list {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		if err := enc.Encode(&list[i]); err != nil {
-			return fmt.Errorf("wal: encode snapshot %s: %w", key, err)
-		}
+	end := len(body) - footerSize
+	if end < 0 {
+		return nil, nil, true, fmt.Errorf("%w: %d bytes before the ticket trailer's magic", ErrTorn, len(body))
 	}
-	return bw.WriteByte(']')
+	foot, _, _, err := nextRecord(body[end:], 0)
+	if err == nil && len(foot) != footerSize-headerSize {
+		err = fmt.Errorf("%w: %d-byte footer", ErrTorn, len(foot))
+	}
+	if err != nil {
+		return nil, nil, true, fmt.Errorf("snapshot footer: %w", err)
+	}
+	headLen, count := binary.LittleEndian.Uint64(foot), binary.LittleEndian.Uint32(foot[8:])
+	if headLen > uint64(end) {
+		return nil, nil, true, fmt.Errorf("%w: footer puts the head's end at %d, past the trailer's end %d", ErrTorn, headLen, end)
+	}
+	tickets, err = decodeTickets(body[headLen:end], int(count))
+	return body[:headLen], tickets, true, err
+}
+
+// decodeTickets decodes the ticket trailer buf, which must hold exactly count
+// framed ticket records.
+func decodeTickets(buf []byte, count int) ([]engine.Ticket, error) {
+	if count > len(buf)/headerSize {
+		return nil, fmt.Errorf("%w: %d tickets cannot fit in a %d-byte trailer", ErrTorn, count, len(buf))
+	}
+	tickets := make([]engine.Ticket, count)
+	off := 0
+	for i := range tickets {
+		payload, next, done, err := nextRecord(buf, off)
+		if done {
+			err = fmt.Errorf("%w: the trailer ends after %d", ErrTorn, i)
+		}
+		if err == nil {
+			err = decodeTicket(payload, &tickets[i])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("snapshot ticket %d of %d: %w", i+1, count, err)
+		}
+		off = next
+	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("%w: %d bytes past snapshot ticket %d", ErrTorn, len(buf)-off, count)
+	}
+	return tickets, nil
+}
+
+// appendTicket appends t's binary form to dst: its fields in declaration
+// order, strings as a uvarint length then the bytes, unsigned numbers as
+// uvarints, Priority as a varint and Price as the uvarint of its IEEE 754
+// bits byte-reversed (as encoding/gob does: a round price has few
+// significant bytes, and those are the high ones).
+func appendTicket(dst []byte, t *engine.Ticket) []byte {
+	str := func(s string) {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	str(t.ID)
+	str(string(t.Kind))
+	str(string(t.Status))
+	str(t.Participant)
+	dst = binary.AppendUvarint(dst, t.Epoch)
+	str(t.RequestID)
+	str(t.TxID)
+	dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(t.Price)))
+	dst = binary.AppendVarint(dst, int64(t.Priority))
+	dst = binary.AppendUvarint(dst, t.MatchedEpoch)
+	str(t.Err)
+	return dst
+}
+
+// decodeTicket decodes one appendTicket payload into t; the payload must hold
+// exactly one ticket.
+func decodeTicket(b []byte, t *engine.Ticket) error {
+	bad := false
+	uv := func() uint64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			bad = true
+			return 0
+		}
+		b = b[n:]
+		return v
+	}
+	sv := func() int64 {
+		v, n := binary.Varint(b)
+		if n <= 0 {
+			bad = true
+			return 0
+		}
+		b = b[n:]
+		return v
+	}
+	str := func() string {
+		n := uv()
+		if n > uint64(len(b)) {
+			bad = true
+			return ""
+		}
+		s := string(b[:n])
+		b = b[n:]
+		return s
+	}
+	t.ID = str()
+	t.Kind = engine.SubmissionKind(str())
+	t.Status = engine.TicketStatus(str())
+	t.Participant = str()
+	t.Epoch = uv()
+	t.RequestID = str()
+	t.TxID = str()
+	t.Price = math.Float64frombits(bits.ReverseBytes64(uv()))
+	t.Priority = int(sv())
+	t.MatchedEpoch = uv()
+	t.Err = str()
+	if bad || len(b) != 0 {
+		return fmt.Errorf("%w: ticket payload does not parse", ErrTorn)
+	}
+	return nil
 }
 
 // diskSnapshot is a snapshot file's JSON: the engine checkpoint plus its book
@@ -182,20 +328,30 @@ type diskSnapshot struct {
 	Settlements json.RawMessage `json:"settlements"`
 }
 
-// readSnapshot decodes one snapshot file. Its Book is the cut of the archive
-// prefix the mark names; a snapshot that lists its settlements gets an
-// in-memory cut of them, marked as archiving nothing.
+// readSnapshot decodes one snapshot file, in either form. Its Book is the cut
+// of the archive prefix the mark names; a snapshot that lists its settlements
+// gets an in-memory cut of them, marked as archiving nothing.
 func readSnapshot(path string) (*engine.SnapshotState, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	head, tickets, trailer, err := splitSnapshot(raw)
+	if err != nil {
+		return nil, err
+	}
 	var d diskSnapshot
-	if err := json.Unmarshal(raw, &d); err != nil {
+	if err := json.Unmarshal(head, &d); err != nil {
 		return nil, err
 	}
 	if d.Platform == nil {
 		return nil, errors.New("no platform checkpoint")
+	}
+	if trailer {
+		if d.Tickets != nil {
+			return nil, errors.New("tickets both in the JSON head and in the trailer")
+		}
+		d.Tickets = tickets
 	}
 	switch {
 	case len(d.Settlements) == 0: // a pre-archive snapshot of an empty book

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,6 +134,12 @@ func segmentFiles(dir string) ([]string, error) {
 	return segs, nil
 }
 
+// scanAhead is how many decoded segments the segment reader may hold ready
+// for its consumer. Boot starts reading the WAL tail before it loads the
+// snapshot, when nothing consumes it yet; this bounds what the reader holds
+// meanwhile (each segment is about Options.SegmentBytes of records).
+const scanAhead = 4
+
 // scanSegments is the one segment reader behind recovery (openScan), Load
 // and ReadBack. It decodes the named segments of dir in order, enforcing seq
 // contiguity across them, and hands visit each one's index, events,
@@ -144,23 +151,46 @@ func segmentFiles(dir string) ([]string, error) {
 // Events with seq <= covered come back as seq-only placeholders
 // (decodeRecords).
 //
-// A reader goroutine decodes one segment ahead of visit, so recovery — where
-// visit replays the events, about as much work as decoding them — runs its
-// two halves side by side; at most two decoded segments exist at a time. The
-// reader has exited when scanSegments returns.
+// A reader goroutine decodes up to scanAhead segments ahead of visit, so
+// recovery — where visit replays the events, about as much work as decoding
+// them — runs its two halves side by side. The reader has exited when
+// scanSegments returns.
 func scanSegments(dir string, names []string, active string, activeBytes int64, skipMissing bool, covered int,
 	visit func(i int, evs []engine.Event, valid, size int) (bool, error)) error {
-	type segment struct {
-		i           int
-		evs         []engine.Event
-		valid, size int
-		err         error
-	}
-	ahead, stop := make(chan segment), make(chan struct{})
+	return startScan(dir, names, active, activeBytes, skipMissing, covered).run(visit)
+}
+
+// segmentScan is scanSegments split in two: startScan sets the reader going,
+// run consumes what it decoded. Boot starts the scan of the WAL tail early and
+// consumes it later (openScan).
+type segmentScan struct {
+	names   []string // the segments it reads, in order
+	covered int      // the seq up to which records decode as placeholders
+	ahead   chan segment
+	stop    chan struct{}
+	closed  sync.Once
+	adopted bool // an openScan consumed it as the early scan it was handed
+	// busy is the reader's own time, reading and decoding — not the time it
+	// waits for room in ahead. It is final once ahead is closed.
+	busy time.Duration
+}
+
+// segment is one decoded segment, as the reader hands it over.
+type segment struct {
+	i           int
+	evs         []engine.Event
+	valid, size int
+	err         error
+}
+
+// startScan starts the segment reader over names; see scanSegments.
+func startScan(dir string, names []string, active string, activeBytes int64, skipMissing bool, covered int) *segmentScan {
+	sc := &segmentScan{names: names, covered: covered, ahead: make(chan segment, scanAhead), stop: make(chan struct{})}
 	go func() {
-		defer close(ahead)
+		defer close(sc.ahead)
 		wantNext := 0
 		for i, name := range names {
+			start := time.Now()
 			s := segment{i: i}
 			raw, err := os.ReadFile(filepath.Join(dir, name))
 			switch {
@@ -179,9 +209,10 @@ func scanSegments(dir string, names []string, active string, activeBytes int64, 
 					wantNext = s.evs[len(s.evs)-1].Seq + 1
 				}
 			}
+			sc.busy += time.Since(start)
 			select {
-			case ahead <- s:
-			case <-stop:
+			case sc.ahead <- s:
+			case <-sc.stop:
 				return
 			}
 			if s.err != nil || s.valid < s.size {
@@ -189,12 +220,14 @@ func scanSegments(dir string, names []string, active string, activeBytes int64, 
 			}
 		}
 	}()
-	defer func() {
-		close(stop)
-		for range ahead {
-		}
-	}()
-	for s := range ahead {
+	return sc
+}
+
+// run hands visit the decoded segments in order, as scanSegments describes,
+// then closes the scan.
+func (sc *segmentScan) run(visit func(i int, evs []engine.Event, valid, size int) (bool, error)) error {
+	defer sc.close()
+	for s := range sc.ahead {
 		if s.err != nil {
 			return s.err
 		}
@@ -203,6 +236,19 @@ func scanSegments(dir string, names []string, active string, activeBytes int64, 
 		}
 	}
 	return nil
+}
+
+// close stops the reader, drops whatever it decoded that nobody took, and
+// waits for it to exit. It is idempotent and a no-op on a nil scan.
+func (sc *segmentScan) close() {
+	if sc == nil {
+		return
+	}
+	sc.closed.Do(func() {
+		close(sc.stop)
+		for range sc.ahead {
+		}
+	})
 }
 
 // Load reads every valid event from the WAL in dir: segments in order, each
@@ -228,41 +274,61 @@ func Load(dir string) ([]engine.Event, error) {
 // record. The returned Log expects the next Persist to carry seq LastSeq()+1.
 func Open(opts Options) (*Log, error) {
 	w := &Log{opt: opts.withDefaults()}
-	if err := w.openScan(0, nil); err != nil {
+	if _, err := w.openScan(0, nil, nil); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// openScan is Open on a fresh Log, streaming: each segment's events go to
-// yield (nil = discard) as it is decoded — Boot replays them from there, so
-// recovery reads each segment once and holds two segments' events at most
-// (the one being replayed and the one decoded ahead of it). Sealed segments a
-// checkpoint at watermark covers entirely — their successor begins at or
-// below watermark+1 — are not read at all: they stay on disk for ReadBack
-// (and PruneCovered), and a torn record inside one truncates nothing. In the
-// segments it does read, the records up to watermark are checked but not
-// decoded: yield gets them as seq-only placeholders.
-func (w *Log) openScan(watermark int, yield func([]engine.Event) error) error {
-	dir := w.opt.Dir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	segs, err := segmentFiles(dir)
-	if err != nil {
-		return err
-	}
-	from := 0 // the last segment that begins at or below watermark+1
+// tailSegments lists the segments in dir and the index of the first one
+// recovery from a checkpoint at watermark reads: the last that begins at or
+// below watermark+1. Every segment before it the checkpoint covers entirely.
+func tailSegments(dir string, watermark int) (segs []string, from int, err error) {
+	segs, err = segmentFiles(dir)
 	for i, name := range segs {
 		if segmentFirstSeq(name) <= watermark+1 {
 			from = i
 		}
 	}
+	return segs, from, err
+}
+
+// openScan is Open on a fresh Log, streaming: each segment's events go to
+// yield (nil = discard) as it is decoded — Boot replays them from there, so
+// recovery reads each segment once and holds at most scanAhead+2 segments'
+// events (the one being replayed, the ones decoded ahead of it and the one
+// being decoded). Sealed segments a checkpoint at watermark covers entirely
+// are not read at all: they stay on disk for ReadBack (and PruneCovered), and
+// a torn record inside one truncates nothing. In the segments it does read,
+// the records up to watermark are checked but not decoded: yield gets them as
+// seq-only placeholders.
+//
+// early is a scan the caller started before it knew the watermark for sure
+// (Boot's early decode; nil for none), and still owns. openScan consumes it
+// if it reads exactly the segments, and leaves undecoded exactly the records,
+// that this call would; otherwise it closes it and scans afresh. It returns
+// the reader's own time (segmentScan.busy) of the scan it consumed.
+func (w *Log) openScan(watermark int, early *segmentScan, yield func([]engine.Event) error) (time.Duration, error) {
+	dir := w.opt.Dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	segs, from, err := tailSegments(dir, watermark)
+	if err != nil {
+		return 0, err
+	}
+	sc := early
+	if sc != nil && sc.covered == watermark && slices.Equal(sc.names, segs[from:]) {
+		sc.adopted = true
+	} else {
+		early.close()
+		sc = startScan(dir, segs[from:], "", 0, false, watermark)
+	}
 	appendTo := "" // segment to continue appending into
 	var appendSize int64
 	liveSegs := len(segs)
 	truncations := 0
-	err = scanSegments(dir, segs[from:], "", 0, false, watermark, func(i int, evs []engine.Event, valid, size int) (bool, error) {
+	err = sc.run(func(i int, evs []engine.Event, valid, size int) (bool, error) {
 		i += from
 		if len(evs) > 0 {
 			w.lastSeq = evs[len(evs)-1].Seq
@@ -290,7 +356,7 @@ func (w *Log) openScan(watermark int, yield func([]engine.Event) error) error {
 		return true, nil
 	})
 	if err != nil {
-		return err
+		return sc.busy, err
 	}
 
 	if appendTo == "" {
@@ -299,17 +365,17 @@ func (w *Log) openScan(watermark int, yield func([]engine.Event) error) error {
 	}
 	f, err := os.OpenFile(filepath.Join(dir, appendTo), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return sc.busy, err
 	}
 	if err := syncDir(dir); err != nil {
 		f.Close()
-		return err
+		return sc.busy, err
 	}
 	w.f = f
 	w.curName = appendTo
 	w.segBytes = appendSize
 	w.initMetrics(w.opt.Metrics, liveSegs, truncations)
-	return nil
+	return sc.busy, nil
 }
 
 // ReadBack returns the persisted events with after < Seq <= upto, in order —
