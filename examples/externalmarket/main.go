@@ -9,6 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
@@ -93,8 +95,8 @@ func main() {
 	fmt.Printf("\nauction: %s wins at the second price $%.2f (accuracy %.3f)\n",
 		tx.Buyer, tx.Price, tx.Satisfaction)
 	fmt.Printf("revenue split: arbiter $%.2f", tx.ArbiterCut)
-	for s, c := range tx.SellerCuts {
-		fmt.Printf(", %s $%.2f", s, c)
+	for _, s := range slices.Sorted(maps.Keys(tx.SellerCuts)) {
+		fmt.Printf(", %s $%.2f", s, tx.SellerCuts[s])
 	}
 	fmt.Println()
 	fmt.Printf("exclusivity taxes due this period: %v\n", p.Arbiter.Licenses.PeriodTaxes())
@@ -110,7 +112,7 @@ func main() {
 		log.Fatalf("arbitrageur purchase failed: %v %v", err, res)
 	}
 	bought := res.Transactions[0]
-	if !p.Arbiter.Licenses.MayResell("workforce", "arbitrageur") {
+	if !p.Arbiter.MayResell("workforce", "arbitrageur") {
 		log.Fatal("open license must permit resale")
 	}
 	enriched := relation.AddColumn(bought.Mashup, relation.Col("risk_score", relation.KindFloat),

@@ -686,10 +686,22 @@ func (a *Arbiter) ownersOf(datasets []string) map[string]string {
 
 func (a *Arbiter) issueLicenses(datasets []string, buyer string, price float64) {
 	for _, ds := range datasets {
-		if g, err := a.Licenses.Issue(ds, buyer, price); err == nil {
-			_ = g
-		}
+		a.Licenses.Issue(ds, buyer, price)
 	}
+}
+
+// MayResell reports whether a participant may resell derivatives of a
+// dataset. The holder of an exclusive or transfer dataset may when its terms
+// at sale allowed it; any other participant may only after buying an open
+// dataset. Owning a dataset confers no resale license.
+func (a *Arbiter) MayResell(dataset, participant string) bool {
+	if h, ok := a.Licenses.HolderOf(dataset); ok {
+		return h.Beneficiary == participant && h.Terms.CanResell()
+	}
+	a.mu.Lock()
+	bought := a.purchases[participant][dataset] > 0
+	a.mu.Unlock()
+	return bought && a.Licenses.TermsFor(dataset).Kind == license.Open
 }
 
 func (a *Arbiter) recordPurchase(buyer string, datasets []string) {

@@ -149,7 +149,7 @@ func TestAuctionAmongBuyers(t *testing.T) {
 	if len(res.Unsatisfied) != 1 {
 		t.Errorf("unsatisfied = %v", res.Unsatisfied)
 	}
-	// Exclusivity grant recorded; tax accrues.
+	// The winner holds the exclusive license; tax accrues.
 	taxes := a.Licenses.PeriodTaxes()
 	if taxes["b1"] <= 0 {
 		t.Errorf("exclusivity tax = %v", taxes)

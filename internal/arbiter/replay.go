@@ -312,7 +312,8 @@ func (a *Arbiter) RestoreHistory(skels []ReplayedSettlement, dropped int) {
 // ReplaySettlement re-applies one settled sale from the durable event log:
 // closes the request, repeats the escrow hold / release / revenue fan-out
 // with the logged amounts (micro-unit identical to the original run),
-// re-issues licenses and records the purchase. Ex-post sales re-escrow the
+// re-issues licenses — so a dataset's license holder is the one the live run
+// recorded — and records the purchase. Ex-post sales re-escrow the
 // deposit and return to the pending set with the logged delivery-time
 // revenue fractions, so a later report splits exactly as the uninterrupted
 // run would have.

@@ -215,14 +215,13 @@ type RequestState struct {
 // PlatformSnapshot is a point-in-time checkpoint of the platform state the
 // engine's event-log replay rebuilds: participants and balances, shared
 // datasets (current version), open requests, the purchase history the
-// recommendation service reads, and the arbiter's ID counter. Derived state —
-// profiles, the discovery index, seller platforms — is recomputed on restore
-// by re-ingesting datasets in share order, so a restored platform matches a
+// recommendation service reads, the holders of exclusive and transfer
+// licenses, and the arbiter's ID counter. Derived state — profiles, the
+// discovery index, seller platforms — is recomputed on restore by
+// re-ingesting datasets in share order, so a restored platform matches a
 // replayed one exactly. Not captured: catalog version history, the audit
 // chain (a verification window over recent activity, restarted with the
-// process), licence grants (one per dataset per sale — lifetime-sized, so
-// they wait for a compaction; a restored platform holds only the grants of
-// the sales it replayed), closed requests, completed transactions older than
+// process), closed requests, completed transactions older than
 // the arbiter's history window (HistoryDropped counts them; the event log
 // and the engine's settlement book — archived beside the snapshot by the
 // checkpointer, never inside it — are the record), and open requests
@@ -260,7 +259,12 @@ type PlatformSnapshot struct {
 	// dataset -> times bought): buyers × datasets in size, not one entry per
 	// sale. Snapshots from before it was carried restore without it.
 	Purchases map[string]map[string]int `json:"purchases,omitempty"`
-	NextID    int                       `json:"next_id"`
+	// LicenseHolders maps each sold exclusive or transfer dataset to the
+	// license its first sale conferred: one entry per dataset, never one per
+	// sale, and absent from a market that sells only open or no-resale data.
+	// Snapshots from before it was carried restore without holders.
+	LicenseHolders map[string]license.Holder `json:"license_holders,omitempty"`
+	NextID         int                       `json:"next_id"`
 }
 
 // DatasetStates returns the currently shared datasets in share order, each
@@ -317,6 +321,7 @@ func (p *Platform) Snapshot() *PlatformSnapshot {
 	snap.PendingExPost = a.PendingEscrows()
 	snap.Unmet = a.UnmetCounts()
 	snap.Purchases = a.PurchaseCounts()
+	snap.LicenseHolders = a.Licenses.Holders()
 	snap.NextID = a.ReplayNextID()
 	snap.Rng = a.RngState()
 	return snap
@@ -377,6 +382,7 @@ func RestorePlatform(opts Options, snap *PlatformSnapshot) (*Platform, error) {
 	}
 	p.Arbiter.AddUnmet(snap.Unmet)
 	p.Arbiter.RestorePurchases(snap.Purchases)
+	p.Arbiter.Licenses.RestoreHolders(snap.LicenseHolders)
 	p.Arbiter.RestoreNextID(snap.NextID)
 	p.Arbiter.RestoreRngState(snap.Rng)
 	return p, nil

@@ -1,13 +1,23 @@
 // Package license implements data licensing (paper §4.4): sellers attach
 // licenses to datasets conferring different rights — open resale, no-resale,
-// exclusive access (with an exclusivity tax), or full ownership transfer —
-// and the arbiter enforces them at transaction time. Licensing is also what
-// makes the arbitrageur economy of §7.1 possible: a resale-allowed license
-// lets a buyer transform a dataset and sell it back to the market.
+// exclusive access (with an exclusivity tax), or full ownership transfer.
+// Licensing is also what makes the arbitrageur economy of §7.1 possible: a
+// resale-allowed license lets a buyer transform a dataset and sell it back to
+// the market.
+//
+// A Manager is market state sized by datasets, not by sales: every dataset's
+// terms, plus one Holder per exclusive or transfer dataset, written by the
+// dataset's first sale. Open and no-resale sales record nothing here; who
+// bought what is the arbiter's purchase history. Exclusivity is scarcity
+// within one matching round: Terms.Supply sells an exclusive or transfer
+// dataset to one buyer per round, and a later round may sell it again. The
+// holder stays the first buyer, and only the holder owes the exclusivity tax.
 package license
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -30,10 +40,10 @@ const (
 
 // Terms are the license terms attached to a dataset.
 type Terms struct {
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// ExclusivityTaxRate is the per-period tax as a fraction of sale price
 	// (Exclusive only).
-	ExclusivityTaxRate float64
+	ExclusivityTaxRate float64 `json:"tax_rate,omitempty"`
 }
 
 // Validate checks coherence.
@@ -54,8 +64,8 @@ func (t Terms) Validate() error {
 }
 
 // Supply returns the mechanism supply implied by the license: exclusive and
-// transfer licenses sell one copy; open and no-resale data is freely
-// replicable (unlimited supply, the paper's §3.2.1 headache).
+// transfer licenses sell one copy per round; open and no-resale data is
+// freely replicable (unlimited supply, the paper's §3.2.1 headache).
 func (t Terms) Supply() int {
 	if t.Kind == Exclusive || t.Kind == Transfer {
 		return 1
@@ -63,42 +73,43 @@ func (t Terms) Supply() int {
 	return -1 // market.SupplyUnlimited
 }
 
-// Grant records a license issued to a beneficiary for a dataset.
-type Grant struct {
-	Dataset     string
-	Beneficiary string
-	Terms       Terms
-	SalePrice   float64
-	Active      bool
+// CanResell reports whether a licensee under these terms may resell data
+// derived from the dataset.
+func (t Terms) CanResell() bool {
+	return t.Kind == Open || t.Kind == Transfer
 }
 
-// TaxDue returns the exclusivity tax owed for one period.
-func (g *Grant) TaxDue() float64 {
-	if !g.Active || g.Terms.Kind != Exclusive {
+// Holder is the license an exclusive or transfer dataset's first sale
+// conferred: the buyer, the sale price and the terms at that sale.
+type Holder struct {
+	Beneficiary string  `json:"beneficiary"`
+	SalePrice   float64 `json:"sale_price"`
+	Terms       Terms   `json:"terms"`
+}
+
+// TaxDue returns the exclusivity tax the holder owes for one period.
+func (h Holder) TaxDue() float64 {
+	if h.Terms.Kind != Exclusive {
 		return 0
 	}
-	return g.SalePrice * g.Terms.ExclusivityTaxRate
+	return h.SalePrice * h.Terms.ExclusivityTaxRate
 }
 
-// CanResell reports whether the beneficiary may resell data derived from the
-// dataset.
-func (g *Grant) CanResell() bool {
-	return g.Terms.Kind == Open || g.Terms.Kind == Transfer
-}
-
-// Manager tracks dataset terms and issued grants, enforcing exclusivity.
+// Manager tracks dataset terms and the holders of exclusive and transfer
+// datasets.
 type Manager struct {
-	mu     sync.Mutex
-	terms  map[string]Terms
-	grants []*Grant
+	mu      sync.Mutex
+	terms   map[string]Terms
+	holders map[string]Holder
 }
 
 // NewManager creates an empty manager.
 func NewManager() *Manager {
-	return &Manager{terms: map[string]Terms{}}
+	return &Manager{terms: map[string]Terms{}, holders: map[string]Holder{}}
 }
 
-// SetTerms attaches license terms to a dataset.
+// SetTerms attaches license terms to a dataset. A holder keeps the terms it
+// bought under.
 func (m *Manager) SetTerms(dataset string, t Terms) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -119,70 +130,52 @@ func (m *Manager) TermsFor(dataset string) Terms {
 	return Terms{Kind: Open}
 }
 
-// Issue grants a license for a sale, enforcing exclusivity: an exclusive or
-// transfer dataset with an active grant cannot be granted again.
-func (m *Manager) Issue(dataset, beneficiary string, price float64) (*Grant, error) {
+// Issue licenses a sale of the dataset. The first sale of an exclusive or
+// transfer dataset makes the beneficiary its holder; every other sale leaves
+// the manager unchanged.
+func (m *Manager) Issue(dataset, beneficiary string, price float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t, ok := m.terms[dataset]
-	if !ok {
-		t = Terms{Kind: Open}
+	if _, held := m.holders[dataset]; held {
+		return
 	}
-	if t.Supply() == 1 {
-		for _, g := range m.grants {
-			if g.Dataset == dataset && g.Active {
-				return nil, fmt.Errorf("license: dataset %q exclusively granted to %q", dataset, g.Beneficiary)
-			}
-		}
+	if t := m.terms[dataset]; t.Supply() == 1 {
+		m.holders[dataset] = Holder{Beneficiary: beneficiary, SalePrice: price, Terms: t}
 	}
-	g := &Grant{Dataset: dataset, Beneficiary: beneficiary, Terms: t, SalePrice: price, Active: true}
-	m.grants = append(m.grants, g)
-	return g, nil
 }
 
-// Revoke deactivates a grant (e.g. the beneficiary stopped paying the
-// exclusivity tax), reopening exclusive supply.
-func (m *Manager) Revoke(g *Grant) {
+// HolderOf returns the holder of an exclusive or transfer dataset, if it has
+// been sold.
+func (m *Manager) HolderOf(dataset string) (Holder, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g.Active = false
+	h, ok := m.holders[dataset]
+	return h, ok
 }
 
-// GrantsFor lists active grants over a dataset.
-func (m *Manager) GrantsFor(dataset string) []*Grant {
+// Holders returns a copy of every holder by dataset, for snapshots.
+func (m *Manager) Holders() map[string]Holder {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []*Grant
-	for _, g := range m.grants {
-		if g.Dataset == dataset && g.Active {
-			out = append(out, g)
-		}
-	}
-	return out
+	return maps.Clone(m.holders)
 }
 
-// MayResell reports whether a participant may resell derivatives of the
-// dataset, i.e. whether they hold a resale-permitting grant (or are the
-// owner).
-func (m *Manager) MayResell(dataset, participant string) bool {
+// RestoreHolders reinstates a snapshot's holders.
+func (m *Manager) RestoreHolders(holders map[string]Holder) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, g := range m.grants {
-		if g.Dataset == dataset && g.Beneficiary == participant && g.Active {
-			return g.CanResell()
-		}
-	}
-	return false
+	maps.Copy(m.holders, holders)
 }
 
-// PeriodTaxes returns the exclusivity taxes due this period per beneficiary.
+// PeriodTaxes returns the exclusivity taxes due this period per beneficiary,
+// summed in dataset order so the floats do not depend on map order.
 func (m *Manager) PeriodTaxes() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := map[string]float64{}
-	for _, g := range m.grants {
-		if tax := g.TaxDue(); tax > 0 {
-			out[g.Beneficiary] += tax
+	for _, ds := range slices.Sorted(maps.Keys(m.holders)) {
+		if h := m.holders[ds]; h.TaxDue() > 0 {
+			out[h.Beneficiary] += h.TaxDue()
 		}
 	}
 	return out

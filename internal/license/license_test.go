@@ -1,6 +1,9 @@
 package license
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTermsValidate(t *testing.T) {
 	ok := []Terms{
@@ -36,54 +39,46 @@ func TestSupply(t *testing.T) {
 	}
 }
 
+// TestExclusivityEnforced: the first sale of an exclusive dataset makes its
+// holder; a later sale leaves the holder, and the tax, with the first buyer.
 func TestExclusivityEnforced(t *testing.T) {
 	m := NewManager()
-	if err := m.SetTerms("d1", Terms{Kind: Exclusive, ExclusivityTaxRate: 0.05}); err != nil {
+	exclusive := Terms{Kind: Exclusive, ExclusivityTaxRate: 0.05}
+	if err := m.SetTerms("d1", exclusive); err != nil {
 		t.Fatal(err)
 	}
-	g1, err := m.Issue("d1", "alice", 200)
-	if err != nil {
+	if err := m.SetTerms("d2", Terms{Kind: Transfer}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Issue("d1", "bob", 100); err == nil {
-		t.Error("second exclusive grant must fail")
+	m.Issue("d1", "alice", 200)
+	m.Issue("d1", "bob", 100)
+	m.Issue("d2", "bob", 50)
+	want := Holder{Beneficiary: "alice", SalePrice: 200, Terms: exclusive}
+	if h, ok := m.HolderOf("d1"); !ok || h != want {
+		t.Errorf("holder of d1 = %+v, %v; want %+v", h, ok, want)
 	}
-	// Tax accrues per period.
-	if g1.TaxDue() != 10 {
-		t.Errorf("tax = %v", g1.TaxDue())
+	if h, _ := m.HolderOf("d1"); h.TaxDue() != 10 {
+		t.Errorf("tax = %v", h.TaxDue())
 	}
-	taxes := m.PeriodTaxes()
-	if taxes["alice"] != 10 {
+	if h, _ := m.HolderOf("d2"); h.TaxDue() != 0 {
+		t.Error("a transfer owes no exclusivity tax")
+	}
+	if taxes := m.PeriodTaxes(); !reflect.DeepEqual(taxes, map[string]float64{"alice": 10}) {
 		t.Errorf("period taxes = %v", taxes)
 	}
-	// Revocation reopens supply.
-	m.Revoke(g1)
-	if _, err := m.Issue("d1", "bob", 100); err != nil {
-		t.Errorf("after revoke: %v", err)
-	}
-	if g1.TaxDue() != 0 {
-		t.Error("revoked grant owes no tax")
+	// A snapshot round trip carries the holders.
+	m2 := NewManager()
+	m2.RestoreHolders(m.Holders())
+	if !reflect.DeepEqual(m2.Holders(), m.Holders()) || !reflect.DeepEqual(m2.PeriodTaxes(), m.PeriodTaxes()) {
+		t.Errorf("restored holders %v, want %v", m2.Holders(), m.Holders())
 	}
 }
 
 func TestResaleRights(t *testing.T) {
-	m := NewManager()
-	_ = m.SetTerms("open", Terms{Kind: Open})
-	_ = m.SetTerms("locked", Terms{Kind: NoResale})
-	if _, err := m.Issue("open", "arb", 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Issue("locked", "arb", 10); err != nil {
-		t.Fatal(err)
-	}
-	if !m.MayResell("open", "arb") {
-		t.Error("open license permits resale")
-	}
-	if m.MayResell("locked", "arb") {
-		t.Error("no-resale license forbids resale")
-	}
-	if m.MayResell("open", "stranger") {
-		t.Error("non-beneficiary cannot resell")
+	for kind, want := range map[Kind]bool{Open: true, Transfer: true, NoResale: false, Exclusive: false} {
+		if got := (Terms{Kind: kind}).CanResell(); got != want {
+			t.Errorf("%s terms: CanResell = %v, want %v", kind, got, want)
+		}
 	}
 }
 
@@ -92,14 +87,10 @@ func TestDefaultTermsOpen(t *testing.T) {
 	if m.TermsFor("unknown").Kind != Open {
 		t.Error("default terms must be open")
 	}
-	// Issuing against unknown dataset uses open terms, unlimited supply.
-	if _, err := m.Issue("unknown", "a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Issue("unknown", "b", 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(m.GrantsFor("unknown")); got != 2 {
-		t.Errorf("grants = %d", got)
+	// Sales of a dataset without terms are open sales: no holder, no state.
+	m.Issue("unknown", "a", 1)
+	m.Issue("unknown", "b", 1)
+	if _, ok := m.HolderOf("unknown"); ok || len(m.Holders()) != 0 {
+		t.Errorf("open sales recorded holders %v", m.Holders())
 	}
 }

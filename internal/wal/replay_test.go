@@ -59,6 +59,8 @@ type op struct {
 	// and value ranges disjoint from every other dataset, so it provides no
 	// wanted column and adds no join edge.
 	fresh int
+	// share: terms is the dataset's license (open when unset).
+	terms license.Terms
 }
 
 // script is the deterministic workload: epochs of ops covering
@@ -200,6 +202,42 @@ func churnScript() [][]op {
 	}
 }
 
+// licenseScript sells a taxed exclusive dataset and a transfer dataset in
+// different rounds, each to a first buyer and again, rounds later, to the
+// other (exclusivity caps a round, not the market), around open purchases.
+// Every sale sits in its own epoch, so background checkpoints fall between a
+// dataset's first and second sale.
+func licenseScript() [][]op {
+	exclusive := license.Terms{Kind: license.Exclusive, ExclusivityTaxRate: 0.1}
+	transfer := license.Terms{Kind: license.Transfer}
+	return [][]op{
+		{ // epoch 1: funding registrations + supply under three licenses
+			{kind: "register", name: "b1", funds: 5000},
+			{kind: "register", name: "b2", funds: 5000},
+			{kind: "share", name: "s1", ds: "s1/ex", rows: 12, fresh: 1, terms: exclusive},
+			{kind: "share", name: "s2", ds: "s2/tr", rows: 12, fresh: 2, terms: transfer},
+			{kind: "share", name: "s3", ds: "s3/open", rows: 20},
+		},
+		{ // epoch 2: the exclusive dataset's first sale, and an open purchase
+			{kind: "request", name: "b1", offer: 150, cols: []string{"xk1", "xv1"}},
+			{kind: "request", name: "b2", offer: 120, cols: []string{"a", "b"}},
+		},
+		{ // epoch 3: the transfer dataset's first sale
+			{kind: "request", name: "b2", offer: 130, cols: []string{"xk2", "xv2"}},
+		},
+		{ // epoch 4: the exclusive dataset sells again; its holder stays b1
+			{kind: "request", name: "b2", offer: 140, cols: []string{"xk1", "xv1"}},
+		},
+		{ // epoch 5: the transfer dataset sells again; a late open buyer
+			{kind: "request", name: "b1", offer: 140, cols: []string{"xk2", "xv2"}},
+			{kind: "register", name: "b3", funds: 1000},
+		},
+		{ // epoch 6: the late buyer's open purchase
+			{kind: "request", name: "b3", offer: 110, cols: []string{"a", "b"}},
+		},
+	}
+}
+
 // mustTicket unwraps a Submit* result for scripts with no admission control
 // configured (where intake can never reject).
 func mustTicket(id string, err error) string {
@@ -253,8 +291,12 @@ func submitOp(e *engine.Engine, o op) string {
 		if o.fresh > 0 {
 			rel = freshRelation(o.ds, o.fresh, o.rows)
 		}
+		terms := o.terms
+		if terms.Kind == "" {
+			terms.Kind = license.Open
+		}
 		return mustTicket(e.SubmitShare(o.name, catalog.DatasetID(o.ds), rel,
-			wtp.DatasetMeta{Dataset: o.ds, HasProvenance: true}, license.Terms{Kind: license.Open}))
+			wtp.DatasetMeta{Dataset: o.ds, HasProvenance: true}, terms))
 	case "request":
 		want := dod.Want{Columns: o.cols}
 		minSat := o.minSat
@@ -855,6 +897,18 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	// at every stage of every one of them.
 	t.Run("checkpoint", func(t *testing.T) {
 		checkpointMatrix(t, core.Options{Design: testDesign}, script())
+	})
+	// The license variant: checkpoints land between the first and second
+	// sale of an exclusive and of a transfer dataset, so every kill point
+	// boots holders from a snapshot or rebuilds them from the log, and must
+	// name the first buyers all the same.
+	t.Run("license", func(t *testing.T) {
+		live, _, _ := runUninterrupted(t, core.Options{Design: testDesign}, licenseScript(), SyncEpoch)
+		if h := live.Arbiter.Licenses.Holders(); h["s1/ex"].Beneficiary != "b1" || h["s2/tr"].Beneficiary != "b2" ||
+			live.Arbiter.Settled() != 6 {
+			t.Fatalf("script made holders %+v in %d sales, want b1 and b2 in 6", h, live.Arbiter.Settled())
+		}
+		checkpointMatrix(t, core.Options{Design: testDesign}, licenseScript())
 	})
 }
 
