@@ -2,6 +2,8 @@ package dod
 
 import (
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // TestSubJoinMemoHits checks that one Build whose candidates share a join
@@ -27,6 +29,30 @@ func TestSubJoinMemoHits(t *testing.T) {
 	}
 	if got := eng.CacheStats().SubJoinHits; got == 0 {
 		t.Fatal("build with shared candidate prefixes recorded no sub-join memo hits")
+	}
+}
+
+// TestBuildStreamCounters pins what one build of the paper scenario adds to
+// relation's process-wide stream counters: every lineage operator (join, map,
+// rename, project) is one materialization of its output rows, so
+// relation.rows_streamed_per_build and materializations_per_build keep their
+// meaning whichever package drains the rows.
+func TestBuildStreamCounters(t *testing.T) {
+	_, eng := paperScenario(t)
+	inv, _, err := InferAffine("f_inverse", []float64{32, 50, 212}, []float64{0, 10, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RegisterTransform("s2", "f_d", "d", inv)
+	rows0, mats0 := relation.StreamCounters()
+	if _, err := eng.Build(Want{Columns: []string{"a", "b", "d"}}); err != nil {
+		t.Fatal(err)
+	}
+	rows1, mats1 := relation.StreamCounters()
+	// Two candidates (s1 alone; s1⋈s2 with f_d mapped and renamed), 120 rows
+	// at every step: 600 rows in 5 materializations.
+	if rows, mats := rows1-rows0, mats1-mats0; rows != 600 || mats != 5 {
+		t.Fatalf("one build streamed %d rows in %d materializations, want 600 in 5", rows, mats)
 	}
 }
 

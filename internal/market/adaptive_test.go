@@ -322,26 +322,17 @@ func TestExactEscalatesInsteadOfPanicking(t *testing.T) {
 // now it settles with a conserved, near-proportional split.
 func TestShareRevenue25Sources(t *testing.T) {
 	const n = 25
-	var anno *provenance.Annotated
+	// Source i contributes i+1 rows, each with lineage in that source alone.
+	anno := &provenance.Annotated{Rel: relation.New("wide", relation.NewSchema(relation.Col("k", relation.KindInt)))}
 	rowsOf := map[string]int{}
 	rowID := 0
 	for i := 0; i < n; i++ {
 		ds := fmt.Sprintf("s%02d/d0", i)
-		rel := relation.New(ds, relation.NewSchema(relation.Col("k", relation.KindInt)))
 		rowsOf[ds] = i + 1
 		for r := 0; r < i+1; r++ {
-			rel.MustAppend(relation.Int(int64(rowID)))
+			anno.Rel.MustAppend(relation.Int(int64(rowID)))
+			anno.Lineage = append(anno.Lineage, provenance.Lineage{{Dataset: ds, Row: r}})
 			rowID++
-		}
-		part := provenance.FromSource(ds, rel)
-		if anno == nil {
-			anno = part
-			continue
-		}
-		var err error
-		anno, err = provenance.Union(anno, part)
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	d := &Design{

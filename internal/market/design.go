@@ -178,8 +178,7 @@ func RowCountValue(anno *provenance.Annotated) ValueFunc {
 		if totalRows == 0 || len(coalition) == 0 {
 			return 0
 		}
-		kept := anno.RestrictToDatasets(coalition)
-		return float64(kept.Rel.NumRows()) / float64(totalRows)
+		return float64(anno.RowsWithin(coalition)) / float64(totalRows)
 	}
 }
 
@@ -191,8 +190,7 @@ func SatisfactionValue(anno *provenance.Annotated, score func(rows int) float64)
 		if len(coalition) == 0 {
 			return 0
 		}
-		kept := anno.RestrictToDatasets(coalition)
-		return score(kept.Rel.NumRows())
+		return score(anno.RowsWithin(coalition))
 	}
 }
 

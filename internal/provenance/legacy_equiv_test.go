@@ -1,15 +1,20 @@
 package provenance
 
-// Equivalence harness for the lineage-carrying streaming join: the frozen
-// legacy implementation tagged each side with a hidden ordinal column, ran a
-// plain relational join, and stripped the ordinals afterwards. The streaming
-// join threads lineage through the hash table directly, so this test is what
-// proves both rows AND lineage survived the rewrite byte-for-byte.
+// Lineage pipeline oracle: the frozen reference tags each input row with a
+// hidden ordinal column, runs the plain relational operator, reads every
+// output row's lineage off the surviving ordinals, and strips them. The
+// package itself reads join ordinals off relation's hash join and reuses the
+// input's lineage for 1:1 operators, so this test is what proves rows, names
+// and lineage come out the same either way.
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 )
@@ -45,6 +50,35 @@ func legacyProvHashJoin(l, r *Annotated, on ...relation.JoinPair) (*Annotated, e
 	return out, nil
 }
 
+// legacyProvLift is the same reference for a 1:1 operator: op runs over a's
+// relation tagged with "__row" and must carry that column through. A failing
+// op reports the error it gives on the untagged relation.
+func legacyProvLift(a *Annotated, op func(*relation.Relation) (*relation.Relation, error)) (*Annotated, error) {
+	a.check()
+	tagged, err := op(relation.AddColumn(a.Rel, relation.Col("__row", relation.KindInt), legacyOrdinal()))
+	if err != nil {
+		_, err = op(a.Rel)
+		return nil, err
+	}
+	oi := tagged.Schema.IndexOf("__row")
+	keep := make([]string, 0, len(tagged.Schema)-1)
+	for _, c := range tagged.Schema {
+		if c.Name != "__row" {
+			keep = append(keep, c.Name)
+		}
+	}
+	stripped, err := relation.Project(tagged, keep...)
+	if err != nil {
+		return nil, err
+	}
+	stripped.Name = tagged.Name
+	out := &Annotated{Rel: stripped, Lineage: make([]Lineage, len(tagged.Rows))}
+	for i, row := range tagged.Rows {
+		out.Lineage[i] = a.Lineage[row[oi].AsInt()]
+	}
+	return out, nil
+}
+
 func legacyOrdinal() func(row []relation.Value, s relation.Schema) relation.Value {
 	i := -1
 	return func([]relation.Value, relation.Schema) relation.Value {
@@ -53,22 +87,38 @@ func legacyOrdinal() func(row []relation.Value, s relation.Schema) relation.Valu
 	}
 }
 
-// randAnnotated builds a source-annotated relation with a small int key
-// domain (duplicate join keys) and occasional nulls.
+// randAnnotated builds a source-annotated relation over small key domains
+// (duplicate build keys) with occasional null keys. Every source has "g" and
+// "v", and some also "v_r", so chained joins walk the "_r" suffix cascade.
 func randAnnotated(rng *rand.Rand, dataset string) *Annotated {
-	r := relation.New(dataset, relation.NewSchema(
+	schema := relation.NewSchema(
 		relation.Col("k", relation.KindInt),
-		relation.Col(dataset+"_v", relation.KindFloat),
-		relation.Col("shared", relation.KindString),
-	))
+		relation.Col("g", relation.KindString),
+		relation.Col("v", relation.KindFloat),
+	)
+	if rng.Intn(2) == 0 {
+		schema = append(schema, relation.Col("v_r", relation.KindInt))
+	}
+	schema = append(schema, relation.Col(dataset+"_x", relation.KindString))
+	r := relation.New(dataset, schema)
 	n := rng.Intn(25)
 	for i := 0; i < n; i++ {
-		k := relation.Int(int64(rng.Intn(5)))
-		if rng.Float64() < 0.1 {
-			k = relation.Null()
+		row := []relation.Value{
+			relation.Int(int64(rng.Intn(5))),
+			relation.String_(fmt.Sprintf("g%d", rng.Intn(3))),
+			relation.Float(rng.Float64()),
 		}
-		r.MustAppend(k, relation.Float(rng.Float64()),
-			relation.String_(fmt.Sprintf("s%d", rng.Intn(3))))
+		if rng.Float64() < 0.1 {
+			row[0] = relation.Null()
+		}
+		if rng.Float64() < 0.1 {
+			row[1] = relation.Null()
+		}
+		if len(schema) == 5 {
+			row = append(row, relation.Int(int64(i)))
+		}
+		row = append(row, relation.String_(fmt.Sprintf("%s%d", dataset, i)))
+		r.MustAppend(row...)
 	}
 	return FromSource(dataset, r)
 }
@@ -79,70 +129,126 @@ func mustSameAnnotated(t *testing.T, op string, got, want *Annotated) {
 		t.Fatalf("%s: name %q != legacy %q", op, got.Rel.Name, want.Rel.Name)
 	}
 	if !got.Rel.Equal(want.Rel) {
-		t.Fatalf("%s: rows diverge:\ngot:\n%s\nwant:\n%s", op, got.Rel, want.Rel)
+		t.Fatalf("%s: schema or rows diverge:\ngot:\n%s\nwant:\n%s", op, got.Rel, want.Rel)
 	}
 	if len(got.Lineage) != len(want.Lineage) {
 		t.Fatalf("%s: lineage len %d != %d", op, len(got.Lineage), len(want.Lineage))
 	}
 	for i := range got.Lineage {
-		if len(got.Lineage[i]) != len(want.Lineage[i]) {
+		if !slices.Equal(got.Lineage[i], want.Lineage[i]) {
 			t.Fatalf("%s: row %d lineage %v != legacy %v", op, i, got.Lineage[i], want.Lineage[i])
-		}
-		for j := range got.Lineage[i] {
-			if got.Lineage[i][j] != want.Lineage[i][j] {
-				t.Fatalf("%s: row %d lineage %v != legacy %v", op, i, got.Lineage[i], want.Lineage[i])
-			}
 		}
 	}
 }
 
-// TestProvenanceJoinMatchesLegacy compares the streaming lineage join (and a
-// stack of the other lineage operators on top of it) against the frozen
-// ordinal-column implementation across random inputs.
+// mustSameStep compares one operator's result with the reference's: both
+// fail with the same text, or both succeed with the same annotated relation.
+// It reports whether the step succeeded.
+func mustSameStep(t *testing.T, op string, got *Annotated, gerr error, want *Annotated, werr error) bool {
+	t.Helper()
+	if gerr != nil || werr != nil {
+		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+			t.Fatalf("%s: error %v, legacy %v", op, gerr, werr)
+		}
+		return false
+	}
+	mustSameAnnotated(t, op, got, want)
+	return true
+}
+
+// oracleSeeds is the fixed seed matrix; PROVENANCE_ORACLE_EXTRA_SEEDS=N adds
+// N time-derived seeds, each named in its subtest for reproduction.
+func oracleSeeds(t *testing.T) []int64 {
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	if v := os.Getenv("PROVENANCE_ORACLE_EXTRA_SEEDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("bad PROVENANCE_ORACLE_EXTRA_SEEDS %q: %v", v, err)
+		}
+		base := time.Now().UnixNano()
+		for i := 0; i < n; i++ {
+			seeds = append(seeds, base+int64(i)*7919)
+		}
+	}
+	return seeds
+}
+
+// pickColumn returns a random column of a, or (one time in eight) a name a
+// does not have, so the error paths are compared too.
+func pickColumn(rng *rand.Rand, a *Annotated) string {
+	if rng.Intn(8) == 0 {
+		return "nope"
+	}
+	return a.Rel.Schema[rng.Intn(len(a.Rel.Schema))].Name
+}
+
+// TestProvenanceJoinMatchesLegacy is the lineage pipeline oracle: random
+// sources, 1–3 chained joins (single and multi-pair keys, null keys,
+// duplicate build keys, the "_r" cascade), then Map, Rename and Project, each
+// step compared with the frozen ordinal-column reference on rows, schema,
+// names, lineage and error text.
 func TestProvenanceJoinMatchesLegacy(t *testing.T) {
-	for seed := int64(0); seed < 80; seed++ {
-		rng := rand.New(rand.NewSource(2000 + seed))
-		l := randAnnotated(rng, "dsA")
-		r := randAnnotated(rng, "dsB")
-		on := []relation.JoinPair{{Left: "k", Right: "k"}}
+	for _, seed := range oracleSeeds(t) {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			got := randAnnotated(rng, "ds0")
+			want := got
+			joins := 1 + rng.Intn(3)
+			for j := 1; j <= joins; j++ {
+				r := randAnnotated(rng, fmt.Sprintf("ds%d", j))
+				on := []relation.JoinPair{{Left: "k", Right: "k"}}
+				if rng.Intn(2) == 0 {
+					on = append(on, relation.JoinPair{Left: "g", Right: "g"})
+				}
+				g, gerr := HashJoin(got, r, on...)
+				w, werr := legacyProvHashJoin(want, r, on...)
+				if !mustSameStep(t, fmt.Sprintf("seed %d join %d on %v", seed, j, on), g, gerr, w, werr) {
+					t.Fatalf("seed %d join %d: valid join failed: %v", seed, j, gerr)
+				}
+				got, want = g, w
 
-		got, err := HashJoin(l, r, on...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := legacyProvHashJoin(l, r, on...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustSameAnnotated(t, fmt.Sprintf("seed %d join", seed), got, want)
+				bad := relation.JoinPair{Left: "k", Right: "nope"}
+				_, gerr = HashJoin(got, r, bad)
+				_, werr = legacyProvHashJoin(want, r, bad)
+				mustSameStep(t, fmt.Sprintf("seed %d join %d on %v", seed, j, bad), nil, gerr, nil, werr)
+			}
 
-		// Pile more lineage ops on the joined result through the streaming
-		// path and the eager wrappers; both must agree with themselves run
-		// the legacy way (Select keeps lineage, Distinct merges it).
-		pred := func(row []relation.Value, s relation.Schema) bool {
-			i := s.IndexOf("shared")
-			return !row[i].IsNull() && row[i].String() != "s2"
-		}
-		it := NewSelect(Scan(got), pred)
-		it, err = NewProject(it, "k", "shared")
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := Materialize(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eagerSel := Select(want, pred)
-		eager, err := Project(eagerSel, "k", "shared")
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed.Rel.Name = eager.Rel.Name
-		mustSameAnnotated(t, fmt.Sprintf("seed %d select+project", seed), streamed, eager)
+			col := pickColumn(rng, got)
+			str := func(v relation.Value) relation.Value {
+				if v.IsNull() {
+					return v
+				}
+				return relation.String_("m:" + v.String())
+			}
+			g, gerr := Map(got, col, relation.KindString, str)
+			w, werr := legacyProvLift(want, func(r *relation.Relation) (*relation.Relation, error) {
+				return relation.Map(r, col, relation.KindString, str)
+			})
+			if mustSameStep(t, fmt.Sprintf("seed %d map %s", seed, col), g, gerr, w, werr) {
+				got, want = g, w
+			}
 
-		gotD := Distinct(streamed)
-		wantD := Distinct(eager)
-		mustSameAnnotated(t, fmt.Sprintf("seed %d distinct", seed), gotD, wantD)
+			col = pickColumn(rng, got)
+			g, gerr = Rename(got, col, "renamed")
+			w, werr = legacyProvLift(want, func(r *relation.Relation) (*relation.Relation, error) {
+				return relation.Rename(r, col, "renamed")
+			})
+			if mustSameStep(t, fmt.Sprintf("seed %d rename %s", seed, col), g, gerr, w, werr) {
+				got, want = g, w
+			}
+
+			names := got.Rel.Schema.Names()
+			rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+			names = names[:1+rng.Intn(len(names))]
+			if rng.Intn(8) == 0 {
+				names = append(names, "nope")
+			}
+			g, gerr = Project(got, names...)
+			w, werr = legacyProvLift(want, func(r *relation.Relation) (*relation.Relation, error) {
+				return relation.Project(r, append(slices.Clone(names), "__row")...)
+			})
+			mustSameStep(t, fmt.Sprintf("seed %d project %v", seed, names), g, gerr, w, werr)
+		})
 	}
 }
 
@@ -152,7 +258,7 @@ func TestProvenanceJoinMultiPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	l := randAnnotated(rng, "dsA")
 	r := randAnnotated(rng, "dsB")
-	on := []relation.JoinPair{{Left: "k", Right: "k"}, {Left: "shared", Right: "shared"}}
+	on := []relation.JoinPair{{Left: "k", Right: "k"}, {Left: "g", Right: "g"}}
 	got, err := HashJoin(l, r, on...)
 	if err != nil {
 		t.Fatal(err)

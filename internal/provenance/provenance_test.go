@@ -45,106 +45,123 @@ func TestJoinLineageUnion(t *testing.T) {
 	if j.Rel.Schema.Has("__lrow") || j.Rel.Schema.Has("__rrow") {
 		t.Error("ordinal columns must be stripped")
 	}
-	for i, lin := range j.Lineage {
-		if len(lin) != 2 {
-			t.Errorf("row %d lineage = %v, want 2 refs", i, lin)
-		}
-		ds := map[string]bool{}
-		for _, ref := range lin {
-			ds[ref.Dataset] = true
-		}
-		if !ds["dl"] || !ds["dr"] {
-			t.Errorf("row %d lineage datasets = %v", i, ds)
-		}
+	want := []Lineage{{{"dl", 0}, {"dr", 0}}, {{"dl", 1}, {"dr", 1}}, {{"dl", 1}, {"dr", 2}}}
+	if !reflect.DeepEqual(j.Lineage, want) {
+		t.Errorf("join lineage = %v, want %v", j.Lineage, want)
 	}
 }
 
-func TestSelectProjectKeepLineage(t *testing.T) {
-	l, _ := mkAnno()
-	sel := Select(l, relation.ColEquals("a", relation.String_("y")))
-	if sel.Rel.NumRows() != 1 || sel.Lineage[0][0].Row != 1 {
-		t.Errorf("select lineage = %v", sel.Lineage)
+// TestDatasetContributionsAndShares: every join row draws on both inputs, so
+// each dataset contributes to all three rows and Datasets names both.
+func TestDatasetContributionsAndShares(t *testing.T) {
+	l, r := mkAnno()
+	j, _ := HashJoin(l, r, relation.JoinPair{Left: "k", Right: "k"})
+	contrib := map[string]int{}
+	for _, lin := range j.Lineage {
+		seen := map[string]bool{}
+		for _, ref := range lin {
+			if !seen[ref.Dataset] {
+				seen[ref.Dataset] = true
+				contrib[ref.Dataset]++
+			}
+		}
 	}
-	p, err := Project(sel, "a")
+	if contrib["dl"] != 3 || contrib["dr"] != 3 {
+		t.Errorf("contributions = %v", contrib)
+	}
+	if ds := j.Datasets(); !reflect.DeepEqual(ds, []string{"dl", "dr"}) {
+		t.Errorf("datasets = %v", ds)
+	}
+}
+
+// TestProjectKeepsLineage: a projected row's why-provenance is its input
+// row's, so Project shares the input's lineage rather than copying it.
+func TestProjectKeepsLineage(t *testing.T) {
+	l, _ := mkAnno()
+	p, err := Project(l, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Lineage) != 1 || p.Lineage[0][0] != (RowRef{"dl", 1}) {
-		t.Errorf("project lineage = %v", p.Lineage)
+	if p.Rel.Name != "left_proj" || len(p.Rel.Schema) != 1 {
+		t.Errorf("project = %s %s", p.Rel.Name, p.Rel.Schema)
+	}
+	if len(p.Lineage) != 3 || &p.Lineage[0] != &l.Lineage[0] {
+		t.Errorf("project lineage = %v, want the input's slice %v", p.Lineage, l.Lineage)
+	}
+	if _, err := Project(l, "nope"); err == nil {
+		t.Error("project of a missing column should fail")
 	}
 }
 
-func TestDistinctMergesLineage(t *testing.T) {
+// TestSelfJoinMergesLineage: a row joined with itself has one source row,
+// and the merged lineage says so once.
+func TestSelfJoinMergesLineage(t *testing.T) {
 	r := relation.New("r", relation.NewSchema(relation.Col("v", relation.KindInt)))
 	r.MustAppend(relation.Int(7))
 	r.MustAppend(relation.Int(7))
 	a := FromSource("d", r)
-	d := Distinct(a)
-	if d.Rel.NumRows() != 1 {
-		t.Fatalf("distinct rows = %d", d.Rel.NumRows())
-	}
-	if len(d.Lineage[0]) != 2 {
-		t.Errorf("collapsed row lineage = %v, want both source rows", d.Lineage[0])
-	}
-}
-
-func TestUnionMapRename(t *testing.T) {
-	l, _ := mkAnno()
-	u, err := Union(l, l)
+	j, err := HashJoin(a, a, relation.JoinPair{Left: "v", Right: "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Rel.NumRows() != 6 || len(u.Lineage) != 6 {
-		t.Errorf("union rows/lineage = %d/%d", u.Rel.NumRows(), len(u.Lineage))
+	want := []Lineage{{{"d", 0}}, {{"d", 0}, {"d", 1}}, {{"d", 0}, {"d", 1}}, {{"d", 1}}}
+	if !reflect.DeepEqual(j.Lineage, want) {
+		t.Errorf("self-join lineage = %v, want %v", j.Lineage, want)
 	}
+}
+
+func TestMapRenameKeepLineage(t *testing.T) {
+	l, _ := mkAnno()
 	m, err := Map(l, "k", relation.KindInt, func(v relation.Value) relation.Value {
 		return relation.Int(v.AsInt() * 10)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rel.Rows[0][0].AsInt() != 10 {
-		t.Error("map failed")
+	if m.Rel.Rows[0][0].AsInt() != 10 || l.Rel.Rows[0][0].AsInt() != 1 {
+		t.Error("map must transform a copy of the rows")
 	}
-	if len(m.Lineage) != 3 {
+	if !reflect.DeepEqual(m.Lineage, l.Lineage) {
 		t.Error("map must keep lineage")
 	}
-	rn, err := Rename(l, "a", "alpha")
+	rn, err := Rename(m, "a", "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rn.Rel.Schema.Has("alpha") {
+	if !rn.Rel.Schema.Has("alpha") || rn.Rel.Schema.Has("a") {
 		t.Error("rename failed")
 	}
-}
-
-func TestDatasetContributionsAndShares(t *testing.T) {
-	l, r := mkAnno()
-	j, _ := HashJoin(l, r, relation.JoinPair{Left: "k", Right: "k"})
-	contrib := j.DatasetContributions()
-	if contrib["dl"] != 3 || contrib["dr"] != 3 {
-		t.Errorf("contributions = %v", contrib)
+	if !reflect.DeepEqual(rn.Lineage, l.Lineage) {
+		t.Error("rename must keep lineage")
 	}
-	shares := j.RowShares()
-	if shares["dl"] != 1.5 || shares["dr"] != 1.5 {
-		t.Errorf("shares = %v; each dataset should get 0.5 per row × 3 rows", shares)
+	if _, err := Map(l, "nope", relation.KindInt, nil); err == nil || err.Error() != `relation "left": no column "nope"` {
+		t.Errorf("map of a missing column: %v", err)
 	}
-	ds := j.Datasets()
-	if len(ds) != 2 || ds[0] != "dl" || ds[1] != "dr" {
-		t.Errorf("datasets = %v", ds)
+	if _, err := Rename(l, "nope", "x"); err == nil || err.Error() != `relation "left": relation: schema has no column "nope"` {
+		t.Errorf("rename of a missing column: %v", err)
 	}
 }
 
+// TestRestrictToDatasets: restricting the mashup to a dataset set keeps the
+// rows whose lineage lies inside it, and RowsWithin counts them.
 func TestRestrictToDatasets(t *testing.T) {
 	l, r := mkAnno()
 	j, _ := HashJoin(l, r, relation.JoinPair{Left: "k", Right: "k"})
-	only := j.RestrictToDatasets(map[string]bool{"dl": true})
-	if only.Rel.NumRows() != 0 {
-		t.Errorf("rows needing dr must vanish, got %d", only.Rel.NumRows())
+	for _, c := range []struct {
+		allowed map[string]bool
+		want    int
+	}{
+		{nil, 0},
+		{map[string]bool{"dl": true}, 0},
+		{map[string]bool{"dl": true, "dr": true}, 3},
+		{map[string]bool{"dl": true, "dr": true, "other": true}, 3},
+	} {
+		if got := j.RowsWithin(c.allowed); got != c.want {
+			t.Errorf("RowsWithin(%v) = %d, want %d", c.allowed, got, c.want)
+		}
 	}
-	both := j.RestrictToDatasets(map[string]bool{"dl": true, "dr": true})
-	if both.Rel.NumRows() != 3 {
-		t.Errorf("full set keeps all rows, got %d", both.Rel.NumRows())
+	if got := l.RowsWithin(map[string]bool{"dl": true}); got != 3 {
+		t.Errorf("a source lies within itself: %d of 3 rows", got)
 	}
 }
 
@@ -177,15 +194,15 @@ func walkDatasets(a *Annotated) []string {
 }
 
 // TestDatasetsMemoized: Datasets is the lineage walk's answer on every call —
-// for sources, joins, a join that matches nothing, unions, restrictions and a
-// distinct — while its callers run concurrently and scribble over what they
-// got back.
+// for sources, joins, a join that matches nothing, and a projection sharing
+// its input's lineage — while its callers run concurrently and scribble over
+// what they got back.
 func TestDatasetsMemoized(t *testing.T) {
 	l, r := mkAnno()
 	j, _ := HashJoin(l, r, relation.JoinPair{Left: "k", Right: "k"})
-	none, _ := HashJoin(Select(l, relation.ColEquals("a", relation.String_("z"))), r, relation.JoinPair{Left: "k", Right: "k"})
-	u, _ := Union(l, l)
-	for _, a := range []*Annotated{l, r, j, none, u, j.RestrictToDatasets(map[string]bool{"dl": true}), Distinct(j)} {
+	none, _ := HashJoin(l, r, relation.JoinPair{Left: "a", Right: "b"})
+	p, _ := Project(j, "a", "b")
+	for _, a := range []*Annotated{l, r, j, none, p} {
 		want := walkDatasets(a)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {

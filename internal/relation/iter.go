@@ -62,9 +62,9 @@ func StreamCounters() (rowsStreamed, materializations uint64) {
 	return streamStats.rows.Load(), streamStats.materializations.Load()
 }
 
-// RecordMaterialization lets sinks outside this package (e.g. provenance's
-// lineage-carrying Materialize) report a drain of n rows into the shared
-// streaming counters.
+// RecordMaterialization lets sinks outside this package report a drain of n
+// rows into the shared streaming counters: provenance's HashJoin drains the
+// join itself to pick up each row's JoinOrigin.
 func RecordMaterialization(n int) {
 	streamStats.rows.Add(uint64(n))
 	streamStats.materializations.Add(1)
@@ -394,9 +394,8 @@ func (a *addColumnIter) sizeHint() int  { return sizeHintOf(a.src) }
 // JoinLayout is the resolved shape of an equi-join: the output schema (left
 // columns, then kept right columns with collision suffixes), the join-column
 // indexes on each side, and the indexes of the right columns that survive
-// into the output. It is shared by the streaming join, the planner, and
-// provenance's lineage-carrying join so all three agree byte-for-byte on
-// naming and order.
+// into the output. It is shared by the streaming join, the nested-loop join
+// and the planner so they agree byte-for-byte on naming and order.
 type JoinLayout struct {
 	Schema    Schema
 	Left      []int // left join-column indexes, aligned with `on`
@@ -444,14 +443,22 @@ func NewJoinLayout(lname string, l Schema, rname string, r Schema, on ...JoinPai
 	return JoinLayout{Schema: schema, Left: li, Right: ri, RightKeep: rightKeep}, nil
 }
 
+// buildRow is one hash-table entry: a right row's kept-column projection and
+// its ordinal in the right stream.
+type buildRow struct {
+	proj []Value
+	ord  int
+}
+
 type hashJoinIter struct {
 	left, right Iter
 	layout      JoinLayout
 	outName     string
 	built       bool
-	table       map[string][][]Value // join key → kept-right projections, build order
-	lrow        []Value              // current probe row
-	pending     [][]Value            // its matches
+	table       map[string][]buildRow // join key → build rows, build order
+	lrow        []Value               // current probe row
+	lseen       int                   // left rows pulled; lrow is the last
+	pending     []buildRow            // its matches
 	pi          int
 	keyBuf      []byte
 	emitted     int
@@ -474,8 +481,8 @@ func NewHashJoin(l, r Iter, lname, rname string, on ...JoinPair) (Iter, error) {
 
 func (j *hashJoinIter) build() {
 	j.built = true
-	j.table = make(map[string][][]Value, sizeHintOf(j.right))
-	for {
+	j.table = make(map[string][]buildRow, sizeHintOf(j.right))
+	for ord := 0; ; ord++ {
 		rrow, ok := j.right.Next()
 		if !ok {
 			j.err = IterErr(j.right)
@@ -490,7 +497,7 @@ func (j *hashJoinIter) build() {
 			proj[i] = rrow[k]
 		}
 		k := string(j.keyBuf)
-		j.table[k] = append(j.table[k], proj)
+		j.table[k] = append(j.table[k], buildRow{proj: proj, ord: ord})
 	}
 }
 
@@ -510,7 +517,7 @@ func (j *hashJoinIter) Next() ([]Value, bool) {
 				j.err = fmt.Errorf("relation: join %s would exceed %d rows", j.outName, maxJoinRows)
 				return nil, false
 			}
-			proj := j.pending[j.pi]
+			proj := j.pending[j.pi].proj
 			j.pi++
 			nr := make([]Value, 0, len(j.layout.Schema))
 			nr = append(nr, j.lrow...)
@@ -523,6 +530,7 @@ func (j *hashJoinIter) Next() ([]Value, bool) {
 			j.err = IterErr(j.left)
 			return nil, false
 		}
+		j.lseen++
 		if nullAt(lrow, j.layout.Left) {
 			continue
 		}
@@ -547,4 +555,18 @@ func (j *hashJoinIter) Close() {
 	j.left.Close()
 	j.right.Close()
 	j.table = nil
+}
+
+// JoinOrigin reports, right after a NewHashJoin iterator's Next returned a
+// row, where that row came from: left is its left row's ordinal in the left
+// stream, right its right row's ordinal in the right stream, both counting
+// the null-keyed rows the join skipped. ok is false for any other iterator
+// and before the first row. Lineage tracking (internal/provenance) rides on
+// it instead of a join of its own.
+func JoinOrigin(it Iter) (left, right int, ok bool) {
+	j, isJoin := it.(*hashJoinIter)
+	if !isJoin || j.pi == 0 {
+		return 0, 0, false
+	}
+	return j.lseen - 1, j.pending[j.pi-1].ord, true
 }

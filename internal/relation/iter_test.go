@@ -514,6 +514,46 @@ func TestJoinCollisionSuffix(t *testing.T) {
 	}
 }
 
+// TestJoinOrigin pins the input ordinals the hash join reports for each
+// output row: they count the null-keyed rows it skipped on both sides, a
+// duplicate build key reports each of its right rows, and any other iterator
+// reports none.
+func TestJoinOrigin(t *testing.T) {
+	l := New("l", NewSchema(Col("k", KindInt)))
+	for _, k := range []Value{Null(), Int(1), Null(), Int(2), Int(3)} {
+		l.MustAppend(k)
+	}
+	r := New("r", NewSchema(Col("k", KindInt), Col("x", KindInt)))
+	for i, k := range []Value{Null(), Int(2), Int(1), Null(), Int(2)} {
+		r.MustAppend(k, Int(int64(i)))
+	}
+	it, err := NewHashJoin(NewScan(l), NewScan(r), "l", "r", JoinPair{"k", "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if _, _, ok := JoinOrigin(it); ok {
+		t.Fatal("JoinOrigin before the first row reports an origin")
+	}
+	var got [][2]int
+	for row, ok := it.Next(); ok; row, ok = it.Next() {
+		li, ri, ok := JoinOrigin(it)
+		if !ok {
+			t.Fatalf("row %v has no origin", row)
+		}
+		if !row[0].Equal(l.Rows[li][0]) || !row[1].Equal(r.Rows[ri][1]) {
+			t.Fatalf("row %v reported from l[%d]=%v, r[%d]=%v", row, li, l.Rows[li], ri, r.Rows[ri])
+		}
+		got = append(got, [2]int{li, ri})
+	}
+	if fmt.Sprint(got) != "[[1 2] [3 1] [3 4]]" {
+		t.Fatalf("join origins = %v, want [[1 2] [3 1] [3 4]]", got)
+	}
+	if _, _, ok := JoinOrigin(NewScan(l)); ok {
+		t.Fatal("a scan reports a join origin")
+	}
+}
+
 // TestLimitOwnsRows is the regression for the aliasing bug: Limit used to
 // return a sub-slice of the source's backing array, so appending through the
 // result clobbered the source's later rows.
