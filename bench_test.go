@@ -406,7 +406,7 @@ func benchCoverageThroughput(b *testing.B) {
 // want spans a transform column and another base's w column — so no single
 // dataset covers it and every build materializes cross-dataset joins. This
 // variant is what makes the Mashup Builder's join pipeline (streaming
-// lineage-carrying joins, sub-join memo) the dominant build-stage cost.
+// joins, sub-join memo) the dominant build-stage cost.
 func benchTransformHeavy(b *testing.B, joinWants bool) {
 	const (
 		buyers = 16

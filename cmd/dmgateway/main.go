@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -100,15 +101,15 @@ func (q *quotaOverrideFlag) Set(v string) error {
 	}
 	rpsStr, burstStr, hasBurst := strings.Cut(spec, ":")
 	rps, err := strconv.ParseFloat(rpsStr, 64)
-	if err != nil || rps < 0 {
-		// Only an explicit 0 means exempt; a negative rate is almost
+	if err != nil || !finiteNonNegative(rps) {
+		// Only an explicit 0 means exempt; a negative or NaN rate is almost
 		// certainly a typo that would silently unthrottle the participant.
-		return fmt.Errorf("quota-override %q: rps must be >= 0 (0 = exempt)", v)
+		return fmt.Errorf("quota-override %q: rps must be finite and >= 0 (0 = exempt)", v)
 	}
 	var burst float64
 	if hasBurst {
-		if burst, err = strconv.ParseFloat(burstStr, 64); err != nil || burst < 0 {
-			return fmt.Errorf("quota-override %q: burst must be >= 0", v)
+		if burst, err = strconv.ParseFloat(burstStr, 64); err != nil || !finiteNonNegative(burst) {
+			return fmt.Errorf("quota-override %q: burst must be finite and >= 0", v)
 		}
 	}
 	if *q == nil {
@@ -137,30 +138,41 @@ func (q quotaOverrideFlag) toConfig(epoch time.Duration) map[string]engine.Quota
 	return out
 }
 
-// checkLimits refuses a negative value for any gateway limit in fs. The
-// engine reads a negative limit as "off" (a queue-depth bound <= 0 admits
-// everything, a negative quota disables quotas), so a typo would silently
-// unthrottle the market; -quota-override refuses negatives for the same
-// reason.
+// checkLimits refuses a negative or non-finite value for any gateway limit
+// or allocator setting in fs. The engine reads a negative limit as "off" (a
+// queue-depth bound <= 0 admits everything, a negative quota disables
+// quotas), so a typo would silently unthrottle the market. NaN fails every
+// comparison, so a NaN quota is off too, and an infinite one reaches the
+// token buckets, which snapshots cannot encode as JSON. -quota-override
+// refuses the same values for the same reasons.
 func checkLimits(fs *flag.FlagSet) error {
 	for _, name := range []string{"quota-rps", "quota-burst", "admit-cap", "max-pending",
-		"epoch-cap", "dod-cache-entries", "build-deadline"} {
+		"epoch-cap", "dod-cache-entries", "build-deadline", "allocator-exact-max", "allocator-err"} {
 		f := fs.Lookup(name)
-		var negative bool
+		var why string
 		switch v := f.Value.(flag.Getter).Get().(type) {
 		case int:
-			negative = v < 0
+			if v < 0 {
+				why = "must be >= 0"
+			}
 		case float64:
-			negative = v < 0
+			if !finiteNonNegative(v) {
+				why = "must be finite and >= 0"
+			}
 		case time.Duration:
-			negative = v < 0
+			if v < 0 {
+				why = "must be >= 0"
+			}
 		}
-		if negative {
-			return fmt.Errorf("-%s %s: must be >= 0", name, f.Value)
+		if why != "" {
+			return fmt.Errorf("-%s %s: %s", name, f.Value, why)
 		}
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether v is a number in [0, +Inf).
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")

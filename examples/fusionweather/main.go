@@ -10,7 +10,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -69,12 +71,12 @@ func main() {
 		return math.Sqrt(s / float64(r.NumRows()))
 	}
 	fmt.Println("learned source trust (truth discovery):")
-	for src, tr := range td.Trust {
+	for _, src := range slices.Sorted(maps.Keys(td.Trust)) {
 		marker := ""
 		if src == bad {
 			marker = "  <- the unreliable source"
 		}
-		fmt.Printf("  %-8s %.3f%s\n", src, tr, marker)
+		fmt.Printf("  %-8s %.3f%s\n", src, td.Trust[src], marker)
 	}
 	fmt.Printf("\nresolution quality (RMSE vs ground truth):\n")
 	fmt.Printf("  majority vote    %.3f\n", rmse(maj))

@@ -13,6 +13,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dod"
@@ -98,8 +100,8 @@ func main() {
 	fmt.Printf("  accuracy    %.3f\n", tx.Satisfaction)
 	fmt.Printf("  price       $%.2f\n", tx.Price)
 	fmt.Printf("  arbiter cut $%.2f\n", tx.ArbiterCut)
-	for s, cut := range tx.SellerCuts {
-		fmt.Printf("  %-10s  $%.2f\n", s, cut)
+	for _, s := range slices.Sorted(maps.Keys(tx.SellerCuts)) {
+		fmt.Printf("  %-10s  $%.2f\n", s, tx.SellerCuts[s])
 	}
 	fmt.Println("\nbuild plan (transparency, §4.4):")
 	for _, step := range tx.Plan {

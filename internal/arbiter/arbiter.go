@@ -14,8 +14,6 @@ package arbiter
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,9 +59,9 @@ type Transaction struct {
 	SellerCuts   map[string]float64
 	ExPost       bool
 	// ExPostShares are the per-owner revenue fractions fixed at delivery
-	// time from the mashup's provenance (ex-post sales only). The buyer's
+	// time over the mashup's datasets (ex-post sales only). The buyer's
 	// later report settles by these, live and on WAL replay alike, so the
-	// split never depends on in-memory provenance that a restart loses.
+	// split never depends on an in-memory mashup that a restart loses.
 	ExPostShares map[string]float64
 }
 
@@ -399,28 +397,13 @@ func (a *Arbiter) matchRoundLocked(ctx context.Context, pool []*Request, prebuil
 		groups[k] = append(groups[k], r)
 	}
 
-	// One coalition-value memo per pricing round: the requests of a round
-	// overlap in mashup structure, so v(S) evaluations cache across every
-	// allocation priced this round (scoped by game — see gameKey).
-	memo := market.NewRoundMemo()
 	for _, k := range order {
 		reqs := groups[k]
-		txs, unsat := a.matchGroup(ctx, reqs, res.UnmetCols, prebuilt[k], memo)
+		txs, unsat := a.matchGroup(ctx, reqs, res.UnmetCols, prebuilt[k])
 		res.Transactions = append(res.Transactions, txs...)
 		res.Unsatisfied = append(res.Unsatisfied, unsat...)
 	}
 	return res
-}
-
-// gameKey identifies one candidate's coalition game within a pricing round:
-// same datasets, same plan, same result cardinality means the same
-// characteristic function (the catalog version is fixed for the round), so
-// their coalition values may share a memo. Distinct games must not — their
-// value functions differ.
-func gameKey(cand *dod.Candidate) string {
-	return strings.Join(cand.Datasets, "\x1f") + "\x1e" +
-		strings.Join(cand.Plan, ";") + "\x1e" +
-		strconv.Itoa(cand.Rel().NumRows())
 }
 
 // matchGroup auctions the best mashup for one group of identical wants. A
@@ -431,7 +414,7 @@ func gameKey(cand *dod.Candidate) string {
 // the group goes unsatisfied this round and retries the next, instead of
 // re-running the wedged search inline. Unmet demand is accumulated into the
 // caller's map.
-func (a *Arbiter) matchGroup(ctx context.Context, reqs []*Request, unmet map[string]int, cs *dod.CandidateSet, memo *market.RoundMemo) ([]*Transaction, []string) {
+func (a *Arbiter) matchGroup(ctx context.Context, reqs []*Request, unmet map[string]int, cs *dod.CandidateSet) ([]*Transaction, []string) {
 	want := reqs[0].Want
 	if !a.dod.Valid(cs, want) {
 		// Stale (a ShareDataset/UpdateDataset/RegisterTransform touched the
@@ -501,7 +484,7 @@ func (a *Arbiter) matchGroup(ctx context.Context, reqs []*Request, unmet map[str
 		if o == nil || !o.req.Open {
 			continue
 		}
-		tx, err := a.settle(o.req, best, sale, o.ev, memo)
+		tx, err := a.settle(o.req, best, sale, o.ev)
 		if err != nil {
 			continue // e.g. insufficient funds; buyer drops out
 		}
@@ -576,19 +559,22 @@ func (a *Arbiter) sourceMetas(datasets []string) []wtp.DatasetMeta {
 // settle executes payment, licensing and revenue sharing for one sale. The
 // sale's Buyer field carries the request ID (the auction's bid key); the
 // paying account is the request's buyer.
-func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev wtp.Evaluation, memo *market.RoundMemo) (*Transaction, error) {
+func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev wtp.Evaluation) (*Transaction, error) {
 	buyer := req.WTP.Buyer
 	a.nextID++
 	txID := fmt.Sprintf("tx-%04d", a.nextID)
 	price := ledger.FromFloat(sale.Price)
 
 	// The allocation context: a sampler seed derived from the settlement
-	// identity — txIDs are assigned deterministically, so crash/replay and
-	// redrive re-derive the same seed and the same sampled split — plus this
-	// round's coalition-value memo scoped to this candidate's game. Only
-	// seed-independent v(S) values are shared across settlements; each sale
-	// still samples its own permutations.
-	actx := market.AllocContext{Seed: market.SeedFromID(txID), Memo: memo.Game(gameKey(cand))}
+	// identity. txIDs are assigned deterministically, so crash/replay and
+	// redrive re-derive the same seed and the same sampled split.
+	actx := market.AllocContext{Seed: market.SeedFromID(txID)}
+	// The sellers are the mashup's datasets. A mashup with no rows holds no
+	// seller's data, so no seller is paid and the arbiter keeps the price.
+	sellers := cand.Datasets
+	if cand.Rel().NumRows() == 0 {
+		sellers = nil
+	}
 
 	tx := &Transaction{
 		ID:           txID,
@@ -604,8 +590,8 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 
 	if a.Design.Elicitation == market.ElicitExPost {
 		// Deliver now against an escrowed deposit; settle on report. The
-		// revenue fractions are fixed here, while the mashup's provenance
-		// is in hand, and travel on the tx-settled event and in snapshots.
+		// revenue fractions are fixed here, at delivery, and travel on the
+		// tx-settled event and in snapshots.
 		mech, _ := a.Design.Mechanism.(market.ExPost)
 		dep := ledger.FromFloat(mech.Deposit)
 		if dep == 0 {
@@ -615,7 +601,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 			return nil, err
 		}
 		tx.ExPost = true
-		tx.ExPostShares = a.Design.RevenueFractionsCtx(cand.Anno, a.ownersOf(cand.Datasets), nil, actx)
+		tx.ExPostShares = a.Design.RevenueFractions(sellers, a.ownersOf(sellers), nil, actx)
 		a.pendingExPost[txID] = &exPostState{tx: tx, deposit: dep, buyer: buyer, fracs: tx.ExPostShares}
 		a.recordPurchase(buyer, cand.Datasets)
 		a.recordTx(tx)
@@ -626,8 +612,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 	if err := a.Ledger.Hold(txID, buyer, price, "purchase "+cand.Rel().Name); err != nil {
 		return nil, err
 	}
-	owners := a.ownersOf(cand.Datasets)
-	split := a.Design.ShareRevenueCtx(sale.Price, cand.Anno, owners, nil, actx)
+	split := a.Design.ShareRevenue(sale.Price, sellers, a.ownersOf(sellers), nil, actx)
 	if err := a.paySplit(txID, a.Ledger.Escrowed(txID), split.SellerCut); err != nil {
 		return nil, err
 	}

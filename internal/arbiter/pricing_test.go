@@ -13,11 +13,11 @@ import (
 	"repro/internal/wtp"
 )
 
-// TestRoundMemoSharesCoalitionValues: two sales of the same mashup in one
-// pricing round share coalition-value evaluations through the per-round memo
-// — the second settlement's characteristic function is answered entirely from
-// cache, and both settlements split identically (v(S) is seed-independent).
-func TestRoundMemoSharesCoalitionValues(t *testing.T) {
+// TestSameMashupSettlementsSplitAlike: two sales of the same 2-dataset
+// mashup in one pricing round split identically, and each evaluates its own
+// 2^2-1 = 3 coalitions once: nothing is cached between settlements, and
+// nothing is evaluated twice.
+func TestSameMashupSettlementsSplitAlike(t *testing.T) {
 	a := setupMarket(t, mkDesign()) // PostedPrice: unlimited supply, both buyers settle
 	want := dod.Want{Columns: []string{"a", "b", "d"}}
 	if _, err := a.SubmitRequest(want, coverageWTP("b1", 100)); err != nil {
@@ -35,13 +35,8 @@ func TestRoundMemoSharesCoalitionValues(t *testing.T) {
 		t.Fatalf("transactions = %d (unsat %v)", len(res.Transactions), res.Unsatisfied)
 	}
 	after := market.AllocCounters()
-	// Two settlements of a 2-dataset mashup: the exact path enumerates
-	// 2^2-1 = 3 coalitions each. First settle misses 3, second hits 3.
-	if hits := after.MemoHits - before.MemoHits; hits < 3 {
-		t.Fatalf("round memo hits = %d, want >= 3 (second settlement should reuse coalition values)", hits)
-	}
-	if evals := after.Evals - before.Evals; evals > 3 {
-		t.Fatalf("round evaluated v(S) %d times for two identical settlements, want 3", evals)
+	if evals := after.Evals - before.Evals; evals != 2*3 {
+		t.Fatalf("round evaluated v(S) %d times for two settlements of a 2-dataset mashup, want 6", evals)
 	}
 	c0, c1 := res.Transactions[0].SellerCuts, res.Transactions[1].SellerCuts
 	for s, cut := range c0 {
@@ -122,5 +117,65 @@ func TestWideMashupSettlesWithoutPanic(t *testing.T) {
 	}
 	if a.Ledger.VerifyChain() != -1 {
 		t.Fatal("audit chain corrupt after wide settlement")
+	}
+}
+
+// TestEmptyMashupPaysNoSeller: a buyer whose curve pays for column coverage
+// alone (WantRows 0) can buy a mashup with no rows. No seller contributed a
+// row, so no seller is paid: the arbiter keeps the whole price, up front and
+// on an ex-post report alike, and an ex-post delivery fixes no fractions.
+func TestEmptyMashupPaysNoSeller(t *testing.T) {
+	upfront := mkDesign()
+	upfront.Label = "upfront"
+	expost := &market.Design{
+		Label: "expost", Goal: market.GoalVolume, Type: market.TypeExternal,
+		Elicitation: market.ElicitExPost,
+		Mechanism:   market.ExPost{Deposit: 200, AuditProb: 0, Penalty: 3},
+		Allocator:   market.ShapleyExact{},
+		ArbiterFee:  0.1,
+	}
+	for _, d := range []*market.Design{upfront, expost} {
+		t.Run(d.Label, func(t *testing.T) {
+			a := setupMarket(t, d)
+			empty := relation.New("e0", relation.NewSchema(
+				relation.Col("e", relation.KindInt), relation.Col("f", relation.KindFloat)))
+			if err := a.ShareDataset("seller1", "e0", empty, meta("e0"), license.Terms{Kind: license.Open}); err != nil {
+				t.Fatal(err)
+			}
+			f := &wtp.Function{
+				Buyer: "b1",
+				Task:  wtp.CoverageTask{Columns: []string{"e", "f"}},
+				Curve: wtp.PriceCurve{{MinSatisfaction: 0.9, Price: 100}},
+			}
+			if _, err := a.SubmitRequest(dod.Want{Columns: []string{"e", "f"}}, f); err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.MatchRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Transactions) != 1 {
+				t.Fatalf("transactions = %d (unsat %v)", len(res.Transactions), res.Unsatisfied)
+			}
+			tx := res.Transactions[0]
+			if tx.Mashup.NumRows() != 0 || len(tx.Datasets) != 1 || tx.Datasets[0] != "e0" {
+				t.Fatalf("sold %d rows of %v, want the empty e0", tx.Mashup.NumRows(), tx.Datasets)
+			}
+			if tx.ExPostShares != nil {
+				t.Fatalf("ex-post shares = %v, want nil", tx.ExPostShares)
+			}
+			if tx.ExPost {
+				if _, err := a.ReportValue(tx.ID, 80, 80); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tx.Price <= 0 || tx.ArbiterCut != tx.Price || len(tx.SellerCuts) != 0 {
+				t.Fatalf("price %v, arbiter cut %v, seller cuts %v: want the arbiter to keep it all",
+					tx.Price, tx.ArbiterCut, tx.SellerCuts)
+			}
+			if got := a.Ledger.Balance("seller1").Float(); got != 10000 {
+				t.Fatalf("seller1 balance = %v, want 10000", got)
+			}
+		})
 	}
 }

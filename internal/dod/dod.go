@@ -11,10 +11,10 @@
 //     fuzzy name match;
 //  2. runs a beam search over the join graph to assemble sets of datasets
 //     whose combination covers more of the target schema;
-//  3. materializes each candidate as a provenance-annotated relation: joins
-//     along the chosen edges, applies transforms (the inverse-f′ of the
-//     paper's f(d) example), renames to the buyer's vocabulary, and projects
-//     onto the target schema.
+//  3. materializes each candidate with relation's operators: joins along
+//     the chosen edges, applies transforms (the inverse-f′ of the paper's
+//     f(d) example), renames to the buyer's vocabulary, and projects onto
+//     the target schema.
 package dod
 
 import (
@@ -29,7 +29,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/index"
 	"repro/internal/profile"
-	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -63,21 +62,28 @@ func (w *Want) withDefaults() Want {
 	return out
 }
 
-// Candidate is one materialized mashup.
+// Candidate is one materialized mashup: a relation plus the datasets it
+// was built from.
 type Candidate struct {
-	Anno     *provenance.Annotated
+	rel      *relation.Relation
 	Coverage float64 // fraction of wanted columns present
 	// Quality weighs how each wanted column was satisfied: exact name
 	// matches score 1, aliases 0.95, transforms 0.9 and fuzzy name matches
 	// 0.6 — so a mashup supplying the true attribute b outranks one
 	// supplying the similar-but-conflicting b′ (paper §1).
-	Quality  float64
-	Datasets []string // contributing datasets, sorted
+	Quality float64
+	// Datasets are the contributing datasets, sorted. Every plan is a chain
+	// of inner joins over distinct datasets (a beam state never repeats
+	// one), followed by maps, renames and a projection, so every row of the
+	// mashup comes from exactly one row of each of these datasets: none of
+	// its rows survives without all of them. Revenue sharing values
+	// coalitions on that fact (market.AllOf).
+	Datasets []string
 	Plan     []string // human-readable build steps (transparency, §4.4)
 }
 
-// Rel is a shortcut to the materialized relation.
-func (c *Candidate) Rel() *relation.Relation { return c.Anno.Rel }
+// Rel is the materialized relation.
+func (c *Candidate) Rel() *relation.Relation { return c.rel }
 
 // providerMode ranks how a dataset column satisfies a wanted column.
 type providerMode int
@@ -513,11 +519,11 @@ func sortStates(states []*state, want Want) {
 	})
 }
 
-// subJoinEntry is a memoized join prefix: the annotated relation after the
-// prefix's joins plus the colMap at that point. The colMap snapshot is cloned
+// subJoinEntry is a memoized join prefix: the relation after the prefix's
+// joins plus the colMap at that point. The colMap snapshot is cloned
 // on both store and reuse — later joins extend it in place.
 type subJoinEntry struct {
-	anno   *provenance.Annotated
+	rel    *relation.Relation
 	colMap map[index.ColRef]string
 }
 
@@ -538,29 +544,29 @@ func cloneColMap(m map[index.ColRef]string) map[index.ColRef]string {
 	return out
 }
 
-// materialize turns a beam state into a provenance-annotated relation,
-// reusing memoized join prefixes from sibling candidates where possible.
+// materialize turns a beam state into a relation, reusing memoized join
+// prefixes from sibling candidates where possible.
 func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *subJoinMemo) (*Candidate, error) {
 	plan := []string{fmt.Sprintf("load %s", st.datasets[0])}
 	prefix := "base:" + st.datasets[0]
-	var anno *provenance.Annotated
+	var rel *relation.Relation
 	var colMap map[index.ColRef]string
 	if ent, ok := memo.entries[prefix]; ok {
 		e.subjoinHits.Add(1)
-		anno = ent.anno
+		rel = ent.rel
 		colMap = cloneColMap(ent.colMap)
 	} else {
 		base, err := e.cat.Get(catalog.DatasetID(st.datasets[0]))
 		if err != nil {
 			return nil, err
 		}
-		anno = provenance.FromSource(st.datasets[0], base)
+		rel = base
 		// colMap tracks where each source column lives in the running relation.
 		colMap = map[index.ColRef]string{}
 		for _, c := range base.Schema {
 			colMap[index.ColRef{Dataset: st.datasets[0], Column: c.Name}] = c.Name
 		}
-		memo.entries[prefix] = subJoinEntry{anno: anno, colMap: cloneColMap(colMap)}
+		memo.entries[prefix] = subJoinEntry{rel: rel, colMap: cloneColMap(colMap)}
 	}
 
 	for _, js := range st.joins {
@@ -572,7 +578,7 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 		prefix += "|" + js.right.Dataset + "⋈" + js.left.Dataset + "." + js.left.Column + "=" + js.right.Column
 		if ent, ok := memo.entries[prefix]; ok {
 			e.subjoinHits.Add(1)
-			anno = ent.anno
+			rel = ent.rel
 			colMap = cloneColMap(ent.colMap)
 			continue
 		}
@@ -580,18 +586,17 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 		if err != nil {
 			return nil, err
 		}
-		rAnno := provenance.FromSource(js.right.Dataset, rrel)
 		leftName, ok := colMap[js.left]
 		if !ok {
 			return nil, fmt.Errorf("dod: lost track of join column %v", js.left)
 		}
-		joined, err := provenance.HashJoin(anno, rAnno, relation.JoinPair{Left: leftName, Right: js.right.Column})
+		joined, err := relation.HashJoin(rel, rrel, relation.JoinPair{Left: leftName, Right: js.right.Column})
 		if err != nil {
 			return nil, err
 		}
 		// Update colMap with the names the right columns received.
 		existing := map[string]bool{}
-		for _, c := range anno.Rel.Schema {
+		for _, c := range rel.Schema {
 			existing[c.Name] = true
 		}
 		for _, c := range rrel.Schema {
@@ -605,8 +610,8 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 			existing[name] = true
 			colMap[index.ColRef{Dataset: js.right.Dataset, Column: c.Name}] = name
 		}
-		anno = joined
-		memo.entries[prefix] = subJoinEntry{anno: anno, colMap: cloneColMap(colMap)}
+		rel = joined
+		memo.entries[prefix] = subJoinEntry{rel: rel, colMap: cloneColMap(colMap)}
 	}
 
 	// Satisfy wanted columns: apply transforms and renames.
@@ -614,7 +619,7 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 	var present []string
 	var qualitySum float64
 	for _, w := range want.Columns {
-		if anno.Rel.Schema.Has(w) {
+		if rel.Schema.Has(w) {
 			present = append(present, w)
 			qualitySum += provideDirect.weight()
 			continue
@@ -624,17 +629,17 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 			continue
 		}
 		cn, ok := colMap[index.ColRef{Dataset: ds, Column: pr.sourceCol}]
-		if !ok || !anno.Rel.Schema.Has(cn) {
+		if !ok || !rel.Schema.Has(cn) {
 			continue
 		}
 		if pr.transform != nil {
-			anno, err = provenance.Map(anno, cn, pr.transform.Kind, pr.transform.Fn)
+			rel, err = relation.Map(rel, cn, pr.transform.Kind, pr.transform.Fn)
 			if err != nil {
 				return nil, err
 			}
 			plan = append(plan, fmt.Sprintf("apply transform %s to %s.%s", pr.transform.Name, ds, pr.sourceCol))
 		}
-		anno, err = provenance.Rename(anno, cn, w)
+		rel, err = relation.Rename(rel, cn, w)
 		if err != nil {
 			return nil, err
 		}
@@ -647,16 +652,16 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 	if len(present) == 0 {
 		return nil, fmt.Errorf("dod: state materialized no wanted columns")
 	}
-	proj, err := provenance.Project(anno, present...)
+	proj, err := relation.Project(rel, present...)
 	if err != nil {
 		return nil, err
 	}
-	proj.Rel.Name = "mashup(" + strings.Join(st.datasets, "+") + ")"
+	proj.Name = "mashup(" + strings.Join(st.datasets, "+") + ")"
 	plan = append(plan, fmt.Sprintf("project %v", present))
 	ds := append([]string(nil), st.datasets...)
 	sort.Strings(ds)
 	return &Candidate{
-		Anno:     proj,
+		rel:      proj,
 		Coverage: float64(len(present)) / float64(len(want.Columns)),
 		Quality:  qualitySum / float64(len(want.Columns)),
 		Datasets: ds,

@@ -97,10 +97,9 @@ func TestBuildJoinsAcrossSellers(t *testing.T) {
 			t.Errorf("d = %v, want celsius range", v)
 		}
 	}
-	// Provenance must name both datasets.
-	ds := best.Anno.Datasets()
-	if len(ds) != 2 {
-		t.Errorf("provenance datasets = %v", ds)
+	// The mashup must name both datasets.
+	if ds := best.Datasets; len(ds) != 2 {
+		t.Errorf("mashup datasets = %v", ds)
 	}
 }
 

@@ -226,10 +226,9 @@ type Stats struct {
 	PriceMillis float64 `json:"price_millis,omitempty"`
 	// Allocator counters, sampled from the market package's process-wide
 	// counters (monotone; shared across every engine in the process):
-	// characteristic-function evaluations, memo hits, exact/sampled
-	// allocation runs, and exact→sampled escalations on wide mashups.
+	// characteristic-function evaluations, exact/sampled allocation runs,
+	// and exact→sampled escalations on wide mashups.
 	AllocEvals       uint64 `json:"alloc_evals,omitempty"`
-	AllocMemoHits    uint64 `json:"alloc_memo_hits,omitempty"`
 	AllocExact       uint64 `json:"alloc_exact,omitempty"`
 	AllocSampled     uint64 `json:"alloc_sampled,omitempty"`
 	AllocEscalations uint64 `json:"alloc_escalations,omitempty"`
@@ -531,7 +530,7 @@ func (e *Engine) Stats() Stats {
 	st.SubJoinHits = cache.SubJoinHits
 	st.BuildDeadlineExceeded = cache.DeadlineExceeded
 	st.PriceMillis = float64(e.stPriceNanos.Load()) / 1e6
-	st.AllocEvals, st.AllocMemoHits = alloc.Evals, alloc.MemoHits
+	st.AllocEvals = alloc.Evals
 	st.AllocExact, st.AllocSampled, st.AllocEscalations = alloc.ExactRuns, alloc.SampledRuns, alloc.Escalations
 	st.LastPersisted = persisted
 	st.Uptime, st.MatchesPerSec = up, mps

@@ -257,9 +257,6 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("market_allocator_evals_total",
 		"Characteristic-function evaluations run by revenue allocators.",
 		func() float64 { return float64(market.AllocCounters().Evals) })
-	reg.NewCounterFunc("market_allocator_memo_hits_total",
-		"Allocator coalition-value evaluations answered from a round memo.",
-		func() float64 { return float64(market.AllocCounters().MemoHits) })
 	reg.NewCounterFunc("market_allocator_exact_total",
 		"Revenue allocations solved by exact Shapley enumeration.",
 		func() float64 { return float64(market.AllocCounters().ExactRuns) })
@@ -269,9 +266,6 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("market_allocator_escalations_total",
 		"Exact-Shapley requests auto-escalated to sampling on wide mashups.",
 		func() float64 { return float64(market.AllocCounters().Escalations) })
-	reg.NewCounterFunc("market_allocator_incremental_total",
-		"Incremental one-dataset-added split updates.",
-		func() float64 { return float64(market.AllocCounters().Incremental) })
 }
 
 // stampOpen stamps stage s now on the tickets of the given open requests

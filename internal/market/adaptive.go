@@ -5,41 +5,28 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 )
 
 // This file is the scalable revenue-allocation layer (paper §3.2.3: "the
 // complexity of computing the Shapley value" motivates approximations):
 //
-//   - AllocContext threads per-settlement identity (the sampler seed) and the
-//     per-round coalition-value memo into any allocator that can use them.
-//   - CoalitionMemo / RoundMemo cache characteristic-function evaluations
-//     v(S) by canonical player-set key, shared across the allocations of one
-//     sale and across the requests of one pricing round — mashups in a round
-//     overlap in structure, so the same coalitions get asked repeatedly.
+//   - AllocContext threads per-settlement identity (the sampler seed) into
+//     any allocator that can use it.
 //   - AdaptiveShapley runs exact enumeration below a player threshold and
 //     permutation-sampled Shapley above it, with a running confidence bound
 //     that stops sampling once the estimated L1 error of the split drops
 //     under a target.
-//   - AllocateAdd is the incremental path for the one-dataset-added case:
-//     estimate only the newcomer's share and rescale the incumbents.
 
-// AllocContext carries the optional inputs of one revenue allocation: a
-// deterministic sampler seed derived from the settlement's identity (so
-// crash/replay re-derives byte-identical splits — see SeedFromID) and the
-// round's coalition-value memo. The zero value is always safe: allocators
-// fall back to their configured seed and evaluate uncached.
+// AllocContext carries the optional input of one revenue allocation: a
+// deterministic sampler seed derived from the settlement's identity, so
+// crash/replay re-derives byte-identical splits (see SeedFromID). The zero
+// value is always safe: allocators fall back to their configured seed.
 type AllocContext struct {
 	// Seed, when nonzero, is mixed into the allocator's own seed so every
 	// settlement samples its own permutations while staying a pure function
 	// of the settlement identity.
 	Seed int64
-	// Memo, when non-nil, caches v(S) evaluations across this allocation and
-	// any other allocation of the same game handed the same memo.
-	Memo *CoalitionMemo
 }
 
 // CtxAllocator is implemented by allocators that accept a per-settlement
@@ -96,9 +83,7 @@ var (
 	allocExactRuns   atomic.Uint64 // allocations solved by exact enumeration
 	allocSampledRuns atomic.Uint64 // allocations solved by permutation sampling
 	allocEscalations atomic.Uint64 // exact requests auto-escalated to sampling
-	allocIncremental atomic.Uint64 // incremental one-player-added updates
 	allocEvals       atomic.Uint64 // characteristic-function evaluations run
-	allocMemoHits    atomic.Uint64 // evaluations answered from a memo
 )
 
 // AllocCounts is a snapshot of the process-wide allocation counters.
@@ -106,9 +91,7 @@ type AllocCounts struct {
 	ExactRuns   uint64
 	SampledRuns uint64
 	Escalations uint64
-	Incremental uint64
 	Evals       uint64
-	MemoHits    uint64
 }
 
 // AllocCounters snapshots the process-wide allocation counters.
@@ -117,143 +100,16 @@ func AllocCounters() AllocCounts {
 		ExactRuns:   allocExactRuns.Load(),
 		SampledRuns: allocSampledRuns.Load(),
 		Escalations: allocEscalations.Load(),
-		Incremental: allocIncremental.Load(),
 		Evals:       allocEvals.Load(),
-		MemoHits:    allocMemoHits.Load(),
 	}
 }
 
-// --- coalition-value memoization -------------------------------------------
-
-// memoMaxEntries bounds one memo's stored coalition values; past it lookups
-// still hit but new values are no longer inserted, so a pathological game
-// cannot balloon a round's memory.
-const memoMaxEntries = 1 << 17
-
-// CoalitionMemo caches characteristic-function values v(S) by canonical
-// player-set key for ONE coalition game. Callers must not share a memo across
-// games with different value functions — the arbiter scopes memos by mashup
-// identity (see RoundMemo). Safe for concurrent use.
-type CoalitionMemo struct {
-	mu     sync.Mutex
-	vals   map[string]float64
-	hits   uint64
-	misses uint64
-}
-
-// NewCoalitionMemo creates an empty memo.
-func NewCoalitionMemo() *CoalitionMemo {
-	return &CoalitionMemo{vals: map[string]float64{}}
-}
-
-// coalitionKey canonicalizes a membership set: sorted names joined by an
-// unprintable separator.
-func coalitionKey(s map[string]bool) string {
-	names := make([]string, 0, len(s))
-	for p, in := range s {
-		if in {
-			names = append(names, p)
-		}
-	}
-	sort.Strings(names)
-	return strings.Join(names, "\x1f")
-}
-
-// Wrap returns a ValueFunc that consults the memo before evaluating v, and
-// counts evaluations either way. Nil-safe: a nil memo still counts but never
-// caches. Concurrent misses of the same coalition may evaluate v twice; v is
-// pure, so the duplicate is only wasted work, never a wrong value.
-func (m *CoalitionMemo) Wrap(v ValueFunc) ValueFunc {
-	if m == nil {
-		return func(s map[string]bool) float64 {
-			allocEvals.Add(1)
-			return v(s)
-		}
-	}
+// counted wraps v so that every evaluation is counted in allocEvals.
+func counted(v ValueFunc) ValueFunc {
 	return func(s map[string]bool) float64 {
-		k := coalitionKey(s)
-		m.mu.Lock()
-		if val, ok := m.vals[k]; ok {
-			m.hits++
-			m.mu.Unlock()
-			allocMemoHits.Add(1)
-			return val
-		}
-		m.misses++
-		m.mu.Unlock()
 		allocEvals.Add(1)
-		val := v(s)
-		m.mu.Lock()
-		if len(m.vals) < memoMaxEntries {
-			m.vals[k] = val
-		}
-		m.mu.Unlock()
-		return val
+		return v(s)
 	}
-}
-
-// MemoStats summarizes a memo's effectiveness.
-type MemoStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int
-	Games   int // RoundMemo only: distinct games scoped
-}
-
-// Stats snapshots one memo's counters. Nil-safe.
-func (m *CoalitionMemo) Stats() MemoStats {
-	if m == nil {
-		return MemoStats{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: len(m.vals)}
-}
-
-// RoundMemo scopes coalition-value memos by game key for one pricing round:
-// every sale of the same mashup (same game) shares a memo, while distinct
-// mashups — whose value functions differ — stay isolated. Safe for concurrent
-// use; a nil RoundMemo hands out nil memos, which Wrap tolerates.
-type RoundMemo struct {
-	mu    sync.Mutex
-	games map[string]*CoalitionMemo
-}
-
-// NewRoundMemo creates an empty per-round memo.
-func NewRoundMemo() *RoundMemo {
-	return &RoundMemo{games: map[string]*CoalitionMemo{}}
-}
-
-// Game returns (creating on first use) the coalition memo for one game key.
-func (r *RoundMemo) Game(key string) *CoalitionMemo {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.games[key]
-	if !ok {
-		m = NewCoalitionMemo()
-		r.games[key] = m
-	}
-	return m
-}
-
-// Stats aggregates hit/miss/entry counts across every game in the round.
-func (r *RoundMemo) Stats() MemoStats {
-	if r == nil {
-		return MemoStats{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := MemoStats{Games: len(r.games)}
-	for _, m := range r.games {
-		s := m.Stats()
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Entries += s.Entries
-	}
-	return out
 }
 
 // --- adaptive allocator ----------------------------------------------------
@@ -337,7 +193,7 @@ func (a AdaptiveShapley) AllocateCtx(players []string, v ValueFunc, ctx AllocCon
 		return nil
 	}
 	exactMax, target, minS, maxS := a.params()
-	mv := ctx.Memo.Wrap(v)
+	mv := counted(v)
 	if n <= exactMax {
 		allocExactRuns.Add(1)
 		return exactShapley(players, mv)
@@ -427,107 +283,4 @@ func estimatedL1Error(m2 []float64, samples int, grand float64) float64 {
 		sum += confidenceZ * math.Sqrt(variance/float64(samples))
 	}
 	return sum / grand
-}
-
-// AllocateAdd is the incremental split update for the one-dataset-added case:
-// players is the grown set (including added), prev the previous allocation
-// over players minus added. Only the newcomer's Shapley share is estimated —
-// by sampling its marginal contribution at random insertion positions, two
-// evaluations per sample instead of n — and the incumbents' weights are
-// rescaled into the remaining mass. An approximation of the full re-solve
-// (synergy between the newcomer and one incumbent shifts only the newcomer's
-// aggregate share, not the incumbents' relative ones), priced at O(samples)
-// instead of O(samples·n).
-func (a AdaptiveShapley) AllocateAdd(players []string, added string, prev map[string]float64, v ValueFunc, ctx AllocContext) map[string]float64 {
-	n := len(players)
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return AllocateWith(a, players, v, ctx)
-	}
-	allocIncremental.Add(1)
-	_, target, minS, maxS := a.params()
-	mv := ctx.Memo.Wrap(v)
-
-	grandSet := make(map[string]bool, n)
-	for _, p := range players {
-		grandSet[p] = true
-	}
-	grand := mv(grandSet)
-	if grand <= 0 {
-		return normalizeWeights(players, make([]float64, n), grand)
-	}
-
-	// Sample the newcomer's marginal over random insertion positions.
-	rng := rand.New(rand.NewSource(a.seedFor(ctx)))
-	others := make([]string, 0, n-1)
-	for _, p := range players {
-		if p != added {
-			others = append(others, p)
-		}
-	}
-	var mean, m2 float64
-	coalition := make(map[string]bool, n)
-	samples := 0
-	for samples < maxS {
-		for b := 0; b < sampleBatch && samples < maxS; b++ {
-			rng.Shuffle(len(others), func(i, j int) { others[i], others[j] = others[j], others[i] })
-			pos := rng.Intn(n) // newcomer's position in the implied permutation
-			for k := range coalition {
-				delete(coalition, k)
-			}
-			for i := 0; i < pos; i++ {
-				coalition[others[i]] = true
-			}
-			before := 0.0
-			if pos > 0 {
-				before = mv(coalition)
-			}
-			coalition[added] = true
-			d := mv(coalition) - before
-			samples++
-			delta := d - mean
-			mean += delta / float64(samples)
-			m2 += delta * (d - mean)
-		}
-		if samples >= minS {
-			variance := m2 / float64(samples-1)
-			if variance < 0 {
-				variance = 0
-			}
-			if confidenceZ*math.Sqrt(variance/float64(samples))/grand <= target {
-				break
-			}
-		}
-	}
-
-	wAdd := mean / grand
-	if wAdd < 0 {
-		wAdd = 0
-	}
-	if wAdd > 1 {
-		wAdd = 1
-	}
-	out := make(map[string]float64, n)
-	out[added] = wAdd
-	var prevSum float64
-	for _, p := range others {
-		if w := prev[p]; w > 0 {
-			prevSum += w
-		}
-	}
-	rest := 1 - wAdd
-	for _, p := range others {
-		if prevSum > 0 {
-			w := prev[p]
-			if w < 0 {
-				w = 0
-			}
-			out[p] = rest * w / prevSum
-		} else {
-			out[p] = rest / float64(len(others))
-		}
-	}
-	return out
 }

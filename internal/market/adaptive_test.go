@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/provenance"
-	"repro/internal/relation"
 )
 
 // --- game builders with analytic Shapley ground truth ----------------------
@@ -208,83 +205,6 @@ func TestAdaptiveEvalAdvantage(t *testing.T) {
 	}
 }
 
-// --- memoization -----------------------------------------------------------
-
-// TestCoalitionMemoHitRate: a second allocation of the same game against the
-// same memo answers every coalition evaluation from cache.
-func TestCoalitionMemoHitRate(t *testing.T) {
-	players := mkPlayers(6)
-	v, _ := mixedSynergyGame(players, 2)
-	memo := NewCoalitionMemo()
-	a := AdaptiveShapley{} // n=6: exact path, enumerates all 2^6-1 coalitions
-	w1 := a.AllocateCtx(players, v, AllocContext{Memo: memo})
-	afterFirst := memo.Stats()
-	if afterFirst.Hits != 0 || afterFirst.Misses != 63 || afterFirst.Entries != 63 {
-		t.Fatalf("first pass stats = %+v, want 63 misses/entries", afterFirst)
-	}
-	w2 := a.AllocateCtx(players, v, AllocContext{Memo: memo})
-	afterSecond := memo.Stats()
-	if afterSecond.Hits != 63 || afterSecond.Misses != 63 {
-		t.Fatalf("second pass stats = %+v, want all 63 evaluations answered from cache", afterSecond)
-	}
-	if err := ShapleyError(w1, w2); err != 0 {
-		t.Fatalf("memoized reruns disagree: %v", err)
-	}
-}
-
-// TestCoalitionMemoSampledPath: the sampled path reuses cached coalition
-// values too — same seed means the same permutation prefixes, so a rerun is
-// answered entirely from cache.
-func TestCoalitionMemoSampledPath(t *testing.T) {
-	players := mkPlayers(15)
-	v, _ := mixedSynergyGame(players, 4)
-	memo := NewCoalitionMemo()
-	a := AdaptiveShapley{ExactMax: 1, Seed: 11}
-	ctx := AllocContext{Seed: 99, Memo: memo}
-	w1 := a.AllocateCtx(players, v, ctx)
-	first := memo.Stats()
-	w2 := a.AllocateCtx(players, v, ctx)
-	second := memo.Stats()
-	if second.Hits-first.Hits < first.Misses {
-		t.Fatalf("rerun hit only %d of %d cached coalitions", second.Hits-first.Hits, first.Misses)
-	}
-	if err := ShapleyError(w1, w2); err != 0 {
-		t.Fatalf("same-seed memoized reruns disagree: L1=%v", err)
-	}
-}
-
-// TestRoundMemoScopesByGame: one round memo keeps distinct games' coalition
-// values apart while handing the same game the same memo; nil round memos are
-// inert.
-func TestRoundMemoScopesByGame(t *testing.T) {
-	rm := NewRoundMemo()
-	if rm.Game("g1") != rm.Game("g1") {
-		t.Fatal("same game key must share a memo")
-	}
-	if rm.Game("g1") == rm.Game("g2") {
-		t.Fatal("distinct game keys must not share a memo")
-	}
-	players := mkPlayers(4)
-	g1 := additive(map[string]float64{"d00": 1, "d01": 1, "d02": 1, "d03": 1})
-	g2 := additive(map[string]float64{"d00": 8, "d01": 4, "d02": 2, "d03": 1})
-	w1 := AdaptiveShapley{}.AllocateCtx(players, g1, AllocContext{Memo: rm.Game("g1")})
-	w2 := AdaptiveShapley{}.AllocateCtx(players, g2, AllocContext{Memo: rm.Game("g2")})
-	if ShapleyError(w1, w2) == 0 {
-		t.Fatal("distinct games produced identical splits through the round memo (cross-game pollution?)")
-	}
-	st := rm.Stats()
-	if st.Games != 2 || st.Entries == 0 {
-		t.Fatalf("round memo stats = %+v", st)
-	}
-	var nilRM *RoundMemo
-	if nilRM.Game("x") != nil {
-		t.Fatal("nil round memo must hand out nil coalition memos")
-	}
-	if got := nilRM.Stats(); got != (MemoStats{}) {
-		t.Fatalf("nil round memo stats = %+v", got)
-	}
-}
-
 // --- escalation (the n>24 panic fix) ---------------------------------------
 
 // TestExactEscalatesInsteadOfPanicking pins the settlement-crash fix: a
@@ -322,24 +242,21 @@ func TestExactEscalatesInsteadOfPanicking(t *testing.T) {
 // now it settles with a conserved, near-proportional split.
 func TestShareRevenue25Sources(t *testing.T) {
 	const n = 25
-	// Source i contributes i+1 rows, each with lineage in that source alone.
-	anno := &provenance.Annotated{Rel: relation.New("wide", relation.NewSchema(relation.Col("k", relation.KindInt)))}
-	rowsOf := map[string]int{}
+	// Source i is worth i+1 on its own: an additive game.
+	var datasets []string
+	rowsOf := map[string]float64{}
 	rowID := 0
 	for i := 0; i < n; i++ {
 		ds := fmt.Sprintf("s%02d/d0", i)
-		rowsOf[ds] = i + 1
-		for r := 0; r < i+1; r++ {
-			anno.Rel.MustAppend(relation.Int(int64(rowID)))
-			anno.Lineage = append(anno.Lineage, provenance.Lineage{{Dataset: ds, Row: r}})
-			rowID++
-		}
+		datasets = append(datasets, ds)
+		rowsOf[ds] = float64(i + 1)
+		rowID += i + 1
 	}
 	d := &Design{
 		Label: "wide", Goal: GoalRevenue, Type: TypeExternal, Elicitation: ElicitUpfront,
 		Mechanism: PostedPrice{P: 100}, Allocator: ShapleyExact{}, ArbiterFee: 0.05,
 	}
-	split := d.ShareRevenueCtx(100, anno, nil, nil, AllocContext{Seed: SeedFromID("tx-0001")})
+	split := d.ShareRevenue(100, datasets, nil, additive(rowsOf), AllocContext{Seed: SeedFromID("tx-0001")})
 	if len(split.SellerCut) != n {
 		t.Fatalf("split covers %d sellers, want %d", len(split.SellerCut), n)
 	}
@@ -347,7 +264,7 @@ func TestShareRevenue25Sources(t *testing.T) {
 	var sum float64
 	for ds, cut := range split.SellerCut {
 		sum += cut
-		wantCut := pool * float64(rowsOf[ds]) / float64(rowID)
+		wantCut := pool * rowsOf[ds] / float64(rowID)
 		if math.Abs(cut-wantCut) > pool*0.01 {
 			t.Errorf("%s cut %.4f, want ~%.4f", ds, cut, wantCut)
 		}
@@ -401,54 +318,5 @@ func TestSettlementSeedVariesPermutations(t *testing.T) {
 	}
 	if err := ShapleyError(a1, ad.AllocateCtx(players, v, tx1)); err != 0 {
 		t.Fatalf("adaptive replay diverged by %v", err)
-	}
-}
-
-// --- incremental one-dataset-added update ----------------------------------
-
-// TestAllocateAddIncremental: growing a mashup by one dataset updates the
-// split by estimating only the newcomer's share; on structured games the
-// result stays within the error bound of the full re-solve.
-func TestAllocateAddIncremental(t *testing.T) {
-	players := mkPlayers(14)
-	grown := append(append([]string{}, players...), "dNEW")
-	vals := map[string]float64{}
-	var total float64
-	for i, p := range players {
-		vals[p] = float64(i + 1)
-		total += float64(i + 1)
-	}
-	vals["dNEW"] = 30
-	total += 30
-	v := additive(vals)
-	truth := map[string]float64{}
-	for _, p := range grown {
-		truth[p] = vals[p] / total
-	}
-
-	prev := AdaptiveShapley{}.Allocate(players, additive(vals))
-	before := AllocCounters()
-	got := AdaptiveShapley{Seed: 21}.AllocateAdd(grown, "dNEW", prev, v, AllocContext{Seed: 5})
-	after := AllocCounters()
-	if after.Incremental != before.Incremental+1 {
-		t.Fatal("incremental update not counted")
-	}
-	if err := ShapleyError(got, truth); err > 0.05 {
-		t.Fatalf("incremental split L1 error %v > 0.05: %v", err, got)
-	}
-	var sum float64
-	for _, w := range got {
-		if w < 0 {
-			t.Fatal("negative incremental weight")
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("incremental weights sum to %v", sum)
-	}
-	// The point of the incremental path: far fewer evaluations than the
-	// sampled full re-solve's n-evals-per-permutation.
-	if spent := after.Evals - before.Evals; spent > 2*uint64(defaultMaxSamples) {
-		t.Fatalf("incremental update burned %d evals", spent)
 	}
 }

@@ -3,8 +3,6 @@ package market
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/provenance"
 )
 
 // Goal is what the market design optimizes (paper §3.1: "maximize revenue,
@@ -84,49 +82,33 @@ type RevenueSplit struct {
 }
 
 // ShareRevenue implements the revenue-sharing component (paper §3.2.3): the
-// revenue of a sold mashup is allocated to datasets by the design's
-// Allocator (with the provenance-derived value function when vf is nil) and
-// then forwarded to each dataset's owner.
-func (d *Design) ShareRevenue(total float64, anno *provenance.Annotated, owners map[string]string, vf ValueFunc) RevenueSplit {
-	return d.ShareRevenueCtx(total, anno, owners, vf, AllocContext{})
-}
-
-// ShareRevenueCtx is ShareRevenue with a per-settlement allocation context:
-// the settlement-derived sampler seed and the pricing round's coalition-value
-// memo (see AllocContext).
-func (d *Design) ShareRevenueCtx(total float64, anno *provenance.Annotated, owners map[string]string, vf ValueFunc, ctx AllocContext) RevenueSplit {
+// revenue of a sold mashup is allocated to its datasets by the design's
+// Allocator and then forwarded to each dataset's owner (see
+// RevenueFractions).
+func (d *Design) ShareRevenue(total float64, datasets []string, owners map[string]string, vf ValueFunc, ctx AllocContext) RevenueSplit {
 	if total <= 0 {
 		return RevenueSplit{SellerCut: map[string]float64{}}
 	}
-	return d.ShareFractions(total, d.RevenueFractionsCtx(anno, owners, vf, ctx))
+	return d.ShareFractions(total, d.RevenueFractions(datasets, owners, vf, ctx))
 }
 
 // RevenueFractions computes the normalized per-owner fractions of the
-// post-fee revenue pool from provenance lineage — the allocation step of
-// ShareRevenue, independent of the sale amount. Ex-post settlement fixes
-// these fractions at delivery time (when the mashup's provenance is in
-// hand) and persists them, so the split applied when the buyer later
-// reports is a pure function of durable state. Returns nil when no lineage
-// players exist (the arbiter then keeps the whole amount).
-func (d *Design) RevenueFractions(anno *provenance.Annotated, owners map[string]string, vf ValueFunc) map[string]float64 {
-	return d.RevenueFractionsCtx(anno, owners, vf, AllocContext{})
-}
-
-// RevenueFractionsCtx is RevenueFractions with a per-settlement allocation
-// context, dispatched through AllocateWith so context-aware allocators
-// receive the settlement seed and round memo.
-func (d *Design) RevenueFractionsCtx(anno *provenance.Annotated, owners map[string]string, vf ValueFunc, ctx AllocContext) map[string]float64 {
-	if anno == nil {
-		return nil
-	}
-	players := anno.Datasets()
-	if len(players) == 0 {
+// post-fee revenue pool — the allocation step of ShareRevenue, independent
+// of the sale amount. The players are the datasets, in the order given (the
+// arbiter passes a mashup's sorted Datasets); the game is vf, or AllOf the
+// datasets when vf is nil. ctx reaches context-aware allocators through
+// AllocateWith. Ex-post settlement fixes these fractions at delivery time
+// and persists them, so the split applied when the buyer later reports is a
+// pure function of durable state. Returns nil when there are no datasets
+// (the arbiter then keeps the whole amount).
+func (d *Design) RevenueFractions(datasets []string, owners map[string]string, vf ValueFunc, ctx AllocContext) map[string]float64 {
+	if len(datasets) == 0 {
 		return nil
 	}
 	if vf == nil {
-		vf = RowCountValue(anno)
+		vf = AllOf(datasets)
 	}
-	weights := AllocateWith(d.Allocator, players, vf, ctx)
+	weights := AllocateWith(d.Allocator, datasets, vf, ctx)
 	var wsum float64
 	for _, w := range weights {
 		wsum += w
@@ -134,11 +116,11 @@ func (d *Design) RevenueFractionsCtx(anno *provenance.Annotated, owners map[stri
 	if wsum == 0 {
 		// Nothing had marginal value; split uniformly so sellers are still
 		// compensated for participation.
-		weights = Uniform{}.Allocate(players, vf)
+		weights = Uniform{}.Allocate(datasets, vf)
 		wsum = 1
 	}
 	fracs := map[string]float64{}
-	for _, ds := range players {
+	for _, ds := range datasets {
 		owner := owners[ds]
 		if owner == "" {
 			owner = ds
@@ -168,29 +150,23 @@ func (d *Design) ShareFractions(total float64, fracs map[string]float64) Revenue
 	return split
 }
 
-// RowCountValue builds a characteristic function from provenance: v(S) is
-// the fraction of mashup rows constructible from the datasets in S alone.
-// This is the "reverse engineering of f()" for relational plans: lineage
-// tells exactly which rows survive without a coalition's data.
-func RowCountValue(anno *provenance.Annotated) ValueFunc {
-	totalRows := anno.Rel.NumRows()
+// AllOf is the coalition game of a mashup built from datasets: v(S) = 1 if
+// S holds every one of them, else 0. It is the "reverse engineering of f()"
+// for the plans the DoD engine builds. Each is a chain of inner joins over
+// distinct datasets, so every mashup row comes from one row of each dataset,
+// and no row survives without all of them (see dod.Candidate.Datasets).
+// An empty dataset list is worth nothing.
+func AllOf(datasets []string) ValueFunc {
 	return func(coalition map[string]bool) float64 {
-		if totalRows == 0 || len(coalition) == 0 {
+		if len(datasets) == 0 {
 			return 0
 		}
-		return float64(anno.RowsWithin(coalition)) / float64(totalRows)
-	}
-}
-
-// SatisfactionValue builds a characteristic function that re-evaluates a
-// buyer-supplied scorer on the coalition-restricted mashup — the exact
-// Shapley game of the data-valuation literature the paper cites (§8.2).
-func SatisfactionValue(anno *provenance.Annotated, score func(rows int) float64) ValueFunc {
-	return func(coalition map[string]bool) float64 {
-		if len(coalition) == 0 {
-			return 0
+		for _, ds := range datasets {
+			if !coalition[ds] {
+				return 0
+			}
 		}
-		return score(anno.RowsWithin(coalition))
+		return 1
 	}
 }
 

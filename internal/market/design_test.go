@@ -3,9 +3,6 @@ package market
 import (
 	"math"
 	"testing"
-
-	"repro/internal/provenance"
-	"repro/internal/relation"
 )
 
 func TestDesignValidate(t *testing.T) {
@@ -62,27 +59,10 @@ func TestStandardDesigns(t *testing.T) {
 	}
 }
 
-func mkJoinedAnno(t *testing.T) *provenance.Annotated {
-	t.Helper()
-	l := relation.New("l", relation.NewSchema(relation.Col("k", relation.KindInt)))
-	r := relation.New("r", relation.NewSchema(relation.Col("k", relation.KindInt), relation.Col("v", relation.KindInt)))
-	for i := 0; i < 4; i++ {
-		l.MustAppend(relation.Int(int64(i)))
-		r.MustAppend(relation.Int(int64(i)), relation.Int(int64(i*10)))
-	}
-	j, err := provenance.HashJoin(provenance.FromSource("ds1", l), provenance.FromSource("ds2", r),
-		relation.JoinPair{Left: "k", Right: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
-}
-
 func TestShareRevenue(t *testing.T) {
-	anno := mkJoinedAnno(t)
 	d := &Design{Label: "d", Mechanism: PostedPrice{P: 1}, Allocator: ShapleyExact{}, ArbiterFee: 0.1}
 	owners := map[string]string{"ds1": "seller1", "ds2": "seller2"}
-	split := d.ShareRevenue(100, anno, owners, nil)
+	split := d.ShareRevenue(100, []string{"ds1", "ds2"}, owners, nil, AllocContext{})
 	if math.Abs(split.ArbiterCut-10) > 1e-9 {
 		t.Errorf("arbiter cut = %v", split.ArbiterCut)
 	}
@@ -101,30 +81,14 @@ func TestShareRevenue(t *testing.T) {
 }
 
 func TestShareRevenueZeroAndUnknownOwner(t *testing.T) {
-	anno := mkJoinedAnno(t)
+	datasets := []string{"ds1", "ds2"}
 	d := &Design{Label: "d", Mechanism: PostedPrice{P: 1}, Allocator: Uniform{}}
-	if s := d.ShareRevenue(0, anno, nil, nil); len(s.SellerCut) != 0 {
+	if s := d.ShareRevenue(0, datasets, nil, nil, AllocContext{}); len(s.SellerCut) != 0 {
 		t.Error("zero revenue shares nothing")
 	}
 	// Unknown owners default to the dataset ID.
-	s := d.ShareRevenue(10, anno, nil, nil)
+	s := d.ShareRevenue(10, datasets, nil, nil, AllocContext{})
 	if _, ok := s.SellerCut["ds1"]; !ok {
 		t.Errorf("cuts = %v", s.SellerCut)
-	}
-}
-
-func TestSatisfactionValue(t *testing.T) {
-	anno := mkJoinedAnno(t)
-	vf := SatisfactionValue(anno, func(rows int) float64 {
-		if rows >= 4 {
-			return 1
-		}
-		return 0
-	})
-	if vf(map[string]bool{"ds1": true, "ds2": true}) != 1 {
-		t.Error("grand coalition satisfies")
-	}
-	if vf(map[string]bool{"ds1": true}) != 0 {
-		t.Error("ds1 alone does not satisfy")
 	}
 }

@@ -65,7 +65,7 @@ func (ShapleyExact) AllocateCtx(players []string, v ValueFunc, ctx AllocContext)
 		return AdaptiveShapley{}.AllocateCtx(players, v, ctx)
 	}
 	allocExactRuns.Add(1)
-	return exactShapley(players, ctx.Memo.Wrap(v))
+	return exactShapley(players, counted(v))
 }
 
 // exactShapley runs the full 2^n enumeration. Callers enforce the
@@ -170,7 +170,7 @@ func (m ShapleyMonteCarlo) AllocateCtx(players []string, v ValueFunc, ctx AllocC
 		return nil
 	}
 	allocSampledRuns.Add(1)
-	v = ctx.Memo.Wrap(v)
+	v = counted(v)
 	samples := m.Samples
 	if samples <= 0 {
 		samples = 200
@@ -215,19 +215,14 @@ type LeaveOneOut struct{}
 // Name implements Allocator.
 func (LeaveOneOut) Name() string { return "leave_one_out" }
 
-// Allocate implements Allocator.
-func (l LeaveOneOut) Allocate(players []string, v ValueFunc) map[string]float64 {
-	return l.AllocateCtx(players, v, AllocContext{})
-}
-
-// AllocateCtx implements CtxAllocator: deterministic, so only the memo is
-// used.
-func (LeaveOneOut) AllocateCtx(players []string, v ValueFunc, ctx AllocContext) map[string]float64 {
+// Allocate implements Allocator. It is deterministic, so it takes no
+// AllocContext.
+func (LeaveOneOut) Allocate(players []string, v ValueFunc) map[string]float64 {
 	n := len(players)
 	if n == 0 {
 		return nil
 	}
-	v = ctx.Memo.Wrap(v)
+	v = counted(v)
 	grand := map[string]bool{}
 	for _, p := range players {
 		grand[p] = true

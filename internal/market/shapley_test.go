@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/provenance"
-	"repro/internal/relation"
 )
 
 // additive game: v(S) = sum of per-player values.
@@ -159,32 +156,36 @@ func TestInCoreInfeasibleReturnsError(t *testing.T) {
 	}
 }
 
+// TestRowCountValue: a mashup's row-count game, the share of its rows a
+// coalition can still build, is AllOf its datasets. Every row of an
+// inner-join mashup needs one row of each dataset, so the game is worth 1
+// exactly when the coalition holds all of them, and Shapley splits it
+// evenly.
 func TestRowCountValue(t *testing.T) {
-	l := relation.New("l", relation.NewSchema(relation.Col("k", relation.KindInt)))
-	l.MustAppend(relation.Int(1))
-	l.MustAppend(relation.Int(2))
-	r := relation.New("r", relation.NewSchema(relation.Col("k", relation.KindInt), relation.Col("v", relation.KindInt)))
-	r.MustAppend(relation.Int(1), relation.Int(10))
-	al := provenance.FromSource("d1", l)
-	ar := provenance.FromSource("d2", r)
-	j, err := provenance.HashJoin(al, ar, relation.JoinPair{Left: "k", Right: "k"})
-	if err != nil {
-		t.Fatal(err)
+	datasets := []string{"d1", "d2", "d3"}
+	v := AllOf(datasets)
+	for _, c := range []struct {
+		coalition map[string]bool
+		want      float64
+	}{
+		{nil, 0},
+		{map[string]bool{"d1": true}, 0},
+		{map[string]bool{"d1": true, "d3": true}, 0},
+		{map[string]bool{"d1": true, "d2": true, "d3": true}, 1},
+		{map[string]bool{"d1": true, "d2": true, "d3": true, "other": true}, 1},
+	} {
+		if got := v(c.coalition); got != c.want {
+			t.Errorf("v(%v) = %v, want %v", c.coalition, got, c.want)
+		}
 	}
-	v := RowCountValue(j)
-	if v(map[string]bool{"d1": true}) != 0 {
-		t.Error("d1 alone produces no joined rows")
+	if got := AllOf(nil)(nil); got != 0 {
+		t.Errorf("v(∅) of an empty mashup = %v, want 0", got)
 	}
-	if v(map[string]bool{"d1": true, "d2": true}) != 1 {
-		t.Error("grand coalition produces all rows")
-	}
-	if v(nil) != 0 {
-		t.Error("empty coalition is worthless")
-	}
-	// Shapley over this game: perfect complements split 50/50.
-	w := ShapleyExact{}.Allocate(j.Datasets(), v)
-	if math.Abs(w["d1"]-0.5) > 1e-9 {
-		t.Errorf("complements split = %v", w)
+	w := ShapleyExact{}.Allocate(datasets, v)
+	for _, ds := range datasets {
+		if math.Abs(w[ds]-1.0/3) > 1e-9 {
+			t.Errorf("complements split = %v", w)
+		}
 	}
 }
 

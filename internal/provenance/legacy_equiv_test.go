@@ -1,11 +1,10 @@
 package provenance
 
-// Lineage pipeline oracle: the frozen reference tags each input row with a
-// hidden ordinal column, runs the plain relational operator, reads every
+// Lineage join oracle: the frozen reference tags each input row with a
+// hidden ordinal column, runs the plain relational hash join, reads every
 // output row's lineage off the surviving ordinals, and strips them. The
-// package itself reads join ordinals off relation's hash join and reuses the
-// input's lineage for 1:1 operators, so this test is what proves rows, names
-// and lineage come out the same either way.
+// package itself reads join ordinals off relation's hash join, so this test
+// is what proves rows, names and lineage come out the same either way.
 
 import (
 	"fmt"
@@ -46,35 +45,6 @@ func legacyProvHashJoin(l, r *Annotated, on ...relation.JoinPair) (*Annotated, e
 	out.Lineage = make([]Lineage, len(j.Rows))
 	for i, row := range j.Rows {
 		out.Lineage[i] = merge(l.Lineage[row[li].AsInt()], r.Lineage[row[ri].AsInt()])
-	}
-	return out, nil
-}
-
-// legacyProvLift is the same reference for a 1:1 operator: op runs over a's
-// relation tagged with "__row" and must carry that column through. A failing
-// op reports the error it gives on the untagged relation.
-func legacyProvLift(a *Annotated, op func(*relation.Relation) (*relation.Relation, error)) (*Annotated, error) {
-	a.check()
-	tagged, err := op(relation.AddColumn(a.Rel, relation.Col("__row", relation.KindInt), legacyOrdinal()))
-	if err != nil {
-		_, err = op(a.Rel)
-		return nil, err
-	}
-	oi := tagged.Schema.IndexOf("__row")
-	keep := make([]string, 0, len(tagged.Schema)-1)
-	for _, c := range tagged.Schema {
-		if c.Name != "__row" {
-			keep = append(keep, c.Name)
-		}
-	}
-	stripped, err := relation.Project(tagged, keep...)
-	if err != nil {
-		return nil, err
-	}
-	stripped.Name = tagged.Name
-	out := &Annotated{Rel: stripped, Lineage: make([]Lineage, len(tagged.Rows))}
-	for i, row := range tagged.Rows {
-		out.Lineage[i] = a.Lineage[row[oi].AsInt()]
 	}
 	return out, nil
 }
@@ -173,26 +143,19 @@ func oracleSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// pickColumn returns a random column of a, or (one time in eight) a name a
-// does not have, so the error paths are compared too.
-func pickColumn(rng *rand.Rand, a *Annotated) string {
-	if rng.Intn(8) == 0 {
-		return "nope"
-	}
-	return a.Rel.Schema[rng.Intn(len(a.Rel.Schema))].Name
-}
-
-// TestProvenanceJoinMatchesLegacy is the lineage pipeline oracle: random
+// TestProvenanceJoinMatchesLegacy is the lineage join oracle: random
 // sources, 1–3 chained joins (single and multi-pair keys, null keys,
-// duplicate build keys, the "_r" cascade), then Map, Rename and Project, each
-// step compared with the frozen ordinal-column reference on rows, schema,
-// names, lineage and error text.
+// duplicate build keys, the "_r" cascade), each compared with the frozen
+// ordinal-column reference on rows, schema, names, lineage and error text.
+// After every join, each row's lineage names every dataset joined so far
+// exactly once: the premise market.AllOf values a mashup's coalitions on.
 func TestProvenanceJoinMatchesLegacy(t *testing.T) {
 	for _, seed := range oracleSeeds(t) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			got := randAnnotated(rng, "ds0")
 			want := got
+			joined := []string{"ds0"}
 			joins := 1 + rng.Intn(3)
 			for j := 1; j <= joins; j++ {
 				r := randAnnotated(rng, fmt.Sprintf("ds%d", j))
@@ -206,48 +169,23 @@ func TestProvenanceJoinMatchesLegacy(t *testing.T) {
 					t.Fatalf("seed %d join %d: valid join failed: %v", seed, j, gerr)
 				}
 				got, want = g, w
+				joined = append(joined, fmt.Sprintf("ds%d", j))
+				for i, lin := range got.Lineage {
+					var names []string
+					for _, ref := range lin {
+						names = append(names, ref.Dataset)
+					}
+					if !slices.Equal(names, joined) {
+						t.Fatalf("seed %d join %d: row %d lineage %v names %v, want each of %v once",
+							seed, j, i, lin, names, joined)
+					}
+				}
 
 				bad := relation.JoinPair{Left: "k", Right: "nope"}
 				_, gerr = HashJoin(got, r, bad)
 				_, werr = legacyProvHashJoin(want, r, bad)
 				mustSameStep(t, fmt.Sprintf("seed %d join %d on %v", seed, j, bad), nil, gerr, nil, werr)
 			}
-
-			col := pickColumn(rng, got)
-			str := func(v relation.Value) relation.Value {
-				if v.IsNull() {
-					return v
-				}
-				return relation.String_("m:" + v.String())
-			}
-			g, gerr := Map(got, col, relation.KindString, str)
-			w, werr := legacyProvLift(want, func(r *relation.Relation) (*relation.Relation, error) {
-				return relation.Map(r, col, relation.KindString, str)
-			})
-			if mustSameStep(t, fmt.Sprintf("seed %d map %s", seed, col), g, gerr, w, werr) {
-				got, want = g, w
-			}
-
-			col = pickColumn(rng, got)
-			g, gerr = Rename(got, col, "renamed")
-			w, werr = legacyProvLift(want, func(r *relation.Relation) (*relation.Relation, error) {
-				return relation.Rename(r, col, "renamed")
-			})
-			if mustSameStep(t, fmt.Sprintf("seed %d rename %s", seed, col), g, gerr, w, werr) {
-				got, want = g, w
-			}
-
-			names := got.Rel.Schema.Names()
-			rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-			names = names[:1+rng.Intn(len(names))]
-			if rng.Intn(8) == 0 {
-				names = append(names, "nope")
-			}
-			g, gerr = Project(got, names...)
-			w, werr = legacyProvLift(want, func(r *relation.Relation) (*relation.Relation, error) {
-				return relation.Project(r, append(slices.Clone(names), "__row")...)
-			})
-			mustSameStep(t, fmt.Sprintf("seed %d project %v", seed, names), g, gerr, w, werr)
 		})
 	}
 }

@@ -4,8 +4,8 @@
 // individual's rows are rarely worth much alone; pooled with other members'
 // rows they form a sellable dataset. The trust tracks which member
 // contributed which rows, sells the pooled relation into the market as a
-// single seller, and divides revenue among members in proportion to the rows
-// of theirs that mashups actually used (via provenance lineage) or equally.
+// single seller, and divides revenue among members equally or in proportion
+// to the rows each contributed.
 package trust
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -180,43 +179,6 @@ func (t *Trust) SplitByRows(revenue float64) map[string]float64 {
 	}
 	for m, is := range t.contributions {
 		out[m] = revenue * float64(len(is)) / float64(total)
-	}
-	return out
-}
-
-// SplitByUsage divides revenue by the rows of each member that a sold
-// mashup's lineage actually used — the finest-grained, provenance-exact
-// split. datasetID is the ID under which the trust's pool was registered in
-// the market.
-func (t *Trust) SplitByUsage(revenue float64, lineage []provenance.Lineage, datasetID string) map[string]float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Build row -> member.
-	owner := map[int]string{}
-	for m, is := range t.contributions {
-		for _, i := range is {
-			owner[i] = m
-		}
-	}
-	counts := map[string]int{}
-	total := 0
-	for _, lin := range lineage {
-		for _, ref := range lin {
-			if ref.Dataset != datasetID {
-				continue
-			}
-			if m, ok := owner[ref.Row]; ok {
-				counts[m]++
-				total++
-			}
-		}
-	}
-	out := map[string]float64{}
-	if total == 0 {
-		return out
-	}
-	for m, n := range counts {
-		out[m] = revenue * float64(n) / float64(total)
 	}
 	return out
 }

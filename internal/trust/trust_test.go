@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -107,26 +106,6 @@ func TestSplits(t *testing.T) {
 	empty, _ := New("e", schema(), 1)
 	if len(empty.SplitEqual(10)) != 0 || len(empty.SplitByRows(10)) != 0 {
 		t.Error("empty trust splits nothing")
-	}
-}
-
-func TestSplitByUsage(t *testing.T) {
-	tr, _ := New("t", schema(), 1)
-	_ = tr.Join("alice", rows("alice", 3)) // rows 0..2
-	_ = tr.Join("bob", rows("bob", 3))     // rows 3..5
-	// A mashup that used alice's row 0 twice and bob's row 4 once.
-	lineage := []provenance.Lineage{
-		{{Dataset: "trustpool", Row: 0}},
-		{{Dataset: "trustpool", Row: 0}, {Dataset: "other", Row: 9}},
-		{{Dataset: "trustpool", Row: 4}},
-	}
-	split := tr.SplitByUsage(90, lineage, "trustpool")
-	if split["alice"] != 60 || split["bob"] != 30 {
-		t.Errorf("usage split = %v", split)
-	}
-	// Lineage for a different dataset yields nothing.
-	if got := tr.SplitByUsage(90, lineage, "unrelated"); len(got) != 0 {
-		t.Errorf("unrelated split = %v", got)
 	}
 }
 
