@@ -224,14 +224,14 @@ func BenchmarkAblationShapleySamples(b *testing.B) {
 	}
 }
 
-// BenchmarkRevenueSplit is the settlement-path allocator comparison behind
-// the adaptive-Shapley PR: exact enumeration vs the adaptive allocator on
-// the same mixed-synergy games (additive weights plus adjacent-pair
-// bonuses, whose true Shapley split is known in closed form by linearity).
-// Each variant reports its L1 distance from the analytic truth alongside
-// ns/op — the claim is that from 16 sources up, adaptive is >=10x faster
-// than exact while keeping L1 <= 0.05, and it keeps pricing at 25 sources
-// where exact enumeration is infeasible.
+// BenchmarkRevenueSplit compares the two Shapley allocators on the same
+// mixed-synergy games (additive weights plus adjacent-pair bonuses, whose
+// true Shapley split is known in closed form by linearity): exact 2^n
+// enumeration, which every settlement runs, against fixed-seed permutation
+// sampling at 200 samples (ShapleyMonteCarlo, as in experiment E5). Each
+// variant reports its L1 distance from the analytic truth alongside ns/op.
+// At 25 sources exact enumeration is infeasible and only the sampled arm
+// runs.
 func BenchmarkRevenueSplit(b *testing.B) {
 	const bonus = 4.0
 	mkMixed := func(n int) ([]string, market.ValueFunc, map[string]float64) {
@@ -289,30 +289,30 @@ func BenchmarkRevenueSplit(b *testing.B) {
 			}
 			b.ReportMetric(l1(split, truth), "l1-error")
 		})
-		b.Run(fmt.Sprintf("adaptive/n=%d", n), func(b *testing.B) {
-			alloc := market.AdaptiveShapley{Seed: 42}
+		b.Run(fmt.Sprintf("mc200/n=%d", n), func(b *testing.B) {
+			alloc := market.ShapleyMonteCarlo{Samples: 200, Seed: 42}
 			var split map[string]float64
 			for i := 0; i < b.N; i++ {
-				split = market.AllocateWith(alloc, players, v, market.AllocContext{})
+				split = alloc.Allocate(players, v)
 			}
 			b.ReportMetric(l1(split, truth), "l1-error")
 		})
 	}
 	// Beyond the exact allocator's feasible bound (2^25 coalitions): only
-	// the sampled path can price this settlement at all.
+	// the sampled path can price this game at all.
 	players, v, truth := mkMixed(25)
-	b.Run("adaptive/n=25", func(b *testing.B) {
-		alloc := market.AdaptiveShapley{Seed: 42}
+	b.Run("mc200/n=25", func(b *testing.B) {
+		alloc := market.ShapleyMonteCarlo{Samples: 200, Seed: 42}
 		var split map[string]float64
 		for i := 0; i < b.N; i++ {
-			split = market.AllocateWith(alloc, players, v, market.AllocContext{})
+			split = alloc.Allocate(players, v)
 		}
 		b.ReportMetric(l1(split, truth), "l1-error")
 	})
 }
 
-// exactShapleySplit times the pure 2^n enumeration (ShapleyExact itself now
-// escalates wide games, so the bench pins the exact path explicitly by
+// exactShapleySplit times the pure 2^n enumeration (ShapleyExact itself
+// falls back to sampling on wide games, so the bench pins the exact path by
 // staying under its feasibility bound).
 func exactShapleySplit(players []string, v market.ValueFunc) map[string]float64 {
 	return market.ShapleyExact{}.Allocate(players, v)

@@ -66,7 +66,6 @@ import (
 	"repro/internal/dod"
 	"repro/internal/engine"
 	"repro/internal/federation"
-	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -139,15 +138,15 @@ func (q quotaOverrideFlag) toConfig(epoch time.Duration) map[string]engine.Quota
 }
 
 // checkLimits refuses a negative or non-finite value for any gateway limit
-// or allocator setting in fs. The engine reads a negative limit as "off" (a
-// queue-depth bound <= 0 admits everything, a negative quota disables
-// quotas), so a typo would silently unthrottle the market. NaN fails every
-// comparison, so a NaN quota is off too, and an infinite one reaches the
-// token buckets, which snapshots cannot encode as JSON. -quota-override
-// refuses the same values for the same reasons.
+// in fs. The engine reads a negative limit as "off" (a queue-depth bound
+// <= 0 admits everything, a negative quota disables quotas), so a typo would
+// silently unthrottle the market. NaN fails every comparison, so a NaN quota
+// is off too, and an infinite one reaches the token buckets, which snapshots
+// cannot encode as JSON. -quota-override refuses the same values for the
+// same reasons.
 func checkLimits(fs *flag.FlagSet) error {
 	for _, name := range []string{"quota-rps", "quota-burst", "admit-cap", "max-pending",
-		"epoch-cap", "dod-cache-entries", "build-deadline", "allocator-exact-max", "allocator-err"} {
+		"epoch-cap", "dod-cache-entries", "build-deadline"} {
 		f := fs.Lookup(name)
 		var why string
 		switch v := f.Value.(flag.Getter).Get().(type) {
@@ -197,8 +196,6 @@ func main() {
 	metrics := flag.Bool("metrics", true, "serve Prometheus telemetry on GET /metrics (engine, DoD, WAL, arbiter and HTTP families)")
 	cacheEntries := flag.Int("dod-cache-entries", 0, "max cached DoD candidate sets; stale-first, cost-weighted eviction beyond it (0 = unlimited)")
 	buildDeadline := flag.Duration("build-deadline", 0, "per-want-group DoD build deadline: a build outrunning it resolves as failed for the round (the group retries next epoch) instead of wedging the epoch (0 = unbounded)")
-	allocExactMax := flag.Int("allocator-exact-max", 0, "replace the design's revenue allocator with adaptive Shapley: exact enumeration up to this many contributing datasets, confidence-bounded permutation sampling above (0 = keep the design's allocator)")
-	allocErr := flag.Float64("allocator-err", 0.05, "adaptive allocator target L1 error for sampled revenue splits (with -allocator-exact-max)")
 	var overrides quotaOverrideFlag
 	flag.Var(&overrides, "quota-override", "per-participant quota override name=rps[:burst], overriding -quota-rps/-quota-burst for that participant (rps 0 = exempt); repeatable")
 	flag.Parse()
@@ -237,14 +234,9 @@ func main() {
 		},
 	}
 
-	platOpts := core.Options{Design: *design}
-	if *allocExactMax > 0 {
-		platOpts.Allocator = market.AdaptiveShapley{ExactMax: *allocExactMax, TargetErr: *allocErr}
-	}
-
 	fcfg := federation.Config{
 		Shards: *shards, Dir: *walDir, SegmentBytes: *segBytes, PruneOnSnapshot: *pruneOnSnap,
-		Engine: cfg, Platform: platOpts, Metrics: reg,
+		Engine: cfg, Platform: core.Options{Design: *design}, Metrics: reg,
 	}
 	if *walDir != "" {
 		if fcfg.Sync, err = wal.ParseSyncPolicy(*fsync); err != nil {

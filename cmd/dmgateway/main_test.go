@@ -16,14 +16,11 @@ func limitFlagSet() *flag.FlagSet {
 	fs.Int("epoch-cap", 0, "")
 	fs.Int("dod-cache-entries", 0, "")
 	fs.Duration("build-deadline", 0, "")
-	fs.Int("allocator-exact-max", 0, "")
-	fs.Float64("allocator-err", 0.05, "")
 	return fs
 }
 
-// TestCheckLimits: every limit whose 0 means "off", and every allocator
-// setting, accepts 0 and positive values and refuses a negative or
-// non-finite one, naming the flag.
+// TestCheckLimits: every limit whose 0 means "off" accepts 0 and positive
+// values and refuses a negative or non-finite one, naming the flag.
 func TestCheckLimits(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -31,9 +28,7 @@ func TestCheckLimits(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-quota-rps", "50", "-quota-burst", "100", "-admit-cap", "10", "-max-pending", "1000",
-			"-epoch-cap", "64", "-dod-cache-entries", "256", "-build-deadline", "2s",
-			"-allocator-exact-max", "8", "-allocator-err", "0.02"}, ""},
-		{[]string{"-allocator-exact-max", "0", "-allocator-err", "0"}, ""},
+			"-epoch-cap", "64", "-dod-cache-entries", "256", "-build-deadline", "2s"}, ""},
 		{[]string{"-quota-rps", "-0.5"}, "quota-rps"},
 		{[]string{"-quota-burst", "-1"}, "quota-burst"},
 		{[]string{"-admit-cap", "-1"}, "admit-cap"},
@@ -46,10 +41,6 @@ func TestCheckLimits(t *testing.T) {
 		{[]string{"-quota-rps", "-Inf"}, "quota-rps"},
 		{[]string{"-quota-burst", "NaN"}, "quota-burst"},
 		{[]string{"-quota-burst", "+Inf"}, "quota-burst"},
-		{[]string{"-allocator-exact-max", "-1"}, "allocator-exact-max"},
-		{[]string{"-allocator-err", "-0.1"}, "allocator-err"},
-		{[]string{"-allocator-err", "NaN"}, "allocator-err"},
-		{[]string{"-allocator-err", "+Inf"}, "allocator-err"},
 	} {
 		fs := limitFlagSet()
 		if err := fs.Parse(tc.args); err != nil {

@@ -565,10 +565,6 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 	txID := fmt.Sprintf("tx-%04d", a.nextID)
 	price := ledger.FromFloat(sale.Price)
 
-	// The allocation context: a sampler seed derived from the settlement
-	// identity. txIDs are assigned deterministically, so crash/replay and
-	// redrive re-derive the same seed and the same sampled split.
-	actx := market.AllocContext{Seed: market.SeedFromID(txID)}
 	// The sellers are the mashup's datasets. A mashup with no rows holds no
 	// seller's data, so no seller is paid and the arbiter keeps the price.
 	sellers := cand.Datasets
@@ -601,7 +597,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 			return nil, err
 		}
 		tx.ExPost = true
-		tx.ExPostShares = a.Design.RevenueFractions(sellers, a.ownersOf(sellers), nil, actx)
+		tx.ExPostShares = a.Design.RevenueFractions(sellers, a.ownersOf(sellers), nil)
 		a.pendingExPost[txID] = &exPostState{tx: tx, deposit: dep, buyer: buyer, fracs: tx.ExPostShares}
 		a.recordPurchase(buyer, cand.Datasets)
 		a.recordTx(tx)
@@ -612,7 +608,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 	if err := a.Ledger.Hold(txID, buyer, price, "purchase "+cand.Rel().Name); err != nil {
 		return nil, err
 	}
-	split := a.Design.ShareRevenue(sale.Price, sellers, a.ownersOf(sellers), nil, actx)
+	split := a.Design.ShareRevenue(sale.Price, sellers, a.ownersOf(sellers), nil)
 	if err := a.paySplit(txID, a.Ledger.Escrowed(txID), split.SellerCut); err != nil {
 		return nil, err
 	}
@@ -631,19 +627,34 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 // then fans the seller cuts out. The arbiter's fee is what remains after
 // the fan-out. Up-front settlements pass the full escrow; ex-post report
 // settlement — live and on WAL replay — passes the reported amount capped
-// by the deposit. Conservation is asserted up front: the seller cuts must
-// never exceed the released amount, or the fan-out would silently drain the
-// arbiter's own fee account — a broken split fails the settlement before any
-// money moves.
+// by the deposit. Each cut rounds to micro-units on its own, half up, so a
+// fee-free split can sum past `pay` by up to one micro-unit per seller
+// (three cuts of 20/3 round to 6.666667 each): the largest cut, ties going
+// to the first name, gives that excess back in sellerCuts itself, so what
+// the caller records is what was paid. A split that fits is untouched.
+// Conservation is asserted up front: beyond that rounding the seller cuts
+// must never exceed the released amount, or the fan-out would silently
+// drain the arbiter's own fee account — a broken split fails the settlement
+// before any money moves.
 func (a *Arbiter) paySplit(escrowID string, pay ledger.Currency, sellerCuts map[string]float64) error {
-	var cutSum ledger.Currency
+	var cutSum, topAmt ledger.Currency
+	var paid int
+	top := ""
 	for _, s := range market.SortedPlayers(sellerCuts) {
 		if amt := ledger.FromFloat(sellerCuts[s]); amt > 0 {
 			cutSum += amt
+			paid++
+			if amt > topAmt {
+				top, topAmt = s, amt
+			}
 		}
 	}
+	if excess := cutSum - pay; excess > 0 && excess <= ledger.Currency(paid) {
+		sellerCuts[top] = (topAmt - excess).Float()
+		cutSum = pay
+	}
 	if cutSum > pay {
-		return fmt.Errorf("arbiter: revenue split over-allocates escrow %s: seller cuts %v exceed released %v",
+		return fmt.Errorf("arbiter: revenue split over-allocates escrow %s: seller cuts %d exceed released %d micro-units",
 			escrowID, cutSum, pay)
 	}
 	if err := a.Ledger.Release(escrowID, ArbiterAccount, pay, "settlement"); err != nil {

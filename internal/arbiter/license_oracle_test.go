@@ -71,12 +71,14 @@ func (m *grantLog) periodTaxes() map[string]float64 {
 	return out
 }
 
-func licenseOracleSeeds(t *testing.T) []int64 {
+// oracleSeeds is the fixed seeds 1–8 plus as many time-based ones as the
+// environment variable env asks for.
+func oracleSeeds(t *testing.T, env string) []int64 {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	if v := os.Getenv("LICENSE_ORACLE_EXTRA_SEEDS"); v != "" {
+	if v := os.Getenv(env); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			t.Fatalf("bad LICENSE_ORACLE_EXTRA_SEEDS %q: %v", v, err)
+			t.Fatalf("bad %s %q: %v", env, v, err)
 		}
 		base := time.Now().UnixNano()
 		for i := 0; i < n; i++ {
@@ -111,7 +113,7 @@ var oracleColumns = []string{"p", "q", "r"}
 // after every step.
 func TestLicenseOracle(t *testing.T) {
 	var liveSales, holders int
-	for _, seed := range licenseOracleSeeds(t) {
+	for _, seed := range oracleSeeds(t, "LICENSE_ORACLE_EXTRA_SEEDS") {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			a, err := New(mkDesign())

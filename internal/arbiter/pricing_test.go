@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dod"
+	"repro/internal/ledger"
 	"repro/internal/license"
 	"repro/internal/market"
 	"repro/internal/relation"
@@ -26,7 +27,7 @@ func TestSameMashupSettlementsSplitAlike(t *testing.T) {
 	if _, err := a.SubmitRequest(want, coverageWTP("b2", 100)); err != nil {
 		t.Fatal(err)
 	}
-	before := market.AllocCounters()
+	before := market.AllocEvals()
 	res, err := a.MatchRound()
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +35,7 @@ func TestSameMashupSettlementsSplitAlike(t *testing.T) {
 	if len(res.Transactions) != 2 {
 		t.Fatalf("transactions = %d (unsat %v)", len(res.Transactions), res.Unsatisfied)
 	}
-	after := market.AllocCounters()
-	if evals := after.Evals - before.Evals; evals != 2*3 {
+	if evals := market.AllocEvals() - before; evals != 2*3 {
 		t.Fatalf("round evaluated v(S) %d times for two settlements of a 2-dataset mashup, want 6", evals)
 	}
 	c0, c1 := res.Transactions[0].SellerCuts, res.Transactions[1].SellerCuts
@@ -46,13 +46,12 @@ func TestSameMashupSettlementsSplitAlike(t *testing.T) {
 	}
 }
 
-// TestWideMashupSettlesWithoutPanic is the end-to-end regression for the
-// ShapleyExact n>24 panic: a buyer whose want only a 25-source chain-joined
-// mashup can satisfy settles through a ShapleyExact design — the allocator
-// escalates to sampling instead of crashing the settlement path.
-func TestWideMashupSettlesWithoutPanic(t *testing.T) {
-	const n = 25
-	d := mkDesign() // ShapleyExact allocator — the path that used to panic
+// chainMarket registers a well-funded buyer and n sellers s00, s01, …,
+// each sharing one 10-row dataset keyed on k with its own value column, and
+// returns the want and WTP-function of a buyer who needs every column: only
+// the n-dataset join satisfies it.
+func chainMarket(t *testing.T, d *market.Design, n int) (*Arbiter, dod.Want, *wtp.Function) {
+	t.Helper()
 	a, err := New(d)
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +85,19 @@ func TestWideMashupSettlesWithoutPanic(t *testing.T) {
 		Task:  wtp.CoverageTask{Columns: cols, WantRows: 1},
 		Curve: wtp.PriceCurve{{MinSatisfaction: 0.95, Price: 100}},
 	}
+	return a, want, f
+}
+
+// TestWideMashupSettlesWithoutPanic is the end-to-end regression for the
+// ShapleyExact n>24 panic: a buyer whose want only a 25-source chain-joined
+// mashup can satisfy settles through a ShapleyExact design — the allocator
+// falls back to sampling instead of crashing the settlement path.
+func TestWideMashupSettlesWithoutPanic(t *testing.T) {
+	const n = 25
+	a, want, f := chainMarket(t, mkDesign(), n) // ShapleyExact allocator — the path that used to panic
 	if _, err := a.SubmitRequest(want, f); err != nil {
 		t.Fatal(err)
 	}
-	before := market.AllocCounters()
 	res, err := a.MatchRound()
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +108,6 @@ func TestWideMashupSettlesWithoutPanic(t *testing.T) {
 	tx := res.Transactions[0]
 	if len(tx.Datasets) != n {
 		t.Fatalf("settled mashup joins %d datasets, want %d", len(tx.Datasets), n)
-	}
-	after := market.AllocCounters()
-	if after.Escalations == before.Escalations {
-		t.Fatal("wide settlement did not escalate to the sampled allocator")
 	}
 	var cuts float64
 	for _, c := range tx.SellerCuts {
@@ -117,6 +121,52 @@ func TestWideMashupSettlesWithoutPanic(t *testing.T) {
 	}
 	if a.Ledger.VerifyChain() != -1 {
 		t.Fatal("audit chain corrupt after wide settlement")
+	}
+}
+
+// TestFeeFreeThreeWaySplitSettles: with no arbiter fee a three-seller sale
+// of 20 splits into cuts of 20/3, which round half up to 6.666667 each and
+// would sum one micro-unit past the escrow. The largest cut, ties going to
+// the first name, gives the micro-unit back, up front and on an ex-post
+// report alike, and the recorded cuts are exactly what the sellers received.
+func TestFeeFreeThreeWaySplitSettles(t *testing.T) {
+	upfront := mkDesign()
+	upfront.Label, upfront.Mechanism, upfront.ArbiterFee = "upfront", market.PostedPrice{P: 20}, 0
+	expost := mkDesign()
+	expost.Label, expost.Elicitation, expost.ArbiterFee = "expost", market.ElicitExPost, 0
+	expost.Mechanism = market.ExPost{Deposit: 20}
+	for _, d := range []*market.Design{upfront, expost} {
+		t.Run(d.Label, func(t *testing.T) {
+			a, want, f := chainMarket(t, d, 3)
+			if _, err := a.SubmitRequest(want, f); err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.MatchRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Transactions) != 1 {
+				t.Fatalf("transactions = %d (unsat %v)", len(res.Transactions), res.Unsatisfied)
+			}
+			tx := res.Transactions[0]
+			if tx.ExPost {
+				if _, err := a.ReportValue(tx.ID, 20, 20); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cuts := map[string]float64{"s00": 6.666666, "s01": 6.666667, "s02": 6.666667}
+			if len(tx.SellerCuts) != len(cuts) {
+				t.Fatalf("seller cuts %v, want %v", tx.SellerCuts, cuts)
+			}
+			for s, w := range cuts {
+				if ledger.FromFloat(tx.SellerCuts[s]) != ledger.FromFloat(w) || a.Ledger.Balance(s) != ledger.FromFloat(w) {
+					t.Fatalf("%s: recorded cut %v, balance %v, want %v", s, tx.SellerCuts[s], a.Ledger.Balance(s), w)
+				}
+			}
+			if tx.Price != 20 || tx.ArbiterCut != 0 || a.Ledger.Balance("buyer").Float() != 10000-20 {
+				t.Fatalf("price %v, arbiter cut %v, buyer balance %v", tx.Price, tx.ArbiterCut, a.Ledger.Balance("buyer"))
+			}
+		})
 	}
 }
 

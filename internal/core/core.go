@@ -40,11 +40,6 @@ type Options struct {
 	EpsilonCap float64
 	// Seed drives seller-side randomized mechanisms.
 	Seed int64
-	// Allocator, when non-nil, replaces the resolved design's revenue
-	// allocator (e.g. market.AdaptiveShapley installed by the gateway's
-	// -allocator-exact-max flag). The design itself is copied, never
-	// mutated, so shared registries and CustomDesign values stay intact.
-	Allocator market.Allocator
 }
 
 // Platform is a running DMMS instance. It is safe for concurrent use: the
@@ -81,11 +76,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 	}
 	if opts.EpsilonCap <= 0 {
 		opts.EpsilonCap = 4
-	}
-	if opts.Allocator != nil {
-		dd := *d
-		dd.Allocator = opts.Allocator
-		d = &dd
 	}
 	a, err := arbiter.New(d)
 	if err != nil {

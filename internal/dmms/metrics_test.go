@@ -128,9 +128,6 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		"dod_worker_panics_total",
 		"engine_price_seconds_total",
 		"market_allocator_evals_total",
-		"market_allocator_exact_total",
-		"market_allocator_sampled_total",
-		"market_allocator_escalations_total",
 		"wal_append_seconds_count",
 		"wal_fsync_seconds_bucket",
 		"wal_fsync_seconds_count",

@@ -224,16 +224,12 @@ type Stats struct {
 	// matching rounds (candidate builds, mechanism and revenue allocation).
 	// In-memory observability only, like BuildMillis.
 	PriceMillis float64 `json:"price_millis,omitempty"`
-	// Allocator counters, sampled from the market package's process-wide
-	// counters (monotone; shared across every engine in the process):
-	// characteristic-function evaluations, exact/sampled allocation runs,
-	// and exact→sampled escalations on wide mashups.
-	AllocEvals       uint64 `json:"alloc_evals,omitempty"`
-	AllocExact       uint64 `json:"alloc_exact,omitempty"`
-	AllocSampled     uint64 `json:"alloc_sampled,omitempty"`
-	AllocEscalations uint64 `json:"alloc_escalations,omitempty"`
-	LastPersisted    int    `json:"last_persisted,omitempty"`
-	PersistErr       string `json:"persist_error,omitempty"`
+	// AllocEvals counts characteristic-function evaluations, sampled from
+	// the market package's process-wide counter (monotone; shared across
+	// every engine in the process).
+	AllocEvals    uint64 `json:"alloc_evals,omitempty"`
+	LastPersisted int    `json:"last_persisted,omitempty"`
+	PersistErr    string `json:"persist_error,omitempty"`
 	// What the bounded windows (internal/retain) hold in memory right now —
 	// Events counts the whole log, EventsHeld its tail — and what left them:
 	// events read back from the WAL for cursors behind the tail, retired
@@ -521,7 +517,6 @@ func (e *Engine) Stats() Stats {
 		perr = rerr // a failed read-back is the persister failing too
 	}
 	cache := e.platform.DoDCacheStats()
-	alloc := market.AllocCounters()
 	st := e.StatsLite()
 	st.Matched, st.OpenRequests = matched, open
 	st.Policy = e.policy.Name()
@@ -530,8 +525,7 @@ func (e *Engine) Stats() Stats {
 	st.SubJoinHits = cache.SubJoinHits
 	st.BuildDeadlineExceeded = cache.DeadlineExceeded
 	st.PriceMillis = float64(e.stPriceNanos.Load()) / 1e6
-	st.AllocEvals = alloc.Evals
-	st.AllocExact, st.AllocSampled, st.AllocEscalations = alloc.ExactRuns, alloc.SampledRuns, alloc.Escalations
+	st.AllocEvals = market.AllocEvals()
 	st.LastPersisted = persisted
 	st.Uptime, st.MatchesPerSec = up, mps
 	if perr != nil {

@@ -251,21 +251,12 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 		"Cumulative wall-clock time spent in the price stage of matching rounds.",
 		func() float64 { return float64(e.stPriceNanos.Load()) / 1e9 })
 
-	// Revenue-allocator counters. These sample the market package's
-	// process-wide atomics (allocators are value types), so with several
-	// engines in one process each registry reports the same process totals.
+	// The revenue-allocator counter samples the market package's
+	// process-wide atomic (allocators are value types), so with several
+	// engines in one process each registry reports the same process total.
 	reg.NewCounterFunc("market_allocator_evals_total",
 		"Characteristic-function evaluations run by revenue allocators.",
-		func() float64 { return float64(market.AllocCounters().Evals) })
-	reg.NewCounterFunc("market_allocator_exact_total",
-		"Revenue allocations solved by exact Shapley enumeration.",
-		func() float64 { return float64(market.AllocCounters().ExactRuns) })
-	reg.NewCounterFunc("market_allocator_sampled_total",
-		"Revenue allocations solved by permutation-sampled Shapley.",
-		func() float64 { return float64(market.AllocCounters().SampledRuns) })
-	reg.NewCounterFunc("market_allocator_escalations_total",
-		"Exact-Shapley requests auto-escalated to sampling on wide mashups.",
-		func() float64 { return float64(market.AllocCounters().Escalations) })
+		func() float64 { return float64(market.AllocEvals()) })
 }
 
 // stampOpen stamps stage s now on the tickets of the given open requests

@@ -85,30 +85,29 @@ type RevenueSplit struct {
 // revenue of a sold mashup is allocated to its datasets by the design's
 // Allocator and then forwarded to each dataset's owner (see
 // RevenueFractions).
-func (d *Design) ShareRevenue(total float64, datasets []string, owners map[string]string, vf ValueFunc, ctx AllocContext) RevenueSplit {
+func (d *Design) ShareRevenue(total float64, datasets []string, owners map[string]string, vf ValueFunc) RevenueSplit {
 	if total <= 0 {
 		return RevenueSplit{SellerCut: map[string]float64{}}
 	}
-	return d.ShareFractions(total, d.RevenueFractions(datasets, owners, vf, ctx))
+	return d.ShareFractions(total, d.RevenueFractions(datasets, owners, vf))
 }
 
 // RevenueFractions computes the normalized per-owner fractions of the
 // post-fee revenue pool — the allocation step of ShareRevenue, independent
 // of the sale amount. The players are the datasets, in the order given (the
 // arbiter passes a mashup's sorted Datasets); the game is vf, or AllOf the
-// datasets when vf is nil. ctx reaches context-aware allocators through
-// AllocateWith. Ex-post settlement fixes these fractions at delivery time
-// and persists them, so the split applied when the buyer later reports is a
-// pure function of durable state. Returns nil when there are no datasets
-// (the arbiter then keeps the whole amount).
-func (d *Design) RevenueFractions(datasets []string, owners map[string]string, vf ValueFunc, ctx AllocContext) map[string]float64 {
+// datasets when vf is nil. Ex-post settlement fixes these fractions at
+// delivery time and persists them, so the split applied when the buyer later
+// reports is a pure function of durable state. Returns nil when there are no
+// datasets (the arbiter then keeps the whole amount).
+func (d *Design) RevenueFractions(datasets []string, owners map[string]string, vf ValueFunc) map[string]float64 {
 	if len(datasets) == 0 {
 		return nil
 	}
 	if vf == nil {
 		vf = AllOf(datasets)
 	}
-	weights := AllocateWith(d.Allocator, datasets, vf, ctx)
+	weights := d.Allocator.Allocate(datasets, vf)
 	var wsum float64
 	for _, w := range weights {
 		wsum += w
@@ -224,7 +223,7 @@ func StandardDesigns() *Registry {
 	must(&Design{
 		Label: "external-rsop", Goal: GoalRevenue, Type: TypeExternal,
 		Elicitation: ElicitUpfront, Mechanism: RSOP{Seed: 7},
-		Allocator: ShapleyMonteCarlo{Samples: 200, Seed: 7}, ArbiterFee: 0.05,
+		Allocator: ShapleyExact{}, ArbiterFee: 0.05,
 	})
 	must(&Design{
 		Label: "external-vickrey", Goal: GoalRevenue, Type: TypeExternal,
@@ -247,7 +246,7 @@ func StandardDesigns() *Registry {
 	must(&Design{
 		Label: "expost-audited", Goal: GoalVolume, Type: TypeExternal,
 		Elicitation: ElicitExPost, Mechanism: ExPost{Deposit: 500, AuditProb: 0.3, Penalty: 4},
-		Allocator: ShapleyMonteCarlo{Samples: 100, Seed: 11}, ArbiterFee: 0.05,
+		Allocator: ShapleyExact{}, ArbiterFee: 0.05,
 	})
 	return r
 }

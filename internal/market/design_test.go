@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -62,7 +63,7 @@ func TestStandardDesigns(t *testing.T) {
 func TestShareRevenue(t *testing.T) {
 	d := &Design{Label: "d", Mechanism: PostedPrice{P: 1}, Allocator: ShapleyExact{}, ArbiterFee: 0.1}
 	owners := map[string]string{"ds1": "seller1", "ds2": "seller2"}
-	split := d.ShareRevenue(100, []string{"ds1", "ds2"}, owners, nil, AllocContext{})
+	split := d.ShareRevenue(100, []string{"ds1", "ds2"}, owners, nil)
 	if math.Abs(split.ArbiterCut-10) > 1e-9 {
 		t.Errorf("arbiter cut = %v", split.ArbiterCut)
 	}
@@ -83,12 +84,49 @@ func TestShareRevenue(t *testing.T) {
 func TestShareRevenueZeroAndUnknownOwner(t *testing.T) {
 	datasets := []string{"ds1", "ds2"}
 	d := &Design{Label: "d", Mechanism: PostedPrice{P: 1}, Allocator: Uniform{}}
-	if s := d.ShareRevenue(0, datasets, nil, nil, AllocContext{}); len(s.SellerCut) != 0 {
+	if s := d.ShareRevenue(0, datasets, nil, nil); len(s.SellerCut) != 0 {
 		t.Error("zero revenue shares nothing")
 	}
 	// Unknown owners default to the dataset ID.
-	s := d.ShareRevenue(10, datasets, nil, nil, AllocContext{})
+	s := d.ShareRevenue(10, datasets, nil, nil)
 	if _, ok := s.SellerCut["ds1"]; !ok {
 		t.Errorf("cuts = %v", s.SellerCut)
+	}
+}
+
+// TestShareRevenue25Sources is the settlement-layer regression: a 25-source
+// mashup priced through a ShapleyExact design used to panic mid-settlement;
+// now it settles with a conserved, near-proportional split.
+func TestShareRevenue25Sources(t *testing.T) {
+	const n = 25
+	// Source i is worth i+1 on its own: an additive game.
+	var datasets []string
+	rowsOf := map[string]float64{}
+	rowID := 0
+	for i := 0; i < n; i++ {
+		ds := fmt.Sprintf("s%02d/d0", i)
+		datasets = append(datasets, ds)
+		rowsOf[ds] = float64(i + 1)
+		rowID += i + 1
+	}
+	d := &Design{
+		Label: "wide", Goal: GoalRevenue, Type: TypeExternal, Elicitation: ElicitUpfront,
+		Mechanism: PostedPrice{P: 100}, Allocator: ShapleyExact{}, ArbiterFee: 0.05,
+	}
+	split := d.ShareRevenue(100, datasets, nil, additive(rowsOf))
+	if len(split.SellerCut) != n {
+		t.Fatalf("split covers %d sellers, want %d", len(split.SellerCut), n)
+	}
+	pool := 100 * (1 - d.ArbiterFee)
+	var sum float64
+	for ds, cut := range split.SellerCut {
+		sum += cut
+		wantCut := pool * rowsOf[ds] / float64(rowID)
+		if math.Abs(cut-wantCut) > pool*0.01 {
+			t.Errorf("%s cut %.4f, want ~%.4f", ds, cut, wantCut)
+		}
+	}
+	if math.Abs(sum+split.ArbiterCut-100) > 1e-6 {
+		t.Fatalf("split does not conserve revenue: sellers %.6f + arbiter %.6f != 100", sum, split.ArbiterCut)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // ValueFunc is the characteristic function of the revenue-allocation
@@ -20,6 +21,34 @@ type Allocator interface {
 	// Allocate returns non-negative weights per player summing to ~1
 	// (all-zero when the grand coalition has no value).
 	Allocate(players []string, v ValueFunc) map[string]float64
+}
+
+// allocEvals counts the characteristic-function evaluations every allocator
+// in the process has run. Allocators are value types with no home for
+// per-instance state, so the count is process-wide; tests assert on deltas.
+var allocEvals atomic.Uint64
+
+// AllocEvals returns the process-wide count of characteristic-function
+// evaluations, exported as market_allocator_evals_total.
+func AllocEvals() uint64 { return allocEvals.Load() }
+
+// counted wraps v so that every evaluation is counted in allocEvals.
+func counted(v ValueFunc) ValueFunc {
+	return func(s map[string]bool) float64 {
+		allocEvals.Add(1)
+		return v(s)
+	}
+}
+
+// AllocContext and AllocateWith are a shim that keeps the old
+// per-settlement-seed call shape compiling for bench/probe, its one caller:
+// the seed is ignored and every split is a.Allocate(players, v). The next
+// benchmark PR moves that caller to Allocate and deletes both.
+type AllocContext struct{ Seed int64 }
+
+// AllocateWith is a.Allocate(players, v); see AllocContext.
+func AllocateWith(a Allocator, players []string, v ValueFunc, _ AllocContext) map[string]float64 {
+	return a.Allocate(players, v)
 }
 
 // coalitionOf builds the membership set for a subset bitmask.
@@ -40,31 +69,24 @@ type ShapleyExact struct{}
 
 // exactFeasibleMax is the hard enumeration bound: past 2^24 coalition values
 // the table alone is 128 MiB and the marginal sweep 24·2^24 float ops, so
-// requests beyond it auto-escalate to sampling rather than attempt (or, as
-// older versions did, panic mid-settlement).
+// wider games fall back to sampling rather than attempt it.
 const exactFeasibleMax = 24
 
 // Name implements Allocator.
 func (ShapleyExact) Name() string { return "shapley_exact" }
 
-// Allocate implements Allocator.
-func (e ShapleyExact) Allocate(players []string, v ValueFunc) map[string]float64 {
-	return e.AllocateCtx(players, v, AllocContext{})
-}
-
-// AllocateCtx implements CtxAllocator. Wide games (n > 24) never panic the
-// settlement path: they escalate to the adaptive sampled allocator, counted
-// in market_allocator_escalations_total.
-func (ShapleyExact) AllocateCtx(players []string, v ValueFunc, ctx AllocContext) map[string]float64 {
+// Allocate implements Allocator. A game wider than exactFeasibleMax falls
+// back to ShapleyMonteCarlo{}; the settle path never gets there, since a
+// mashup joins at most dod.Want.MaxDatasets datasets and the wire cannot
+// raise that bound.
+func (ShapleyExact) Allocate(players []string, v ValueFunc) map[string]float64 {
 	n := len(players)
 	if n == 0 {
 		return nil
 	}
 	if n > exactFeasibleMax {
-		allocEscalations.Add(1)
-		return AdaptiveShapley{}.AllocateCtx(players, v, ctx)
+		return ShapleyMonteCarlo{}.Allocate(players, v)
 	}
-	allocExactRuns.Add(1)
 	return exactShapley(players, counted(v))
 }
 
@@ -153,33 +175,19 @@ type ShapleyMonteCarlo struct {
 // Name implements Allocator.
 func (m ShapleyMonteCarlo) Name() string { return fmt.Sprintf("shapley_mc(%d)", m.Samples) }
 
-// Allocate implements Allocator: the legacy fixed-seed path (every call
-// samples the same permutations).
+// Allocate implements Allocator. Every call with the same Seed samples the
+// same permutations, so a split is a pure function of (players, v).
 func (m ShapleyMonteCarlo) Allocate(players []string, v ValueFunc) map[string]float64 {
-	return m.AllocateCtx(players, v, AllocContext{})
-}
-
-// AllocateCtx implements CtxAllocator: when the context carries a settlement
-// seed it is mixed into the design's base seed, so each settlement draws its
-// own permutations while replay — which re-derives the same settlement seed —
-// stays byte-identical. A zero context preserves the legacy fixed-seed
-// behavior exactly.
-func (m ShapleyMonteCarlo) AllocateCtx(players []string, v ValueFunc, ctx AllocContext) map[string]float64 {
 	n := len(players)
 	if n == 0 {
 		return nil
 	}
-	allocSampledRuns.Add(1)
 	v = counted(v)
 	samples := m.Samples
 	if samples <= 0 {
 		samples = 200
 	}
-	seed := m.Seed
-	if ctx.Seed != 0 {
-		seed = mixSeed(seed, ctx.Seed)
-	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(m.Seed))
 	phi := make([]float64, n)
 	perm := make([]int, n)
 	for i := range perm {
@@ -215,8 +223,7 @@ type LeaveOneOut struct{}
 // Name implements Allocator.
 func (LeaveOneOut) Name() string { return "leave_one_out" }
 
-// Allocate implements Allocator. It is deterministic, so it takes no
-// AllocContext.
+// Allocate implements Allocator.
 func (LeaveOneOut) Allocate(players []string, v ValueFunc) map[string]float64 {
 	n := len(players)
 	if n == 0 {

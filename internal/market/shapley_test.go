@@ -236,3 +236,36 @@ func TestPerfectSubstitutesUniformFallback(t *testing.T) {
 		}
 	}
 }
+
+func mkPlayers(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("d%02d", i)
+	}
+	return out
+}
+
+// TestExactEscalatesInsteadOfPanicking pins the settlement-crash fix: a
+// 25-player game through ShapleyExact must not panic — it falls back to
+// ShapleyMonteCarlo{} and still produces a valid near-truth split (the
+// additive game has zero sampling variance).
+func TestExactEscalatesInsteadOfPanicking(t *testing.T) {
+	players := mkPlayers(25)
+	vals := map[string]float64{}
+	truth := map[string]float64{}
+	var total float64
+	for i, p := range players {
+		vals[p] = float64(i + 1)
+		total += float64(i + 1)
+	}
+	for _, p := range players {
+		truth[p] = vals[p] / total
+	}
+	w := ShapleyExact{}.Allocate(players, additive(vals))
+	if err := ShapleyError(w, ShapleyMonteCarlo{}.Allocate(players, additive(vals))); err != 0 {
+		t.Fatalf("wide exact split differs from ShapleyMonteCarlo{} by %v", err)
+	}
+	if err := ShapleyError(w, truth); err > 1e-6 {
+		t.Fatalf("escalated additive split off by %v", err)
+	}
+}

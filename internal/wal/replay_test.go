@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ledger"
 	"repro/internal/license"
-	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/retain"
@@ -856,18 +855,13 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	t.Run("build-deadline", func(t *testing.T) {
 		crashMatrix(t, core.Options{Design: testDesign}, script(), SyncEpoch, false, 2*time.Second)
 	})
-	// The sampled-pricing variant: every engine in the matrix (baseline,
-	// crashed, rebooted) prices through the permutation-sampled allocator
-	// (ExactMax 1 forces sampling even for 2-player games) over the
-	// joinScript workload, whose settlements all split revenue across
-	// 2-source joined mashups. Byte-identical fingerprints — the snapshot
-	// embeds every settlement's SellerCuts — prove the sampler's
-	// settlement-identity seeding replays exactly through crashes, reboots
-	// and re-driven epochs.
-	t.Run("sampled-pricing", func(t *testing.T) {
-		opts := core.Options{Design: testDesign,
-			Allocator: market.AdaptiveShapley{ExactMax: 1, TargetErr: 0.02}}
-		crashMatrix(t, opts, joinScript(), SyncEpoch, false, 0)
+	// The join variant: the joinScript workload, whose settlements all
+	// split revenue across 2-source joined mashups. Byte-identical
+	// fingerprints — the snapshot embeds every settlement's SellerCuts —
+	// prove multi-seller splits replay exactly through crashes, reboots and
+	// re-driven epochs.
+	t.Run("join", func(t *testing.T) {
+		crashMatrix(t, core.Options{Design: testDesign}, joinScript(), SyncEpoch, false, 0)
 	})
 	// The churn variants: the uninterrupted baseline carries its cached
 	// candidate sets across every share that cannot influence them, while

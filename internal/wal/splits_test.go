@@ -40,8 +40,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // TestSplitsArePinned pins every standard design's revenue splits on the
 // scripts whose settlements pay several sellers. The literals are today's
-// figures: a change to the coalition game, the allocators or the seeding
-// that moves any split must re-pin them here, in the open.
+// figures: a change to the coalition game or the allocators that moves any
+// split must re-pin them here, in the open.
 func TestSplitsArePinned(t *testing.T) {
 	scripts := map[string]func() [][]op{"join": joinScript, "churn": churnScript}
 	for _, design := range market.StandardDesigns().Labels() {
@@ -71,32 +71,32 @@ func TestSplitsArePinned(t *testing.T) {
 
 var pinnedSplits = map[string][]string{
 	"expost-audited/churn": {
-		"tx-0002 b1 price=150 arbiter=0 cuts: expost: s1=0.44 s2=0.56",
-		"tx-0005 b2 price=120 arbiter=0 cuts: expost: s1=0.51 s2=0.49",
-		"tx-0007 b1 price=130 arbiter=0 cuts: expost: s1=0.46 s2=0.54",
-		"tx-0009 b2 price=140 arbiter=0 cuts: expost: s2=0.49 s3=0.51",
-		"tx-0012 b4 price=80 arbiter=0 cuts: expost: s2=0.55 s3=0.45",
-		"tx-0013 b1 price=200 arbiter=0 cuts: expost: s2=0.43 s3=0.57",
+		"tx-0002 b1 price=150 arbiter=0 cuts: expost: s1=0.5 s2=0.5",
+		"tx-0005 b2 price=120 arbiter=0 cuts: expost: s1=0.5 s2=0.5",
+		"tx-0007 b1 price=130 arbiter=0 cuts: expost: s1=0.5 s2=0.5",
+		"tx-0009 b2 price=140 arbiter=0 cuts: expost: s2=0.5 s3=0.5",
+		"tx-0012 b4 price=80 arbiter=0 cuts: expost: s2=0.5 s3=0.5",
+		"tx-0013 b1 price=200 arbiter=0 cuts: expost: s2=0.5 s3=0.5",
 	},
 	"expost-audited/join": {
-		"tx-0002 b1 price=150 arbiter=0 cuts: expost: s1=0.44 s2=0.56",
-		"tx-0005 b2 price=120 arbiter=0 cuts: expost: s1=0.51 s2=0.49",
-		"tx-0008 b4 price=80 arbiter=0 cuts: expost: s2=0.53 s3=0.47",
-		"tx-0009 b1 price=200 arbiter=0 cuts: expost: s2=0.49 s3=0.51",
+		"tx-0002 b1 price=150 arbiter=0 cuts: expost: s1=0.5 s2=0.5",
+		"tx-0005 b2 price=120 arbiter=0 cuts: expost: s1=0.5 s2=0.5",
+		"tx-0008 b4 price=80 arbiter=0 cuts: expost: s2=0.5 s3=0.5",
+		"tx-0009 b1 price=200 arbiter=0 cuts: expost: s2=0.5 s3=0.5",
 	},
 	"external-rsop/churn": {
-		"tx-0002 b1 price=150 arbiter=7.5 cuts: s1=66.975 s2=75.525 expost:",
-		"tx-0005 b2 price=120 arbiter=6 cuts: s1=56.43 s2=57.57 expost:",
-		"tx-0007 b1 price=130 arbiter=6.5 cuts: s1=53.105 s2=70.395 expost:",
-		"tx-0009 b2 price=140 arbiter=7 cuts: s2=65.17 s3=67.83 expost:",
-		"tx-0012 b1 price=80 arbiter=4 cuts: s2=39.14 s3=36.86 expost:",
-		"tx-0013 b4 price=80 arbiter=4 cuts: s2=44.08 s3=31.92 expost:",
+		"tx-0002 b1 price=150 arbiter=7.5 cuts: s1=71.25 s2=71.25 expost:",
+		"tx-0005 b2 price=120 arbiter=6 cuts: s1=57 s2=57 expost:",
+		"tx-0007 b1 price=130 arbiter=6.5 cuts: s1=61.75 s2=61.75 expost:",
+		"tx-0009 b2 price=140 arbiter=7 cuts: s2=66.5 s3=66.5 expost:",
+		"tx-0012 b1 price=80 arbiter=4 cuts: s2=38 s3=38 expost:",
+		"tx-0013 b4 price=80 arbiter=4 cuts: s2=38 s3=38 expost:",
 	},
 	"external-rsop/join": {
-		"tx-0002 b1 price=150 arbiter=7.5 cuts: s1=66.975 s2=75.525 expost:",
-		"tx-0005 b2 price=120 arbiter=6 cuts: s1=56.43 s2=57.57 expost:",
-		"tx-0008 b1 price=80 arbiter=4 cuts: s2=41.8 s3=34.2 expost:",
-		"tx-0009 b4 price=80 arbiter=4 cuts: s2=37.24 s3=38.76 expost:",
+		"tx-0002 b1 price=150 arbiter=7.5 cuts: s1=71.25 s2=71.25 expost:",
+		"tx-0005 b2 price=120 arbiter=6 cuts: s1=57 s2=57 expost:",
+		"tx-0008 b1 price=80 arbiter=4 cuts: s2=38 s3=38 expost:",
+		"tx-0009 b4 price=80 arbiter=4 cuts: s2=38 s3=38 expost:",
 	},
 	"external-vickrey/churn": {
 		"tx-0002 b1 price=0 arbiter=0 cuts: expost:",
