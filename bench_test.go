@@ -1,12 +1,12 @@
-// Package repro's root benchmarks regenerate every experiment in DESIGN.md's
-// per-experiment index (E1–E12): run
+// Package repro's root benchmarks regenerate the experiments of
+// internal/experiments: run
 //
 //	go test -bench=. -benchmem
 //
 // Each BenchmarkE* wraps the corresponding experiments.E* harness (the same
 // code cmd/dmbench prints tables from), so `-bench` measures the cost of
-// regenerating each table. The Ablation* benchmarks cover the design choices
-// DESIGN.md calls out: hash vs nested-loop join, LSH vs exhaustive column
+// regenerating each table. The Ablation* benchmarks cover three design
+// choices: hash vs nested-loop join, LSH vs exhaustive column
 // matching, and Monte-Carlo Shapley sample counts.
 package repro
 
@@ -153,7 +153,7 @@ func BenchmarkE10Negotiation(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md "design choices called out") -------------
+// --- ablation benches ------------------------------------------------------
 
 func mkJoinInputs(n int) (*relation.Relation, *relation.Relation) {
 	l := relation.New("l", relation.NewSchema(

@@ -1,6 +1,6 @@
-// Command dmbench regenerates every experiment table from DESIGN.md's
-// per-experiment index (E1–E14) in one run and prints them in the format
-// recorded in EXPERIMENTS.md.
+// Command dmbench regenerates every experiment table (E1–E14) in one run
+// and prints them. Each experiment is one function in internal/experiments,
+// whose doc comment names the paper section or claim it reproduces.
 //
 // Usage:
 //

@@ -226,29 +226,6 @@ func TestMappingFromRelation(t *testing.T) {
 	}
 }
 
-func TestInferTransformPrefersAffine(t *testing.T) {
-	from := []relation.Value{relation.Float(0), relation.Float(10), relation.Float(20)}
-	to := []relation.Value{relation.Float(32), relation.Float(50), relation.Float(68)}
-	tr, err := InferTransform("t", from, to, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Affine generalizes beyond examples; a mapping table would return NULL.
-	if got := tr.Fn(relation.Float(100)); got.IsNull() || math.Abs(got.AsFloat()-212) > 1e-6 {
-		t.Errorf("generalization = %v, want 212 (affine)", got)
-	}
-	// Non-numeric falls back to mapping.
-	sf := []relation.Value{relation.String_("a")}
-	st := []relation.Value{relation.String_("b")}
-	tr2, err := InferTransform("t2", sf, st, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Fn(relation.String_("a")).AsString() != "b" {
-		t.Error("mapping fallback failed")
-	}
-}
-
 func TestPlanTransparency(t *testing.T) {
 	_, eng := paperScenario(t)
 	cands, err := eng.Build(Want{Columns: []string{"a", "b"}})

@@ -125,27 +125,3 @@ func MappingFromRelation(name string, table *relation.Relation, fromCol, toCol s
 	}
 	return InferMapping(name, from, to)
 }
-
-// InferTransform tries affine inference first (for numeric pairs with good
-// fit) and falls back to a mapping table. minR2 gates the affine accept.
-func InferTransform(name string, from, to []relation.Value, minR2 float64) (*Transform, error) {
-	numeric := len(from) >= 2
-	for i := range from {
-		if !from[i].IsNumeric() || i >= len(to) || !to[i].IsNumeric() {
-			numeric = false
-			break
-		}
-	}
-	if numeric {
-		xs := make([]float64, len(from))
-		ys := make([]float64, len(to))
-		for i := range from {
-			xs[i] = from[i].AsFloat()
-			ys[i] = to[i].AsFloat()
-		}
-		if t, r2, err := InferAffine(name, xs, ys); err == nil && r2 >= minR2 {
-			return t, nil
-		}
-	}
-	return InferMapping(name, from, to)
-}

@@ -1,10 +1,8 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment in DESIGN.md's per-experiment index (E1–E12), each derived from
-// the paper's evaluation plan (§6) or a concrete claim in the text. Every
-// function is deterministic and returns a formatted table; cmd/dmbench
-// prints them all and bench_test.go wraps them in testing.B benchmarks.
-// EXPERIMENTS.md records the expected shape of each table next to the
-// paper's qualitative claim.
+// experiment (E1–E14), each derived from the paper's evaluation plan (§6) or
+// a concrete claim in the text. Every function is deterministic and returns
+// a formatted table; cmd/dmbench prints them all and bench_test.go wraps
+// them in testing.B benchmarks.
 package experiments
 
 import (

@@ -18,7 +18,7 @@ import (
 
 // E6MashupBuilder measures metadata-engine + index-builder + DoD runtime as
 // the data lake grows (§5: Aurum-style discovery at thousands of datasets),
-// including the LSH-vs-exhaustive ablation from DESIGN.md.
+// including the LSH-vs-exhaustive ablation.
 func E6MashupBuilder(seed int64) Table {
 	t := Table{ID: "E6", Title: "mashup builder scaling: profile, index (LSH vs exhaustive), DoD search"}
 	for _, n := range []int{10, 50, 100, 250} {

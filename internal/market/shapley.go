@@ -267,32 +267,6 @@ func (Uniform) Allocate(players []string, v ValueFunc) map[string]float64 {
 	return out
 }
 
-// inCoreMax is the largest player count InCore will enumerate (2^20
-// coalitions).
-const inCoreMax = 20
-
-// InCore checks whether an allocation of `total` by `weights` lies in the
-// core of the game: no coalition S gets less than v(S) (paper §8.2 cites the
-// core as an alternative to Shapley). Exponential — use for n ≤ 20; beyond
-// that it returns an error rather than panicking from library code.
-func InCore(players []string, v ValueFunc, weights map[string]float64, total float64) (bool, error) {
-	n := len(players)
-	if n > inCoreMax {
-		return false, fmt.Errorf("market: core check with %d players is infeasible (max %d)", n, inCoreMax)
-	}
-	for mask := uint(1); mask < 1<<uint(n); mask++ {
-		s := coalitionOf(players, mask)
-		var got float64
-		for p := range s {
-			got += weights[p] * total
-		}
-		if got < v(s)-1e-9 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // ShapleyError measures the L1 distance between two weight maps — used by
 // E5 to quantify Monte-Carlo approximation error.
 func ShapleyError(a, b map[string]float64) float64 {

@@ -114,48 +114,6 @@ func TestWeightsSumToOne(t *testing.T) {
 	}
 }
 
-func TestInCore(t *testing.T) {
-	players := []string{"a", "b"}
-	v := func(s map[string]bool) float64 {
-		if len(s) == 2 {
-			return 100
-		}
-		if s["a"] {
-			return 80
-		}
-		return 0
-	}
-	// a must get >= 80 of the 100 for core stability.
-	inCore := map[string]float64{"a": 0.9, "b": 0.1}
-	ok, err := InCore(players, v, inCore, 100)
-	if err != nil {
-		t.Fatalf("InCore: %v", err)
-	}
-	if !ok {
-		t.Error("0.9/0.1 split should be in core")
-	}
-	ok, err = InCore(players, v, notCoreSplit, 100)
-	if err != nil {
-		t.Fatalf("InCore: %v", err)
-	}
-	if ok {
-		t.Error("0.5/0.5 split violates a's claim of 80")
-	}
-}
-
-var notCoreSplit = map[string]float64{"a": 0.5, "b": 0.5}
-
-func TestInCoreInfeasibleReturnsError(t *testing.T) {
-	players := make([]string, 21)
-	for i := range players {
-		players[i] = fmt.Sprintf("p%02d", i)
-	}
-	v := func(s map[string]bool) float64 { return float64(len(s)) }
-	if _, err := InCore(players, v, map[string]float64{}, 100); err == nil {
-		t.Fatal("expected an error beyond 20 players, got nil")
-	}
-}
-
 // TestRowCountValue: a mashup's row-count game, the share of its rows a
 // coalition can still build, is AllOf its datasets. Every row of an
 // inner-join mashup needs one row of each dataset, so the game is worth 1

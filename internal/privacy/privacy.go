@@ -1,18 +1,16 @@
 // Package privacy provides the statistical-database-privacy toolkit of the
 // Seller Management Platform (paper §4.2): sellers who fear leaking PII run
 // their datasets through these mechanisms before sharing with the arbiter.
-// It implements the Laplace mechanism for numeric columns, randomized
-// response for categorical columns, k-anonymity-style generalization for
-// quasi-identifiers, and an epsilon budget accountant, so the platform can
-// reason about the privacy-value tradeoff (paper §8.2 "Privacy-Value
-// Connection", experiment E7).
+// It implements the Laplace mechanism for numeric columns, k-anonymity-style
+// generalization for quasi-identifiers, and an epsilon budget accountant, so
+// the platform can reason about the privacy-value tradeoff (paper §8.2
+// "Privacy-Value Connection", experiment E7).
 package privacy
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/relation"
 )
@@ -80,53 +78,6 @@ func LaplaceColumn(r *relation.Relation, col string, eps, sensitivity float64, r
 	})
 }
 
-// RandomizedResponse flips each value of a categorical column to a uniformly
-// random value from the column's domain with probability p = 2/(1+e^eps),
-// the standard generalized-randomized-response rate for eps-DP over a binary
-// report, extended to the observed domain.
-func RandomizedResponse(r *relation.Relation, col string, eps float64, rng *rand.Rand) (*relation.Relation, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("privacy: epsilon must be positive, got %g", eps)
-	}
-	ci := r.Schema.IndexOf(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("privacy: no column %q", col)
-	}
-	// Collect domain.
-	domSet := map[string]relation.Value{}
-	for _, row := range r.Rows {
-		if !row[ci].IsNull() {
-			domSet[row[ci].Key()] = row[ci]
-		}
-	}
-	keys := make([]string, 0, len(domSet))
-	for k := range domSet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	domain := make([]relation.Value, len(keys))
-	for i, k := range keys {
-		domain[i] = domSet[k]
-	}
-	if len(domain) == 0 {
-		return r.Clone(), nil
-	}
-	pFlip := 2 / (1 + math.Exp(eps))
-	if pFlip > 1 {
-		pFlip = 1
-	}
-	out := r.Clone()
-	for _, row := range out.Rows {
-		if row[ci].IsNull() {
-			continue
-		}
-		if rng.Float64() < pFlip {
-			row[ci] = domain[rng.Intn(len(domain))]
-		}
-	}
-	return out, nil
-}
-
 // GeneralizeNumeric buckets a numeric quasi-identifier into ranges of the
 // given width, replacing each value with its bucket midpoint. Combined with
 // SuppressRare this yields a k-anonymity-style release.
@@ -170,29 +121,6 @@ func SuppressRare(r *relation.Relation, quasi []string, k int) (*relation.Relati
 	out, _ := relation.Materialize(it)
 	out.Name = r.Name + "_kanon"
 	return out, nil
-}
-
-// IsKAnonymous verifies the k-anonymity property over the quasi columns.
-func IsKAnonymous(r *relation.Relation, quasi []string, k int) (bool, error) {
-	idx := make([]int, len(quasi))
-	for i, q := range quasi {
-		idx[i] = r.Schema.IndexOf(q)
-		if idx[i] < 0 {
-			return false, fmt.Errorf("privacy: no column %q", q)
-		}
-	}
-	var buf []byte
-	counts := map[string]int{}
-	for _, row := range r.Rows {
-		buf = relation.AppendRowKey(buf[:0], row, idx)
-		counts[string(buf)]++
-	}
-	for _, n := range counts {
-		if n < k {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // DropColumns removes outright-identifying columns (names, SSNs) before

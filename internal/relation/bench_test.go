@@ -29,36 +29,6 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupBy(b *testing.B) {
-	r := mkBenchRel(10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := GroupBy(r, []string{"cat"}, []Agg{
-			{Kind: AggCount, As: "n"}, {Kind: AggAvg, Col: "v", As: "m"},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDistinct(b *testing.B) {
-	r := mkBenchRel(10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Distinct(r)
-	}
-}
-
-func BenchmarkSortBy(b *testing.B) {
-	r := mkBenchRel(10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SortBy(r, false, "cat", "v"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCSVRoundTrip(b *testing.B) {
 	r := mkBenchRel(1000)
 	b.ReportAllocs()
@@ -152,8 +122,8 @@ func BenchmarkJoinProjectEager(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinProjectPlanned runs the same query through the planner, which
-// prunes the join inputs to the needed columns before the hash table is built.
+// BenchmarkJoinProjectPlanned runs the same query as one Plan: the join
+// streams into the projection, and only the projected rows materialize.
 func BenchmarkJoinProjectPlanned(b *testing.B) {
 	l, r := mkBenchRel(5000), mkBenchRel(5000)
 	b.ReportAllocs()

@@ -84,9 +84,11 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	return r, nil
 }
 
-// ReadCSVInferred parses plain CSV (single header row), inferring kinds from
-// the first data row. Sellers pointing the platform at raw files use this
-// path (paper §4.2 Data Packaging).
+// ReadCSVInferred parses plain CSV (single header row). A column takes the
+// kind of its first non-empty cell, or string if any later cell does not
+// parse as that kind; every row is then parsed against that one schema.
+// Sellers pointing the platform at raw files use this path (paper §4.2 Data
+// Packaging).
 func ReadCSVInferred(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	header, err := cr.Read()
@@ -106,15 +108,7 @@ func ReadCSVInferred(name string, rd io.Reader) (*Relation, error) {
 	}
 	schema := make(Schema, len(header))
 	for i, h := range header {
-		kind := KindString
-		for _, rec := range rows {
-			if rec[i] == "" {
-				continue
-			}
-			kind = InferValue(rec[i]).Kind()
-			break
-		}
-		schema[i] = Column{Name: h, Kind: kind}
+		schema[i] = Column{Name: h, Kind: inferColumnKind(rows, i)}
 	}
 	r := New(name, schema)
 	for _, rec := range rows {
@@ -122,14 +116,10 @@ func ReadCSVInferred(name string, rd io.Reader) (*Relation, error) {
 		for i, s := range rec {
 			v, err := ParseValue(schema[i].Kind, s)
 			if err != nil {
-				// Fall back to string when later rows contradict the
-				// inferred kind.
-				v = String_(s)
-				r.Schema[i].Kind = KindString
+				return nil, err
 			}
 			row[i] = v
 		}
-		row = coerceRow(r.Schema, row)
 		if err := r.Append(row); err != nil {
 			return nil, err
 		}
@@ -137,16 +127,26 @@ func ReadCSVInferred(name string, rd io.Reader) (*Relation, error) {
 	return r, nil
 }
 
-func coerceRow(schema Schema, row []Value) []Value {
-	for i, v := range row {
-		if v.IsNull() {
+// inferColumnKind is the kind InferValue gives column i's first non-empty
+// cell, or string when a later cell does not parse as that kind (or every
+// cell is empty).
+func inferColumnKind(rows [][]string, i int) Kind {
+	kind := KindNull
+	for _, rec := range rows {
+		s := rec[i]
+		if s == "" {
 			continue
 		}
-		if schema[i].Kind == KindString && v.Kind() != KindString {
-			row[i] = String_(v.String())
+		if kind == KindNull {
+			kind = InferValue(s).Kind()
+		} else if _, err := ParseValue(kind, s); err != nil {
+			return KindString
 		}
 	}
-	return row
+	if kind == KindNull {
+		return KindString
+	}
+	return kind
 }
 
 // jsonRelation is the wire form used by MarshalJSON.

@@ -14,9 +14,8 @@
 // assembled from NewScan/NewSelect/NewProject/NewHashJoin/... and drained by
 // Materialize, which preserves row order and enforces the maxJoinRows guard,
 // so results are byte-identical to the historical eager operators — those
-// remain available as thin Materialize(op(...)) wrappers. Plan adds a small
-// optimizer on top that pushes filters and column pruning below joins
-// without changing output rows, order, or naming.
+// remain available as thin Materialize(op(...)) wrappers. Plan composes
+// scans, joins and projections into one such pipeline.
 //
 // # Ownership and retention rules for rows flowing through iterators
 //

@@ -69,14 +69,27 @@ func FuzzIterOps(f *testing.F) {
 			}
 			mustSameRel(t, "Limit", Limit(r, nn), legacyLimit(r, nn))
 		case 3:
-			mustSameRel(t, "Distinct", Distinct(r), legacyDistinct(r))
+			if len(r.Schema) == 0 {
+				return
+			}
+			name := r.Schema[0].Name
+			got, gerr := Rename(r, name, name+"_renamed")
+			want, werr := legacyRename(r, name, name+"_renamed")
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("Rename err mismatch: %v vs %v", gerr, werr)
+			}
+			if gerr == nil {
+				mustSameRel(t, "Rename", got, want)
+			}
 		case 4:
-			got, gerr := Union(r, r)
+			it, gerr := NewUnion(NewScan(r), NewScan(r))
 			want, werr := legacyUnion(r, r)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("Union err mismatch: %v vs %v", gerr, werr)
 			}
 			if gerr == nil {
+				got, _ := Materialize(it)
+				got.Name = want.Name
 				mustSameRel(t, "Union", got, want)
 			}
 		case 5:

@@ -5,28 +5,15 @@ package relation
 // so the separator is unambiguous.
 const rowKeySep = 0x1f
 
-// AppendRowKey appends a canonical composite key for row to dst and returns
-// the extended slice. When idx is nil every cell participates, in schema
-// order; otherwise only the cells at the given indexes do, in the given
-// order. The encoding is each cell's Value.Key followed by a 0x1f separator —
-// identical for equal rows regardless of how the key was built, so Distinct,
-// the hash joins, group-by, and the DoD sub-join memo can share one encoder.
+// AppendRowKey appends a canonical composite key over the cells of row at
+// the given indexes, in the given order, to dst and returns the extended
+// slice. The encoding is each cell's Value.Key followed by a 0x1f separator —
+// identical for equal rows regardless of how the key was built, so the hash
+// join and privacy's k-anonymity grouping share one encoder.
 func AppendRowKey(dst []byte, row []Value, idx []int) []byte {
-	if idx == nil {
-		for _, v := range row {
-			dst = v.AppendKey(dst)
-			dst = append(dst, rowKeySep)
-		}
-		return dst
-	}
 	for _, i := range idx {
 		dst = row[i].AppendKey(dst)
 		dst = append(dst, rowKeySep)
 	}
 	return dst
-}
-
-// RowKey returns the canonical composite key over all cells of row.
-func RowKey(row []Value) string {
-	return string(AppendRowKey(nil, row, nil))
 }

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Predicate decides whether a row qualifies. The row slice must not be
 // retained.
@@ -19,14 +16,6 @@ func Select(r *Relation, pred Predicate) *Relation {
 	out, _ := Materialize(NewSelect(NewScan(r), pred))
 	out.Name = r.Name + "_sel"
 	return out
-}
-
-// ColEquals builds a predicate matching rows whose named column equals v.
-func ColEquals(name string, v Value) Predicate {
-	return func(row []Value, schema Schema) bool {
-		i := schema.IndexOf(name)
-		return i >= 0 && row[i].Equal(v)
-	}
 }
 
 // Project returns r restricted to the named columns, in order.
@@ -56,48 +45,6 @@ func Rename(r *Relation, old, new string) (*Relation, error) {
 	return out, nil
 }
 
-// Distinct removes duplicate rows (by canonical key), keeping first
-// occurrences.
-func Distinct(r *Relation) *Relation {
-	out := New(r.Name+"_dist", r.Schema)
-	seen := make(map[string]bool, len(r.Rows))
-	var buf []byte
-	for _, row := range r.Rows {
-		buf = AppendRowKey(buf[:0], row, nil)
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
-// SortBy stably sorts r by the named columns ascending. desc flips the order.
-func SortBy(r *Relation, desc bool, names ...string) (*Relation, error) {
-	idx := make([]int, len(names))
-	for i, n := range names {
-		k := r.Schema.IndexOf(n)
-		if k < 0 {
-			return nil, fmt.Errorf("relation %q: no column %q", r.Name, n)
-		}
-		idx[i] = k
-	}
-	out := r.Clone()
-	sort.SliceStable(out.Rows, func(a, b int) bool {
-		for _, k := range idx {
-			c := out.Rows[a][k].Compare(out.Rows[b][k])
-			if c != 0 {
-				if desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	return out, nil
-}
-
 // Limit returns the first n rows of r. The result owns its own row slice
 // (historically it sliced the source's backing array, so appending through
 // the result could clobber the source's later rows).
@@ -105,17 +52,6 @@ func Limit(r *Relation, n int) *Relation {
 	out, _ := Materialize(NewLimit(NewScan(r), n))
 	out.Name = r.Name + "_lim"
 	return out
-}
-
-// Union appends the rows of b to a. Schemas must be equal.
-func Union(a, b *Relation) (*Relation, error) {
-	it, err := NewUnion(NewScan(a), NewScan(b))
-	if err != nil {
-		return nil, err
-	}
-	out, _ := Materialize(it)
-	out.Name = a.Name + "_union"
-	return out, nil
 }
 
 // JoinPair names the join columns on each side of a join.
@@ -145,8 +81,8 @@ func HashJoin(l, r *Relation, on ...JoinPair) (*Relation, error) {
 // the DoD engine drops the candidate plan.
 const maxJoinRows = 4_000_000
 
-// NestedLoopJoin is the O(n·m) baseline join, kept for the ablation bench
-// (DESIGN.md "hash join vs nested loop").
+// NestedLoopJoin is the O(n·m) baseline join: HashJoin's reference
+// implementation in the equivalence tests and the join ablation benchmark.
 func NestedLoopJoin(l, r *Relation, on ...JoinPair) (*Relation, error) {
 	layout, err := NewJoinLayout(l.Name, l.Schema, r.Name, r.Schema, on...)
 	if err != nil {
@@ -178,47 +114,6 @@ func NestedLoopJoin(l, r *Relation, on ...JoinPair) (*Relation, error) {
 		}
 	}
 	return out, nil
-}
-
-// LeftOuterJoin keeps unmatched left rows, filling right columns with NULL.
-func LeftOuterJoin(l, r *Relation, on ...JoinPair) (*Relation, error) {
-	inner, err := HashJoin(l, r, on...)
-	if err != nil {
-		return nil, err
-	}
-	li := make([]int, len(on))
-	ri := make([]int, len(on))
-	for k, p := range on {
-		li[k] = l.Schema.IndexOf(p.Left)
-		ri[k] = r.Schema.IndexOf(p.Right)
-	}
-	matched := make(map[string]bool, len(r.Rows))
-	var buf []byte
-	for _, row := range r.Rows {
-		if nullAt(row, ri) {
-			continue
-		}
-		buf = AppendRowKey(buf[:0], row, ri)
-		matched[string(buf)] = true
-	}
-	nRight := len(inner.Schema) - len(l.Schema)
-	for _, lrow := range l.Rows {
-		// Null-keyed left rows never matched, so they always fall through
-		// to the null-padded emit below.
-		if !nullAt(lrow, li) {
-			buf = AppendRowKey(buf[:0], lrow, li)
-			if matched[string(buf)] {
-				continue
-			}
-		}
-		nr := make([]Value, 0, len(inner.Schema))
-		nr = append(nr, lrow...)
-		for i := 0; i < nRight; i++ {
-			nr = append(nr, Null())
-		}
-		inner.Rows = append(inner.Rows, nr)
-	}
-	return inner, nil
 }
 
 // Map applies fn to the named column, returning a new relation with the

@@ -1,21 +1,10 @@
 package relation
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Plan is a small logical query plan over relations. Consumers build one
-// with ScanPlan/Where/Project/Join/Limit, then Run it: Optimize pushes
-// filters and projections below joins (so joins build and probe fewer,
-// narrower rows) and the optimized tree executes as a streaming Iter
-// pipeline. Optimization never changes the result: output rows, order, and
-// column naming are identical to the unoptimized plan.
-//
-// Where takes the names of the columns its predicate reads; the predicate
-// must resolve those columns through the schema it is handed (as Predicate's
-// contract already requires) and read nothing else. Passing no names marks
-// the predicate opaque, which pins it in place.
+// with ScanPlan/Join/Project, then Run it as a streaming Iter pipeline with
+// one materialization at the end.
 type Plan struct {
 	root *planNode
 }
@@ -24,32 +13,21 @@ type pKind uint8
 
 const (
 	pScan pKind = iota
-	pFilter
 	pProject
 	pJoin
-	pLimit
 )
 
 type planNode struct {
 	kind        pKind
 	rel         *Relation  // pScan
-	pred        Predicate  // pFilter
-	cols        []string   // pFilter: columns pred reads ("" = opaque)
 	names       []string   // pProject
 	on          []JoinPair // pJoin
-	n           int        // pLimit
 	left, right *planNode
 }
 
 // ScanPlan starts a plan from a base relation.
 func ScanPlan(r *Relation) *Plan {
 	return &Plan{root: &planNode{kind: pScan, rel: r}}
-}
-
-// Where filters rows by pred. cols names the columns pred reads; naming them
-// lets Optimize push the filter below projections and into join inputs.
-func (p *Plan) Where(pred Predicate, cols ...string) *Plan {
-	return &Plan{root: &planNode{kind: pFilter, pred: pred, cols: cols, left: p.root}}
 }
 
 // Project keeps the named columns, in order.
@@ -61,11 +39,6 @@ func (p *Plan) Project(names ...string) *Plan {
 // same naming rules as HashJoin.
 func (p *Plan) Join(right *Plan, on ...JoinPair) *Plan {
 	return &Plan{root: &planNode{kind: pJoin, on: on, left: p.root, right: right.root}}
-}
-
-// Limit keeps the first n rows.
-func (p *Plan) Limit(n int) *Plan {
-	return &Plan{root: &planNode{kind: pLimit, n: n, left: p.root}}
 }
 
 // displayName mirrors the eager API's result naming: joins concatenate their
@@ -81,341 +54,19 @@ func (n *planNode) displayName() string {
 	}
 }
 
-func (n *planNode) schema() (Schema, error) {
-	switch n.kind {
-	case pScan:
-		return n.rel.Schema, nil
-	case pFilter, pLimit:
-		return n.left.schema()
-	case pProject:
-		s, err := n.left.schema()
-		if err != nil {
-			return nil, err
-		}
-		return s.Project(n.names...)
-	case pJoin:
-		ls, err := n.left.schema()
-		if err != nil {
-			return nil, err
-		}
-		rs, err := n.right.schema()
-		if err != nil {
-			return nil, err
-		}
-		layout, err := NewJoinLayout(n.left.displayName(), ls, n.right.displayName(), rs, n.on...)
-		if err != nil {
-			return nil, err
-		}
-		return layout.Schema, nil
-	}
-	return nil, fmt.Errorf("relation: plan: unknown node kind %d", n.kind)
-}
-
-func (n *planNode) clone() *planNode {
-	c := *n
-	if n.left != nil {
-		c.left = n.left.clone()
-	}
-	if n.right != nil {
-		c.right = n.right.clone()
-	}
-	return &c
-}
-
-// Optimize returns an equivalent plan with filters pushed below projections
-// and into join inputs, and join inputs pruned to the columns the rest of
-// the plan needs. Both rewrites are simulation-checked: a rewrite that could
-// change output naming (the "_r" collision suffixes depend on which columns
-// survive) is skipped, so the optimized plan is always result-identical.
-func (p *Plan) Optimize() *Plan {
-	root := p.root.clone()
-	for pass := 0; pass < 4; pass++ {
-		changed := false
-		root = pushFilters(root, &changed)
-		root = pruneJoinInputs(root, &changed)
-		if !changed {
-			break
-		}
-	}
-	return &Plan{root: root}
-}
-
-func colsIn(cols []string, s Schema) bool {
-	for _, c := range cols {
-		if !s.Has(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// pushFilters moves each filter with known column reads down through
-// projections and into the side of a join that owns all its columns.
-func pushFilters(n *planNode, changed *bool) *planNode {
-	if n == nil {
-		return nil
-	}
-	n.left = pushFilters(n.left, changed)
-	n.right = pushFilters(n.right, changed)
-	if n.kind != pFilter || len(n.cols) == 0 {
-		return n
-	}
-	child := n.left
-	switch child.kind {
-	case pProject:
-		// filter(project(x)) → project(filter(x)): projection neither
-		// renames nor reorders the columns the filter reads.
-		below, err := child.left.schema()
-		if err != nil || !colsIn(n.cols, below) {
-			return n
-		}
-		n.left = child.left
-		child.left = n
-		*changed = true
-		return child
-	case pJoin:
-		ls, lerr := child.left.schema()
-		rs, rerr := child.right.schema()
-		if lerr != nil || rerr != nil {
-			return n
-		}
-		layout, err := NewJoinLayout(child.left.displayName(), ls, child.right.displayName(), rs, child.on...)
-		if err != nil {
-			return n
-		}
-		if colsIn(n.cols, ls) {
-			// Left columns keep their names and win name lookups over
-			// suffixed right columns, so the filter reads the same values
-			// below the join.
-			child.left = &planNode{kind: pFilter, pred: n.pred, cols: n.cols, left: child.left}
-			*changed = true
-			return child
-		}
-		if filterReadsUnsuffixedRight(n.cols, ls, rs, layout) {
-			child.right = &planNode{kind: pFilter, pred: n.pred, cols: n.cols, left: child.right}
-			*changed = true
-			return child
-		}
-	}
-	return n
-}
-
-// filterReadsUnsuffixedRight reports whether every filter column is a kept
-// right column whose output name survived collision suffixing unchanged —
-// only then does the column resolve to the same values below the join.
-func filterReadsUnsuffixedRight(cols []string, ls, rs Schema, layout JoinLayout) bool {
-	for _, c := range cols {
-		ok := false
-		for p, j := range layout.RightKeep {
-			if rs[j].Name == c && layout.Schema[len(ls)+p].Name == c {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// pruneJoinInputs narrows a join's inputs to the columns needed by the
-// projection above it (plus any filter reads in between and the join columns
-// themselves), inserting projections under the join. The rewrite is applied
-// only when a re-derived JoinLayout proves every needed output column keeps
-// its name and source column.
-func pruneJoinInputs(n *planNode, changed *bool) *planNode {
-	if n == nil {
-		return nil
-	}
-	n.left = pruneJoinInputs(n.left, changed)
-	n.right = pruneJoinInputs(n.right, changed)
-	if n.kind != pProject {
-		return n
-	}
-	needed := map[string]bool{}
-	for _, nm := range n.names {
-		needed[nm] = true
-	}
-	cur := n.left
-	for cur != nil && cur.kind == pFilter {
-		if len(cur.cols) == 0 {
-			return n // opaque predicate may read anything
-		}
-		for _, c := range cur.cols {
-			needed[c] = true
-		}
-		cur = cur.left
-	}
-	if cur == nil || cur.kind != pJoin {
-		return n
-	}
-	join := cur
-	ls, lerr := join.left.schema()
-	rs, rerr := join.right.schema()
-	if lerr != nil || rerr != nil {
-		return n
-	}
-	lname, rname := join.left.displayName(), join.right.displayName()
-	layout, err := NewJoinLayout(lname, ls, rname, rs, join.on...)
-	if err != nil {
-		return n
-	}
-	for nm := range needed {
-		if !layout.Schema.Has(nm) {
-			return n // the plan will fail at runtime; leave it intact
-		}
-	}
-	keepLeft := map[string]bool{}
-	keepRight := map[string]bool{}
-	for _, pair := range join.on {
-		keepLeft[pair.Left] = true
-		keepRight[pair.Right] = true
-	}
-	for q, c := range layout.Schema {
-		if !needed[c.Name] {
-			continue
-		}
-		if q < len(ls) {
-			keepLeft[ls[q].Name] = true
-		} else {
-			keepRight[rs[layout.RightKeep[q-len(ls)]].Name] = true
-		}
-	}
-	lsNames := keptNames(ls, keepLeft)
-	rsNames := keptNames(rs, keepRight)
-	if len(lsNames) == len(ls) && len(rsNames) == len(rs) {
-		return n
-	}
-	ls2, err := ls.Project(lsNames...)
-	if err != nil {
-		return n
-	}
-	rs2, err := rs.Project(rsNames...)
-	if err != nil {
-		return n
-	}
-	layout2, err := NewJoinLayout(lname, ls2, rname, rs2, join.on...)
-	if err != nil {
-		return n
-	}
-	if !sameResolution(needed, layout, ls, rs, layout2, ls2, rs2) {
-		return n
-	}
-	if len(lsNames) < len(ls) {
-		join.left = &planNode{kind: pProject, names: lsNames, left: join.left}
-	}
-	if len(rsNames) < len(rs) {
-		join.right = &planNode{kind: pProject, names: rsNames, left: join.right}
-	}
-	*changed = true
-	return n
-}
-
-func keptNames(s Schema, keep map[string]bool) []string {
-	out := make([]string, 0, len(s))
-	for _, c := range s {
-		if keep[c.Name] {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
-// joinSource identifies which underlying input column an output column of a
-// join layout came from.
-type joinSource struct {
-	fromRight bool
-	col       string // source-side column name (unique within a schema)
-}
-
-func resolveSource(name string, layout JoinLayout, ls, rs Schema) (joinSource, bool) {
-	q := layout.Schema.IndexOf(name)
-	if q < 0 {
-		return joinSource{}, false
-	}
-	if q < len(ls) {
-		return joinSource{col: ls[q].Name}, true
-	}
-	return joinSource{fromRight: true, col: rs[layout.RightKeep[q-len(ls)]].Name}, true
-}
-
-// sameResolution verifies that every needed output name resolves to the same
-// underlying column before and after pruning — i.e. pruning changed no
-// collision suffixes among the surviving columns.
-func sameResolution(needed map[string]bool, l1 JoinLayout, ls1, rs1 Schema, l2 JoinLayout, ls2, rs2 Schema) bool {
-	for nm := range needed {
-		a, okA := resolveSource(nm, l1, ls1, rs1)
-		b, okB := resolveSource(nm, l2, ls2, rs2)
-		if !okA || !okB || a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// Explain renders the plan tree on one line, e.g.
-// "project[a,b](join[x=y](filter[x](scan(s1)), scan(s2)))".
-func (p *Plan) Explain() string {
-	var sb strings.Builder
-	p.root.explain(&sb)
-	return sb.String()
-}
-
-func (n *planNode) explain(sb *strings.Builder) {
-	switch n.kind {
-	case pScan:
-		fmt.Fprintf(sb, "scan(%s)", n.rel.Name)
-	case pFilter:
-		fmt.Fprintf(sb, "filter[%s](", strings.Join(n.cols, ","))
-		n.left.explain(sb)
-		sb.WriteByte(')')
-	case pProject:
-		fmt.Fprintf(sb, "project[%s](", strings.Join(n.names, ","))
-		n.left.explain(sb)
-		sb.WriteByte(')')
-	case pLimit:
-		fmt.Fprintf(sb, "limit[%d](", n.n)
-		n.left.explain(sb)
-		sb.WriteByte(')')
-	case pJoin:
-		pairs := make([]string, len(n.on))
-		for i, p := range n.on {
-			pairs[i] = p.Left + "=" + p.Right
-		}
-		fmt.Fprintf(sb, "join[%s](", strings.Join(pairs, ","))
-		n.left.explain(sb)
-		sb.WriteString(", ")
-		n.right.explain(sb)
-		sb.WriteByte(')')
-	}
-}
-
-// Iter compiles the plan as-is (no optimization) into a streaming pipeline.
+// Iter compiles the plan into a streaming pipeline.
 func (p *Plan) Iter() (Iter, error) { return p.root.iter() }
 
 func (n *planNode) iter() (Iter, error) {
 	switch n.kind {
 	case pScan:
 		return NewScan(n.rel), nil
-	case pFilter:
-		src, err := n.left.iter()
-		if err != nil {
-			return nil, err
-		}
-		return NewSelect(src, n.pred), nil
 	case pProject:
 		src, err := n.left.iter()
 		if err != nil {
 			return nil, err
 		}
 		return NewProject(src, n.names...)
-	case pLimit:
-		src, err := n.left.iter()
-		if err != nil {
-			return nil, err
-		}
-		return NewLimit(src, n.n), nil
 	case pJoin:
 		l, err := n.left.iter()
 		if err != nil {
@@ -431,10 +82,10 @@ func (n *planNode) iter() (Iter, error) {
 	return nil, fmt.Errorf("relation: plan: unknown node kind %d", n.kind)
 }
 
-// Run optimizes, executes, and materializes the plan. The result is named
-// like the equivalent eager join chain (inputs concatenated with "⋈").
+// Run executes and materializes the plan. The result is named like the
+// equivalent eager join chain (inputs concatenated with "⋈").
 func (p *Plan) Run() (*Relation, error) {
-	it, err := p.Optimize().Iter()
+	it, err := p.Iter()
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,11 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
 // planFixture builds two joinable relations with a collision-prone right
-// side: right carries "x" and "x_r", so the joined schema suffixes them and
-// naive pruning/pushdown rewrites would change names or values.
+// side: right carries "x" and "x_r", so the joined schema suffixes them.
 func planFixture() (l, r *Relation) {
 	l = New("l", NewSchema(Col("k", KindInt), Col("x", KindInt), Col("lv", KindFloat)))
 	r = New("r", NewSchema(Col("k", KindInt), Col("x", KindFloat), Col("x_r", KindString), Col("rv", KindBool)))
@@ -21,101 +19,9 @@ func planFixture() (l, r *Relation) {
 	return l, r
 }
 
-// TestPlanPushdownExplain checks Optimize actually rewrites the tree: a
-// filter over left-side columns sinks below the join, and join inputs are
-// pruned to needed columns.
-func TestPlanPushdownExplain(t *testing.T) {
-	l, r := planFixture()
-	p := ScanPlan(l).
-		Join(ScanPlan(r), JoinPair{"k", "k"}).
-		Where(func(row []Value, s Schema) bool {
-			i := s.IndexOf("lv")
-			return !row[i].IsNull() && row[i].AsFloat() > 0.25
-		}, "lv").
-		Project("k", "lv", "rv")
-
-	opt := p.Optimize().Explain()
-	if !strings.Contains(opt, "join") || strings.Index(opt, "filter") < strings.Index(opt, "join") {
-		// filter[lv] must appear inside the join's left input, i.e. after
-		// "join" in the one-line rendering.
-		t.Fatalf("filter not pushed below join: %s", opt)
-	}
-	if !strings.Contains(opt, "project[k,lv](filter[lv](scan(l)))") {
-		t.Fatalf("left input not pruned to {k,lv} with the filter sunk below: %s", opt)
-	}
-	if !strings.Contains(opt, "project[k,rv](scan(r))") {
-		t.Fatalf("right input not pruned to {k,rv}: %s", opt)
-	}
-}
-
-// TestPlanOptimizePreservesResults is the planner's safety property: across
-// filters (left-, right-, and join-output-column reads), projections, limits,
-// and the collision-suffixed schema, the optimized plan must produce exactly
-// the unoptimized plan's rows, order, and schema.
-func TestPlanOptimizePreservesResults(t *testing.T) {
-	l, r := planFixture()
-	plans := map[string]*Plan{
-		"project-after-join": ScanPlan(l).
-			Join(ScanPlan(r), JoinPair{"k", "k"}).
-			Project("k", "lv", "rv"),
-		"filter-left-cols": ScanPlan(l).
-			Join(ScanPlan(r), JoinPair{"k", "k"}).
-			Where(func(row []Value, s Schema) bool {
-				i := s.IndexOf("lv")
-				return !row[i].IsNull() && row[i].AsFloat() > 0.5
-			}, "lv").
-			Project("k", "rv"),
-		"filter-suffixed-col-pinned": ScanPlan(l).
-			Join(ScanPlan(r), JoinPair{"k", "k"}).
-			Where(func(row []Value, s Schema) bool {
-				// Reads x_r, which in the joined schema is right's "x"
-				// suffixed once more — pushing it to the right input would
-				// read a different column. Optimize must keep it above.
-				i := s.IndexOf("x_r")
-				return !row[i].IsNull()
-			}, "x_r").
-			Project("k", "x_r"),
-		"collision-prune": ScanPlan(l).
-			Join(ScanPlan(r), JoinPair{"k", "k"}).
-			Project("k", "x", "x_r"),
-		"opaque-filter-pinned": ScanPlan(l).
-			Join(ScanPlan(r), JoinPair{"k", "k"}).
-			Where(func(row []Value, s Schema) bool { return len(row) > 0 }).
-			Project("k"),
-		"limit-chain": ScanPlan(l).
-			Where(func(row []Value, s Schema) bool {
-				i := s.IndexOf("x")
-				return !row[i].IsNull() && row[i].AsFloat() >= 1
-			}, "x").
-			Join(ScanPlan(r), JoinPair{"k", "k"}, JoinPair{"x", "x"}).
-			Limit(9),
-	}
-	for name, p := range plans {
-		t.Run(name, func(t *testing.T) {
-			rawIt, err := p.Iter()
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := Materialize(rawIt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			optIt, err := p.Optimize().Iter()
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt, err := Materialize(optIt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw.Name, opt.Name = "p", "p"
-			mustSameRel(t, "optimized vs raw ("+p.Optimize().Explain()+")", opt, raw)
-		})
-	}
-}
-
 // TestPlanRunMatchesEagerChain pins Run's result (rows AND name) to the
-// legacy eager join chain it replaced at call sites like workload and wtp.
+// legacy eager join chain it replaced at its call sites: wtp's scan ⋈ scan
+// and workload's three-way chain on a shared key.
 func TestPlanRunMatchesEagerChain(t *testing.T) {
 	l, r := planFixture()
 	got, err := ScanPlan(l).Join(ScanPlan(r), JoinPair{"k", "k"}).Run()
@@ -130,55 +36,67 @@ func TestPlanRunMatchesEagerChain(t *testing.T) {
 	if got.Name != "l⋈r" {
 		t.Fatalf("plan result name = %q", got.Name)
 	}
+
+	// workload.ClassifierData's shape: three sources sharing a key "a".
+	a := New("a", NewSchema(Col("a", KindInt), Col("b", KindFloat), Col("cat", KindString)))
+	b := New("b", NewSchema(Col("a", KindInt), Col("d", KindFloat), Col("label", KindBool)))
+	c := New("c", NewSchema(Col("a", KindInt), Col("e", KindFloat)))
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20; i++ {
+		a.MustAppend(Int(int64(rng.Intn(10))), Float(rng.Float64()), String_(fmt.Sprintf("cat%d", i%3)))
+		b.MustAppend(Int(int64(rng.Intn(10))), Float(rng.Float64()), Bool(rng.Intn(2) == 0))
+		c.MustAppend(Int(int64(rng.Intn(10))), Float(rng.Float64()))
+	}
+	got, err = ScanPlan(a).
+		Join(ScanPlan(b), JoinPair{"a", "a"}).
+		Join(ScanPlan(c), JoinPair{"a", "a"}).
+		Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = legacyJoin(legacyMust(legacyJoin(a, b, true, JoinPair{"a", "a"})), c, true, JoinPair{"a", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 {
+		t.Fatal("three-way fixture joins no rows")
+	}
+	mustSameRel(t, "three-way plan run", got, want)
+	if got.Name != "a⋈b⋈c" {
+		t.Fatalf("three-way plan result name = %q", got.Name)
+	}
 }
 
-// TestPlanRandomizedEquivalence drives random plan shapes over random
-// relations and checks optimized == unoptimized every time.
+// TestPlanRandomizedEquivalence drives random projections of a join over
+// planFixture's suffix collisions and over random relations, and checks
+// Plan.Run against the eager Project(HashJoin(…)) every time.
 func TestPlanRandomizedEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
+	for seed := int64(-1); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
-		l := randRel(rng, "l", "k")
-		r := randRel(rng, "r", "k")
-		p := ScanPlan(l).Join(ScanPlan(r), JoinPair{"k", "k"})
-		// Random filter on the key (always present on both sides).
-		if rng.Intn(2) == 0 {
-			p = p.Where(func(row []Value, s Schema) bool {
-				i := s.IndexOf("k")
-				return !row[i].IsNull() && row[i].AsFloat() >= 2
-			}, "k")
+		l, r := planFixture()
+		if seed >= 0 {
+			l, r = randRel(rng, "l", "k"), randRel(rng, "r", "k")
 		}
-		// Random projection over a subset of the join output schema.
-		js, err := p.root.schema()
+		joined, err := HashJoin(l, r, JoinPair{"k", "k"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := make([]string, len(js))
-		for i, c := range js {
-			names[i] = c.Name
-		}
+		names := joined.Schema.Names()
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		p = p.Project(names[:1+rng.Intn(len(names))]...)
-		if rng.Intn(2) == 0 {
-			p = p.Limit(rng.Intn(20))
-		}
+		names = names[:1+rng.Intn(len(names))]
 
-		rawIt, err := p.Iter()
+		got, err := ScanPlan(l).Join(ScanPlan(r), JoinPair{"k", "k"}).Project(names...).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := Materialize(rawIt)
+		want, err := Project(joined, names...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optIt, err := p.Optimize().Iter()
-		if err != nil {
-			t.Fatal(err)
+		if got.Name != joined.Name {
+			t.Fatalf("seed %d: plan result name = %q, want %q", seed, got.Name, joined.Name)
 		}
-		opt, err := Materialize(optIt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw.Name, opt.Name = "p", "p"
-		mustSameRel(t, fmt.Sprintf("seed %d: %s", seed, p.Optimize().Explain()), opt, raw)
+		got.Name = want.Name
+		mustSameRel(t, fmt.Sprintf("seed %d: project %v", seed, names), got, want)
 	}
 }

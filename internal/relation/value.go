@@ -254,13 +254,13 @@ func sign(d int) int {
 	}
 }
 
-// Key returns a canonical string encoding usable as a hash-join or group-by
-// key. Numeric values of equal magnitude share a key regardless of kind.
+// Key returns a canonical string encoding usable as a hash-join key.
+// Numeric values of equal magnitude share a key regardless of kind.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // AppendKey appends the value's canonical Key encoding to dst and returns the
 // extended slice. It is the allocation-conscious form of Key: hot paths (hash
-// joins, Distinct, group-by) build composite row keys into a reused buffer
+// joins, k-anonymity grouping) build composite row keys into a reused buffer
 // instead of concatenating strings per cell.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {

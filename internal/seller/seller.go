@@ -157,12 +157,3 @@ func (p *Platform) Accountability() []SaleRecord {
 	}
 	return out
 }
-
-// RespondWithMapping builds a SellerResponder that reveals the given mapping
-// tables (keyed by "dataset.column->target") during negotiation rounds.
-func RespondWithMapping(tables map[string]*relation.Relation) arbiter.SellerResponder {
-	return func(req arbiter.InfoRequest) *relation.Relation {
-		key := fmt.Sprintf("%s.%s->%s", req.Dataset, req.Column, req.Target)
-		return tables[key]
-	}
-}

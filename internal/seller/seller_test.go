@@ -140,18 +140,6 @@ func TestAccountabilityAndEarnings(t *testing.T) {
 	}
 }
 
-func TestRespondWithMapping(t *testing.T) {
-	table := relation.New("m", relation.NewSchema(
-		relation.Col("x", relation.KindString), relation.Col("y", relation.KindString)))
-	resp := RespondWithMapping(map[string]*relation.Relation{"ds.x->y": table})
-	if got := resp(arbiter.InfoRequest{Dataset: "ds", Column: "x", Target: "y"}); got != table {
-		t.Error("matching request must return the table")
-	}
-	if got := resp(arbiter.InfoRequest{Dataset: "ds", Column: "z", Target: "y"}); got != nil {
-		t.Error("non-matching request must decline")
-	}
-}
-
 func TestDropPIIStep(t *testing.T) {
 	a := mkArbiter(t)
 	if err := a.RegisterParticipant("s", 0); err != nil {

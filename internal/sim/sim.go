@@ -292,16 +292,6 @@ func makeBids(cfg Config, agents []agent, rng *rand.Rand) []market.Bid {
 	return bids
 }
 
-// CompareDesigns runs the same population against several mechanisms —
-// experiment E2's core loop.
-func CompareDesigns(cfg Config, mechs []market.Mechanism) []Metrics {
-	out := make([]Metrics, 0, len(mechs))
-	for _, m := range mechs {
-		out = append(out, Run(cfg, m))
-	}
-	return out
-}
-
 // CoalitionSweep measures revenue as the adversarial coalition grows —
 // experiment E3. fracs are coalition fractions of the buyer population.
 func CoalitionSweep(base Config, mech market.Mechanism, fracs []float64) []Metrics {

@@ -74,19 +74,16 @@ func nextRecord(buf []byte, off int) (payload []byte, next int, done bool, err e
 	return payload, start + int(n), false, nil
 }
 
-// DecodeAll decodes every valid record from raw and returns the events plus
-// the byte offset of the valid prefix. It never panics and never fails: any
-// corruption — torn write, bit-flipped CRC, truncated length prefix, bogus
-// JSON, out-of-order seq — ends the prefix, and everything before it is
-// returned. wantNext is the first expected seq (0 accepts any start).
-func DecodeAll(raw []byte, wantNext int) (events []engine.Event, validBytes int) {
-	return decodeRecords(raw, wantNext, 0)
-}
-
-// decodeRecords is DecodeAll that leaves the records with seq <= covered — a
-// checkpoint holds their effects — undecoded: each comes back as a
-// placeholder carrying only its seq, read off the front of the payload, so
-// framing, checksums and seq contiguity are checked exactly as before.
+// decodeRecords decodes every valid record from raw and returns the events
+// plus the byte offset of the valid prefix. It never panics and never fails:
+// any corruption — torn write, bit-flipped CRC, truncated length prefix,
+// bogus JSON, out-of-order seq — ends the prefix, and everything before it
+// is returned. wantNext is the first expected seq (0 accepts any start).
+//
+// Records with seq <= covered — a checkpoint holds their effects — are left
+// undecoded: each comes back as a placeholder carrying only its seq, read off
+// the front of the payload, so framing, checksums and seq contiguity are
+// checked exactly as for the rest.
 func decodeRecords(raw []byte, wantNext, covered int) (events []engine.Event, validBytes int) {
 	events = make([]engine.Event, 0, countFrames(raw))
 	off := 0

@@ -60,7 +60,7 @@ func TestDecodeAllCorpus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			evs, valid := DecodeAll(tc.raw, 0)
+			evs, valid := decodeRecords(tc.raw, 0, 0)
 			if len(evs) != tc.wantEvs {
 				t.Fatalf("decoded %d events, want %d", len(evs), tc.wantEvs)
 			}
@@ -80,14 +80,14 @@ func TestDecodeAllCorpus(t *testing.T) {
 func TestDecodeAllBitFlips(t *testing.T) {
 	clean := encodeN(t, 2)
 	var cleanEvs []engine.Event
-	cleanEvs, _ = DecodeAll(clean, 0)
+	cleanEvs, _ = decodeRecords(clean, 0, 0)
 	if len(cleanEvs) != 2 {
 		t.Fatalf("sanity: clean stream decodes %d events", len(cleanEvs))
 	}
 	for i := range clean {
 		raw := append([]byte{}, clean...)
 		raw[i] ^= 0x41
-		evs, valid := DecodeAll(raw, 0)
+		evs, valid := decodeRecords(raw, 0, 0)
 		if valid > len(raw) {
 			t.Fatalf("flip at %d: valid prefix %d exceeds input", i, valid)
 		}
@@ -100,7 +100,7 @@ func TestDecodeAllBitFlips(t *testing.T) {
 			t.Fatalf("flip at %d (second record) lost the first record", i)
 		}
 		// Re-decode of the accepted prefix must be stable.
-		evs2, valid2 := DecodeAll(raw[:valid], 0)
+		evs2, valid2 := decodeRecords(raw[:valid], 0, 0)
 		if len(evs2) != len(evs) || valid2 != valid {
 			t.Fatalf("flip at %d: prefix re-decode unstable (%d/%d vs %d/%d)",
 				i, len(evs2), valid2, len(evs), valid)
@@ -121,7 +121,7 @@ func TestDecodeAllSeqGap(t *testing.T) {
 		}
 		buf = append(buf, rec...)
 	}
-	got, _ := DecodeAll(buf, 1)
+	got, _ := decodeRecords(buf, 1, 0)
 	if len(got) != 2 {
 		t.Fatalf("want 2 events before the gap, got %d", len(got))
 	}
@@ -159,11 +159,11 @@ func TestEventJSONRoundTrip(t *testing.T) {
 
 // TestDecodeRecordsLeavesCoveredUndecoded: the records a checkpoint covers
 // come back as seq-only placeholders, with the same valid prefix and the same
-// contiguity check as a full decode; the rest decode exactly as DecodeAll
+// contiguity check as a full decode; the rest decode exactly as a full decode
 // decodes them.
 func TestDecodeRecordsLeavesCoveredUndecoded(t *testing.T) {
 	raw := encodeN(t, 8)
-	full, fullValid := DecodeAll(raw, 0)
+	full, fullValid := decodeRecords(raw, 0, 0)
 	for covered := 0; covered <= 9; covered++ {
 		got, valid := decodeRecords(raw, 0, covered)
 		if valid != fullValid || len(got) != len(full) {

@@ -206,7 +206,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(vr[:len(vr)-7]) // torn mid-payload value-reported record
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		evs, valid := DecodeAll(raw, 0)
+		evs, valid := decodeRecords(raw, 0, 0)
 		if valid < 0 || valid > len(raw) {
 			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(raw))
 		}
@@ -215,7 +215,7 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("accepted events not contiguous: %d then %d", evs[i-1].Seq, evs[i].Seq)
 			}
 		}
-		evs2, valid2 := DecodeAll(raw[:valid], 0)
+		evs2, valid2 := decodeRecords(raw[:valid], 0, 0)
 		if len(evs2) != len(evs) || valid2 != valid {
 			t.Fatalf("prefix not stable: %d/%d then %d/%d", len(evs), valid, len(evs2), valid2)
 		}
@@ -231,7 +231,7 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			re = append(re, rec...)
 		}
-		evs3, _ := DecodeAll(re, 0)
+		evs3, _ := decodeRecords(re, 0, 0)
 		if len(evs3) != len(evs) {
 			t.Fatalf("re-encoded stream lost events: %d vs %d", len(evs3), len(evs))
 		}

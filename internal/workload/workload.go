@@ -4,7 +4,7 @@
 // generators substitute workloads with the same structural properties:
 // star-schema silos with shared keys, transformed attributes f(d),
 // near-duplicate columns b/b′, multi-source signals for fusion, and feature
-// tables with PII for the privacy experiments (see DESIGN.md substitutions).
+// tables with PII for the privacy experiments.
 package workload
 
 import (
