@@ -106,11 +106,17 @@ func TestWriteBenchRelationJSON(t *testing.T) {
 			}
 			return p.NumRows()
 		}),
-		runRelationBench("join-project/planned", n, func() int {
-			out, err := relation.ScanPlan(src).
-				Join(relation.ScanPlan(src), relation.JoinPair{Left: "k", Right: "k"}).
-				Project("k", "v").
-				Run()
+		runRelationBench("join-project/streaming", n, func() int {
+			it, err := relation.NewHashJoin(relation.NewScan(src), relation.NewScan(src), src.Name, src.Name,
+				relation.JoinPair{Left: "k", Right: "k"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, err = relation.NewProject(it, "k", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := relation.Materialize(it)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,15 +7,14 @@
 //	Support -> Revenue Allocation Engine
 //
 // plus the arbiter services around it: demand signals for opportunistic
-// sellers, dataset recommendations, and negotiation rounds that ask sellers
-// for the information automatic integration lacks (§4.1, §5.4).
+// sellers and negotiation rounds that ask sellers for the information
+// automatic integration lacks (§4.1, §5.4).
 package arbiter
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/discovery"
@@ -101,7 +100,7 @@ type Arbiter struct {
 	// unmet tracks wanted columns no mashup could supply — the demand
 	// signal opportunistic sellers mine (paper §7.1).
 	unmet map[string]int
-	// purchases feeds the recommendation service: buyer -> dataset -> count.
+	// purchases feeds MayResell: buyer -> dataset -> count.
 	purchases map[string]map[string]int
 	// pendingExPost holds delivered-but-unpaid ex-post transactions.
 	pendingExPost map[string]*exPostState
@@ -185,35 +184,6 @@ func (a *Arbiter) ShareDataset(seller string, id catalog.DatasetID, rel *relatio
 		return true
 	})
 	a.Ledger.Note(fmt.Sprintf("dataset %s shared by %s (%d rows, license %s)", id, seller, rel.NumRows(), terms.Kind))
-	return nil
-}
-
-// UpdateDataset records a new version and re-indexes.
-func (a *Arbiter) UpdateDataset(id catalog.DatasetID, rel *relation.Relation, comment string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Both the catalog content swap and the re-index happen inside the
-	// build/mutate seam: an in-flight build can never read the new rows
-	// through the old index (or under the old version stamp), and the
-	// version bump inside MutateCatalog is what keeps a prebuilt mashup of
-	// the old version from ever settling — every set the dataset provided
-	// for keeps its old stamp, so price-time validity checks compare it
-	// against the bumped version and rebuild.
-	var uerr error
-	a.dod.MutateCatalog(id, func() bool {
-		if _, uerr = a.Catalog.Update(id, rel, comment); uerr != nil {
-			return false // nothing applied; keep the cache warm
-		}
-		a.ix.Add(profile.Profile(string(id), rel))
-		return true
-	})
-	if uerr != nil {
-		return uerr
-	}
-	if m, ok := a.metas[string(id)]; ok {
-		m.UpdatedAt = time.Now()
-		a.metas[string(id)] = m
-	}
 	return nil
 }
 
@@ -417,7 +387,7 @@ func (a *Arbiter) matchRoundLocked(ctx context.Context, pool []*Request, prebuil
 func (a *Arbiter) matchGroup(ctx context.Context, reqs []*Request, unmet map[string]int, cs *dod.CandidateSet) ([]*Transaction, []string) {
 	want := reqs[0].Want
 	if !a.dod.Valid(cs, want) {
-		// Stale (a ShareDataset/UpdateDataset/RegisterTransform touched the
+		// Stale (a ShareDataset/RegisterTransform touched the
 		// want's footprint since the build), foreign or missing: rebuild at
 		// the current version. BuildCached counts the stale/miss.
 		cs = a.dod.BuildCached(ctx, want)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/dod"
 	"repro/internal/license"
 	"repro/internal/market"
@@ -333,34 +332,6 @@ func TestExPostFlow(t *testing.T) {
 	}
 }
 
-func TestRecommendations(t *testing.T) {
-	a := setupMarket(t, mkDesign())
-	want := dod.Want{Columns: []string{"a", "b", "d"}}
-	if _, err := a.SubmitRequest(want, coverageWTP("b1", 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.SubmitRequest(want, coverageWTP("b2", 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.MatchRound(); err != nil {
-		t.Fatal(err)
-	}
-	// New buyer with no history gets popular datasets.
-	if err := a.RegisterParticipant("b3", 1000); err != nil {
-		t.Fatal(err)
-	}
-	recs := a.Recommend("b3", 5)
-	if len(recs) == 0 {
-		t.Error("cold-start recommendations must return popular datasets")
-	}
-	// Existing buyer is not recommended what they already own.
-	for _, r := range a.Recommend("b1", 5) {
-		if r == "s1" || r == "s2" {
-			t.Errorf("b1 already bought %s", r)
-		}
-	}
-}
-
 func TestInsufficientFundsDropsBuyer(t *testing.T) {
 	a := setupMarket(t, mkDesign())
 	if err := a.RegisterParticipant("poor", 10); err != nil {
@@ -390,63 +361,6 @@ func TestSubmitValidation(t *testing.T) {
 	bad := &wtp.Function{Buyer: "b1"} // no task/curve
 	if _, err := a.SubmitRequest(dod.Want{Columns: []string{"a"}}, bad); err == nil {
 		t.Error("invalid wtp must fail")
-	}
-}
-
-func TestDatasetQuotaRespected(t *testing.T) {
-	a := setupMarket(t, mkDesign())
-	if err := a.Catalog.SetQuota(catalog.DatasetID("s1"), 1); err != nil {
-		t.Fatal(err)
-	}
-	// One read consumes the quota; the match round then cannot materialize
-	// any mashup needing s1 but may still serve s2-only coverage.
-	if _, err := a.Catalog.Get("s1"); err != nil {
-		t.Fatal(err)
-	}
-	want := dod.Want{Columns: []string{"a", "b", "d"}}
-	if _, err := a.SubmitRequest(want, coverageWTP("b1", 100)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.MatchRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transactions) != 0 {
-		t.Error("quota-exhausted dataset must not be sold")
-	}
-}
-
-func TestUpdateDatasetReindexes(t *testing.T) {
-	a := setupMarket(t, mkDesign())
-	// New version of s1 with an extra column the buyer wants.
-	s1v2 := relation.New("s1", relation.NewSchema(
-		relation.Col("a", relation.KindInt),
-		relation.Col("b", relation.KindFloat),
-		relation.Col("z", relation.KindFloat),
-	))
-	for i := 0; i < 100; i++ {
-		s1v2.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)), relation.Float(float64(i)*3))
-	}
-	if err := a.UpdateDataset("s1", s1v2, "added z"); err != nil {
-		t.Fatal(err)
-	}
-	f := &wtp.Function{
-		Buyer: "b1",
-		Task:  wtp.CoverageTask{Columns: []string{"a", "z"}, WantRows: 50},
-		Curve: wtp.PriceCurve{{MinSatisfaction: 0.9, Price: 80}},
-	}
-	if _, err := a.SubmitRequest(dod.Want{Columns: []string{"a", "z"}}, f); err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.MatchRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transactions) != 1 {
-		t.Fatalf("updated dataset must serve new column: %v", res.Unsatisfied)
-	}
-	if err := a.UpdateDataset("ghost", s1v2, ""); err == nil {
-		t.Error("updating unknown dataset must fail")
 	}
 }
 

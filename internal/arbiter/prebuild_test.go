@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dod"
+	"repro/internal/license"
 	"repro/internal/relation"
 	"repro/internal/wtp"
 )
@@ -18,33 +19,39 @@ func abWTP(buyer string, price float64) *wtp.Function {
 	}
 }
 
-// TestUpdateBetweenBuildAndPrice is the regression for the prebuild race:
-// a candidate set built before an UpdateDataset must never be priced — the
-// version check at price time detects the bump and rebuilds, so the settled
-// mashup carries the post-update data.
+// TestUpdateBetweenBuildAndPrice is the regression for the prebuild race: a
+// candidate set built before a catalog update that touches its want (here a
+// share providing a wanted column) must never be priced — the version check
+// at price time detects the bump and rebuilds, so the settled mashup is built
+// from the updated catalog.
 func TestUpdateBetweenBuildAndPrice(t *testing.T) {
 	a := setupMarket(t, mkDesign())
-	want := dod.Want{Columns: []string{"a", "b"}}
-	if _, err := a.SubmitRequest(want, abWTP("b1", 100)); err != nil {
+	want := dod.Want{Columns: []string{"a", "b", "z"}}
+	f := &wtp.Function{
+		Buyer: "b1",
+		Task:  wtp.CoverageTask{Columns: []string{"a", "b", "z"}, WantRows: 50},
+		Curve: wtp.PriceCurve{{MinSatisfaction: 0.9, Price: 100}},
+	}
+	if _, err := a.SubmitRequest(want, f); err != nil {
 		t.Fatal(err)
 	}
 
-	// Build stage: a worker prebuilds against the current catalog.
+	// Build stage: a worker prebuilds against the current catalog, where
+	// nothing provides z.
 	prebuilt := map[string]*dod.CandidateSet{want.Key(): a.BuildFor(context.Background(), want)}
 
-	// A new version of s1 lands between build and price: same schema, but
-	// every b value is shifted so pre- and post-update mashups are
-	// distinguishable.
-	s1v2 := relation.New("s1", relation.NewSchema(
-		relation.Col("a", relation.KindInt), relation.Col("b", relation.KindFloat)))
+	// A dataset providing z lands between build and price: only a mashup
+	// built after the share can satisfy the buyer.
+	s3 := relation.New("s3", relation.NewSchema(
+		relation.Col("a", relation.KindInt), relation.Col("z", relation.KindFloat)))
 	for i := 0; i < 100; i++ {
-		s1v2.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)+1000))
+		s3.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)*3))
 	}
-	if err := a.UpdateDataset("s1", s1v2, "shifted b"); err != nil {
+	if err := a.ShareDataset("seller1", "s3", s3, meta("s3"), license.Terms{Kind: license.Open}); err != nil {
 		t.Fatal(err)
 	}
 	if a.DoD().Valid(prebuilt[want.Key()], want) {
-		t.Fatal("prebuilt set still valid after UpdateDataset")
+		t.Fatal("prebuilt set still valid after a share that touches its want")
 	}
 
 	res, err := a.PriceRound(context.Background(), nil, prebuilt)
@@ -52,15 +59,10 @@ func TestUpdateBetweenBuildAndPrice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Transactions) != 1 {
-		t.Fatalf("transactions = %d, want 1", len(res.Transactions))
+		t.Fatalf("transactions = %d, want 1 (unsatisfied %v)", len(res.Transactions), res.Unsatisfied)
 	}
-	tx := res.Transactions[0]
-	bi := tx.Mashup.Schema.IndexOf("b")
-	if bi < 0 || tx.Mashup.NumRows() == 0 {
-		t.Fatalf("settled mashup missing data: %s", tx.Mashup.Schema)
-	}
-	if got := tx.Mashup.Rows[0][bi].AsFloat(); got < 1000 {
-		t.Errorf("settled against pre-update mashup: b[0] = %v, want >= 1000", got)
+	if tx := res.Transactions[0]; !tx.Mashup.Schema.Has("z") || tx.Mashup.NumRows() == 0 {
+		t.Errorf("settled against the pre-share mashup: %s, %d rows", tx.Mashup.Schema, tx.Mashup.NumRows())
 	}
 	if st := a.DoD().CacheStats(); st.Stale == 0 {
 		t.Errorf("price-time rebuild not counted as stale: %+v", st)

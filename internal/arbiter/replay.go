@@ -130,8 +130,8 @@ func (a *Arbiter) RestorePendingEscrows(pes []PendingEscrow) error {
 	return nil
 }
 
-// PurchaseCounts returns the purchase history the recommendation service
-// reads — buyer -> dataset -> times bought — as a copy for snapshots. It is
+// PurchaseCounts returns the purchase history MayResell reads — buyer ->
+// dataset -> times bought — as a copy for snapshots. It is
 // buyers × datasets in size, not one entry per sale.
 func (a *Arbiter) PurchaseCounts() map[string]map[string]int {
 	a.mu.Lock()
@@ -146,7 +146,7 @@ func (a *Arbiter) PurchaseCounts() map[string]map[string]int {
 	return out
 }
 
-// RestorePurchases reinstates a snapshot's purchase history, so Recommend
+// RestorePurchases reinstates a snapshot's purchase history, so MayResell
 // answers after a restore exactly as in the uninterrupted run.
 func (a *Arbiter) RestorePurchases(counts map[string]map[string]int) {
 	a.mu.Lock()

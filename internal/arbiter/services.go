@@ -41,54 +41,6 @@ func DemandFromCounts(counts map[string]int) []DemandSignal {
 	return out
 }
 
-// Recommend suggests datasets to a buyer based on what similar buyers
-// purchased (item-based collaborative filtering in miniature; paper §4.1
-// "the arbiter could recommend datasets to buyers based on what similar
-// buyers have purchased before"). Datasets the buyer already bought are
-// excluded.
-func (a *Arbiter) Recommend(buyer string, k int) []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	mine := a.purchases[buyer]
-	scores := map[string]float64{}
-	for other, theirs := range a.purchases {
-		if other == buyer {
-			continue
-		}
-		// Similarity: number of co-purchased datasets.
-		sim := 0
-		for ds := range theirs {
-			if mine[ds] > 0 {
-				sim++
-			}
-		}
-		if sim == 0 && len(mine) > 0 {
-			continue
-		}
-		w := float64(sim + 1)
-		for ds, n := range theirs {
-			if mine[ds] > 0 {
-				continue
-			}
-			scores[ds] += w * float64(n)
-		}
-	}
-	out := make([]string, 0, len(scores))
-	for ds := range scores {
-		out = append(out, ds)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if scores[out[i]] != scores[out[j]] {
-			return scores[out[i]] > scores[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // InfoRequest is the arbiter's ask during a negotiation round: "explain how
 // to transform an attribute so it joins with another one, or ... mapping
 // tables" (paper §4.1).

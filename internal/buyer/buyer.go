@@ -1,13 +1,11 @@
 // Package buyer implements the Buyer Management Platform (paper §4.3):
 // helpers to define WTP-functions without hand-writing them (a builder over
-// tasks, price curves and intrinsic constraints), submission of data needs
-// to the arbiter, result delivery, and the ex-post reporting flow for buyers
-// who only learn their valuation after using the data (§3.2.2.2).
+// tasks, price curves, purposes and data the buyer already owns) and
+// submission of data needs to the arbiter.
 package buyer
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/arbiter"
 	"repro/internal/dod"
@@ -33,7 +31,6 @@ type Builder struct {
 	platform *Platform
 	want     dod.Want
 	fn       wtp.Function
-	err      error
 }
 
 // Need starts a request for the given target columns.
@@ -41,15 +38,6 @@ func (p *Platform) Need(columns ...string) *Builder {
 	b := &Builder{platform: p}
 	b.want.Columns = columns
 	b.fn.Buyer = p.Name
-	return b
-}
-
-// Alias accepts alternate source names for a wanted column.
-func (b *Builder) Alias(column string, alternates ...string) *Builder {
-	if b.want.Aliases == nil {
-		b.want.Aliases = map[string][]string{}
-	}
-	b.want.Aliases[column] = append(b.want.Aliases[column], alternates...)
 	return b
 }
 
@@ -64,12 +52,6 @@ func (b *Builder) ForClassifier(model mltask.ModelKind, features []string, label
 // ForCoverage sets a relational completeness task.
 func (b *Builder) ForCoverage(wantRows int) *Builder {
 	b.fn.Task = wtp.CoverageTask{Columns: b.want.Columns, WantRows: wantRows}
-	return b
-}
-
-// ForTask sets a custom task.
-func (b *Builder) ForTask(t wtp.Task) *Builder {
-	b.fn.Task = t
 	return b
 }
 
@@ -94,31 +76,6 @@ func (b *Builder) ForPurpose(purpose string) *Builder {
 	return b
 }
 
-// FreshWithin requires all contributing datasets updated within d.
-func (b *Builder) FreshWithin(d time.Duration) *Builder {
-	b.fn.Constraints.MaxAge = d
-	return b
-}
-
-// RequireProvenance demands lineage info from all sources.
-func (b *Builder) RequireProvenance() *Builder {
-	b.fn.Constraints.RequireProvenance = true
-	return b
-}
-
-// FromAuthors restricts dataset authorship.
-func (b *Builder) FromAuthors(authors ...string) *Builder {
-	b.fn.Constraints.AllowedAuthors = append(b.fn.Constraints.AllowedAuthors, authors...)
-	return b
-}
-
-// MinRows requires at least n mashup rows.
-func (b *Builder) MinRows(n int) *Builder {
-	b.fn.Constraints.MinRows = n
-	b.want.MinRows = n
-	return b
-}
-
 // Owning attaches data the buyer already has; it is blended into candidate
 // mashups before satisfaction is measured and is never paid for.
 func (b *Builder) Owning(r *relation.Relation) *Builder {
@@ -128,9 +85,6 @@ func (b *Builder) Owning(r *relation.Relation) *Builder {
 
 // Submit files the request with the arbiter and returns its ID.
 func (b *Builder) Submit() (string, error) {
-	if b.err != nil {
-		return "", b.err
-	}
 	if b.fn.Task == nil {
 		b.fn.Task = wtp.CoverageTask{Columns: b.want.Columns, WantRows: 1}
 	}
@@ -140,31 +94,7 @@ func (b *Builder) Submit() (string, error) {
 	return b.platform.Arbiter.SubmitRequest(b.want, &b.fn)
 }
 
-// Function exposes the built WTP-function (for tests and simulation).
-func (b *Builder) Function() *wtp.Function { return &b.fn }
-
-// Want exposes the built target schema.
-func (b *Builder) Want() dod.Want { return b.want }
-
-// Purchases returns the buyer's completed transactions.
-func (p *Platform) Purchases() []*arbiter.Transaction {
-	var out []*arbiter.Transaction
-	for _, tx := range p.Arbiter.History() {
-		if tx.Buyer == p.Name {
-			out = append(out, tx)
-		}
-	}
-	return out
-}
-
 // Balance returns the buyer's remaining funds.
 func (p *Platform) Balance() float64 {
 	return p.Arbiter.Ledger.Balance(p.Name).Float()
-}
-
-// ReportValue settles an ex-post purchase: the buyer used the data,
-// discovered its value, and reports it. Truthful reporting passes
-// reported == trueValue; the arbiter's audits make that the best strategy.
-func (p *Platform) ReportValue(txID string, reported, trueValue float64) (float64, error) {
-	return p.Arbiter.ReportValue(txID, reported, trueValue)
 }

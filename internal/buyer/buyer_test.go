@@ -52,8 +52,6 @@ func TestBuilderClassifierFlow(t *testing.T) {
 		ForClassifier(mltask.ModelLogistic, []string{"x1", "x2"}, "label", 7).
 		PayingAt(0.8, 100).
 		PayingAt(0.9, 150).
-		FreshWithin(30 * 24 * time.Hour).
-		RequireProvenance().
 		Submit()
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +73,6 @@ func TestBuilderClassifierFlow(t *testing.T) {
 	if tx.Price != 80 {
 		t.Errorf("price = %v", tx.Price)
 	}
-	got := p.Purchases()
-	if len(got) != 1 || got[0].ID != tx.ID {
-		t.Errorf("purchases = %v", got)
-	}
 	if p.Balance() != 5000-80 {
 		t.Errorf("balance = %v", p.Balance())
 	}
@@ -95,38 +89,8 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := b.Submit(); err != nil {
 		t.Errorf("default coverage task should apply: %v", err)
 	}
-	if _, ok := b.Function().Task.(wtp.CoverageTask); !ok {
-		t.Errorf("default task = %T", b.Function().Task)
-	}
-}
-
-func TestBuilderConstraintsAndAliases(t *testing.T) {
-	a := mkMarket(t, market.PostedPrice{P: 1}, market.ElicitUpfront)
-	p := New("buyer1", a)
-	b := p.Need("feat").
-		Alias("feat", "x1").
-		ForCoverage(10).
-		PayingAt(0.9, 20).
-		FromAuthors("s1").
-		MinRows(5)
-	if b.Want().Aliases["feat"][0] != "x1" {
-		t.Error("alias not recorded")
-	}
-	if b.Function().Constraints.MinRows != 5 {
-		t.Error("min rows not recorded")
-	}
-	if _, err := b.Submit(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.MatchRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transactions) != 1 {
-		t.Fatalf("alias purchase failed: %v", res.Unsatisfied)
-	}
-	if !res.Transactions[0].Mashup.Schema.Has("feat") {
-		t.Errorf("schema = %s", res.Transactions[0].Mashup.Schema)
+	if _, ok := b.fn.Task.(wtp.CoverageTask); !ok {
+		t.Errorf("default task = %T", b.fn.Task)
 	}
 }
 
@@ -148,7 +112,7 @@ func TestExPostReporting(t *testing.T) {
 	}
 	tx := res.Transactions[0]
 	before := p.Balance()
-	paid, err := p.ReportValue(tx.ID, 120, 120)
+	paid, err := a.ReportValue(tx.ID, 120, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +123,7 @@ func TestExPostReporting(t *testing.T) {
 	if got := p.Balance(); got != before+300-120 {
 		t.Errorf("balance = %v, want %v", got, before+300-120)
 	}
-	if _, err := p.ReportValue("tx-9999", 1, 1); err == nil {
+	if _, err := a.ReportValue("tx-9999", 1, 1); err == nil {
 		t.Error("unknown tx must fail")
 	}
 }
@@ -168,7 +132,7 @@ func TestTrueValueRecorded(t *testing.T) {
 	a := mkMarket(t, market.SecondPrice{}, market.ElicitUpfront)
 	p := New("buyer1", a)
 	b := p.Need("x1").ForCoverage(10).PayingAt(0.5, 40).TrueValueAt(0.5, 100)
-	if b.Function().TrueValue.Price(0.6) != 100 {
+	if b.fn.TrueValue.Price(0.6) != 100 {
 		t.Error("true value curve not recorded")
 	}
 }

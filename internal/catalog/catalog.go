@@ -27,13 +27,11 @@ type Snapshot struct {
 
 // Entry is a catalog record for one dataset.
 type Entry struct {
-	ID          DatasetID
-	Owner       string // seller identifier
-	Name        string
-	Tags        []string
-	AccessQuota int // max reads per sync window; 0 = unlimited (paper §4.2)
-	reads       int
-	snapshots   []Snapshot
+	ID        DatasetID
+	Owner     string // seller identifier
+	Name      string
+	Tags      []string
+	snapshots []Snapshot
 }
 
 // Current returns the latest snapshot, or nil when none exists.
@@ -93,40 +91,19 @@ func (c *Catalog) Update(id DatasetID, rel *relation.Relation, comment string) (
 	return v, nil
 }
 
-// Get returns the current relation for a dataset, honouring the entry's
-// access quota: once reads exceed the quota, Get fails until ResetQuotas.
+// Get returns the current relation for a dataset.
 func (c *Catalog) Get(id DatasetID) (*relation.Relation, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("catalog: dataset %s not registered", id)
-	}
-	if e.AccessQuota > 0 && e.reads >= e.AccessQuota {
-		return nil, fmt.Errorf("catalog: dataset %s access quota %d exhausted", id, e.AccessQuota)
-	}
-	e.reads++
-	s := e.Current()
-	if s == nil {
-		return nil, fmt.Errorf("catalog: dataset %s has no snapshots", id)
-	}
-	return s.Rel, nil
-}
-
-// GetVersion returns a specific historical snapshot.
-func (c *Catalog) GetVersion(id DatasetID, version int) (*relation.Relation, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.entries[id]
 	if !ok {
 		return nil, fmt.Errorf("catalog: dataset %s not registered", id)
 	}
-	for i := range e.snapshots {
-		if e.snapshots[i].Version == version {
-			return e.snapshots[i].Rel, nil
-		}
+	s := e.Current()
+	if s == nil {
+		return nil, fmt.Errorf("catalog: dataset %s has no snapshots", id)
 	}
-	return nil, fmt.Errorf("catalog: dataset %s has no version %d", id, version)
+	return s.Rel, nil
 }
 
 // Entry returns the catalog record for id.
@@ -140,28 +117,6 @@ func (c *Catalog) Entry(id DatasetID) (*Entry, error) {
 	return e, nil
 }
 
-// SetQuota sets the per-window access quota for a dataset (paper §4.2,
-// "subject to an optional access quota established by the origin system").
-func (c *Catalog) SetQuota(id DatasetID, quota int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return fmt.Errorf("catalog: dataset %s not registered", id)
-	}
-	e.AccessQuota = quota
-	return nil
-}
-
-// ResetQuotas zeroes the read counters (start of a new sync window).
-func (c *Catalog) ResetQuotas() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		e.reads = 0
-	}
-}
-
 // IDs returns all dataset IDs, sorted.
 func (c *Catalog) IDs() []DatasetID {
 	c.mu.RLock()
@@ -169,20 +124,6 @@ func (c *Catalog) IDs() []DatasetID {
 	out := make([]DatasetID, 0, len(c.entries))
 	for id := range c.entries {
 		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ByOwner returns the dataset IDs owned by a seller, sorted.
-func (c *Catalog) ByOwner(owner string) []DatasetID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []DatasetID
-	for id, e := range c.entries {
-		if e.Owner == owner {
-			out = append(out, id)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

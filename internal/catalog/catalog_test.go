@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -63,19 +62,12 @@ func TestVersioning(t *testing.T) {
 	if cur.NumRows() != 5 {
 		t.Errorf("current rows = %d", cur.NumRows())
 	}
-	old, err := c.GetVersion("d1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.NumRows() != 2 {
-		t.Errorf("v1 rows = %d", old.NumRows())
-	}
-	if _, err := c.GetVersion("d1", 99); err == nil {
-		t.Error("missing version must fail")
-	}
 	e, _ := c.Entry("d1")
 	if len(e.History()) != 2 {
-		t.Errorf("history len = %d", len(e.History()))
+		t.Fatalf("history len = %d", len(e.History()))
+	}
+	if old := e.History()[0]; old.Version != 1 || old.Rel.NumRows() != 2 {
+		t.Errorf("v1 = version %d, %d rows", old.Version, old.Rel.NumRows())
 	}
 	if _, err := c.Update("ghost", rel("r", 1), ""); err == nil {
 		t.Error("update of unregistered dataset must fail")
@@ -95,28 +87,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestAccessQuota(t *testing.T) {
-	c := New()
-	if err := c.Register("d1", "s", rel("r", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetQuota("d1", 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Get("d1"); err != nil {
-			t.Fatalf("read %d failed: %v", i, err)
-		}
-	}
-	if _, err := c.Get("d1"); err == nil || !strings.Contains(err.Error(), "quota") {
-		t.Errorf("third read should exhaust quota, got %v", err)
-	}
-	c.ResetQuotas()
-	if _, err := c.Get("d1"); err != nil {
-		t.Errorf("after reset: %v", err)
-	}
-}
-
 func TestListing(t *testing.T) {
 	c := New()
 	_ = c.Register("b", "s2", rel("r", 1))
@@ -125,10 +95,6 @@ func TestListing(t *testing.T) {
 	ids := c.IDs()
 	if len(ids) != 3 || ids[0] != "a" || ids[2] != "c" {
 		t.Errorf("IDs = %v", ids)
-	}
-	own := c.ByOwner("s1")
-	if len(own) != 2 || own[0] != "a" {
-		t.Errorf("ByOwner = %v", own)
 	}
 	if c.Len() != 3 {
 		t.Errorf("Len = %d", c.Len())

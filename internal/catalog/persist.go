@@ -12,13 +12,12 @@ import (
 
 // manifestEntry records one dataset's metadata in the on-disk manifest.
 type manifestEntry struct {
-	ID          string   `json:"id"`
-	Owner       string   `json:"owner"`
-	Name        string   `json:"name"`
-	Tags        []string `json:"tags,omitempty"`
-	AccessQuota int      `json:"access_quota,omitempty"`
-	Versions    int      `json:"versions"`
-	Comments    []string `json:"comments"`
+	ID       string   `json:"id"`
+	Owner    string   `json:"owner"`
+	Name     string   `json:"name"`
+	Tags     []string `json:"tags,omitempty"`
+	Versions int      `json:"versions"`
+	Comments []string `json:"comments"`
 }
 
 // SaveDir persists the catalog to a directory: a manifest.json plus one CSV
@@ -35,7 +34,7 @@ func (c *Catalog) SaveDir(dir string) error {
 		e := c.entries[id]
 		me := manifestEntry{
 			ID: string(id), Owner: e.Owner, Name: e.Name, Tags: e.Tags,
-			AccessQuota: e.AccessQuota, Versions: len(e.snapshots),
+			Versions: len(e.snapshots),
 		}
 		for _, s := range e.snapshots {
 			me.Comments = append(me.Comments, s.Comment)
@@ -83,8 +82,7 @@ func versionFile(id string, version int) string {
 	return fmt.Sprintf("%s.v%d.csv", safe, version)
 }
 
-// LoadDir restores a catalog saved by SaveDir, including version history and
-// quotas (read counters reset).
+// LoadDir restores a catalog saved by SaveDir, including version history.
 func LoadDir(dir string) (*Catalog, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -116,11 +114,6 @@ func LoadDir(dir string) (*Catalog, error) {
 					return nil, err
 				}
 			} else if _, err := c.Update(id, rel, comment); err != nil {
-				return nil, err
-			}
-		}
-		if me.AccessQuota > 0 {
-			if err := c.SetQuota(id, me.AccessQuota); err != nil {
 				return nil, err
 			}
 		}

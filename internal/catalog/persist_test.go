@@ -20,9 +20,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := c.Register("weather", "bob", rel("weather", 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetQuota("weather", 7); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -40,23 +37,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if cur.NumRows() != 8 {
 		t.Errorf("current version rows = %d, want 8", cur.NumRows())
 	}
-	old, err := got.GetVersion("dept/sales", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.NumRows() != 5 {
+	e, _ := got.Entry("dept/sales")
+	if old := e.History()[0].Rel; old.NumRows() != 5 {
 		t.Errorf("v1 rows = %d, want 5", old.NumRows())
 	}
-	e, _ := got.Entry("dept/sales")
 	if e.Owner != "alice" || len(e.Tags) != 2 {
 		t.Errorf("entry = %+v", e)
 	}
 	if e.History()[1].Comment != "grew" {
 		t.Errorf("comment = %q", e.History()[1].Comment)
-	}
-	we, _ := got.Entry("weather")
-	if we.AccessQuota != 7 {
-		t.Errorf("quota = %d", we.AccessQuota)
 	}
 }
 

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -221,21 +220,6 @@ func (p *Platform) ShareDataset(sellerName string, id catalog.DatasetID, rel *re
 // SubmitRequest files a buyer's data need with the arbiter.
 func (p *Platform) SubmitRequest(want dod.Want, f *wtp.Function) (string, error) {
 	return p.Arbiter.SubmitRequest(want, f)
-}
-
-// Participants returns the registered seller and buyer names, sorted.
-func (p *Platform) Participants() (sellers, buyers []string) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for n := range p.sellers {
-		sellers = append(sellers, n)
-	}
-	for n := range p.buyers {
-		buyers = append(buyers, n)
-	}
-	sort.Strings(sellers)
-	sort.Strings(buyers)
-	return sellers, buyers
 }
 
 // Summary renders the platform state for CLI display.

@@ -214,18 +214,17 @@ type RequestState struct {
 
 // PlatformSnapshot is a point-in-time checkpoint of the platform state the
 // engine's event-log replay rebuilds: participants and balances, shared
-// datasets (current version), open requests, the purchase history the
-// recommendation service reads, the holders of exclusive and transfer
-// licenses, and the arbiter's ID counter. Derived state — profiles, the
-// discovery index, seller platforms — is recomputed on restore by
-// re-ingesting datasets in share order, so a restored platform matches a
-// replayed one exactly. Not captured: catalog version history, the audit
-// chain (a verification window over recent activity, restarted with the
-// process), closed requests, completed transactions older than
-// the arbiter's history window (HistoryDropped counts them; the event log
-// and the engine's settlement book — archived beside the snapshot by the
-// checkpointer, never inside it — are the record), and open requests
-// carrying non-serializable code tasks.
+// datasets (current version), open requests, the purchase history license
+// resale checks read, the holders of exclusive and transfer licenses, and the
+// arbiter's ID counter. Derived state — profiles, the discovery index, seller
+// platforms — is recomputed on restore by re-ingesting datasets in share
+// order, so a restored platform matches a replayed one exactly. Not captured:
+// catalog version history, the audit chain (a verification window over recent
+// activity, restarted with the process), closed requests, completed
+// transactions older than the arbiter's history window (HistoryDropped counts
+// them; the event log and the engine's settlement book — archived beside the
+// snapshot by the checkpointer, never inside it — are the record), and open
+// requests carrying non-serializable code tasks.
 type PlatformSnapshot struct {
 	Design   string         `json:"design"`
 	Sellers  []string       `json:"sellers,omitempty"` // creation order
@@ -252,10 +251,10 @@ type PlatformSnapshot struct {
 	// uninterrupted run.
 	Rng uint64 `json:"rng,omitempty"`
 	// Unmet carries the demand-signal counters (column -> times wanted but
-	// unsupplied) so the recommendation/negotiation services keep their
-	// signal across a restore.
+	// unsupplied) so the negotiation service keeps its signal across a
+	// restore.
 	Unmet map[string]int `json:"unmet,omitempty"`
-	// Purchases is the recommendation service's purchase history (buyer ->
+	// Purchases is the purchase history MayResell reads (buyer ->
 	// dataset -> times bought): buyers × datasets in size, not one entry per
 	// sale. Snapshots from before it was carried restore without it.
 	Purchases map[string]map[string]int `json:"purchases,omitempty"`

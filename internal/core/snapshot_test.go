@@ -17,8 +17,9 @@ import (
 
 // churnCatalog shares a churn-join-like catalog into p: six bases joined on
 // their key a, then fresh shares with disjoint keys — every tenth also
-// holding part of a — and finally re-shares one base with fewer rows and new
-// values. It returns the wants a buyer of that market files.
+// holding part of a — and finally re-shares one base, with fewer rows and new
+// values, under an ID of its own. It returns the wants a buyer of that market
+// files.
 func churnCatalog(t *testing.T, p *Platform) []dod.Want {
 	t.Helper()
 	open := license.Terms{Kind: license.Open}
@@ -53,9 +54,7 @@ func churnCatalog(t *testing.T, p *Platform) []dod.Want {
 		}
 		share(fmt.Sprintf("x%d", k), fmt.Sprintf("x%d/d", k), r)
 	}
-	if err := p.Arbiter.UpdateDataset("s2/base", base(2, 24, 0.5), "re-share"); err != nil {
-		t.Fatal(err)
-	}
+	share("s2", "s2/reshare", base(2, 24, 0.5))
 	var wants []dod.Want
 	for i := 0; i < 6; i++ {
 		for _, step := range []int{1, 2} {
@@ -113,7 +112,7 @@ func TestRestoreReindexesLikeShares(t *testing.T) {
 	}
 
 	got, want := restored.Arbiter.Discovery().Index(), replayed.Arbiter.Discovery().Index()
-	if g, w := got.Datasets(), want.Datasets(); !reflect.DeepEqual(g, w) || len(g) != 156 {
+	if g, w := got.Datasets(), want.Datasets(); !reflect.DeepEqual(g, w) || len(g) != 157 {
 		t.Fatalf("datasets: restored %d, replayed %d", len(g), len(w))
 	}
 	if g, w := got.Edges(), want.Edges(); !reflect.DeepEqual(g, w) {

@@ -12,7 +12,6 @@ package crowd
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ledger"
@@ -90,26 +89,6 @@ func (b *Board) Post(kind TaskKind, dataset, column, target string, bounty float
 	}
 	b.tasks[t.ID] = t
 	return t, nil
-}
-
-// OpenTasks lists unanswered tasks, sorted by descending bounty — workers
-// chase value.
-func (b *Board) OpenTasks() []*Task {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []*Task
-	for _, t := range b.tasks {
-		if t.Open {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bounty != out[j].Bounty {
-			return out[i].Bounty > out[j].Bounty
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // Submit records a worker's answer. When the quorum is reached the task is

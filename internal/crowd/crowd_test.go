@@ -106,16 +106,6 @@ func TestLabelTaskMajoritySplits(t *testing.T) {
 	}
 }
 
-func TestOpenTasksOrdering(t *testing.T) {
-	b, _ := mkBoard(t)
-	_, _ = b.Post(KindLabel, "a", "x", "y", 5, 1)
-	_, _ = b.Post(KindLabel, "a", "x", "z", 20, 1)
-	open := b.OpenTasks()
-	if len(open) != 2 || open[0].Bounty != 20 {
-		t.Errorf("tasks must sort by bounty: %+v", open)
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	b, _ := mkBoard(t)
 	if _, err := b.Submit("nope", Answer{Worker: "w1"}); err == nil {

@@ -1,8 +1,7 @@
 // Package discovery is the data-discovery API of the Mashup Builder (the
 // Aurum role in the paper, §5): given the indexes built by internal/index it
-// answers the three questions DoD and human analysts ask — which columns
-// match a keyword, which columns are content-similar to a given column, and
-// which datasets are joinable with a given dataset.
+// finds the columns that match a keyword and hands DoD the profiles and the
+// join graph.
 package discovery
 
 import (
@@ -48,68 +47,6 @@ func (e *Engine) SearchColumns(keywords ...string) []Hit {
 		out = append(out, Hit{Ref: ref, Score: s})
 	}
 	sortHits(out)
-	return out
-}
-
-// SimilarColumns returns columns whose content overlaps the given column,
-// ranked by estimated Jaccard.
-func (e *Engine) SimilarColumns(dataset, column string) []Hit {
-	var out []Hit
-	for _, edge := range e.ix.EdgesFor(dataset) {
-		var other index.ColRef
-		switch {
-		case edge.A.Dataset == dataset && edge.A.Column == column:
-			other = edge.B
-		case edge.B.Dataset == dataset && edge.B.Column == column:
-			other = edge.A
-		default:
-			continue
-		}
-		out = append(out, Hit{Ref: other, Score: edge.Jaccard})
-	}
-	sortHits(out)
-	return out
-}
-
-// JoinableDatasets returns datasets sharing at least one high-containment
-// join edge with the given dataset, with the best edge score.
-func (e *Engine) JoinableDatasets(dataset string) []Hit {
-	best := map[string]float64{}
-	bestCol := map[string]index.ColRef{}
-	for _, edge := range e.ix.EdgesFor(dataset) {
-		other := edge.B
-		if other.Dataset == dataset {
-			other = edge.A
-		}
-		if other.Dataset == dataset {
-			continue
-		}
-		if edge.Containment > best[other.Dataset] {
-			best[other.Dataset] = edge.Containment
-			bestCol[other.Dataset] = other
-		}
-	}
-	out := make([]Hit, 0, len(best))
-	for _, ref := range bestCol {
-		out = append(out, Hit{Ref: ref, Score: best[ref.Dataset]})
-	}
-	sortHits(out)
-	return out
-}
-
-// KeyColumns returns the key-like columns of a dataset (join anchors).
-func (e *Engine) KeyColumns(dataset string) []string {
-	dp := e.ix.Profile(dataset)
-	if dp == nil {
-		return nil
-	}
-	var out []string
-	for i := range dp.Columns {
-		if dp.Columns[i].IsKeyLike() {
-			out = append(out, dp.Columns[i].Column)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

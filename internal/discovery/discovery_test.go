@@ -54,48 +54,3 @@ func TestSearchColumns(t *testing.T) {
 		}
 	}
 }
-
-func TestSimilarColumns(t *testing.T) {
-	e := mkEngine()
-	hits := e.SimilarColumns("orders", "cust_id")
-	if len(hits) == 0 {
-		t.Fatal("cust_id should have a similar column in customers")
-	}
-	if hits[0].Ref != (index.ColRef{Dataset: "customers", Column: "cust_id"}) {
-		t.Errorf("top similar = %v", hits[0].Ref)
-	}
-	if len(e.SimilarColumns("orders", "no_such")) != 0 {
-		t.Error("unknown column yields nothing")
-	}
-}
-
-func TestJoinableDatasets(t *testing.T) {
-	e := mkEngine()
-	hits := e.JoinableDatasets("orders")
-	if len(hits) != 1 || hits[0].Ref.Dataset != "customers" {
-		t.Fatalf("joinable = %v", hits)
-	}
-	if hits[0].Score <= 0 {
-		t.Error("joinable score must be positive")
-	}
-}
-
-func TestKeyColumns(t *testing.T) {
-	e := mkEngine()
-	keys := e.KeyColumns("orders")
-	found := false
-	for _, k := range keys {
-		if k == "order_id" {
-			found = true
-		}
-		if k == "cust_id" {
-			t.Error("cust_id repeats values; must not be key-like")
-		}
-	}
-	if !found {
-		t.Errorf("keys = %v, want order_id", keys)
-	}
-	if e.KeyColumns("ghost") != nil {
-		t.Error("unknown dataset has no keys")
-	}
-}

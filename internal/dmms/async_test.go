@@ -290,6 +290,10 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			}
 			wantCode(t, do(t, s, "GET", "/balance?account=nobody", nil, nil), http.StatusNotFound)
 			wantCode(t, do(t, s, "GET", "/balance", nil, nil), http.StatusBadRequest)
+			// Funds the ledger cannot hold are refused before a ticket exists.
+			for _, funds := range []float64{-1, 1e13} {
+				wantCode(t, do(t, s, "POST", "/async/participants", ParticipantReq{Name: "whale", Funds: funds}, nil), http.StatusBadRequest)
+			}
 
 			var designs map[string]any
 			wantCode(t, do(t, s, "GET", "/designs", nil, &designs), http.StatusOK)

@@ -155,6 +155,11 @@ func TestHTTPValidation(t *testing.T) {
 	if _, err := c.Balance(""); err == nil {
 		t.Error("missing account must fail")
 	}
+	for name, funds := range map[string]float64{"debtor": -1, "whale": 1e13} {
+		if err := c.Register(name, funds); err == nil {
+			t.Errorf("funds %g must fail", funds)
+		}
+	}
 }
 
 func TestHTTPDemandSignals(t *testing.T) {

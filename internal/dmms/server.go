@@ -211,6 +211,19 @@ type ParticipantReq struct {
 	Funds float64 `json:"funds"`
 }
 
+// maxFunds is the smallest amount whose micro-units overflow the ledger's
+// int64 balances.
+const maxFunds = math.MaxInt64 / 1e6
+
+// checkFunds refuses registration funds the ledger cannot hold: negative
+// amounts and amounts at or above maxFunds.
+func checkFunds(funds float64) error {
+	if !(funds >= 0 && funds < maxFunds) {
+		return fmt.Errorf("dmms: funds %g must be >= 0 and < %g", funds, maxFunds)
+	}
+	return nil
+}
+
 // DatasetReq shares a dataset with the arbiter.
 type DatasetReq struct {
 	Seller   string             `json:"seller"`
@@ -346,6 +359,10 @@ func (s *Server) handleParticipants(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Name == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: name is required"))
+		return
+	}
+	if err := checkFunds(req.Funds); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	ticket, err := s.market.SubmitRegister(req.Name, req.Funds)

@@ -40,6 +40,10 @@ func (s *SyncServer) handleParticipants(w http.ResponseWriter, r *http.Request) 
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if err := checkFunds(req.Funds); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	if err := s.platform.Arbiter.RegisterParticipant(req.Name, req.Funds); err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return

@@ -14,7 +14,7 @@ import (
 
 // This file is the versioned candidate store behind the pipelined arbiter:
 // Build results are cached per want-key and stamped with the catalog version
-// they are valid at. ShareDataset/UpdateDataset (through MutateCatalog) and
+// they are valid at. ShareDataset (through MutateCatalog) and
 // RegisterTransform bump the version, and readers only ever compare a set's
 // stamp with the current version — so a cached mashup built against
 // yesterday's catalog is detected, and rebuilt, rather than served.
@@ -234,7 +234,7 @@ func (e *Engine) CatalogVersion() uint64 { return e.version.Load() }
 
 // MutateCatalog runs a mutation of one dataset — its catalog content, its
 // index entry, its transforms — exclusively against in-flight builds. The
-// arbiter routes its index writes (ShareDataset, UpdateDataset) through here
+// arbiter routes its index writes (ShareDataset) through here
 // so concurrent builds never observe a half-applied mutation. The
 // closure reports whether it actually applied: only then is the catalog
 // version bumped — a rejected update must not stale anything.
@@ -272,8 +272,8 @@ func (e *Engine) MutateCatalog(touched catalog.DatasetID, mutate func() bool) ui
 
 // Valid reports whether a candidate set can be priced for the given want
 // right now: it must have been built from an identical want and stamped with
-// the current catalog version. The price-time check is what keeps an
-// UpdateDataset racing a prebuild from settling against a pre-update mashup.
+// the current catalog version. The price-time check is what keeps a share
+// racing a prebuild from settling against a pre-share mashup.
 func (e *Engine) Valid(cs *CandidateSet, want Want) bool {
 	return cs != nil && cs.fp == want.fingerprint() && cs.Version.Load() == e.version.Load()
 }

@@ -189,7 +189,7 @@ func (e *Engine) RegisterTransform(dataset catalog.DatasetID, column, target str
 		e.transforms[transKey{string(dataset), column, target}] = t
 		rel, err := e.cat.Get(dataset)
 		if err != nil {
-			return true // quota-limited or unknown; transform-only registration stands
+			return true // unknown dataset; transform-only registration stands
 		}
 		if rel.Schema.Has(target) || !rel.Schema.Has(column) {
 			return true
@@ -205,13 +205,6 @@ func (e *Engine) RegisterTransform(dataset catalog.DatasetID, column, target str
 		}
 		return true
 	})
-}
-
-// Transforms returns the number of registered transforms.
-func (e *Engine) Transforms() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.transforms)
 }
 
 // providersFor lists how dataset ds can supply each wanted column.
@@ -306,13 +299,6 @@ func (s *state) has(ds string) bool {
 		}
 	}
 	return false
-}
-
-func (s *state) coverage(want Want) float64 {
-	if len(want.Columns) == 0 {
-		return 1
-	}
-	return float64(len(s.covered)) / float64(len(want.Columns))
 }
 
 func (s *state) quality(want Want) float64 {

@@ -16,11 +16,6 @@ type Transform struct {
 	Fn   func(relation.Value) relation.Value
 }
 
-// Apply runs the transform over a column.
-func (t *Transform) Apply(r *relation.Relation, col string) (*relation.Relation, error) {
-	return relation.Map(r, col, t.Kind, t.Fn)
-}
-
 // InferAffine fits y ≈ a·x + b over paired example values by least squares
 // and returns the transform plus R². The arbiter uses example pairs —
 // supplied by the buyer's packaged data or by a seller during negotiation

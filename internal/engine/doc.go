@@ -50,23 +50,22 @@
 //
 // Building a want group's mashup and pricing it are one discrete matching
 // round: PriceRound builds each group's candidates inline, in the epoch.
-// Builds go through the DoD engine's versioned candidate cache
-// (internal/dod): every ShareDataset, UpdateDataset and RegisterTransform
-// bumps a catalog version, each cached set is stamped with the version it is
-// valid at, and the round re-validates at settlement time — a dataset
-// updated since a set was built can never settle against its pre-update
-// mashup; the round rebuilds instead. A bump stales only the sets it could
-// have changed: the mutation names the dataset it touches, and a cached set
-// for whose want that dataset provides nothing, before and after (the beam
-// search's own admission test), is re-stamped to the new version under the
-// mutation's exclusive lock. The engine is untouched by this — it only ever
-// asks whether a set's stamp is current. The rule assumes every dataset in a
-// beam state is a provider; a search that joined through bridge-only
-// datasets would need the footprint widened to the join-reachable ones.
-// Candidates are derived state: they are never logged or snapshotted, and a
-// version-valid cached set — fresh or carried forward — is identical to what
-// a fresh build would produce (Build is deterministic and a function of the
-// want's footprint datasets), so none of this is visible to replay.
+// Builds go through the DoD engine's versioned candidate cache (internal/dod):
+// every ShareDataset and RegisterTransform bumps a catalog version, each
+// cached set is stamped with the version it is valid at, and the round
+// re-validates at settlement time — a set built before a share it could have
+// used can never settle; the round rebuilds instead. A bump stales only the
+// sets it could have changed: the mutation names the dataset it touches, and a
+// cached set for whose want that dataset provides nothing, before and after
+// (the beam search's own admission test), is re-stamped to the new version
+// under the mutation's exclusive lock. The engine is untouched by this — it
+// only ever asks whether a set's stamp is current. The rule assumes every
+// dataset in a beam state is a provider; a search that joined through
+// bridge-only datasets would need the footprint widened to the join-reachable
+// ones. Candidates are derived state: they are never logged or snapshotted,
+// and a version-valid cached set — fresh or carried forward — is identical to
+// what a fresh build would produce (Build is deterministic and a function of
+// the want's footprint datasets), so none of this is visible to replay.
 // Config.BuildDeadline bounds each build; since builds run one after another
 // inside the round, k wedged groups hold it for k deadlines. Stats surfaces
 // BuildMillis (cumulative build time — part of the round, so PriceMillis

@@ -148,45 +148,3 @@ func (in *Insurer) Claim(policyID string, loss float64) (paid float64, err error
 	}
 	return pay, nil
 }
-
-// Cancel deactivates a policy without refund.
-func (in *Insurer) Cancel(policyID string) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	p, ok := in.policies[policyID]
-	if !ok {
-		return fmt.Errorf("insurance: no policy %q", policyID)
-	}
-	p.Active = false
-	return nil
-}
-
-// Policy returns a policy by ID.
-func (in *Insurer) Policy(policyID string) (*Policy, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	p, ok := in.policies[policyID]
-	if !ok {
-		return nil, fmt.Errorf("insurance: no policy %q", policyID)
-	}
-	return p, nil
-}
-
-// PoolBalance returns the premium pool's current funds.
-func (in *Insurer) PoolBalance() float64 {
-	return in.ledger.Balance(PoolAccount).Float()
-}
-
-// ExpectedLoss returns the expected payout across active policies — the
-// solvency check an arbiter runs before underwriting more risk.
-func (in *Insurer) ExpectedLoss() float64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var sum float64
-	for _, p := range in.policies {
-		if p.Active {
-			sum += p.Risk * (p.Coverage - p.ClaimPaid)
-		}
-	}
-	return sum
-}

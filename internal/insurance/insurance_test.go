@@ -52,7 +52,7 @@ func TestUnderwriteAndQuote(t *testing.T) {
 	if !p.Active || p.Premium != q {
 		t.Errorf("policy = %+v", p)
 	}
-	if got := in.PoolBalance(); math.Abs(got-q) > 0.001 {
+	if got := l.Balance(PoolAccount).Float(); math.Abs(got-q) > 0.001 {
 		t.Errorf("pool = %v, want premium %v", got, q)
 	}
 	if math.Abs(l.Balance("seller").Float()-(1000-q)) > 0.001 {
@@ -78,7 +78,7 @@ func TestClaimLifecycle(t *testing.T) {
 	if _, err := in.Underwrite("d2", "arbiter", risk, 300); err != nil {
 		t.Fatal(err)
 	}
-	pool := in.PoolBalance()
+	pool := l.Balance(PoolAccount).Float()
 	paid, err := in.Claim(p.ID, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +86,8 @@ func TestClaimLifecycle(t *testing.T) {
 	if paid != 100 && paid != pool { // pool-limited or full
 		t.Errorf("paid = %v", paid)
 	}
-	got, _ := in.Policy(p.ID)
-	if got.ClaimPaid != paid {
-		t.Errorf("claim paid recorded = %v", got.ClaimPaid)
+	if p.ClaimPaid != paid {
+		t.Errorf("claim paid recorded = %v", p.ClaimPaid)
 	}
 	// Coverage exhaustion deactivates.
 	for i := 0; i < 10; i++ {
@@ -96,9 +95,8 @@ func TestClaimLifecycle(t *testing.T) {
 			break
 		}
 	}
-	got, _ = in.Policy(p.ID)
-	if got.ClaimPaid > got.Coverage+1e-9 {
-		t.Errorf("paid %v beyond coverage %v", got.ClaimPaid, got.Coverage)
+	if p.ClaimPaid > p.Coverage+1e-9 {
+		t.Errorf("paid %v beyond coverage %v", p.ClaimPaid, p.Coverage)
 	}
 	if _, err := in.Claim("pol-9999", 10); err == nil {
 		t.Error("unknown policy must fail")
@@ -124,31 +122,7 @@ func TestPoolNeverOverdrafts(t *testing.T) {
 	if paid > p.Premium+1e-5 { // currency micro-unit rounding
 		t.Errorf("paid %v exceeds pool %v", paid, p.Premium)
 	}
-	if in.PoolBalance() < -1e-9 {
-		t.Errorf("pool overdrafted: %v", in.PoolBalance())
-	}
-}
-
-func TestExpectedLossAndCancel(t *testing.T) {
-	l := mkLedger(t)
-	in, _ := New(l, 1.3)
-	risk := RiskProfile{Epsilon: 4, Records: 1000}
-	p, _ := in.Underwrite("d", "seller", risk, 200)
-	el := in.ExpectedLoss()
-	want := risk.RiskScore() * 200
-	if math.Abs(el-want) > 1e-9 {
-		t.Errorf("expected loss = %v, want %v", el, want)
-	}
-	if err := in.Cancel(p.ID); err != nil {
-		t.Fatal(err)
-	}
-	if in.ExpectedLoss() != 0 {
-		t.Error("cancelled policy carries no expected loss")
-	}
-	if _, err := in.Claim(p.ID, 10); err == nil {
-		t.Error("claim on cancelled policy must fail")
-	}
-	if err := in.Cancel("nope"); err == nil {
-		t.Error("unknown cancel must fail")
+	if l.Balance(PoolAccount).Float() < -1e-9 {
+		t.Errorf("pool overdrafted: %v", l.Balance(PoolAccount).Float())
 	}
 }

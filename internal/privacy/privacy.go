@@ -43,9 +43,6 @@ func (b *Budget) Spend(dataset string, eps float64) error {
 // Spent returns the epsilon consumed so far for a dataset.
 func (b *Budget) Spent(dataset string) float64 { return b.spent[dataset] }
 
-// Remaining returns the budget left for a dataset.
-func (b *Budget) Remaining(dataset string) float64 { return b.Cap - b.spent[dataset] }
-
 // laplace draws Laplace(0, scale) noise from rng.
 func laplace(rng *rand.Rand, scale float64) float64 {
 	u := rng.Float64() - 0.5
@@ -140,36 +137,4 @@ func DropColumns(r *relation.Relation, cols ...string) (*relation.Relation, erro
 		}
 	}
 	return relation.Project(r, keep...)
-}
-
-// Pseudonymize replaces a string identifier column with stable opaque tokens
-// ("mapping of employees to IDs", paper §1): equal inputs get equal tokens.
-// The returned mapping table (token -> original) stays with the seller; the
-// arbiter may later request it during negotiation rounds.
-func Pseudonymize(r *relation.Relation, col, prefix string) (*relation.Relation, map[string]string, error) {
-	ci := r.Schema.IndexOf(col)
-	if ci < 0 {
-		return nil, nil, fmt.Errorf("privacy: no column %q", col)
-	}
-	mapping := map[string]string{}
-	next := 0
-	out, err := relation.Map(r, col, relation.KindString, func(v relation.Value) relation.Value {
-		if v.IsNull() {
-			return v
-		}
-		orig := v.String()
-		for tok, o := range mapping {
-			if o == orig {
-				return relation.String_(tok)
-			}
-		}
-		tok := fmt.Sprintf("%s%04d", prefix, next)
-		next++
-		mapping[tok] = orig
-		return relation.String_(tok)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, mapping, nil
 }

@@ -90,29 +90,6 @@ type ColumnProfile struct {
 	TopValues []string
 }
 
-// NullRatio is the fraction of NULL cells.
-func (p *ColumnProfile) NullRatio() float64 {
-	if p.RowCount == 0 {
-		return 0
-	}
-	return float64(p.NullCount) / float64(p.RowCount)
-}
-
-// Uniqueness is distinct/non-null count — near 1.0 suggests a key column.
-func (p *ColumnProfile) Uniqueness() float64 {
-	nn := p.RowCount - p.NullCount
-	if nn == 0 {
-		return 0
-	}
-	return float64(p.Distinct) / float64(nn)
-}
-
-// IsKeyLike reports whether the column plausibly serves as a join key:
-// high uniqueness and low null ratio.
-func (p *ColumnProfile) IsKeyLike() bool {
-	return p.Uniqueness() >= 0.95 && p.NullRatio() <= 0.05 && p.RowCount > 0
-}
-
 // DatasetProfile aggregates the column profiles of one dataset.
 type DatasetProfile struct {
 	Dataset  string

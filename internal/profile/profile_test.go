@@ -39,12 +39,12 @@ func TestProfileBasics(t *testing.T) {
 	if id == nil {
 		t.Fatal("missing id profile")
 	}
-	if id.Distinct != 5 || !id.IsKeyLike() {
-		t.Errorf("id: distinct=%d keylike=%v", id.Distinct, id.IsKeyLike())
+	if id.Distinct != 5 {
+		t.Errorf("id: distinct=%d", id.Distinct)
 	}
 	city := dp.Column("city")
-	if city.Distinct != 3 || city.IsKeyLike() {
-		t.Errorf("city: distinct=%d keylike=%v", city.Distinct, city.IsKeyLike())
+	if city.Distinct != 3 {
+		t.Errorf("city: distinct=%d", city.Distinct)
 	}
 	temp := dp.Column("temp")
 	if temp.NullCount != 1 {
@@ -55,9 +55,6 @@ func TestProfileBasics(t *testing.T) {
 	}
 	if math.Abs(temp.Mean-15) > 1e-9 {
 		t.Errorf("temp mean = %v", temp.Mean)
-	}
-	if temp.NullRatio() != 0.2 {
-		t.Errorf("null ratio = %v", temp.NullRatio())
 	}
 	if len(city.TopValues) == 0 || city.TopValues[0] != "chi" {
 		t.Errorf("top values = %v", city.TopValues)
@@ -300,15 +297,5 @@ func TestProfileMatchesTwoPass(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d rows): one-pass profile differs:\n got %+v\nwant %+v", trial, r.NumRows(), got, want)
 		}
-	}
-}
-
-func TestUniquenessEmpty(t *testing.T) {
-	var p ColumnProfile
-	if p.Uniqueness() != 0 || p.NullRatio() != 0 {
-		t.Error("empty profile stats must be 0")
-	}
-	if p.IsKeyLike() {
-		t.Error("empty column is not key-like")
 	}
 }

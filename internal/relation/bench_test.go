@@ -122,13 +122,22 @@ func BenchmarkJoinProjectEager(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinProjectPlanned runs the same query as one Plan: the join
-// streams into the projection, and only the projected rows materialize.
-func BenchmarkJoinProjectPlanned(b *testing.B) {
+// BenchmarkJoinProjectStreaming runs the same query as one iterator
+// pipeline: the join streams into the projection, and only the projected rows
+// materialize.
+func BenchmarkJoinProjectStreaming(b *testing.B) {
 	l, r := mkBenchRel(5000), mkBenchRel(5000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScanPlan(l).Join(ScanPlan(r), JoinPair{"k", "k"}).Project("k", "v").Run(); err != nil {
+		it, err := NewHashJoin(NewScan(l), NewScan(r), l.Name, r.Name, JoinPair{"k", "k"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		it, err = NewProject(it, "k", "v")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Materialize(it); err != nil {
 			b.Fatal(err)
 		}
 	}

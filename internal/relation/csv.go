@@ -198,7 +198,10 @@ func (r *Relation) UnmarshalJSON(data []byte) error {
 		schema[i] = Column{Name: jr.Cols[i], Kind: k}
 	}
 	nr := New(jr.Name, schema)
-	for _, rec := range jr.Values {
+	for n, rec := range jr.Values {
+		if len(rec) != len(schema) {
+			return fmt.Errorf("relation: json row %d has %d values, schema has %d", n, len(rec), len(schema))
+		}
 		row := make([]Value, len(schema))
 		for i, s := range rec {
 			v, err := ParseValue(schema[i].Kind, s)

@@ -14,8 +14,7 @@
 // assembled from NewScan/NewSelect/NewProject/NewHashJoin/... and drained by
 // Materialize, which preserves row order and enforces the maxJoinRows guard,
 // so results are byte-identical to the historical eager operators — those
-// remain available as thin Materialize(op(...)) wrappers. Plan composes
-// scans, joins and projections into one such pipeline.
+// remain available as thin Materialize(op(...)) wrappers.
 //
 // # Ownership and retention rules for rows flowing through iterators
 //

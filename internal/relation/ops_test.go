@@ -125,7 +125,7 @@ func TestMapAndAddColumn(t *testing.T) {
 	withFlag := AddColumn(p, Col("senior", KindBool), func(row []Value, s Schema) Value {
 		return Bool(row[s.IndexOf("age")].AsInt() >= 40)
 	})
-	if withFlag.NumCols() != 5 {
+	if len(withFlag.Schema) != 5 {
 		t.Error("AddColumn arity")
 	}
 	v, _ := withFlag.Cell(1, "senior")
@@ -225,6 +225,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !got.Equal(p) {
 		t.Error("json round trip mismatch")
+	}
+}
+
+// TestJSONRejectsWrongArity: a row wider or narrower than the schema is
+// refused, never indexed past the schema or padded with NULLs.
+func TestJSONRejectsWrongArity(t *testing.T) {
+	for _, body := range []string{
+		`{"cols":["a"],"kinds":["int"],"rows":[["1","2"]]}`,
+		`{"cols":["a","b"],"kinds":["int","int"],"rows":[["1","2"],["3"]]}`,
+	} {
+		var got Relation
+		if err := json.Unmarshal([]byte(body), &got); err == nil {
+			t.Errorf("%s: decoded %d rows, want an arity error", body, got.NumRows())
+		}
 	}
 }
 

@@ -22,9 +22,6 @@ func New(name string, schema Schema) *Relation {
 // NumRows returns the number of rows.
 func (r *Relation) NumRows() int { return len(r.Rows) }
 
-// NumCols returns the number of columns.
-func (r *Relation) NumCols() int { return len(r.Schema) }
-
 // Append validates and appends a row. The row is stored directly (not
 // copied); callers must not reuse the slice.
 func (r *Relation) Append(row []Value) error {

@@ -136,9 +136,6 @@ func (v Value) AsString() string { return v.s }
 // AsBool returns the boolean payload. It is valid only for KindBool.
 func (v Value) AsBool() bool { return v.b }
 
-// AsTime returns the time payload. It is valid only for KindTime.
-func (v Value) AsTime() time.Time { return v.t }
-
 // AsMulti returns the sourced values of a multi cell. The returned slice must
 // not be modified.
 func (v Value) AsMulti() []Sourced { return v.multi }
@@ -181,77 +178,6 @@ func (v Value) Equal(o Value) bool {
 		return true
 	}
 	return false
-}
-
-// Compare orders two values: NULL sorts first; numerics compare numerically;
-// strings, bools (false<true) and times compare naturally. Values of
-// different non-numeric kinds order by kind. Multi cells compare by length
-// then element-wise.
-func (v Value) Compare(o Value) int {
-	if v.kind == KindNull || o.kind == KindNull {
-		return int(boolToInt(o.kind == KindNull)) - int(boolToInt(v.kind == KindNull))
-	}
-	if v.IsNumeric() && o.IsNumeric() {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
-	}
-	switch v.kind {
-	case KindString:
-		return strings.Compare(v.s, o.s)
-	case KindBool:
-		return int(boolToInt(v.b)) - int(boolToInt(o.b))
-	case KindTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1
-		case v.t.After(o.t):
-			return 1
-		default:
-			return 0
-		}
-	case KindMulti:
-		if d := len(v.multi) - len(o.multi); d != 0 {
-			return sign(d)
-		}
-		for i := range v.multi {
-			if c := v.multi[i].Value.Compare(o.multi[i].Value); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	return 0
-}
-
-func boolToInt(b bool) int8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func sign(d int) int {
-	switch {
-	case d < 0:
-		return -1
-	case d > 0:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Key returns a canonical string encoding usable as a hash-join key.

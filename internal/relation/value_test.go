@@ -39,28 +39,6 @@ func TestValueEqualNumericCrossKind(t *testing.T) {
 	}
 }
 
-func TestValueCompareOrdering(t *testing.T) {
-	if Null().Compare(Int(0)) >= 0 {
-		t.Error("NULL must sort before any value")
-	}
-	if Int(1).Compare(Int(2)) >= 0 {
-		t.Error("1 < 2")
-	}
-	if Float(2.5).Compare(Int(2)) <= 0 {
-		t.Error("2.5 > 2")
-	}
-	if String_("a").Compare(String_("b")) >= 0 {
-		t.Error("a < b")
-	}
-	if Bool(false).Compare(Bool(true)) >= 0 {
-		t.Error("false < true")
-	}
-	t0, t1 := time.Unix(0, 0), time.Unix(1, 0)
-	if Time(t0).Compare(Time(t1)) >= 0 {
-		t.Error("earlier time sorts first")
-	}
-}
-
 func TestValueKeyNumericCoalesce(t *testing.T) {
 	if Int(3).Key() != Float(3).Key() {
 		t.Error("Int(3) and Float(3) must share a hash key for joins")
@@ -151,28 +129,6 @@ func TestKindStringRoundTrip(t *testing.T) {
 	}
 	if _, ok := ParseKind("bogus"); ok {
 		t.Error("ParseKind must reject unknown names")
-	}
-}
-
-// Property: Compare is antisymmetric and Equal implies Compare==0 for
-// generated numeric/string values.
-func TestValueCompareProperties(t *testing.T) {
-	f := func(a, b int64, s1, s2 string) bool {
-		va, vb := Int(a), Int(b)
-		if va.Compare(vb) != -vb.Compare(va) {
-			return false
-		}
-		sa, sb := String_(s1), String_(s2)
-		if sa.Compare(sb) != -sb.Compare(sa) {
-			return false
-		}
-		if s1 == s2 && sa.Compare(sb) != 0 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

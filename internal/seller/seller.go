@@ -47,21 +47,6 @@ func (p *Platform) DropPII(cols ...string) AnonymizeStep {
 	}
 }
 
-// Pseudonymize replaces an identifier column with opaque stable tokens; the
-// mapping table stays on the seller side, available to negotiation rounds.
-func (p *Platform) Pseudonymize(col string, keep *map[string]string) AnonymizeStep {
-	return func(r *relation.Relation) (*relation.Relation, error) {
-		out, mapping, err := privacy.Pseudonymize(r, col, p.Name+"-")
-		if err != nil {
-			return nil, err
-		}
-		if keep != nil {
-			*keep = mapping
-		}
-		return out, nil
-	}
-}
-
 // Laplace adds eps-DP noise to a numeric column, charging the budget.
 func (p *Platform) Laplace(dataset, col string, eps, sensitivity float64) AnonymizeStep {
 	return func(r *relation.Relation) (*relation.Relation, error) {

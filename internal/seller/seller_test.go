@@ -49,28 +49,15 @@ func TestShareWithAnonymization(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := New("hrseller", a, 2.0, 1)
-	var mapping map[string]string
 	err := p.Share("hr", mkHR(200), license.Terms{Kind: license.Open},
-		p.Pseudonymize("emp", &mapping),
 		p.Laplace("hr", "salary", 1.0, 100),
 		p.KAnonymize("age", 10, []string{"age", "dept"}, 5),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := a.Catalog.Get("hr")
-	if err != nil {
+	if _, err := a.Catalog.Get("hr"); err != nil {
 		t.Fatal(err)
-	}
-	// Pseudonymized: no raw employee names.
-	ev, _ := rel.Column("emp")
-	for _, v := range ev[:3] {
-		if v.AsString() == "employeea" {
-			t.Error("raw identifier leaked")
-		}
-	}
-	if len(mapping) == 0 {
-		t.Error("mapping must be retained seller-side")
 	}
 	// Budget charged.
 	if p.Budget.Spent("hr") != 1.0 {

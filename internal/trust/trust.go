@@ -2,10 +2,9 @@
 // collectively choose to relinquish/sell certain personal information to
 // benefit together" of paper §4.5 (citing the data-trust literature). An
 // individual's rows are rarely worth much alone; pooled with other members'
-// rows they form a sellable dataset. The trust tracks which member
-// contributed which rows, sells the pooled relation into the market as a
-// single seller, and divides revenue among members equally or in proportion
-// to the rows each contributed.
+// rows they form a sellable dataset. The trust counts the rows each member
+// contributed, sells the pooled relation into the market as a single seller,
+// and divides revenue among members in proportion to those counts.
 package trust
 
 import (
@@ -20,12 +19,11 @@ import (
 type Trust struct {
 	Name string
 
-	mu      sync.Mutex
-	schema  relation.Schema
-	rows    [][]relation.Value
-	rowNext int
-	// member -> row indices contributed
-	contributions map[string][]int
+	mu     sync.Mutex
+	schema relation.Schema
+	rows   [][]relation.Value
+	// member -> rows contributed
+	contributions map[string]int
 	members       []string
 	// MinMembers gates selling: below quorum the pool stays private
 	// (individual data alone "is not worth much in itself", §4.5 — and
@@ -44,7 +42,7 @@ func New(name string, schema relation.Schema, minMembers int) (*Trust, error) {
 	return &Trust{
 		Name:          name,
 		schema:        schema.Clone(),
-		contributions: map[string][]int{},
+		contributions: map[string]int{},
 		MinMembers:    minMembers,
 	}, nil
 }
@@ -66,53 +64,8 @@ func (t *Trust) Join(member string, rows [][]relation.Value) error {
 		t.members = append(t.members, member)
 		sort.Strings(t.members)
 	}
-	for _, row := range rows {
-		t.contributions[member] = append(t.contributions[member], t.rowNext)
-		t.rows = append(t.rows, row)
-		t.rowNext++
-	}
-	return nil
-}
-
-// Leave removes a member and withdraws their rows — the control over one's
-// own data that data trusts exist to provide.
-func (t *Trust) Leave(member string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idxs, ok := t.contributions[member]
-	if !ok {
-		return fmt.Errorf("trust %s: %s is not a member", t.Name, member)
-	}
-	drop := map[int]bool{}
-	for _, i := range idxs {
-		drop[i] = true
-	}
-	var newRows [][]relation.Value
-	remap := map[int]int{}
-	for i, row := range t.rows {
-		if drop[i] {
-			continue
-		}
-		remap[i] = len(newRows)
-		newRows = append(newRows, row)
-	}
-	t.rows = newRows
-	delete(t.contributions, member)
-	for m, is := range t.contributions {
-		out := is[:0]
-		for _, i := range is {
-			if j, ok := remap[i]; ok {
-				out = append(out, j)
-			}
-		}
-		t.contributions[m] = out
-	}
-	for i, m := range t.members {
-		if m == member {
-			t.members = append(t.members[:i], t.members[i+1:]...)
-			break
-		}
-	}
+	t.contributions[member] += len(rows)
+	t.rows = append(t.rows, rows...)
 	return nil
 }
 
@@ -123,13 +76,6 @@ func (t *Trust) Members() []string {
 	out := make([]string, len(t.members))
 	copy(out, t.members)
 	return out
-}
-
-// NumRows returns the pooled row count.
-func (t *Trust) NumRows() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.rows)
 }
 
 // Pool materializes the pooled relation for sale under the trust's name.
@@ -150,35 +96,16 @@ func (t *Trust) Pool() (*relation.Relation, error) {
 	return r, nil
 }
 
-// SplitEqual divides revenue equally among members.
-func (t *Trust) SplitEqual(revenue float64) map[string]float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := map[string]float64{}
-	if len(t.members) == 0 {
-		return out
-	}
-	share := revenue / float64(len(t.members))
-	for _, m := range t.members {
-		out[m] = share
-	}
-	return out
-}
-
 // SplitByRows divides revenue in proportion to rows contributed.
 func (t *Trust) SplitByRows(revenue float64) map[string]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := map[string]float64{}
-	total := 0
-	for _, is := range t.contributions {
-		total += len(is)
-	}
-	if total == 0 {
+	if len(t.rows) == 0 {
 		return out
 	}
-	for m, is := range t.contributions {
-		out[m] = revenue * float64(len(is)) / float64(total)
+	for m, n := range t.contributions {
+		out[m] = revenue * float64(n) / float64(len(t.rows))
 	}
 	return out
 }

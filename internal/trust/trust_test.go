@@ -58,40 +58,10 @@ func TestJoinPoolQuorum(t *testing.T) {
 	}
 }
 
-func TestLeaveWithdrawsRows(t *testing.T) {
-	tr, _ := New("t", schema(), 1)
-	_ = tr.Join("alice", rows("alice", 4))
-	_ = tr.Join("bob", rows("bob", 6))
-	if err := tr.Leave("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumRows() != 6 {
-		t.Errorf("rows after leave = %d", tr.NumRows())
-	}
-	pool, _ := tr.Pool()
-	for _, row := range pool.Rows {
-		if row[0].AsString() == "alice" {
-			t.Fatal("alice's rows must be gone")
-		}
-	}
-	// Bob's contribution indices survived the compaction.
-	split := tr.SplitByRows(60)
-	if split["bob"] != 60 {
-		t.Errorf("bob's share = %v", split["bob"])
-	}
-	if err := tr.Leave("ghost"); err == nil {
-		t.Error("unknown member leave must fail")
-	}
-}
-
 func TestSplits(t *testing.T) {
 	tr, _ := New("t", schema(), 1)
 	_ = tr.Join("alice", rows("alice", 8))
 	_ = tr.Join("bob", rows("bob", 2))
-	eq := tr.SplitEqual(100)
-	if eq["alice"] != 50 || eq["bob"] != 50 {
-		t.Errorf("equal split = %v", eq)
-	}
 	byRows := tr.SplitByRows(100)
 	if byRows["alice"] != 80 || byRows["bob"] != 20 {
 		t.Errorf("row split = %v", byRows)
@@ -104,7 +74,7 @@ func TestSplits(t *testing.T) {
 		t.Errorf("row split must conserve: %v", sum)
 	}
 	empty, _ := New("e", schema(), 1)
-	if len(empty.SplitEqual(10)) != 0 || len(empty.SplitByRows(10)) != 0 {
+	if len(empty.SplitByRows(10)) != 0 {
 		t.Error("empty trust splits nothing")
 	}
 }

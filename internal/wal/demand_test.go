@@ -57,10 +57,9 @@ func TestDemandSignalsSurviveRestore(t *testing.T) {
 	_ = baseEng
 }
 
-// recommendScript gives the buyers overlapping but different purchase
-// histories on both sides of a checkpoint after its third epoch, so the
-// recommendation service has something to rank.
-func recommendScript() [][]op {
+// purchaseScript gives the buyers overlapping but different purchase
+// histories on both sides of a checkpoint after its third epoch.
+func purchaseScript() [][]op {
 	req := func(buyer, col string) op {
 		return op{kind: "request", name: buyer, offer: 150, cols: []string{col}}
 	}
@@ -82,12 +81,12 @@ func recommendScript() [][]op {
 	}
 }
 
-// TestRecommendSurvivesRestore: the recommendation service (paper §4.1)
-// ranks by every purchase ever made, so a gateway restarted from a
-// checkpoint plus the WAL tail, and one replaying the WAL alone, must
-// recommend exactly what the uninterrupted run does, to every buyer.
+// TestRecommendSurvivesRestore: MayResell reads every purchase ever made, so
+// a gateway restarted from a checkpoint plus the WAL tail, and one replaying
+// the WAL alone, must hold exactly the purchase history of the uninterrupted
+// run.
 func TestRecommendSurvivesRestore(t *testing.T) {
-	sc := recommendScript()
+	sc := purchaseScript()
 	live, _, dir, _ := checkpointedRun(t, sc, 2)
 	walOnly := t.TempDir()
 	segs, err := segmentFiles(dir)
@@ -117,16 +116,12 @@ func TestRecommendSurvivesRestore(t *testing.T) {
 		if (res.FromSnapshotSeq > 0) != c.snapshot {
 			t.Fatalf("%s: boot %+v", c.name, res)
 		}
-		ranked := 0
-		for _, b := range []string{"b1", "b2", "b3", "b4"} {
-			want, got := live.Arbiter.Recommend(b, 10), p.Arbiter.Recommend(b, 10)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Recommend(%s) = %v, the uninterrupted run says %v", c.name, b, got, want)
-			}
-			ranked += len(want)
+		want, got := live.Arbiter.PurchaseCounts(), p.Arbiter.PurchaseCounts()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: purchases %v, the uninterrupted run says %v", c.name, got, want)
 		}
-		if ranked == 0 {
-			t.Fatal("the script gives the recommendation service nothing to rank")
+		if len(want) < 4 {
+			t.Fatalf("the script leaves %d buyers with purchases, want 4", len(want))
 		}
 	}
 }

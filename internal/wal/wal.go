@@ -627,16 +627,6 @@ func (w *Log) PruneCovered(watermark int) (int, error) {
 	return removed, nil
 }
 
-// Sync forces an fsync of the current segment regardless of policy.
-func (w *Log) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	return w.f.Sync()
-}
-
 // Close syncs and closes the current segment.
 func (w *Log) Close() error {
 	w.mu.Lock()

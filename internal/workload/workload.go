@@ -68,15 +68,6 @@ func NewPaperExample(n int, seed int64) *PaperExample {
 	return &PaperExample{S1: s1, S2: s2, S3: s3, Truth: truth}
 }
 
-// ClassifierData joins the example into the buyer's ideal table
-// ⟨a, b, d, e, label⟩ — what a perfect mashup plus labels looks like.
-func (p *PaperExample) ClassifierData() (*relation.Relation, error) {
-	return relation.ScanPlan(p.S1).
-		Join(relation.ScanPlan(p.Truth), relation.JoinPair{Left: "a", Right: "a"}).
-		Join(relation.ScanPlan(p.S3), relation.JoinPair{Left: "a", Right: "a"}).
-		Run()
-}
-
 // Silo is one department's slice of an internal-market enterprise.
 type Silo struct {
 	Owner    string

@@ -47,37 +47,6 @@ func TestPaperExampleDeterministic(t *testing.T) {
 	}
 }
 
-func TestClassifierDataHasSignal(t *testing.T) {
-	ex := NewPaperExample(500, 3)
-	full, err := ex.ClassifierData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := mltask.ClassifierTask{
-		Features: []string{"b", "d", "e"}, Label: "label",
-		Model: mltask.ModelLogistic, Seed: 4,
-	}
-	acc, err := task.Evaluate(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.85 {
-		t.Errorf("full-data accuracy = %v, want strong signal", acc)
-	}
-	// Dropping e should hurt: it is part of the label function.
-	partial := mltask.ClassifierTask{
-		Features: []string{"b", "d"}, Label: "label",
-		Model: mltask.ModelLogistic, Seed: 4,
-	}
-	accPartial, err := partial.Evaluate(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accPartial >= acc {
-		t.Errorf("removing e should lower accuracy: %v vs %v", accPartial, acc)
-	}
-}
-
 func TestEnterpriseSilos(t *testing.T) {
 	silos := EnterpriseSilos(3, 2, 50, 5)
 	if len(silos) != 3 {

@@ -20,7 +20,6 @@ import (
 // classifier accuracy, schema/row completeness, and so on.
 type Task interface {
 	Satisfaction(m *relation.Relation) (float64, error)
-	Describe() string
 }
 
 // ClassifierTask adapts an mltask classifier: satisfaction = held-out
@@ -32,11 +31,6 @@ type ClassifierTask struct {
 // Satisfaction implements Task.
 func (t ClassifierTask) Satisfaction(m *relation.Relation) (float64, error) {
 	return t.Spec.Evaluate(m)
-}
-
-// Describe implements Task.
-func (t ClassifierTask) Describe() string {
-	return fmt.Sprintf("train %s on %v predicting %s", t.Spec.Model, t.Spec.Features, t.Spec.Label)
 }
 
 // CoverageTask scores a mashup by target-schema coverage and row
@@ -64,23 +58,14 @@ func (t CoverageTask) Satisfaction(m *relation.Relation) (float64, error) {
 	return cov * rows, nil
 }
 
-// Describe implements Task.
-func (t CoverageTask) Describe() string {
-	return fmt.Sprintf("cover columns %v with >=%d rows", t.Columns, t.WantRows)
-}
-
 // FuncTask wraps an arbitrary satisfaction function — the escape hatch for
 // buyer-shipped code packages.
 type FuncTask struct {
-	Desc string
-	Fn   func(*relation.Relation) (float64, error)
+	Fn func(*relation.Relation) (float64, error)
 }
 
 // Satisfaction implements Task.
 func (t FuncTask) Satisfaction(m *relation.Relation) (float64, error) { return t.Fn(m) }
-
-// Describe implements Task.
-func (t FuncTask) Describe() string { return t.Desc }
 
 // CurvePoint maps a satisfaction threshold to a price.
 type CurvePoint struct {
@@ -128,14 +113,6 @@ func (c PriceCurve) Price(satisfaction float64) float64 {
 		}
 	}
 	return price
-}
-
-// MaxPrice returns the curve's top price.
-func (c PriceCurve) MaxPrice() float64 {
-	if len(c) == 0 {
-		return 0
-	}
-	return c[len(c)-1].Price
 }
 
 // DatasetMeta carries the intrinsic properties of a contributing dataset
@@ -281,7 +258,5 @@ func mergeOwned(m, owned *relation.Relation) (*relation.Relation, error) {
 		return m, nil
 	}
 	sort.Strings(shared)
-	return relation.ScanPlan(m).
-		Join(relation.ScanPlan(owned), relation.JoinPair{Left: shared[0], Right: shared[0]}).
-		Run()
+	return relation.HashJoin(m, owned, relation.JoinPair{Left: shared[0], Right: shared[0]})
 }

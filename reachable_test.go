@@ -19,16 +19,24 @@ import (
 	"testing"
 )
 
-// reachableAllowlist names the top-level functions that no main reaches but
-// that stay, one "importpath.Name  reason" per line.
+// reachableAllowlist names the functions, methods and types that no main
+// reaches but that stay, one "entry  reason" per line.
 const reachableAllowlist = "testdata/reachable_allowlist.txt"
 
-// TestEveryFunctionIsReachable fails on a top-level function of this module
-// that no program reaches. The roots are every main, every init, every
-// method, every package-level variable initialiser and every allowlist
-// entry; a function is reachable if a root's body refers to it, directly or
-// through other reachable functions. An allowlist entry that is no longer
-// declared, or that a root other than the allowlist now reaches, fails too.
+// TestEveryFunctionIsReachable fails on a top-level function or a method of
+// this module that no program reaches. The roots are every main, every init,
+// every package-level declaration and every allowlist entry; reached code
+// reaches what it refers to. A method counts as reached when reached code
+// names it on a concrete receiver (a call, a method value or a method
+// expression), when reached code calls an interface method of the same name,
+// or when its name is a method of an interface declared in a standard-library
+// package the module depends on (String, Error, MarshalJSON, ServeHTTP, ...),
+// whose callers the pass cannot see.
+//
+// An allowlist entry names a function (importpath.Name), a method
+// (importpath.Type.Method) or a type (importpath.Type, which roots all its
+// methods). An entry that is no longer declared, or that is reached without
+// the allowlist, fails too; a type entry is reached when all its methods are.
 //
 // Every package of the module is type-checked once from source, in
 // dependency order; the standard library is read from export data.
@@ -38,9 +46,15 @@ func TestEveryFunctionIsReachable(t *testing.T) {
 
 	reached := g.reach(nil)
 	for _, name := range sortedKeys(allow) {
-		if !g.declared[name] {
+		methods, isType := g.methods[name]
+		stale := reached[name]
+		if isType {
+			stale = allReached(methods, reached)
+		}
+		switch {
+		case !g.declared[name] && !isType:
 			t.Errorf("%s: allowlisted but not declared; drop it from %s", name, reachableAllowlist)
-		} else if reached[name] {
+		case stale:
 			t.Errorf("%s: allowlisted but reachable without the allowlist; drop it from %s", name, reachableAllowlist)
 		}
 	}
@@ -51,6 +65,15 @@ func TestEveryFunctionIsReachable(t *testing.T) {
 				name, g.pos[name], reachableAllowlist)
 		}
 	}
+}
+
+func allReached(names []string, reached map[string]bool) bool {
+	for _, name := range names {
+		if !reached[name] {
+			return false
+		}
+	}
+	return true
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -88,21 +111,25 @@ func readAllowlist(t *testing.T) map[string]bool {
 	return allow
 }
 
-// callGraph records, for the module's top-level functions (by
-// "importpath.Name"), which of them each one's body refers to.
+// callGraph records, for the module's top-level functions ("importpath.Name")
+// and methods ("importpath.Type.Method"), what each one's body refers to. A
+// call of an interface method refers to the node "interface.Name", which
+// refers in turn to every module method of that name.
 type callGraph struct {
 	declared map[string]bool
-	pos      map[string]string   // function → file:line:col
-	refs     map[string][]string // function → functions its body refers to
-	roots    []string            // functions that main, init, methods and var initialisers refer to
+	pos      map[string]string   // function or method → file:line:col
+	refs     map[string][]string // node → nodes its body refers to
+	methods  map[string][]string // "importpath.Type" → its methods
+	roots    []string            // nodes that main, init, package-level declarations and std interfaces refer to
 }
 
-// reach returns every function reachable from the roots and extra.
+// reach returns every node reachable from the roots and extra. A type in
+// extra stands for all its methods.
 func (g *callGraph) reach(extra map[string]bool) map[string]bool {
 	seen := map[string]bool{}
 	stack := append([]string(nil), g.roots...)
 	for name := range extra {
-		stack = append(stack, name)
+		stack = append(append(stack, name), g.methods[name]...)
 	}
 	for len(stack) > 0 {
 		name := stack[len(stack)-1]
@@ -158,6 +185,41 @@ func loadCallGraph(t *testing.T) *callGraph {
 		}
 		return os.Open(file)
 	})
+	g := &callGraph{
+		declared: map[string]bool{},
+		pos:      map[string]string{},
+		refs:     map[string][]string{},
+		methods:  map[string][]string{},
+	}
+	// Methods a standard-library interface names are called where the pass
+	// cannot see: fmt calls String and Error, encoding/json MarshalJSON.
+	stdNames := map[string]bool{}
+	addInterface := func(obj types.Object) {
+		if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				stdNames[iface.Method(i).Name()] = true
+			}
+		}
+	}
+	addInterface(types.Universe.Lookup("error"))
+	for _, p := range pkgs {
+		if !p.Standard || p.ImportPath == "unsafe" {
+			continue
+		}
+		pkg, err := std.Import(p.ImportPath)
+		if err != nil {
+			t.Fatalf("import %s: %v", p.ImportPath, err)
+		}
+		for _, name := range pkg.Scope().Names() {
+			if obj, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addInterface(obj)
+			}
+		}
+	}
+	for name := range stdNames {
+		g.roots = append(g.roots, "interface."+name)
+	}
+
 	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if p, ok := checked[path]; ok {
@@ -166,11 +228,6 @@ func loadCallGraph(t *testing.T) *callGraph {
 		return std.Import(path)
 	})
 
-	g := &callGraph{
-		declared: map[string]bool{},
-		pos:      map[string]string{},
-		refs:     map[string][]string{},
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +249,7 @@ func loadCallGraph(t *testing.T) *callGraph {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
@@ -204,16 +261,22 @@ func loadCallGraph(t *testing.T) *callGraph {
 	return g
 }
 
-// add records pkg's top-level functions and what each declaration refers to.
+// add records pkg's top-level functions and methods, and what each
+// declaration refers to.
 func (g *callGraph) add(fset *token.FileSet, pkg *types.Package, files []*ast.File, info *types.Info) {
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			owner := "" // a root: a method, main, init, or a var/const/type declaration
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil &&
-				fd.Name.Name != "init" && !(pkg.Name() == "main" && fd.Name.Name == "main") {
-				owner = pkg.Path() + "." + fd.Name.Name
+			owner := "" // a root: main, init, or a var/const/type declaration
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name != "init" &&
+				!(pkg.Name() == "main" && fd.Name.Name == "main") {
+				owner = node(info.Defs[fd.Name].(*types.Func))
 				g.declared[owner] = true
 				g.pos[owner] = fset.Position(fd.Pos()).String()
+				if fd.Recv != nil {
+					typ := owner[:strings.LastIndex(owner, ".")]
+					g.methods[typ] = append(g.methods[typ], owner)
+					g.refs["interface."+fd.Name.Name] = append(g.refs["interface."+fd.Name.Name], owner)
+				}
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
@@ -221,14 +284,13 @@ func (g *callGraph) add(fset *token.FileSet, pkg *types.Package, files []*ast.Fi
 					return true
 				}
 				fn, ok := info.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+				if !ok || fn.Pkg() == nil {
 					return true
 				}
-				fn = fn.Origin()
-				if fn.Parent() != fn.Pkg().Scope() {
+				name := node(fn.Origin())
+				if name == "" {
 					return true
 				}
-				name := fn.Pkg().Path() + "." + fn.Name()
 				if owner == "" {
 					g.roots = append(g.roots, name)
 				} else {
@@ -238,6 +300,32 @@ func (g *callGraph) add(fset *token.FileSet, pkg *types.Package, files []*ast.Fi
 			})
 		}
 	}
+}
+
+// node names fn's node in the graph: "importpath.Name" for a top-level
+// function, "importpath.Type.Method" for a method of a named type and
+// "interface.Method" for an interface method. It is "" for a function
+// literal's or local type's function.
+func node(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		if fn.Parent() != fn.Pkg().Scope() {
+			return ""
+		}
+		return fn.Pkg().Path() + "." + fn.Name()
+	}
+	if types.IsInterface(recv.Type()) {
+		return "interface." + fn.Name()
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, ok := typ.(*types.Named)
+	if !ok || named.Obj().Parent() != fn.Pkg().Scope() {
+		return ""
+	}
+	return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
 }
 
 type importerFunc func(path string) (*types.Package, error)
