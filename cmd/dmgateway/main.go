@@ -271,8 +271,8 @@ func main() {
 	}
 	m.Start()
 
-	// Metrics subscriber: tail each shard's event log and surface epoch
-	// summaries — the same consumption pattern settlement uses internally.
+	// Verbose tailer: follow each shard's event log and surface epoch
+	// summaries and settlements.
 	if *verbose {
 		for _, sh := range m.Shards() {
 			// Tail from the boot-time head: replayed history was already

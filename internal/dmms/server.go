@@ -487,16 +487,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	evs := s.market.Shards()[shard].Engine.Events(after)
-	if evs == nil {
-		evs = []engine.Event{}
-	}
-	// Strip submission payloads: they exist for WAL replay and carry the
-	// full shared relations — data the market sells, not a free download.
-	for i := range evs {
-		evs[i].Payload = nil
-	}
-	writeJSON(w, http.StatusOK, evs)
+	// The log holds each event as the JSON served here, without its
+	// submission payload: payloads exist for WAL replay and carry the full
+	// shared relations — data the market sells, not a free download.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(s.market.Shards()[shard].Engine.Log().SinceJSON(after))
 }
 
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {

@@ -74,15 +74,17 @@
 // # Event log
 //
 // Every state change is published to an append-only, totally ordered event
-// log instead of being returned to one caller. Subscribers — settlement
-// (ledger.SettlementBook), provenance, metrics, the dmms polling endpoints —
-// consume the log at their own pace via cursor-based reads (Events/WaitAfter);
-// nothing is ever dropped. On a durable engine the in-memory log is a tail:
-// chunks older than retain.Windows.EventTail whose events the WAL holds are
-// released, and a cursor behind the tail is served by reading the gap back
-// from the WAL — outside every engine and log lock, so a cold reader cannot
-// stall an epoch — and joining it to memory without a gap or a duplicate. The
-// stream a cursor sees is the same bytes either way. With no persister, one that
+// log instead of being returned to one caller. Readers (/events, the -v
+// tailer, the checkpoint watcher) consume it at their own pace via
+// cursor-based reads; nothing is ever dropped. Append encodes each event
+// once, to the JSON /events serves, without the payload that only the
+// persister gets; the log holds those bytes, not structs, and none after a
+// restore. On a durable engine the in-memory log is a tail: chunks older
+// than retain.Windows.EventTail whose events the WAL holds are released, and
+// a cursor behind the tail is served by reading the gap back from the WAL —
+// outside every engine and log lock, so a cold reader cannot stall an epoch
+// — and joining it to memory without a gap or a duplicate. The stream a
+// cursor sees is the same bytes either way. With no persister, one that
 // cannot read back, or a wedged one, nothing leaves memory. Event schema
 // (JSON over the wire):
 //
@@ -113,17 +115,19 @@
 //	unmet_columns map    column -> demand increments this round (epoch-end)
 //	error        string  rejection reason (submission-rejected)
 //	note         string  human-readable detail; shed reason (request-rejected)
-//	payload      object  full submission body (dataset-shared, request-filed)
+//	payload      object  full submission body (dataset-shared, request-filed);
+//	                     in the WAL record only, never served
 //
-// The settlement subscriber folds every tx-settled event into a
-// ledger.SettlementBook, which checks conservation (price == arbiter cut +
-// seller cuts) per transaction — the invariant the race tests assert across
-// epochs — and keeps running totals, so the check is O(1). On a durable
-// engine (Config.BookArchive, which wal.Boot attaches) the book holds only
-// the entries past its newest checkpoint: each checkpoint appends the new
-// ones to the WAL directory's book archive, and whole-book readers take a
-// BookCut — entries and totals from one instant — and stream the archived
-// prefix back before the entries in memory.
+// Every tx-settled and value-reported event is folded into a
+// ledger.SettlementBook right after its append, under the epoch lock. The
+// book checks conservation (price == arbiter cut + seller cuts) per
+// transaction — the invariant the race tests assert across epochs — and
+// keeps running totals, so the check is O(1). On a durable engine
+// (Config.BookArchive, which wal.Boot attaches) the book holds only the
+// entries past its newest checkpoint: each checkpoint appends the new ones to
+// the WAL directory's book archive, and whole-book readers take a BookCut —
+// entries and totals from one instant — and stream the archived prefix back
+// before the entries in memory.
 //
 // # Admission control and matching policy
 //
@@ -164,8 +168,8 @@
 // matching, so recovery is deterministic regardless of design or mechanism.
 // Restore consumes the recovered log as a stream of batches (wal.Boot feeds
 // it one segment at a time): each is replayed, its settlements folded into
-// the book, and only the log's tail stays in memory — older cursors still
-// resume without gaps, from the WAL. Snapshot checkpoints (Engine.Snapshot +
+// the book, and none is held or re-encoded — older cursors still resume
+// without gaps, from the WAL. Snapshot checkpoints (Engine.Snapshot +
 // core.PlatformSnapshot) let Restore start from a watermark instead of seq
 // 1, and wal.Boot then decodes only the segments past it. Snapshot is only
 // the cut — taken under the epoch lock, the settlement book shared rather than

@@ -231,15 +231,17 @@ type Stats struct {
 	LastPersisted int    `json:"last_persisted,omitempty"`
 	PersistErr    string `json:"persist_error,omitempty"`
 	// What the bounded windows (internal/retain) hold in memory right now —
-	// Events counts the whole log, EventsHeld its tail — and what left them:
-	// events read back from the WAL for cursors behind the tail, retired
-	// tickets. Flat lines here show that memory follows live state.
-	EventsHeld     int    `json:"events_held"`
-	TicketsHeld    int    `json:"tickets_held"`
-	HistoryHeld    int    `json:"history_held"`
-	AuditHeld      int    `json:"audit_held"`
-	ReadBackEvents uint64 `json:"readback_events,omitempty"`
-	TicketsRetired uint64 `json:"tickets_retired,omitempty"`
+	// Events counts the whole log, EventsHeld its tail, EventsHeldBytes the
+	// JSON the tail is held as — and what left them: events read back from
+	// the WAL for cursors behind the tail, retired tickets. Flat lines here
+	// show that memory follows live state.
+	EventsHeld      int    `json:"events_held"`
+	EventsHeldBytes int    `json:"events_held_bytes"`
+	TicketsHeld     int    `json:"tickets_held"`
+	HistoryHeld     int    `json:"history_held"`
+	AuditHeld       int    `json:"audit_held"`
+	ReadBackEvents  uint64 `json:"readback_events,omitempty"`
+	TicketsRetired  uint64 `json:"tickets_retired,omitempty"`
 	// CheckpointSeq is the seq the newest durable checkpoint covers (summed
 	// across shards), which a restart replays from. Checkpoints are the
 	// federation's to write, so federation.Market fills it in; 0 = none.
@@ -292,21 +294,9 @@ type Engine struct {
 	adm      *admission     // nil when quota/cap admission is disabled
 	m        *engineMetrics // telemetry sink; non-nil, disabled without cfg.Metrics
 
-	// bookSeq is the settlement subscriber's high-water mark: the last log
-	// seq folded into the book. Snapshot waits on bookCond until it reaches
-	// the log head, so checkpoints include every settlement the log already
-	// carries. bookDone flips when the subscriber exits (it drains
-	// everything present at log close first); only then may Snapshot fold a
-	// remaining tail itself without double-recording.
-	bookMu   sync.Mutex
-	bookCond *sync.Cond
-	bookSeq  int
-	bookDone bool
-
 	kick    chan struct{}
 	stop    chan struct{}
 	loopWG  sync.WaitGroup
-	consWG  sync.WaitGroup
 	started time.Time
 	stopped atomic.Bool
 
@@ -335,12 +325,11 @@ func New(p *core.Platform, cfg Config) *Engine {
 	if cfg.Persister != nil {
 		e.log.SetPersister(cfg.Persister)
 	}
-	e.startBook(0)
 	return e
 }
 
 // settlementFromEvent derives the book entry for one tx-settled or
-// value-reported event — the single translation both the live subscriber and
+// value-reported event — the single translation both the live append and
 // replay use. An ex-post sale books twice: the delivery (tx-settled,
 // ExPost=true, cuts not yet final, excluded from conservation) and the
 // report settlement (value-reported, booked as final with the realized
@@ -361,9 +350,7 @@ func settlementFromEvent(ev Event) ledger.Settlement {
 	}
 }
 
-// newEngine wires an engine over a log and settlement book. The settlement
-// subscriber is not running yet: New starts it at seq 0, Restore at the head
-// once replay has folded the recovered log itself.
+// newEngine wires an engine over a log and settlement book.
 func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.SettlementBook) *Engine {
 	cfg = cfg.withDefaults()
 	policy := cfg.Policy
@@ -400,44 +387,10 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 			"Wall-clock duration of each candidate build (beam search + materialize).", obs.FastBuckets)
 		p.SetBuildObserver(func(s float64) { buildDur.Observe(s) })
 	}
-	e.bookCond = sync.NewCond(&e.bookMu)
 	for i := range e.shards {
 		e.shards[i] = &shard{}
 	}
 	return e
-}
-
-// startBook launches the settlement subscriber: it folds every tx-settled
-// and value-reported event past cursor into the settlement book, until Stop
-// closes the log and the tail is drained.
-func (e *Engine) startBook(cursor int) {
-	e.bookSeq = cursor
-	e.consWG.Add(1)
-	go func() {
-		defer e.consWG.Done()
-		defer func() {
-			e.bookMu.Lock()
-			e.bookDone = true
-			e.bookCond.Broadcast()
-			e.bookMu.Unlock()
-		}()
-		for {
-			evs, open := e.log.WaitAfter(cursor)
-			for _, ev := range evs {
-				cursor = ev.Seq
-				if ev.Kind == EventTxSettled || ev.Kind == EventValueReported {
-					e.book.Record(settlementFromEvent(ev))
-				}
-			}
-			e.bookMu.Lock()
-			e.bookSeq = cursor
-			e.bookCond.Broadcast()
-			e.bookMu.Unlock()
-			if !open {
-				return
-			}
-		}
-	}()
 }
 
 // Start launches the background epoch loop (ticker- and threshold-driven).
@@ -464,8 +417,8 @@ func (e *Engine) Start() {
 	}()
 }
 
-// Stop shuts the loop down, runs one final epoch to flush queued intake,
-// closes the event log and waits for subscribers to drain.
+// Stop shuts the loop down, runs one final epoch to flush queued intake and
+// closes the event log, which wakes its blocked readers.
 func (e *Engine) Stop() {
 	if e.stopped.Swap(true) {
 		return
@@ -474,17 +427,15 @@ func (e *Engine) Stop() {
 	e.loopWG.Wait()
 	e.TriggerEpoch()
 	e.log.Close()
-	e.consWG.Wait()
 }
 
-// Log exposes the event log for external subscribers (metrics, provenance).
+// Log exposes the event log for its readers (/events, the -v tailer, the
+// checkpoint watcher).
 func (e *Engine) Log() *EventLog { return e.log }
 
-// Settlements exposes the settlement book the built-in subscriber maintains.
+// Settlements exposes the settlement book: every tx-settled and
+// value-reported event is folded into it right after its append.
 func (e *Engine) Settlements() *ledger.SettlementBook { return e.book }
-
-// Events returns all events with Seq > after.
-func (e *Engine) Events(after int) []Event { return e.log.Since(after) }
 
 // Ticket returns a snapshot of one submission's state; false for an ID never
 // issued. A ticket this engine issued but no longer holds — it turned
@@ -513,7 +464,7 @@ func (e *Engine) Stats() Stats {
 		mps = float64(matched-e.stMatchedAtBoot) / up.Seconds()
 	}
 	persisted, perr := e.log.Persisted()
-	if _, _, rerr := e.log.Held(); perr == nil {
+	if _, _, _, rerr := e.log.Held(); perr == nil {
 		perr = rerr // a failed read-back is the persister failing too
 	}
 	cache := e.platform.DoDCacheStats()
@@ -545,10 +496,10 @@ func (e *Engine) StatsLite() Stats {
 	e.tmu.Lock()
 	tickets, retired := len(e.tickets), e.retired
 	e.tmu.Unlock()
-	events, readBack, _ := e.log.Held()
+	events, eventBytes, readBack, _ := e.log.Held()
 	_, audit := e.platform.Arbiter.Ledger.AuditSize()
 	return Stats{
-		EventsHeld: events, ReadBackEvents: readBack, TicketsHeld: tickets, TicketsRetired: retired,
+		EventsHeld: events, EventsHeldBytes: eventBytes, ReadBackEvents: readBack, TicketsHeld: tickets, TicketsRetired: retired,
 		HistoryHeld: e.platform.Arbiter.HistoryHeld(), AuditHeld: audit,
 		Epochs:       e.epoch.Load(),
 		Submitted:    e.stSubmitted.Load(),
@@ -1005,11 +956,13 @@ func (e *Engine) apply(ep uint64, s submission) {
 			t.Status, t.Epoch, t.TxID, t.Price = TicketDone, ep, out.TxID, out.Paid
 			t.Participant = out.Buyer
 		})
-		e.log.Append(Event{Epoch: ep, Kind: EventValueReported, Ticket: s.ticket,
+		ev := Event{Epoch: ep, Kind: EventValueReported, Ticket: s.ticket,
 			Participant: out.Buyer, RequestID: out.RequestID, TxID: out.TxID,
 			Price: out.Paid, ArbiterCut: out.ArbiterCut, SellerCuts: out.SellerCuts,
 			Reported: s.reported, Audited: out.Audited, ExPost: true,
-			Note: fmt.Sprintf("reported=%.2f paid=%.2f audited=%v", s.reported, out.Paid, out.Audited)})
+			Note: fmt.Sprintf("reported=%.2f paid=%.2f audited=%v", s.reported, out.Paid, out.Audited)}
+		e.log.Append(ev)
+		e.book.Record(settlementFromEvent(ev))
 	}
 }
 
@@ -1061,12 +1014,14 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 		e.setTicket(ticket, func(t *Ticket) {
 			t.Status, t.TxID, t.Price, t.MatchedEpoch = TicketDone, tx.ID, tx.Price, ep
 		})
-		e.log.Append(Event{Epoch: ep, Kind: EventTxSettled, Ticket: ticket,
+		ev := Event{Epoch: ep, Kind: EventTxSettled, Ticket: ticket,
 			Participant: tx.Buyer, RequestID: tx.RequestID, TxID: tx.ID,
 			Price: tx.Price, ArbiterCut: tx.ArbiterCut, SellerCuts: tx.SellerCuts,
 			Satisfaction: tx.Satisfaction, Datasets: tx.Datasets,
 			ExPost: tx.ExPost, ExPostShares: tx.ExPostShares,
-			Note: fmt.Sprintf("datasets=%v satisfaction=%.2f", tx.Datasets, tx.Satisfaction)})
+			Note: fmt.Sprintf("datasets=%v satisfaction=%.2f", tx.Datasets, tx.Satisfaction)}
+		e.log.Append(ev)
+		e.book.Record(settlementFromEvent(ev))
 	}
 	for _, reqID := range res.Unsatisfied {
 		if ticket, ok := e.openReqs[reqID]; ok {

@@ -170,7 +170,7 @@ func TestEngineConcurrentEpochs(t *testing.T) {
 	}
 
 	// Event log sanity: dense, ordered sequence numbers.
-	evs := e.Events(0)
+	evs := e.Log().Since(0)
 	for i, ev := range evs {
 		if ev.Seq != i+1 {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
@@ -241,7 +241,7 @@ func TestEngineRequestWaitsForSupply(t *testing.T) {
 		t.Fatalf("request should be open after epoch without supply, got %s", tk.Status)
 	}
 	unmet := false
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == EventRequestUnmet && ev.Ticket == reqTicket {
 			unmet = true
 		}
@@ -282,7 +282,7 @@ func TestEngineRejections(t *testing.T) {
 		t.Fatalf("duplicate registration should fail with an error, got %+v", tk)
 	}
 	rejected := 0
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == EventRejected {
 			rejected++
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -52,7 +53,7 @@ const (
 	// commit: the federation coordinator drives prepare/commit/abort and each
 	// participant shard records its own leg as an ordinary WAL event, so
 	// recovery resolves in-doubt transactions from the logs alone. These are
-	// deliberately NOT EventTxSettled — the settlement book (subscribers of
+	// deliberately NOT EventTxSettled — the settlement book (folded from
 	// tx-settled) tracks only intra-shard settlements; federated ones are
 	// surfaced by the coordinator.
 	//
@@ -151,13 +152,15 @@ type Event struct {
 	Payload    *Payload           `json:"payload,omitempty"`
 }
 
-// Persister receives every event synchronously at append time, before the
-// append becomes visible to subscribers — the write-ahead hook. A persister
-// that returns an error wedges: the log stops forwarding events to it (so
-// the durable prefix stays a prefix) and records the error, while in-memory
-// operation continues. internal/wal provides the standard implementation.
+// Persister receives every event's record — its JSON, byte for byte
+// json.Marshal of the event, read-only and valid only for the call —
+// synchronously at append time, before the event becomes visible to readers:
+// the write-ahead hook. A persister that returns an error, or an event that cannot be
+// encoded, wedges: the log stops forwarding records (so the durable prefix
+// stays a prefix) and records the error, while in-memory operation
+// continues. internal/wal provides the standard implementation.
 type Persister interface {
-	Persist(Event) error
+	PersistRecord(seq int, kind EventKind, rec []byte) error
 }
 
 // readBacker is a Persister that can return what it persisted: the events
@@ -167,12 +170,50 @@ type readBacker interface {
 	ReadBack(after, upto int) ([]Event, error)
 }
 
+// encode returns ev's wire form — its JSON without the payload, which the log
+// holds and GET /events serves — and, if record is set, its record: the wire
+// form with `,"payload":…` spliced in before its closing brace. Payload is
+// Event's last field, so that is json.Marshal(ev); wire survives a bad payload.
+func encode(ev Event, record bool) (wire, rec []byte, err error) {
+	payload := ev.Payload
+	ev.Payload = nil
+	wire, err = json.Marshal(&ev)
+	rec = wire
+	if err == nil && record && payload != nil {
+		var p []byte
+		if p, err = json.Marshal(payload); err == nil {
+			rec = slices.Concat(wire[:len(wire)-1], []byte(`,"payload":`), p, []byte{'}'})
+		}
+	}
+	if err != nil {
+		return wire, nil, fmt.Errorf("engine: encode event %d: %w", ev.Seq, err)
+	}
+	return wire, rec, nil
+}
+
+// wireOf returns ev's wire form or, if ev cannot be encoded (a NaN amount), a
+// stand-in that keeps its place in the log and says why it has no content.
+func wireOf(ev Event) []byte {
+	wire, _, err := encode(ev, false)
+	if err != nil {
+		wire, _, _ = encode(Event{Seq: ev.Seq, Epoch: ev.Epoch, Kind: ev.Kind, Err: err.Error()}, false)
+	}
+	return wire
+}
+
+// Record returns ev's record as the log encodes it: json.Marshal(ev), byte for byte.
+func Record(ev Event) ([]byte, error) {
+	_, rec, err := encode(ev, true)
+	return rec, err
+}
+
 // EventLog is an append-only, totally ordered event log with cursor-based
 // consumption. Producers Append; consumers either poll Since or block in
 // WaitAfter. There are no per-subscriber buffers, so a slow consumer can
 // never stall the epoch runner or lose events.
 //
-// The log holds a tail, not a lifetime. Events are stored in fixed-size
+// The log holds each event as its wire form (encode), not as a struct,
+// and it holds a tail, not a lifetime. Events are stored in fixed-size
 // chunks (appends never copy old events). Once a chunk is a tail length
 // (retain.Windows.EventTail) behind the head and all of it is persisted by a
 // persister that can read back, it is dropped and base advances: the durable
@@ -183,17 +224,18 @@ type readBacker interface {
 // persister has pruned too (WAL segments behind a snapshot) is gone: older
 // cursors resume at the first retained seq.
 type EventLog struct {
-	// appendMu serializes the whole append path (seq assignment + persist +
-	// publish), so persists reach the WAL in exact seq order while the
-	// persister's fsync runs *outside* mu — readers (Since/WaitAfter) are
+	// appendMu serializes the whole append path (seq assignment + encode +
+	// persist + publish), so persists reach the WAL in exact seq order while
+	// the persister's fsync runs *outside* mu — readers (Since/WaitAfter) are
 	// never stalled behind a disk sync. Lock order: appendMu before mu.
 	appendMu sync.Mutex
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	base   int       // seq of the last event no longer held in memory
-	head   int       // seq of the newest event
-	chunks [][]Event // held events; every chunk but the last is full
+	base   int        // seq of the last event no longer held in memory
+	head   int        // seq of the newest event
+	chunks [][][]byte // held wire forms; every chunk but the last is full
+	bytes  int        // total length of the held wire forms
 	closed bool
 
 	persister Persister
@@ -244,8 +286,9 @@ func (l *EventLog) durable() bool {
 	return l.persister != nil
 }
 
-// Append assigns the next sequence number, forwards the event to the
-// persister (if any), stores it and wakes blocked consumers. It returns the
+// Append assigns the next sequence number, encodes the event once (its
+// payload only for a persister), forwards the record to the persister (if
+// any), holds the wire form and wakes blocked consumers. It returns the
 // assigned sequence number. appendMu serializes appends, so the WAL order is
 // exactly the log order and write-ahead semantics hold (the event becomes
 // visible only after the persist returns) — but the persist itself, fsync
@@ -266,9 +309,11 @@ func (l *EventLog) Append(e Event) int {
 	}
 	l.mu.Unlock()
 
-	var perr error
-	if p != nil {
-		perr = p.Persist(e)
+	wire, rec, perr := encode(e, p != nil)
+	if wire == nil {
+		wire = wireOf(e)
+	} else if perr == nil && p != nil {
+		perr = p.PersistRecord(e.Seq, e.Kind, rec)
 	}
 
 	l.mu.Lock()
@@ -280,13 +325,15 @@ func (l *EventLog) Append(e Event) int {
 			l.persisted = e.Seq
 		}
 	}
-	l.storeLocked(e)
+	l.storeLocked(e.Seq, wire)
 	l.cond.Broadcast()
 	return e.Seq
 }
 
-// seed appends a batch of recovered events without invoking the persister
-// (they came from it). The batch must continue the log without a gap.
+// seed moves the log's head past a batch of recovered events without
+// invoking the persister (they came from it) or holding them: older cursors
+// read them back, so a boot encodes nothing. The batch must continue the log
+// without a gap, and the log must hold nothing yet.
 func (l *EventLog) seed(events []Event) error {
 	l.appendMu.Lock()
 	defer l.appendMu.Unlock()
@@ -296,29 +343,34 @@ func (l *EventLog) seed(events []Event) error {
 		if e.Seq != l.head+1 {
 			return fmt.Errorf("engine: recovered events not contiguous: seq %d after %d", e.Seq, l.head)
 		}
+		l.base, l.head = e.Seq, e.Seq
 		if l.persister != nil {
 			l.persisted = e.Seq
 		}
-		l.storeLocked(e)
 	}
 	l.cond.Broadcast()
 	return nil
 }
 
-// storeLocked files e as the newest event, then drops every chunk that is a
-// tail length behind it and readable from the persister. Caller holds l.mu.
-func (l *EventLog) storeLocked(e Event) {
+// storeLocked holds wire as event seq, the newest, then drops every chunk
+// that is a tail length behind it and readable from the persister. Caller
+// holds l.mu.
+func (l *EventLog) storeLocked(seq int, wire []byte) {
 	w, n := retain.Sizes(), len(l.chunks)
 	if n == 0 || len(l.chunks[n-1]) == w.EventChunk {
-		l.chunks = append(l.chunks, make([]Event, 0, w.EventChunk))
+		l.chunks = append(l.chunks, make([][]byte, 0, w.EventChunk))
 		n++
 	}
-	l.chunks[n-1] = append(l.chunks[n-1], e)
-	l.head = e.Seq
+	l.chunks[n-1] = append(l.chunks[n-1], wire)
+	l.head = seq
+	l.bytes += len(wire)
 	for l.reader != nil && l.perr == nil && len(l.chunks) > 1 {
 		last := l.base + len(l.chunks[0]) // seq of the oldest chunk's last event
 		if last > l.head-w.EventTail || last > l.persisted {
 			break
+		}
+		for _, wire := range l.chunks[0] {
+			l.bytes -= len(wire)
 		}
 		l.chunks[0] = nil
 		l.chunks = l.chunks[1:]
@@ -326,44 +378,76 @@ func (l *EventLog) storeLocked(e Event) {
 	}
 }
 
-// Since returns all events with Seq > after (non-blocking). The returned
-// slice is a fresh copy on every call — never the live backing array — so a
-// subscriber can hold its batch (and overwrite its elements' value fields)
-// while appends race past its cursor. The copy is shallow: reference fields
-// (SellerCuts, Datasets, Payload) still point into the log's records and
-// must be treated as read-only.
+// Since returns all events with Seq > after (non-blocking), as private
+// copies without payloads: payloads are write-ahead only, so events read back
+// from the persister lose theirs too, and memory and disk reads agree.
 func (l *EventLog) Since(after int) []Event {
-	evs, _ := l.read(after, false)
-	return evs
+	cold, held, _ := l.read(after, false)
+	return decoded(cold, held)
 }
 
 // WaitAfter blocks until at least one event with Seq > after exists or the
 // log is closed. The second return is false once the log is closed; callers
 // must still process the returned batch before exiting, or events written
-// just before Close would be lost. Like Since, the returned batch is a
-// shallow copy: private to the caller, reference fields read-only.
+// just before Close would be lost. The events are as Since returns them.
 func (l *EventLog) WaitAfter(after int) ([]Event, bool) {
-	return l.read(after, true)
+	cold, held, open := l.read(after, true)
+	return decoded(cold, held), open
 }
 
-// read serves Since and WaitAfter. A cursor inside the tail is answered
+// SinceJSON returns Since(after) as json.NewEncoder(w).Encode writes it, byte
+// for byte ("[]" for none): held events as they are held, only events read
+// back from the persister are encoded.
+func (l *EventLog) SinceJSON(after int) []byte {
+	cold, held, _ := l.read(after, false)
+	out := append(make([]byte, 0, 256*(len(cold)+len(held))+3), '[') // ~231 B an event
+	for _, ev := range cold {
+		out = append(append(out, wireOf(ev)...), ',')
+	}
+	for _, wire := range held {
+		out = append(append(out, wire...), ',')
+	}
+	if len(out) > 1 {
+		out = out[:len(out)-1] // the last comma
+	}
+	return append(out, ']', '\n')
+}
+
+// decoded joins a read's two runs into private, payload-free events.
+func decoded(cold []Event, held [][]byte) []Event {
+	for i := range cold {
+		cold[i].Payload = nil
+	}
+	for _, wire := range held {
+		var ev Event
+		if err := json.Unmarshal(wire, &ev); err != nil {
+			panic(err) // the log encoded it from an Event
+		}
+		cold = append(cold, ev)
+	}
+	return cold
+}
+
+// read serves the readers: the events past after, read back from the
+// persister (cold), then held in memory. A cursor inside the tail is answered
 // under l.mu alone (readHeld). A colder one first reads (after, base] back
 // from the persister with no lock held — a cold /events?after=0 must not
 // stall Append, and with it every epoch — then re-checks base, which may have
-// advanced meanwhile, until the cursor reaches the tail: disk and memory
-// join without a gap or a duplicate. What the persister does not return (a
-// pruned prefix; the rest of a failed read, kept in rerr) is skipped.
-func (l *EventLog) read(after int, wait bool) (evs []Event, open bool) {
+// advanced meanwhile, until the cursor reaches the tail: disk and memory join
+// without a gap or a duplicate. What the persister does not return (a pruned
+// prefix; the rest of a failed read, kept in rerr) is skipped. Only a read
+// that has found nothing yet waits.
+func (l *EventLog) read(after int, wait bool) (cold []Event, held [][]byte, open bool) {
 	for {
 		var r readBacker
 		var base int
-		if evs, open, r, base = l.readHeld(evs, after, wait); r == nil {
-			return evs, open
+		if held, open, r, base = l.readHeld(after, wait && len(cold) == 0); r == nil {
+			return cold, held, open
 		}
-		cold, err := r.ReadBack(after, base)
-		evs, after = append(evs, cold...), base
+		evs, err := r.ReadBack(after, base)
+		cold, after = append(cold, evs...), base
 		l.mu.Lock()
-		l.readBack += uint64(len(cold))
+		l.readBack += uint64(len(evs))
 		if l.rerr == nil {
 			l.rerr = err
 		}
@@ -372,29 +456,39 @@ func (l *EventLog) read(after int, wait bool) (evs []Event, open bool) {
 }
 
 // readHeld is the locked half of read: it waits for an event past after if
-// asked to, then either appends the held events past after to evs, or — the
+// asked to, then either returns the held wire forms past after, or — the
 // cursor is below base and there is a persister to ask — returns that
 // persister and base for the caller to read back up to. A cursor at or past
 // the head (a client's typo, a cursor that outlived an unsynced tail) holds
 // nothing.
-func (l *EventLog) readHeld(evs []Event, after int, wait bool) (_ []Event, open bool, r readBacker, base int) {
+func (l *EventLog) readHeld(after int, wait bool) (held [][]byte, open bool, r readBacker, base int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for wait && l.head <= after && !l.closed {
 		l.cond.Wait()
 	}
 	if after < l.base && l.reader != nil {
-		return evs, false, l.reader, l.base
+		return nil, false, l.reader, l.base
 	}
 	if after = max(after, l.base); after < l.head {
-		evs = slices.Grow(evs, l.head-after)
+		held = make([][]byte, 0, l.head-after)
 		chunk, off := retain.Sizes().EventChunk, after-l.base
 		for _, c := range l.chunks[off/chunk:] {
-			evs = append(evs, c[off%chunk:]...)
+			held = append(held, c[off%chunk:]...)
 			off = 0
 		}
 	}
-	return evs, !l.closed, nil, 0
+	return held, !l.closed, nil, 0
+}
+
+// WaitFor blocks until the head reaches seq or the log closes; false if closed.
+func (l *EventLog) WaitFor(seq int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.head < seq && !l.closed {
+		l.cond.Wait()
+	}
+	return !l.closed
 }
 
 // LastSeq is the sequence number of the newest event — with no gaps, also
@@ -406,12 +500,12 @@ func (l *EventLog) LastSeq() int {
 }
 
 // Held reports how many events are in memory (the tail, plus up to a chunk,
-// on a durable log), how many reads have fetched from the persister instead,
-// and the first such read that failed.
-func (l *EventLog) Held() (held int, readBack uint64, rerr error) {
+// on a durable log) and their wire forms' size, how many reads have fetched
+// from the persister instead, and the first such read that failed.
+func (l *EventLog) Held() (held, size int, readBack uint64, rerr error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.head - l.base, l.readBack, l.rerr
+	return l.head - l.base, l.bytes, l.readBack, l.rerr
 }
 
 // Close wakes all blocked consumers; subsequent WaitAfter calls drain the

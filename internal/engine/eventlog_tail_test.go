@@ -11,6 +11,7 @@ package engine
 // internal/wal (TestEventLogTransparencyOracle).
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,7 +35,11 @@ type memPersister struct {
 	fail   error // returned by ReadBack when set
 }
 
-func (m *memPersister) Persist(ev Event) error {
+func (m *memPersister) PersistRecord(seq int, _ EventKind, rec []byte) error {
+	var ev Event
+	if err := json.Unmarshal(rec, &ev); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.events) == 0 {
@@ -70,7 +75,9 @@ func (m *memPersister) prune(upto int) {
 // writeOnly hides a persister's ReadBack.
 type writeOnly struct{ p Persister }
 
-func (w writeOnly) Persist(ev Event) error { return w.p.Persist(ev) }
+func (w writeOnly) PersistRecord(seq int, kind EventKind, rec []byte) error {
+	return w.p.PersistRecord(seq, kind, rec)
+}
 
 func tailOracleSeeds(t *testing.T) []int64 {
 	seeds := []int64{1, 2, 3, 4}
@@ -156,13 +163,13 @@ func TestEventLogTailOracle(t *testing.T) {
 							seed, step, after, tail.base, pruned, seqRange(got), seqRange(want))
 					}
 				}
-				if held, _, _ := tail.Held(); held < min(head, 64) || held >= 64+16 {
+				if held, _, _, _ := tail.Held(); held < min(head, 64) || held >= 64+16 {
 					t.Fatalf("seed %d step %d: tail holds %d of %d events", seed, step, held, head)
 				}
 			}
 			tail.Close()
 			wg.Wait()
-			if _, n, err := tail.Held(); n == 0 || err != nil {
+			if _, _, n, err := tail.Held(); n == 0 || err != nil {
 				t.Fatalf("seed %d: read-back never exercised (%d events, err %v)", seed, n, err)
 			}
 		})
@@ -189,7 +196,7 @@ func sameEvents(got, want []Event, deep bool) bool {
 }
 
 func held(l *EventLog) int {
-	n, _, _ := l.Held()
+	n, _, _, _ := l.Held()
 	return n
 }
 
@@ -260,7 +267,7 @@ func TestEventLogDropsNothingItCannotReadBack(t *testing.T) {
 		if len(evs) != held(l) || evs[0].Seq != 100-held(l)+1 {
 			t.Fatalf("failed read-back served %s, want the %d held events", seqRange(evs), held(l))
 		}
-		if _, _, err := l.Held(); err == nil {
+		if _, _, _, err := l.Held(); err == nil {
 			t.Fatal("read-back failure not recorded")
 		}
 	})
@@ -272,11 +279,11 @@ type flakyPersister struct {
 	failAt int
 }
 
-func (f *flakyPersister) Persist(ev Event) error {
-	if ev.Seq >= f.failAt {
-		return fmt.Errorf("injected failure at seq %d", ev.Seq)
+func (f *flakyPersister) PersistRecord(seq int, kind EventKind, rec []byte) error {
+	if seq >= f.failAt {
+		return fmt.Errorf("injected failure at seq %d", seq)
 	}
-	return f.memPersister.Persist(ev)
+	return f.memPersister.PersistRecord(seq, kind, rec)
 }
 
 // TestEventLogCursorPastHead: a cursor beyond the head — a client's typo, or

@@ -14,7 +14,7 @@ type gatedPersister struct {
 	release chan struct{}
 }
 
-func (g *gatedPersister) Persist(Event) error {
+func (g *gatedPersister) PersistRecord(int, EventKind, []byte) error {
 	g.entered <- struct{}{}
 	<-g.release
 	return nil
@@ -65,7 +65,7 @@ func TestEventLogReadersNotBlockedByPersist(t *testing.T) {
 // many in-flight persists.
 type slowPersister struct{ delay time.Duration }
 
-func (s slowPersister) Persist(Event) error {
+func (s slowPersister) PersistRecord(int, EventKind, []byte) error {
 	time.Sleep(s.delay)
 	return nil
 }

@@ -258,7 +258,7 @@ func checkInvariants(t *testing.T, policyName string, wl propWorkload,
 	filed := map[string]int{}
 	rejectedEvents := 0
 	epochEnds := 0
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		switch ev.Kind {
 		case engine.EventRequestFiled:
 			filed[ev.Participant]++
@@ -304,11 +304,11 @@ type switchPersister struct {
 	fail  atomic.Bool
 }
 
-func (s *switchPersister) Persist(ev engine.Event) error {
+func (s *switchPersister) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
 	if s.fail.Load() {
-		return fmt.Errorf("injected crash at seq %d", ev.Seq)
+		return fmt.Errorf("injected crash at seq %d", seq)
 	}
-	return s.inner.Persist(ev)
+	return s.inner.PersistRecord(seq, kind, rec)
 }
 
 // canonEvents renders an event stream with timestamps scrubbed — the
@@ -420,7 +420,7 @@ func runPropCase(t *testing.T, policyName string, seed uint64) {
 
 	checkInvariants(t, policyName, wl, pA, eA, stA)
 	fpA := propFingerprint(t, pA, eA)
-	evA := canonEvents(t, eA.Events(0))
+	evA := canonEvents(t, eA.Log().Since(0))
 
 	// Crash at the m-th arrival boundary: everything after it is lost.
 	m := wl.arrivalRounds / 2
@@ -467,7 +467,7 @@ func runPropCase(t *testing.T, policyName string, seed uint64) {
 	if got := propFingerprint(t, pC, eC); got != fpA {
 		t.Fatalf("crash/replay state diverged from the uninterrupted run:\n--- baseline\n%s\n--- replayed\n%s", fpA, got)
 	}
-	if got := canonEvents(t, eC.Events(0)); got != evA {
+	if got := canonEvents(t, eC.Log().Since(0)); got != evA {
 		t.Fatalf("crash/replay decision stream diverged:\n--- baseline\n%s\n--- replayed\n%s", evA, got)
 	}
 }
@@ -577,7 +577,7 @@ func TestAgingPreventsPriorityStarvation(t *testing.T) {
 		if !ok || tk.Status != engine.TicketDone {
 			t.Fatalf("victim never matched under %s: %+v", policyName, tk)
 		}
-		for _, ev := range e.Events(0) {
+		for _, ev := range e.Log().Since(0) {
 			if ev.Kind == engine.EventRequestAged && ev.Ticket == victim {
 				agedEvents++
 			}

@@ -116,7 +116,7 @@ func TestAdmissionQuotaRejectsAndRefills(t *testing.T) {
 	}
 	// The shedding path writes nothing: the audit record is aggregated and
 	// flushed by the next counted epoch.
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == EventRequestRejected {
 			t.Fatalf("rejection logged before the epoch flush: %+v", ev)
 		}
@@ -126,7 +126,7 @@ func TestAdmissionQuotaRejectsAndRefills(t *testing.T) {
 	// the two sheds, and refills one token.
 	e.TriggerEpoch()
 	rejected := 0
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == EventRequestRejected {
 			rejected++
 			if ev.Ticket != "" || ev.Participant != "b1" || ev.Note != OverloadQuota || ev.Count != 2 {
@@ -184,7 +184,7 @@ func TestQueueDepthBackpressure(t *testing.T) {
 		t.Fatalf("retry-after hint = %v, want default %v", oe.RetryAfter, defaultRetryAfter)
 	}
 	// Sheds are transient overload protection: counted, but never logged.
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == EventRequestRejected {
 			t.Fatalf("queue-depth shed must not be audit-logged: %+v", ev)
 		}
@@ -321,9 +321,12 @@ func TestSyncFiledRequestsStillMatchUnderPolicy(t *testing.T) {
 
 // TestPolicyStateSurvivesRestore checks the engine-level replay of the new
 // policy records: rejection counters, per-request priorities and token
-// buckets all rebuilt from the event stream alone (no snapshot).
+// buckets all rebuilt from the event stream alone (no snapshot). The stream
+// is what a recording persister received: readers of the log get no
+// payloads, and replay needs them.
 func TestPolicyStateSurvivesRestore(t *testing.T) {
-	cfg := Config{Shards: 2, Admission: AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 1}}
+	wal := &memPersister{}
+	cfg := Config{Shards: 2, Admission: AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 1}, Persister: wal}
 	p, e := newTestEngine(t, cfg)
 	mustTicket(e.SubmitRegister("b1", 1_000_000))
 	e.TriggerEpoch()
@@ -341,7 +344,8 @@ func TestPolicyStateSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Restore(p2, cfg, nil, sliceSource(e.Events(0)))
+	cfg.Persister = nil
+	e2, err := Restore(p2, cfg, nil, sliceSource(wal.events))
 	if err != nil {
 		t.Fatal(err)
 	}

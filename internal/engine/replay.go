@@ -94,8 +94,8 @@ type SnapshotState struct {
 }
 
 // Snapshot captures a consistent checkpoint. It holds the epoch lock, so no
-// epoch is mid-flight, waits for the settlement subscriber to catch up with
-// the log, then snapshots platform and engine registries as one cut. Only the
+// epoch is mid-flight — and the settlement book, folded at each append, is at
+// the log head — then snapshots platform and engine registries as one cut. Only the
 // cut holds the lock: encoding and writing it (wal.WriteSnapshot) happen after.
 // Intake queued behind the lock is not part of the checkpoint — it has no
 // events yet, so it is not durable until its epoch runs; its tickets are
@@ -132,26 +132,6 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		// no transaction is between prepare and its terminal record.
 		return nil, fmt.Errorf("engine: snapshot refused, %d cross-shard escrow(s) in flight", n)
 	}
-	// Appends only happen under epochMu, so the log cannot advance while we
-	// wait for the book to absorb everything up to seq. Once the subscriber
-	// has exited (bookDone — it drains everything present at log close
-	// first), any remaining gap can only be post-close appends — e.g. a
-	// post-drain flush epoch before a retried drain snapshot — which are
-	// folded here instead of waiting forever.
-	e.bookMu.Lock()
-	for e.bookSeq < seq && !e.bookDone {
-		e.bookCond.Wait()
-	}
-	if e.bookSeq < seq {
-		for _, ev := range e.log.Since(e.bookSeq) {
-			if ev.Kind == EventTxSettled || ev.Kind == EventValueReported {
-				e.book.Record(settlementFromEvent(ev))
-			}
-		}
-		e.bookSeq = seq
-	}
-	e.bookMu.Unlock()
-
 	snap := &SnapshotState{
 		TakenAt:    time.Now(),
 		TakenAtSeq: seq,
@@ -238,13 +218,13 @@ var ErrLogBehindCheckpoint = errors.New("engine: recovered log ends short of the
 // of a checkpoint. The caller builds the platform first — from
 // core.RestorePlatform(opts, snap.Platform) when a snapshot exists, else
 // core.NewPlatform — and streams every recovered event through src. Events
-// up to snap.TakenAtSeq only re-seed the in-memory log; later ones are
+// up to snap.TakenAtSeq only move the log's head; later ones are also
 // applied to the platform, the engine's registries and the settlement book
 // (restored from snap.Book, reading its archived prefix through
 // cfg.BookArchive),
-// batch by batch: the whole log is never held at once, and with a persister
-// that reads back (cfg.Persister, attached up front, never written to here)
-// only the log's tail stays in memory. The engine is returned stopped.
+// batch by batch. The log holds none of them: it starts at the recovered
+// head, encodes nothing, and older cursors read back from cfg.Persister
+// (attached up front, never written to here). The engine is returned stopped.
 //
 // Non-replayable records — a request-filed event whose payload was a code
 // task — leave their request lost; everything the dmms wire surface can
@@ -358,9 +338,6 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 	e.stMatched.Store(counters.Matched)
 	e.stFailed.Store(counters.Failed)
 	e.stMatchedAtBoot = counters.Matched
-	// The book already holds every settlement the log carries; the
-	// subscriber picks up at the head.
-	e.startBook(e.log.LastSeq())
 	return e, nil
 }
 

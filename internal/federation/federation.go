@@ -488,6 +488,7 @@ func (m *Market) Stats() engine.Stats {
 		agg.MatchesPerSec += s.MatchesPerSec
 		agg.LastPersisted += s.LastPersisted
 		agg.EventsHeld += s.EventsHeld
+		agg.EventsHeldBytes += s.EventsHeldBytes
 		agg.TicketsHeld += s.TicketsHeld
 		agg.HistoryHeld += s.HistoryHeld
 		agg.AuditHeld += s.AuditHeld
@@ -606,7 +607,7 @@ func (m *Market) cutAll() ([]*engine.SnapshotState, []time.Duration, error) {
 }
 
 // watchCheckpoints is one shard's part of the background checkpointer: it
-// sleeps in WaitAfter until the shard's log runs every events past its newest
+// sleeps in WaitFor until the shard's log runs every events past its newest
 // checkpoint, then checkpoints the market — a count of events, never a timer.
 // ckMu lets one checkpoint run at a time, and a shard another watcher's
 // checkpoint already covered waits for its new mark. After a refused or
@@ -617,10 +618,8 @@ func (m *Market) watchCheckpoints(sh *Shard, every int) {
 	evlog := sh.Engine.Log()
 	mark := int(sh.checkpointed.Load()) + every
 	for {
-		if evlog.LastSeq() < mark {
-			if _, open := evlog.WaitAfter(mark - 1); !open {
-				return
-			}
+		if evlog.LastSeq() < mark && !evlog.WaitFor(mark) {
+			return
 		}
 		select {
 		case <-m.stop:
@@ -710,6 +709,8 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		})
 	reg.NewGaugeFunc("engine_events_held", "Events held in memory (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.EventsHeld) }))
+	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes of JSON the held events are kept as (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.EventsHeldBytes) }))
 	reg.NewGaugeFunc("engine_tickets_held", "Tickets held in memory (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.TicketsHeld) }))
 	reg.NewGaugeFunc("arbiter_history_held", "Completed transactions in the arbiters' history windows (all shards).",

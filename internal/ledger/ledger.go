@@ -89,12 +89,14 @@ type Ledger struct {
 	balances map[string]Currency
 	escrow   map[string]Currency // escrow ID -> held amount
 	escrowBy map[string]string   // escrow ID -> funding account
-	// log is the newest retain.Windows.Audit audit entries, entries how many
-	// were ever appended (the next Seq), anchor the hash of the last one
-	// dropped — what the oldest retained entry chains to. The chain is a
-	// verification window, not the record (that is the engine's event log):
-	// a restart begins a new one and nothing reads old entries back.
+	// log is the newest retain.Windows.Audit audit entries, a ring from
+	// oldest once full, entries how many were ever appended (the next Seq),
+	// anchor the hash of the last one dropped — what the oldest retained
+	// entry chains to. The chain is a verification window, not the record
+	// (that is the engine's event log): a restart begins a new one and
+	// nothing reads old entries back.
 	log     []AuditEntry
+	oldest  int
 	entries int
 	anchor  string
 }
@@ -110,16 +112,23 @@ func New() *Ledger {
 
 func (l *Ledger) append(kind EntryKind, from, to string, amount Currency, memo string) {
 	e := AuditEntry{Seq: l.entries, Kind: kind, From: from, To: to, Amount: amount, Memo: memo, PrevHash: l.anchor}
-	if len(l.log) > 0 {
-		e.PrevHash = l.log[len(l.log)-1].Hash
+	if n := len(l.log); n > 0 {
+		e.PrevHash = l.entry(n - 1).Hash
 	}
 	e.Hash = e.computeHash()
-	l.log = append(l.log, e)
 	l.entries++
-	if len(l.log) > retain.Sizes().Audit {
-		l.anchor = l.log[0].Hash
-		l.log = l.log[1:]
+	if l.oldest == 0 && len(l.log) < retain.Sizes().Audit {
+		l.log = append(l.log, e)
+		return
 	}
+	l.anchor = l.log[l.oldest].Hash
+	l.log[l.oldest] = e
+	l.oldest = (l.oldest + 1) % len(l.log)
+}
+
+// entry is the i-th retained audit entry, oldest first. Caller holds l.mu.
+func (l *Ledger) entry(i int) *AuditEntry {
+	return &l.log[(l.oldest+i)%len(l.log)]
 }
 
 // Open creates an account with an initial balance. Opening an existing
@@ -307,9 +316,8 @@ func (l *Ledger) Note(memo string) {
 func (l *Ledger) Log() []AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AuditEntry, len(l.log))
-	copy(out, l.log)
-	return out
+	out := make([]AuditEntry, 0, len(l.log))
+	return append(append(out, l.log[l.oldest:]...), l.log[:l.oldest]...)
 }
 
 // AuditSize returns how many audit entries were ever appended and how many
@@ -329,7 +337,7 @@ func (l *Ledger) VerifyChain() int {
 	defer l.mu.Unlock()
 	prev := l.anchor
 	for i := range l.log {
-		e := l.log[i]
+		e := l.entry(i)
 		if e.PrevHash != prev || e.computeHash() != e.Hash {
 			return e.Seq
 		}

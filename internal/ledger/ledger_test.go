@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,7 +104,7 @@ func TestAuditChain(t *testing.T) {
 	// Tamper with an internal copy — the ledger's own chain must still be intact,
 	// and a recomputed chain over tampered data must fail.
 	l.mu.Lock()
-	l.log[2].Amount = FromFloat(999)
+	l.entry(2).Amount = FromFloat(999)
 	l.mu.Unlock()
 	if i := l.VerifyChain(); i != 2 {
 		t.Errorf("tamper detected at %d, want 2", i)
@@ -211,13 +212,13 @@ func TestAuditWindow(t *testing.T) {
 	}
 
 	l.mu.Lock()
-	l.log[5].Memo = "doctored"
+	l.entry(5).Memo = "doctored"
 	l.mu.Unlock()
 	if got := l.VerifyChain(); got != 39 {
 		t.Fatalf("tampered retained entry detected at %d, want seq 39", got)
 	}
 	l.mu.Lock()
-	l.log[5].Memo = "t37"
+	l.entry(5).Memo = "t37"
 	good := l.anchor
 	l.anchor = hashes[0]
 	l.mu.Unlock()
@@ -285,5 +286,36 @@ func TestAuditHashMatchesFmt(t *testing.T) {
 		if e.Hash != fmtHash(&e) {
 			t.Fatalf("chain entry %+v: hash %s, fmt gives %s", e, e.Hash, fmtHash(&e))
 		}
+	}
+}
+
+// TestAuditAppendAllocsOnceFull pins what an audit append costs once the
+// window is full: the window is a ring, so an append allocates the new
+// entry's hash and nothing else. A window that drops its oldest entry by
+// re-slicing re-copies itself every few thousand appends, 564 B per append
+// on average at the default 8,192 entries.
+func TestAuditAppendAllocsOnceFull(t *testing.T) {
+	l := New()
+	window := retain.Sizes().Audit
+	for i := 0; i < window; i++ {
+		l.Note("fill")
+	}
+	const n = 1 << 14
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		l.Note("steady")
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("an audit append allocates %.1f B once the window is full", per)
+	if per > 72 {
+		t.Fatalf("an audit append allocates %.1f B once the window is full, want at most 72: its 64 B hash and a little slack", per)
+	}
+	if got := l.VerifyChain(); got != -1 {
+		t.Fatalf("wrapped chain reported corrupt at %d", got)
+	}
+	if total, held := l.AuditSize(); total != window+n || held != window {
+		t.Fatalf("window holds %d of %d, want %d of %d", held, total, window, window+n)
 	}
 }

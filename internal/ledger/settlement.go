@@ -8,7 +8,7 @@ import (
 
 // Settlement is one cleared sale as derived from the engine's tx-settled
 // events: what the buyer paid and how the revenue was carved up. It is the
-// ledger-side mirror of an arbiter.Transaction, kept by a subscriber so
+// ledger-side mirror of an arbiter.Transaction, folded in at append so
 // settlement accounting survives independently of the arbiter's in-memory
 // history.
 type Settlement struct {

@@ -14,12 +14,13 @@ type Windows struct {
 	// EventTail is how many of the newest events a durable event log keeps;
 	// older ones are served from the WAL. It is sized by how far readers
 	// trail the head, not by memory: on the benchmark's cover burst (60k
-	// requests back to back, ~14k events/s, two cores) the settlement
-	// subscriber woke at most 509 events behind the head and the 2 ms /events
+	// requests back to back, ~14k events/s, two cores) the 2 ms /events
 	// poller asked at most 450 back — a few batch-64 epochs of ~130 events.
-	// 16k is over a second of that rate (a 1 Hz poller stays in memory) for
-	// ~8 MB; a slower reader is served from disk, identically. EventChunk is
-	// the unit the log stores and releases events in.
+	// 16k is over a second of that rate (a 1 Hz poller stays in memory); the
+	// log holds each event as its JSON, ~231 B on the steady-state test's
+	// settle path (Stats.EventsHeldBytes), so ~3.8 MB, plus a 24 B slice
+	// header each. A slower reader is served from disk, identically.
+	// EventChunk is the unit the log stores and releases events in.
 	EventTail, EventChunk int
 	// Tickets is how many terminal tickets stay pollable: a ticket retires
 	// once this many later ones have turned terminal. Pollers come back after

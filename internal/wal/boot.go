@@ -143,8 +143,9 @@ func boot(platOpts core.Options, cfg engine.Config, walOpts Options, early *segm
 	phase = time.Now()
 
 	// restore scans a fresh Log into engine.Restore. The Log is the engine's
-	// persister from the start — that is what lets the seeded log drop
-	// everything but its tail — but nothing is appended until Restore returns.
+	// persister from the start — that is what lets the restored log hold none
+	// of the recovered events, reading them back instead — but nothing is
+	// appended until Restore returns.
 	// sc is the early scan for openScan to consume or drop (nil for none).
 	cfg.BookArchive = bookArchive(filepath.Join(walOpts.Dir, bookArchiveName))
 	restore := func(sc *segmentScan) (*engine.Engine, *Log, error) {

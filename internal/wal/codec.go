@@ -35,18 +35,6 @@ func appendRecord(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// encodeEvent frames one event as a record.
-func encodeEvent(ev engine.Event) ([]byte, error) {
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encode event %d: %w", ev.Seq, err)
-	}
-	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("wal: event %d payload %d bytes exceeds record limit", ev.Seq, len(payload))
-	}
-	return appendRecord(nil, payload), nil
-}
-
 // nextRecord decodes the record starting at buf[off]. It returns the payload
 // and the offset past the record. Any defect — short header, oversized or
 // truncated length, CRC mismatch — returns an error wrapping ErrTorn; a

@@ -9,12 +9,22 @@ import (
 	"repro/internal/engine"
 )
 
+// frameEvent frames ev as the engine's event log persists it: the record
+// engine.Record encodes, in the WAL's framing.
+func frameEvent(ev engine.Event) ([]byte, error) {
+	rec, err := engine.Record(ev)
+	if err != nil {
+		return nil, err
+	}
+	return appendRecord(nil, rec), nil
+}
+
 // encodeN frames n sequential events into one byte stream.
 func encodeN(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf []byte
 	for _, ev := range testEvents(n) {
-		rec, err := encodeEvent(ev)
+		rec, err := frameEvent(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +40,7 @@ func encodeN(t *testing.T, n int) []byte {
 func TestDecodeAllCorpus(t *testing.T) {
 	valid := encodeN(t, 4)
 	firstRec := func() []byte { // re-encode to get one record's framing
-		rec, _ := encodeEvent(testEvents(1)[0])
+		rec, _ := frameEvent(testEvents(1)[0])
 		return rec
 	}()
 
@@ -115,7 +125,7 @@ func TestDecodeAllSeqGap(t *testing.T) {
 	evs[2].Seq = 7 // gap
 	var buf []byte
 	for _, ev := range evs {
-		rec, err := encodeEvent(ev)
+		rec, err := frameEvent(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,16 +137,25 @@ func TestDecodeAllSeqGap(t *testing.T) {
 	}
 }
 
-// TestEncodeOversizedEvent: an event whose JSON exceeds the record limit is
-// rejected at encode time, not written as garbage.
+// TestEncodeOversizedEvent: an event whose record exceeds the record limit
+// is refused and wedges the log, not written as garbage. (The record is
+// handed over as bytes: encoding a 64 MiB event would leave a buffer that
+// size in encoding/json's pool, inflating later heap measurements.)
 func TestEncodeOversizedEvent(t *testing.T) {
-	huge := make([]byte, maxRecordSize+1)
-	for i := range huge {
-		huge[i] = 'x'
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ev := engine.Event{Seq: 1, Kind: engine.EventEpochStart, Note: string(huge)}
-	if _, err := encodeEvent(ev); err == nil {
-		t.Fatal("oversized event must fail to encode")
+	defer w.Close()
+	if err := w.PersistRecord(1, engine.EventEpochStart, make([]byte, maxRecordSize+1)); err == nil {
+		t.Fatal("oversized record must fail to persist")
+	}
+	if err := w.Persist(engine.Event{Seq: 1, Kind: engine.EventEpochStart}); err == nil {
+		t.Fatal("the refusal must wedge the log")
+	}
+	if evs, err := Load(dir); err != nil || len(evs) != 0 {
+		t.Fatalf("oversized record left %d records (%v)", len(evs), err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package wal is the durable half of the market engine's event log: a
-// segmented write-ahead log that persists every engine.Event before it
-// becomes visible to in-memory subscribers, plus the snapshot files that let
-// a restart skip replaying from seq 1 and the archive that holds the
-// settlement book.
+// segmented write-ahead log that persists every engine.Event's record
+// (engine.Persister) before the event becomes visible to readers, plus the
+// snapshot files that let a restart skip replaying from seq 1 and the
+// archive that holds the settlement book.
 //
 // # Directory layout
 //
@@ -52,7 +52,7 @@
 //	offset  size  field
 //	0       4     payload length N, little-endian uint32
 //	4       4     CRC-32C (Castagnoli) of the payload, little-endian uint32
-//	8       N     payload: one engine.Event, JSON-encoded
+//	8       N     payload: one engine.Event's record (engine.Record)
 //
 // Records are concatenated into segment files named wal-<firstseq>.seg,
 // rotated once a segment exceeds Options.SegmentBytes. The settlement-book
@@ -112,14 +112,15 @@
 // from it (or fresh), then scan the WAL once — from the first segment the
 // snapshot does not wholly cover, truncating any torn tail and leaving it
 // open for appending — streaming each segment's events into engine.Restore,
-// which replays the ones past the snapshot onto the platform and keeps only
-// the newest tail in memory; finally cut the archive back to the snapshot's
-// mark, dropping what a later, unfinished or unusable checkpoint appended
-// (the replayed tail has recorded those settlements again). Segments the
+// which replays the ones past the snapshot onto the platform and holds none
+// (its log starts at the recovered head); finally cut the archive back to
+// the snapshot's mark, dropping what a later, unfinished or unusable
+// checkpoint appended (the replayed tail has recorded those settlements
+// again). Segments the
 // snapshot covers are not read at all, and in the first one that is read the
 // records it covers are checked but not decoded, so recovery costs the
 // snapshot plus the log suffix behind it, not the market's lifetime. Covered
-// segments stay on disk until a prune, and subscriber cursors from before the
+// segments stay on disk until a prune, and reader cursors from before the
 // restart resume gap-free from them and the rest, served by ReadBack.
 //
 // The decode starts first, on the watermark the newest snapshot's file name

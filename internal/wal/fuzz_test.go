@@ -178,7 +178,7 @@ func FuzzWALDecode(f *testing.F) {
 	// Seeds: a clean stream, each corpus corruption shape, and raw JSON.
 	var clean []byte
 	for _, ev := range testEvents(3) {
-		rec, err := encodeEvent(ev)
+		rec, err := frameEvent(ev)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(flipped)
 	// A value-reported settlement record — the ex-post report shape with
 	// its fan-out maps and audit fields.
-	vr, err := encodeEvent(engine.Event{Seq: 1, Epoch: 3, Kind: engine.EventValueReported,
+	vr, err := frameEvent(engine.Event{Seq: 1, Epoch: 3, Kind: engine.EventValueReported,
 		Ticket: "sub-000007", Participant: "b1", RequestID: "req-0003", TxID: "tx-0004",
 		Price: 480, ArbiterCut: 48, SellerCuts: map[string]float64{"s1": 288, "s2": 144},
 		Reported: 480, Audited: true, ExPost: true})
@@ -222,7 +222,7 @@ func FuzzWALDecode(f *testing.F) {
 		// Re-encoding the accepted events must produce a decodable stream.
 		var re []byte
 		for _, ev := range evs {
-			rec, err := encodeEvent(ev)
+			rec, err := frameEvent(ev)
 			if err != nil {
 				// Only possible for events whose JSON exceeds the record
 				// cap; the input was at most the cap, so re-encoding can

@@ -93,7 +93,7 @@ func TestPruneAfterSnapshotReboots(t *testing.T) {
 
 	// Events below the pruned base are compacted; the served suffix is
 	// contiguous up to the original head.
-	evs := e2.Events(0)
+	evs := e2.Log().Since(0)
 	if len(evs) == 0 {
 		t.Fatal("no events served after pruned boot")
 	}

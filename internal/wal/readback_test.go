@@ -254,7 +254,7 @@ func TestColdReadDoesNotStallEpochs(t *testing.T) {
 
 	headBefore := e.Log().LastSeq()
 	cold := make(chan []engine.Event, 1)
-	go func() { cold <- e.Events(0) }()
+	go func() { cold <- e.Log().Since(0) }()
 	<-gate.entered // the cold read is now inside ReadBack
 
 	done := make(chan struct{})
@@ -266,7 +266,7 @@ func TestColdReadDoesNotStallEpochs(t *testing.T) {
 				t.Error("epoch skipped")
 			}
 		}
-		if warm := e.Events(e.Log().LastSeq() - 2); len(warm) != 2 {
+		if warm := e.Log().Since(e.Log().LastSeq() - 2); len(warm) != 2 {
 			t.Errorf("warm read returned %d events, want 2", len(warm))
 		}
 	}()
@@ -325,7 +325,7 @@ func TestColdReadersBesideEpochs(t *testing.T) {
 				if r > 0 {
 					after = (i * 13 * r) % (head + 1)
 				}
-				evs := e.Events(after)
+				evs := e.Log().Since(after)
 				contiguousFrom(t, evs, after+1)
 				if after+len(evs) < head {
 					t.Errorf("Events(%d) ended at %d, head was already %d", after, after+len(evs), head)

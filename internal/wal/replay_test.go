@@ -332,7 +332,7 @@ func settledTx(e *engine.Engine, ticket string) string {
 	if tk, _ := e.Ticket(ticket); tk.Status != engine.TicketRetired {
 		return tk.TxID
 	}
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == engine.EventTxSettled && ev.Ticket == ticket {
 			return ev.TxID
 		}
@@ -354,12 +354,12 @@ type faultPersister struct {
 	remaining int
 }
 
-func (f *faultPersister) Persist(ev engine.Event) error {
+func (f *faultPersister) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
 	if f.remaining <= 0 {
-		return fmt.Errorf("injected crash at seq %d", ev.Seq)
+		return fmt.Errorf("injected crash at seq %d", seq)
 	}
 	f.remaining--
-	return f.inner.Persist(ev)
+	return f.inner.PersistRecord(seq, kind, rec)
 }
 
 // ReadBack forwards to the real WAL, so the engine under test trims its
@@ -551,7 +551,7 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 	// Crash points from the baseline's event stream: every epoch-end seq is
 	// a boundary; seqs just inside an epoch and around every settlement
 	// record check the mid-epoch story. 0 = nothing durable at all.
-	events := baseEng.Events(0)
+	events := baseEng.Log().Since(0)
 	var boundaries []int
 	var interesting []int
 	for _, ev := range events {
@@ -1057,7 +1057,7 @@ func snapshotRestart(t *testing.T) {
 
 	// Cursors must resume gap-free even though state came from the snapshot:
 	// the full event history is still served.
-	evs := e2.Events(0)
+	evs := e2.Log().Since(0)
 	for i, ev := range evs {
 		if ev.Seq != i+1 {
 			t.Fatalf("event %d has seq %d after snapshot boot", i, ev.Seq)
@@ -1243,7 +1243,7 @@ func TestSnapshotCarriesExPostEscrow(t *testing.T) {
 		t.Fatalf("expected 1 pending ex-post settlement, have %d", p.Arbiter.PendingExPostCount())
 	}
 	var txID string
-	for _, ev := range e.Events(0) {
+	for _, ev := range e.Log().Since(0) {
 		if ev.Kind == engine.EventTxSettled {
 			txID = ev.TxID
 		}

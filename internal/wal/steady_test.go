@@ -12,14 +12,20 @@ import (
 	"repro/internal/retain"
 )
 
+// steadyHeapCeiling bounds TestSteadyStateIsBounded's live heap at either
+// sample: 10 % over the most it measures, 11.6-11.9 MB, with the event-log
+// tail held as JSON and the audit window a ring.
+const steadyHeapCeiling = 131 << 20 / 10 // 13.1 MB
+
 // TestSteadyStateIsBounded pushes 50,000 settling requests through a
 // WAL-backed market that checkpoints the way a durable gateway does — every
 // retain.Windows.Checkpoint events, and once more before each sample, as a
 // drain would — at the default window sizes, and compares the state held at
 // 25,000 and at 50,000: the event-log tail, tickets, history, audit chain
-// and open requests must not have grown at all, and the live heap (after a
-// forced GC) by at most 25 B per settlement: nothing settling keeps grows
-// with the sales — the settlement book lives in its archive once
+// and open requests must not have grown at all (the tail's bytes by at most a
+// chunk of them), and the live heap (after a forced GC) must stay under
+// steadyHeapCeiling and grow by at most 25 B per settlement: nothing settling
+// keeps grows with the sales — the settlement book lives in its archive once
 // checkpointed, and licenses are one holder per exclusive dataset, none for
 // the open one sold here. The run measures -8 to 10 B. Before the windows
 // existed the same run grew by ~3.3 KiB per settlement (event log, audit
@@ -92,8 +98,8 @@ func TestSteadyStateIsBounded(t *testing.T) {
 		t.Fatalf("matched %d of %d (arbiter %d)", st.Matched, 2*half, p.Arbiter.Settled())
 	}
 	for _, s := range []sample{at25, at50} {
-		t.Logf("at %d: events=%d tickets=%d history=%d audit=%d held, open=%d, heap=%.1f MB", s.Matched,
-			s.EventsHeld, s.TicketsHeld, s.HistoryHeld, s.AuditHeld, s.OpenRequests, float64(s.heap)/(1<<20))
+		t.Logf("at %d: events=%d (%d B) tickets=%d history=%d audit=%d held, open=%d, heap=%.1f MB", s.Matched,
+			s.EventsHeld, s.EventsHeldBytes, s.TicketsHeld, s.HistoryHeld, s.AuditHeld, s.OpenRequests, float64(s.heap)/(1<<20))
 	}
 	if at25.TicketsHeld != at50.TicketsHeld || at25.HistoryHeld != at50.HistoryHeld ||
 		at25.AuditHeld != at50.AuditHeld || at25.OpenRequests != 0 || at50.OpenRequests != 0 {
@@ -107,9 +113,20 @@ func TestSteadyStateIsBounded(t *testing.T) {
 			t.Fatalf("log holds %d events, want [%d, %d)", s.EventsHeld, tail, tail+chunk)
 		}
 	}
+	// And so are the bytes it holds them as, up to a chunk of them.
+	chunkBytes := chunk * at25.EventsHeldBytes / at25.EventsHeld
+	if d := at50.EventsHeldBytes - at25.EventsHeldBytes; d > chunkBytes || -d > chunkBytes {
+		t.Fatalf("held event bytes moved %d B between 25k and 50k, more than a chunk (%d B)", d, chunkBytes)
+	}
 	if at50.TicketsRetired-at25.TicketsRetired != half || at50.ReadBackEvents != 0 {
 		t.Fatalf("retired %d tickets over the second half (want %d), read back %d events (want 0: every live cursor stays in the tail)",
 			at50.TicketsRetired-at25.TicketsRetired, half, at50.ReadBackEvents)
+	}
+	for _, s := range []sample{at25, at50} {
+		if s.heap > steadyHeapCeiling {
+			t.Fatalf("live heap %.1f MB at %d settlements, over the %.1f MB ceiling", float64(s.heap)/(1<<20),
+				s.Matched, float64(steadyHeapCeiling)/(1<<20))
+		}
 	}
 	grown := int64(at50.heap) - int64(at25.heap)
 	t.Logf("live heap grew %.0f B per settlement", float64(grown)/half)

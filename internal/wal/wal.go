@@ -72,7 +72,8 @@ type Log struct {
 	curName  string // name of the active append segment
 	segBytes int64
 	lastSeq  int
-	err      error // sticky: first append/sync failure wedges the log
+	err      error  // sticky: first append/sync failure wedges the log
+	frame    []byte // PersistRecord's frame buffer, reused up to maxFrameKept
 
 	// telemetry (nil-safe no-ops when Options.Metrics is unset)
 	mAppend   *obs.Histogram
@@ -482,44 +483,54 @@ func (w *Log) SkipTo(seq int) {
 	}
 }
 
-// Persist implements engine.Persister: frame, append, and fsync per policy.
-// Appends must arrive in seq order with no gaps; a violation (or any write
-// error) wedges the log and every later Persist returns the same error.
-func (w *Log) Persist(ev engine.Event) error {
+// maxFrameKept is the largest frame buffer PersistRecord keeps for the next
+// record; events are a few hundred bytes, shares with their relation more.
+const maxFrameKept = 1 << 20
+
+// PersistRecord implements engine.Persister: frame rec in a reused buffer,
+// append it, and fsync per policy. Appends must arrive in seq order with no
+// gaps; a violation (or any write error) wedges the log and every later
+// append returns the same error.
+func (w *Log) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if ev.Seq != w.lastSeq+1 {
-		w.err = fmt.Errorf("wal: out-of-order append: seq %d after %d", ev.Seq, w.lastSeq)
+	if seq != w.lastSeq+1 {
+		w.err = fmt.Errorf("wal: out-of-order append: seq %d after %d", seq, w.lastSeq)
+		return w.err
+	}
+	if len(rec) > maxRecordSize {
+		w.err = fmt.Errorf("wal: event %d record %d bytes exceeds record limit", seq, len(rec))
 		return w.err
 	}
 	var start time.Time
 	if w.mAppend != nil {
 		start = time.Now()
 	}
-	rec, err := encodeEvent(ev)
-	if err != nil {
-		w.err = err
-		return err
+	w.frame = appendRecord(w.frame[:0], rec)
+	n := len(w.frame)
+	_, err := w.f.Write(w.frame)
+	if cap(w.frame) > maxFrameKept {
+		w.frame = nil // a rare large share is not held for the log's life
 	}
-	if _, err := w.f.Write(rec); err != nil {
+	if err != nil {
 		w.err = err
 		return err
 	}
 	if w.mAppend != nil {
 		w.mAppend.Observe(time.Since(start).Seconds())
-		w.mBytes.Add(float64(len(rec)))
+		w.mBytes.Add(float64(n))
 	}
-	w.segBytes += int64(len(rec))
-	w.lastSeq = ev.Seq
+	w.segBytes += int64(n)
+	w.lastSeq = seq
 
 	switch w.opt.Policy {
 	case SyncAlways:
 		err = w.timedSync()
 	case SyncEpoch:
-		if ev.Kind == engine.EventEpochEnd {
+		if kind == engine.EventEpochEnd {
 			err = w.timedSync()
 		}
 	}
@@ -534,6 +545,17 @@ func (w *Log) Persist(ev engine.Event) error {
 		}
 	}
 	return nil
+}
+
+// Persist appends ev's record as the engine's event log encodes it
+// (engine.Record), for writing a WAL without an engine (bench/probe times
+// it). An event that cannot be encoded is not written.
+func (w *Log) Persist(ev engine.Event) error {
+	rec, err := engine.Record(ev)
+	if err != nil {
+		return err
+	}
+	return w.PersistRecord(ev.Seq, ev.Kind, rec)
 }
 
 // timedSync fsyncs the active segment, feeding the fsync-latency histogram.

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -175,6 +178,80 @@ func TestWALOutOfOrderAppendWedges(t *testing.T) {
 	}
 	if err := w.Persist(engine.Event{Seq: 2, Kind: engine.EventEpochEnd, Epoch: 1}); err == nil {
 		t.Fatal("wedged log must stay wedged")
+	}
+}
+
+// TestUnencodableEventWedgesTheWAL: an engine event that cannot be encoded
+// (a NaN price) wedges the durable log with its encoding error — the one
+// Log.Persist returns for the same event, without writing it: nothing past
+// the event before it is written, and the engine refuses to checkpoint.
+func TestUnencodableEventWedgesTheWAL(t *testing.T) {
+	dir := t.TempDir()
+	_, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	defer e.Stop()
+	e.Log().Append(engine.Event{Kind: engine.EventEpochStart, Epoch: 1})
+	nan := engine.Event{Kind: engine.EventTxSettled, Epoch: 1, TxID: "tx-0001", Price: math.NaN()}
+	e.Log().Append(nan)
+	e.Log().Append(engine.Event{Kind: engine.EventEpochEnd, Epoch: 1})
+	st := e.Stats()
+	if st.LastPersisted != 1 || !strings.Contains(st.PersistErr, "encode event 2: json: unsupported value: NaN") {
+		t.Fatalf("persisted %d, error %q; want 1 and event 2's encoding error", st.LastPersisted, st.PersistErr)
+	}
+	if _, err := e.Snapshot(); err == nil {
+		t.Fatal("a wedged log must refuse to checkpoint")
+	}
+	if evs, err := Load(dir); err != nil || len(evs) != 1 {
+		t.Fatalf("WAL holds %d events (%v), want the 1 before the wedge", len(evs), err)
+	}
+
+	other, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	nan.Seq = 2
+	if err := other.Persist(engine.Event{Seq: 1, Kind: engine.EventEpochStart}); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Persist(nan); err == nil || err.Error() != st.PersistErr {
+		t.Fatalf("Log.Persist's error %v, the engine's %q", err, st.PersistErr)
+	}
+	if n := other.LastSeq(); n != 1 {
+		t.Fatalf("Log.Persist wrote an unencodable event: last seq %d", n)
+	}
+}
+
+// TestLargeRecordFrameIsReleased: the frame buffer PersistRecord reuses is
+// dropped after a record larger than maxFrameKept, and kept after small ones.
+func TestLargeRecordFrameIsReleased(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	small := []byte(`{"seq":1,"kind":"epoch-start","epoch":1}`)
+	if err := w.PersistRecord(1, engine.EventEpochStart, small); err != nil {
+		t.Fatal(err)
+	}
+	if w.frame == nil {
+		t.Fatal("the frame buffer of a small record should be kept for the next")
+	}
+	large := append([]byte(`{"seq":2,"kind":"epoch-start","note":"`), bytes.Repeat([]byte{'x'}, 2*maxFrameKept)...)
+	if err := w.PersistRecord(2, engine.EventEpochStart, append(large, '"', '}')); err != nil {
+		t.Fatal(err)
+	}
+	if w.frame != nil {
+		t.Fatalf("the frame buffer of a %d-byte record is still held (cap %d)", len(large), cap(w.frame))
+	}
+	if err := w.PersistRecord(3, engine.EventEpochStart, small); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.frame) > maxFrameKept {
+		t.Fatalf("frame buffer cap %d after a small record", cap(w.frame))
 	}
 }
 
