@@ -8,6 +8,15 @@
 // when contrasting signals from multiple sellers (paper §1, "data fusion
 // operators ... produce relations that break the first normal form").
 //
+// # Cells
+//
+// A cell is a Value of 40 bytes (it was 96 while every kind had its own
+// field): the kind, one word for an int64, a float64's bits or a bool, a
+// string, and a pointer that only time and multi cells allocate. Cells are
+// most of what the market holds: every shared relation in the catalog, each
+// share payload in flight and the rows of each mashup in the DoD candidate
+// cache. A relation of n rows and c columns costs about n*(40c+24) bytes.
+//
 // # Execution model
 //
 // Operators execute as Volcano-style pull iterators (Iter): a pipeline is

@@ -75,13 +75,19 @@ type Sourced struct {
 	Value  Value
 }
 
-// Value is a dynamically typed cell value. The zero Value is NULL.
+// Value is a dynamically typed cell value of 40 bytes (see the package doc).
+// The zero Value is NULL. The zero-size func array keeps Value
+// non-comparable: Equal is the only way to compare two cells.
 type Value struct {
-	kind  Kind
-	i     int64
-	f     float64
-	s     string
-	b     bool
+	_    [0]func()
+	kind Kind
+	w    uint64
+	s    string
+	x    *valueExt
+}
+
+// valueExt holds the payload of the rare kinds that do not fit a word.
+type valueExt struct {
 	t     time.Time
 	multi []Sourced
 }
@@ -90,27 +96,32 @@ type Value struct {
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // Float returns a floating point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
 // String_ returns a string value. The trailing underscore avoids clashing
 // with the Stringer method.
 func String_(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, w: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Time returns a time value.
-func Time(v time.Time) Value { return Value{kind: KindTime, t: v} }
+func Time(v time.Time) Value { return Value{kind: KindTime, x: &valueExt{t: v}} }
 
 // Multi returns a non-1NF multi-valued cell holding the given sourced values.
 // The slice is copied.
 func Multi(vs ...Sourced) Value {
 	cp := make([]Sourced, len(vs))
 	copy(cp, vs)
-	return Value{kind: KindMulti, multi: cp}
+	return Value{kind: KindMulti, x: &valueExt{multi: cp}}
 }
 
 // Kind reports the value's kind.
@@ -120,25 +131,38 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the integer payload. It is valid only for KindInt.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.w)
+}
 
 // AsFloat returns the float payload. For KindInt it converts.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.w))
+	case KindFloat:
+		return math.Float64frombits(v.w)
 	}
-	return v.f
+	return 0
 }
 
 // AsString returns the string payload. It is valid only for KindString.
 func (v Value) AsString() string { return v.s }
 
 // AsBool returns the boolean payload. It is valid only for KindBool.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.w != 0 }
 
 // AsMulti returns the sourced values of a multi cell. The returned slice must
 // not be modified.
-func (v Value) AsMulti() []Sourced { return v.multi }
+func (v Value) AsMulti() []Sourced {
+	if v.kind != KindMulti {
+		return nil
+	}
+	return v.x.multi
+}
 
 // IsNumeric reports whether the value is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -156,22 +180,19 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindNull:
 		return true
-	case KindInt:
-		return v.i == o.i
-	case KindFloat:
-		return v.f == o.f
 	case KindString:
 		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.w == o.w
 	case KindTime:
-		return v.t.Equal(o.t)
+		return v.x.t.Equal(o.x.t)
 	case KindMulti:
-		if len(v.multi) != len(o.multi) {
+		vm, om := v.x.multi, o.x.multi
+		if len(vm) != len(om) {
 			return false
 		}
-		for i := range v.multi {
-			if v.multi[i].Source != o.multi[i].Source || !v.multi[i].Value.Equal(o.multi[i].Value) {
+		for i := range vm {
+			if vm[i].Source != om[i].Source || !vm[i].Value.Equal(om[i].Value) {
 				return false
 			}
 		}
@@ -192,26 +213,23 @@ func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, "\x00N"...)
-	case KindInt:
+	case KindInt, KindFloat:
 		dst = append(dst, '\x01')
-		return strconv.AppendFloat(dst, float64(v.i), 'g', -1, 64)
-	case KindFloat:
-		dst = append(dst, '\x01')
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		dst = append(dst, '\x02')
 		return append(dst, v.s...)
 	case KindBool:
-		if v.b {
+		if v.w != 0 {
 			return append(dst, "\x03t"...)
 		}
 		return append(dst, "\x03f"...)
 	case KindTime:
 		dst = append(dst, '\x04')
-		return strconv.AppendInt(dst, v.t.UnixNano(), 10)
+		return strconv.AppendInt(dst, v.x.t.UnixNano(), 10)
 	case KindMulti:
 		dst = append(dst, '\x05')
-		for _, sv := range v.multi {
+		for _, sv := range v.x.multi {
 			dst = append(dst, sv.Source...)
 			dst = append(dst, '=')
 			dst = sv.Value.AppendKey(dst)
@@ -228,18 +246,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.w), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.w != 0)
 	case KindTime:
-		return v.t.UTC().Format(time.RFC3339)
+		return v.x.t.UTC().Format(time.RFC3339Nano)
 	case KindMulti:
-		parts := make([]string, len(v.multi))
-		for i, sv := range v.multi {
+		parts := make([]string, len(v.x.multi))
+		for i, sv := range v.x.multi {
 			parts[i] = sv.Source + ":" + sv.Value.String()
 		}
 		return "{" + strings.Join(parts, "|") + "}"
@@ -277,13 +295,23 @@ func ParseValue(kind Kind, s string) (Value, error) {
 		}
 		return Bool(b), nil
 	case KindTime:
-		t, err := time.Parse(time.RFC3339, s)
+		t, err := parseTime(s)
 		if err != nil {
 			return Null(), fmt.Errorf("relation: parse time %q: %w", s, err)
 		}
 		return Time(t), nil
 	}
 	return Null(), fmt.Errorf("relation: cannot parse kind %v", kind)
+}
+
+// parseTime parses an RFC 3339 time and refuses one that String could not
+// write back: String renders in UTC, and RFC 3339 years have four digits.
+func parseTime(s string) (time.Time, error) {
+	t, err := time.Parse(time.RFC3339, s)
+	if y := t.UTC().Year(); err == nil && (y < 0 || y > 9999) {
+		err = fmt.Errorf("year %d in UTC is outside RFC 3339", y)
+	}
+	return t, err
 }
 
 // InferValue guesses the kind of s and parses it (int, then float, then bool,
@@ -301,7 +329,7 @@ func InferValue(s string) Value {
 	if s == "true" || s == "false" {
 		return Bool(s == "true")
 	}
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
+	if t, err := parseTime(s); err == nil {
 		return Time(t)
 	}
 	return String_(s)
@@ -314,12 +342,12 @@ func (v Value) FlattenMulti() Value {
 	if v.kind != KindMulti {
 		return v
 	}
-	if len(v.multi) == 0 {
+	if len(v.x.multi) == 0 {
 		return Null()
 	}
 	counts := map[string]int{}
 	best := map[string]Sourced{}
-	for _, sv := range v.multi {
+	for _, sv := range v.x.multi {
 		k := sv.Value.Key()
 		counts[k]++
 		if cur, ok := best[k]; !ok || sv.Source < cur.Source {
