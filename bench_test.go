@@ -320,7 +320,7 @@ func exactShapleySplit(players []string, v market.ValueFunc) map[string]float64 
 
 // BenchmarkEngineThroughput measures sustained matches/sec through the
 // concurrent market engine: parallel submitters push WTP-task requests into
-// the sharded intake (threshold-kicked epochs clear them in the background),
+// the intake queue (threshold-kicked epochs clear them in the background),
 // then final epochs drain the tail. The custom matches/sec metric is the
 // number the ROADMAP's scaling PRs track.
 //
@@ -345,7 +345,7 @@ func benchCoverageThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := benchRegistry()
-	eng := engine.New(p, engine.Config{Shards: 8, BatchThreshold: 256, Metrics: reg})
+	eng := engine.New(p, engine.Config{BatchThreshold: 256, Metrics: reg})
 	defer eng.Stop()
 	for i := 0; i < buyers; i++ {
 		eng.SubmitRegister(fmt.Sprintf("b%02d", i), 1e9)
@@ -418,7 +418,7 @@ func benchTransformHeavy(b *testing.B, joinWants bool) {
 		b.Fatal(err)
 	}
 	reg := benchRegistry()
-	eng := engine.New(p, engine.Config{Shards: 8, BatchThreshold: 128, Metrics: reg})
+	eng := engine.New(p, engine.Config{BatchThreshold: 128, Metrics: reg})
 	defer eng.Stop()
 	for i := 0; i < buyers; i++ {
 		if _, err := eng.SubmitRegister(fmt.Sprintf("b%02d", i), 1e9); err != nil {
@@ -567,7 +567,7 @@ func benchFederationThroughput(b *testing.B, shardsN int) {
 	reg := benchRegistry()
 	m, err := federation.Open(federation.Config{
 		Shards:   shardsN,
-		Engine:   engine.Config{Shards: 8, BatchThreshold: 128},
+		Engine:   engine.Config{BatchThreshold: 128},
 		Platform: core.Options{Design: "posted-baseline"},
 		Metrics:  reg,
 	})

@@ -1,8 +1,8 @@
 // Command dmgateway serves the data market through the concurrent market
 // engine: the async front end of the DMMS. Unlike cmd/dmmsd — which calls
 // the platform inline and clears the market only when a client POSTs /match —
-// dmgateway accepts submissions from many clients into sharded intake
-// queues, batches them into epochs (ticker- or threshold-triggered), runs
+// dmgateway accepts submissions from many clients into an intake queue,
+// batches them into epochs (ticker- or threshold-triggered), runs
 // one arbiter matching round per epoch, and publishes every outcome on an
 // append-only event log that clients poll via /events, /async/tickets/{id}
 // and /settlements.
@@ -41,7 +41,7 @@
 // Usage:
 //
 //	dmgateway -addr :8080 -design posted-baseline -epoch 250ms -batch 64 \
-//	          -shards 4 -intake-shards 8 -build-deadline 2s -quota-rps 50 \
+//	          -shards 4 -build-deadline 2s -quota-rps 50 \
 //	          -quota-override etl=500:1000 \
 //	          -wal-dir /var/lib/dmms/wal -fsync epoch -snapshot-on-drain
 package main
@@ -143,10 +143,12 @@ func (q quotaOverrideFlag) toConfig(epoch time.Duration) map[string]engine.Quota
 // silently unthrottle the market. NaN fails every comparison, so a NaN quota
 // is off too, and an infinite one reaches the token buckets, which snapshots
 // cannot encode as JSON. -quota-override refuses the same values for the
-// same reasons.
+// same reasons. -age-boost reads a negative or NaN boost as the default 1,
+// and an infinite one scores a fresh request Inf x 0 = NaN, which leaves the
+// aging policy's order arbitrary.
 func checkLimits(fs *flag.FlagSet) error {
 	for _, name := range []string{"quota-rps", "quota-burst", "admit-cap", "max-pending",
-		"epoch-cap", "dod-cache-entries", "build-deadline"} {
+		"epoch-cap", "dod-cache-entries", "build-deadline", "age-boost"} {
 		f := fs.Lookup(name)
 		var why string
 		switch v := f.Value.(flag.Getter).Get().(type) {
@@ -177,7 +179,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	design := flag.String("design", "posted-baseline", "market design label")
 	shards := flag.Int("shards", 1, "arbiter shards: >1 federates the market — N catalogs, ledgers and WAL lineages with parallel epochs and cross-shard 2PC settlement; 1 = classic single-arbiter gateway")
-	intakeShards := flag.Int("intake-shards", 8, "intake queue shards per engine")
 	epoch := flag.Duration("epoch", 250*time.Millisecond, "epoch ticker period (0 = threshold/manual only)")
 	batch := flag.Int("batch", 64, "pending submissions that trigger an early epoch (0 = off)")
 	verbose := flag.Bool("verbose", false, "log epoch summaries from the event log")
@@ -219,7 +220,6 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	cfg := engine.Config{
-		Shards:         *intakeShards,
 		EpochEvery:     *epoch,
 		BatchThreshold: *batch,
 		Policy:         policy,
@@ -345,8 +345,8 @@ func main() {
 		m.Stop()
 	}()
 
-	log.Printf("dmgateway: design=%q shards=%d intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g on %s",
-		m.Shards()[0].Platform.Design.Label, m.NumShards(), *intakeShards, *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *addr)
+	log.Printf("dmgateway: design=%q shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g on %s",
+		m.Shards()[0].Platform.Design.Label, m.NumShards(), *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

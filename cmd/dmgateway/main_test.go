@@ -16,11 +16,13 @@ func limitFlagSet() *flag.FlagSet {
 	fs.Int("epoch-cap", 0, "")
 	fs.Int("dod-cache-entries", 0, "")
 	fs.Duration("build-deadline", 0, "")
+	fs.Float64("age-boost", 1, "")
 	return fs
 }
 
-// TestCheckLimits: every limit whose 0 means "off" accepts 0 and positive
-// values and refuses a negative or non-finite one, naming the flag.
+// TestCheckLimits: every limit whose 0 means "off", and -age-boost, whose 0
+// means the default 1, accepts 0 and positive values and refuses a negative
+// or non-finite one, naming the flag.
 func TestCheckLimits(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -28,7 +30,8 @@ func TestCheckLimits(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-quota-rps", "50", "-quota-burst", "100", "-admit-cap", "10", "-max-pending", "1000",
-			"-epoch-cap", "64", "-dod-cache-entries", "256", "-build-deadline", "2s"}, ""},
+			"-epoch-cap", "64", "-dod-cache-entries", "256", "-build-deadline", "2s", "-age-boost", "0.5"}, ""},
+		{[]string{"-age-boost", "0"}, ""},
 		{[]string{"-quota-rps", "-0.5"}, "quota-rps"},
 		{[]string{"-quota-burst", "-1"}, "quota-burst"},
 		{[]string{"-admit-cap", "-1"}, "admit-cap"},
@@ -41,6 +44,9 @@ func TestCheckLimits(t *testing.T) {
 		{[]string{"-quota-rps", "-Inf"}, "quota-rps"},
 		{[]string{"-quota-burst", "NaN"}, "quota-burst"},
 		{[]string{"-quota-burst", "+Inf"}, "quota-burst"},
+		{[]string{"-age-boost", "-1"}, "age-boost"},
+		{[]string{"-age-boost", "NaN"}, "age-boost"},
+		{[]string{"-age-boost", "+Inf"}, "age-boost"},
 	} {
 		fs := limitFlagSet()
 		if err := fs.Parse(tc.args); err != nil {

@@ -50,7 +50,7 @@ func marketFixture(t *testing.T, shards int) (*federation.Market, *Server) {
 	reg := obs.NewRegistry()
 	m, err := federation.Open(federation.Config{
 		Shards:   shards,
-		Engine:   engine.Config{Shards: 2},
+		Engine:   engine.Config{},
 		Platform: core.Options{Design: "posted-baseline"},
 		Metrics:  reg,
 	})
@@ -321,7 +321,7 @@ func TestAsyncSubmitPoll(t *testing.T) {
 // TestAsyncConcurrentClients hammers the HTTP surface from parallel clients
 // while a fast ticker clears epochs in the background.
 func TestAsyncConcurrentClients(t *testing.T) {
-	p, eng, c, done := asyncFixture(t, engine.Config{Shards: 8, EpochEvery: 2 * time.Millisecond})
+	p, eng, c, done := asyncFixture(t, engine.Config{EpochEvery: 2 * time.Millisecond})
 	defer done()
 
 	if _, err := c.RegisterAsync("b1", 100000); err != nil {

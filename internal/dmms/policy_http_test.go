@@ -13,7 +13,7 @@ import (
 // header (surfaced client-side as *OverloadedError), the priority header
 // sticks to the ticket, and an epoch refill reopens intake.
 func TestHTTPAdmission429(t *testing.T) {
-	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2,
+	_, _, c, done := asyncFixture(t, engine.Config{
 		Admission: engine.AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 1}})
 	defer done()
 
@@ -62,7 +62,7 @@ func TestHTTPAdmission429(t *testing.T) {
 // TestHTTPPriorityBodyField: without the header, the JSON body's priority
 // field decides the class; junk labels are a 400, not a silent normal.
 func TestHTTPPriorityBodyField(t *testing.T) {
-	_, eng, c, done := asyncFixture(t, engine.Config{Shards: 2})
+	_, eng, c, done := asyncFixture(t, engine.Config{})
 	defer done()
 	if _, err := c.RegisterAsync("b1", 2000); err != nil {
 		t.Fatal(err)

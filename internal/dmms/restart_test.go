@@ -24,7 +24,7 @@ func durableConfig(dir string, shards int, design string) federation.Config {
 		Shards:   shards,
 		Dir:      dir,
 		Sync:     wal.SyncAlways,
-		Engine:   engine.Config{Shards: 4},
+		Engine:   engine.Config{},
 		Platform: core.Options{Design: design},
 	}
 }
@@ -184,7 +184,7 @@ func TestAsyncSurfaceSurvivesRestart(t *testing.T) {
 // shard 0's path + seq for single-checkpoint clients (Client.Snapshot), and
 // -prune-on-snapshot (federation.Config.PruneOnSnapshot) honoured either way.
 func TestSnapshotEndpoint(t *testing.T) {
-	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2})
+	_, _, c, done := asyncFixture(t, engine.Config{})
 	defer done()
 	if _, _, err := c.Snapshot(); err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("snapshot without a store must answer 503, got %v", err)

@@ -15,7 +15,7 @@ import (
 // and the price stage's, so operators can see the candidate cache and the
 // round working over the wire.
 func TestEngineStatsExposeBuilderCounters(t *testing.T) {
-	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2})
+	_, _, c, done := asyncFixture(t, engine.Config{})
 	defer done()
 
 	if _, err := c.RegisterAsync("b1", 5000); err != nil {
@@ -102,7 +102,7 @@ func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 // engine's own Stats — field for field, not a re-aggregation — plus a zero
 // federation block.
 func TestSingleShardStatsAreTheEnginesOwn(t *testing.T) {
-	p, eng, _, done := asyncFixture(t, engine.Config{Shards: 2})
+	p, eng, _, done := asyncFixture(t, engine.Config{})
 	defer done()
 	s := NewEngineServer(p, eng)
 

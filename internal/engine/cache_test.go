@@ -13,7 +13,7 @@ import (
 // later epoch, with the build time accounted to BuildMillis and, since the
 // build runs inside the round, to PriceMillis too.
 func TestCandidateCacheHitsAcrossEpochs(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2})
+	_, e := newTestEngine(t, Config{})
 	defer e.Stop()
 
 	mustTicket(e.SubmitRegister("b1", 100000))

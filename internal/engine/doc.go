@@ -8,20 +8,20 @@
 //	many goroutines                 one epoch runner
 //	---------------                 ----------------
 //	SubmitRegister ─┐
-//	SubmitShare    ─┼─> sharded     drain -> apply -> PriceRound -> publish
-//	SubmitRequest  ─┘   intake                        │
-//	                    queues                        v
+//	SubmitShare    ─┼─> intake      drain -> apply -> PriceRound -> publish
+//	SubmitRequest  ─┘   queue                         │
+//	                                                  v
 //	                                        build each want group through
 //	                                        the versioned candidate cache
 //
-// # Intake sharding
+// # Intake
 //
 // Submissions (participant registrations, seller shares, buyer WTP-task
-// requests) are appended to one of Config.Shards intake queues, chosen by a
-// hash of the participant name, so concurrent submitters mostly touch
-// distinct locks. Every submission receives a globally ordered sequence
-// number and a ticket ID; callers poll the ticket to follow the submission
-// through its lifecycle:
+// requests) are appended to one intake queue. The lock that guards it also
+// numbers each submission and files its ticket, in one critical section, so
+// the queue is in sequence order and an epoch drains a prefix of the
+// submissions no epoch has taken yet: never a later one before an earlier.
+// Callers poll the ticket ID to follow the submission through its lifecycle:
 //
 //	queued -> applied -> done        (requests: applied = filed, done = matched)
 //	queued -> done                   (registrations and shares)
@@ -38,8 +38,8 @@
 //
 // An epoch is one batched coordination step. It is triggered by a ticker
 // (Config.EpochEvery), by intake pressure (Config.BatchThreshold pending
-// submissions), or manually (TriggerEpoch). Each epoch the runner drains all
-// shards, replays the batch in global sequence order against the platform
+// submissions), or manually (TriggerEpoch). Each epoch the runner drains the
+// intake queue, replays the batch in sequence order against the platform
 // (registrations, dataset shares, request filings), and — when open requests
 // exist — runs exactly one arbiter MatchRound. Requests that stay
 // unsatisfied remain open and are retried automatically in later epochs, so
@@ -224,7 +224,7 @@
 // # Telemetry
 //
 // With Config.Metrics set to an obs.Registry, the engine instruments itself:
-// epoch duration and lag, per-shard intake depth, admission rejections by
+// epoch duration and lag, intake queue depth, admission rejections by
 // reason, build panic isolations, candidate-cache counters, and a
 // submit→settle tracer that stamps each request ticket through the pipeline
 // stages (submit → admit → enqueue → price → settle → report; builds fall

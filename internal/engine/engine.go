@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +20,9 @@ import (
 	"repro/internal/wtp"
 )
 
-// Config tunes the engine. The zero value is usable: 8 shards, no ticker
-// (epochs run on TriggerEpoch or BatchThreshold only).
+// Config tunes the engine. The zero value is usable: no ticker (epochs run
+// on TriggerEpoch or BatchThreshold only).
 type Config struct {
-	// Shards is the number of intake queues (participant-hashed).
-	Shards int
 	// EpochEvery, when > 0, runs an epoch on this period.
 	EpochEvery time.Duration
 	// BatchThreshold, when > 0, kicks an epoch early once this many
@@ -61,7 +57,7 @@ type Config struct {
 	// state, so the deadline never affects WAL replay. 0 disables the bound.
 	BuildDeadline time.Duration
 	// Metrics, when non-nil, receives the engine's telemetry: epoch/round
-	// histograms, per-shard intake depth, admission rejections by reason,
+	// histograms, intake queue depth, admission rejections by reason,
 	// candidate-cache counters, and the submit→settle request tracer.
 	// Metrics are derived state — nothing here is logged,
 	// snapshotted or replayed, so enabling telemetry never changes the
@@ -78,19 +74,12 @@ type Config struct {
 	ShardLabel string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	return c
-}
-
 // TicketStatus tracks a submission through its lifecycle.
 type TicketStatus string
 
 // Ticket statuses.
 const (
-	TicketQueued  TicketStatus = "queued"  // in an intake shard
+	TicketQueued  TicketStatus = "queued"  // in the intake queue
 	TicketApplied TicketStatus = "applied" // request filed, awaiting a match
 	TicketDone    TicketStatus = "done"    // applied (shares/registers) or matched (requests)
 	TicketFailed  TicketStatus = "failed"  // rejected at apply time
@@ -177,11 +166,6 @@ type reqMeta struct {
 	aged        bool
 }
 
-type shard struct {
-	mu    sync.Mutex
-	queue []submission
-}
-
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
 	Epochs       uint64 `json:"epochs"`
@@ -250,7 +234,7 @@ type Stats struct {
 	MatchesPerSec float64       `json:"matches_per_sec"`
 }
 
-// Engine is the concurrent front end to a core.Platform: sharded intake,
+// Engine is the concurrent front end to a core.Platform: one intake queue,
 // epoch-batched clearing, append-only event publishing. See the package
 // documentation for the model.
 type Engine struct {
@@ -259,19 +243,24 @@ type Engine struct {
 	log      *EventLog
 	book     *ledger.SettlementBook
 
-	shards  []*shard
-	seq     atomic.Uint64
-	pending atomic.Int64
 	// appliedSeq is the highest submission number an epoch has drained:
 	// every ticket up to it has left the queued state. Guarded by epochMu.
 	appliedSeq uint64
 
+	// tmu guards the intake: seq numbers the submissions, and queue holds
+	// the ones no epoch has drained yet, in seq order, because one critical
+	// section takes the seq, files the ticket and appends. pending is
+	// len(queue), written under tmu and read without it.
+	//
 	// tickets holds every non-terminal ticket plus the newest
 	// retain.Windows.Tickets terminal ones; done lists those in the order
 	// they turned terminal and retired counts the ones dropped off its front.
 	// The held set is a pure function of the event stream: a replay holds
 	// the same one.
 	tmu     sync.Mutex
+	seq     uint64
+	queue   []submission
+	pending atomic.Int64
 	tickets map[string]*Ticket
 	done    []string
 	retired uint64
@@ -352,7 +341,6 @@ func settlementFromEvent(ev Event) ledger.Settlement {
 
 // newEngine wires an engine over a log and settlement book.
 func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.SettlementBook) *Engine {
-	cfg = cfg.withDefaults()
 	policy := cfg.Policy
 	if policy == nil {
 		policy = PolicyFIFO{}
@@ -362,7 +350,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		cfg:      cfg,
 		log:      log,
 		book:     book,
-		shards:   make([]*shard, cfg.Shards),
 		tickets:  map[string]*Ticket{},
 		openReqs: map[string]string{},
 		reqMeta:  map[string]*reqMeta{},
@@ -375,7 +362,7 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		stop:     make(chan struct{}),
 		started:  time.Now(),
 	}
-	e.m = newEngineMetrics(cfg.Metrics, cfg.Shards, cfg.ShardLabel)
+	e.m = newEngineMetrics(cfg.Metrics, cfg.ShardLabel)
 	if cfg.BuildDeadline > 0 {
 		p.SetBuildDeadline(cfg.BuildDeadline)
 	}
@@ -386,9 +373,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		buildDur := cfg.Metrics.NewHistogram("dod_build_seconds",
 			"Wall-clock duration of each candidate build (beam search + materialize).", obs.FastBuckets)
 		p.SetBuildObserver(func(s float64) { buildDur.Observe(s) })
-	}
-	for i := range e.shards {
-		e.shards[i] = &shard{}
 	}
 	return e
 }
@@ -446,7 +430,7 @@ func (e *Engine) Ticket(id string) (Ticket, bool) {
 	if t, ok := e.tickets[id]; ok {
 		return *t, true
 	}
-	if n := ticketNum(id); n == 0 || n > e.seq.Load() || id != ticketID(n) {
+	if n := ticketNum(id); n == 0 || n > e.seq || id != ticketID(n) {
 		return Ticket{}, false
 	}
 	return Ticket{ID: id, Status: TicketRetired}, true
@@ -521,7 +505,7 @@ func (e *Engine) SubmitRegister(name string, funds float64) (string, error) {
 	if err := e.admitDepth(name); err != nil {
 		return "", err
 	}
-	return e.enqueue(submission{kind: KindRegister, name: name, funds: funds}, name, name), nil
+	return e.enqueue(submission{kind: KindRegister, name: name, funds: funds}, name), nil
 }
 
 // SubmitShare queues a seller's dataset share and returns its ticket.
@@ -532,7 +516,7 @@ func (e *Engine) SubmitShare(seller string, id catalog.DatasetID, rel *relation.
 		return "", err
 	}
 	return e.enqueue(submission{kind: KindShare, seller: seller, id: id, rel: rel,
-		meta: meta, terms: terms}, seller, seller), nil
+		meta: meta, terms: terms}, seller), nil
 }
 
 // SubmitRequest queues a buyer's data need at normal priority and returns
@@ -579,7 +563,7 @@ func (e *Engine) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority 
 	if e.m.on() {
 		s.tAdmit = time.Now()
 	}
-	return e.enqueue(s, f.Buyer, f.Buyer), nil
+	return e.enqueue(s, f.Buyer), nil
 }
 
 // SubmitReport queues a buyer's ex-post value report against a delivered
@@ -587,14 +571,14 @@ func (e *Engine) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority 
 // runner and is published as a value-reported event, so on durable engines
 // the report flows through the WAL like every other mutation. The ticket's
 // participant is filled with the paying buyer at apply time (the report is
-// addressed by transaction, which also picks its intake shard). Under
-// queue-depth backpressure it returns an *OverloadError instead.
+// addressed by transaction). Under queue-depth backpressure it returns an
+// *OverloadError instead.
 func (e *Engine) SubmitReport(txID string, reported, trueValue float64) (string, error) {
 	if err := e.admitDepth(""); err != nil {
 		return "", err
 	}
 	return e.enqueue(submission{kind: KindReport, reportTx: txID,
-		reported: reported, trueValue: trueValue}, txID, ""), nil
+		reported: reported, trueValue: trueValue}, ""), nil
 }
 
 // admitDepth applies queue-depth backpressure to every submission kind.
@@ -612,26 +596,21 @@ func (e *Engine) admitDepth(participant string) error {
 	return &OverloadError{Reason: OverloadQueueDepth, Participant: participant, RetryAfter: retry}
 }
 
-// enqueue queues one submission. shardKey picks the intake shard (the
-// participant for ordinary submissions, the transaction ID for reports);
-// participant is what the ticket records.
-func (e *Engine) enqueue(s submission, shardKey, participant string) string {
-	s.seq = e.seq.Add(1)
-	s.ticket = ticketID(s.seq)
-
+// enqueue numbers one submission, files its ticket and queues it, all under
+// tmu, so the queue is in seq order; participant is what the ticket records.
+func (e *Engine) enqueue(s submission, participant string) string {
 	e.tmu.Lock()
+	e.seq++
+	s.seq = e.seq
+	s.ticket = ticketID(s.seq)
 	e.tickets[s.ticket] = &Ticket{ID: s.ticket, Kind: s.kind, Status: TicketQueued,
 		Participant: participant, Priority: s.priority}
+	e.queue = append(e.queue, s)
+	n := e.pending.Add(1)
+	e.m.depth.Add(1)
 	e.tmu.Unlock()
 
-	idx := shardOf(shardKey, len(e.shards))
-	sh := e.shards[idx]
-	sh.mu.Lock()
-	sh.queue = append(sh.queue, s)
-	sh.mu.Unlock()
-
 	if e.m.on() {
-		e.m.shardGauge(idx).Add(1)
 		if s.kind == KindRequest {
 			e.m.tracer.Begin(s.ticket, s.t0)
 			e.m.tracer.Stamp(s.ticket, obs.StageAdmit, s.tAdmit)
@@ -639,7 +618,7 @@ func (e *Engine) enqueue(s submission, shardKey, participant string) string {
 		}
 	}
 	e.stSubmitted.Add(1)
-	if n := e.pending.Add(1); e.cfg.BatchThreshold > 0 && n >= int64(e.cfg.BatchThreshold) {
+	if e.cfg.BatchThreshold > 0 && n >= int64(e.cfg.BatchThreshold) {
 		select {
 		case e.kick <- struct{}{}:
 		default:
@@ -651,29 +630,16 @@ func (e *Engine) enqueue(s submission, shardKey, participant string) string {
 // ticketID is the ticket of the n-th submission.
 func ticketID(n uint64) string { return fmt.Sprintf("sub-%06d", n) }
 
-func shardOf(participant string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(participant))
-	return int(h.Sum32() % uint32(n))
-}
-
-// drain swaps out every shard queue and returns the batch in global
-// submission order. Caller holds epochMu.
+// drain swaps out the intake queue and returns it: every submission after
+// appliedSeq up to the newest, in seq order. Caller holds epochMu.
 func (e *Engine) drain() []submission {
-	var batch []submission
-	for i, sh := range e.shards {
-		sh.mu.Lock()
-		n := len(sh.queue)
-		batch = append(batch, sh.queue...)
-		sh.queue = nil
-		sh.mu.Unlock()
-		if n > 0 {
-			e.m.shardGauge(i).Add(float64(-n))
-		}
-	}
-	e.pending.Add(-int64(len(batch)))
-	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	if n := len(batch); n > 0 && batch[n-1].seq > e.appliedSeq {
+	e.tmu.Lock()
+	batch := e.queue
+	e.queue = nil
+	e.pending.Store(0)
+	e.m.depth.Add(-float64(len(batch)))
+	e.tmu.Unlock()
+	if n := len(batch); n > 0 {
 		e.appliedSeq = batch[n-1].seq
 	}
 	return batch

@@ -80,7 +80,7 @@ func waitTerminal(t *testing.T, e *Engine, tickets []string, deadline time.Durat
 // concurrent submitters (4 sellers, 4 buyers) across 3 deterministic epochs,
 // asserting ledger conservation (credits == debits) across all of them.
 func TestEngineConcurrentEpochs(t *testing.T) {
-	p, e := newTestEngine(t, Config{Shards: 8})
+	p, e := newTestEngine(t, Config{})
 	defer e.Stop()
 
 	const sellers, buyers, waves = 4, 4, 3
@@ -178,10 +178,59 @@ func TestEngineConcurrentEpochs(t *testing.T) {
 	}
 }
 
+// TestDrainTakesSeqPrefix: submitters race a drain loop, and every drained
+// batch is the run of seqs right after the previous one, so an epoch never
+// applies a submission before one numbered earlier.
+func TestDrainTakesSeqPrefix(t *testing.T) {
+	_, e := newTestEngine(t, Config{})
+	const submitters, each = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				mustTicket(e.SubmitRegister(fmt.Sprintf("p%d-%d", g, i), 1))
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+
+	var drained uint64
+	for done := false; !done; {
+		select {
+		case <-finished:
+			done = true // one more drain takes what is left
+		default:
+		}
+		e.epochMu.Lock()
+		prev := e.appliedSeq
+		batch := e.drain()
+		for i, s := range batch {
+			if s.seq != prev+1+uint64(i) {
+				e.epochMu.Unlock()
+				t.Fatalf("batch after seq %d holds seq %d at %d, want %d", prev, s.seq, i, prev+1+uint64(i))
+			}
+		}
+		if n := len(batch); n > 0 && e.appliedSeq != batch[n-1].seq {
+			t.Errorf("appliedSeq = %d after a batch ending at %d", e.appliedSeq, batch[n-1].seq)
+		}
+		e.epochMu.Unlock()
+		if p := e.Stats().Pending; p < 0 {
+			t.Fatalf("pending = %d", p)
+		}
+		drained += uint64(len(batch))
+	}
+	if drained != submitters*each || e.appliedSeq != drained {
+		t.Fatalf("drained %d up to seq %d, want %d", drained, e.appliedSeq, submitters*each)
+	}
+}
+
 // TestEngineTickerEpochs exercises the background loop: ticker-driven epochs
 // with threshold kicks, submissions racing the runner.
 func TestEngineTickerEpochs(t *testing.T) {
-	p, e := newTestEngine(t, Config{Shards: 4, EpochEvery: 2 * time.Millisecond, BatchThreshold: 64})
+	p, e := newTestEngine(t, Config{EpochEvery: 2 * time.Millisecond, BatchThreshold: 64})
 	e.Start()
 	defer e.Stop()
 
@@ -226,7 +275,7 @@ func TestEngineTickerEpochs(t *testing.T) {
 // filed before any matching supply stays open (unmet) and clears in a later
 // epoch once a seller shares the data.
 func TestEngineRequestWaitsForSupply(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2})
+	_, e := newTestEngine(t, Config{})
 	defer e.Stop()
 
 	reg := mustTicket(e.SubmitRegister("b1", 1000))

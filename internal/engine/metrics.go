@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -35,7 +34,7 @@ type engineMetrics struct {
 	epochDur   *obs.Histogram  // engine_epoch_seconds
 	epochLag   *obs.Histogram  // engine_epoch_lag_seconds
 	roundDur   *obs.Histogram  // arbiter_round_seconds
-	shardDepth []*obs.Gauge    // engine_intake_queue_depth{shard} (or {shard,queue} when labeled)
+	depth      *obs.Gauge      // engine_intake_queue_depth (engine_shard_intake_queue_depth{shard} when labeled)
 	rejections *obs.CounterVec // engine_admission_rejections_total{reason}
 	aged       *obs.Counter    // engine_aged_requests_total
 	tracer     *obs.Tracer     // submit→settle spans
@@ -58,7 +57,7 @@ func (m *engineMetrics) on() bool { return m != nil && m.enabled }
 // yields a disabled (but non-nil) sink. A non-empty label (a federation
 // shard index) adds the per-shard labeled families next to the shared
 // unlabeled aggregates.
-func newEngineMetrics(reg *obs.Registry, shards int, label string) *engineMetrics {
+func newEngineMetrics(reg *obs.Registry, label string) *engineMetrics {
 	if reg == nil {
 		return &engineMetrics{}
 	}
@@ -94,22 +93,11 @@ func newEngineMetrics(reg *obs.Registry, shards int, label string) *engineMetric
 			"Admission rejections per federation shard, by reason.", "shard", "reason")
 		m.shAged = reg.NewCounterVec("engine_shard_aged_requests_total",
 			"Policy-deferred requests per federation shard.", "shard").With(label)
-		// Intake depth needs both the market shard and the intake queue
-		// index; the single-label family below would alias across engines.
-		queueDepth := reg.NewGaugeVec("engine_shard_intake_queue_depth",
-			"Queued submissions per federation shard and intake queue.", "shard", "queue")
-		m.shardDepth = make([]*obs.Gauge, shards)
-		for i := range m.shardDepth {
-			m.shardDepth[i] = queueDepth.With(label, strconv.Itoa(i))
-		}
+		m.depth = reg.NewGaugeVec("engine_shard_intake_queue_depth",
+			"Queued submissions per federation shard.", "shard").With(label)
 		return m
 	}
-	queueDepth := reg.NewGaugeVec("engine_intake_queue_depth",
-		"Queued submissions per intake shard.", "shard")
-	m.shardDepth = make([]*obs.Gauge, shards)
-	for i := range m.shardDepth {
-		m.shardDepth[i] = queueDepth.With(strconv.Itoa(i))
-	}
+	m.depth = reg.NewGauge("engine_intake_queue_depth", "Queued submissions.")
 	return m
 }
 
@@ -155,14 +143,6 @@ func (m *engineMetrics) observeEpoch(start time.Time) {
 	}
 }
 
-// shardGauge returns the intake-depth gauge for one shard (nil when off).
-func (m *engineMetrics) shardGauge(i int) *obs.Gauge {
-	if !m.on() || i >= len(m.shardDepth) {
-		return nil
-	}
-	return m.shardDepth[i]
-}
-
 // registerFuncMetrics wires the sampled families — counters and gauges other
 // subsystems already maintain as atomics — after the engine exists. Sampling
 // happens at scrape time; none of these closures touch epochMu, so a scrape
@@ -179,7 +159,7 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("engine_failed_total",
 		"Submissions rejected at apply time.", func() float64 { return float64(e.stFailed.Load()) })
 	reg.NewGaugeFunc("engine_pending_submissions",
-		"Submissions queued across all intake shards.", func() float64 { return float64(e.pending.Load()) })
+		"Submissions queued for the next epoch.", func() float64 { return float64(e.pending.Load()) })
 	reg.NewGaugeFunc("arbiter_open_requests",
 		"Requests filed but not yet matched.", func() float64 { return float64(e.platform.OpenRequestCount()) })
 	reg.NewGaugeFunc("arbiter_unmet_wants",

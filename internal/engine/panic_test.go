@@ -21,7 +21,7 @@ import (
 func TestBuilderPanicIsolation(t *testing.T) {
 	t.Run("workers=0", func(t *testing.T) {
 		reg := obs.NewRegistry()
-		p, e := newTestEngine(t, Config{Shards: 2, Metrics: reg})
+		p, e := newTestEngine(t, Config{Metrics: reg})
 		defer e.Stop()
 
 		// Register the bomb before the dataset exists: RegisterTransform

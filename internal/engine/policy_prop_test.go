@@ -120,7 +120,6 @@ func propConfig(t *testing.T, policyName string, wl propWorkload) engine.Config 
 		t.Fatal(err)
 	}
 	return engine.Config{
-		Shards:        4,
 		Policy:        pol,
 		EpochMatchCap: wl.cap,
 		Admission:     engine.AdmissionConfig{QuotaPerEpoch: wl.quota, QuotaBurst: wl.burst},
@@ -488,7 +487,7 @@ func burstVictimWait(t *testing.T, policyName string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 2, Policy: pol, EpochMatchCap: 2})
+	e := engine.New(p, engine.Config{Policy: pol, EpochMatchCap: 2})
 	defer e.Stop()
 	mustTk(e.SubmitRegister("hot", 1e7))
 	mustTk(e.SubmitRegister("victim", 1e7))
@@ -549,7 +548,7 @@ func TestAgingPreventsPriorityStarvation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := engine.New(p, engine.Config{Shards: 2, Policy: pol, EpochMatchCap: 1})
+		e := engine.New(p, engine.Config{Policy: pol, EpochMatchCap: 1})
 		defer e.Stop()
 		mustTk(e.SubmitRegister("hot", 1e7))
 		mustTk(e.SubmitRegister("victim", 1e7))

@@ -91,7 +91,7 @@ func TestSelectCandidatesOrdering(t *testing.T) {
 }
 
 func TestAdmissionQuotaRejectsAndRefills(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2,
+	_, e := newTestEngine(t, Config{
 		Admission: AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 2}})
 	defer e.Stop()
 	mustTicket(e.SubmitRegister("b1", 1_000_000))
@@ -146,7 +146,7 @@ func TestAdmissionQuotaRejectsAndRefills(t *testing.T) {
 }
 
 func TestAdmissionEpochCap(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2,
+	_, e := newTestEngine(t, Config{
 		Admission: AdmissionConfig{EpochRequestCap: 2}})
 	defer e.Stop()
 	mustTicket(e.SubmitRegister("b1", 1_000_000))
@@ -170,7 +170,7 @@ func TestAdmissionEpochCap(t *testing.T) {
 }
 
 func TestQueueDepthBackpressure(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2,
+	_, e := newTestEngine(t, Config{
 		Admission: AdmissionConfig{MaxPending: 2}})
 	defer e.Stop()
 	mustTicket(e.SubmitRegister("b1", 100))
@@ -205,7 +205,7 @@ func TestQueueDepthBackpressure(t *testing.T) {
 // count and the bucket could never climb back to one token. Pending shed
 // audits must force a counted epoch that refills.
 func TestQuotaRefillsOnIdleMarket(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2,
+	_, e := newTestEngine(t, Config{
 		Admission: AdmissionConfig{QuotaPerEpoch: 0.5, QuotaBurst: 1}})
 	defer e.Stop()
 	mustTicket(e.SubmitRegister("b1", 1_000_000))
@@ -238,7 +238,7 @@ func TestQuotaRefillsOnIdleMarket(t *testing.T) {
 // kick the background loop would never run an epoch, never refill, and the
 // retrying client would be 429'd forever even while obeying Retry-After.
 func TestQuotaRejectionKicksEpochLoop(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2, BatchThreshold: 64,
+	_, e := newTestEngine(t, Config{BatchThreshold: 64,
 		Admission: AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 1}})
 	e.Start() // loop runs on kicks only: no ticker, threshold far away
 	defer e.Stop()
@@ -294,7 +294,7 @@ func TestRefillFraction(t *testing.T) {
 // no ticket or policy metadata — a policy/cap configuration must still let
 // it into every round rather than silently stranding it open forever.
 func TestSyncFiledRequestsStillMatchUnderPolicy(t *testing.T) {
-	p, e := newTestEngine(t, Config{Shards: 2, Policy: PolicyPriority{}, EpochMatchCap: 1})
+	p, e := newTestEngine(t, Config{Policy: PolicyPriority{}, EpochMatchCap: 1})
 	defer e.Stop()
 	mustTicket(e.SubmitRegister("b1", 1_000_000))
 	mustTicket(e.SubmitShare("s1", "s1/d1", testRelation("s1/d1", 10),
@@ -326,7 +326,7 @@ func TestSyncFiledRequestsStillMatchUnderPolicy(t *testing.T) {
 // payloads, and replay needs them.
 func TestPolicyStateSurvivesRestore(t *testing.T) {
 	wal := &memPersister{}
-	cfg := Config{Shards: 2, Admission: AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 1}, Persister: wal}
+	cfg := Config{Admission: AdmissionConfig{QuotaPerEpoch: 1, QuotaBurst: 1}, Persister: wal}
 	p, e := newTestEngine(t, cfg)
 	mustTicket(e.SubmitRegister("b1", 1_000_000))
 	e.TriggerEpoch()
@@ -381,7 +381,7 @@ func TestPolicyStateSurvivesRestore(t *testing.T) {
 // the global rate/burst — the VIP admits a burst of 3 while everyone else
 // stays at the global 1-per-epoch.
 func TestQuotaOverridePerParticipant(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2,
+	_, e := newTestEngine(t, Config{
 		Admission: AdmissionConfig{
 			QuotaPerEpoch: 1, QuotaBurst: 1,
 			Overrides: map[string]QuotaOverride{"vip": {PerEpoch: 3, Burst: 3}},
@@ -431,7 +431,7 @@ func TestQuotaOverridePerParticipant(t *testing.T) {
 // control — only the named participant is limited, everyone else is
 // unthrottled, and a PerEpoch <= 0 override exempts entirely.
 func TestQuotaOverrideWithoutGlobalQuota(t *testing.T) {
-	_, e := newTestEngine(t, Config{Shards: 2,
+	_, e := newTestEngine(t, Config{
 		Admission: AdmissionConfig{
 			Overrides: map[string]QuotaOverride{
 				"scraper": {PerEpoch: 1, Burst: 1},

@@ -330,7 +330,7 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 	}
 
 	e.epoch.Store(epoch)
-	e.seq.Store(submitSeq)
+	e.seq = submitSeq
 	e.appliedSeq = submitSeq
 	counters.Submitted = e.retired + uint64(len(e.tickets))
 	e.stSubmitted.Store(counters.Submitted)

@@ -36,7 +36,7 @@ func TestBuildDeadlineFreesEpoch(t *testing.T) {
 				close(gate)
 			}
 		})
-		p, e := newTestEngine(t, Config{Shards: 2, BuildDeadline: 150 * time.Millisecond})
+		p, e := newTestEngine(t, Config{BuildDeadline: 150 * time.Millisecond})
 		defer e.Stop()
 		p.Arbiter.DoD().RegisterTransform("s1/d", "b", "z", blockingTransform(gate))
 
@@ -101,7 +101,7 @@ func TestBuildDeadlineFreesEpoch(t *testing.T) {
 // runner or Stop itself.
 func TestStalledBuildDoesNotHangStop(t *testing.T) {
 	gate := make(chan struct{})
-	p, e := newTestEngine(t, Config{Shards: 2, BuildDeadline: 100 * time.Millisecond})
+	p, e := newTestEngine(t, Config{BuildDeadline: 100 * time.Millisecond})
 	p.Arbiter.DoD().RegisterTransform("s1/d", "b", "z", blockingTransform(gate))
 
 	mustTicket(e.SubmitRegister("b1", 100000))

@@ -17,18 +17,18 @@ import (
 
 // E13EngineThroughput measures the concurrent market engine (internal/
 // engine) under parallel load: `sellers`+`buyers` goroutines submit shares
-// and WTP-task requests into the sharded intake each round, one epoch clears
+// and WTP-task requests into the intake queue each round, one epoch clears
 // the batch, and the table reports per-epoch applied/matched counts plus
 // sustained matches/sec and the conservation verdicts. This is the service
 // workload the synchronous core.Platform could not express: many writers,
 // one batched MatchRound per epoch.
 func E13EngineThroughput(sellers, buyers, epochs int, seed int64) (Table, error) {
-	t := Table{ID: "E13", Title: "concurrent engine: sharded intake, epoch-batched matching"}
+	t := Table{ID: "E13", Title: "concurrent engine: one intake queue, epoch-batched matching"}
 	p, err := core.NewPlatform(core.Options{Design: "posted-baseline", Seed: seed})
 	if err != nil {
 		return t, err
 	}
-	eng := engine.New(p, engine.Config{Shards: 8})
+	eng := engine.New(p, engine.Config{})
 	defer eng.Stop()
 
 	var initial float64

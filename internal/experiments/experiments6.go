@@ -42,7 +42,7 @@ func E14WALDurability(epochs int, seed int64) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		eng := engine.New(p, engine.Config{Shards: 8, Persister: w})
+		eng := engine.New(p, engine.Config{Persister: w})
 
 		start := time.Now()
 		for b := 0; b < 4; b++ {
@@ -82,7 +82,7 @@ func E14WALDurability(epochs int, seed int64) (Table, error) {
 
 		recoverStart := time.Now()
 		p2, eng2, w2, res, err := wal.Boot(core.Options{Design: "posted-baseline", Seed: seed},
-			engine.Config{Shards: 8}, wal.Options{Dir: dir, Policy: policy})
+			engine.Config{}, wal.Options{Dir: dir, Policy: policy})
 		if err != nil {
 			return t, err
 		}

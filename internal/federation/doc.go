@@ -26,9 +26,9 @@
 //
 // # Sharding
 //
-// Participants hash to a home shard (FNV-1a of the name, the same hash the
-// engine uses for intake queues). A seller's datasets live on the seller's
-// home shard; a buyer's funds and requests live on the buyer's. Epochs run
+// Participants hash to a home shard (FNV-1a of the name: a stable hash, so
+// the home never moves across restarts). A seller's datasets live on the
+// seller's home shard; a buyer's funds and requests live on the buyer's. Epochs run
 // per shard, concurrently — the perf point of the whole layer: N shards
 // drain, apply, build and match in parallel.
 //

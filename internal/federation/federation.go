@@ -697,7 +697,7 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		})
 	reg.NewCounterFunc("engine_failed_total", "Submissions rejected at apply time (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.Failed) }))
-	reg.NewGaugeFunc("engine_pending_submissions", "Submissions queued across all intake shards (all shards).",
+	reg.NewGaugeFunc("engine_pending_submissions", "Submissions queued for the next epoch (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.Pending) }))
 	reg.NewGaugeFunc("arbiter_open_requests", "Requests filed but not yet matched (all shards + coordinator queue).",
 		func() float64 {

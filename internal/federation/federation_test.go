@@ -351,7 +351,7 @@ func driveLate(s submitSurface) {
 // wal.Boot + a bare engine (every pre-federation -shards 1 gateway) boots
 // under federation.Open and the other way round.
 func TestSingleShardFederationMatchesBareEngine(t *testing.T) {
-	ecfg := engine.Config{Shards: 4}
+	ecfg := engine.Config{}
 	popts := core.Options{Design: testDesign}
 	bareShard := func(p *core.Platform, e *engine.Engine) *Shard { return &Shard{Platform: p, Engine: e} }
 	// sameTickets asserts the market resolves every bare ID to exactly the

@@ -12,9 +12,10 @@ import (
 )
 
 // HomeOf maps a participant name to its home shard: the shard that owns the
-// participant's ledger account and intake. It is the same FNV-1a hash the
-// engine uses for intake queues, so a `-shards 1` federation routes exactly
-// like a bare engine.
+// participant's ledger account and intake. It is FNV-1a of the name modulo
+// the shard count, a stable hash, so a participant's home shard (and the WAL
+// lineage that holds its account) stays the same across restarts and
+// releases.
 func HomeOf(participant string, shards int) int {
 	if shards <= 1 {
 		return 0

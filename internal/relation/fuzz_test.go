@@ -30,6 +30,7 @@ func FuzzIterOps(f *testing.F) {
 	f.Add("k,v\nint,string\n1,a\n2,b\n1,a\n", byte(0), 1)
 	f.Add("k\nint\n", byte(3), 0)
 	f.Add("k,t\nint,time\n5,2024-01-02T03:04:05Z\n", byte(5), 2)
+	f.Add("a,b\nstring,string\nx\x1f\x02y,z\nx,y\x1f\x02z\n", byte(6), 0)
 
 	f.Fuzz(func(t *testing.T, csv string, opByte byte, n int) {
 		r, err := ReadCSV("fz", strings.NewReader(csv))
@@ -39,7 +40,7 @@ func FuzzIterOps(f *testing.F) {
 		if err := r.Validate(); err != nil {
 			return
 		}
-		switch opByte % 6 {
+		switch opByte % 7 {
 		case 0:
 			pred := func(row []Value, s Schema) bool { return !row[0].IsNull() }
 			mustSameRel(t, "Select", Select(r, pred), legacySelect(r, pred))
@@ -111,6 +112,19 @@ func FuzzIterOps(f *testing.F) {
 				t.Fatalf("NestedLoopJoin failed where HashJoin succeeded: %v", nerr)
 			}
 			mustSameRel(t, "HashJoin≡NestedLoopJoin", got, nl)
+		case 6:
+			if len(r.Schema) < 2 {
+				return
+			}
+			on := []JoinPair{{r.Schema[0].Name, r.Schema[0].Name}, {r.Schema[1].Name, r.Schema[1].Name}}
+			got, gerr := HashJoin(r, r, on...)
+			nl, nerr := NestedLoopJoin(r, r, on...)
+			if (gerr == nil) != (nerr == nil) {
+				t.Fatalf("two-column join err mismatch: %v vs %v", gerr, nerr)
+			}
+			if gerr == nil {
+				mustSameRel(t, "two-column HashJoin≡NestedLoopJoin", got, nl)
+			}
 		}
 	})
 }

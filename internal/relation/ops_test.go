@@ -335,4 +335,23 @@ func TestMultiPairJoin(t *testing.T) {
 	if j.NumRows() != 1 {
 		t.Errorf("composite key join rows = %d, want 1", j.NumRows())
 	}
+
+	// A string cell holds any byte, so one cell's bytes must not pass for
+	// the boundary between two cells.
+	c := New("c", NewSchema(Col("x", KindString), Col("y", KindString)))
+	c.MustAppend(String_("x\x1f\x02y"), String_("z"))
+	d := New("d", NewSchema(Col("x", KindString), Col("y", KindString)))
+	d.MustAppend(String_("x"), String_("y\x1f\x02z"))
+	on := []JoinPair{{"x", "x"}, {"y", "y"}}
+	hj, err := HashJoin(c, d, on...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := NestedLoopJoin(c, d, on...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hj.NumRows() != 0 || nl.NumRows() != 0 {
+		t.Errorf("rows that differ in every cell joined: hash %d, nested loop %d, want 0", hj.NumRows(), nl.NumRows())
+	}
 }

@@ -226,7 +226,15 @@ func (v Value) AppendKey(dst []byte) []byte {
 		return append(dst, "\x03f"...)
 	case KindTime:
 		dst = append(dst, '\x04')
-		return strconv.AppendInt(dst, v.x.t.UnixNano(), 10)
+		t := v.x.t
+		if ns := t.UnixNano(); time.Unix(0, ns).Equal(t) {
+			return strconv.AppendInt(dst, ns, 10)
+		}
+		// UnixNano wraps outside 1678–2262: seconds and nanoseconds instead,
+		// split by a '.' that no in-range key holds.
+		dst = strconv.AppendInt(dst, t.Unix(), 10)
+		dst = append(dst, '.')
+		return strconv.AppendInt(dst, int64(t.Nanosecond()), 10)
 	case KindMulti:
 		dst = append(dst, '\x05')
 		for _, sv := range v.x.multi {

@@ -211,6 +211,9 @@ func TestValueSemantics(t *testing.T) {
 		{"epoch", Time(time.Unix(0, 0)), KindTime, 0, 0, "", false, "\x040", "1970-01-01T00:00:00Z", 0},
 		{"time+02", Time(time.Date(2024, 1, 1, 0, 0, 0, 0, plus2)), KindTime, 0, 0, "", false, "\x041704060000000000000", "2023-12-31T22:00:00Z", 0},
 		{"timeutc", Time(time.Date(2023, 12, 31, 22, 0, 0, 0, time.UTC)), KindTime, 0, 0, "", false, "\x041704060000000000000", "2023-12-31T22:00:00Z", 0},
+		// 2^64 ns apart: UnixNano gives both the same number.
+		{"time1900", Time(time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)), KindTime, 0, 0, "", false, "\x04-2208988800000000000", "1900-01-01T00:00:00Z", 0},
+		{"time2484", Time(time.Date(2484, 7, 20, 23, 34, 33, 709551616, time.UTC)), KindTime, 0, 0, "", false, "\x0416237755273.709551616", "2484-07-20T23:34:33.709551616Z", 0},
 		{"multi", Multi(Sourced{"a", Int(1)}, Sourced{"b", String_("x")}), KindMulti, 0, 0, "", false, "\x05a=\x011;b=\x02x;", "{a:1|b:x}", 2},
 		{"multi-empty", Multi(), KindMulti, 0, 0, "", false, "\x05", "{}", 0},
 	}

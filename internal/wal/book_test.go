@@ -24,7 +24,7 @@ import (
 func checkpointedRun(t *testing.T, sc [][]op, at ...int) (*core.Platform, *engine.Engine, string, []ledger.BookMark) {
 	t.Helper()
 	dir := t.TempDir()
-	p, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+	p, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCheckpointArchivesTheBook(t *testing.T) {
 	}
 
 	fresh := t.TempDir()
-	_, e2, w2, _, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: fresh})
+	_, e2, w2, _, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBootDecodesNoArchivedSettlement(t *testing.T) {
 		t.Fatalf("patch snapshot: %v", err)
 	}
 
-	_, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir})
+	_, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("boot decoded the archive: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestBootFallsBackPastCorruption(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			p, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir})
+			p, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir})
 			if c.refuse {
 				if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, bookArchiveName)) {
 					t.Fatalf("boot over a corrupt archive prefix: %v, want a refusal naming the archive", err)
@@ -232,7 +232,7 @@ func TestBootDropsAWrongEarlyDecode(t *testing.T) {
 	}
 	run := func(what, dir string, early *segmentScan) BootResult {
 		t.Helper()
-		p, e, w, res, err := boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir}.withDefaults(), early)
+		p, e, w, res, err := boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir}.withDefaults(), early)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}

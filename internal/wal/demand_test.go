@@ -23,7 +23,7 @@ func TestDemandSignalsSurviveRestore(t *testing.T) {
 	}
 
 	p2, e2, w2, _, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+		engine.Config{}, Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRecommendSurvivesRestore(t *testing.T) {
 		dir      string
 		snapshot bool
 	}{{"snapshot+tail", dir, true}, {"wal-only", walOnly, false}} {
-		p, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: c.dir})
+		p, e, w, res, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: c.dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestDemandSignalsSurviveSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	driveAll(t, e, script())
 	e.Stop()
 
@@ -158,7 +158,7 @@ func TestDemandSignalsSurviveSnapshotRestore(t *testing.T) {
 	w.Close()
 
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncAlways})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestLicencesSurviveRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(live, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(live, engine.Config{Persister: w})
 	for i, epoch := range licenseScript() {
 		for _, o := range epoch {
 			submitOp(e, o)
@@ -61,7 +61,7 @@ func TestLicencesSurviveRestore(t *testing.T) {
 		t.Fatalf("the live run answers nothing worth restoring:\n%s", want)
 	}
 
-	restored, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4},
+	restored, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{},
 		Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestLicencesSurviveRestore(t *testing.T) {
 	}
 
 	_, _, walDir := runUninterrupted(t, core.Options{Design: testDesign}, licenseScript(), SyncEpoch)
-	replayed, e3, w3, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4},
+	replayed, e3, w3, res, err := Boot(core.Options{Design: testDesign}, engine.Config{},
 		Options{Dir: walDir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)

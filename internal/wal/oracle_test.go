@@ -94,7 +94,7 @@ type oracleSide struct {
 func (s *oracleSide) boot(t *testing.T) {
 	t.Helper()
 	var err error
-	s.p, s.e, s.w, _, err = Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4},
+	s.p, s.e, s.w, _, err = Boot(core.Options{Design: testDesign}, engine.Config{},
 		Options{Dir: s.dir, Policy: SyncEpoch, SegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestPruneAfterSnapshotReboots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 
 	var watermark int
 	for i, epoch := range script() {
@@ -75,7 +75,7 @@ func TestPruneAfterSnapshotReboots(t *testing.T) {
 
 	// Reboot from snapshot + pruned log.
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
 	if err != nil {
 		t.Fatalf("boot over pruned log: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestPruneAfterSnapshotKeepsCorruptionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 
 	checkpoint := func() {
 		snap, err := e.Snapshot()
@@ -161,7 +161,7 @@ func TestPruneAfterSnapshotKeepsCorruptionFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
 	if err != nil {
 		t.Fatalf("boot with corrupt newest snapshot: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestPruneKeepsActiveSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 2, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	driveAll(t, e, script())
 
 	snap, err := e.Snapshot()
@@ -218,7 +218,7 @@ func TestPruneKeepsActiveSegment(t *testing.T) {
 	w.Close()
 
 	p2, e2, w2, _, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 2}, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
 	if err != nil {
 		t.Fatalf("boot after prune+append: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestBootDecodesOnlyUncoveredSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	var watermark int
 	for i, epoch := range script() {
 		for _, o := range epoch {
@@ -278,7 +278,7 @@ func TestBootDecodesOnlyUncoveredSegments(t *testing.T) {
 	boot := func(what string) {
 		t.Helper()
 		start := time.Now()
-		p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, opts)
+		p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{}, opts)
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -335,7 +335,7 @@ func TestBootRemovesStaleSnapshotTmp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+	_, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}

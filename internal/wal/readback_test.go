@@ -218,7 +218,7 @@ func coldEngine(t *testing.T, wrap func(*Log) engine.Persister) (*engine.Engine,
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: wrap(w)})
+	e := engine.New(p, engine.Config{Persister: wrap(w)})
 	driveAll(t, e, script())
 	if st := e.Stats(); st.EventsHeld >= st.Events {
 		t.Fatalf("nothing left memory: %d of %d events held", st.EventsHeld, st.Events)

@@ -516,7 +516,7 @@ func runUninterrupted(t *testing.T, platOpts core.Options, sc [][]op, policy Syn
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	driveAll(t, e, sc)
 	e.Stop()
 	if err := w.Close(); err != nil {
@@ -602,7 +602,7 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := engine.New(p, engine.Config{Shards: 4, Metrics: reg,
+			e := engine.New(p, engine.Config{Metrics: reg,
 				BuildDeadline: deadline,
 				Persister:     &faultPersister{inner: w, remaining: crashAfter}})
 			driveAll(t, e, sc)
@@ -621,7 +621,7 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 				reg2 = obs.NewRegistry()
 			}
 			p2, e2, w2, res, err := Boot(platOpts,
-				engine.Config{Shards: 4, Metrics: reg2, BuildDeadline: deadline},
+				engine.Config{Metrics: reg2, BuildDeadline: deadline},
 				Options{Dir: dir, Policy: policy, Metrics: reg2})
 			if err != nil {
 				t.Fatalf("boot: %v", err)
@@ -720,7 +720,7 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 			t.Fatal(err)
 		}
 		fp := &faultPersister{inner: w, remaining: 1 << 30}
-		e := engine.New(p, engine.Config{Shards: 4, Persister: fp,
+		e := engine.New(p, engine.Config{Persister: fp,
 			BookArchive: bookArchive(filepath.Join(dir, bookArchiveName))})
 		cut := 0
 		for _, epoch := range sc {
@@ -802,7 +802,7 @@ func checkpointMatrix(t *testing.T, platOpts core.Options, sc [][]op) {
 					t.Fatalf("the archive (%d bytes) does not run past the fallback's mark %+v", archiveSize(dir), wantMark)
 				}
 
-				p2, e2, w2, res, err := Boot(platOpts, engine.Config{Shards: 4}, opts(dir))
+				p2, e2, w2, res, err := Boot(platOpts, engine.Config{}, opts(dir))
 				if err != nil {
 					t.Fatalf("boot: %v", err)
 				}
@@ -974,7 +974,7 @@ func cleanRestart(t *testing.T) {
 	baseStrong := fingerprint(t, basePlat, baseEng, true)
 
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+		engine.Config{}, Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1013,7 +1013,7 @@ func snapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 
 	sc := script()
 	k := 0
@@ -1038,7 +1038,7 @@ func snapshotRestart(t *testing.T) {
 	baseStrong := fingerprint(t, p, e, true)
 
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+		engine.Config{}, Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1086,7 +1086,7 @@ func TestBootTruncatesCorruptTail(t *testing.T) {
 	}
 
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncAlways})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways})
 	if err != nil {
 		t.Fatalf("boot over corrupt tail: %v", err)
 	}
@@ -1116,7 +1116,7 @@ func TestBootArchivesStaleLogBehindSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	driveAll(t, e, script())
 	e.Stop()
 	snap, err := e.Snapshot()
@@ -1141,7 +1141,7 @@ func TestBootArchivesStaleLogBehindSnapshot(t *testing.T) {
 	}
 
 	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncOff})
+		engine.Config{}, Options{Dir: dir, Policy: SyncOff})
 	if err != nil {
 		t.Fatalf("boot over stale log: %v", err)
 	}
@@ -1169,7 +1169,7 @@ func TestBootArchivesStaleLogBehindSnapshot(t *testing.T) {
 	}
 
 	p3, e3, w3, res3, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncOff})
+		engine.Config{}, Options{Dir: dir, Policy: SyncOff})
 	if err != nil {
 		t.Fatalf("second boot: %v", err)
 	}
@@ -1199,7 +1199,7 @@ func TestSnapshotRefusedWhenWedged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 2,
+	e := engine.New(p, engine.Config{
 		Persister: &faultPersister{inner: w, remaining: 2}})
 	defer e.Stop()
 	e.SubmitRegister("b1", 100)
@@ -1228,7 +1228,7 @@ func TestSnapshotCarriesExPostEscrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 2, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	mustTicket(e.SubmitRegister("b1", 5000))
 	mustTicket(e.SubmitShare("s1", "s1/d0", scriptRelation("s1/d0", 20),
 		wtp.DatasetMeta{Dataset: "s1/d0", HasProvenance: true}, license.Terms{Kind: license.Open}))
@@ -1270,7 +1270,7 @@ func TestSnapshotCarriesExPostEscrow(t *testing.T) {
 	baseStrong := fingerprint(t, p, e, true)
 
 	p2, e2, w2, res, err := Boot(core.Options{Design: "expost-audited"},
-		engine.Config{Shards: 2}, Options{Dir: dir, Policy: SyncAlways})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways})
 	if err != nil {
 		t.Fatalf("boot with pending escrow: %v", err)
 	}
@@ -1321,7 +1321,7 @@ func TestSnapshotExcludesQueuedIntake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 2, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	first := mustTicket(e.SubmitRegister("b1", 1000)) // sub-000001
 	e.TriggerEpoch()
 	queued := mustTicket(e.SubmitRegister("b2", 2000)) // sub-000002: queued, no epoch yet
@@ -1345,7 +1345,7 @@ func TestSnapshotExcludesQueuedIntake(t *testing.T) {
 	w.Close()
 
 	p2, e2, w2, _, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 2}, Options{Dir: dir, Policy: SyncAlways})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1377,7 +1377,7 @@ func TestSnapshotQueuedResubmissionKeepsTicketID(t *testing.T) {
 	}
 	// The persister dies right after the snapshot point: the queued
 	// submission's later events are never written.
-	e := engine.New(p, engine.Config{Shards: 2, Persister: &faultPersister{inner: w, remaining: 3}})
+	e := engine.New(p, engine.Config{Persister: &faultPersister{inner: w, remaining: 3}})
 	e.SubmitRegister("b1", 1000) // sub-000001; epoch -> events 1..3
 	e.TriggerEpoch()
 	queued := mustTicket(e.SubmitRegister("b2", 2000)) // sub-000002: queued
@@ -1392,7 +1392,7 @@ func TestSnapshotQueuedResubmissionKeepsTicketID(t *testing.T) {
 	w.Close()
 
 	p2, e2, w2, _, err := Boot(core.Options{Design: testDesign},
-		engine.Config{Shards: 2}, Options{Dir: dir, Policy: SyncAlways})
+		engine.Config{}, Options{Dir: dir, Policy: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1428,7 +1428,7 @@ func TestPreWindowSnapshotIsTrimmedOnLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(p, engine.Config{Shards: 4, Persister: w})
+	e := engine.New(p, engine.Config{Persister: w})
 	for i, epoch := range script() {
 		for _, o := range epoch {
 			submitOp(e, o)
@@ -1455,7 +1455,7 @@ func TestPreWindowSnapshotIsTrimmedOnLoad(t *testing.T) {
 	basePlat, baseEng, _ := runUninterrupted(t, core.Options{Design: testDesign}, script(), SyncEpoch)
 	want := fingerprint(t, basePlat, baseEng, true)
 
-	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncEpoch})
+	p2, e2, w2, res, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir, Policy: SyncEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ const steadyHeapCeiling = 131 << 20 / 10 // 13.1 MB
 // distorts both the timing and the heap.
 func TestSteadyStateIsBounded(t *testing.T) {
 	dir := t.TempDir()
-	p, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{Shards: 4}, Options{Dir: dir, Policy: SyncOff})
+	p, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir, Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
