@@ -6,6 +6,7 @@
 package dmms
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -576,34 +577,59 @@ func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	out := []SettlementView{}
+	cuts := make([]ledger.BookCut, len(shards))
+	for i, sh := range shards {
+		cuts[i] = sh.Engine.Settlements().Cut()
+	}
+	body, err := settlementsBody(cuts, func(i int, tx string) string { return s.market.ShardID(shards[i].Index, tx) })
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
+// settlementsBody encodes the /settlements body over the cuts, txID giving
+// cut i's TxIDs their federation form: the bytes writeJSON writes for
+// {"settlements": […SettlementView], "conserved": …}, encoded one entry at a
+// time as the cuts stream, so no view of the whole book is built.
+func settlementsBody(cuts []ledger.BookCut, txID func(i int, tx string) string) ([]byte, error) {
 	conserved := true
-	for _, sh := range shards {
-		cut := sh.Engine.Settlements().Cut()
-		conserved = conserved && cut.Conserved()
-		err := cut.Each(func(st ledger.Settlement) error {
+	for _, c := range cuts {
+		conserved = conserved && c.Conserved()
+	}
+	buf := bytes.NewBufferString(`{"conserved":` + strconv.FormatBool(conserved) + `,"settlements":[`)
+	enc := json.NewEncoder(buf)
+	sellerCuts, sep := map[string]float64{}, ""
+	for i, c := range cuts {
+		err := c.Each(func(st ledger.Settlement) error {
 			v := SettlementView{
-				TxID: s.market.ShardID(sh.Index, st.TxID), Epoch: st.Epoch, Buyer: st.Buyer,
+				TxID: txID(i, st.TxID), Epoch: st.Epoch, Buyer: st.Buyer,
 				Price: st.Price.Float(), ArbiterCut: st.ArbiterCut.Float(), ExPost: st.ExPost,
 			}
 			if len(st.SellerCuts) > 0 {
-				v.SellerCuts = map[string]float64{}
+				clear(sellerCuts)
 				for name, c := range st.SellerCuts {
-					v.SellerCuts[name] = c.Float()
+					sellerCuts[name] = c.Float()
 				}
+				v.SellerCuts = sellerCuts
 			}
-			out = append(out, v)
+			buf.WriteString(sep)
+			sep = ","
+			if err := enc.Encode(&v); err != nil {
+				return err
+			}
+			buf.Truncate(buf.Len() - 1) // Encode's newline
 			return nil
 		})
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"settlements": out,
-		"conserved":   conserved,
-	})
+	buf.WriteString("]}\n")
+	return buf.Bytes(), nil
 }
 
 // HistoryResp is GET /history: the most recent completed transactions — each

@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +130,56 @@ type Ticket struct {
 	Err          string `json:"error,omitempty"`
 }
 
+// heldTicket is a Ticket as the ticket window holds it, in 96 B: under its
+// submission seq, so without an ID (ticketID derives it), with its kind and
+// status as indexes into ticketKinds and ticketStatuses. The window holds it
+// behind a pointer: a map churned by a sliding window carries several empty
+// slots per entry, which cost 16 B each that way and 104 B each by value.
+type heldTicket struct {
+	kind, status                      uint8
+	priority                          int32
+	epoch, matchedEpoch               uint64
+	price                             float64
+	participant, requestID, txID, err string
+}
+
+// Held ticket statuses, indexes into ticketStatuses; the last two are
+// terminal. TicketRetired is never held.
+const (
+	heldQueued uint8 = iota
+	heldApplied
+	heldDone
+	heldFailed
+)
+
+var (
+	ticketStatuses = [...]TicketStatus{TicketQueued, TicketApplied, TicketDone, TicketFailed}
+	ticketKinds    = [...]SubmissionKind{KindRegister, KindShare, KindRequest, KindReport}
+)
+
+func (t heldTicket) terminal() bool { return t.status >= heldDone }
+
+// ticket is the held ticket of submission seq in its public form.
+func (t heldTicket) ticket(seq uint64) Ticket {
+	return Ticket{ID: ticketID(seq), Kind: ticketKinds[t.kind], Status: ticketStatuses[t.status],
+		Participant: t.participant, Epoch: t.epoch, RequestID: t.requestID, TxID: t.txID, Price: t.price,
+		Priority: int(t.priority), MatchedEpoch: t.matchedEpoch, Err: t.err}
+}
+
+// holdTicket is ticket's inverse. It refuses a ticket whose ID ticketID did
+// not write, whose kind or status is none of the constants (TicketRetired is
+// never held) or whose priority is past int32.
+func holdTicket(t Ticket) (uint64, *heldTicket, error) {
+	seq := ticketSeq(t.ID)
+	kind, status := slices.Index(ticketKinds[:], t.Kind), slices.Index(ticketStatuses[:], t.Status)
+	if seq == 0 || kind < 0 || status < 0 || t.Priority != int(int32(t.Priority)) {
+		return 0, nil, fmt.Errorf("engine: cannot hold ticket %q of kind %q, status %q, priority %d", t.ID, t.Kind, t.Status, t.Priority)
+	}
+	return seq, &heldTicket{kind: uint8(kind), status: uint8(status), priority: int32(t.Priority),
+		epoch: t.Epoch, matchedEpoch: t.MatchedEpoch, price: t.Price, participant: t.Participant,
+		requestID: t.RequestID, txID: t.TxID, err: t.Err}, nil
+}
+
 type submission struct {
 	seq    uint64
 	ticket string
@@ -216,11 +269,13 @@ type Stats struct {
 	PersistErr    string `json:"persist_error,omitempty"`
 	// What the bounded windows (internal/retain) hold in memory right now —
 	// Events counts the whole log, EventsHeld its tail, EventsHeldBytes the
-	// JSON the tail is held as — and what left them: events read back from
-	// the WAL for cursors behind the tail, retired tickets. Flat lines here
-	// show that memory follows live state.
+	// JSON the tail is held as, BookHeldBytes the packed settlements no
+	// checkpoint has archived yet — and what left them: events read back
+	// from the WAL for cursors behind the tail, retired tickets. Flat lines
+	// here show that memory follows live state.
 	EventsHeld      int    `json:"events_held"`
 	EventsHeldBytes int    `json:"events_held_bytes"`
+	BookHeldBytes   int    `json:"book_held_bytes"`
 	TicketsHeld     int    `json:"tickets_held"`
 	HistoryHeld     int    `json:"history_held"`
 	AuditHeld       int    `json:"audit_held"`
@@ -253,16 +308,17 @@ type Engine struct {
 	// len(queue), written under tmu and read without it.
 	//
 	// tickets holds every non-terminal ticket plus the newest
-	// retain.Windows.Tickets terminal ones; done lists those in the order
-	// they turned terminal and retired counts the ones dropped off its front.
+	// retain.Windows.Tickets terminal ones, by submission seq; done lists the
+	// terminal ones' seqs in the order they turned terminal and retired
+	// counts the ones dropped off its front.
 	// The held set is a pure function of the event stream: a replay holds
 	// the same one.
 	tmu     sync.Mutex
 	seq     uint64
 	queue   []submission
 	pending atomic.Int64
-	tickets map[string]*Ticket
-	done    []string
+	tickets map[uint64]*heldTicket
+	done    []uint64
 	retired uint64
 
 	epochMu  sync.Mutex // serializes epochs; guards openReqs, reqMeta
@@ -317,26 +373,20 @@ func New(p *core.Platform, cfg Config) *Engine {
 	return e
 }
 
-// settlementFromEvent derives the book entry for one tx-settled or
-// value-reported event — the single translation both the live append and
-// replay use. An ex-post sale books twice: the delivery (tx-settled,
-// ExPost=true, cuts not yet final, excluded from conservation) and the
-// report settlement (value-reported, booked as final with the realized
-// price and fan-out).
-func settlementFromEvent(ev Event) ledger.Settlement {
-	cuts := make(map[string]ledger.Currency, len(ev.SellerCuts))
-	for s, c := range ev.SellerCuts {
-		cuts[s] = ledger.FromFloat(c)
-	}
-	return ledger.Settlement{
+// recordSale folds one tx-settled or value-reported event into the book —
+// the single translation both the live append and replay use. An ex-post
+// sale books twice: the delivery (tx-settled, ExPost=true, cuts not yet
+// final, excluded from conservation) and the report settlement
+// (value-reported, booked as final with the realized price and fan-out).
+func (e *Engine) recordSale(ev *Event) {
+	e.book.RecordSale(ledger.Settlement{
 		TxID:       ev.TxID,
 		Epoch:      ev.Epoch,
 		Buyer:      ev.Participant,
 		Price:      ledger.FromFloat(ev.Price),
 		ArbiterCut: ledger.FromFloat(ev.ArbiterCut),
-		SellerCuts: cuts,
 		ExPost:     ev.ExPost && ev.Kind != EventValueReported,
-	}
+	}, ev.SellerCuts)
 }
 
 // newEngine wires an engine over a log and settlement book.
@@ -350,7 +400,7 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		cfg:      cfg,
 		log:      log,
 		book:     book,
-		tickets:  map[string]*Ticket{},
+		tickets:  map[uint64]*heldTicket{},
 		openReqs: map[string]string{},
 		reqMeta:  map[string]*reqMeta{},
 		xtxHeld:  map[string]*xtxHold{},
@@ -427,11 +477,12 @@ func (e *Engine) Settlements() *ledger.SettlementBook { return e.book }
 func (e *Engine) Ticket(id string) (Ticket, bool) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	if t, ok := e.tickets[id]; ok {
-		return *t, true
-	}
-	if n := ticketNum(id); n == 0 || n > e.seq || id != ticketID(n) {
+	n := ticketSeq(id)
+	if n == 0 || n > e.seq {
 		return Ticket{}, false
+	}
+	if t, ok := e.tickets[n]; ok {
+		return t.ticket(n), true
 	}
 	return Ticket{ID: id, Status: TicketRetired}, true
 }
@@ -484,7 +535,7 @@ func (e *Engine) StatsLite() Stats {
 	_, audit := e.platform.Arbiter.Ledger.AuditSize()
 	return Stats{
 		EventsHeld: events, EventsHeldBytes: eventBytes, ReadBackEvents: readBack, TicketsHeld: tickets, TicketsRetired: retired,
-		HistoryHeld: e.platform.Arbiter.HistoryHeld(), AuditHeld: audit,
+		HistoryHeld: e.platform.Arbiter.HistoryHeld(), AuditHeld: audit, BookHeldBytes: e.book.HeldBytes(),
 		Epochs:       e.epoch.Load(),
 		Submitted:    e.stSubmitted.Load(),
 		Applied:      e.stApplied.Load(),
@@ -534,6 +585,9 @@ func (e *Engine) SubmitRequest(want dod.Want, f *wtp.Function) (string, error) {
 // epoch window, flushed at epoch end — so the shedding path itself never
 // writes to the WAL or contends on the epoch lock.
 func (e *Engine) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority int) (string, error) {
+	if priority != int(int32(priority)) {
+		return "", fmt.Errorf("engine: priority %d past int32", priority)
+	}
 	var t0 time.Time
 	if e.m.on() {
 		t0 = time.Now()
@@ -603,8 +657,8 @@ func (e *Engine) enqueue(s submission, participant string) string {
 	e.seq++
 	s.seq = e.seq
 	s.ticket = ticketID(s.seq)
-	e.tickets[s.ticket] = &Ticket{ID: s.ticket, Kind: s.kind, Status: TicketQueued,
-		Participant: participant, Priority: s.priority}
+	e.tickets[s.seq] = &heldTicket{kind: uint8(slices.Index(ticketKinds[:], s.kind)), status: heldQueued,
+		participant: participant, priority: int32(s.priority)}
 	e.queue = append(e.queue, s)
 	n := e.pending.Add(1)
 	e.m.depth.Add(1)
@@ -630,6 +684,17 @@ func (e *Engine) enqueue(s submission, participant string) string {
 // ticketID is the ticket of the n-th submission.
 func ticketID(n uint64) string { return fmt.Sprintf("sub-%06d", n) }
 
+// ticketSeq parses a ticket ID as ticketID writes it back to its seq; 0,
+// which numbers no submission, for any other string.
+func ticketSeq(id string) uint64 {
+	digits, ok := strings.CutPrefix(id, "sub-")
+	n, err := strconv.ParseUint(digits, 10, 64)
+	if !ok || err != nil || len(digits) < 6 || len(digits) > 6 && digits[0] == '0' {
+		return 0
+	}
+	return n
+}
+
 // drain swaps out the intake queue and returns it: every submission after
 // appliedSeq up to the newest, in seq order. Caller holds epochMu.
 func (e *Engine) drain() []submission {
@@ -645,19 +710,20 @@ func (e *Engine) drain() []submission {
 	return batch
 }
 
-// setTicket updates a held ticket. One that turns terminal joins the done
-// window, which then retires its oldest tickets beyond the ticket window.
-func (e *Engine) setTicket(id string, f func(*Ticket)) {
+// setTicket updates the held ticket of submission seq. One that turns
+// terminal joins the done window, which then retires its oldest tickets
+// beyond the ticket window.
+func (e *Engine) setTicket(seq uint64, f func(*heldTicket)) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	t, ok := e.tickets[id]
+	t, ok := e.tickets[seq]
 	if !ok {
 		return
 	}
-	was := t.Status.Terminal()
+	was := t.terminal()
 	f(t)
-	if !was && t.Status.Terminal() {
-		e.done = append(e.done, id)
+	if !was && t.terminal() {
+		e.done = append(e.done, seq)
 		e.retireLocked()
 	}
 }
@@ -797,7 +863,7 @@ func (e *Engine) selectRound(ep uint64) (ids []string, deferred []RequestCandida
 			c.Priority, c.FiledEpoch, c.FiledSeq = m.priority, m.filedEpoch, m.filedSeq
 		} else {
 			// Pre-policy snapshots carry no meta; the ticket still knows.
-			c.Participant = e.ticketParticipant(ticket)
+			c.Participant = e.ticketParticipant(ticketSeq(ticket))
 		}
 		if ep > c.FiledEpoch {
 			c.Age = ep - c.FiledEpoch
@@ -846,11 +912,11 @@ func (e *Engine) apply(ep uint64, s submission) {
 	fail := func(err error) {
 		e.stFailed.Add(1)
 		e.m.tracer.Drop(s.ticket)
-		e.setTicket(s.ticket, func(t *Ticket) {
-			t.Status, t.Epoch, t.Err = TicketFailed, ep, err.Error()
+		e.setTicket(s.seq, func(t *heldTicket) {
+			t.status, t.epoch, t.err = heldFailed, ep, err.Error()
 		})
 		e.log.Append(Event{Epoch: ep, Kind: EventRejected, Ticket: s.ticket,
-			Participant: e.ticketParticipant(s.ticket), SubKind: s.kind,
+			Participant: e.ticketParticipant(s.seq), SubKind: s.kind,
 			Priority: s.priority, Err: err.Error()})
 	}
 	switch s.kind {
@@ -860,7 +926,7 @@ func (e *Engine) apply(ep uint64, s submission) {
 			return
 		}
 		e.stApplied.Add(1)
-		e.setTicket(s.ticket, func(t *Ticket) { t.Status, t.Epoch = TicketDone, ep })
+		e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ep })
 		e.log.Append(Event{Epoch: ep, Kind: EventRegistered, Ticket: s.ticket,
 			Participant: s.name, Price: s.funds})
 	case KindShare:
@@ -869,7 +935,7 @@ func (e *Engine) apply(ep uint64, s submission) {
 			return
 		}
 		e.stApplied.Add(1)
-		e.setTicket(s.ticket, func(t *Ticket) { t.Status, t.Epoch = TicketDone, ep })
+		e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ep })
 		meta := s.meta
 		meta.Dataset = string(s.id)
 		e.log.Append(Event{Epoch: ep, Kind: EventDatasetShared, Ticket: s.ticket,
@@ -895,8 +961,8 @@ func (e *Engine) apply(ep uint64, s submission) {
 		}
 		e.stApplied.Add(1)
 		e.openReqs[reqID] = s.ticket
-		e.setTicket(s.ticket, func(t *Ticket) {
-			t.Status, t.Epoch, t.RequestID = TicketApplied, ep, reqID
+		e.setTicket(s.seq, func(t *heldTicket) {
+			t.status, t.epoch, t.requestID = heldApplied, ep, reqID
 		})
 		// Payload is nil for non-serializable (code-package) tasks; such
 		// requests are served while the process lives but do not survive a
@@ -918,9 +984,9 @@ func (e *Engine) apply(ep uint64, s submission) {
 		if e.m.on() {
 			e.m.tracer.StampTx(s.reportTx, obs.StageReport, time.Now())
 		}
-		e.setTicket(s.ticket, func(t *Ticket) {
-			t.Status, t.Epoch, t.TxID, t.Price = TicketDone, ep, out.TxID, out.Paid
-			t.Participant = out.Buyer
+		e.setTicket(s.seq, func(t *heldTicket) {
+			t.status, t.epoch, t.txID, t.price = heldDone, ep, out.TxID, out.Paid
+			t.participant = out.Buyer
 		})
 		ev := Event{Epoch: ep, Kind: EventValueReported, Ticket: s.ticket,
 			Participant: out.Buyer, RequestID: out.RequestID, TxID: out.TxID,
@@ -928,7 +994,7 @@ func (e *Engine) apply(ep uint64, s submission) {
 			Reported: s.reported, Audited: out.Audited, ExPost: true,
 			Note: fmt.Sprintf("reported=%.2f paid=%.2f audited=%v", s.reported, out.Paid, out.Audited)}
 		e.log.Append(ev)
-		e.book.Record(settlementFromEvent(ev))
+		e.recordSale(&ev)
 	}
 }
 
@@ -977,8 +1043,8 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 			e.m.tracer.Finish(ticket, time.Now())
 			e.m.tracer.AliasTx(tx.ID, ticket)
 		}
-		e.setTicket(ticket, func(t *Ticket) {
-			t.Status, t.TxID, t.Price, t.MatchedEpoch = TicketDone, tx.ID, tx.Price, ep
+		e.setTicket(ticketSeq(ticket), func(t *heldTicket) {
+			t.status, t.txID, t.price, t.matchedEpoch = heldDone, tx.ID, tx.Price, ep
 		})
 		ev := Event{Epoch: ep, Kind: EventTxSettled, Ticket: ticket,
 			Participant: tx.Buyer, RequestID: tx.RequestID, TxID: tx.ID,
@@ -987,7 +1053,7 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 			ExPost: tx.ExPost, ExPostShares: tx.ExPostShares,
 			Note: fmt.Sprintf("datasets=%v satisfaction=%.2f", tx.Datasets, tx.Satisfaction)}
 		e.log.Append(ev)
-		e.book.Record(settlementFromEvent(ev))
+		e.recordSale(&ev)
 	}
 	for _, reqID := range res.Unsatisfied {
 		if ticket, ok := e.openReqs[reqID]; ok {
@@ -999,11 +1065,11 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 }
 
 // ticketParticipant reads the participant recorded at enqueue time.
-func (e *Engine) ticketParticipant(id string) string {
+func (e *Engine) ticketParticipant(seq uint64) string {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	if t, ok := e.tickets[id]; ok {
-		return t.Participant
+	if t, ok := e.tickets[seq]; ok {
+		return t.participant
 	}
 	return ""
 }

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -370,5 +372,45 @@ func TestEventLogWaitAfter(t *testing.T) {
 	}
 	if l.LastSeq() != 2 {
 		t.Fatalf("want 2 events, got %d", l.LastSeq())
+	}
+}
+
+// TestHeldTicket: the ticket window holds a ticket in at most 96 B, without
+// its ID; the public form round-trips through it, only ticketID's
+// own IDs parse back to a seq, and Restore refuses a checkpoint ticket the
+// window cannot hold, naming the value.
+func TestHeldTicket(t *testing.T) {
+	if n := unsafe.Sizeof(heldTicket{}); n > 96 {
+		t.Errorf("heldTicket is %d B, want <= 96", n)
+	}
+	for id, want := range map[string]uint64{"sub-000001": 1, "sub-999999": 999999, "sub-1000000": 1000000,
+		"sub-000000": 0, "sub-0000001": 0, "sub-00001": 0, "sub-+00001": 0, "s0:sub-000001": 0, "x:000001": 0} {
+		if got := ticketSeq(id); got != want {
+			t.Errorf("ticketSeq(%q) = %d, want %d", id, got, want)
+		}
+	}
+	want := Ticket{ID: "sub-1234567", Kind: KindRequest, Status: TicketDone, Participant: "b1", Epoch: 3,
+		RequestID: "req-0001", TxID: "tx-0001", Price: 100, Priority: PriorityHigh, MatchedEpoch: 4, Err: "e"}
+	if seq, held, err := holdTicket(want); err != nil || seq != 1234567 || held.ticket(seq) != want {
+		t.Fatalf("held %+v as seq %d (%v), back as %+v", want, seq, err, held.ticket(seq))
+	}
+	for _, c := range []struct {
+		edit func(*Ticket)
+		want string
+	}{
+		{func(tk *Ticket) { tk.Kind = "bogus" }, `kind "bogus"`},
+		{func(tk *Ticket) { tk.Status = TicketRetired }, `status "retired"`},
+		{func(tk *Ticket) { tk.ID = "sub-01" }, `ticket "sub-01"`},
+		{func(tk *Ticket) { tk.Priority = 1 << 40 }, "priority 1099511627776"},
+	} {
+		bad := want
+		c.edit(&bad)
+		p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(p, Config{}, &SnapshotState{Tickets: []Ticket{bad}}, sliceSource(nil)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("restoring %+v: %v, want an error naming %s", bad, err, c.want)
+		}
 	}
 }

@@ -171,6 +171,8 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 		func() float64 { return float64(e.StatsLite().EventsHeld) })
 	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes of JSON the held events are kept as.",
 		func() float64 { return float64(e.StatsLite().EventsHeldBytes) })
+	reg.NewGaugeFunc("engine_book_held_bytes", "Bytes the settlement book's unarchived entries are packed into.",
+		func() float64 { return float64(e.book.HeldBytes()) })
 	reg.NewGaugeFunc("engine_tickets_held", "Tickets held in memory: every non-terminal one plus the done window.",
 		func() float64 { return float64(e.StatsLite().TicketsHeld) })
 	reg.NewGaugeFunc("arbiter_history_held", "Completed transactions in the arbiter's history window.",

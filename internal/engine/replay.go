@@ -3,9 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/arbiter"
@@ -150,21 +149,20 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		snap.OpenReqs[id] = t
 	}
 	e.tmu.Lock()
-	snap.Tickets = make([]Ticket, 0, len(e.tickets))
-	for _, t := range e.tickets {
+	var applied []uint64
+	for seq, t := range e.tickets {
 		// Queued intake has no events yet and is not durable; after a
 		// restore its clients re-submit. Excluding it here (and from
 		// SubmitSeq above) guarantees re-submissions get their original
 		// ticket IDs, exactly like the no-snapshot replay path.
-		if t.Status == TicketApplied {
-			snap.Tickets = append(snap.Tickets, *t)
+		if t.status == heldApplied {
+			applied = append(applied, seq)
 		}
 	}
-	sort.Slice(snap.Tickets, func(i, j int) bool {
-		return ticketNum(snap.Tickets[i].ID) < ticketNum(snap.Tickets[j].ID)
-	})
-	for _, id := range e.done {
-		snap.Tickets = append(snap.Tickets, *e.tickets[id])
+	slices.Sort(applied)
+	snap.Tickets = make([]Ticket, 0, len(applied)+len(e.done))
+	for _, seq := range slices.Concat(applied, e.done) {
+		snap.Tickets = append(snap.Tickets, e.tickets[seq].ticket(seq))
 	}
 	snap.TicketsRetired = e.retired
 	e.tmu.Unlock()
@@ -187,19 +185,6 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 	}
 	snap.Policy = ps
 	return snap, nil
-}
-
-// ticketNum parses the numeric suffix of a "sub-%06d" ticket (0 when absent).
-func ticketNum(id string) uint64 {
-	i := strings.LastIndexByte(id, '-')
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.ParseUint(id[i+1:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 // EventSource streams a recovered event log to Restore: it calls yield with
@@ -266,9 +251,13 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 		// pre-window snapshot holds every ticket ever issued and is trimmed.
 		e.retired = snap.TicketsRetired
 		for _, t := range snap.Tickets {
-			e.tickets[t.ID] = &t
-			if t.Status.Terminal() {
-				e.done = append(e.done, t.ID)
+			seq, held, err := holdTicket(t)
+			if err != nil {
+				return err
+			}
+			e.tickets[seq] = held
+			if held.terminal() {
+				e.done = append(e.done, seq)
 			}
 		}
 		e.retireLocked()
@@ -310,7 +299,7 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 			if ev.Epoch > epoch {
 				epoch = ev.Epoch
 			}
-			if n := ticketNum(ev.Ticket); n > submitSeq {
+			if n := ticketSeq(ev.Ticket); n > submitSeq {
 				submitSeq = n
 			}
 			if err := e.replayEvent(ev, &counters); err != nil {
@@ -345,12 +334,14 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 // counter and settlement-book bookkeeping. It mirrors apply/publishRound
 // without re-running matching — the log already fixes every outcome.
 func (e *Engine) replayEvent(ev Event, c *Counters) error {
+	seq := ticketSeq(ev.Ticket)
+	if ev.Ticket != "" && (seq == 0 || ev.Kind == EventRejected && !slices.Contains(ticketKinds[:], ev.SubKind)) {
+		return fmt.Errorf("cannot hold ticket %q of kind %q", ev.Ticket, ev.SubKind)
+	}
 	ensureTicket := func(kind SubmissionKind) {
-		if ev.Ticket == "" {
-			return
-		}
-		if _, ok := e.tickets[ev.Ticket]; !ok {
-			e.tickets[ev.Ticket] = &Ticket{ID: ev.Ticket, Kind: kind, Status: TicketQueued, Participant: ev.Participant}
+		if _, ok := e.tickets[seq]; !ok && seq != 0 {
+			e.tickets[seq] = &heldTicket{kind: uint8(slices.Index(ticketKinds[:], kind)), status: heldQueued,
+				participant: ev.Participant}
 		}
 	}
 	switch ev.Kind {
@@ -360,7 +351,7 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 		}
 		c.Applied++
 		ensureTicket(KindRegister)
-		e.setTicket(ev.Ticket, func(t *Ticket) { t.Status, t.Epoch = TicketDone, ev.Epoch })
+		e.setTicket(seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ev.Epoch })
 
 	case EventDatasetShared:
 		if ev.Payload == nil || ev.Payload.Relation == nil || ev.Payload.Meta == nil {
@@ -373,7 +364,7 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 		}
 		c.Applied++
 		ensureTicket(KindShare)
-		e.setTicket(ev.Ticket, func(t *Ticket) { t.Status, t.Epoch = TicketDone, ev.Epoch })
+		e.setTicket(seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ev.Epoch })
 
 	case EventRequestFiled:
 		ensureTicket(KindRequest)
@@ -385,9 +376,9 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 		if ev.Payload == nil || ev.Payload.Request == nil {
 			// Code-task request: not durable. The ticket survives but its
 			// request is gone; mark it failed so pollers see a terminal state.
-			e.setTicket(ev.Ticket, func(t *Ticket) {
-				t.Status, t.Epoch, t.Priority = TicketFailed, ev.Epoch, ev.Priority
-				t.Err = "engine: request not replayable (code task)"
+			e.setTicket(seq, func(t *heldTicket) {
+				t.status, t.epoch, t.priority = heldFailed, ev.Epoch, int32(ev.Priority)
+				t.err = "engine: request not replayable (code task)"
 			})
 			c.Failed++
 			return nil
@@ -402,8 +393,8 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 		c.Applied++
 		e.openReqs[ev.RequestID] = ev.Ticket
 		e.reqMeta[ev.RequestID] = &reqMeta{participant: ev.Participant, priority: ev.Priority, filedEpoch: ev.Epoch, filedSeq: ev.Seq}
-		e.setTicket(ev.Ticket, func(t *Ticket) {
-			t.Status, t.Epoch, t.RequestID, t.Priority = TicketApplied, ev.Epoch, ev.RequestID, ev.Priority
+		e.setTicket(seq, func(t *heldTicket) {
+			t.status, t.epoch, t.requestID, t.priority = heldApplied, ev.Epoch, ev.RequestID, int32(ev.Priority)
 		})
 
 	case EventTxSettled:
@@ -422,12 +413,12 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 			return err
 		}
 		c.Matched++
-		e.book.Record(settlementFromEvent(ev))
+		e.recordSale(&ev)
 		delete(e.openReqs, ev.RequestID)
 		delete(e.reqMeta, ev.RequestID)
 		ensureTicket(KindRequest)
-		e.setTicket(ev.Ticket, func(t *Ticket) {
-			t.Status, t.TxID, t.Price, t.MatchedEpoch = TicketDone, ev.TxID, ev.Price, ev.Epoch
+		e.setTicket(seq, func(t *heldTicket) {
+			t.status, t.txID, t.price, t.matchedEpoch = heldDone, ev.TxID, ev.Price, ev.Epoch
 		})
 
 	case EventValueReported:
@@ -440,11 +431,11 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 			return err
 		}
 		c.Applied++
-		e.book.Record(settlementFromEvent(ev))
+		e.recordSale(&ev)
 		ensureTicket(KindReport)
-		e.setTicket(ev.Ticket, func(t *Ticket) {
-			t.Status, t.Epoch, t.TxID, t.Price = TicketDone, ev.Epoch, ev.TxID, ev.Price
-			t.Participant = ev.Participant
+		e.setTicket(seq, func(t *heldTicket) {
+			t.status, t.epoch, t.txID, t.price = heldDone, ev.Epoch, ev.TxID, ev.Price
+			t.participant = ev.Participant
 		})
 
 	case EventRejected:
@@ -456,8 +447,8 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 				e.adm.replayCommit(ev.Participant)
 			}
 			c.Failed++
-			e.setTicket(ev.Ticket, func(t *Ticket) {
-				t.Status, t.Epoch, t.Err, t.Priority = TicketFailed, ev.Epoch, ev.Err, ev.Priority
+			e.setTicket(seq, func(t *heldTicket) {
+				t.status, t.epoch, t.err, t.priority = heldFailed, ev.Epoch, ev.Err, int32(ev.Priority)
 			})
 		}
 

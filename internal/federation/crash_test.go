@@ -564,8 +564,17 @@ func TestBackgroundCheckpoints(t *testing.T) {
 			fmt.Sscan(v, &written)
 		}
 	}
-	if min := float64(2 * per[0].Events / every); written < min || !strings.Contains(sb.String(), "wal_checkpoint_seconds_count") {
-		t.Fatalf("wal_checkpoints_total %v, want at least %v, and a wal_checkpoint_seconds histogram", written, min)
+	// The checkpointer promises that every shard's newest checkpoint ends
+	// within every events of its log head, not one checkpoint per mark: when
+	// a log runs ahead of it, one checkpoint covers several marks
+	// (watchCheckpoints). So the count is only bounded below by one per shard.
+	for i, s := range per {
+		if s.CheckpointSeq == 0 || s.Events-s.CheckpointSeq >= every {
+			t.Fatalf("shard %d checkpointed at seq %d with its log at %d, want within %d", i, s.CheckpointSeq, s.Events, every)
+		}
+	}
+	if written < float64(len(per)) || !strings.Contains(sb.String(), "wal_checkpoint_seconds_count") {
+		t.Fatalf("wal_checkpoints_total %v, want at least one per shard, and a wal_checkpoint_seconds histogram", written)
 	}
 	for _, sh := range m.Shards() {
 		snaps, _ := filepath.Glob(filepath.Join(sh.Dir, "snapshot-*.json"))

@@ -489,6 +489,7 @@ func (m *Market) Stats() engine.Stats {
 		agg.LastPersisted += s.LastPersisted
 		agg.EventsHeld += s.EventsHeld
 		agg.EventsHeldBytes += s.EventsHeldBytes
+		agg.BookHeldBytes += s.BookHeldBytes
 		agg.TicketsHeld += s.TicketsHeld
 		agg.HistoryHeld += s.HistoryHeld
 		agg.AuditHeld += s.AuditHeld
@@ -711,6 +712,8 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		sum(func(s engine.Stats) float64 { return float64(s.EventsHeld) }))
 	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes of JSON the held events are kept as (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.EventsHeldBytes) }))
+	reg.NewGaugeFunc("engine_book_held_bytes", "Bytes the settlement books' unarchived entries are packed into (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.BookHeldBytes) }))
 	reg.NewGaugeFunc("engine_tickets_held", "Tickets held in memory (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.TicketsHeld) }))
 	reg.NewGaugeFunc("arbiter_history_held", "Completed transactions in the arbiters' history windows (all shards).",

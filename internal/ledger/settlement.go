@@ -1,8 +1,10 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -21,29 +23,6 @@ type Settlement struct {
 	// ExPost settlements escrow the deposit at delivery and price on the
 	// buyer's later report, so their cuts are not yet final.
 	ExPost bool
-}
-
-// credits sums the revenue fan-out (arbiter fee plus seller shares).
-func (s Settlement) credits() Currency {
-	total := s.ArbiterCut
-	for _, c := range s.SellerCuts {
-		total += c
-	}
-	return total
-}
-
-// leaks reports an upfront settlement whose fan-out misses its price by more
-// than the rounding tolerance: one micro-unit per cut plus one for the fee.
-// Ex-post deliveries never leak: their revenue split happens at report time.
-func (s Settlement) leaks() bool {
-	if s.ExPost {
-		return false
-	}
-	diff := s.Price - s.credits()
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff > Currency(len(s.SellerCuts)+1)
 }
 
 // BookMark describes the prefix of a settlement book an archive holds
@@ -76,26 +55,42 @@ type totals struct {
 	leaky           bool
 }
 
-func (t *totals) add(s Settlement) {
-	if !s.ExPost {
-		t.debits += s.Price
-		t.credits += s.credits()
+// add folds in one settlement with its seller cuts. An upfront one leaks
+// when its fan-out misses its price by more than the rounding tolerance: one
+// micro-unit per cut plus one for the fee. Ex-post deliveries never leak:
+// their revenue split happens at report time.
+func (t *totals) add(s *Settlement, cuts []sellerCut) {
+	if s.ExPost {
+		return
 	}
-	t.leaky = t.leaky || s.leaks()
+	credits := s.ArbiterCut
+	for _, c := range cuts {
+		credits += c.cut
+	}
+	t.debits += s.Price
+	t.credits += credits
+	diff := s.Price - credits
+	if diff < 0 {
+		diff = -diff
+	}
+	t.leaky = t.leaky || diff > Currency(len(cuts)+1)
 }
 
 // SettlementBook records settlements consumed from the engine's event log
 // and checks the market's conservation invariant: every settled price is
 // fully accounted for by the arbiter cut plus the seller cuts. It keeps
-// running totals, so its checks are O(1). With an archive, the entries a
-// checkpoint has archived leave memory and are read back from it; without
-// one, every entry stays in memory.
+// running totals, so its checks are O(1). The entries it holds are packed
+// into one byte log (appendEntry, ~35–40 B for a one-seller sale) and decoded
+// back to Settlements only when read. With an archive, they stay packed until
+// a checkpoint archives them, then leave memory and are read back from the
+// archive; without one, every entry stays in memory.
 type SettlementBook struct {
 	mu      sync.Mutex
 	archive Archive
-	mark    BookMark     // the prefix the archive holds durably
-	dropped int          // entries only the archive holds: mark.Count with an archive, else 0
-	held    []Settlement // the entries from number dropped on
+	mark    BookMark // the prefix the archive holds durably
+	dropped int      // entries only the archive holds: mark.Count with an archive, else 0
+	held    []byte   // the entries from number dropped on, packed
+	n       int      // how many entries held packs
 	sum     totals
 }
 
@@ -115,26 +110,58 @@ func RestoreSettlementBook(c BookCut, archive Archive) (*SettlementBook, error) 
 	}
 	// A cut's entries are clipped (Cut), so the book's appends never write
 	// into them.
-	b := &SettlementBook{archive: archive, mark: c.Mark, dropped: c.dropped, held: c.held, sum: c.sum}
-	if archive != nil && c.dropped < c.Mark.Count {
-		b.held, b.dropped = slices.Clone(c.Unarchived()), c.Mark.Count
+	b := &SettlementBook{archive: archive, mark: c.Mark, dropped: c.dropped, held: c.held, n: c.n, sum: c.sum}
+	if k := c.Mark.Count - c.dropped; archive != nil && k > 0 {
+		b.held, b.n, b.dropped = slices.Clone(skipEntries(c.held, k)), c.n-k, c.Mark.Count
 	}
 	return b, nil
 }
 
 // Record appends one settlement.
-func (b *SettlementBook) Record(s Settlement) {
+func (b *SettlementBook) Record(s Settlement) { b.record(&s, s.SellerCuts, nil, s.SellerCuts == nil) }
+
+// RecordSale appends the settlement s with the seller cuts given as float
+// amounts, each converted by FromFloat, in place of s.SellerCuts: the form
+// the engine's events carry them in, so recording a sale builds no map. A
+// nil cuts records an empty set, not a nil one.
+func (b *SettlementBook) RecordSale(s Settlement, cuts map[string]float64) {
+	b.record(&s, nil, cuts, false)
+}
+
+// record packs s with the seller cuts of exact and of float, sorted by name,
+// onto the log, framed by its length.
+func (b *SettlementBook) record(s *Settlement, exact map[string]Currency, float map[string]float64, nilCuts bool) {
+	var cutBuf [4]sellerCut
+	cuts := cutBuf[:0]
+	for name, c := range exact {
+		cuts = append(cuts, sellerCut{name, c})
+	}
+	for name, c := range float {
+		cuts = append(cuts, sellerCut{name, FromFloat(c)})
+	}
+	slices.SortFunc(cuts, func(x, y sellerCut) int { return strings.Compare(x.name, y.name) })
+	var entryBuf [128]byte
+	entry := appendEntry(entryBuf[:0], s, cuts, nilCuts)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.held = append(b.held, s)
-	b.sum.add(s)
+	b.held = append(binary.AppendUvarint(b.held, uint64(len(entry))), entry...)
+	b.n++
+	b.sum.add(s, cuts)
 }
 
 // Count returns the number of recorded settlements.
 func (b *SettlementBook) Count() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.dropped + len(b.held)
+	return b.dropped + b.n
+}
+
+// HeldBytes returns how many bytes the entries held in memory are packed
+// into: none once a checkpoint has archived them all.
+func (b *SettlementBook) HeldBytes() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.held)
 }
 
 // Debits sums what buyers paid across all upfront settlements.
@@ -158,7 +185,7 @@ func (b *SettlementBook) Cut() BookCut {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := len(b.held)
-	return BookCut{Mark: b.mark, sum: b.sum, dropped: b.dropped, held: b.held[:n:n], archive: b.archive, book: b}
+	return BookCut{Mark: b.mark, sum: b.sum, dropped: b.dropped, held: b.held[:n:n], n: b.n, archive: b.archive, book: b}
 }
 
 // archived records that the archive durably holds the book up to m: the
@@ -173,8 +200,9 @@ func (b *SettlementBook) archived(m BookMark) {
 	}
 	b.mark = m
 	if b.archive != nil {
-		// A fresh slice, so the dropped entries are not pinned behind it.
-		b.held, b.dropped = slices.Clone(b.held[m.Count-b.dropped:]), m.Count
+		// A fresh slice, so the entries m covers are not pinned behind it.
+		k := m.Count - b.dropped
+		b.held, b.n, b.dropped = slices.Clone(skipEntries(b.held, k)), b.n-k, m.Count
 	}
 }
 
@@ -184,8 +212,9 @@ func (b *SettlementBook) archived(m BookMark) {
 type BookCut struct {
 	Mark    BookMark
 	sum     totals
-	dropped int          // entries to read from the archive: 0 or Mark.Count
-	held    []Settlement // the entries from number dropped on
+	dropped int    // entries to read from the archive: 0 or Mark.Count
+	held    []byte // the entries from number dropped on, packed
+	n       int    // how many entries held packs
 	archive Archive
 	book    *SettlementBook // nil for a cut decoded from a checkpoint
 }
@@ -198,7 +227,7 @@ func ArchivedCut(m BookMark) BookCut {
 }
 
 // Count returns the number of entries in the cut.
-func (c BookCut) Count() int { return c.dropped + len(c.held) }
+func (c BookCut) Count() int { return c.dropped + c.n }
 
 // Debits sums what buyers paid across the cut's upfront settlements.
 func (c BookCut) Debits() Currency { return c.sum.debits }
@@ -211,9 +240,11 @@ func (c BookCut) Credits() Currency { return c.sum.credits }
 // accounted for (see SettlementBook.Conserved).
 func (c BookCut) Conserved() bool { return !c.sum.leaky }
 
-// Unarchived returns the entries past Mark, read-only: what the next
-// checkpoint appends to the archive.
-func (c BookCut) Unarchived() []Settlement { return c.held[c.Mark.Count-c.dropped:] }
+// Unarchived calls fn with every entry past Mark in record order — what the
+// next checkpoint appends to the archive — and stops at fn's first error.
+func (c BookCut) Unarchived(fn func(Settlement) error) error {
+	return eachEntry(skipEntries(c.held, c.Mark.Count-c.dropped), fn)
+}
 
 // Extended returns the mark of an archive holding the whole cut: Mark
 // extended by the unarchived entries, which took the archive to bytes bytes
@@ -243,10 +274,5 @@ func (c BookCut) Each(fn func(Settlement) error) error {
 			return err
 		}
 	}
-	for _, s := range c.held {
-		if err := fn(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eachEntry(c.held, fn)
 }

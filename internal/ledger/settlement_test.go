@@ -1,8 +1,12 @@
 package ledger
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -143,7 +147,10 @@ func (a *memArchive) Scan(m BookMark, fn func(Settlement) error) error {
 // does, and tells the book.
 func (a *memArchive) checkpoint(c BookCut) BookMark {
 	a.mu.Lock()
-	a.got = append(a.got[:c.Mark.Count:c.Mark.Count], c.Unarchived()...)
+	a.got = a.got[:c.Mark.Count:c.Mark.Count]
+	if err := c.Unarchived(func(s Settlement) error { a.got = append(a.got, s); return nil }); err != nil {
+		panic(err)
+	}
 	m := c.Extended(int64(len(a.got)), 0)
 	a.mu.Unlock()
 	c.Archived(m)
@@ -234,9 +241,9 @@ func TestSettlementBookArchive(t *testing.T) {
 	m := arc.checkpoint(before)
 	arc.checkpoint(mem.Cut())
 	record(3)
-	if b.Count() != 8 || len(b.held) != 3 || b.dropped != 5 || len(mem.held) != 8 {
+	if b.Count() != 8 || b.n != 3 || b.dropped != 5 || mem.n != 8 {
 		t.Fatalf("archived entries did not leave memory: count %d, held %d, dropped %d (in-memory book holds %d)",
-			b.Count(), len(b.held), b.dropped, len(mem.held))
+			b.Count(), b.n, b.dropped, mem.n)
 	}
 	if got := entries(t, before); !reflect.DeepEqual(got, all[:5]) {
 		t.Fatalf("the cut moved with the book: %v", got)
@@ -246,7 +253,8 @@ func TestSettlementBookArchive(t *testing.T) {
 			t.Fatalf("book streams %v, want %v", got, all)
 		}
 	}
-	if u := b.Cut().Unarchived(); len(u) != 3 || u[0].TxID != "tx-5" {
+	var u []Settlement
+	if err := b.Cut().Unarchived(func(s Settlement) error { u = append(u, s); return nil }); err != nil || len(u) != 3 || u[0].TxID != "tx-5" {
 		t.Fatalf("unarchived entries %v", u)
 	}
 	if m.Count != 5 || m.Debits != FromFloat(50) || m.Credits != FromFloat(50) || !m.Conserved {
@@ -274,12 +282,82 @@ func TestSettlementBookArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r2.held) != 3 || r2.dropped != 5 || !reflect.DeepEqual(entries(t, r2.Cut()), all) {
-		t.Fatalf("restored from an in-memory cut: held %d, dropped %d", len(r2.held), r2.dropped)
+	if r2.n != 3 || r2.dropped != 5 || !reflect.DeepEqual(entries(t, r2.Cut()), all) {
+		t.Fatalf("restored from an in-memory cut: held %d, dropped %d", r2.n, r2.dropped)
 	}
 	// An older checkpoint finishing late moves nothing back.
 	before.Archived(ArchivedCut(BookMark{}).Extended(0, 0))
 	if b.dropped != 5 {
 		t.Fatalf("a stale mark moved the book back to %d dropped", b.dropped)
+	}
+}
+
+// FuzzBookEntry: whatever a settlement holds — nil or empty seller cuts,
+// empty or non-ASCII names, negative or extreme amounts — the entry the book
+// packs decodes back to one json.Marshal writes exactly as the original, so
+// a checkpoint's archive records do not depend on whether an entry was held
+// packed. names lists the seller cuts, one per line; CI runs this with a
+// short -fuzztime budget.
+func FuzzBookEntry(f *testing.F) {
+	f.Add("tx-0001", uint64(1), "buyer", int64(100e6), int64(5e6), "seller", int64(95e6), false, false)
+	f.Add("tx-0002", uint64(2), "b", int64(100e6), int64(5e6), "s1\ns2", int64(-47e6), true, false)
+	f.Add("", uint64(0), "", int64(0), int64(0), "", int64(0), false, true)
+	f.Add("tx-ü", uint64(math.MaxUint64), "käufer", int64(math.MinInt64), int64(math.MaxInt64), "\n日本\n\xff", int64(math.MinInt64), false, false)
+	f.Add(strings.Repeat("x", 300), uint64(7), "b", int64(1), int64(-1), "a\nb\nc\nd\ne\nf", int64(3), true, true)
+	f.Fuzz(func(t *testing.T, tx string, epoch uint64, buyer string, price, arbiter int64, names string, cut int64, exPost, nilCuts bool) {
+		s := Settlement{TxID: tx, Epoch: epoch, Buyer: buyer, Price: Currency(price), ArbiterCut: Currency(arbiter), ExPost: exPost}
+		if !nilCuts {
+			s.SellerCuts = map[string]Currency{}
+			for i, name := range strings.Split(names, "\n") {
+				if names != "" {
+					s.SellerCuts[name] = Currency(cut) * Currency(i+1)
+				}
+			}
+		}
+		b := NewSettlementBook(nil)
+		b.Record(s)
+		b.Record(s)
+		want, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := entries(t, b.Cut())
+		if len(got) != 2 {
+			t.Fatalf("book streams %d entries, want 2", len(got))
+		}
+		for _, e := range got {
+			if have, err := json.Marshal(&e); err != nil || string(have) != string(want) {
+				t.Fatalf("entry decodes to %s (%v), want %s", have, err, want)
+			}
+		}
+	})
+}
+
+// TestBookBytesPerEntry: the book holds an unarchived one-seller sale in at
+// most 64 B of live heap, all told. The entries are packed into one byte log,
+// ~40 B each here; held as Settlements with a map of cuts apiece they took
+// ~370 B.
+func TestBookBytesPerEntry(t *testing.T) {
+	const n = 16 << 10
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	b := NewSettlementBook(nil)
+	for i := 0; i < n; i++ {
+		b.Record(Settlement{TxID: fmt.Sprintf("tx-%04d", i), Epoch: uint64(i / 64), Buyer: fmt.Sprintf("buyer%03d", i%500),
+			Price: FromFloat(100), ArbiterCut: FromFloat(5),
+			SellerCuts: map[string]Currency{fmt.Sprintf("seller%02d", i%40): FromFloat(95)}})
+	}
+	after := heap()
+	runtime.KeepAlive(b)
+	per := (float64(after) - float64(before)) / n
+	t.Logf("%.1f B per entry", per)
+	if per > 64 {
+		t.Errorf("the book holds %.1f B per entry, want <= 64", per)
 	}
 }

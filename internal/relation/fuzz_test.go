@@ -31,6 +31,7 @@ func FuzzIterOps(f *testing.F) {
 	f.Add("k\nint\n", byte(3), 0)
 	f.Add("k,t\nint,time\n5,2024-01-02T03:04:05Z\n", byte(5), 2)
 	f.Add("a,b\nstring,string\nx\x1f\x02y,z\nx,y\x1f\x02z\n", byte(6), 0)
+	f.Add("a,b\nstring,string\nx;b=\x02y,\nx,y\n", byte(7), 0)
 
 	f.Fuzz(func(t *testing.T, csv string, opByte byte, n int) {
 		r, err := ReadCSV("fz", strings.NewReader(csv))
@@ -40,7 +41,7 @@ func FuzzIterOps(f *testing.F) {
 		if err := r.Validate(); err != nil {
 			return
 		}
-		switch opByte % 7 {
+		switch opByte % 8 {
 		case 0:
 			pred := func(row []Value, s Schema) bool { return !row[0].IsNull() }
 			mustSameRel(t, "Select", Select(r, pred), legacySelect(r, pred))
@@ -125,6 +126,26 @@ func FuzzIterOps(f *testing.F) {
 			if gerr == nil {
 				mustSameRel(t, "two-column HashJoin≡NestedLoopJoin", got, nl)
 			}
+		case 7:
+			// Each row's non-null cells fused into one multi cell, sourced
+			// by column, then self-joined on it: a key two unequal cells
+			// share joins them.
+			fused := New("fused", NewSchema(Col("m", KindMulti)))
+			for _, row := range r.Rows {
+				var cell []Sourced
+				for i, v := range row {
+					if !v.IsNull() {
+						cell = append(cell, Sourced{r.Schema[i].Name, v})
+					}
+				}
+				fused.MustAppend(Multi(cell...))
+			}
+			got, gerr := HashJoin(fused, fused, JoinPair{"m", "m"})
+			nl, nerr := NestedLoopJoin(fused, fused, JoinPair{"m", "m"})
+			if gerr != nil || nerr != nil {
+				t.Fatalf("multi-cell joins failed: %v, %v", gerr, nerr)
+			}
+			mustSameRel(t, "multi-cell HashJoin≡NestedLoopJoin", got, nl)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -236,12 +237,17 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = append(dst, '.')
 		return strconv.AppendInt(dst, int64(t.Nanosecond()), 10)
 	case KindMulti:
+		// Each source, then its value's key, behind its length (4 bytes,
+		// big-endian, as AppendRowKey frames cells), so no source or string
+		// can shift a boundary: two multi cells share a key only if their
+		// sources and values do, one by one.
 		dst = append(dst, '\x05')
 		for _, sv := range v.x.multi {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(sv.Source)))
 			dst = append(dst, sv.Source...)
-			dst = append(dst, '=')
-			dst = sv.Value.AppendKey(dst)
-			dst = append(dst, ';')
+			at := len(dst)
+			dst = sv.Value.AppendKey(append(dst, 0, 0, 0, 0))
+			binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 		}
 		return dst
 	}

@@ -214,7 +214,14 @@ func TestValueSemantics(t *testing.T) {
 		// 2^64 ns apart: UnixNano gives both the same number.
 		{"time1900", Time(time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)), KindTime, 0, 0, "", false, "\x04-2208988800000000000", "1900-01-01T00:00:00Z", 0},
 		{"time2484", Time(time.Date(2484, 7, 20, 23, 34, 33, 709551616, time.UTC)), KindTime, 0, 0, "", false, "\x0416237755273.709551616", "2484-07-20T23:34:33.709551616Z", 0},
-		{"multi", Multi(Sourced{"a", Int(1)}, Sourced{"b", String_("x")}), KindMulti, 0, 0, "", false, "\x05a=\x011;b=\x02x;", "{a:1|b:x}", 2},
+		{"multi", Multi(Sourced{"a", Int(1)}, Sourced{"b", String_("x")}), KindMulti, 0, 0, "", false,
+			"\x05\x00\x00\x00\x01a\x00\x00\x00\x02\x011\x00\x00\x00\x01b\x00\x00\x00\x02\x02x", "{a:1|b:x}", 2},
+		// One source whose value spells out a second source: the raw
+		// "source=key;" encoding gave these two the same key.
+		{"multi-one", Multi(Sourced{"a", String_("x;b=\x02y")}), KindMulti, 0, 0, "", false,
+			"\x05\x00\x00\x00\x01a\x00\x00\x00\x07\x02x;b=\x02y", "{a:x;b=\x02y}", 1},
+		{"multi-two", Multi(Sourced{"a", String_("x")}, Sourced{"b", String_("y")}), KindMulti, 0, 0, "", false,
+			"\x05\x00\x00\x00\x01a\x00\x00\x00\x02\x02x\x00\x00\x00\x01b\x00\x00\x00\x02\x02y", "{a:x|b:y}", 2},
 		{"multi-empty", Multi(), KindMulti, 0, 0, "", false, "\x05", "{}", 0},
 	}
 	// equal lists the pairs, beyond each value with itself, that Equal joins:
@@ -242,6 +249,9 @@ func TestValueSemantics(t *testing.T) {
 			want := (c.name == o.name && c.name != "nan") || equal[[2]string{c.name, o.name}] || equal[[2]string{o.name, c.name}]
 			if got := v.Equal(o.v); got != want {
 				t.Errorf("%s.Equal(%s) = %v, want %v", c.name, o.name, got, want)
+			}
+			if !want && c.name != o.name && v.Key() == o.v.Key() {
+				t.Errorf("%s and %s share the key %q but are not Equal", c.name, o.name, v.Key())
 			}
 		}
 	}

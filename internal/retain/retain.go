@@ -27,7 +27,9 @@ type Windows struct {
 	// the fact — the benchmark's set-up posts 22 submissions before polling
 	// the first, its trace sampler fetches tickets while the request tracer
 	// holds their span (the newest 4096) — so the window is four times the
-	// tracer's: ~2.5 s of the cover burst, ~4 MB.
+	// tracer's: ~2.5 s of the cover burst. A held ticket costs ~175 B (a
+	// 96 B flat record, its number in the done list and its share of a map
+	// the window churns), so ~2.8 MB in all.
 	Tickets int
 	// History is how many completed transactions the arbiter keeps (each
 	// pins its mashup and cut maps). History is a recent-activity view, never

@@ -19,7 +19,8 @@ import (
 // settlements.archive: every settlement a checkpoint has covered, one framed
 // record each (the segment record format, JSON payload), in book order. Only
 // the checkpointer writes it — appending what the book recorded since the
-// previous checkpoint — and a snapshot carries, instead of the book, the
+// previous checkpoint, which the book held packed until then (ledger's
+// appendEntry) — and a snapshot carries, instead of the book, the
 // ledger.BookMark of the archive prefix it covers. Boot checks that prefix
 // against the mark without decoding it, and whole-book readers stream it back
 // through bookArchive.
@@ -128,8 +129,8 @@ func checkPrefix(r io.Reader, m ledger.BookMark) error {
 // entries — fsyncs them and returns the mark of the extended archive. The
 // file is created by the first checkpoint with an entry to archive.
 func appendBook(dir string, cut ledger.BookCut) (ledger.BookMark, error) {
-	base, entries := cut.Mark, cut.Unarchived()
-	if len(entries) == 0 {
+	base := cut.Mark
+	if cut.Count() == base.Count {
 		return cut.Extended(base.Bytes, base.CRC), nil
 	}
 	path := filepath.Join(dir, bookArchiveName)
@@ -137,7 +138,7 @@ func appendBook(dir string, cut ledger.BookCut) (ledger.BookMark, error) {
 	if err != nil {
 		return ledger.BookMark{}, fmt.Errorf("wal: book archive: %w", err)
 	}
-	end, crc, err := writeBook(f, base, entries)
+	end, crc, err := writeBook(f, cut)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -150,9 +151,11 @@ func appendBook(dir string, cut ledger.BookCut) (ledger.BookMark, error) {
 	return cut.Extended(end, crc), nil
 }
 
-// writeBook writes entries as framed records into f at base's end and
-// returns the archive's new end and CRC-32C.
-func writeBook(f *os.File, base ledger.BookMark, entries []ledger.Settlement) (int64, uint32, error) {
+// writeBook writes the cut's unarchived entries as framed records into f at
+// its mark's end and returns the archive's new end and CRC-32C. Each record
+// is the entry's json.Marshal.
+func writeBook(f *os.File, cut ledger.BookCut) (int64, uint32, error) {
+	base := cut.Mark
 	st, err := f.Stat()
 	if err != nil {
 		return 0, 0, err
@@ -163,17 +166,19 @@ func writeBook(f *os.File, base ledger.BookMark, entries []ledger.Settlement) (i
 	bw := bufio.NewWriterSize(io.NewOffsetWriter(f, base.Bytes), 64<<10)
 	end, crc := base.Bytes, base.CRC
 	var rec []byte
-	for i := range entries {
-		payload, err := json.Marshal(&entries[i])
+	err = cut.Unarchived(func(s ledger.Settlement) error {
+		payload, err := json.Marshal(&s)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		rec = appendRecord(rec[:0], payload)
 		crc = crc32.Update(crc, crcTable, rec)
 		end += int64(len(rec))
-		if _, err := bw.Write(rec); err != nil {
-			return 0, 0, err
-		}
+		_, err = bw.Write(rec)
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	return end, crc, bw.Flush()
 }

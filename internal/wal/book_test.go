@@ -73,8 +73,8 @@ func TestCheckpointArchivesTheBook(t *testing.T) {
 		t.Fatalf("archive %v (%v), want the newest mark's %d bytes", st, err, marks[2].Bytes)
 	}
 	cut := e.Settlements().Cut()
-	if cut.Count() != marks[2].Count || len(cut.Unarchived()) != 0 {
-		t.Fatalf("book holds %d entries, %d unarchived; mark %+v", cut.Count(), len(cut.Unarchived()), marks[2])
+	if held := e.Settlements().HeldBytes(); cut.Count() != marks[2].Count || cut.Mark != marks[2] || held != 0 {
+		t.Fatalf("book holds %d entries, %d bytes of them in memory; mark %+v, want %+v", cut.Count(), held, cut.Mark, marks[2])
 	}
 	if got := bookEntries(t, cut); len(got) != cut.Count() || got[0].TxID == "" {
 		t.Fatalf("book streams %d entries back, want %d", len(got), cut.Count())
