@@ -82,15 +82,19 @@
 // tailer, the checkpoint watcher) consume it at their own pace via
 // cursor-based reads; nothing is ever dropped. Append encodes each event
 // once, to the JSON /events serves, without the payload that only the
-// persister gets; the log holds those bytes, not structs, and none after a
-// restore. On a durable engine the in-memory log is a tail: chunks older
-// than retain.Windows.EventTail whose events the WAL holds are released, and
-// a cursor behind the tail is served by reading the gap back from the WAL —
-// outside every engine and log lock, so a cold reader cannot stall an epoch
-// — and joining it to memory without a gap or a duplicate. The stream a
+// persister gets, and the record the WAL writes is those bytes with the
+// payload spliced in before the closing brace. On a durable engine the log
+// therefore keeps no copy: its window of the newest retain.Windows.EventTail
+// events is 16 B an event, where each record sits in the WAL, and readers
+// get the JSON back by a checked positional read of it (16k is how far
+// readers trail, not a memory budget). Older chunks are released, and a
+// cursor behind the window is served by reading the gap back from the WAL by
+// range. Both reads run outside every engine and log lock, so a reader
+// cannot stall an epoch, and join without a gap or a duplicate. The stream a
 // cursor sees is the same bytes either way. With no persister, one that
-// cannot read back, or a wedged one, nothing leaves memory. Event schema
-// (JSON over the wire):
+// cannot read back, or a wedged one, the log holds the JSON itself, in a
+// byte slab per chunk, and nothing leaves memory; a restore holds nothing
+// until new events arrive. Event schema (JSON over the wire):
 //
 //	seq          int     total order, 1-based, no gaps
 //	epoch        uint64  epoch that produced the event

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -269,9 +270,11 @@ type Stats struct {
 	PersistErr    string `json:"persist_error,omitempty"`
 	// What the bounded windows (internal/retain) hold in memory right now —
 	// Events counts the whole log, EventsHeld its tail, EventsHeldBytes the
-	// JSON the tail is held as, BookHeldBytes the packed settlements no
-	// checkpoint has archived yet — and what left them: events read back
-	// from the WAL for cursors behind the tail, retired tickets. Flat lines
+	// bytes the tail is held in (16 B an event whose record the WAL holds,
+	// plus the JSON of any held in memory), BookHeldBytes the packed
+	// settlements no checkpoint has archived yet — and what left them: events
+	// read back from the WAL by range for cursors behind the tail, retired
+	// tickets. Flat lines
 	// here show that memory follows live state.
 	EventsHeld      int    `json:"events_held"`
 	EventsHeldBytes int    `json:"events_held_bytes"`
@@ -728,12 +731,20 @@ func (e *Engine) setTicket(seq uint64, f func(*heldTicket)) {
 	}
 }
 
-// retireLocked trims the done window. Caller holds tmu.
+// retireLocked trims the done window. Caller holds tmu. Once every
+// retain.Windows.Tickets retirements it rebuilds the ticket map: Go's map
+// keeps the slots its deletes empty, so a window that churns through one (an
+// insert per submission, a delete per retirement) holds ~178 B a ticket where
+// a rebuilt one holds ~143. The rebuild is ~16k inserts under tmu, once per
+// 16k retirements.
 func (e *Engine) retireLocked() {
-	for len(e.done) > retain.Sizes().Tickets {
+	w := retain.Sizes().Tickets
+	for len(e.done) > w {
 		delete(e.tickets, e.done[0])
 		e.done = e.done[1:]
-		e.retired++
+		if e.retired++; e.retired%uint64(w) == 0 {
+			e.tickets = maps.Clone(e.tickets)
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -155,19 +158,46 @@ type Event struct {
 // Persister receives every event's record — its JSON, byte for byte
 // json.Marshal of the event, read-only and valid only for the call —
 // synchronously at append time, before the event becomes visible to readers:
-// the write-ahead hook. A persister that returns an error, or an event that cannot be
-// encoded, wedges: the log stops forwarding records (so the durable prefix
-// stays a prefix) and records the error, while in-memory operation
-// continues. internal/wal provides the standard implementation.
+// the write-ahead hook. It reports where it put the record; only a persister
+// that can read records back (recordStore) need say more than a zero Extent.
+// A persister that returns an error, or an event that cannot be encoded,
+// wedges: the log stops forwarding records (so the durable prefix stays a
+// prefix) and records the error, while in-memory operation continues.
+// internal/wal provides the standard implementation.
 type Persister interface {
-	PersistRecord(seq int, kind EventKind, rec []byte) error
+	PersistRecord(seq int, kind EventKind, rec []byte) (Extent, error)
 }
 
-// readBacker is a Persister that can return what it persisted: the events
-// with after < Seq <= upto, in order, from the first one it still retains
-// (older ones may be pruned behind a snapshot). internal/wal's Log is one.
-type readBacker interface {
+// Extent is where a persister put one record: the Size bytes from At of the
+// store that holds its seq (for internal/wal, the record's frame in its
+// segment). A zero Size says nothing was reported.
+type Extent struct {
+	At   int64
+	Size uint32
+}
+
+// recordStore is a Persister that can read what it persisted back, and that
+// the log therefore leaves its events in. internal/wal's Log is one.
+//
+// ReadBack returns the events with after < Seq <= upto, in order, from the
+// first one it still retains (older ones may be pruned behind a snapshot):
+// cursors older than the log's window read there.
+//
+// ReadRecords reads the records of seq, seq+1, … that fill the bytes [at,
+// end) of seq's store — consecutive extents PersistRecord reported — and hands
+// each to fn, checked against its checksum and its seq; fn may modify the
+// record, which is valid only for the call. It must not wait on an append in
+// progress (an fsync), and it must keep working for every extent the log has
+// not released, whatever happened to the store since: a segment rotated out,
+// pruned or closed. An error — fn's or its own — ends the read.
+//
+// Release says the log's window holds no extent of a seq <= upto any more. A
+// reader that viewed the window before may still ask for one: a failed read
+// tells it the window moved on, and it reads those events back (ReadBack).
+type recordStore interface {
 	ReadBack(after, upto int) ([]Event, error)
+	ReadRecords(seq int, at, end int64, fn func(rec []byte) error) error
+	Release(upto int)
 }
 
 // encode returns ev's wire form — its JSON without the payload, which the log
@@ -182,7 +212,7 @@ func encode(ev Event, record bool) (wire, rec []byte, err error) {
 	if err == nil && record && payload != nil {
 		var p []byte
 		if p, err = json.Marshal(payload); err == nil {
-			rec = slices.Concat(wire[:len(wire)-1], []byte(`,"payload":`), p, []byte{'}'})
+			rec = slices.Concat(wire[:len(wire)-1], payloadKey, p, []byte{'}'})
 		}
 	}
 	if err != nil {
@@ -190,6 +220,9 @@ func encode(ev Event, record bool) (wire, rec []byte, err error) {
 	}
 	return wire, rec, nil
 }
+
+// payloadKey is what encode splices in where a record's wire form ends.
+var payloadKey = []byte(`,"payload":`)
 
 // wireOf returns ev's wire form or, if ev cannot be encoded (a NaN amount), a
 // stand-in that keeps its place in the log and says why it has no content.
@@ -199,6 +232,22 @@ func wireOf(ev Event) []byte {
 		wire, _, _ = encode(Event{Seq: ev.Seq, Epoch: ev.Epoch, Kind: ev.Kind, Err: err.Error()}, false)
 	}
 	return wire
+}
+
+// wireIn recovers the wire form from the front of a record read back, n bytes
+// long, in place: encode made the record the wire form with the payload
+// spliced in before its closing brace, so that brace goes back where the
+// splice begins. It refuses a record that does not have that shape.
+func wireIn(rec []byte, n int) ([]byte, error) {
+	switch {
+	case n < 2 || n > len(rec):
+	case n == len(rec) && rec[n-1] == '}':
+		return rec, nil
+	case bytes.HasPrefix(rec[n-1:], payloadKey):
+		rec[n-1] = '}'
+		return rec[:n], nil
+	}
+	return nil, fmt.Errorf("engine: a %d-byte record does not begin with a %d-byte wire form", len(rec), n)
 }
 
 // Record returns ev's record as the log encodes it: json.Marshal(ev), byte for byte.
@@ -212,17 +261,20 @@ func Record(ev Event) ([]byte, error) {
 // WaitAfter. There are no per-subscriber buffers, so a slow consumer can
 // never stall the epoch runner or lose events.
 //
-// The log holds each event as its wire form (encode), not as a struct,
-// and it holds a tail, not a lifetime. Events are stored in fixed-size
-// chunks (appends never copy old events). Once a chunk is a tail length
-// (retain.Windows.EventTail) behind the head and all of it is persisted by a
-// persister that can read back, it is dropped and base advances: the durable
-// copy is the record. A cursor below base is served by reading the gap back
-// from the persister, with no log lock held, and joining it to the in-memory
-// tail, so every cursor sees the same gap-free stream from memory or disk.
-// With no such persister, or a wedged one, nothing is dropped. What the
-// persister has pruned too (WAL segments behind a snapshot) is gone: older
-// cursors resume at the first retained seq.
+// The log holds a window of the newest events, not a lifetime, and on a
+// durable engine it does not hold their bytes. Each held event is one 16-byte
+// index entry (heldAt), kept in fixed-size chunks (appends never copy old
+// entries). Over a recordStore the entry is the extent of the event's record
+// in the store, and readers get the wire form by a positional read of it: the
+// WAL is the one copy. With no persister, one that cannot read back, or a
+// wedged one, the wire forms themselves go into a byte slab per chunk that
+// the entries index, read through the same path. Once a chunk is a window
+// length (retain.Windows.EventTail) behind the head and all of it is
+// persisted in a recordStore, it is dropped and base advances. A cursor below
+// base is served by reading the gap back from the store, with no log lock
+// held, and joining it to the window, so every cursor sees the same gap-free
+// stream. What the store has pruned (WAL segments behind a snapshot) is gone:
+// older cursors resume at the first retained seq.
 type EventLog struct {
 	// appendMu serializes the whole append path (seq assignment + encode +
 	// persist + publish), so persists reach the WAL in exact seq order while
@@ -232,18 +284,40 @@ type EventLog struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	base   int        // seq of the last event no longer held in memory
-	head   int        // seq of the newest event
-	chunks [][][]byte // held wire forms; every chunk but the last is full
-	bytes  int        // total length of the held wire forms
+	base   int          // seq of the last event no longer held
+	head   int          // seq of the newest event
+	chunks []eventChunk // every chunk but the last is full
+	bytes  int          // index entries and slab bytes held
 	closed bool
 
 	persister Persister
-	reader    readBacker // persister, when it can read back
-	persisted int        // highest seq durably forwarded to the persister
-	perr      error      // first persist failure; persister is wedged once set
-	rerr      error      // first read-back failure (that read resumed past the gap)
-	readBack  uint64     // events served from the persister, not memory
+	store     recordStore // persister, when it can read back
+	persisted int         // highest seq durably forwarded to the persister
+	perr      error       // first persist failure; persister is wedged once set
+	rerr      error       // first read-back failure (those events were skipped)
+	readBack  uint64      // events served by ReadBack, below the window
+}
+
+// heldAt locates one held event's wire form, wire bytes long. With size > 0
+// it is the extent [at, at+size) of the event's record in the store, whose
+// front is the wire form (wireIn); otherwise the wire form is at offset at in
+// its chunk's slab.
+type heldAt struct {
+	at   int64
+	size uint32
+	wire uint32
+}
+
+// heldSize is what the log counts per held event, besides any slab bytes.
+const heldSize = int(unsafe.Sizeof(heldAt{}))
+
+// eventChunk is retain.Windows.EventChunk consecutive events' index entries
+// and the slab holding the wire forms of those not left in the store. Both
+// only grow (a full chunk's slab is trimmed to size once), so a reader may
+// keep slices of them after the lock.
+type eventChunk struct {
+	at   []heldAt
+	slab []byte
 }
 
 // NewEventLog creates an empty log starting at seq 1.
@@ -266,7 +340,7 @@ func (l *EventLog) SetPersister(p Persister) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.persister = p
-	l.reader, _ = p.(readBacker)
+	l.store, _ = p.(recordStore)
 	l.persisted = l.head
 	l.perr = nil
 }
@@ -288,7 +362,7 @@ func (l *EventLog) durable() bool {
 
 // Append assigns the next sequence number, encodes the event once (its
 // payload only for a persister), forwards the record to the persister (if
-// any), holds the wire form and wakes blocked consumers. It returns the
+// any), indexes the event and wakes blocked consumers. It returns the
 // assigned sequence number. appendMu serializes appends, so the WAL order is
 // exactly the log order and write-ahead semantics hold (the event becomes
 // visible only after the persist returns) — but the persist itself, fsync
@@ -310,14 +384,14 @@ func (l *EventLog) Append(e Event) int {
 	l.mu.Unlock()
 
 	wire, rec, perr := encode(e, p != nil)
+	var ext Extent
 	if wire == nil {
 		wire = wireOf(e)
 	} else if perr == nil && p != nil {
-		perr = p.PersistRecord(e.Seq, e.Kind, rec)
+		ext, perr = p.PersistRecord(e.Seq, e.Kind, rec)
 	}
 
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if p != nil {
 		if perr != nil {
 			l.perr = perr
@@ -325,8 +399,15 @@ func (l *EventLog) Append(e Event) int {
 			l.persisted = e.Seq
 		}
 	}
-	l.storeLocked(e.Seq, wire)
+	if perr != nil || l.store == nil {
+		ext = Extent{} // the wire form stays in memory
+	}
+	store, upto := l.store, l.storeLocked(e.Seq, wire, ext)
 	l.cond.Broadcast()
+	l.mu.Unlock()
+	if upto > 0 {
+		store.Release(upto)
+	}
 	return e.Seq
 }
 
@@ -352,38 +433,50 @@ func (l *EventLog) seed(events []Event) error {
 	return nil
 }
 
-// storeLocked holds wire as event seq, the newest, then drops every chunk
-// that is a tail length behind it and readable from the persister. Caller
-// holds l.mu.
-func (l *EventLog) storeLocked(seq int, wire []byte) {
+// storeLocked indexes event seq, the newest, at ext in the store or, with no
+// extent, in the slab, then drops every chunk that is a window length behind
+// it and persisted in the store. It returns the new base if it dropped one, for
+// the store to release the extents up to it, and 0 otherwise. Caller holds
+// l.mu.
+func (l *EventLog) storeLocked(seq int, wire []byte, ext Extent) int {
 	w, n := retain.Sizes(), len(l.chunks)
-	if n == 0 || len(l.chunks[n-1]) == w.EventChunk {
-		l.chunks = append(l.chunks, make([][]byte, 0, w.EventChunk))
+	if n == 0 || len(l.chunks[n-1].at) == w.EventChunk {
+		if n > 0 {
+			l.chunks[n-1].slab = slices.Clone(l.chunks[n-1].slab)
+		}
+		l.chunks = append(l.chunks, eventChunk{at: make([]heldAt, 0, w.EventChunk)})
 		n++
 	}
-	l.chunks[n-1] = append(l.chunks[n-1], wire)
+	c := &l.chunks[n-1]
+	h := heldAt{at: ext.At, size: ext.Size, wire: uint32(len(wire))}
+	if ext.Size == 0 {
+		h.at = int64(len(c.slab))
+		c.slab = append(c.slab, wire...)
+		l.bytes += len(wire)
+	}
+	c.at = append(c.at, h)
+	l.bytes += heldSize
 	l.head = seq
-	l.bytes += len(wire)
-	for l.reader != nil && l.perr == nil && len(l.chunks) > 1 {
-		last := l.base + len(l.chunks[0]) // seq of the oldest chunk's last event
+	dropped := 0
+	for l.store != nil && l.perr == nil && len(l.chunks) > 1 {
+		last := l.base + len(l.chunks[0].at) // seq of the oldest chunk's last event
 		if last > l.head-w.EventTail || last > l.persisted {
 			break
 		}
-		for _, wire := range l.chunks[0] {
-			l.bytes -= len(wire)
-		}
-		l.chunks[0] = nil
+		l.bytes -= len(l.chunks[0].at)*heldSize + len(l.chunks[0].slab)
+		l.chunks[0] = eventChunk{}
 		l.chunks = l.chunks[1:]
-		l.base = last
+		l.base, dropped = last, last
 	}
+	return dropped
 }
 
 // Since returns all events with Seq > after (non-blocking), as private
-// copies without payloads: payloads are write-ahead only, so events read back
-// from the persister lose theirs too, and memory and disk reads agree.
+// copies without payloads: payloads are write-ahead only, so memory and disk
+// reads agree.
 func (l *EventLog) Since(after int) []Event {
-	cold, held, _ := l.read(after, false)
-	return decoded(cold, held)
+	evs, _ := l.events(after, false)
+	return evs
 }
 
 // WaitAfter blocks until at least one event with Seq > after exists or the
@@ -391,94 +484,176 @@ func (l *EventLog) Since(after int) []Event {
 // must still process the returned batch before exiting, or events written
 // just before Close would be lost. The events are as Since returns them.
 func (l *EventLog) WaitAfter(after int) ([]Event, bool) {
-	cold, held, open := l.read(after, true)
-	return decoded(cold, held), open
+	return l.events(after, true)
+}
+
+// events is Since and WaitAfter: the events past after, decoded.
+func (l *EventLog) events(after int, wait bool) ([]Event, bool) {
+	var out []Event
+	open := l.read(after, wait, func(cold []Event) {
+		for i := range cold {
+			cold[i].Payload = nil
+		}
+		out = append(out, cold...)
+	}, func(wire []byte) error {
+		var ev Event
+		if err := json.Unmarshal(wire, &ev); err != nil {
+			return fmt.Errorf("engine: held event does not decode: %w", err)
+		}
+		out = append(out, ev)
+		return nil
+	})
+	return out, open
 }
 
 // SinceJSON returns Since(after) as json.NewEncoder(w).Encode writes it, byte
-// for byte ("[]" for none): held events as they are held, only events read
-// back from the persister are encoded.
+// for byte ("[]" for none): held events as their wire forms, only events read
+// back below the window are encoded.
 func (l *EventLog) SinceJSON(after int) []byte {
-	cold, held, _ := l.read(after, false)
-	out := append(make([]byte, 0, 256*(len(cold)+len(held))+3), '[') // ~231 B an event
-	for _, ev := range cold {
-		out = append(append(out, wireOf(ev)...), ',')
-	}
-	for _, wire := range held {
+	l.mu.Lock()
+	held := l.head - min(max(after, l.base), l.head) // sized for the window's part: a cursor may be any distance behind
+	l.mu.Unlock()
+	out := append(make([]byte, 0, 256*held+3), '[') // ~231 B an event
+	l.read(after, false, func(cold []Event) {
+		for _, ev := range cold {
+			out = append(append(out, wireOf(ev)...), ',')
+		}
+	}, func(wire []byte) error {
 		out = append(append(out, wire...), ',')
-	}
+		return nil
+	})
 	if len(out) > 1 {
 		out = out[:len(out)-1] // the last comma
 	}
 	return append(out, ']', '\n')
 }
 
-// decoded joins a read's two runs into private, payload-free events.
-func decoded(cold []Event, held [][]byte) []Event {
-	for i := range cold {
-		cold[i].Payload = nil
-	}
-	for _, wire := range held {
-		var ev Event
-		if err := json.Unmarshal(wire, &ev); err != nil {
-			panic(err) // the log encoded it from an Event
+// read serves the readers: it hands cold the events past after that lie below
+// the window, read back from the store, then held the wire form of each event
+// past after in the window, in seq order. A cursor inside the window is served
+// from one view of it taken under l.mu (view) and positional reads made with
+// no lock held (serve). A colder one first reads (after, base] back with no
+// lock held — a cold /events?after=0 must not stall Append, and with it every
+// epoch — then re-checks base, which may have advanced meanwhile, until the
+// cursor reaches the window: disk and window join without a gap or a
+// duplicate. A reader the window moved past while it read goes on the same
+// way, from the last event it served. What the store does not return (a
+// pruned prefix; a failed read, kept in rerr) is skipped. Only a read that has
+// found nothing yet waits.
+func (l *EventLog) read(after int, wait bool, cold func([]Event), held func(wire []byte) error) (open bool) {
+	for found := false; ; {
+		v := l.view(after, wait && !found)
+		if !v.cold {
+			behind, err := l.serve(v, held)
+			l.mu.Lock()
+			l.rerr = cmp.Or(l.rerr, err)
+			l.mu.Unlock()
+			if behind < 0 {
+				return v.open
+			}
+			found, after = found || behind > after, behind
+			continue
 		}
-		cold = append(cold, ev)
-	}
-	return cold
-}
-
-// read serves the readers: the events past after, read back from the
-// persister (cold), then held in memory. A cursor inside the tail is answered
-// under l.mu alone (readHeld). A colder one first reads (after, base] back
-// from the persister with no lock held — a cold /events?after=0 must not
-// stall Append, and with it every epoch — then re-checks base, which may have
-// advanced meanwhile, until the cursor reaches the tail: disk and memory join
-// without a gap or a duplicate. What the persister does not return (a pruned
-// prefix; the rest of a failed read, kept in rerr) is skipped. Only a read
-// that has found nothing yet waits.
-func (l *EventLog) read(after int, wait bool) (cold []Event, held [][]byte, open bool) {
-	for {
-		var r readBacker
-		var base int
-		if held, open, r, base = l.readHeld(after, wait && len(cold) == 0); r == nil {
-			return cold, held, open
-		}
-		evs, err := r.ReadBack(after, base)
-		cold, after = append(cold, evs...), base
+		evs, err := v.store.ReadBack(after, v.base)
+		cold(evs)
+		found, after = found || len(evs) > 0, v.base
 		l.mu.Lock()
 		l.readBack += uint64(len(evs))
-		if l.rerr == nil {
-			l.rerr = err
-		}
+		l.rerr = cmp.Or(l.rerr, err)
 		l.mu.Unlock()
 	}
 }
 
-// readHeld is the locked half of read: it waits for an event past after if
-// asked to, then either returns the held wire forms past after, or — the
-// cursor is below base and there is a persister to ask — returns that
-// persister and base for the caller to read back up to. A cursor at or past
-// the head (a client's typo, a cursor that outlived an unsynced tail) holds
-// nothing.
-func (l *EventLog) readHeld(after int, wait bool) (held [][]byte, open bool, r readBacker, base int) {
+// window is what a reader takes under l.mu: the store and base to read the
+// events below the window back from (cold), or a view of the held events past
+// its cursor — the chunks' index entries and slabs, from seq first on.
+type window struct {
+	store  recordStore
+	cold   bool
+	base   int
+	first  int
+	chunks []eventChunk
+	open   bool
+}
+
+// view waits for an event past after if asked to, then returns the reader's
+// window. A cursor at or past the head (a client's typo, a cursor that
+// outlived an unsynced tail) views nothing.
+func (l *EventLog) view(after int, wait bool) window {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for wait && l.head <= after && !l.closed {
 		l.cond.Wait()
 	}
-	if after < l.base && l.reader != nil {
-		return nil, false, l.reader, l.base
+	v := window{store: l.store, base: l.base, open: !l.closed}
+	if after < l.base && l.store != nil {
+		v.cold = true
+		return v
 	}
 	if after = max(after, l.base); after < l.head {
-		held = make([][]byte, 0, l.head-after)
 		chunk, off := retain.Sizes().EventChunk, after-l.base
-		for _, c := range l.chunks[off/chunk:] {
-			held = append(held, c[off%chunk:]...)
-			off = 0
-		}
+		v.first, v.chunks = after+1, slices.Clone(l.chunks[off/chunk:])
+		v.chunks[0].at = v.chunks[0].at[off%chunk:]
 	}
-	return held, !l.closed, nil, 0
+	return v
+}
+
+// serve hands yield the wire form of each event in the view v, in seq order:
+// from its slab, or read back from the store, one positional read per run of
+// records adjacent there (a run ends with its chunk). An event that fails to
+// read, and the rest of its run, is skipped, never served, and serve returns
+// the first such error. But if the window has moved past the event since v
+// was taken, the store may have released it: then serve stops and returns the
+// seq of the last event it served or skipped, for read to go on from as a
+// colder cursor. Otherwise it returns -1.
+func (l *EventLog) serve(v window, yield func(wire []byte) error) (behind int, first error) {
+	seq, done := v.first, v.first-1
+	for _, c := range v.chunks {
+		for i := 0; i < len(c.at); {
+			h, j := c.at[i], i+1
+			var err error
+			if h.size == 0 {
+				err = yield(c.slab[h.at : h.at+int64(h.wire)])
+			} else {
+				end := h.at + int64(h.size)
+				for ; j < len(c.at) && c.at[j].size > 0 && c.at[j].at == end; j++ {
+					end += int64(c.at[j].size)
+				}
+				run := c.at[i:j]
+				err = v.store.ReadRecords(seq+i, h.at, end, func(rec []byte) error {
+					if len(run) == 0 {
+						return fmt.Errorf("engine: store read more records than seqs %d..%d", seq+i, seq+j-1)
+					}
+					wire, err := wireIn(rec, int(run[0].wire))
+					run = run[1:]
+					if err == nil {
+						err = yield(wire)
+					}
+					if err == nil {
+						done++
+					}
+					return err
+				})
+				if err == nil && len(run) > 0 {
+					err = fmt.Errorf("engine: store read %d records short of seq %d", len(run), seq+j-1)
+				}
+				if err != nil && l.behind(done+1) {
+					return done, first
+				}
+			}
+			first = cmp.Or(first, err)
+			done, i = seq+j-1, j
+		}
+		seq += len(c.at)
+	}
+	return -1, first
+}
+
+// behind reports whether the window no longer holds seq.
+func (l *EventLog) behind(seq int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return seq <= l.base
 }
 
 // WaitFor blocks until the head reaches seq or the log closes; false if closed.
@@ -499,9 +674,10 @@ func (l *EventLog) LastSeq() int {
 	return l.head
 }
 
-// Held reports how many events are in memory (the tail, plus up to a chunk,
-// on a durable log) and their wire forms' size, how many reads have fetched
-// from the persister instead, and the first such read that failed.
+// Held reports how many events the window holds (the tail, plus up to a
+// chunk, on a durable log) and the bytes it holds them in — index entries
+// and slabs, 16 B an event left in the store — how many events ReadBack has
+// served below the window, and the first read that failed.
 func (l *EventLog) Held() (held, size int, readBack uint64, rerr error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -11,13 +11,17 @@ package engine
 // internal/wal (TestEventLogTransparencyOracle).
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,19 +30,35 @@ import (
 	"repro/internal/retain"
 )
 
-// memPersister is an in-memory write-ahead store that can read back, with a
-// prunable prefix — the contract of wal.Log without the disk.
+// memPersister is an in-memory write-ahead store that can read back — the
+// contract of wal.Log without the disk. Records go into segments of segBytes
+// (0: one segment), each extent counted from its segment's start; prune drops
+// a prefix from ReadBack, while the extents the log has not released stay
+// readable, as a pruned segment does while wal.Log keeps it open; and reading
+// a released extent fails, as it may from wal.Log, so a log that reads one
+// and does not go on from ReadBack shows.
 type memPersister struct {
-	mu     sync.Mutex
-	first  int // seq of events[0]
-	events []Event
-	fail   error // returned by ReadBack when set
+	mu       sync.Mutex
+	first    int // seq of events[0]
+	events   []Event
+	fail     error // returned by ReadBack when set
+	lose     error // returned by ReadRecords when set
+	segBytes int
+	segs     []memSegment
+	sizes    map[int]int // record length by seq
+	released int
 }
 
-func (m *memPersister) PersistRecord(seq int, _ EventKind, rec []byte) error {
+// memSegment is one of memPersister's segments: records from seq first on.
+type memSegment struct {
+	first int
+	data  []byte
+}
+
+func (m *memPersister) PersistRecord(seq int, _ EventKind, rec []byte) (Extent, error) {
 	var ev Event
 	if err := json.Unmarshal(rec, &ev); err != nil {
-		return err
+		return Extent{}, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -46,7 +66,17 @@ func (m *memPersister) PersistRecord(seq int, _ EventKind, rec []byte) error {
 		m.first = ev.Seq
 	}
 	m.events = append(m.events, ev)
-	return nil
+	if n := len(m.segs); n == 0 || m.segBytes > 0 && len(m.segs[n-1].data) >= m.segBytes {
+		m.segs = append(m.segs, memSegment{first: seq})
+	}
+	if m.sizes == nil {
+		m.sizes = map[int]int{}
+	}
+	seg := &m.segs[len(m.segs)-1]
+	ext := Extent{At: int64(len(seg.data)), Size: uint32(len(rec))}
+	seg.data = append(seg.data, rec...)
+	m.sizes[seq] = len(rec)
+	return ext, nil
 }
 
 func (m *memPersister) ReadBack(after, upto int) ([]Event, error) {
@@ -62,7 +92,47 @@ func (m *memPersister) ReadBack(after, upto int) ([]Event, error) {
 	return append([]Event(nil), m.events[lo:hi]...), nil
 }
 
-// prune drops every stored event with Seq <= upto.
+func (m *memPersister) ReadRecords(seq int, at, end int64, fn func([]byte) error) error {
+	m.mu.Lock()
+	if m.lose != nil || seq <= m.released {
+		m.mu.Unlock()
+		return fmt.Errorf("read of seq %d: released up to %d (%v)", seq, m.released, m.lose)
+	}
+	i := len(m.segs) - 1
+	for i > 0 && m.segs[i].first > seq {
+		i--
+	}
+	data := m.segs[i].data
+	if end > int64(len(data)) {
+		m.mu.Unlock()
+		return fmt.Errorf("extent [%d, %d) past a %d-byte segment", at, end, len(data))
+	}
+	data = slices.Clone(data[at:end])
+	var recs [][]byte
+	for off, s := 0, seq; off < len(data); s++ {
+		n := m.sizes[s]
+		if n == 0 || off+n > len(data) {
+			m.mu.Unlock()
+			return fmt.Errorf("no record of seq %d at %d", s, at+int64(off))
+		}
+		recs, off = append(recs, data[off:off+n]), off+n
+	}
+	m.mu.Unlock()
+	for _, rec := range recs {
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *memPersister) Release(upto int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.released = max(m.released, upto)
+}
+
+// prune drops every stored event with Seq <= upto from ReadBack.
 func (m *memPersister) prune(upto int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -72,10 +142,10 @@ func (m *memPersister) prune(upto int) {
 	}
 }
 
-// writeOnly hides a persister's ReadBack.
+// writeOnly hides a persister's reads.
 type writeOnly struct{ p Persister }
 
-func (w writeOnly) PersistRecord(seq int, kind EventKind, rec []byte) error {
+func (w writeOnly) PersistRecord(seq int, kind EventKind, rec []byte) (Extent, error) {
 	return w.p.PersistRecord(seq, kind, rec)
 }
 
@@ -97,80 +167,152 @@ func tailOracleSeeds(t *testing.T) []int64 {
 // TestEventLogTailOracle appends the same random stream to a log with a
 // 64-event tail (16-event chunks) over a reading-back persister and to an
 // untrimmed in-memory log. After every burst, Since(after) must agree for
-// every cursor in [0, head] — from memory, from the persister, or stitched
-// across both — except that cursors inside a pruned prefix resume at the
-// first retained seq. Two WaitAfter followers, one of them slow enough to
-// fall out of the tail, must see every seq exactly once, in order.
+// every cursor in [0, head] — from the window's positional reads, from the
+// persister, or stitched across both — except that cursors inside a pruned
+// prefix resume at the first retained seq, and SinceJSON must be byte for
+// byte the reference's. Two WaitAfter followers, one of them slow enough to
+// fall out of the tail, must see every seq exactly once, in order. The arms
+// vary the store under the window: one segment; segments that rotate inside
+// the window (so runs of adjacent records break there); pruning that reaches
+// into the window (its records stay readable until released, as a pruned
+// wal segment does while kept open); and a store that wedges mid-window, as a
+// closed wal.Log does (the rest of the log is held in memory, beside what was
+// left in the store, which still reads). Reading an extent the log has
+// released fails the read: a follower the window moved past mid-read must go
+// on from ReadBack, or the oracle sees the gap.
 func TestEventLogTailOracle(t *testing.T) {
 	defer retain.Shrink(func(w *retain.Windows) { w.EventTail, w.EventChunk = 64, 16 })()
+	arms := []struct {
+		name        string
+		segBytes    int  // the store's segment size; 0 for one segment
+		pruneWindow bool // prune may reach past base, up to the followers
+		wedgeAt     int  // the seq from which persisting fails; 0 for never
+	}{
+		{"one-segment", 0, false, 0},
+		{"rotation", 700, false, 0},
+		{"prune-window", 700, true, 0},
+		{"wedge", 700, true, 120},
+	}
 	for _, seed := range tailOracleSeeds(t) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			store := &memPersister{}
-			tail, full := NewEventLog(), NewEventLog()
-			tail.SetPersister(store)
+			for _, arm := range arms {
+				t.Run(arm.name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					store := &memPersister{segBytes: arm.segBytes}
+					tail, full := NewEventLog(), NewEventLog()
+					if arm.wedgeAt > 0 {
+						tail.SetPersister(&flakyPersister{memPersister: store, failAt: arm.wedgeAt})
+					} else {
+						tail.SetPersister(store)
+					}
 
-			var wg sync.WaitGroup
-			var followed [2]atomic.Int64 // the followers' cursors: pruning stays behind them
-			follow := func(i int, name string, every int) {
-				defer wg.Done()
-				cursor, polls := 0, 0
-				for {
-					evs, open := tail.WaitAfter(cursor)
-					for _, ev := range evs {
-						if ev.Seq != cursor+1 {
-							t.Errorf("seed %d: %s follower at %d got seq %d", seed, name, cursor, ev.Seq)
-							return
+					var wg sync.WaitGroup
+					var followed [2]atomic.Int64 // the followers' cursors: pruning stays behind them
+					follow := func(i int, name string, every int) {
+						defer wg.Done()
+						cursor, polls := 0, 0
+						for {
+							evs, open := tail.WaitAfter(cursor)
+							for _, ev := range evs {
+								if ev.Seq != cursor+1 {
+									t.Errorf("seed %d: %s follower at %d got seq %d", seed, name, cursor, ev.Seq)
+									return
+								}
+								cursor = ev.Seq
+							}
+							followed[i].Store(int64(cursor))
+							if !open {
+								if want := full.LastSeq(); cursor != want {
+									t.Errorf("seed %d: %s follower ended at %d, log at %d", seed, name, cursor, want)
+								}
+								return
+							}
+							if polls++; every > 0 && polls%every == 0 {
+								time.Sleep(time.Millisecond) // fall behind the tail
+							}
 						}
-						cursor = ev.Seq
 					}
-					followed[i].Store(int64(cursor))
-					if !open {
-						if want := full.LastSeq(); cursor != want {
-							t.Errorf("seed %d: %s follower ended at %d, log at %d", seed, name, cursor, want)
-						}
-						return
-					}
-					if polls++; every > 0 && polls%every == 0 {
-						time.Sleep(time.Millisecond) // fall behind the tail
-					}
-				}
-			}
-			wg.Add(2)
-			go follow(0, "fast", 0)
-			go follow(1, "slow", 3)
+					wg.Add(2)
+					go follow(0, "fast", 0)
+					go follow(1, "slow", 3)
+					defer func() { tail.Close(); wg.Wait() }() // a failed check ends the arm: stop the followers first
 
-			pruned := 0
-			for step := 0; step < 24; step++ {
-				for n := rng.Intn(24); n >= 0; n-- {
-					ev := Event{Kind: EventEpochStart, Epoch: uint64(step), Note: fmt.Sprint(rng.Int63())}
-					ev.At = time.Unix(int64(step), 0)
-					tail.Append(ev)
-					full.Append(ev)
-				}
-				head := full.LastSeq()
-				// Prune behind a "snapshot": only what memory no longer holds
-				// (PruneCovered never touches the active segment) and no
-				// follower still has to read.
-				if limit := min(tail.base, int(followed[0].Load()), int(followed[1].Load())); rng.Intn(4) == 0 && limit > pruned {
-					pruned += rng.Intn(limit - pruned + 1)
-					store.prune(pruned)
-				}
-				for after := 0; after <= head; after++ {
-					got, want := tail.Since(after), full.Since(max(after, pruned))
-					if !sameEvents(got, want, after%5 == step%5 || after-tail.base < 3 && tail.base-after < 3) {
-						t.Fatalf("seed %d step %d: Since(%d) with base %d pruned %d: got seqs %v, want %v",
-							seed, step, after, tail.base, pruned, seqRange(got), seqRange(want))
+					pruned, reached := 0, false // reached: a prune went past base
+					for step := 0; step < 24; step++ {
+						for n := rng.Intn(24); n >= 0; n-- {
+							ev := Event{Kind: EventEpochStart, Epoch: uint64(step), Note: fmt.Sprint(rng.Int63())}
+							ev.At = time.Unix(int64(step), 0)
+							if rng.Intn(4) == 0 { // a record longer than its wire form
+								ev.Payload = &Payload{License: strings.Repeat("p", rng.Intn(300))}
+							}
+							tail.Append(ev)
+							full.Append(ev)
+						}
+						head := full.LastSeq()
+						// Prune behind a "snapshot": only what no follower still
+						// has to read and, but in the prune-window arm, what memory
+						// no longer holds (PruneCovered never touches the active
+						// segment).
+						limit := min(int(followed[0].Load()), int(followed[1].Load()))
+						if !arm.pruneWindow {
+							limit = min(limit, tail.base)
+						}
+						if rng.Intn(4) == 0 && limit > pruned {
+							if arm.pruneWindow {
+								pruned = limit
+							} else {
+								pruned += rng.Intn(limit - pruned + 1)
+							}
+							store.prune(pruned)
+							reached = reached || pruned > tail.base
+						}
+						for after := 0; after <= head; after++ {
+							// The one-segment arm decodes every cursor's batch
+							// (Since) every step; the others, every fifth cursor,
+							// and the cold cursors only every fourth step. Cold
+							// cursors re-encode what they read back (SinceJSON):
+							// every fifth.
+							cold, fifth := after < tail.base-2, after%5 == step%5
+							if cold && arm.segBytes > 0 && step%4 != 0 {
+								continue
+							}
+							// A cold cursor resumes at the first seq the store
+							// still has, or else at the window.
+							from := max(after, min(pruned, tail.base))
+							if arm.segBytes == 0 || fifth {
+								got, want := tail.Since(after), full.Since(from)
+								if !sameEvents(got, want, fifth || after-tail.base < 3 && tail.base-after < 3) {
+									t.Fatalf("seed %d step %d: Since(%d) with base %d pruned %d: got seqs %v, want %v",
+										seed, step, after, tail.base, pruned, seqRange(got), seqRange(want))
+								}
+							}
+							if cold && !fifth {
+								continue
+							}
+							if got, want := tail.SinceJSON(after), full.SinceJSON(from); !bytes.Equal(got, want) {
+								t.Fatalf("seed %d step %d: SinceJSON(%d) with base %d pruned %d:\n%s\nwant\n%s",
+									seed, step, after, tail.base, pruned, got, want)
+							}
+						}
+						if _, perr := tail.Persisted(); perr != nil {
+							continue // wedged: the log drops nothing more
+						}
+						if held, _, _, _ := tail.Held(); held < min(head, 64) || held >= 64+16 {
+							t.Fatalf("seed %d step %d: tail holds %d of %d events", seed, step, held, head)
+						}
 					}
-				}
-				if held, _, _, _ := tail.Held(); held < min(head, 64) || held >= 64+16 {
-					t.Fatalf("seed %d step %d: tail holds %d of %d events", seed, step, held, head)
-				}
-			}
-			tail.Close()
-			wg.Wait()
-			if _, _, n, err := tail.Held(); n == 0 || err != nil {
-				t.Fatalf("seed %d: read-back never exercised (%d events, err %v)", seed, n, err)
+					tail.Close()
+					wg.Wait()
+					if _, _, n, err := tail.Held(); n == 0 && !arm.pruneWindow || err != nil { // pruning up to the followers may leave nothing to read back
+						t.Fatalf("seed %d: read-back never exercised (%d events, err %v)", seed, n, err)
+					}
+					if persisted, perr := tail.Persisted(); (arm.wedgeAt > 0) != (perr != nil) || arm.wedgeAt > 0 && persisted != arm.wedgeAt-1 {
+						t.Fatalf("seed %d: persisted %d of %d (%v): the arm did not wedge mid-run as intended", seed, persisted, full.LastSeq(), perr)
+					}
+					if arm.pruneWindow && !reached {
+						t.Fatalf("seed %d: pruning never reached into the window", seed)
+					}
+				})
 			}
 		})
 	}
@@ -271,6 +413,23 @@ func TestEventLogDropsNothingItCannotReadBack(t *testing.T) {
 			t.Fatal("read-back failure not recorded")
 		}
 	})
+	t.Run("positional read failure", func(t *testing.T) {
+		l := NewEventLog()
+		store := &memPersister{}
+		l.SetPersister(store)
+		fill(l, 100)
+		store.lose = errors.New("segment gone")
+		if evs, got := l.Since(100-held(l)), l.SinceJSON(98); len(evs) != 0 || string(got) != "[]\n" {
+			t.Fatalf("failed positional reads served %s and %q", seqRange(evs), got)
+		}
+		if _, _, _, err := l.Held(); err == nil || !strings.Contains(err.Error(), "segment gone") {
+			t.Fatalf("positional read failure recorded as %v", err)
+		}
+		store.lose = nil
+		if evs := l.Since(98); len(evs) != 2 || evs[0].Seq != 99 {
+			t.Fatalf("after the failure Since(98) served %s", seqRange(evs))
+		}
+	})
 }
 
 // flakyPersister fails Persist from seq failAt on.
@@ -279,9 +438,9 @@ type flakyPersister struct {
 	failAt int
 }
 
-func (f *flakyPersister) PersistRecord(seq int, kind EventKind, rec []byte) error {
+func (f *flakyPersister) PersistRecord(seq int, kind EventKind, rec []byte) (Extent, error) {
 	if seq >= f.failAt {
-		return fmt.Errorf("injected failure at seq %d", seq)
+		return Extent{}, fmt.Errorf("injected failure at seq %d", seq)
 	}
 	return f.memPersister.PersistRecord(seq, kind, rec)
 }
@@ -344,5 +503,96 @@ func TestEventLogCursorPastHead(t *testing.T) {
 				t.Fatalf("Since(%d) after close returned %s, want the 2 new events", tc.n, seqRange(evs))
 			}
 		})
+	}
+}
+
+// readGate parks the first positional read it sees until released.
+type readGate struct {
+	*memPersister
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *readGate) ReadRecords(seq int, at, end int64, fn func([]byte) error) error {
+	g.once.Do(func() {
+		g.entered <- struct{}{}
+		<-g.release
+	})
+	return g.memPersister.ReadRecords(seq, at, end, fn)
+}
+
+// TestEventLogReaderOvertakenByTheWindow: a reader that took its view of the
+// window before appends dropped part of it, and whose extents the store
+// released under it, still serves every event: the failed read tells it the
+// window moved on, and it reads the rest back as a colder cursor, with no
+// error recorded. The log releases what it drops at once.
+func TestEventLogReaderOvertakenByTheWindow(t *testing.T) {
+	defer retain.Shrink(func(w *retain.Windows) { w.EventTail, w.EventChunk = 8, 4 })()
+	gate := &readGate{memPersister: &memPersister{}, entered: make(chan struct{}), release: make(chan struct{})}
+	l := NewEventLog()
+	l.SetPersister(gate)
+	for i := 0; i < 12; i++ {
+		l.Append(Event{Kind: EventEpochStart})
+	}
+	base := l.LastSeq() - held(l)
+	got := make(chan []Event)
+	go func() { got <- l.Since(base) }()
+	<-gate.entered // the reader holds its view, mid-read
+	for i := 0; i < 8; i++ {
+		l.Append(Event{Kind: EventEpochStart})
+	}
+	if l.LastSeq()-held(l) <= base {
+		t.Fatal("no chunk the reader views was dropped")
+	}
+	gate.mu.Lock()
+	released := gate.released
+	gate.mu.Unlock()
+	if released != l.LastSeq()-held(l) {
+		t.Fatalf("released up to %d with a reader mid-read, the log dropped up to %d", released, l.LastSeq()-held(l))
+	}
+	close(gate.release)
+	// It goes on from a view taken after the appends, so it serves them too.
+	evs := <-got
+	for i, ev := range evs {
+		if ev.Seq != base+1+i {
+			t.Fatalf("the overtaken reader got %s, want seqs %d..%d", seqRange(evs), base+1, l.LastSeq())
+		}
+	}
+	if len(evs) != l.LastSeq()-base {
+		t.Fatalf("the overtaken reader got %s, want seqs %d..%d", seqRange(evs), base+1, l.LastSeq())
+	}
+	if _, _, n, err := l.Held(); n == 0 || err != nil {
+		t.Fatalf("the overtaken reader read back %d events, error %v", n, err)
+	}
+}
+
+// TestSinceJSONSizesForWhatItServes: SinceJSON sizes its buffer for the window
+// part of what it serves, which the window bounds, not for the cursor's
+// distance from the head: a far negative cursor, or a cold one on a log whose
+// store pruned all but its newest events, costs what it serves.
+func TestSinceJSONSizesForWhatItServes(t *testing.T) {
+	defer retain.Shrink(func(w *retain.Windows) { w.EventTail, w.EventChunk = 64, 16 })()
+	store := &memPersister{}
+	l := NewEventLog()
+	l.SetPersister(store)
+	for i := 0; i < 10000; i++ {
+		l.Append(Event{Kind: EventEpochStart, At: time.Unix(int64(i), 0)})
+	}
+	store.prune(9800)
+	want := l.SinceJSON(9800)
+	for _, after := range []int{-1 << 40, -1, 0, 9000} {
+		var before, done runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := l.SinceJSON(after)
+		runtime.ReadMemStats(&done)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("SinceJSON(%d) served %d bytes, want the %d of the retained events", after, len(got), len(want))
+		}
+		// 200 events of ~90 B, read back and encoded. A buffer sized by the
+		// distance from the head would take 2.5 MB for after=0, and for
+		// -1<<40 could not be made.
+		if n := done.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+			t.Fatalf("SinceJSON(%d) allocated %d B for %d B served", after, n, len(got))
+		}
 	}
 }

@@ -169,7 +169,7 @@ func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
 	// is that these stay flat.
 	reg.NewGaugeFunc("engine_events_held", "Events held in memory: the log tail on a durable engine, the whole log otherwise.",
 		func() float64 { return float64(e.StatsLite().EventsHeld) })
-	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes of JSON the held events are kept as.",
+	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes the held events are indexed and kept in: 16 per event left in the WAL, plus the JSON of any held in memory.",
 		func() float64 { return float64(e.StatsLite().EventsHeldBytes) })
 	reg.NewGaugeFunc("engine_book_held_bytes", "Bytes the settlement book's unarchived entries are packed into.",
 		func() float64 { return float64(e.book.HeldBytes()) })

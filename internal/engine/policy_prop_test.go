@@ -303,9 +303,9 @@ type switchPersister struct {
 	fail  atomic.Bool
 }
 
-func (s *switchPersister) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
+func (s *switchPersister) PersistRecord(seq int, kind engine.EventKind, rec []byte) (engine.Extent, error) {
 	if s.fail.Load() {
-		return fmt.Errorf("injected crash at seq %d", seq)
+		return engine.Extent{}, fmt.Errorf("injected crash at seq %d", seq)
 	}
 	return s.inner.PersistRecord(seq, kind, rec)
 }

@@ -710,7 +710,7 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		})
 	reg.NewGaugeFunc("engine_events_held", "Events held in memory (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.EventsHeld) }))
-	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes of JSON the held events are kept as (all shards).",
+	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes the held events are indexed and kept in: 16 per event left in the WAL, plus the JSON of any held in memory (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.EventsHeldBytes) }))
 	reg.NewGaugeFunc("engine_book_held_bytes", "Bytes the settlement books' unarchived entries are packed into (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.BookHeldBytes) }))

@@ -153,30 +153,54 @@ func FuzzIterOps(f *testing.F) {
 // FuzzValueRoundTrip: whatever ParseValue accepts, ParseValue of the value's
 // String form reads back to the same Key. This is the contract the JSON and
 // CSV codecs rely on: a share written to the WAL replays as the same cells.
+// A second parsed value pins the key's own contract, that two cells share a
+// key exactly when they are Equal (hash joins, distinct counts and groupings
+// key what the nested-loop join compares): for the pair, for the pair nested
+// in multi cells, and for multi cells holding both in either order.
 func FuzzValueRoundTrip(f *testing.F) {
 	for _, seed := range []struct {
-		k Kind
-		s string
+		k, k2 Kind
+		s, s2 string
 	}{
-		{KindInt, "-9223372036854775808"}, {KindInt, "+7"},
-		{KindFloat, "-0"}, {KindFloat, "NaN"}, {KindFloat, "-Inf"}, {KindFloat, "0x1p-2"}, {KindFloat, "1e308"},
-		{KindString, "NULL"}, {KindBool, "T"},
-		{KindTime, "2024-01-01T00:00:00.5+02:00"}, {KindTime, "2024-01-01T00:00:00,25Z"},
-		{KindTime, "0000-01-01T00:00:00+01:00"}, {KindTime, "9999-12-31T23:59:59.999999999Z"},
+		{KindInt, KindInt, "-9223372036854775808", "+7"},
+		{KindFloat, KindFloat, "-0", "NaN"}, {KindFloat, KindFloat, "NaN", "nan"}, {KindFloat, KindInt, "-Inf", "0"}, {KindInt, KindFloat, "0", "-0"},
+		{KindFloat, KindFloat, "0x1p-2", "1e308"}, {KindInt, KindFloat, "9007199254740993", "9007199254740992"},
+		{KindString, KindNull, "NULL", ""}, {KindBool, KindString, "T", "true"}, {KindBool, KindBool, "false", "0"},
+		{KindTime, KindTime, "2024-01-01T00:00:00.5+02:00", "2023-12-31T22:00:00.5Z"}, {KindTime, KindTime, "2024-01-01T00:00:00,25Z", "2024-01-01T00:00:00.25Z"},
+		{KindTime, KindTime, "0000-01-01T00:00:00+01:00", "9999-12-31T23:59:59.999999999Z"},
 	} {
-		f.Add(byte(seed.k), seed.s)
+		f.Add(byte(seed.k), seed.s, byte(seed.k2), seed.s2)
 	}
-	f.Fuzz(func(t *testing.T, kb byte, s string) {
-		v, err := ParseValue(Kind(kb%uint8(KindMulti+1)), s)
-		if err != nil || v.IsNull() {
-			return // NULL prints as "NULL", which no codec writes: they write ""
+	f.Fuzz(func(t *testing.T, kb byte, s string, kb2 byte, s2 string) {
+		var vs [2]Value
+		for i, in := range [2]struct {
+			k byte
+			s string
+		}{{kb, s}, {kb2, s2}} {
+			v, err := ParseValue(Kind(in.k%uint8(KindMulti+1)), in.s)
+			if err != nil {
+				return
+			}
+			vs[i] = v
+			if v.IsNull() {
+				continue // NULL prints as "NULL", which no codec writes: they write ""
+			}
+			back, err := ParseValue(v.Kind(), v.String())
+			if err != nil {
+				t.Fatalf("ParseValue(%v, %q) = %v, but its String %q does not parse: %v", v.Kind(), in.s, v, v.String(), err)
+			}
+			if back.Key() != v.Key() {
+				t.Fatalf("ParseValue(%v, %q): key %q, after String %q key %q", v.Kind(), in.s, v.Key(), v.String(), back.Key())
+			}
 		}
-		back, err := ParseValue(v.Kind(), v.String())
-		if err != nil {
-			t.Fatalf("ParseValue(%v, %q) = %v, but its String %q does not parse: %v", v.Kind(), s, v, v.String(), err)
-		}
-		if back.Key() != v.Key() {
-			t.Fatalf("ParseValue(%v, %q): key %q, after String %q key %q", v.Kind(), s, v.Key(), v.String(), back.Key())
+		a, b := vs[0], vs[1]
+		for _, p := range [][2]Value{{a, b},
+			{Multi(Sourced{"s", a}), Multi(Sourced{"s", b})},
+			{Multi(Sourced{"s", a}, Sourced{"s", b}), Multi(Sourced{"s", b}, Sourced{"s", a})},
+		} {
+			if eq, same := p[0].Equal(p[1]), p[0].Key() == p[1].Key(); eq != same {
+				t.Fatalf("%v and %v: Equal %v, keys %q and %q", p[0], p[1], eq, p[0].Key(), p[1].Key())
+			}
 		}
 	})
 }

@@ -168,12 +168,14 @@ func (v Value) AsMulti() []Sourced {
 // IsNumeric reports whether the value is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
-// Equal reports deep equality of two values. Int and float compare
-// numerically across kinds (Int(2) equals Float(2.0)); multi cells compare as
-// ordered lists of sourced values.
+// Equal reports deep equality of two values: exactly when their Keys are
+// equal. Int and float compare numerically across kinds (Int(2) equals
+// Float(2.0)), and NaN equals NaN, as a join or a group by key takes it;
+// multi cells compare as ordered lists of sourced values.
 func (v Value) Equal(o Value) bool {
 	if v.IsNumeric() && o.IsNumeric() {
-		return v.AsFloat() == o.AsFloat()
+		a, b := v.AsFloat(), o.AsFloat()
+		return a == b || math.IsNaN(a) && math.IsNaN(b)
 	}
 	if v.kind != o.kind {
 		return false
@@ -202,8 +204,9 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Key returns a canonical string encoding usable as a hash-join key.
-// Numeric values of equal magnitude share a key regardless of kind.
+// Key returns a canonical string encoding usable as a hash-join key: two
+// values share it exactly when they are Equal. Numeric values of equal
+// magnitude share a key regardless of kind, zero regardless of its sign.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // AppendKey appends the value's canonical Key encoding to dst and returns the
@@ -215,8 +218,12 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindNull:
 		return append(dst, "\x00N"...)
 	case KindInt, KindFloat:
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0 // -0 == 0
+		}
 		dst = append(dst, '\x01')
-		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	case KindString:
 		dst = append(dst, '\x02')
 		return append(dst, v.s...)

@@ -199,7 +199,9 @@ func TestValueSemantics(t *testing.T) {
 		{"int0", Int(0), KindInt, 0, 0, "", false, "\x010", "0", 0},
 		{"intmin", Int(math.MinInt64), KindInt, math.MinInt64, -9.223372036854775808e18, "", false, "\x01-9.223372036854776e+18", "-9223372036854775808", 0},
 		{"intmax", Int(math.MaxInt64), KindInt, math.MaxInt64, 9.223372036854775807e18, "", false, "\x019.223372036854776e+18", "9223372036854775807", 0},
-		{"float-0", Float(math.Copysign(0, -1)), KindFloat, 0, math.Copysign(0, -1), "", false, "\x01-0", "-0", 0},
+		// Equal to int0, so it keys as int0 does; it keyed "\x01-0" once, and
+		// a hash join did not join the two cells a nested-loop join did.
+		{"float-0", Float(math.Copysign(0, -1)), KindFloat, 0, math.Copysign(0, -1), "", false, "\x010", "-0", 0},
 		{"float2.5", Float(2.5), KindFloat, 0, 2.5, "", false, "\x012.5", "2.5", 0},
 		{"nan", Float(math.NaN()), KindFloat, 0, math.NaN(), "", false, "\x01NaN", "NaN", 0},
 		{"+inf", Float(math.Inf(1)), KindFloat, 0, math.Inf(1), "", false, "\x01+Inf", "+Inf", 0},
@@ -224,8 +226,10 @@ func TestValueSemantics(t *testing.T) {
 			"\x05\x00\x00\x00\x01a\x00\x00\x00\x02\x02x\x00\x00\x00\x01b\x00\x00\x00\x02\x02y", "{a:x|b:y}", 2},
 		{"multi-empty", Multi(), KindMulti, 0, 0, "", false, "\x05", "{}", 0},
 	}
-	// equal lists the pairs, beyond each value with itself, that Equal joins:
-	// ints and floats compare numerically, times as instants in any zone.
+	// equal lists the pairs, beyond each value with itself (NaN included: it
+	// keys as itself), that Equal joins: ints and floats compare numerically,
+	// times as instants in any zone. A pair is Equal exactly when it shares a
+	// key.
 	equal := map[[2]string]bool{
 		{"int0", "float-0"}:    true,
 		{"time+02", "timeutc"}: true,
@@ -246,12 +250,12 @@ func TestValueSemantics(t *testing.T) {
 			t.Errorf("%s: String = %q, want %q", c.name, v.String(), c.str)
 		}
 		for _, o := range cases {
-			want := (c.name == o.name && c.name != "nan") || equal[[2]string{c.name, o.name}] || equal[[2]string{o.name, c.name}]
+			want := c.name == o.name || equal[[2]string{c.name, o.name}] || equal[[2]string{o.name, c.name}]
 			if got := v.Equal(o.v); got != want {
 				t.Errorf("%s.Equal(%s) = %v, want %v", c.name, o.name, got, want)
 			}
-			if !want && c.name != o.name && v.Key() == o.v.Key() {
-				t.Errorf("%s and %s share the key %q but are not Equal", c.name, o.name, v.Key())
+			if same := v.Key() == o.v.Key(); same != want {
+				t.Errorf("%s and %s: keys %q and %q, Equal %v", c.name, o.name, v.Key(), o.v.Key(), want)
 			}
 		}
 	}

@@ -11,25 +11,28 @@ import "testing"
 
 // Windows are the window sizes, in entries.
 type Windows struct {
-	// EventTail is how many of the newest events a durable event log keeps;
-	// older ones are served from the WAL. It is sized by how far readers
-	// trail the head, not by memory: on the benchmark's cover burst (60k
-	// requests back to back, ~14k events/s, two cores) the 2 ms /events
-	// poller asked at most 450 back — a few batch-64 epochs of ~130 events.
-	// 16k is over a second of that rate (a 1 Hz poller stays in memory); the
-	// log holds each event as its JSON, ~231 B on the steady-state test's
-	// settle path (Stats.EventsHeldBytes), so ~3.8 MB, plus a 24 B slice
-	// header each. A slower reader is served from disk, identically.
-	// EventChunk is the unit the log stores and releases events in.
+	// EventTail is how many of the newest events a durable event log keeps
+	// in its window; older ones are read back from the WAL by range. It is
+	// sized by how far readers trail the head, not by memory: on the
+	// benchmark's cover burst (60k requests back to back, ~14k events/s, two
+	// cores) the 2 ms /events poller asked at most 450 back — a few batch-64
+	// epochs of ~130 events. 16k is over a second of that rate, so even a
+	// 1 Hz poller gets a positional read of the records it asks for, not a
+	// decode of whole segments. The window holds a 16 B index entry per
+	// event (the record's extent in its segment and the wire form's length;
+	// the JSON itself stays in the WAL), so ~260 KB; a log without a WAL, or
+	// a wedged one, holds the JSON too, ~231 B an event. A slower reader is
+	// served from disk by range, identically.
+	// EventChunk is the unit the log indexes and releases events in.
 	EventTail, EventChunk int
 	// Tickets is how many terminal tickets stay pollable: a ticket retires
 	// once this many later ones have turned terminal. Pollers come back after
 	// the fact — the benchmark's set-up posts 22 submissions before polling
 	// the first, its trace sampler fetches tickets while the request tracer
 	// holds their span (the newest 4096) — so the window is four times the
-	// tracer's: ~2.5 s of the cover burst. A held ticket costs ~175 B (a
+	// tracer's: ~2.5 s of the cover burst. A held ticket costs ~143 B (a
 	// 96 B flat record, its number in the done list and its share of a map
-	// the window churns), so ~2.8 MB in all.
+	// the window churns and rebuilds once a window), so ~2.3 MB in all.
 	Tickets int
 	// History is how many completed transactions the arbiter keeps (each
 	// pins its mashup and cut maps). History is a recent-activity view, never

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -60,6 +62,38 @@ func nextRecord(buf []byte, off int) (payload []byte, next int, done bool, err e
 		return nil, off, false, fmt.Errorf("%w: crc mismatch", ErrTorn)
 	}
 	return payload, start + int(n), false, nil
+}
+
+// readRecords reads the bytes [at, end) of r — a run of whole records — into
+// buf, grown as need be and returned, and hands fn each record's payload in
+// turn, checking that the records fill the range exactly, that every checksum
+// holds and that the k-th record carries seq+k. A short read or any such
+// defect returns an error wrapping ErrTorn, and fn's error ends the read.
+func readRecords(r io.ReaderAt, buf []byte, seq int, at, end int64, fn func(payload []byte) error) ([]byte, error) {
+	if at < 0 || end < at {
+		return buf, fmt.Errorf("%w: extent [%d, %d)", ErrTorn, at, end)
+	}
+	buf = slices.Grow(buf[:0], int(end-at))[:end-at]
+	if n, err := r.ReadAt(buf, at); n < len(buf) {
+		if err != nil && err != io.EOF {
+			return buf, fmt.Errorf("wal: read %d bytes at %d: %w", len(buf), at, err)
+		}
+		return buf, fmt.Errorf("%w: read %d of %d bytes at %d", ErrTorn, n, len(buf), at)
+	}
+	for off := 0; off < len(buf); seq++ {
+		payload, next, _, err := nextRecord(buf, off)
+		if err != nil {
+			return buf, err
+		}
+		if s, ok := leadingSeq(payload); !ok || s != seq {
+			return buf, fmt.Errorf("%w: the record at %d is not seq %d", ErrTorn, at+int64(off), seq)
+		}
+		if err := fn(payload); err != nil {
+			return buf, err
+		}
+		off = next
+	}
+	return buf, nil
 }
 
 // decodeRecords decodes every valid record from raw and returns the events

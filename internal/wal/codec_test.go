@@ -148,7 +148,7 @@ func TestEncodeOversizedEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.PersistRecord(1, engine.EventEpochStart, make([]byte, maxRecordSize+1)); err == nil {
+	if _, err := w.PersistRecord(1, engine.EventEpochStart, make([]byte, maxRecordSize+1)); err == nil {
 		t.Fatal("oversized record must fail to persist")
 	}
 	if err := w.Persist(engine.Event{Seq: 1, Kind: engine.EventEpochStart}); err == nil {

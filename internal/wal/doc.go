@@ -80,16 +80,29 @@
 //
 // # Read-back
 //
-// The engine's in-memory log is only a tail; the WAL is the record. ReadBack
-// (after, upto) returns the persisted events in that range so cursors older
-// than the tail can still be served. Segment names encode their first seq, so
-// it opens only the segments that can intersect the range: sealed ones whole,
-// the active one up to the size noted under the append lock (a prefix of
-// whole records). Nothing else is locked — appends, fsyncs and rotations
-// proceed beside a cold read. If PruneCovered has removed segments, before
-// or during the read, the result starts at the first retained seq: pruned
-// history is gone, exactly as after a restore from the snapshot that covered
-// it.
+// The WAL is the record, and the engine's event log holds no copy of it: its
+// window of the newest events is an index of where each record sits
+// (PersistRecord reports the frame's extent in its segment). ReadRecords
+// serves the window: one positional read (pread) of a run of adjacent
+// frames, each checked against its CRC and its seq, taking no lock but the
+// one guarding the read side's files — never the append lock, which an fsync
+// holds. A read opens its segment by name, and the Log keeps the file opened
+// last for the next read: one file for a window of any number of segments.
+// A segment PruneCovered unlinks while the window still reads it is kept
+// open until the event log releases it (Release, as its window moves past),
+// so the window reads the same after a rotation, a prune or Close. Files are
+// read, never mapped: mapped pages would count as the process's resident
+// memory.
+//
+// ReadBack(after, upto) returns the persisted events in that range so
+// cursors older than the window can still be served. Segment names encode
+// their first seq, so it opens only the segments that can intersect the
+// range: sealed ones whole, the active one up to the size noted under the
+// append lock (a prefix of whole records). Nothing else is locked — appends,
+// fsyncs and rotations proceed beside a cold read. If PruneCovered has
+// removed segments, before or during the read, the result starts at the
+// first retained seq: pruned history is gone, exactly as after a restore from
+// the snapshot that covered it.
 //
 // # Fsync policy
 //

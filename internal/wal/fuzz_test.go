@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -172,10 +175,19 @@ func FuzzSnapshot(f *testing.F) {
 // FuzzWALDecode throws arbitrary bytes at the record decoder. Invariants:
 // never panic, never read past the input, decode a contiguous seq run, and
 // the accepted prefix must re-decode to the same events (decoding is
-// deterministic and prefix-stable). CI runs this with a short -fuzztime
-// budget; the checked-in seeds cover the known corruption shapes.
+// deterministic and prefix-stable). It also reads n bytes of the input from
+// at positionally, as the event log reads its window back (readRecords,
+// behind Log.ReadRecords), expecting the records there to begin at seq: the
+// read returns exactly the payloads that frame those bytes, which
+// decodeRecords accepts there with those seqs, or fails with ErrTorn — never
+// other bytes, and never a failure where every frame checks out and carries
+// the seq expected of it. CI runs this with a short -fuzztime budget; the
+// checked-in seeds cover the known corruption shapes.
 func FuzzWALDecode(f *testing.F) {
-	// Seeds: a clean stream, each corpus corruption shape, and raw JSON.
+	// Seeds: a clean stream, each corpus corruption shape, and raw JSON, each
+	// read positionally whole; then reads of the clean stream's second record,
+	// of nothing, off a record boundary, of part of a record, past its end and
+	// expecting a wrong seq.
 	var clean []byte
 	for _, ev := range testEvents(3) {
 		rec, err := frameEvent(ev)
@@ -184,15 +196,16 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		clean = append(clean, rec...)
 	}
-	f.Add(clean)
-	f.Add(clean[:len(clean)-5])                               // torn payload
-	f.Add(clean[:3])                                          // truncated length prefix
-	f.Add([]byte{})                                           // empty
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})         // oversized length
-	f.Add([]byte(`{"seq":1,"kind":"epoch-start","epoch":1}`)) // unframed JSON
+	whole := func(raw []byte) { f.Add(raw, uint16(0), uint16(len(raw)), uint8(0)) }
+	whole(clean)
+	whole(clean[:len(clean)-5])                               // torn payload
+	whole(clean[:3])                                          // truncated length prefix
+	whole([]byte{})                                           // empty
+	whole([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})         // oversized length
+	whole([]byte(`{"seq":1,"kind":"epoch-start","epoch":1}`)) // unframed JSON
 	flipped := append([]byte{}, clean...)
 	flipped[5] ^= 0xff // CRC byte
-	f.Add(flipped)
+	whole(flipped)
 	// A value-reported settlement record — the ex-post report shape with
 	// its fan-out maps and audit fields.
 	vr, err := frameEvent(engine.Event{Seq: 1, Epoch: 3, Kind: engine.EventValueReported,
@@ -202,10 +215,14 @@ func FuzzWALDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(vr)
-	f.Add(vr[:len(vr)-7]) // torn mid-payload value-reported record
+	whole(vr)
+	whole(vr[:len(vr)-7]) // torn mid-payload value-reported record
+	rec := len(clean) / 3 // the three records are the same length
+	for _, r := range [][3]int{{rec, 2 * rec, 1}, {rec, rec, 1}, {rec + 1, 2 * rec, 1}, {rec, rec + 5, 1}, {0, len(clean) + 9, 0}, {0, len(clean), 1}} {
+		f.Add(clean, uint16(r[0]), uint16(r[1]), uint8(r[2]))
+	}
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw []byte, at, n uint16, seqFrom uint8) {
 		evs, valid := decodeRecords(raw, 0, 0)
 		if valid < 0 || valid > len(raw) {
 			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(raw))
@@ -242,5 +259,48 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("event %d changed across re-encode:\n%s\n%s", i, a, b)
 			}
 		}
+		checkPositionalRead(t, raw, int(at), int(n), int(seqFrom)+1)
 	})
+}
+
+// checkPositionalRead is FuzzWALDecode's positional arm: readRecords of n
+// bytes of raw from at (at is taken modulo the input; the range may run up to
+// 64 bytes past it), expecting the records there to begin at seq.
+func checkPositionalRead(t *testing.T, raw []byte, at, n, seq int) {
+	at %= len(raw) + 1
+	end := at + n%(len(raw)+65-at)
+	var got [][]byte
+	_, err := readRecords(bytes.NewReader(raw), nil, seq, int64(at), int64(end), func(p []byte) error {
+		got = append(got, bytes.Clone(p))
+		return nil
+	})
+	// The frames in [at, end), checked as readRecords checks them: whole,
+	// checksummed, and the k-th beginning {"seq":seq+k,.
+	var frames [][]byte
+	whole := end <= len(raw)
+	for off := at; whole && off < end; {
+		p, next, _, ferr := nextRecord(raw[:end], off)
+		s, ok := leadingSeq(p)
+		if whole = ferr == nil && ok && s == seq+len(frames); whole {
+			frames, off = append(frames, p), next
+		}
+	}
+	if err != nil {
+		if !errors.Is(err, ErrTorn) {
+			t.Fatalf("positional read of [%d, %d) failed without ErrTorn: %v", at, end, err)
+		}
+		if whole {
+			t.Fatalf("positional read of [%d, %d) failed on %d records that check out: %v", at, end, len(frames), err)
+		}
+		return
+	}
+	if !whole || !slices.EqualFunc(got, frames, bytes.Equal) {
+		t.Fatalf("positional read of [%d, %d) from seq %d returned %d records, the bytes frame %d (whole %v)", at, end, seq, len(got), len(frames), whole)
+	}
+	// decodeRecords accepts exactly those records there, as placeholders
+	// when it need not decode them, with the same seqs.
+	placeholders, valid := decodeRecords(raw[at:end], seq, math.MaxInt)
+	if valid != end-at || len(placeholders) != len(got) {
+		t.Fatalf("decodeRecords accepts %d of the %d bytes at %d as %d records, the read returned %d", valid, end-at, at, len(placeholders), len(got))
+	}
 }

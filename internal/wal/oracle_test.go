@@ -15,7 +15,9 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -361,6 +363,14 @@ func TestEventLogTransparencyOracle(t *testing.T) {
 // not store but Restore re-derives (requests that stood open settle long
 // after tickets numbered above them); a wrong order shows only until the
 // checkpoint's tickets have all left the window, hence the lockstep.
+//
+// Along the way the checkpointed engine's event log is read at every cursor
+// of its window (windowRef.check), SinceJSON against what its WAL held: with
+// segments rotating inside the window (2 KiB of them under an 8-16 event
+// window), after a checkpoint at the head and a prune under it unlink
+// segments the window still reads, after the WAL is closed for the reboot,
+// and — once the script is done — after its WAL wedges mid-window and then
+// closes.
 func TestRetentionSurvivesCheckpointOracle(t *testing.T) {
 	tinyWindows(t)
 	// Seeds 3 and 10 reboot at a point where the window's terminal order and
@@ -376,6 +386,13 @@ func TestRetentionSurvivesCheckpointOracle(t *testing.T) {
 			straight, bounced := &oracleSide{dir: t.TempDir()}, &oracleSide{dir: t.TempDir()}
 			straight.boot(t)
 			bounced.boot(t)
+			ref := windowRef{}
+			var spanned, unlinked bool // the window read across a rotation, and from a pruned segment
+			check := func(where string, every bool) {
+				ref.load(t, bounced)
+				s, u := ref.check(t, bounced, every)
+				spanned, unlinked = spanned || s, unlinked || u
+			}
 			for i, epoch := range sc {
 				for _, o := range epoch {
 					submitOp(straight.e, o)
@@ -383,14 +400,28 @@ func TestRetentionSurvivesCheckpointOracle(t *testing.T) {
 				}
 				straight.e.TriggerEpoch()
 				bounced.e.TriggerEpoch()
+				check(fmt.Sprintf("epoch %d", i+1), false)
 				if i == snapAt-2 || i == snapAt { // two checkpoints, so the second one prunes
+					ref.load(t, bounced)
 					bounced.checkpoint(t)
+					check(fmt.Sprintf("epoch %d after checkpoint", i+1), false)
+				}
+				if i >= snapAt && !unlinked && bounced.heldSegments() > 1 {
+					// The window spans a rotation: checkpoint at the head,
+					// which lets every sealed segment go, the window's too.
+					ref.load(t, bounced)
+					bounced.checkpoint(t)
+					if _, err := bounced.w.PruneCovered(bounced.e.Log().LastSeq()); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("epoch %d after pruning into the window", i+1), true)
 				}
 				if i == rebootAt {
 					bounced.e.Stop()
 					if err := bounced.w.Close(); err != nil {
 						t.Fatal(err)
 					}
+					check(fmt.Sprintf("epoch %d after close", i+1), true)
 					bounced.boot(t)
 				}
 				if i >= rebootAt {
@@ -405,10 +436,104 @@ func TestRetentionSurvivesCheckpointOracle(t *testing.T) {
 				t.Fatalf("seed %d: script crossed no window: %+v", seed, st)
 			}
 			sameCounters(t, straight.p, bounced.p, straight.e, bounced.e)
-			for _, s := range []*oracleSide{straight, bounced} {
-				s.e.Stop()
-				s.w.Close()
+
+			// The WAL wedges: what the window left in it stays readable beside
+			// what it now holds in memory, which no WAL can serve — its
+			// reference is what the log served for it while newest.
+			bounced.w.mu.Lock()
+			bounced.w.err = errors.New("injected: disk gone")
+			bounced.w.mu.Unlock()
+			for j := 0; j < 3; j++ {
+				submitOp(bounced.e, op{kind: "register", name: fmt.Sprintf("late%d", j), funds: 1})
+				bounced.e.TriggerEpoch()
+				ref.fresh(t, bounced.e.Log())
+				check(fmt.Sprintf("wedged, epoch %d", j+1), j == 2)
 			}
+			if _, perr := bounced.e.Log().Persisted(); perr == nil {
+				t.Fatalf("seed %d: the WAL never wedged the log", seed)
+			}
+			bounced.e.Stop()
+			bounced.w.Close()
+			check("wedged, after close", true)
+			if !spanned || !unlinked {
+				t.Fatalf("seed %d: the window never read across a rotation (%v) or from a pruned segment (%v)", seed, spanned, unlinked)
+			}
+			straight.e.Stop()
+			straight.w.Close()
 		})
 	}
+}
+
+// windowRef is the wire form of every event an engine's WAL has held, by seq,
+// as the WAL decodes it: what its event log must serve at every cursor.
+type windowRef map[int][]byte
+
+// load adds the events s's WAL holds past the newest r has (before a prune
+// takes some of them).
+func (r windowRef) load(t *testing.T, s *oracleSide) {
+	t.Helper()
+	evs, err := s.w.ReadBack(len(r), math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		ev.Payload = nil
+		r[ev.Seq] = mustJSON(t, ev)
+	}
+}
+
+// fresh adds the events past the newest one r has, as l serves them now.
+func (r windowRef) fresh(t *testing.T, l *engine.EventLog) {
+	t.Helper()
+	for _, ev := range l.Since(len(r)) {
+		r[ev.Seq] = mustJSON(t, ev)
+	}
+}
+
+// check compares SinceJSON at every cursor from just below the window up
+// (and at every eighth cold one, if every is set) with r, a cold cursor
+// resuming at the first seq the WAL still has. It reports whether the window
+// spanned more than one segment the Log lists for it, and whether one of its
+// events is in a segment no longer on disk.
+func (r windowRef) check(t *testing.T, s *oracleSide, every bool) (spanned, unlinked bool) {
+	t.Helper()
+	st := s.e.Stats()
+	head, base := st.Events, st.Events-st.EventsHeld
+	segs, err := segmentFiles(s.dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments (%v)", err)
+	}
+	avail := min(segmentFirstSeq(segs[0]), base+1)
+	for after := 0; after <= head; after++ {
+		if after < base-2 && (!every || after%8 != 0) {
+			continue // a cold cursor decodes segments: every eighth, when asked
+		}
+		first := after + 1
+		if after < base {
+			first = max(first, avail)
+		}
+		want := []byte{'['}
+		for seq := first; seq <= head; seq++ {
+			wire, ok := r[seq]
+			if !ok {
+				t.Fatalf("the reference lacks seq %d", seq)
+			}
+			want = append(append(want, wire...), ',')
+		}
+		if len(want) > 1 {
+			want = want[:len(want)-1]
+		}
+		want = append(want, ']', '\n')
+		if got := s.e.Log().SinceJSON(after); !bytes.Equal(got, want) {
+			t.Fatalf("SinceJSON(%d) with base %d, head %d, segments from %d:\n%s\nwant\n%s", after, base, head, avail, got, want)
+		}
+	}
+	return s.heldSegments() > 1, base < head && segmentFirstSeq(segs[0]) > base+1
+}
+
+// heldSegments is how many segments the side's Log lists for its event
+// log's window.
+func (s *oracleSide) heldSegments() int {
+	segs, _ := s.w.readState()
+	return segs
 }

@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -345,4 +347,142 @@ func TestColdReadersBesideEpochs(t *testing.T) {
 	if st := e.Stats(); st.ReadBackEvents == 0 || st.PersistErr != "" {
 		t.Fatalf("read-back not exercised cleanly: %+v", st)
 	}
+}
+
+// TestWindowReadsDoNotWaitOnAppendLock: under -fsync always an append holds
+// the Log's lock across its fsync; the event log's window is read back
+// positionally beside it: with that lock held, Since and SinceJSON of a
+// cursor inside the window return (a cold cursor's read-back notes the
+// append position under the lock, so none is asked for).
+func TestWindowReadsDoNotWaitOnAppendLock(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir(), Policy: SyncAlways, SegmentBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p, err := core.NewPlatform(core.Options{Design: testDesign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(p, engine.Config{Persister: w})
+	defer e.Stop()
+	driveAll(t, e, script())
+	head := e.Log().LastSeq()
+	if st := e.Stats(); st.EventsHeld < 20 || st.EventsHeldBytes > 16*st.EventsHeld {
+		t.Fatalf("the window holds %d events in %d B, want at least 20 at 16 B each", st.EventsHeld, st.EventsHeldBytes)
+	}
+	want := e.Log().SinceJSON(head - 20)
+
+	w.mu.Lock() // as an fsync in progress holds it
+	read := make(chan []byte, 1)
+	go func() {
+		if evs := e.Log().Since(head - 20); len(evs) != 20 {
+			t.Errorf("Since returned %d events, want 20", len(evs))
+		}
+		read <- e.Log().SinceJSON(head - 20)
+	}()
+	select {
+	case got := <-read:
+		w.mu.Unlock()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("SinceJSON under the append lock:\n%s\nwant\n%s", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		w.mu.Unlock()
+		t.Fatal("a window read waited on the append lock")
+	}
+}
+
+// readState reports how many segments w lists for the event log's reads and
+// how many files it holds open for them.
+func (w *Log) readState() (segs, files int) {
+	w.hmu.Lock()
+	defer w.hmu.Unlock()
+	if w.rf != nil {
+		files++
+	}
+	for _, s := range w.segs {
+		if s.kept != nil {
+			files++
+		}
+	}
+	return len(w.segs), files
+}
+
+// TestWindowReadsHoldFewFiles: a window that spans dozens of small segments
+// is read back through one file the Log holds, opening the others by name. A
+// prune that unlinks the window's segments keeps one file open for each, so
+// they still read, and closes them once the window has moved past. After
+// Close the Log holds no file and the window still reads.
+func TestWindowReadsHoldFewFiles(t *testing.T) {
+	openFiles := func() int {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(fds)
+	}
+	openFiles()
+	// No collection, so no finalizer closes a file the Log let go of: only
+	// the files it closes itself leave the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer retain.Shrink(func(w *retain.Windows) { w.EventTail, w.EventChunk = 256, 64 })()
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, Policy: SyncOff, SegmentBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := openFiles() // the append segment's among them
+	l, ref := engine.NewEventLog(), engine.NewEventLog()
+	l.SetPersister(w)
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			ev := engine.Event{Kind: engine.EventRequestUnmet, At: time.Unix(int64(i), 0), Note: fmt.Sprintf("event %d", l.LastSeq()+1)}
+			l.Append(ev)
+			ref.Append(ev)
+		}
+	}
+	check := func(what string, maxFiles int) {
+		t.Helper()
+		held, _, _, rerr := l.Held()
+		for after := l.LastSeq() - held; after <= l.LastSeq(); after++ {
+			if got, want := l.SinceJSON(after), ref.SinceJSON(after); !bytes.Equal(got, want) {
+				t.Fatalf("%s: SinceJSON(%d):\n%s\nwant\n%s", what, after, got, want)
+			}
+		}
+		if _, _, _, rerr = l.Held(); rerr != nil {
+			t.Fatalf("%s: %v", what, rerr)
+		}
+		if n := openFiles(); n > maxFiles {
+			segs, files := w.readState()
+			t.Fatalf("%s: %d files open, want at most %d (%d segments listed, %d files held)", what, n, maxFiles, segs, files)
+		}
+	}
+
+	appendN(2000)
+	if segs, _ := w.readState(); segs < 20 {
+		t.Fatalf("the window spans %d segments, want dozens", segs)
+	}
+	check("a window over many segments", start+1)
+
+	if _, err := w.PruneCovered(l.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	segs, kept := w.readState()
+	if kept < segs-2 {
+		t.Fatalf("pruning under a window of %d segments kept %d files", segs, kept)
+	}
+	check("after pruning the window's segments", start+1+segs)
+
+	appendN(1000)
+	if n := openFiles(); n > start {
+		t.Fatalf("%d files open once the window moved past every segment read so far, want %d", n, start)
+	}
+	check("once the window moved past the pruned segments", start+1)
+
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close", start-1)
 }

@@ -354,19 +354,27 @@ type faultPersister struct {
 	remaining int
 }
 
-func (f *faultPersister) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
+func (f *faultPersister) PersistRecord(seq int, kind engine.EventKind, rec []byte) (engine.Extent, error) {
 	if f.remaining <= 0 {
-		return fmt.Errorf("injected crash at seq %d", seq)
+		return engine.Extent{}, fmt.Errorf("injected crash at seq %d", seq)
 	}
 	f.remaining--
 	return f.inner.PersistRecord(seq, kind, rec)
 }
 
-// ReadBack forwards to the real WAL, so the engine under test trims its
-// event log to a tail in its first life too (until the fault wedges it).
+// The reads forward to the real WAL, so the engine under test leaves its
+// window's records there and trims its event log to a tail in its first
+// life too (until the fault wedges it).
+
 func (f *faultPersister) ReadBack(after, upto int) ([]engine.Event, error) {
 	return f.inner.(*Log).ReadBack(after, upto)
 }
+
+func (f *faultPersister) ReadRecords(seq int, at, end int64, fn func([]byte) error) error {
+	return f.inner.(*Log).ReadRecords(seq, at, end, fn)
+}
+
+func (f *faultPersister) Release(upto int) { f.inner.(*Log).Release(upto) }
 
 // tinyWindows forces every retention window — the event-log tail (and its
 // chunks), the ticket window, the arbiter's history and the ledger's audit

@@ -13,10 +13,16 @@ import (
 )
 
 // steadyHeapCeiling bounds TestSteadyStateIsBounded's live heap at either
-// sample: 10 % over the most it measures, 10.1-10.4 MB, with the event-log
-// tail held as JSON, the audit window a ring and the ticket window holding
-// flat tickets (11.6-11.9 MB when it held them as Tickets with their IDs).
-const steadyHeapCeiling = 115 << 20 / 10 // 11.5 MB
+// sample: 10 % over the most it measures, 5.98-6.23 MB, with the event-log
+// window an index into the WAL, the audit window a ring and the ticket window
+// holding flat tickets (10.1-10.4 MB when the window held each event's JSON,
+// 11.6-11.9 MB when the tickets were Tickets with their IDs).
+const steadyHeapCeiling = 685 << 20 / 100 // 6.85 MB
+
+// maxHeldBytesPerEvent is what the durable event log may hold per event in
+// its window: one index entry, the record itself being in the WAL. Holding
+// the JSON took ~250 B.
+const maxHeldBytesPerEvent = 16
 
 // TestSteadyStateIsBounded pushes 50,000 settling requests through a
 // WAL-backed market that checkpoints the way a durable gateway does — every
@@ -24,8 +30,9 @@ const steadyHeapCeiling = 115 << 20 / 10 // 11.5 MB
 // drain would — at the default window sizes, and compares the state held at
 // 25,000 and at 50,000: the event-log tail, tickets, history, audit chain
 // and open requests must not have grown at all (the tail's bytes by at most a
-// chunk of them), and the live heap (after a forced GC) must stay under
-// steadyHeapCeiling and grow by at most 25 B per settlement: nothing settling
+// chunk of them, at most maxHeldBytesPerEvent each), and the live heap (after
+// a forced GC) must stay under steadyHeapCeiling and grow by at most 25 B per
+// settlement: nothing settling
 // keeps grows with the sales — the settlement book lives in its archive once
 // checkpointed, and licenses are one holder per exclusive dataset, none for
 // the open one sold here. The run measures -8 to 10 B. Before the windows
@@ -88,6 +95,12 @@ func TestSteadyStateIsBounded(t *testing.T) {
 		if st.PersistErr != "" {
 			t.Fatalf("log trouble: %s", st.PersistErr)
 		}
+		// The window's 16k events of ~300 B records span two or three 4 MiB
+		// segments, and the Log holds one file open to read them (the
+		// checkpoints prune below the window, so it keeps none).
+		if segs, files := w.readState(); segs > 3 || files > 1 {
+			t.Fatalf("the WAL lists %d segments and holds %d files open for a window of %d events", segs, files, st.EventsHeld)
+		}
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -99,7 +112,7 @@ func TestSteadyStateIsBounded(t *testing.T) {
 		t.Fatalf("matched %d of %d (arbiter %d)", st.Matched, 2*half, p.Arbiter.Settled())
 	}
 	for _, s := range []sample{at25, at50} {
-		t.Logf("at %d: events=%d (%d B) tickets=%d history=%d audit=%d held, open=%d, heap=%.1f MB", s.Matched,
+		t.Logf("at %d: events=%d (%d B) tickets=%d history=%d audit=%d held, open=%d, heap=%.2f MB", s.Matched,
 			s.EventsHeld, s.EventsHeldBytes, s.TicketsHeld, s.HistoryHeld, s.AuditHeld, s.OpenRequests, float64(s.heap)/(1<<20))
 	}
 	if at25.TicketsHeld != at50.TicketsHeld || at25.HistoryHeld != at50.HistoryHeld ||
@@ -114,7 +127,13 @@ func TestSteadyStateIsBounded(t *testing.T) {
 			t.Fatalf("log holds %d events, want [%d, %d)", s.EventsHeld, tail, tail+chunk)
 		}
 	}
-	// And so are the bytes it holds them as, up to a chunk of them.
+	// And so are the bytes it holds them as, up to a chunk of them: an index
+	// entry each.
+	for _, s := range []sample{at25, at50} {
+		if per := s.EventsHeldBytes / s.EventsHeld; per > maxHeldBytesPerEvent {
+			t.Fatalf("log holds %d B per event at %d settlements, want at most %d", per, s.Matched, maxHeldBytesPerEvent)
+		}
+	}
 	chunkBytes := chunk * at25.EventsHeldBytes / at25.EventsHeld
 	if d := at50.EventsHeldBytes - at25.EventsHeldBytes; d > chunkBytes || -d > chunkBytes {
 		t.Fatalf("held event bytes moved %d B between 25k and 50k, more than a chunk (%d B)", d, chunkBytes)

@@ -64,6 +64,15 @@ func (o Options) withDefaults() Options {
 // Log is an open, appendable WAL. It implements engine.Persister; attach it
 // via engine.Config.Persister. Safe for concurrent use, though the engine's
 // event log already serializes appends.
+//
+// The engine's event log reads the records of its window back by extent
+// (ReadRecords), from the segments this Log appended them to. A read opens
+// its segment by name, and the Log keeps the file it opened last for the
+// next read, so window readers, which mostly read the active segment, cost
+// one open per segment they move to and the Log one file. A segment that
+// PruneCovered unlinks while the window may still read it is kept open
+// instead, until the event log releases it (Release), so its records stay
+// readable after the prune and after Close.
 type Log struct {
 	opt Options
 
@@ -74,6 +83,13 @@ type Log struct {
 	lastSeq  int
 	err      error  // sticky: first append/sync failure wedges the log
 	frame    []byte // PersistRecord's frame buffer, reused up to maxFrameKept
+
+	// hmu guards the read side. It is never held across a write or an
+	// fsync, so positional reads never wait on an append.
+	hmu  sync.Mutex
+	segs []windowSegment // appended to since open and not released, oldest first
+	rf   *segFile        // the segment a read last opened by name, kept for the next
+	shut bool            // Close has run: a read's file is its own
 
 	// telemetry (nil-safe no-ops when Options.Metrics is unset)
 	mAppend   *obs.Histogram
@@ -100,7 +116,54 @@ func (w *Log) initMetrics(reg *obs.Registry, segments, truncations int) {
 	w.mSegments.Set(float64(segments))
 }
 
+// windowSegment is a segment the Log has appended to and the event log may
+// read from: the seq its name says it begins at (it holds no record below
+// that seq, and none at or past the next one's) and, once PruneCovered has
+// unlinked it, the file kept open for those reads.
+type windowSegment struct {
+	first int
+	kept  *segFile
+}
+
+// segFile is an open segment file shared by its holders — the Log while it
+// keeps the file, and each read in progress on it — and closed by the last
+// one to let go. hmu guards refs.
+type segFile struct {
+	first int
+	f     *os.File
+	refs  int
+}
+
+// unref lets go of s, nil or not. Caller holds hmu.
+func (s *segFile) unref() {
+	if s == nil {
+		return
+	}
+	if s.refs--; s.refs == 0 {
+		s.f.Close() // read-only; nothing to lose
+	}
+}
+
 func segmentName(firstSeq int) string { return fmt.Sprintf("wal-%010d.seg", firstSeq) }
+
+// openSegment opens (creating it if need be) the segment name for appending,
+// fsyncs the directory so a new entry is durable, and lists it for reads.
+// Caller holds w.mu.
+func (w *Log) openSegment(name string) error {
+	f, err := os.OpenFile(filepath.Join(w.opt.Dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := syncDir(w.opt.Dir); err != nil {
+		f.Close()
+		return err
+	}
+	w.f, w.curName = f, name
+	w.hmu.Lock()
+	w.segs = append(w.segs, windowSegment{first: segmentFirstSeq(name)})
+	w.hmu.Unlock()
+	return nil
+}
 
 // syncDir fsyncs a directory so freshly created or renamed entries survive a
 // power loss (file-content fsync alone does not make the directory entry
@@ -364,16 +427,9 @@ func (w *Log) openScan(watermark int, early *segmentScan, yield func([]engine.Ev
 		appendTo = segmentName(w.lastSeq + 1)
 		liveSegs = 1
 	}
-	f, err := os.OpenFile(filepath.Join(dir, appendTo), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := w.openSegment(appendTo); err != nil {
 		return sc.busy, err
 	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return sc.busy, err
-	}
-	w.f = f
-	w.curName = appendTo
 	w.segBytes = appendSize
 	w.initMetrics(w.opt.Metrics, liveSegs, truncations)
 	return sc.busy, nil
@@ -418,6 +474,98 @@ func (w *Log) ReadBack(after, upto int) ([]engine.Event, error) {
 			return len(evs) == 0 || evs[len(evs)-1].Seq < upto, nil
 		})
 	return out, err
+}
+
+// ReadRecords implements the engine's positional read-back: the records of
+// seq, seq+1, … that fill the bytes [at, end) of the segment seq is in, at
+// extents PersistRecord reported, each handed to fn once its checksum and
+// seq check out (readRecords). It takes only hmu, and only to find the
+// segment's file, so it never waits on an append or its fsync. The segment
+// is one this Log appended to and has not released, so it reads the same
+// after a rotation, PruneCovered or Close.
+func (w *Log) ReadRecords(seq int, at, end int64, fn func(rec []byte) error) error {
+	sf, err := w.segmentFile(seq)
+	if err != nil {
+		return err
+	}
+	buf := readBufs.Get().(*[]byte)
+	*buf, err = readRecords(sf.f, *buf, seq, at, end, fn)
+	if cap(*buf) <= maxFrameKept {
+		readBufs.Put(buf)
+	}
+	w.hmu.Lock()
+	sf.unref()
+	w.hmu.Unlock()
+	return err
+}
+
+// segmentFile returns the open file of the segment seq is in, with a
+// reference for the caller: the one PruneCovered kept, or else the linked
+// file, opened by name unless it is the one a read opened last (which it
+// then becomes, until Close).
+func (w *Log) segmentFile(seq int) (*segFile, error) {
+	w.hmu.Lock()
+	defer w.hmu.Unlock()
+	i := sort.Search(len(w.segs), func(i int) bool { return w.segs[i].first > seq }) - 1
+	if i < 0 {
+		return nil, fmt.Errorf("wal: seq %d is not in a segment the event log holds", seq)
+	}
+	sf := w.segs[i].kept
+	if sf == nil && w.rf != nil && w.rf.first == w.segs[i].first {
+		sf = w.rf
+	}
+	if sf == nil {
+		f, err := os.Open(filepath.Join(w.opt.Dir, segmentName(w.segs[i].first)))
+		if err != nil {
+			return nil, err
+		}
+		sf = &segFile{first: w.segs[i].first, f: f}
+		if !w.shut {
+			w.rf.unref()
+			w.rf, sf.refs = sf, 1
+		}
+	}
+	sf.refs++
+	return sf, nil
+}
+
+// readBufs recycles ReadRecords' buffers: the event log's pollers read the
+// window's newest records back many times a second.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Release forgets the segments whose records all have seq <= upto, closing
+// any file kept for them: the engine's event log holds no extent in them any
+// more. The active segment stays.
+func (w *Log) Release(upto int) {
+	w.hmu.Lock()
+	defer w.hmu.Unlock()
+	n := 0
+	for n+1 < len(w.segs) && w.segs[n+1].first <= upto+1 {
+		w.segs[n].kept.unref()
+		n++
+	}
+	w.segs = slices.Delete(w.segs, 0, n)
+	if w.rf != nil && len(w.segs) > 0 && w.rf.first < w.segs[0].first {
+		w.rf.unref()
+		w.rf = nil
+	}
+}
+
+// keep opens the segment first before PruneCovered unlinks it, if the event
+// log may still read it, and keeps the file for those reads.
+func (w *Log) keep(first int) error {
+	w.hmu.Lock()
+	defer w.hmu.Unlock()
+	i := sort.Search(len(w.segs), func(i int) bool { return w.segs[i].first >= first })
+	if i == len(w.segs) || w.segs[i].first != first || w.segs[i].kept != nil {
+		return nil
+	}
+	f, err := os.Open(filepath.Join(w.opt.Dir, segmentName(first)))
+	if err != nil {
+		return err
+	}
+	w.segs[i].kept = &segFile{first: first, f: f, refs: 1}
+	return nil
 }
 
 // appendRange appends the part of one decoded segment (a contiguous run)
@@ -488,22 +636,22 @@ func (w *Log) SkipTo(seq int) {
 const maxFrameKept = 1 << 20
 
 // PersistRecord implements engine.Persister: frame rec in a reused buffer,
-// append it, and fsync per policy. Appends must arrive in seq order with no
-// gaps; a violation (or any write error) wedges the log and every later
-// append returns the same error.
-func (w *Log) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
+// append it, fsync per policy, and report the frame's extent in its segment.
+// Appends must arrive in seq order with no gaps; a violation (or any write
+// error) wedges the log and every later append returns the same error.
+func (w *Log) PersistRecord(seq int, kind engine.EventKind, rec []byte) (engine.Extent, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return w.err
+		return engine.Extent{}, w.err
 	}
 	if seq != w.lastSeq+1 {
 		w.err = fmt.Errorf("wal: out-of-order append: seq %d after %d", seq, w.lastSeq)
-		return w.err
+		return engine.Extent{}, w.err
 	}
 	if len(rec) > maxRecordSize {
 		w.err = fmt.Errorf("wal: event %d record %d bytes exceeds record limit", seq, len(rec))
-		return w.err
+		return engine.Extent{}, w.err
 	}
 	var start time.Time
 	if w.mAppend != nil {
@@ -517,12 +665,13 @@ func (w *Log) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
 	}
 	if err != nil {
 		w.err = err
-		return err
+		return engine.Extent{}, err
 	}
 	if w.mAppend != nil {
 		w.mAppend.Observe(time.Since(start).Seconds())
 		w.mBytes.Add(float64(n))
 	}
+	ext := engine.Extent{At: w.segBytes, Size: uint32(n)}
 	w.segBytes += int64(n)
 	w.lastSeq = seq
 
@@ -534,17 +683,14 @@ func (w *Log) PersistRecord(seq int, kind engine.EventKind, rec []byte) error {
 			err = w.timedSync()
 		}
 	}
+	if err == nil && w.segBytes >= w.opt.SegmentBytes {
+		err = w.rotate()
+	}
 	if err != nil {
 		w.err = err
-		return err
+		return engine.Extent{}, err
 	}
-	if w.segBytes >= w.opt.SegmentBytes {
-		if err := w.rotate(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
+	return ext, nil
 }
 
 // Persist appends ev's record as the engine's event log encodes it
@@ -555,7 +701,8 @@ func (w *Log) Persist(ev engine.Event) error {
 	if err != nil {
 		return err
 	}
-	return w.PersistRecord(ev.Seq, ev.Kind, rec)
+	_, err = w.PersistRecord(ev.Seq, ev.Kind, rec)
+	return err
 }
 
 // timedSync fsyncs the active segment, feeding the fsync-latency histogram.
@@ -578,18 +725,9 @@ func (w *Log) rotate() error {
 	if err := w.f.Close(); err != nil {
 		return err
 	}
-	name := segmentName(w.lastSeq + 1)
-	f, err := os.OpenFile(filepath.Join(w.opt.Dir, name),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := w.openSegment(segmentName(w.lastSeq + 1)); err != nil {
 		return err
 	}
-	if err := syncDir(w.opt.Dir); err != nil {
-		f.Close()
-		return err
-	}
-	w.f = f
-	w.curName = name
 	w.segBytes = 0
 	w.mSegments.Add(1)
 	return nil
@@ -632,7 +770,11 @@ func (w *Log) PruneCovered(watermark int) (int, error) {
 		if segmentFirstSeq(segs[i+1]) > watermark+1 {
 			break // this segment holds records past the watermark
 		}
-		if err := os.Remove(filepath.Join(w.opt.Dir, name)); err != nil {
+		err := w.keep(segmentFirstSeq(name))
+		if err == nil {
+			err = os.Remove(filepath.Join(w.opt.Dir, name))
+		}
+		if err != nil {
 			if os.IsNotExist(err) {
 				continue // a concurrent prune got there first; idempotent
 			}
@@ -649,7 +791,10 @@ func (w *Log) PruneCovered(watermark int) (int, error) {
 	return removed, nil
 }
 
-// Close syncs and closes the current segment.
+// Close syncs and closes the current segment, and the file a read opened
+// last. Reads after it open their segment for themselves; a file
+// PruneCovered kept stays open, as the event log may still read it, until
+// the log releases it or the Log is garbage collected.
 func (w *Log) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -662,6 +807,11 @@ func (w *Log) Close() error {
 	if w.err == nil {
 		w.err = fmt.Errorf("wal: closed")
 	}
+	w.hmu.Lock()
+	w.shut = true
+	w.rf.unref()
+	w.rf = nil
+	w.hmu.Unlock()
 	if syncErr != nil {
 		return syncErr
 	}

@@ -234,20 +234,20 @@ func TestLargeRecordFrameIsReleased(t *testing.T) {
 	}
 	defer w.Close()
 	small := []byte(`{"seq":1,"kind":"epoch-start","epoch":1}`)
-	if err := w.PersistRecord(1, engine.EventEpochStart, small); err != nil {
+	if _, err := w.PersistRecord(1, engine.EventEpochStart, small); err != nil {
 		t.Fatal(err)
 	}
 	if w.frame == nil {
 		t.Fatal("the frame buffer of a small record should be kept for the next")
 	}
 	large := append([]byte(`{"seq":2,"kind":"epoch-start","note":"`), bytes.Repeat([]byte{'x'}, 2*maxFrameKept)...)
-	if err := w.PersistRecord(2, engine.EventEpochStart, append(large, '"', '}')); err != nil {
+	if _, err := w.PersistRecord(2, engine.EventEpochStart, append(large, '"', '}')); err != nil {
 		t.Fatal(err)
 	}
 	if w.frame != nil {
 		t.Fatalf("the frame buffer of a %d-byte record is still held (cap %d)", len(large), cap(w.frame))
 	}
-	if err := w.PersistRecord(3, engine.EventEpochStart, small); err != nil {
+	if _, err := w.PersistRecord(3, engine.EventEpochStart, small); err != nil {
 		t.Fatal(err)
 	}
 	if cap(w.frame) > maxFrameKept {
