@@ -66,18 +66,28 @@ func TestWriteBenchRelationJSON(t *testing.T) {
 		return relation.Float(v.AsFloat() * 2)
 	}
 
+	// stage drains one operator over a scan of r: the eager shape, one
+	// materialized relation per stage.
+	stage := func(r *relation.Relation, op func(relation.Iter) (relation.Iter, error)) *relation.Relation {
+		it, err := op(relation.NewScan(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := relation.Materialize(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	project := func(it relation.Iter) (relation.Iter, error) { return relation.NewProject(it, "k", "v") }
+
 	results := []relationBenchResult{
 		runRelationBench("transform-chain/eager", n, func() int {
-			s := relation.Select(src, pred)
-			m, err := relation.Map(s, "v", relation.KindFloat, double)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := relation.Project(m, "k", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p.NumRows()
+			s := stage(src, func(it relation.Iter) (relation.Iter, error) { return relation.NewSelect(it, pred), nil })
+			m := stage(s, func(it relation.Iter) (relation.Iter, error) {
+				return relation.NewMap(it, "v", relation.KindFloat, double)
+			})
+			return stage(m, project).NumRows()
 		}),
 		runRelationBench("transform-chain/streaming", n, func() int {
 			it := relation.NewSelect(relation.NewScan(src), pred)
@@ -96,15 +106,16 @@ func TestWriteBenchRelationJSON(t *testing.T) {
 			return out.NumRows()
 		}),
 		runRelationBench("join-project/eager", n, func() int {
-			j, err := relation.HashJoin(src, src, relation.JoinPair{Left: "k", Right: "k"})
+			j, err := relation.NewHashJoin(relation.NewScan(src), relation.NewScan(src), src.Name, src.Name,
+				relation.JoinPair{Left: "k", Right: "k"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := relation.Project(j, "k", "v")
+			jr, err := relation.Materialize(j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return p.NumRows()
+			return stage(jr, project).NumRows()
 		}),
 		runRelationBench("join-project/streaming", n, func() int {
 			it, err := relation.NewHashJoin(relation.NewScan(src), relation.NewScan(src), src.Name, src.Name,

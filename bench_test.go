@@ -172,7 +172,12 @@ func BenchmarkAblationHashJoin(b *testing.B) {
 		l, r := mkJoinInputs(n)
 		b.Run(fmt.Sprintf("hash/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := relation.HashJoin(l, r, relation.JoinPair{Left: "k", Right: "k"}); err != nil {
+				it, err := relation.NewHashJoin(relation.NewScan(l), relation.NewScan(r), l.Name, r.Name,
+					relation.JoinPair{Left: "k", Right: "k"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := relation.Materialize(it); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -388,7 +393,7 @@ func benchCoverageThroughput(b *testing.B) {
 	if st.Matched != uint64(b.N) {
 		b.Fatalf("matched %d of %d requests", st.Matched, b.N)
 	}
-	if !eng.Settlements().Conserved() {
+	if !eng.Settlements().Cut().Conserved() {
 		b.Fatal("settlement conservation violated")
 	}
 	b.ReportMetric(float64(st.Matched)/elapsed.Seconds(), "matches/sec")
@@ -522,7 +527,7 @@ func benchTransformHeavy(b *testing.B, joinWants bool) {
 	if st.Matched != uint64(b.N) {
 		b.Fatalf("matched %d of %d requests", st.Matched, b.N)
 	}
-	if !eng.Settlements().Conserved() {
+	if !eng.Settlements().Cut().Conserved() {
 		b.Fatal("settlement conservation violated")
 	}
 	b.ReportMetric(float64(st.Matched)/elapsed.Seconds(), "matches/sec")
@@ -669,7 +674,7 @@ func benchFederationThroughput(b *testing.B, shardsN int) {
 		b.Fatalf("matched %d of %d requests", st.Matched, b.N)
 	}
 	for _, sh := range m.Shards() {
-		if !sh.Engine.Settlements().Conserved() {
+		if !sh.Engine.Settlements().Cut().Conserved() {
 			b.Fatalf("shard %d settlement conservation violated", sh.Index)
 		}
 	}

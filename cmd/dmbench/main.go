@@ -1,11 +1,11 @@
-// Command dmbench regenerates every experiment table (E1–E14) in one run
+// Command dmbench regenerates every experiment table (E1–E12) in one run
 // and prints them. Each experiment is one function in internal/experiments,
 // whose doc comment names the paper section or claim it reproduces.
 //
 // Usage:
 //
 //	dmbench            # run everything
-//	dmbench -only E5   # run one experiment (E1..E14)
+//	dmbench -only E5   # run one experiment (E1..E12)
 //	dmbench -seed 7    # change the deterministic seed
 package main
 
@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E14)")
+	only := flag.String("only", "", "run a single experiment (E1..E12)")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	rounds := flag.Int("rounds", 100, "simulation rounds for E2/E3")
 	flag.Parse()
@@ -41,8 +41,6 @@ func main() {
 		{"E10", func() (experiments.Table, error) { return experiments.E10Negotiation(*seed) }},
 		{"E11", func() (experiments.Table, error) { return experiments.E11ExPostAudits(*rounds, *seed), nil }},
 		{"E12", func() (experiments.Table, error) { return experiments.E12DynamicArrival(*seed), nil }},
-		{"E13", func() (experiments.Table, error) { return experiments.E13EngineThroughput(8, 8, 4, *seed) }},
-		{"E14", func() (experiments.Table, error) { return experiments.E14WALDurability(6, *seed) }},
 	}
 	ran := 0
 	for _, r := range runners {

@@ -158,7 +158,8 @@ func main() {
 	}
 	_, _ = board.Submit(task.ID, crowd.Answer{Worker: "coder1", Table: mapping})
 	_, _ = board.Submit(task.ID, crowd.Answer{Worker: "coder2", Table: mapping.Clone()})
-	done, err := board.Submit(task.ID, crowd.Answer{Worker: "coder3", Table: relation.Limit(mapping, 5)})
+	partial, _ := relation.Materialize(relation.NewLimit(relation.NewScan(mapping), 5))
+	done, err := board.Submit(task.ID, crowd.Answer{Worker: "coder3", Table: partial})
 	if err != nil || !done {
 		log.Fatalf("crowd adjudication failed: %v", err)
 	}

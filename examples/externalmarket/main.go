@@ -115,12 +115,13 @@ func main() {
 	if !p.Arbiter.MayResell("workforce", "arbitrageur") {
 		log.Fatal("open license must permit resale")
 	}
-	enriched := relation.AddColumn(bought.Mashup, relation.Col("risk_score", relation.KindFloat),
+	enriched, _ := relation.Materialize(relation.NewAddColumn(relation.NewScan(bought.Mashup),
+		relation.Col("risk_score", relation.KindFloat),
 		func(row []relation.Value, s relation.Schema) relation.Value {
 			age := row[s.IndexOf("age")].AsFloat()
 			sal := row[s.IndexOf("salary")].AsFloat()
 			return relation.Float(sal/1000 - age)
-		})
+		}))
 	enriched.Name = "workforce_scored"
 	arbSeller := p.Seller("arbitrageur")
 	if err := arbSeller.Share("workforce_scored", enriched, license.Terms{Kind: license.Open}); err != nil {

@@ -48,7 +48,9 @@ func main() {
 	fmt.Printf("fused relation breaks 1NF: %d rows, disagreement level %.2f\n",
 		fused.NumRows(), fusion.Disagreement(fused))
 	fmt.Println("first rows, all signals visible (buyer can 'make up their own mind'):")
-	fmt.Println(relation.Limit(fused, 4))
+	head, _ := relation.Materialize(relation.NewLimit(relation.NewScan(fused), 4))
+	head.Name = fused.Name + "_lim"
+	fmt.Println(head)
 
 	// Resolution strategy 1: majority vote.
 	maj := fusion.Resolve(fused, fusion.MajorityVote{}, map[string]relation.Kind{"temp": relation.KindFloat})

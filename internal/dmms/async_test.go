@@ -365,7 +365,7 @@ func TestAsyncConcurrentClients(t *testing.T) {
 		}
 	}
 	eng.Stop()
-	if !eng.Settlements().Conserved() {
+	if !eng.Settlements().Cut().Conserved() {
 		t.Fatal("settlement conservation violated")
 	}
 	if i := p.Arbiter.Ledger.VerifyChain(); i >= 0 {

@@ -195,10 +195,10 @@ func (e *Engine) RegisterTransform(dataset catalog.DatasetID, column, target str
 			return true
 		}
 		ci := rel.Schema.IndexOf(column)
-		derived := relation.AddColumn(rel, relation.Column{Name: target, Kind: t.Kind},
+		derived, _ := relation.Materialize(relation.NewAddColumn(relation.NewScan(rel), relation.Column{Name: target, Kind: t.Kind},
 			func(row []relation.Value, _ relation.Schema) relation.Value {
 				return t.Fn(row[ci])
-			})
+			}))
 		derived.Name = rel.Name
 		if _, err := e.cat.Update(dataset, derived, "materialized transform "+t.Name); err == nil {
 			e.disc.Index().Add(profile.Profile(string(dataset), derived))
@@ -576,36 +576,37 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 		if !ok {
 			return nil, fmt.Errorf("dod: lost track of join column %v", js.left)
 		}
-		joined, err := relation.HashJoin(rel, rrel, relation.JoinPair{Left: leftName, Right: js.right.Column})
+		join, err := relation.NewHashJoin(relation.NewScan(rel), relation.NewScan(rrel), rel.Name, rrel.Name,
+			relation.JoinPair{Left: leftName, Right: js.right.Column})
 		if err != nil {
 			return nil, err
 		}
-		// Update colMap with the names the right columns received.
-		existing := map[string]bool{}
-		for _, c := range rel.Schema {
-			existing[c.Name] = true
+		joined, err := relation.Materialize(join)
+		if err != nil {
+			return nil, err
 		}
+		joined.Name = rel.Name + "⋈" + rrel.Name
+		// The right columns but the join column follow the left ones, in
+		// order, under the names the join gave them.
+		out := joined.Schema[len(rel.Schema):]
 		for _, c := range rrel.Schema {
-			if c.Name == js.right.Column {
-				continue // dropped join column
+			if c.Name != js.right.Column {
+				colMap[index.ColRef{Dataset: js.right.Dataset, Column: c.Name}] = out[0].Name
+				out = out[1:]
 			}
-			name := c.Name
-			for existing[name] {
-				name += "_r"
-			}
-			existing[name] = true
-			colMap[index.ColRef{Dataset: js.right.Dataset, Column: c.Name}] = name
 		}
 		rel = joined
 		memo.entries[prefix] = subJoinEntry{rel: rel, colMap: cloneColMap(colMap)}
 	}
 
-	// Satisfy wanted columns: apply transforms and renames.
+	// Satisfy wanted columns: map, rename and project the joined relation in
+	// one pipeline, drained once.
+	tail := relation.NewScan(rel)
 	var err error
 	var present []string
 	var qualitySum float64
 	for _, w := range want.Columns {
-		if rel.Schema.Has(w) {
+		if tail.Schema().Has(w) {
 			present = append(present, w)
 			qualitySum += provideDirect.weight()
 			continue
@@ -615,18 +616,16 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 			continue
 		}
 		cn, ok := colMap[index.ColRef{Dataset: ds, Column: pr.sourceCol}]
-		if !ok || !rel.Schema.Has(cn) {
+		if !ok || !tail.Schema().Has(cn) {
 			continue
 		}
 		if pr.transform != nil {
-			rel, err = relation.Map(rel, cn, pr.transform.Kind, pr.transform.Fn)
-			if err != nil {
+			if tail, err = relation.NewMap(tail, cn, pr.transform.Kind, pr.transform.Fn); err != nil {
 				return nil, err
 			}
 			plan = append(plan, fmt.Sprintf("apply transform %s to %s.%s", pr.transform.Name, ds, pr.sourceCol))
 		}
-		rel, err = relation.Rename(rel, cn, w)
-		if err != nil {
+		if tail, err = relation.NewRename(tail, cn, w); err != nil {
 			return nil, err
 		}
 		if cn != w {
@@ -638,7 +637,10 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 	if len(present) == 0 {
 		return nil, fmt.Errorf("dod: state materialized no wanted columns")
 	}
-	proj, err := relation.Project(rel, present...)
+	if tail, err = relation.NewProject(tail, present...); err != nil {
+		return nil, err
+	}
+	proj, err := relation.Materialize(tail)
 	if err != nil {
 		return nil, err
 	}

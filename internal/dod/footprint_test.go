@@ -18,6 +18,7 @@ package dod
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -57,6 +58,9 @@ type oracleWorld struct {
 	eng *Engine
 	ids []string // shared datasets, in share order
 	n   int      // dataset counter (names and value ranges)
+	// fresh, when set, receives every fresh build's outcome
+	// (writeCandidates), for TestCandidatesMatchGolden.
+	fresh io.Writer
 }
 
 func newOracleWorld(t *testing.T, seed int64) *oracleWorld {
@@ -209,6 +213,9 @@ func (w *oracleWorld) checkFresh(where string, wants []Want) []*CandidateSet {
 		cs := w.eng.BuildCached(context.Background(), want)
 		sets[i] = cs
 		fresh, err := w.eng.Build(want)
+		if w.fresh != nil {
+			writeCandidates(w.fresh, want, fresh, err)
+		}
 		freshErr := ""
 		if err != nil {
 			freshErr = err.Error()
@@ -251,57 +258,69 @@ func TestFootprintInvalidationOracle(t *testing.T) {
 	var retained, staled uint64
 	for _, seed := range oracleSeeds(t) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			w := newOracleWorld(t, seed)
-			wants := oracleWants()
-			w.checkFresh(fmt.Sprintf("seed %d empty catalog", seed), wants)
-			// Enough keyed datasets that k↔k edges tie more than 12 deep — the
-			// depth at which an unstable sort starts reordering them.
-			for i := 0; i < 14; i++ {
-				w.share("k", w.pick("price", "temp", "qty", "city_name", "legacy", "cost", "z"))
-			}
-			for step := 0; step < 24; step++ {
-				m := w.next()
-				where := fmt.Sprintf("seed %d step %d (%s on %s)", seed, step, m.name, m.ds)
-				before := w.checkFresh(where+" warm-up", wants)
-				affected := make([]bool, len(wants))
-				for i, want := range wants {
-					affected[i] = len(w.eng.providersFor(m.ds, want)) > 0
-				}
-				ver, builds := w.eng.CatalogVersion(), w.eng.CacheStats().Builds
-				m.run()
-				applied := w.eng.CatalogVersion() != ver
-				if applied == (m.name == "rejected update") {
-					t.Fatalf("%s: applied = %v", where, applied)
-				}
-				wantBuilds := builds
-				for i, want := range wants {
-					affected[i] = applied && (affected[i] || len(w.eng.providersFor(m.ds, want)) > 0)
-					if stale := !w.eng.Valid(before[i], want); stale != affected[i] {
-						t.Fatalf("%s: want %v: stale = %v, footprint predicate says %v", where, want.Columns, stale, affected[i])
-					}
-					if affected[i] {
-						wantBuilds++
-						staled++
-					} else if applied {
-						retained++
-					}
-				}
-				after := w.checkFresh(where, wants)
-				for i := range wants {
-					if !affected[i] && after[i] != before[i] {
-						t.Fatalf("%s: want %v: unaffected set was rebuilt", where, wants[i].Columns)
-					}
-				}
-				if got := w.eng.CacheStats().Builds; got != wantBuilds {
-					t.Fatalf("%s: %d cached builds ran, want %d (one per affected want)", where, got-builds, wantBuilds-builds)
-				}
-			}
+			r, s := runFootprintOracle(t, seed, nil)
+			retained += r
+			staled += s
 		})
 	}
 	if retained == 0 || staled == 0 {
 		t.Fatalf("vacuous run: %d sets retained, %d staled", retained, staled)
 	}
 	t.Logf("%d sets retained across bumps, %d staled", retained, staled)
+}
+
+// runFootprintOracle plays seed's script on a fresh world, checking the
+// footprint predicate and cached-vs-fresh equality after every mutation. It
+// returns how many sets were retained and staled across version bumps; fresh,
+// when non-nil, receives every fresh build's outcome.
+func runFootprintOracle(t *testing.T, seed int64, fresh io.Writer) (retained, staled uint64) {
+	w := newOracleWorld(t, seed)
+	w.fresh = fresh
+	wants := oracleWants()
+	w.checkFresh(fmt.Sprintf("seed %d empty catalog", seed), wants)
+	// Enough keyed datasets that k↔k edges tie more than 12 deep — the
+	// depth at which an unstable sort starts reordering them.
+	for i := 0; i < 14; i++ {
+		w.share("k", w.pick("price", "temp", "qty", "city_name", "legacy", "cost", "z"))
+	}
+	for step := 0; step < 24; step++ {
+		m := w.next()
+		where := fmt.Sprintf("seed %d step %d (%s on %s)", seed, step, m.name, m.ds)
+		before := w.checkFresh(where+" warm-up", wants)
+		affected := make([]bool, len(wants))
+		for i, want := range wants {
+			affected[i] = len(w.eng.providersFor(m.ds, want)) > 0
+		}
+		ver, builds := w.eng.CatalogVersion(), w.eng.CacheStats().Builds
+		m.run()
+		applied := w.eng.CatalogVersion() != ver
+		if applied == (m.name == "rejected update") {
+			t.Fatalf("%s: applied = %v", where, applied)
+		}
+		wantBuilds := builds
+		for i, want := range wants {
+			affected[i] = applied && (affected[i] || len(w.eng.providersFor(m.ds, want)) > 0)
+			if stale := !w.eng.Valid(before[i], want); stale != affected[i] {
+				t.Fatalf("%s: want %v: stale = %v, footprint predicate says %v", where, want.Columns, stale, affected[i])
+			}
+			if affected[i] {
+				wantBuilds++
+				staled++
+			} else if applied {
+				retained++
+			}
+		}
+		after := w.checkFresh(where, wants)
+		for i := range wants {
+			if !affected[i] && after[i] != before[i] {
+				t.Fatalf("%s: want %v: unaffected set was rebuilt", where, wants[i].Columns)
+			}
+		}
+		if got := w.eng.CacheStats().Builds; got != wantBuilds {
+			t.Fatalf("%s: %d cached builds ran, want %d (one per affected want)", where, got-builds, wantBuilds-builds)
+		}
+	}
+	return retained, staled
 }
 
 // TestConcurrentBuildsAndMutations is the -race exercise for the build/mutate

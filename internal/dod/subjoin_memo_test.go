@@ -33,10 +33,10 @@ func TestSubJoinMemoHits(t *testing.T) {
 }
 
 // TestBuildStreamCounters pins what one build of the paper scenario adds to
-// relation's process-wide stream counters: every lineage operator (join, map,
-// rename, project) is one materialization of its output rows, so
-// relation.rows_streamed_per_build and materializations_per_build keep their
-// meaning whichever package drains the rows.
+// relation's process-wide stream counters: each join prefix is one
+// materialization (it is memoized for sibling candidates), and everything
+// after the last join — maps, renames and the projection — is one pipeline
+// drained once per candidate.
 func TestBuildStreamCounters(t *testing.T) {
 	_, eng := paperScenario(t)
 	inv, _, err := InferAffine("f_inverse", []float64{32, 50, 212}, []float64{0, 10, 100})
@@ -49,10 +49,11 @@ func TestBuildStreamCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows1, mats1 := relation.StreamCounters()
-	// Two candidates (s1 alone; s1⋈s2 with f_d mapped and renamed), 120 rows
-	// at every step: 600 rows in 5 materializations.
-	if rows, mats := rows1-rows0, mats1-mats0; rows != 600 || mats != 5 {
-		t.Fatalf("one build streamed %d rows in %d materializations, want 600 in 5", rows, mats)
+	// Three candidates of 120 rows each: s2⋈s1 (the join, then its tail),
+	// s2 alone (b_prime renamed to b) and s1 alone: 480 rows in 4
+	// materializations. Per-stage materialization cost 600 rows in 5.
+	if rows, mats := rows1-rows0, mats1-mats0; rows != 480 || mats != 4 {
+		t.Fatalf("one build streamed %d rows in %d materializations, want 480 in 4", rows, mats)
 	}
 }
 

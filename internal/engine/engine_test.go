@@ -154,10 +154,10 @@ func TestEngineConcurrentEpochs(t *testing.T) {
 	}
 	// (2) per-settlement: price fully fanned out to arbiter + sellers.
 	book := e.Settlements()
-	if book.Count() != buyers*waves {
-		t.Fatalf("settlement book has %d entries, want %d", book.Count(), buyers*waves)
+	if book.Cut().Count() != buyers*waves {
+		t.Fatalf("settlement book has %d entries, want %d", book.Cut().Count(), buyers*waves)
 	}
-	if !book.Conserved() {
+	if !book.Cut().Conserved() {
 		t.Fatalf("settlement conservation violated: debits=%s credits=%s",
 			book.Debits(), book.Credits())
 	}
@@ -270,7 +270,7 @@ func TestEngineTickerEpochs(t *testing.T) {
 	if i := p.Arbiter.Ledger.VerifyChain(); i >= 0 {
 		t.Fatalf("audit chain corrupted at entry %d", i)
 	}
-	if !e.Settlements().Conserved() {
+	if !e.Settlements().Cut().Conserved() {
 		t.Fatal("settlement conservation violated")
 	}
 }

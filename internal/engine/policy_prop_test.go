@@ -244,7 +244,7 @@ func checkInvariants(t *testing.T, policyName string, wl propWorkload,
 	if open := e.Stats().OpenRequests; open != 0 {
 		t.Fatalf("%d requests starved after arrivals ended", open)
 	}
-	if !e.Settlements().Conserved() {
+	if !e.Settlements().Cut().Conserved() {
 		t.Fatal("settlement conservation violated")
 	}
 	if i := p.Arbiter.Ledger.VerifyChain(); i >= 0 {

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment (E1–E14), each derived from the paper's evaluation plan (§6) or
-// a concrete claim in the text. Every function is deterministic and returns
-// a formatted table; cmd/dmbench prints them all and bench_test.go wraps
-// them in testing.B benchmarks.
+// experiment (E1–E12), each derived from the paper's evaluation plan (§6) or
+// a concrete claim in the text. Every function returns a formatted table;
+// all but the timed E4–E6 print the same rows on every run, which
+// cmd/dmbench/output.golden pins. cmd/dmbench prints them all and
+// bench_test.go wraps them in testing.B benchmarks.
 package experiments
 
 import (

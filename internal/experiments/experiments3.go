@@ -57,10 +57,11 @@ func E9Arbitrage(seed int64) (Table, error) {
 		return t, err
 	}
 	// Step 2b: resell a *transformed* derivative buyers actually want.
-	derived := relation.AddColumn(res.Transactions[0].Mashup, relation.Col("normalized", relation.KindFloat),
+	derived, _ := relation.Materialize(relation.NewAddColumn(relation.NewScan(res.Transactions[0].Mashup),
+		relation.Col("normalized", relation.KindFloat),
 		func(row []relation.Value, s relation.Schema) relation.Value {
 			return relation.Float(row[s.IndexOf("raw")].AsFloat() / 37)
-		})
+		}))
 	derived.Name = "base_norm"
 	// The derivative sells under an exclusive license, so demand (not the
 	// reserve) sets its auction price.

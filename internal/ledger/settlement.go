@@ -149,13 +149,6 @@ func (b *SettlementBook) record(s *Settlement, exact map[string]Currency, float 
 	b.sum.add(s, cuts)
 }
 
-// Count returns the number of recorded settlements.
-func (b *SettlementBook) Count() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped + b.n
-}
-
 // HeldBytes returns how many bytes the entries held in memory are packed
 // into: none once a checkpoint has archived them all.
 func (b *SettlementBook) HeldBytes() int {
@@ -170,12 +163,6 @@ func (b *SettlementBook) Debits() Currency { return b.Cut().Debits() }
 // Credits sums what the arbiter and sellers received across all upfront
 // settlements.
 func (b *SettlementBook) Credits() Currency { return b.Cut().Credits() }
-
-// Conserved verifies credits == debits for every upfront settlement, within
-// a per-settlement tolerance covering FromFloat rounding of the individual
-// cuts (one micro-unit per cut plus one for the fee). Ex-post settlements
-// are skipped: their revenue split happens at report time.
-func (b *SettlementBook) Conserved() bool { return b.Cut().Conserved() }
 
 // Cut returns a consistent view of the book as it stands: the entries and
 // the totals over them agree however many are recorded meanwhile. O(1): the

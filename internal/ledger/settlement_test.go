@@ -33,7 +33,7 @@ func TestSettlementBookConservation(t *testing.T) {
 		ArbiterCut: FromFloat(6),
 		SellerCuts: map[string]Currency{"s1": FromFloat(54)},
 	})
-	if !b.Conserved() {
+	if !b.Cut().Conserved() {
 		t.Fatal("balanced settlements reported unconserved")
 	}
 	if got := b.Debits(); got != FromFloat(160) {
@@ -52,7 +52,7 @@ func TestSettlementBookConservation(t *testing.T) {
 		ArbiterCut: FromFloat(10),
 		SellerCuts: map[string]Currency{"s1": FromFloat(50)},
 	})
-	if b.Conserved() {
+	if b.Cut().Conserved() {
 		t.Fatal("missing 40 units went undetected")
 	}
 }
@@ -62,14 +62,14 @@ func TestSettlementBookExPostSkipped(t *testing.T) {
 	// Ex-post: deposit escrowed, cuts unknown until the report — must not
 	// count against conservation or the credit/debit totals.
 	b.Record(Settlement{TxID: "tx-1", Epoch: 1, Buyer: "b1", Price: FromFloat(500), ExPost: true})
-	if !b.Conserved() {
+	if !b.Cut().Conserved() {
 		t.Fatal("ex-post settlement should be skipped by Conserved")
 	}
 	if b.Debits() != 0 || b.Credits() != 0 {
 		t.Fatalf("ex-post settlement leaked into totals: debits=%s credits=%s", b.Debits(), b.Credits())
 	}
-	if b.Count() != 1 {
-		t.Fatalf("count: want 1, got %d", b.Count())
+	if b.Cut().Count() != 1 {
+		t.Fatalf("count: want 1, got %d", b.Cut().Count())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestSettlementBookRoundingTolerance(t *testing.T) {
 			"s2": FromFloat(100.0 / 3),
 		},
 	})
-	if !b.Conserved() {
+	if !b.Cut().Conserved() {
 		t.Fatal("micro-unit rounding should be tolerated")
 	}
 }
@@ -107,10 +107,10 @@ func TestSettlementBookConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if b.Count() != 400 {
-		t.Fatalf("count: want 400, got %d", b.Count())
+	if b.Cut().Count() != 400 {
+		t.Fatalf("count: want 400, got %d", b.Cut().Count())
 	}
-	if !b.Conserved() {
+	if !b.Cut().Conserved() {
 		t.Fatal("conservation violated")
 	}
 	epochs := map[uint64]bool{}
@@ -211,7 +211,7 @@ func TestSettlementBookConcurrentCheckpoints(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if got := entries(t, b.Cut()); len(got) != total || !b.Conserved() {
+	if got := entries(t, b.Cut()); len(got) != total || !b.Cut().Conserved() {
 		t.Fatalf("book streams %d of %d entries", len(got), total)
 	}
 }
@@ -241,9 +241,9 @@ func TestSettlementBookArchive(t *testing.T) {
 	m := arc.checkpoint(before)
 	arc.checkpoint(mem.Cut())
 	record(3)
-	if b.Count() != 8 || b.n != 3 || b.dropped != 5 || mem.n != 8 {
+	if b.Cut().Count() != 8 || b.n != 3 || b.dropped != 5 || mem.n != 8 {
 		t.Fatalf("archived entries did not leave memory: count %d, held %d, dropped %d (in-memory book holds %d)",
-			b.Count(), b.n, b.dropped, mem.n)
+			b.Cut().Count(), b.n, b.dropped, mem.n)
 	}
 	if got := entries(t, before); !reflect.DeepEqual(got, all[:5]) {
 		t.Fatalf("the cut moved with the book: %v", got)
@@ -270,8 +270,8 @@ func TestSettlementBookArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Record(sale(5, FromFloat(1)))
-	if r.Count() != 6 || r.Conserved() || r.Debits() != FromFloat(60) || r.Credits() != FromFloat(59) {
-		t.Fatalf("restored totals: count %d conserved %v debits %s credits %s", r.Count(), r.Conserved(), r.Debits(), r.Credits())
+	if r.Cut().Count() != 6 || r.Cut().Conserved() || r.Debits() != FromFloat(60) || r.Credits() != FromFloat(59) {
+		t.Fatalf("restored totals: count %d conserved %v debits %s credits %s", r.Cut().Count(), r.Cut().Conserved(), r.Debits(), r.Credits())
 	}
 	if got := entries(t, r.Cut()); len(got) != 6 || !reflect.DeepEqual(got[:5], all[:5]) {
 		t.Fatalf("restored book streams %v", got)

@@ -67,12 +67,7 @@ func LaplaceColumn(r *relation.Relation, col string, eps, sensitivity float64, r
 		return nil, fmt.Errorf("privacy: sensitivity must be positive, got %g", sensitivity)
 	}
 	scale := sensitivity / eps
-	return relation.Map(r, col, relation.KindFloat, func(v relation.Value) relation.Value {
-		if v.IsNull() || !v.IsNumeric() {
-			return v
-		}
-		return relation.Float(v.AsFloat() + laplace(rng, scale))
-	})
+	return mapNumeric(r, col, func(x float64) float64 { return x + laplace(rng, scale) })
 }
 
 // GeneralizeNumeric buckets a numeric quasi-identifier into ranges of the
@@ -82,13 +77,25 @@ func GeneralizeNumeric(r *relation.Relation, col string, width float64) (*relati
 	if width <= 0 {
 		return nil, fmt.Errorf("privacy: bucket width must be positive, got %g", width)
 	}
-	return relation.Map(r, col, relation.KindFloat, func(v relation.Value) relation.Value {
+	return mapNumeric(r, col, func(x float64) float64 { return math.Floor(x/width)*width + width/2 })
+}
+
+// mapNumeric returns a copy of r, under its name, whose column col holds fn
+// of each numeric cell as a float column. NULL and non-numeric cells pass
+// through.
+func mapNumeric(r *relation.Relation, col string, fn func(float64) float64) (*relation.Relation, error) {
+	it, err := relation.NewMap(relation.NewScan(r), col, relation.KindFloat, func(v relation.Value) relation.Value {
 		if v.IsNull() || !v.IsNumeric() {
 			return v
 		}
-		b := math.Floor(v.AsFloat()/width) * width
-		return relation.Float(b + width/2)
+		return relation.Float(fn(v.AsFloat()))
 	})
+	if err != nil {
+		return nil, fmt.Errorf("privacy: no column %q", col)
+	}
+	out, _ := relation.Materialize(it)
+	out.Name = r.Name
+	return out, nil
 }
 
 // SuppressRare removes rows whose combination of the given quasi-identifier
@@ -136,5 +143,11 @@ func DropColumns(r *relation.Relation, cols ...string) (*relation.Relation, erro
 			keep = append(keep, c.Name)
 		}
 	}
-	return relation.Project(r, keep...)
+	it, err := relation.NewProject(relation.NewScan(r), keep...)
+	if err != nil {
+		return nil, err
+	}
+	out, _ := relation.Materialize(it)
+	out.Name = r.Name + "_proj"
+	return out, nil
 }

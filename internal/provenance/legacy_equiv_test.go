@@ -21,9 +21,14 @@ import (
 func legacyProvHashJoin(l, r *Annotated, on ...relation.JoinPair) (*Annotated, error) {
 	l.check()
 	r.check()
-	lt := relation.AddColumn(l.Rel, relation.Col("__lrow", relation.KindInt), legacyOrdinal())
-	rt := relation.AddColumn(r.Rel, relation.Col("__rrow", relation.KindInt), legacyOrdinal())
-	j, err := relation.HashJoin(lt, rt, on...)
+	// One materialized stage at a time, as the eager operators ran.
+	lt, _ := relation.Materialize(relation.NewAddColumn(relation.NewScan(l.Rel), relation.Col("__lrow", relation.KindInt), legacyOrdinal()))
+	rt, _ := relation.Materialize(relation.NewAddColumn(relation.NewScan(r.Rel), relation.Col("__rrow", relation.KindInt), legacyOrdinal()))
+	jit, err := relation.NewHashJoin(relation.NewScan(lt), relation.NewScan(rt), l.Rel.Name, r.Rel.Name, on...)
+	if err != nil {
+		return nil, err
+	}
+	j, err := relation.Materialize(jit)
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +41,11 @@ func legacyProvHashJoin(l, r *Annotated, on ...relation.JoinPair) (*Annotated, e
 			keep = append(keep, c.Name)
 		}
 	}
-	stripped, err := relation.Project(j, keep...)
+	pit, err := relation.NewProject(relation.NewScan(j), keep...)
+	if err != nil {
+		return nil, err
+	}
+	stripped, err := relation.Materialize(pit)
 	if err != nil {
 		return nil, err
 	}

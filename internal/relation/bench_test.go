@@ -21,7 +21,7 @@ func BenchmarkHashJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := HashJoin(l, r, JoinPair{"k", "k"}); err != nil {
+				if _, err := scanJoin(l, r, JoinPair{"k", "k"}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -68,18 +68,28 @@ func pipelineFn(v Value) Value {
 	return Float(v.AsFloat() * 2)
 }
 
-// BenchmarkPipelineEager chains the eager operators: every stage materializes
-// an intermediate relation. This is the pre-refactor execution shape.
+// stage drains one operator over a scan of r: the eager execution shape,
+// where every stage materializes an intermediate relation.
+func stage(r *Relation, op func(Iter) (Iter, error)) (*Relation, error) {
+	it, err := op(NewScan(r))
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(it)
+}
+
+// BenchmarkPipelineEager runs the transform chain one materialized stage at a
+// time. This is the pre-refactor execution shape.
 func BenchmarkPipelineEager(b *testing.B) {
 	r := pipelineInputs(20000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := Select(r, pipelinePred)
-		m, err := Map(s, "v", KindFloat, pipelineFn)
+		s, _ := stage(r, func(it Iter) (Iter, error) { return NewSelect(it, pipelinePred), nil })
+		m, err := stage(s, func(it Iter) (Iter, error) { return NewMap(it, "v", KindFloat, pipelineFn) })
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Project(m, "k", "v"); err != nil {
+		if _, err := stage(m, func(it Iter) (Iter, error) { return NewProject(it, "k", "v") }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,11 +122,11 @@ func BenchmarkJoinProjectEager(b *testing.B) {
 	l, r := mkBenchRel(5000), mkBenchRel(5000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j, err := HashJoin(l, r, JoinPair{"k", "k"})
+		j, err := scanJoin(l, r, JoinPair{"k", "k"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Project(j, "k", "v"); err != nil {
+		if _, err := stage(j, func(it Iter) (Iter, error) { return NewProject(it, "k", "v") }); err != nil {
 			b.Fatal(err)
 		}
 	}

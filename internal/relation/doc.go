@@ -19,11 +19,14 @@
 //
 // # Execution model
 //
-// Operators execute as Volcano-style pull iterators (Iter): a pipeline is
-// assembled from NewScan/NewSelect/NewProject/NewHashJoin/... and drained by
-// Materialize, which preserves row order and enforces the maxJoinRows guard,
-// so results are byte-identical to the historical eager operators — those
-// remain available as thin Materialize(op(...)) wrappers.
+// Operators execute as Volcano-style pull iterators (Iter), the package's one
+// operator API: a pipeline is assembled from NewScan/NewSelect/NewProject/
+// NewHashJoin/... and drained once by Materialize, which preserves row order,
+// surfaces mid-stream errors such as the maxJoinRows guard, and leaves the
+// result unnamed for the caller to name. A chain of operators costs one
+// materialization, not one per stage. The frozen pre-iterator eager operators
+// live on only in the tests, as the reference every pipeline is checked
+// against; NestedLoopJoin is the reference join.
 //
 // # Ownership and retention rules for rows flowing through iterators
 //

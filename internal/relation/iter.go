@@ -363,7 +363,7 @@ type addColumnIter struct {
 }
 
 // NewAddColumn streams src with a computed column appended. fn sees the
-// source row and source schema, exactly like the eager AddColumn.
+// source row and the source schema. Output rows are freshly allocated.
 func NewAddColumn(src Iter, col Column, fn func(row []Value, schema Schema) Value) Iter {
 	srcSchema := src.Schema()
 	return &addColumnIter{
@@ -391,25 +391,25 @@ func (a *addColumnIter) sizeHint() int  { return sizeHintOf(a.src) }
 
 // ---- hash join ----
 
-// JoinLayout is the resolved shape of an equi-join: the output schema (left
+// joinLayout is the resolved shape of an equi-join: the output schema (left
 // columns, then kept right columns with collision suffixes), the join-column
 // indexes on each side, and the indexes of the right columns that survive
-// into the output. It is shared by the streaming join, the nested-loop join
-// and the planner so they agree byte-for-byte on naming and order.
-type JoinLayout struct {
+// into the output. It is shared by the streaming join and the nested-loop
+// join so they agree byte-for-byte on naming and order.
+type joinLayout struct {
 	Schema    Schema
 	Left      []int // left join-column indexes, aligned with `on`
 	Right     []int // right join-column indexes, aligned with `on`
 	RightKeep []int // right columns kept in the output, in schema order
 }
 
-// NewJoinLayout resolves the join columns and output schema for joining the
+// newJoinLayout resolves the join columns and output schema for joining the
 // named left and right schemas. Right join columns are dropped from the
 // output; remaining right columns that clash with an output name so far are
 // suffixed with "_r" (repeatedly, until unique).
-func NewJoinLayout(lname string, l Schema, rname string, r Schema, on ...JoinPair) (JoinLayout, error) {
+func newJoinLayout(lname string, l Schema, rname string, r Schema, on ...JoinPair) (joinLayout, error) {
 	if len(on) == 0 {
-		return JoinLayout{}, fmt.Errorf("relation: join needs at least one column pair")
+		return joinLayout{}, fmt.Errorf("relation: join needs at least one column pair")
 	}
 	li := make([]int, len(on))
 	ri := make([]int, len(on))
@@ -417,10 +417,10 @@ func NewJoinLayout(lname string, l Schema, rname string, r Schema, on ...JoinPai
 		li[k] = l.IndexOf(p.Left)
 		ri[k] = r.IndexOf(p.Right)
 		if li[k] < 0 {
-			return JoinLayout{}, fmt.Errorf("relation: join: left %q has no column %q", lname, p.Left)
+			return joinLayout{}, fmt.Errorf("relation: join: left %q has no column %q", lname, p.Left)
 		}
 		if ri[k] < 0 {
-			return JoinLayout{}, fmt.Errorf("relation: join: right %q has no column %q", rname, p.Right)
+			return joinLayout{}, fmt.Errorf("relation: join: right %q has no column %q", rname, p.Right)
 		}
 	}
 	dropRight := make(map[int]bool, len(on))
@@ -440,7 +440,7 @@ func NewJoinLayout(lname string, l Schema, rname string, r Schema, on ...JoinPai
 		schema = append(schema, Column{Name: name, Kind: c.Kind})
 		rightKeep = append(rightKeep, j)
 	}
-	return JoinLayout{Schema: schema, Left: li, Right: ri, RightKeep: rightKeep}, nil
+	return joinLayout{Schema: schema, Left: li, Right: ri, RightKeep: rightKeep}, nil
 }
 
 // buildRow is one hash-table entry: a right row's kept-column projection and
@@ -452,7 +452,7 @@ type buildRow struct {
 
 type hashJoinIter struct {
 	left, right Iter
-	layout      JoinLayout
+	layout      joinLayout
 	outName     string
 	built       bool
 	table       map[string][]buildRow // join key → build rows, build order
@@ -469,10 +469,10 @@ type hashJoinIter struct {
 // NewHashJoin streams the inner equi-join of l and r on the given column
 // pairs. The right side is drained once into a pre-sized hash table holding
 // only the kept-right column projections; left rows are then probed lazily
-// in order, so output order matches the eager HashJoin exactly. lname and
+// in order, so output order matches NestedLoopJoin's exactly. lname and
 // rname feed error messages and the maxJoinRows guard's output name.
 func NewHashJoin(l, r Iter, lname, rname string, on ...JoinPair) (Iter, error) {
-	layout, err := NewJoinLayout(lname, l.Schema(), rname, r.Schema(), on...)
+	layout, err := newJoinLayout(lname, l.Schema(), rname, r.Schema(), on...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,15 @@
 package relation
 
 // The equivalence harness pins the streaming iterator engine to the original
-// eager operators, copied below verbatim as legacy* helpers. The production
-// eager functions are now thin Materialize wrappers over the iterators, so
-// comparing production-vs-iterator would be vacuous; comparing against the
-// frozen legacy code is what actually proves "same rows, same order, same
-// names, same errors" across the refactor.
+// eager operators, copied below verbatim as legacy* helpers. The package has
+// no eager operators any more: each pipeline here is drained by Materialize
+// and compared with the frozen legacy code, which is what proves "same rows,
+// same order, same column names, same errors" across the refactor.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -263,13 +263,30 @@ func randRel(rng *rand.Rand, name, keyCol string) *Relation {
 	return r
 }
 
-// mustSameRel fails the test unless got and want match on name, schema
-// (names and kinds), and every row cell in order.
+// drain materializes a pipeline that must not fail mid-stream.
+func drain(t testing.TB, it Iter) *Relation {
+	t.Helper()
+	out, err := Materialize(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// scanJoin drains the streaming hash join of two relations.
+func scanJoin(l, r *Relation, on ...JoinPair) (*Relation, error) {
+	it, err := NewHashJoin(NewScan(l), NewScan(r), l.Name, r.Name, on...)
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(it)
+}
+
+// mustSameRel fails the test unless got and want match on schema (names and
+// kinds) and every row cell in order. Relation names are not compared:
+// Materialize leaves naming to the caller.
 func mustSameRel(t *testing.T, op string, got, want *Relation) {
 	t.Helper()
-	if got.Name != want.Name {
-		t.Fatalf("%s: name %q != legacy %q", op, got.Name, want.Name)
-	}
 	if !got.Schema.Equal(want.Schema) {
 		t.Fatalf("%s: schema %s != legacy %s", op, got.Schema, want.Schema)
 	}
@@ -292,7 +309,7 @@ func mustSameRel(t *testing.T, op string, got, want *Relation) {
 
 // TestStreamingMatchesLegacyEager is the property harness of the refactor:
 // across many random relations, every streaming operator must agree with the
-// frozen eager implementation row for row, including order and result names.
+// frozen eager implementation row for row, including order and column names.
 func TestStreamingMatchesLegacyEager(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		seed := seed
@@ -305,7 +322,7 @@ func TestStreamingMatchesLegacyEager(t *testing.T) {
 			pred := func(row []Value, s Schema) bool {
 				return !row[0].IsNull() && row[0].AsFloat() >= 2
 			}
-			mustSameRel(t, "Select", Select(l, pred), legacySelect(l, pred))
+			mustSameRel(t, "Select", drain(t, NewSelect(NewScan(l), pred)), legacySelect(l, pred))
 
 			// Project onto a shuffled subset of columns.
 			names := make([]string, len(l.Schema))
@@ -314,32 +331,30 @@ func TestStreamingMatchesLegacyEager(t *testing.T) {
 			}
 			rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 			names = names[:1+rng.Intn(len(names))]
-			gotP, errP := Project(l, names...)
+			itP, errP := NewProject(NewScan(l), names...)
 			wantP, errPL := legacyProject(l, names...)
 			if (errP == nil) != (errPL == nil) {
 				t.Fatalf("Project: err %v vs legacy %v", errP, errPL)
 			}
-			mustSameRel(t, "Project", gotP, wantP)
+			mustSameRel(t, "Project", drain(t, itP), wantP)
 
-			gotR, err := Rename(l, "k", "kk")
+			itR, err := NewRename(NewScan(l), "k", "kk")
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantR, _ := legacyRename(l, "k", "kk")
-			mustSameRel(t, "Rename", gotR, wantR)
+			mustSameRel(t, "Rename", drain(t, itR), wantR)
 
 			n := rng.Intn(len(l.Rows) + 3)
-			mustSameRel(t, "Limit", Limit(l, n), legacyLimit(l, n))
+			mustSameRel(t, "Limit", drain(t, NewLimit(NewScan(l), n)), legacyLimit(l, n))
 
 			l2 := l.Clone()
 			itU, err := NewUnion(NewScan(l), NewScan(l2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotU, _ := Materialize(itU)
 			wantU, _ := legacyUnion(l, l2)
-			gotU.Name = wantU.Name
-			mustSameRel(t, "Union", gotU, wantU)
+			mustSameRel(t, "Union", drain(t, itU), wantU)
 
 			fn := func(v Value) Value {
 				if v.IsNull() {
@@ -347,12 +362,12 @@ func TestStreamingMatchesLegacyEager(t *testing.T) {
 				}
 				return Float(v.AsFloat() * 2)
 			}
-			gotM, err := Map(l, "k", KindFloat, fn)
+			itM, err := NewMap(NewScan(l), "k", KindFloat, fn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantM, _ := legacyMap(l, "k", KindFloat, fn)
-			mustSameRel(t, "Map", gotM, wantM)
+			mustSameRel(t, "Map", drain(t, itM), wantM)
 
 			add := func(row []Value, s Schema) Value {
 				if row[0].IsNull() {
@@ -361,11 +376,11 @@ func TestStreamingMatchesLegacyEager(t *testing.T) {
 				return Int(int64(len(row)))
 			}
 			mustSameRel(t, "AddColumn",
-				AddColumn(l, Col("extra", KindInt), add),
+				drain(t, NewAddColumn(NewScan(l), Col("extra", KindInt), add)),
 				legacyAddColumn(l, Col("extra", KindInt), add))
 
 			on := []JoinPair{{Left: "k", Right: "k"}}
-			gotJ, err := HashJoin(l, r, on...)
+			gotJ, err := scanJoin(l, r, on...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,14 +401,29 @@ func TestStreamingMatchesLegacyEager(t *testing.T) {
 			it, err = NewProject(it, names...)
 			if err == nil {
 				it = NewLimit(it, n)
-				gotPipe, err := Materialize(it)
-				if err != nil {
-					t.Fatal(err)
-				}
 				wantPipe := legacyLimit(legacyMust(legacyProject(legacySelect(l, pred), names...)), n)
-				gotPipe.Name = wantPipe.Name
-				mustSameRel(t, "fused pipeline", gotPipe, wantPipe)
+				mustSameRel(t, "fused pipeline", drain(t, it), wantPipe)
 			}
+
+			// The DoD candidate tail: join, then map → rename → project
+			// drained once, against the legacy operators one stage at a time.
+			itT, err := NewHashJoin(NewScan(l), NewScan(r), l.Name, r.Name, on...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if itT, err = NewMap(itT, "k", KindFloat, fn); err != nil {
+				t.Fatal(err)
+			}
+			if itT, err = NewRename(itT, "k", "kk"); err != nil {
+				t.Fatal(err)
+			}
+			rev := itT.Schema().Names()
+			slices.Reverse(rev)
+			if itT, err = NewProject(itT, rev...); err != nil {
+				t.Fatal(err)
+			}
+			wantT := legacyMust(legacyProject(legacyMust(legacyRename(legacyMust(legacyMap(wantJ, "k", KindFloat, fn)), "k", "kk")), rev...))
+			mustSameRel(t, "join tail pipeline", drain(t, itT), wantT)
 		})
 	}
 }
@@ -414,7 +444,7 @@ func TestJoinCollisionSuffix(t *testing.T) {
 	l.MustAppend(Int(1), Int(10), Int(11))
 	r.MustAppend(Int(1), Float(0.5), String_("s"))
 
-	got, err := HashJoin(l, r, JoinPair{"k", "k"})
+	got, err := scanJoin(l, r, JoinPair{"k", "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,15 +503,15 @@ func TestJoinOrigin(t *testing.T) {
 	}
 }
 
-// TestLimitOwnsRows is the regression for the aliasing bug: Limit used to
-// return a sub-slice of the source's backing array, so appending through the
-// result clobbered the source's later rows.
+// TestLimitOwnsRows is the regression for the aliasing bug: the eager Limit
+// returned a sub-slice of the source's backing array, so appending through
+// the result clobbered the source's later rows. A drained limit owns its rows.
 func TestLimitOwnsRows(t *testing.T) {
 	r := New("src", NewSchema(Col("a", KindInt)))
 	r.Rows = make([][]Value, 0, 8) // spare capacity makes the old clobbering deterministic
 	r.Rows = append(r.Rows, []Value{Int(1)}, []Value{Int(2)}, []Value{Int(3)})
 
-	out := Limit(r, 1)
+	out := drain(t, NewLimit(NewScan(r), 1))
 	out.Rows = append(out.Rows, []Value{Int(99)})
 
 	if got := r.Rows[1][0]; !got.Equal(Int(2)) {
@@ -489,17 +519,18 @@ func TestLimitOwnsRows(t *testing.T) {
 	}
 }
 
-// TestRenameOwnsRows is the companion regression: Rename used to share the
+// TestRenameOwnsRows is the companion regression: the eager Rename shared the
 // source's Rows slice header outright.
 func TestRenameOwnsRows(t *testing.T) {
 	r := New("src", NewSchema(Col("a", KindInt)))
 	r.Rows = make([][]Value, 0, 8)
 	r.Rows = append(r.Rows, []Value{Int(1)})
 
-	out, err := Rename(r, "a", "b")
+	it, err := NewRename(NewScan(r), "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := drain(t, it)
 	out.Rows = append(out.Rows, []Value{Int(99)})
 
 	if len(r.Rows) != 1 {
@@ -519,19 +550,19 @@ func TestIterErrorParity(t *testing.T) {
 	if _, err := NewUnion(NewScan(a), NewScan(b)); err == nil || err.Error() != fmt.Sprintf("relation: union schema mismatch %s vs %s", a.Schema, b.Schema) {
 		t.Fatalf("union mismatch error = %v", err)
 	}
-	if _, err := HashJoin(a, b); err == nil || err.Error() != "relation: join needs at least one column pair" {
+	if _, err := NewHashJoin(NewScan(a), NewScan(b), "a", "b"); err == nil || err.Error() != "relation: join needs at least one column pair" {
 		t.Fatalf("empty-pairs error = %v", err)
 	}
-	if _, err := HashJoin(a, b, JoinPair{"nope", "y"}); err == nil || err.Error() != `relation: join: left "a" has no column "nope"` {
+	if _, err := NewHashJoin(NewScan(a), NewScan(b), "a", "b", JoinPair{"nope", "y"}); err == nil || err.Error() != `relation: join: left "a" has no column "nope"` {
 		t.Fatalf("left-missing error = %v", err)
 	}
-	if _, err := HashJoin(a, b, JoinPair{"x", "nope"}); err == nil || err.Error() != `relation: join: right "b" has no column "nope"` {
+	if _, err := NewHashJoin(NewScan(a), NewScan(b), "a", "b", JoinPair{"x", "nope"}); err == nil || err.Error() != `relation: join: right "b" has no column "nope"` {
 		t.Fatalf("right-missing error = %v", err)
 	}
-	if _, err := Map(a, "nope", KindInt, func(v Value) Value { return v }); err == nil || err.Error() != `relation "a": no column "nope"` {
+	if _, err := NewMap(NewScan(a), "nope", KindInt, func(v Value) Value { return v }); err == nil || err.Error() != `relation: map: no column "nope"` {
 		t.Fatalf("map-missing error = %v", err)
 	}
-	if _, err := Rename(a, "nope", "z"); err == nil {
+	if _, err := NewRename(NewScan(a), "nope", "z"); err == nil {
 		t.Fatal("rename of missing column should fail")
 	}
 }

@@ -31,30 +31,33 @@ func mkSalaries() *Relation {
 
 func TestSelectProject(t *testing.T) {
 	p := mkPeople()
-	sel := Select(p, func(row []Value, s Schema) bool {
+	pred := func(row []Value, s Schema) bool {
 		return row[s.IndexOf("city")].Equal(String_("london"))
-	})
-	if sel.NumRows() != 2 {
-		t.Fatalf("select rows = %d, want 2", sel.NumRows())
 	}
-	proj, err := Project(sel, "name", "age")
+	it, err := NewProject(NewSelect(NewScan(p), pred), "name", "age")
 	if err != nil {
 		t.Fatal(err)
+	}
+	proj := drain(t, it)
+	if proj.NumRows() != 2 {
+		t.Fatalf("select rows = %d, want 2", proj.NumRows())
 	}
 	if !proj.Schema.Equal(NewSchema(Col("name", KindString), Col("age", KindInt))) {
 		t.Errorf("projected schema = %s", proj.Schema)
 	}
-	if _, err := Project(p, "nope"); err == nil {
+	mustSameRel(t, "select→project", proj, legacyMust(legacyProject(legacySelect(p, pred), "name", "age")))
+	if _, err := NewProject(NewScan(p), "nope"); err == nil {
 		t.Error("project on unknown column must error")
 	}
 }
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	p, s := mkPeople(), mkSalaries()
-	hj, err := HashJoin(p, s, JoinPair{"id", "pid"})
+	hj, err := scanJoin(p, s, JoinPair{"id", "pid"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustSameRel(t, "hash join", hj, legacyMust(legacyJoin(p, s, true, JoinPair{"id", "pid"})))
 	nl, err := NestedLoopJoin(p, s, JoinPair{"id", "pid"})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +84,7 @@ func TestJoinNullsNeverMatch(t *testing.T) {
 	b := New("b", NewSchema(Col("k", KindInt), Col("y", KindString)))
 	b.MustAppend(Null(), String_("nb"))
 	b.MustAppend(Int(1), String_("uno"))
-	j, err := HashJoin(a, b, JoinPair{"k", "k"})
+	j, err := scanJoin(a, b, JoinPair{"k", "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestJoinNameCollisionSuffix(t *testing.T) {
 	a.MustAppend(Int(1), Int(10))
 	b := New("b", NewSchema(Col("k", KindInt), Col("v", KindInt)))
 	b.MustAppend(Int(1), Int(20))
-	j, err := HashJoin(a, b, JoinPair{"k", "k"})
+	j, err := scanJoin(a, b, JoinPair{"k", "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +109,18 @@ func TestJoinNameCollisionSuffix(t *testing.T) {
 
 func TestMapAndAddColumn(t *testing.T) {
 	p := mkPeople()
-	doubled, err := Map(p, "age", KindInt, func(v Value) Value {
+	double := func(v Value) Value {
 		if v.IsNull() {
 			return v
 		}
 		return Int(v.AsInt() * 2)
-	})
+	}
+	it, err := NewMap(NewScan(p), "age", KindInt, double)
 	if err != nil {
 		t.Fatal(err)
 	}
+	doubled := drain(t, it)
+	mustSameRel(t, "map", doubled, legacyMust(legacyMap(p, "age", KindInt, double)))
 	if doubled.Rows[0][2].AsInt() != 72 {
 		t.Errorf("mapped age = %v", doubled.Rows[0][2])
 	}
@@ -122,9 +128,11 @@ func TestMapAndAddColumn(t *testing.T) {
 	if p.Rows[0][2].AsInt() != 36 {
 		t.Error("Map must not mutate input")
 	}
-	withFlag := AddColumn(p, Col("senior", KindBool), func(row []Value, s Schema) Value {
+	senior := func(row []Value, s Schema) Value {
 		return Bool(row[s.IndexOf("age")].AsInt() >= 40)
-	})
+	}
+	withFlag := drain(t, NewAddColumn(NewScan(p), Col("senior", KindBool), senior))
+	mustSameRel(t, "add column", withFlag, legacyAddColumn(p, Col("senior", KindBool), senior))
 	if len(withFlag.Schema) != 5 {
 		t.Error("AddColumn arity")
 	}
@@ -204,7 +212,7 @@ func TestReadCSVInferredMixedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := HashJoin(l, r, JoinPair{"k", "k"})
+	j, err := scanJoin(l, r, JoinPair{"k", "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +269,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			a.MustAppend(Int(int64(rng.Intn(8))), Int(int64(i)))
 			b.MustAppend(Int(int64(rng.Intn(8))), Int(int64(i)))
 		}
-		hj, err1 := HashJoin(a, b, JoinPair{"k", "k"})
+		hj, err1 := scanJoin(a, b, JoinPair{"k", "k"})
 		nl, err2 := NestedLoopJoin(a, b, JoinPair{"k", "k"})
 		return err1 == nil && err2 == nil && hj.NumRows() == nl.NumRows()
 	}
@@ -283,10 +291,11 @@ func TestValidate(t *testing.T) {
 
 func TestRenameAndStringer(t *testing.T) {
 	p := mkPeople()
-	r, err := Rename(p, "city", "town")
+	it, err := NewRename(NewScan(p), "city", "town")
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := drain(t, it)
 	if !r.Schema.Has("town") || r.Schema.Has("city") {
 		t.Error("rename failed")
 	}
@@ -311,13 +320,13 @@ func TestSchemaCoverage(t *testing.T) {
 func TestJoinErrors(t *testing.T) {
 	a := mkPeople()
 	b := mkSalaries()
-	if _, err := HashJoin(a, b); err == nil {
+	if _, err := scanJoin(a, b); err == nil {
 		t.Error("join without pairs must fail")
 	}
-	if _, err := HashJoin(a, b, JoinPair{"ghost", "pid"}); err == nil {
+	if _, err := scanJoin(a, b, JoinPair{"ghost", "pid"}); err == nil {
 		t.Error("unknown left column must fail")
 	}
-	if _, err := HashJoin(a, b, JoinPair{"id", "ghost"}); err == nil {
+	if _, err := scanJoin(a, b, JoinPair{"id", "ghost"}); err == nil {
 		t.Error("unknown right column must fail")
 	}
 }
@@ -328,7 +337,7 @@ func TestMultiPairJoin(t *testing.T) {
 	a.MustAppend(Int(1), String_("v"), Int(20))
 	b := New("b", NewSchema(Col("x", KindInt), Col("y", KindString), Col("q", KindInt)))
 	b.MustAppend(Int(1), String_("u"), Int(100))
-	j, err := HashJoin(a, b, JoinPair{"x", "x"}, JoinPair{"y", "y"})
+	j, err := scanJoin(a, b, JoinPair{"x", "x"}, JoinPair{"y", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +352,7 @@ func TestMultiPairJoin(t *testing.T) {
 	d := New("d", NewSchema(Col("x", KindString), Col("y", KindString)))
 	d.MustAppend(String_("x"), String_("y\x1f\x02z"))
 	on := []JoinPair{{"x", "x"}, {"y", "y"}}
-	hj, err := HashJoin(c, d, on...)
+	hj, err := scanJoin(c, d, on...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,10 +142,10 @@ func TestBootDecodesNoArchivedSettlement(t *testing.T) {
 	defer w.Close()
 	e.Stop()
 	book, want := e.Settlements(), live.Settlements()
-	if res.ArchivedSettlements != m.Count || book.Count() != want.Count() || !book.Conserved() ||
+	if res.ArchivedSettlements != m.Count || book.Cut().Count() != want.Cut().Count() || !book.Cut().Conserved() ||
 		book.Debits() != want.Debits() || book.Credits() != want.Credits() {
 		t.Fatalf("boot %+v: book of %d (%s/%s), want %d (%s/%s)", res,
-			book.Count(), book.Debits(), book.Credits(), want.Count(), want.Debits(), want.Credits())
+			book.Cut().Count(), book.Debits(), book.Credits(), want.Cut().Count(), want.Debits(), want.Credits())
 	}
 	if err := book.Cut().Each(func(ledger.Settlement) error { return nil }); err == nil || !strings.Contains(err.Error(), path) {
 		t.Fatalf("reading the garbled archive back: %v, want an error naming %s", err, path)

@@ -663,7 +663,7 @@ func crashMatrix(t *testing.T, platOpts core.Options, sc [][]op, policy SyncPoli
 			if i := p2.Arbiter.Ledger.VerifyChain(); i >= 0 {
 				t.Fatalf("audit chain corrupted at entry %d after replay", i)
 			}
-			if !e2.Settlements().Conserved() {
+			if !e2.Settlements().Cut().Conserved() {
 				t.Fatal("settlement conservation violated after replay")
 			}
 			// Prove telemetry was actually live while the bytes stayed
@@ -1310,7 +1310,7 @@ func TestSnapshotCarriesExPostEscrow(t *testing.T) {
 		t.Fatalf("supply after report %v, want %v", got, supply)
 	}
 	e2.Stop()
-	if !e2.Settlements().Conserved() {
+	if !e2.Settlements().Cut().Conserved() {
 		t.Fatal("settlement conservation violated after report")
 	}
 }

@@ -108,7 +108,7 @@ func TestSteadyStateIsBounded(t *testing.T) {
 	}
 	at25 := run(half)
 	at50 := run(half)
-	if st := e.Stats(); st.Matched != 2*half || int(st.Matched) != p.Arbiter.Settled() || !e.Settlements().Conserved() {
+	if st := e.Stats(); st.Matched != 2*half || int(st.Matched) != p.Arbiter.Settled() || !e.Settlements().Cut().Conserved() {
 		t.Fatalf("matched %d of %d (arbiter %d)", st.Matched, 2*half, p.Arbiter.Settled())
 	}
 	for _, s := range []sample{at25, at50} {

@@ -235,28 +235,34 @@ func (f *Function) Evaluate(m *relation.Relation, sources []DatasetMeta) Evaluat
 // mergeOwned unions the owned rows into the mashup when schemas align, or
 // extends the mashup with owned columns via a best-effort key join.
 func mergeOwned(m, owned *relation.Relation) (*relation.Relation, error) {
+	var it relation.Iter
+	var err error
+	name := m.Name + "_union"
 	if m.Schema.Equal(owned.Schema) {
-		it, err := relation.NewUnion(relation.NewScan(m), relation.NewScan(owned))
-		if err != nil {
-			return nil, err
+		it, err = relation.NewUnion(relation.NewScan(m), relation.NewScan(owned))
+	} else {
+		// Find a shared column name to join on, preferring key-ish names.
+		var shared []string
+		for _, c := range owned.Schema {
+			if m.Schema.Has(c.Name) {
+				shared = append(shared, c.Name)
+			}
 		}
-		out, err := relation.Materialize(it)
-		if err != nil {
-			return nil, err
+		if len(shared) == 0 {
+			return m, nil
 		}
-		out.Name = m.Name + "_union"
-		return out, nil
+		sort.Strings(shared)
+		it, err = relation.NewHashJoin(relation.NewScan(m), relation.NewScan(owned), m.Name, owned.Name,
+			relation.JoinPair{Left: shared[0], Right: shared[0]})
+		name = m.Name + "⋈" + owned.Name
 	}
-	// Find a shared column name to join on, preferring key-ish names.
-	var shared []string
-	for _, c := range owned.Schema {
-		if m.Schema.Has(c.Name) {
-			shared = append(shared, c.Name)
-		}
+	if err != nil {
+		return nil, err
 	}
-	if len(shared) == 0 {
-		return m, nil
+	out, err := relation.Materialize(it)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(shared)
-	return relation.HashJoin(m, owned, relation.JoinPair{Left: shared[0], Right: shared[0]})
+	out.Name = name
+	return out, nil
 }
