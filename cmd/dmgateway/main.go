@@ -1,11 +1,14 @@
-// Command dmgateway serves the data market through the concurrent market
-// engine: the async front end of the DMMS. Unlike cmd/dmmsd — which calls
-// the platform inline and clears the market only when a client POSTs /match —
-// dmgateway accepts submissions from many clients into an intake queue,
-// batches them into epochs (ticker- or threshold-triggered), runs
-// one arbiter matching round per epoch, and publishes every outcome on an
-// append-only event log that clients poll via /events, /async/tickets/{id}
-// and /settlements.
+// Command dmgateway serves the Data Market Management System over HTTP: the
+// arbiter management platform as a network service (paper Fig. 2), driven
+// by the concurrent market engine. It accepts submissions from many clients
+// into an intake queue, batches them into epochs (ticker- or
+// threshold-triggered), runs one arbiter matching round per epoch, and
+// publishes every outcome on an append-only event log that clients poll via
+// /events, /async/tickets/{id} and /settlements. A buyer whose ticket is done
+// fetches the mashup it paid for with GET /history?tx=<tx_id>, while the
+// sale's shard holds it in its history window; a sale past the window, one
+// restored at boot from a snapshot or the WAL, or a cross-shard one answers
+// 404 with the reason.
 //
 // There is one serving path: the gateway always boots a federated market
 // (internal/federation) of -shards arbiter shards behind one dmms.Server.

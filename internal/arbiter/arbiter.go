@@ -719,20 +719,12 @@ type ReportOutcome struct {
 	SellerCuts map[string]float64
 }
 
-// ReportValue settles a pending ex-post transaction with the buyer's
-// reported value (paper §3.2.2.2), returning the amount paid. See
-// SettleReport for the full outcome.
-func (a *Arbiter) ReportValue(txID string, reported, trueValue float64) (float64, error) {
-	out, err := a.SettleReport(txID, reported, trueValue)
-	return out.Paid, err
-}
-
 // SettleReport settles a pending ex-post transaction with the buyer's
-// reported value. The arbiter audits with the mechanism's probability
-// (deterministic pseudo-randomness keyed by report order); audited
-// under-reports pay the shortfall plus penalty, capped by the escrowed
-// deposit. The returned outcome carries the realized transfers for the
-// engine's value-reported event-log record.
+// reported value (paper §3.2.2.2). The arbiter audits with the mechanism's
+// probability (deterministic pseudo-randomness keyed by report order);
+// audited under-reports pay the shortfall plus penalty, capped by the
+// escrowed deposit. The returned outcome carries the realized transfers for
+// the engine's value-reported event-log record.
 func (a *Arbiter) SettleReport(txID string, reported, trueValue float64) (ReportOutcome, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -777,12 +769,17 @@ func (a *Arbiter) SettleReport(txID string, reported, trueValue float64) (Report
 }
 
 // History returns the newest completed transactions (at most
-// retain.Windows.History), oldest first; see Settled for the total.
+// retain.Windows.History), oldest first; see Settled for the total. Each is
+// a copy taken under the lock, since an ex-post report rewrites its sale's
+// price and cuts in place.
 func (a *Arbiter) History() []*Transaction {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]*Transaction, len(a.history))
-	copy(out, a.history)
+	for i, tx := range a.history {
+		c := *tx
+		out[i] = &c
+	}
 	return out
 }
 

@@ -312,22 +312,29 @@ func TestExPostFlow(t *testing.T) {
 	if a.Ledger.Escrowed(tx.ID).Float() != 200 {
 		t.Errorf("escrow = %v", a.Ledger.Escrowed(tx.ID))
 	}
+	// History hands out copies: the report rewrites the sale's price in
+	// place, and a reader holding the delivered view must not see that.
+	held := a.History()[0]
+	delivered := held.Price
 	// Buyer under-reports; audit (prob 1) catches it: pays true + penalty,
 	// capped by deposit.
-	paid, err := a.ReportValue(tx.ID, 10, 40)
+	out, err := a.SettleReport(tx.ID, 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want40 := 40.0 + 3*30 // 130 < deposit 200
-	if math.Abs(paid-want40) > 0.01 {
-		t.Errorf("paid = %v, want %v", paid, want40)
+	if math.Abs(out.Paid-want40) > 0.01 {
+		t.Errorf("paid = %v, want %v", out.Paid, want40)
+	}
+	if held.Price != delivered || a.History()[0].Price != out.Paid {
+		t.Errorf("held copy priced %v then %v; History now %v, want %v", delivered, held.Price, a.History()[0].Price, out.Paid)
 	}
 	// Sellers got their split.
 	if a.Ledger.Balance("seller1").Float() <= 10000 {
 		t.Error("seller1 must earn from ex-post settlement")
 	}
 	// Double report fails.
-	if _, err := a.ReportValue(tx.ID, 1, 1); err == nil {
+	if _, err := a.SettleReport(tx.ID, 1, 1); err == nil {
 		t.Error("double settlement must fail")
 	}
 }

@@ -150,7 +150,7 @@ func TestFeeFreeThreeWaySplitSettles(t *testing.T) {
 			}
 			tx := res.Transactions[0]
 			if tx.ExPost {
-				if _, err := a.ReportValue(tx.ID, 20, 20); err != nil {
+				if _, err := a.SettleReport(tx.ID, 20, 20); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -215,7 +215,7 @@ func TestEmptyMashupPaysNoSeller(t *testing.T) {
 				t.Fatalf("ex-post shares = %v, want nil", tx.ExPostShares)
 			}
 			if tx.ExPost {
-				if _, err := a.ReportValue(tx.ID, 80, 80); err != nil {
+				if _, err := a.SettleReport(tx.ID, 80, 80); err != nil {
 					t.Fatal(err)
 				}
 			}

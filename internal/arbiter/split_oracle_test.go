@@ -143,7 +143,7 @@ func splitOracleRound(t *testing.T, rng *rand.Rand, d *market.Design, where stri
 				t.Fatalf("%s: ex-post shares %v sum to %v", where, tx.ExPostShares, sum)
 			}
 			value := float64(rng.Intn(400))
-			if _, err := a.ReportValue(tx.ID, value*rng.Float64(), value); err != nil {
+			if _, err := a.SettleReport(tx.ID, value*rng.Float64(), value); err != nil {
 				t.Fatalf("%s: report: %v", where, err)
 			}
 		}

@@ -112,18 +112,18 @@ func TestExPostReporting(t *testing.T) {
 	}
 	tx := res.Transactions[0]
 	before := p.Balance()
-	paid, err := a.ReportValue(tx.ID, 120, 120)
+	out, err := a.SettleReport(tx.ID, 120, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if paid != 120 {
-		t.Errorf("paid = %v", paid)
+	if out.Paid != 120 {
+		t.Errorf("paid = %v", out.Paid)
 	}
 	// Deposit minus payment refunded.
 	if got := p.Balance(); got != before+300-120 {
 		t.Errorf("balance = %v, want %v", got, before+300-120)
 	}
-	if _, err := a.ReportValue("tx-9999", 1, 1); err == nil {
+	if _, err := a.SettleReport("tx-9999", 1, 1); err == nil {
 		t.Error("unknown tx must fail")
 	}
 }

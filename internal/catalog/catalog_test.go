@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -98,5 +99,39 @@ func TestListing(t *testing.T) {
 	}
 	if c.Len() != 3 {
 		t.Errorf("Len = %d", c.Len())
+	}
+}
+
+// TestConcurrentAccess exercises the catalog under parallel readers/writers
+// (the always-on metadata engine serves both, §5.1).
+func TestConcurrentAccess(t *testing.T) {
+	c := New()
+	if err := c.Register("d", "s", rel("r", 10)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g%2 == 0 {
+					if _, err := c.Get("d"); err != nil {
+						t.Error(err)
+						return
+					}
+				} else {
+					if _, err := c.Update("d", rel("r", 10+i), "upd"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	e, _ := c.Entry("d")
+	if len(e.History()) != 1+4*50 {
+		t.Errorf("history = %d, want 201", len(e.History()))
 	}
 }

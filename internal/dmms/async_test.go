@@ -201,6 +201,14 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			if (shards > 1) != (len(tv.Trace) == 0) {
 				t.Fatalf("trace on a %d-shard two-seller ticket: %v", shards, tv.Trace)
 			}
+			// The buyer fetches the mashup by tx_id, but no shard holds a
+			// cross-shard sale's.
+			rec := do(t, s, "GET", "/history?tx="+tv.TxID, nil, nil)
+			if shards == 1 {
+				wantCode(t, rec, http.StatusOK)
+			} else if wantCode(t, rec, http.StatusNotFound); !strings.Contains(rec.Body.String(), "across shards") {
+				t.Fatalf("cross-shard delivery answered %s", rec.Body)
+			}
 			wantCode(t, do(t, s, "GET", "/async/tickets/nope", nil, nil), http.StatusNotFound)
 
 			// Stats: both settles counted, federation block present.
@@ -303,7 +311,7 @@ func TestAsyncSubmitPoll(t *testing.T) {
 
 			// In-memory market: no snapshot lineage.
 			wantCode(t, do(t, s, "POST", "/snapshot", nil, nil), http.StatusServiceUnavailable)
-			// The synchronous surface is dmmsd's, not the gateway's.
+			// Every mutation goes through a ticket: no synchronous routes.
 			wantCode(t, do(t, s, "POST", "/match", nil, nil), http.StatusNotFound)
 			wantCode(t, do(t, s, "POST", "/participants", ParticipantReq{Name: "x", Funds: 1}, nil), http.StatusNotFound)
 

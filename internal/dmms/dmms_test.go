@@ -1,24 +1,55 @@
 package dmms
 
 import (
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/market"
 	"repro/internal/relation"
+	"repro/internal/retain"
 )
 
-func mkServer(t *testing.T, design *market.Design) (*httptest.Server, *Client) {
+// mkServer opens an in-memory one-shard market of the given design behind
+// the gateway's server, with epochs driven by hand and no telemetry.
+func mkServer(t *testing.T, design *market.Design) (*Server, *Client) {
 	t.Helper()
-	p, err := core.NewPlatform(core.Options{CustomDesign: design})
+	m, err := federation.Open(federation.Config{Shards: 1, Platform: core.Options{CustomDesign: design}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(p))
-	t.Cleanup(srv.Close)
-	return srv, NewClient(srv.URL)
+	s := NewMarketServer(m)
+	srv := httptest.NewServer(s)
+	t.Cleanup(func() {
+		srv.Close()
+		m.Stop()
+	})
+	return s, NewClient(srv.URL)
+}
+
+// settler returns settle, which runs one epoch over a submission and returns
+// its terminal ticket.
+func settler(t *testing.T, c *Client) (settle func(ticket string, err error) engine.Ticket) {
+	return func(ticket string, err error) engine.Ticket {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.TriggerEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		tk, err := c.WaitTicket(ticket, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
 }
 
 func postedDesign() *market.Design {
@@ -39,47 +70,45 @@ func mkRel() *relation.Relation {
 	return r
 }
 
-func TestHTTPEndToEnd(t *testing.T) {
-	_, c := mkServer(t, postedDesign())
-	if err := c.Register("s1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register("b1", 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register("b1", 500); err == nil {
-		t.Error("double registration must fail with HTTP error")
-	}
-	if err := c.ShareDataset("s1", "sales", mkRel(), "open"); err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.SubmitRequest(RequestReq{
-		Buyer:   "b1",
+// salesWant asks for both of mkRel's columns.
+func salesWant(buyer string, price float64) RequestReq {
+	return RequestReq{
+		Buyer:   buyer,
 		Columns: []string{"region", "amount"},
 		Task:    TaskSpec{Kind: "coverage", WantRows: 50},
-		Curve:   []CurvePointSpec{{MinSatisfaction: 0.9, Price: 60}},
-	})
-	if err != nil {
+		Curve:   []CurvePointSpec{{MinSatisfaction: 0.9, Price: price}},
+	}
+}
+
+// TestHTTPEndToEnd: a second registration of a name fails its ticket; a
+// request clears at the posted price; the buyer fetches the mashup by the
+// ticket's tx_id while the history list carries no payload; the ledgers show
+// the sale.
+func TestHTTPEndToEnd(t *testing.T) {
+	_, c := mkServer(t, postedDesign())
+	settle := settler(t, c)
+	for _, name := range []string{"s1", "b1"} {
+		if tk := settle(c.RegisterAsync(name, 500)); tk.Status != engine.TicketDone {
+			t.Fatalf("register %s: %+v", name, tk)
+		}
+	}
+	if tk := settle(c.RegisterAsync("b1", 500)); tk.Status != engine.TicketFailed {
+		t.Errorf("double registration must fail its ticket: %+v", tk)
+	}
+	if tk := settle(c.ShareDatasetAsync("s1", "sales", mkRel(), "open")); tk.Status != engine.TicketDone {
+		t.Fatalf("share: %+v", tk)
+	}
+	tk := settle(c.SubmitRequestAsync(salesWant("b1", 60)))
+	if tk.Status != engine.TicketDone || tk.Price != 40 || tk.TxID == "" {
+		t.Fatalf("request ticket = %+v", tk)
+	}
+	var tx TxView
+	if err := c.get("/history?tx="+tk.TxID, &tx); err != nil {
 		t.Fatal(err)
 	}
-	if id == "" {
-		t.Fatal("no request id")
+	if tx.ID != tk.TxID || tx.Buyer != "b1" || tx.Price != 40 || tx.Mashup == nil || tx.Mashup.NumRows() != 60 {
+		t.Fatalf("delivered %+v", tx)
 	}
-	res, err := c.Match()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transactions) != 1 {
-		t.Fatalf("transactions = %+v unsat=%v", res.Transactions, res.Unsatisfied)
-	}
-	tx := res.Transactions[0]
-	if tx.Price != 40 || tx.Buyer != "b1" {
-		t.Errorf("tx = %+v", tx)
-	}
-	if tx.Mashup == nil || tx.Mashup.NumRows() != 60 {
-		t.Error("match must deliver the mashup payload")
-	}
-	// History omits payload.
 	hist, total, err := c.History()
 	if err != nil {
 		t.Fatal(err)
@@ -87,92 +116,78 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if len(hist) != 1 || total != 1 || hist[0].Mashup != nil {
 		t.Errorf("history = %+v (total %d)", hist, total)
 	}
-	bal, err := c.Balance("b1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bal != 460 {
+	if bal, _ := c.Balance("b1"); bal != 460 {
 		t.Errorf("balance = %v", bal)
 	}
-	sbal, _ := c.Balance("s1")
-	if sbal != 36 {
-		t.Errorf("seller balance = %v, want 90%% of 40", sbal)
+	if sbal, _ := c.Balance("s1"); sbal != 536 {
+		t.Errorf("seller balance = %v, want 500 + 90%% of 40", sbal)
 	}
 }
 
+// TestHTTPExPost: an ex-post sale settles at the reported value once the
+// report's epoch runs; a report naming no pending sale fails its ticket.
 func TestHTTPExPost(t *testing.T) {
-	d := &market.Design{
+	_, c := mkServer(t, &market.Design{
 		Label: "xp", Elicitation: market.ElicitExPost,
 		Mechanism: market.ExPost{Deposit: 100, AuditProb: 0, Penalty: 1},
 		Allocator: market.Uniform{},
-	}
-	_, c := mkServer(t, d)
-	_ = c.Register("s1", 0)
-	_ = c.Register("b1", 500)
-	_ = c.ShareDataset("s1", "sales", mkRel(), "open")
-	_, err := c.SubmitRequest(RequestReq{
-		Buyer: "b1", Columns: []string{"region", "amount"},
-		Task:  TaskSpec{Kind: "coverage", WantRows: 10},
-		Curve: []CurvePointSpec{{MinSatisfaction: 0.9, Price: 1}},
 	})
-	if err != nil {
-		t.Fatal(err)
+	settle := settler(t, c)
+	settle(c.RegisterAsync("s1", 0))
+	settle(c.RegisterAsync("b1", 500))
+	settle(c.ShareDatasetAsync("s1", "sales", mkRel(), "open"))
+	sale := settle(c.SubmitRequestAsync(salesWant("b1", 1)))
+	if sale.Status != engine.TicketDone {
+		t.Fatalf("ex-post sale = %+v", sale)
 	}
-	res, err := c.Match()
-	if err != nil {
-		t.Fatal(err)
+	if paid := settle(c.ReportAsync(sale.TxID, 55, 55)); paid.Status != engine.TicketDone || paid.Price != 55 {
+		t.Errorf("report = %+v, want paid 55", paid)
 	}
-	if len(res.Transactions) != 1 || !res.Transactions[0].ExPost {
-		t.Fatalf("expost tx = %+v", res.Transactions)
-	}
-	paid, err := c.Report(res.Transactions[0].ID, 55, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paid != 55 {
-		t.Errorf("paid = %v", paid)
-	}
-	if _, err := c.Report("bogus", 1, 1); err == nil {
-		t.Error("bad tx id must error")
+	if bogus := settle(c.ReportAsync("bogus", 1, 1)); bogus.Status != engine.TicketFailed {
+		t.Errorf("bad tx id must fail its ticket: %+v", bogus)
 	}
 }
 
+// TestHTTPValidation: malformed submissions are refused at intake with no
+// ticket; a request with no columns gets a ticket that fails in its epoch.
 func TestHTTPValidation(t *testing.T) {
 	_, c := mkServer(t, postedDesign())
-	if err := c.ShareDataset("", "", nil, "open"); err == nil {
+	settle := settler(t, c)
+	if _, err := c.ShareDatasetAsync("", "", nil, "open"); err == nil {
 		t.Error("missing fields must fail")
 	}
-	if _, err := c.SubmitRequest(RequestReq{Buyer: "ghost"}); err == nil {
-		t.Error("empty columns must fail")
-	}
-	if _, err := c.SubmitRequest(RequestReq{
+	if _, err := c.SubmitRequestAsync(RequestReq{
 		Buyer: "ghost", Columns: []string{"x"},
 		Task:  TaskSpec{Kind: "alien"},
 		Curve: []CurvePointSpec{{0.5, 1}},
 	}); err == nil {
 		t.Error("unknown task kind must fail")
 	}
+	if tk := settle(c.SubmitRequestAsync(RequestReq{Buyer: "ghost"})); tk.Status != engine.TicketFailed {
+		t.Errorf("empty columns must fail: %+v", tk)
+	}
 	if _, err := c.Balance(""); err == nil {
 		t.Error("missing account must fail")
 	}
 	for name, funds := range map[string]float64{"debtor": -1, "whale": 1e13} {
-		if err := c.Register(name, funds); err == nil {
+		if _, err := c.RegisterAsync(name, funds); err == nil {
 			t.Errorf("funds %g must fail", funds)
 		}
 	}
 }
 
+// TestHTTPDemandSignals: a want no dataset covers surfaces on /demand.
 func TestHTTPDemandSignals(t *testing.T) {
 	_, c := mkServer(t, postedDesign())
-	_ = c.Register("b1", 100)
-	_, err := c.SubmitRequest(RequestReq{
+	settle := settler(t, c)
+	settle(c.RegisterAsync("b1", 100))
+	if _, err := c.SubmitRequestAsync(RequestReq{
 		Buyer: "b1", Columns: []string{"unicorn"},
 		Curve: []CurvePointSpec{{0.5, 10}},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Match(); err != nil {
+	if _, _, err := c.TriggerEpoch(); err != nil {
 		t.Fatal(err)
 	}
 	var signals []map[string]any
@@ -184,32 +199,82 @@ func TestHTTPDemandSignals(t *testing.T) {
 	}
 }
 
-func TestHTTPSaveCatalog(t *testing.T) {
-	_, c := mkServer(t, postedDesign())
-	_ = c.Register("s1", 0)
-	if err := c.ShareDataset("s1", "sales", mkRel(), "open"); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var out map[string]string
-	if err := c.post("/save", SaveReq{Dir: dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	cat, err := catalog.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.Len() != 1 {
-		t.Errorf("persisted datasets = %d", cat.Len())
-	}
-	rel, err := cat.Get("sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.NumRows() != 60 {
-		t.Errorf("rows = %d", rel.NumRows())
-	}
-	if err := c.post("/save", SaveReq{}, nil); err == nil {
-		t.Error("empty dir must fail")
+// TestHistoryDeliversMashup: GET /history?tx=<id> hands back the mashup a
+// sale delivered, by the federation-form ID its ticket carries, while the
+// shard's history window holds the sale with a relation; otherwise it
+// answers 404 saying why.
+func TestHistoryDeliversMashup(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		window  int  // history window to shrink to (0 = the default)
+		sales   int  // sales after the fetched one
+		restart bool // reboot the market from its WAL before the fetch
+		id      string
+		why     string // in the 404's error; "" = delivered
+	}{
+		{name: "one shard", shards: 1},
+		{name: "two shards", shards: 2},
+		{name: "unknown id", shards: 1, id: "tx-999999", why: "not in the history window"},
+		{name: "past the window", shards: 1, window: 1, sales: 1, why: "not in the history window"},
+		{name: "restored from the WAL", shards: 1, restart: true, why: "restored from the durable log"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.window > 0 {
+				defer retain.Shrink(func(w *retain.Windows) { w.History = tc.window })()
+			}
+			cfg := durableConfig(t.TempDir(), tc.shards, "posted-baseline")
+			m, err := federation.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { m.Stop() }()
+			s := NewMarketServer(m)
+			// Buyer and seller share the last shard, so at two shards the
+			// sale is local to shard 1 and its ID carries the "s1:" prefix.
+			buyer, seller := nameOn(t, "buyer", tc.shards-1, tc.shards), nameOn(t, "seller", tc.shards-1, tc.shards)
+			do(t, s, "POST", "/async/participants", ParticipantReq{Name: buyer, Funds: 5000}, nil)
+			do(t, s, "POST", "/async/datasets", DatasetReq{Seller: seller, ID: "sales", Relation: mkRel()}, nil)
+			do(t, s, "POST", "/epoch", nil, nil)
+			var tickets []TicketResp
+			for i := 0; i <= tc.sales; i++ {
+				var tk TicketResp
+				wantCode(t, do(t, s, "POST", "/async/requests", salesWant(buyer, 150), &tk), http.StatusAccepted)
+				do(t, s, "POST", "/epoch", nil, nil)
+				tickets = append(tickets, tk)
+			}
+			var tv TicketView
+			wantCode(t, do(t, s, "GET", "/async/tickets/"+tickets[0].Ticket, nil, &tv), http.StatusOK)
+			if tv.Status != engine.TicketDone {
+				t.Fatalf("sale ticket = %+v", tv.Ticket)
+			}
+			if want := fmt.Sprintf("s%d:tx-", tc.shards-1); tc.shards > 1 && !strings.HasPrefix(tv.TxID, want) {
+				t.Fatalf("tx_id %q, want prefix %q", tv.TxID, want)
+			}
+			if tc.restart {
+				m.Stop()
+				if m, err = federation.Open(cfg); err != nil {
+					t.Fatal(err)
+				}
+				s = NewMarketServer(m)
+			}
+			id := tc.id
+			if id == "" {
+				id = tv.TxID
+			}
+			if tc.why != "" {
+				rec := do(t, s, "GET", "/history?tx="+id, nil, nil)
+				wantCode(t, rec, http.StatusNotFound)
+				if !strings.Contains(rec.Body.String(), tc.why) {
+					t.Fatalf("404 body %s does not say %q", rec.Body, tc.why)
+				}
+				return
+			}
+			var tx TxView
+			wantCode(t, do(t, s, "GET", "/history?tx="+id, nil, &tx), http.StatusOK)
+			if tx.ID != id || tx.Buyer != buyer || tx.Price != tv.Price || tx.Mashup == nil || tx.Mashup.NumRows() != 60 {
+				t.Fatalf("delivered %+v, want %s's 60-row mashup", tx, id)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/federation"
 	"repro/internal/obs"
@@ -186,20 +185,8 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 // TestMetricsEndpointDisabled pins the opt-out: a server without SetMetrics
 // answers /metrics with 503, not an empty exposition.
 func TestMetricsEndpointDisabled(t *testing.T) {
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(p))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("GET /metrics on a metrics-less server = %d, want 503", resp.StatusCode)
-	}
+	s, _ := mkServer(t, postedDesign())
+	wantCode(t, do(t, s, "GET", "/metrics", nil, nil), http.StatusServiceUnavailable)
 }
 
 // TestMetricsEndpointMultiShard wires a registry into a two-shard market and

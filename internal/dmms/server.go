@@ -28,19 +28,27 @@ import (
 	"repro/internal/mltask"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
-// Server is the gateway's HTTP API over a market (internal/federation): the
-// async submit/poll surface. Submissions are routed to their home shard (or
-// the cross-shard coordinator) and return tickets immediately, epochs clear
-// the market in the background, and clients follow progress via tickets and
-// the per-shard event logs. The read views (/engine/stats, /settlements,
-// /history, /demand) merge every shard. There are no synchronous mutations
-// here — they would bypass routing and the durable event log; SyncServer
-// (cmd/dmmsd) serves those over a bare platform.
+// Server is the DMMS's HTTP API over a market (internal/federation), the one
+// cmd/dmgateway serves. Submissions are routed to their home shard (or the
+// cross-shard coordinator) and return tickets immediately, epochs clear the
+// market in the background, and clients follow progress via tickets and the
+// per-shard event logs. The read views (/engine/stats, /settlements,
+// /history, /demand) merge every shard, and GET /history?tx=<id> hands a
+// buyer the mashup a sale delivered while its shard's history window holds
+// it. There are no synchronous mutations: they would bypass routing and the
+// durable event log.
+//
+// Routes gain per-route count and latency series once a telemetry registry
+// is wired. hm is an atomic pointer so metrics can be wired after
+// construction — the gateway builds the server first — without racing
+// in-flight requests.
 type Server struct {
-	routeSet
+	mux    *http.ServeMux
+	hm     atomic.Pointer[httpMetrics]
 	market *federation.Market
 }
 
@@ -52,25 +60,15 @@ type httpMetrics struct {
 	dur  *obs.HistogramVec // dmms_http_request_seconds{route}
 }
 
-// routeSet is the HTTP plumbing shared by Server and SyncServer: a mux whose
-// routes gain per-route count and latency series once a telemetry registry
-// is wired. hm is an atomic pointer so metrics can be wired after
-// construction — the gateway builds the server first — without racing
-// in-flight requests.
-type routeSet struct {
-	mux *http.ServeMux
-	hm  atomic.Pointer[httpMetrics]
-}
-
 // SetMetrics wires a telemetry registry: every route gains request-count and
 // latency series, and GET /metrics serves the registry's Prometheus text.
 // Pass nil to disable (the endpoint answers 503 again).
-func (rs *routeSet) SetMetrics(reg *obs.Registry) {
+func (s *Server) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
-		rs.hm.Store(nil)
+		s.hm.Store(nil)
 		return
 	}
-	rs.hm.Store(&httpMetrics{
+	s.hm.Store(&httpMetrics{
 		reg: reg,
 		reqs: reg.NewCounterVec("dmms_http_requests_total",
 			"HTTP requests served, by route pattern and status code.", "route", "code"),
@@ -82,7 +80,7 @@ func (rs *routeSet) SetMetrics(reg *obs.Registry) {
 // NewMarketServer builds the HTTP front end over a market. The caller owns
 // the market's lifecycle (Start/Stop).
 func NewMarketServer(m *federation.Market) *Server {
-	s := &Server{routeSet: routeSet{mux: http.NewServeMux()}, market: m}
+	s := &Server{mux: http.NewServeMux(), market: m}
 	s.handle("POST /async/participants", s.handleParticipants)
 	s.handle("POST /async/datasets", s.handleDatasets)
 	s.handle("POST /async/requests", s.handleRequests)
@@ -113,12 +111,12 @@ func NewEngineServer(p *core.Platform, eng *engine.Engine) *Server {
 // handle registers an instrumented route. The metric label is the pattern's
 // path part ("/async/tickets/{id}"), so path parameters never explode the
 // series cardinality.
-func (rs *routeSet) handle(pattern string, h http.HandlerFunc) {
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	route := pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
 		route = pattern[i+1:]
 	}
-	rs.mux.HandleFunc(pattern, rs.instrument(route, h))
+	s.mux.HandleFunc(pattern, s.instrument(route, h))
 }
 
 // statusRecorder captures the response status for the request counter.
@@ -134,9 +132,9 @@ func (sr *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps a handler with per-route latency and count series. With
 // no metrics wired it is a plain passthrough.
-func (rs *routeSet) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		hm := rs.hm.Load()
+		hm := s.hm.Load()
 		if hm == nil {
 			h(w, r)
 			return
@@ -150,8 +148,8 @@ func (rs *routeSet) instrument(route string, h http.HandlerFunc) http.HandlerFun
 }
 
 // handleMetrics serves the registry in Prometheus text exposition format.
-func (rs *routeSet) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hm := rs.hm.Load()
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	hm := s.hm.Load()
 	if hm == nil {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("dmms: metrics disabled (run the gateway with -metrics)"))
 		return
@@ -161,7 +159,7 @@ func (rs *routeSet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeHTTP implements http.Handler.
-func (rs *routeSet) ServeHTTP(w http.ResponseWriter, r *http.Request) { rs.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -235,8 +233,8 @@ type DatasetReq struct {
 	Author   string             `json:"author,omitempty"`
 }
 
-// datasetTerms validates a DatasetReq and derives the license terms and
-// metadata shared by the sync and async share paths.
+// datasetTerms validates a DatasetReq and derives its license terms and
+// metadata.
 func datasetTerms(req DatasetReq) (license.Terms, wtp.DatasetMeta, error) {
 	if req.Relation == nil || req.ID == "" || req.Seller == "" {
 		return license.Terms{}, wtp.DatasetMeta{}, fmt.Errorf("dmms: seller, id and relation are required")
@@ -281,8 +279,7 @@ type RequestReq struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// buildRequest turns the wire form into the arbiter's Want + WTP-function,
-// shared by the sync and async request paths.
+// buildRequest turns the wire form into the arbiter's Want + WTP-function.
 func buildRequest(req RequestReq) (dod.Want, *wtp.Function, error) {
 	var task wtp.Task
 	switch req.Task.Kind {
@@ -642,8 +639,12 @@ type HistoryResp struct {
 
 // handleHistory merges every shard arbiter's history window (without mashup
 // payloads), IDs in federation form, with the all-time total. ?shard=i
-// narrows to one shard.
+// narrows to one shard; ?tx=<id> delivers one transaction instead.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+	if id := r.URL.Query().Get("tx"); id != "" {
+		s.deliver(w, id)
+		return
+	}
 	shards, err := s.viewShards(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -659,6 +660,42 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// deliver answers GET /history?tx=<id>, id in federation form: the
+// transaction's TxView with the mashup the buyer paid for, while its shard's
+// history window holds it with a relation. Otherwise it answers 404 and says
+// why: the window never held the ID or has moved past it, the sale was
+// restored at boot from a snapshot or the WAL (whose skeletons carry no
+// mashup), or it settled across shards (the coordinator holds no mashup).
+func (s *Server) deliver(w http.ResponseWriter, id string) {
+	if strings.HasPrefix(id, "xtx-") {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: %s settled across shards; no shard holds its mashup", id))
+		return
+	}
+	for _, sh := range s.market.Shards() {
+		local, ok := strings.CutPrefix(id, s.market.ShardID(sh.Index, ""))
+		if !ok {
+			continue
+		}
+		for _, tx := range sh.Platform.Arbiter.History() {
+			if tx.ID != local {
+				continue
+			}
+			if tx.Mashup == nil {
+				writeErr(w, http.StatusNotFound, fmt.Errorf(
+					"dmms: transaction %q was restored from the durable log, which keeps no mashup", id))
+				return
+			}
+			v := txView(tx, true)
+			v.ID = id
+			writeJSON(w, http.StatusOK, v)
+			return
+		}
+	}
+	writeErr(w, http.StatusNotFound, fmt.Errorf(
+		"dmms: transaction %q is not in the history window (each shard holds its newest %d sales; /settlements lists every sale)",
+		id, retain.Sizes().History))
 }
 
 // handleDemand merges the shards' unmet-demand signals: counts sum per

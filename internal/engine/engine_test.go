@@ -159,7 +159,7 @@ func TestEngineConcurrentEpochs(t *testing.T) {
 	}
 	if !book.Cut().Conserved() {
 		t.Fatalf("settlement conservation violated: debits=%s credits=%s",
-			book.Debits(), book.Credits())
+			book.Cut().Debits(), book.Cut().Credits())
 	}
 	epochs := map[uint64]bool{}
 	if err := book.Cut().Each(func(s ledger.Settlement) error { epochs[s.Epoch] = true; return nil }); err != nil {

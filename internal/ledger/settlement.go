@@ -157,13 +157,6 @@ func (b *SettlementBook) HeldBytes() int {
 	return len(b.held)
 }
 
-// Debits sums what buyers paid across all upfront settlements.
-func (b *SettlementBook) Debits() Currency { return b.Cut().Debits() }
-
-// Credits sums what the arbiter and sellers received across all upfront
-// settlements.
-func (b *SettlementBook) Credits() Currency { return b.Cut().Credits() }
-
 // Cut returns a consistent view of the book as it stands: the entries and
 // the totals over them agree however many are recorded meanwhile. O(1): the
 // entries held in memory are shared, not copied — the book only appends and

@@ -36,10 +36,10 @@ func TestSettlementBookConservation(t *testing.T) {
 	if !b.Cut().Conserved() {
 		t.Fatal("balanced settlements reported unconserved")
 	}
-	if got := b.Debits(); got != FromFloat(160) {
+	if got := b.Cut().Debits(); got != FromFloat(160) {
 		t.Fatalf("debits: want 160, got %s", got)
 	}
-	if got := b.Credits(); got != FromFloat(160) {
+	if got := b.Cut().Credits(); got != FromFloat(160) {
 		t.Fatalf("credits: want 160, got %s", got)
 	}
 	if got := entries(t, b.Cut()); len(got) != 2 || got[0].Epoch != 1 || got[1].Epoch != 2 {
@@ -65,8 +65,8 @@ func TestSettlementBookExPostSkipped(t *testing.T) {
 	if !b.Cut().Conserved() {
 		t.Fatal("ex-post settlement should be skipped by Conserved")
 	}
-	if b.Debits() != 0 || b.Credits() != 0 {
-		t.Fatalf("ex-post settlement leaked into totals: debits=%s credits=%s", b.Debits(), b.Credits())
+	if b.Cut().Debits() != 0 || b.Cut().Credits() != 0 {
+		t.Fatalf("ex-post settlement leaked into totals: debits=%s credits=%s", b.Cut().Debits(), b.Cut().Credits())
 	}
 	if b.Cut().Count() != 1 {
 		t.Fatalf("count: want 1, got %d", b.Cut().Count())
@@ -270,8 +270,8 @@ func TestSettlementBookArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Record(sale(5, FromFloat(1)))
-	if r.Cut().Count() != 6 || r.Cut().Conserved() || r.Debits() != FromFloat(60) || r.Credits() != FromFloat(59) {
-		t.Fatalf("restored totals: count %d conserved %v debits %s credits %s", r.Cut().Count(), r.Cut().Conserved(), r.Debits(), r.Credits())
+	if r.Cut().Count() != 6 || r.Cut().Conserved() || r.Cut().Debits() != FromFloat(60) || r.Cut().Credits() != FromFloat(59) {
+		t.Fatalf("restored totals: count %d conserved %v debits %s credits %s", r.Cut().Count(), r.Cut().Conserved(), r.Cut().Debits(), r.Cut().Credits())
 	}
 	if got := entries(t, r.Cut()); len(got) != 6 || !reflect.DeepEqual(got[:5], all[:5]) {
 		t.Fatalf("restored book streams %v", got)
