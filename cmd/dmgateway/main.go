@@ -6,19 +6,20 @@
 // publishes every outcome on an append-only event log that clients poll via
 // /events, /async/tickets/{id} and /settlements. A buyer whose ticket is done
 // fetches the mashup it paid for with GET /history?tx=<tx_id>, while the
-// sale's shard holds it in its history window; a sale past the window, one
-// restored at boot from a snapshot or the WAL, or a cross-shard one answers
-// 404 with the reason.
+// sale's shard holds it in its history window (a cross-shard sale's is its
+// buyer's home shard); a sale past the window, or one restored at boot from
+// a snapshot or the WAL, answers 404 with the reason.
 //
 // There is one serving path: the gateway always boots a federated market
 // (internal/federation) of -shards arbiter shards behind one dmms.Server.
 // With N > 1 shards — each a full platform + engine + WAL lineage under
 // <wal-dir>/shard-<i> — epochs run concurrently behind a router, and mashups
 // spanning shards settle through the cross-shard coordinator's two-phase
-// commit. -shards 1 (the default) is a federation of one: bare ticket and
-// transaction IDs, the WAL directly under <wal-dir>, an idle coordinator —
-// the classic single-arbiter gateway, byte-identical to previous releases'
-// replay fingerprints and able to boot their WAL directories.
+// commit, whose every record is an event in the shards' own WALs. -shards 1
+// (the default) is a federation of one: bare ticket and transaction IDs, the
+// WAL directly under <wal-dir>, an idle coordinator — the classic
+// single-arbiter gateway, byte-identical to previous releases' replay
+// fingerprints and able to boot their WAL directories.
 //
 // With -wal-dir the event log is durable: every event is written ahead to a
 // segmented, checksummed WAL (fsync policy via -fsync). The market checkpoints

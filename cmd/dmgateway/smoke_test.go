@@ -154,7 +154,7 @@ func TestGatewaySmoke(t *testing.T) {
 	var tv dmms.TicketView
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		g.call(t, "GET", "/async/tickets/"+tk.Ticket, nil, &tv, http.StatusOK)
-		if tv.Status.Terminal() || time.Now().After(deadline) {
+		if (tv.Status != engine.TicketQueued && tv.Status != engine.TicketApplied) || time.Now().After(deadline) {
 			break
 		}
 	}

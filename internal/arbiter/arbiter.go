@@ -228,6 +228,29 @@ func (a *Arbiter) recordTx(tx *Transaction) {
 	}
 }
 
+// HoldCrossShard escrows a cross-shard sale's price from its buyer under the
+// sale's transaction ID, which it draws from the counter this arbiter's
+// requests and sales share only when the hold succeeds: every number handed
+// out is then on the engine's log (its xtx-prepared record).
+func (a *Arbiter) HoldCrossShard(buyer string, price float64) (string, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	id := fmt.Sprintf("tx-%04d", a.nextID+1)
+	if err := a.Ledger.Hold(id, buyer, ledger.FromFloat(price), "xtx prepare "+id); err != nil {
+		return "", err
+	}
+	a.nextID++
+	return id, nil
+}
+
+// RecordCrossShard enters a cross-shard sale its buyer's home shard
+// committed into the history window.
+func (a *Arbiter) RecordCrossShard(tx *Transaction) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.recordTx(tx)
+}
+
 // openLocked compacts settled requests out of openList and returns the open
 // requests in filing order. Caller holds a.mu. Compaction keeps the slice
 // proportional to the open set, so every matching round — MatchRound and

@@ -122,8 +122,9 @@ func wantCode(t *testing.T, rec *httptest.ResponseRecorder, code int) {
 // stage trace), per-shard events, the merged settlement / history / stats
 // views and home-routed balances report the outcome. What differs by shard
 // count is only what the federation derives from it: bare IDs and an
-// addressable bare /events at one shard; shard-prefixed IDs, a coordinator
-// ticket and a 2PC settlement for the spanning want at two.
+// addressable bare /events at one shard; shard-prefixed IDs and a 2PC
+// settlement for the spanning want at two, which is filed, delivered and
+// counted on its buyer's home shard like the local one.
 func TestAsyncSubmitPoll(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -153,7 +154,7 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			}
 			var tv TicketView
 			wantCode(t, do(t, s, "GET", "/async/tickets/"+tk.Ticket, nil, &tv), http.StatusOK)
-			if tv.Status.Terminal() {
+			if tv.Status != engine.TicketQueued {
 				t.Fatalf("share should still be queued before the epoch: %+v", tv.Ticket)
 			}
 			var ep struct {
@@ -180,8 +181,8 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			if !strings.HasPrefix(local.Ticket, prefix(0)+"sub-") {
 				t.Fatalf("local want ticket %q not on shard 0", local.Ticket)
 			}
-			if onCoord := strings.HasPrefix(span.Ticket, "x:"); onCoord != (shards > 1) {
-				t.Fatalf("two-seller want ticket %q at %d shard(s)", span.Ticket, shards)
+			if !strings.HasPrefix(span.Ticket, prefix(0)+"sub-") {
+				t.Fatalf("two-seller want ticket %q not on shard 0", span.Ticket)
 			}
 			do(t, s, "POST", "/epoch", nil, nil)
 
@@ -195,19 +196,19 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			}
 			tv = TicketView{}
 			wantCode(t, do(t, s, "GET", "/async/tickets/"+span.Ticket, nil, &tv), http.StatusOK)
-			if tv.Status != engine.TicketDone || (shards > 1) != (tv.TxID == "xtx-000001") {
+			if tv.Status != engine.TicketDone || !strings.HasPrefix(tv.TxID, prefix(0)+"tx-") {
 				t.Fatalf("two-seller ticket = %+v", tv.Ticket)
 			}
-			if (shards > 1) != (len(tv.Trace) == 0) {
-				t.Fatalf("trace on a %d-shard two-seller ticket: %v", shards, tv.Trace)
+			if _, ok := tv.Trace[obs.StageSettle]; !ok {
+				t.Fatalf("two-seller ticket carries no settle stamp: %v", tv.Trace)
 			}
-			// The buyer fetches the mashup by tx_id, but no shard holds a
-			// cross-shard sale's.
-			rec := do(t, s, "GET", "/history?tx="+tv.TxID, nil, nil)
-			if shards == 1 {
-				wantCode(t, rec, http.StatusOK)
-			} else if wantCode(t, rec, http.StatusNotFound); !strings.Contains(rec.Body.String(), "across shards") {
-				t.Fatalf("cross-shard delivery answered %s", rec.Body)
+			// The buyer fetches the two-seller mashup by tx_id, from the home
+			// shard's history window at every shard count.
+			spanTx := tv.TxID
+			var tx TxView
+			wantCode(t, do(t, s, "GET", "/history?tx="+spanTx, nil, &tx), http.StatusOK)
+			if tx.ID != spanTx || tx.Mashup == nil || tx.Mashup.NumRows() == 0 || len(tx.Datasets) != 2 {
+				t.Fatalf("two-seller delivery = %+v", tx)
 			}
 			wantCode(t, do(t, s, "GET", "/async/tickets/nope", nil, nil), http.StatusNotFound)
 
@@ -233,8 +234,9 @@ func TestAsyncSubmitPoll(t *testing.T) {
 
 			// Settlement book and history: merged across shards, IDs in
 			// federation form. The book is fed by each engine's event-log
-			// subscriber, so poll briefly. The cross-shard settle appears in
-			// neither (its legs are xtx events), so one entry at two shards.
+			// subscriber, so poll briefly. The book has no cross-shard sale
+			// (its legs are xtx events), so one entry at two shards; the home
+			// shard's history has both sales at every shard count.
 			var book struct {
 				Settlements []SettlementView `json:"settlements"`
 				Conserved   bool             `json:"conserved"`
@@ -251,8 +253,8 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			var page HistoryResp
 			wantCode(t, do(t, s, "GET", "/history", nil, &page), http.StatusOK)
 			hist := page.Transactions
-			if len(hist) != 3-shards || page.Total != 3-shards {
-				t.Fatalf("history has %d entries (total %d), want %d", len(hist), page.Total, 3-shards)
+			if len(hist) != 2 || page.Total != 2 || hist[1].ID != spanTx {
+				t.Fatalf("history has %d entries (total %d), want 2 ending in %s", len(hist), page.Total, spanTx)
 			}
 			for i, st := range book.Settlements {
 				if !strings.HasPrefix(st.TxID, prefix(0)+"tx-") || st.Buyer != buyer || hist[i].ID != st.TxID || hist[i].Mashup != nil {
@@ -316,11 +318,16 @@ func TestAsyncSubmitPoll(t *testing.T) {
 			wantCode(t, do(t, s, "POST", "/participants", ParticipantReq{Name: "x", Funds: 1}, nil), http.StatusNotFound)
 
 			if shards > 1 {
-				// Ex-post reports against cross-shard transactions are refused
-				// (they settle up-front); the refusal travels as an ordinary
-				// submit error.
+				// A cross-shard sale settles up-front: an ex-post report on it
+				// fails its ticket, like one on any sale that owes none.
+				var rtk TicketResp
 				wantCode(t, do(t, s, "POST", "/async/report",
-					ReportReq{TxID: "xtx-000001", Reported: 1, TrueValue: 1}, nil), http.StatusBadRequest)
+					ReportReq{TxID: spanTx, Reported: 1, TrueValue: 1}, &rtk), http.StatusAccepted)
+				do(t, s, "POST", "/epoch", nil, nil)
+				wantCode(t, do(t, s, "GET", "/async/tickets/"+rtk.Ticket, nil, &tv), http.StatusOK)
+				if tv.Status != engine.TicketFailed {
+					t.Fatalf("report on a cross-shard sale = %+v", tv.Ticket)
+				}
 			}
 		})
 	}

@@ -257,7 +257,7 @@ func (c *Client) WaitTicketCtx(ctx context.Context, id string) (engine.Ticket, e
 		if err != nil {
 			return engine.Ticket{}, err
 		}
-		if t.Status.Terminal() {
+		if t.Status != engine.TicketQueued && t.Status != engine.TicketApplied {
 			return t, nil
 		}
 		last = t

@@ -210,11 +210,13 @@ func TestHistoryDeliversMashup(t *testing.T) {
 		window  int  // history window to shrink to (0 = the default)
 		sales   int  // sales after the fetched one
 		restart bool // reboot the market from its WAL before the fetch
+		span    bool // the want joins a dataset of each of two shards
 		id      string
 		why     string // in the 404's error; "" = delivered
 	}{
 		{name: "one shard", shards: 1},
 		{name: "two shards", shards: 2},
+		{name: "across shards", shards: 2, span: true},
 		{name: "unknown id", shards: 1, id: "tx-999999", why: "not in the history window"},
 		{name: "past the window", shards: 1, window: 1, sales: 1, why: "not in the history window"},
 		{name: "restored from the WAL", shards: 1, restart: true, why: "restored from the durable log"},
@@ -232,14 +234,29 @@ func TestHistoryDeliversMashup(t *testing.T) {
 			s := NewMarketServer(m)
 			// Buyer and seller share the last shard, so at two shards the
 			// sale is local to shard 1 and its ID carries the "s1:" prefix.
-			buyer, seller := nameOn(t, "buyer", tc.shards-1, tc.shards), nameOn(t, "seller", tc.shards-1, tc.shards)
+			// Across shards the buyer and one seller live on shard 0 and the
+			// other seller on shard 1: the sale's ID carries the buyer's
+			// home, "s0:".
+			home := tc.shards - 1
+			if tc.span {
+				home = 0
+			}
+			buyer, seller := nameOn(t, "buyer", home, tc.shards), nameOn(t, "seller", home, tc.shards)
 			do(t, s, "POST", "/async/participants", ParticipantReq{Name: buyer, Funds: 5000}, nil)
-			do(t, s, "POST", "/async/datasets", DatasetReq{Seller: seller, ID: "sales", Relation: mkRel()}, nil)
+			want := salesWant(buyer, 150)
+			if tc.span {
+				other := nameOn(t, "other", 1, tc.shards)
+				do(t, s, "POST", "/async/datasets", DatasetReq{Seller: seller, ID: "left", Relation: keyedRel("left", "a", 60)}, nil)
+				do(t, s, "POST", "/async/datasets", DatasetReq{Seller: other, ID: "right", Relation: keyedRel("right", "b", 60)}, nil)
+				want.Columns = []string{"a", "b"}
+			} else {
+				do(t, s, "POST", "/async/datasets", DatasetReq{Seller: seller, ID: "sales", Relation: mkRel()}, nil)
+			}
 			do(t, s, "POST", "/epoch", nil, nil)
 			var tickets []TicketResp
 			for i := 0; i <= tc.sales; i++ {
 				var tk TicketResp
-				wantCode(t, do(t, s, "POST", "/async/requests", salesWant(buyer, 150), &tk), http.StatusAccepted)
+				wantCode(t, do(t, s, "POST", "/async/requests", want, &tk), http.StatusAccepted)
 				do(t, s, "POST", "/epoch", nil, nil)
 				tickets = append(tickets, tk)
 			}
@@ -248,7 +265,7 @@ func TestHistoryDeliversMashup(t *testing.T) {
 			if tv.Status != engine.TicketDone {
 				t.Fatalf("sale ticket = %+v", tv.Ticket)
 			}
-			if want := fmt.Sprintf("s%d:tx-", tc.shards-1); tc.shards > 1 && !strings.HasPrefix(tv.TxID, want) {
+			if want := fmt.Sprintf("s%d:tx-", home); tc.shards > 1 && !strings.HasPrefix(tv.TxID, want) {
 				t.Fatalf("tx_id %q, want prefix %q", tv.TxID, want)
 			}
 			if tc.restart {

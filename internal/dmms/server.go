@@ -33,8 +33,9 @@ import (
 )
 
 // Server is the DMMS's HTTP API over a market (internal/federation), the one
-// cmd/dmgateway serves. Submissions are routed to their home shard (or the
-// cross-shard coordinator) and return tickets immediately, epochs clear the
+// cmd/dmgateway serves. Submissions are routed to their home shard and return
+// tickets immediately, epochs (and, for wants spanning shards, the
+// cross-shard coordinator's rounds) clear the
 // market in the background, and clients follow progress via tickets and the
 // per-shard event logs. The read views (/engine/stats, /settlements,
 // /history, /demand) merge every shard, and GET /history?tx=<id> hands a
@@ -667,12 +668,9 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // history window holds it with a relation. Otherwise it answers 404 and says
 // why: the window never held the ID or has moved past it, the sale was
 // restored at boot from a snapshot or the WAL (whose skeletons carry no
-// mashup), or it settled across shards (the coordinator holds no mashup).
+// mashup). A cross-shard sale is held, with its mashup, by its buyer's home
+// shard, under the ID its ticket carries.
 func (s *Server) deliver(w http.ResponseWriter, id string) {
-	if strings.HasPrefix(id, "xtx-") {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: %s settled across shards; no shard holds its mashup", id))
-		return
-	}
 	for _, sh := range s.market.Shards() {
 		local, ok := strings.CutPrefix(id, s.market.ShardID(sh.Index, ""))
 		if !ok {

@@ -48,7 +48,7 @@ func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Status.Terminal() {
+			if st.Status != engine.TicketQueued && st.Status != engine.TicketApplied {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -101,7 +101,8 @@
 //	kind         string  epoch-start | participant-registered | dataset-shared |
 //	                     request-filed | request-unmet | request-rejected |
 //	                     request-aged | tx-settled | value-reported |
-//	                     submission-rejected | epoch-end
+//	                     submission-rejected | epoch-end | xtx-prepared |
+//	                     xtx-committed | xtx-aborted (cross-shard, xtx.go)
 //	ticket       string  submission ticket, when the event advances one
 //	participant  string  buyer or seller name
 //	dataset      string  dataset ID (dataset-shared)
@@ -121,7 +122,10 @@
 //	age          uint64  epochs waited when deferred (request-aged)
 //	count        uint64  sheds covered by an aggregate (request-rejected)
 //	unmet_columns map    column -> demand increments this round (epoch-end)
-//	error        string  rejection reason (submission-rejected)
+//	xtx_role     string  home | remote (xtx-committed)
+//	remote_cuts  map     seller -> cut settled on another shard (xtx-*)
+//	cross_shard  bool    a want the federation clears (request-filed)
+//	error        string  rejection reason (submission-rejected, xtx-aborted)
 //	note         string  human-readable detail; shed reason (request-rejected)
 //	payload      object  full submission body (dataset-shared, request-filed);
 //	                     in the WAL record only, never served
@@ -214,22 +218,23 @@
 //
 // One engine is one arbiter: a single catalog, epoch runner and WAL lineage.
 // internal/federation composes N of them into a sharded market — the engine
-// itself needs no changes beyond the cross-shard escrow events
-// (xtx-prepared/committed/aborted) and the XTxInFlight snapshot guard:
+// itself adds only its part in a cross-shard sale (xtx.go): wants filed
+// cross-shard, which its own rounds skip, the escrow records
+// (xtx-prepared/committed/aborted) and the snapshot guard on held escrows:
 //
 //	                   federation.Market
 //	SubmitX ──> router (participant hash + column index)
 //	            │ local want          │ spanning want
 //	            v                     v
-//	     shard i (engine +     coordinator (2PC over the
-//	     platform + WAL,       shard event logs; its own
-//	     own epochs)           coord.log for decisions)
+//	     shard i (engine +     home shard i, filed cross-shard;
+//	     platform + WAL,       coordinator (2PC whose every record
+//	     own epochs)           is an event of the shards' logs)
 //
 // Each shard runs the full pipeline above concurrently with the others;
 // wants whose columns live on one shard never pay any coordination cost,
 // and cross-shard mashups settle through an escrow-style two-phase commit
-// whose legs are ordinary WAL events, so recovery resolves in-doubt
-// transactions from the logs alone. With one shard the federation is a
+// whose records are ordinary WAL events, so recovery resolves interrupted
+// sales from the shard logs alone. With one shard the federation is a
 // pass-through and replay stays byte-identical to a bare engine.
 //
 // # Telemetry

@@ -93,11 +93,6 @@ const (
 	TicketRetired TicketStatus = "retired"
 )
 
-// Terminal reports whether the status can no longer change.
-func (s TicketStatus) Terminal() bool {
-	return s == TicketDone || s == TicketFailed || s == TicketRetired
-}
-
 // SubmissionKind names what a ticket tracks.
 type SubmissionKind string
 
@@ -198,6 +193,7 @@ type submission struct {
 	want     dod.Want
 	fn       *wtp.Function
 	priority int
+	cross    *core.RequestSpec // a cross-shard want's request (xtx.go)
 	// report
 	reportTx  string
 	reported  float64
@@ -329,13 +325,19 @@ type Engine struct {
 	reqMeta  map[string]*reqMeta // request ID -> policy metadata
 	epoch    atomic.Uint64
 
-	// Cross-shard (federated) transaction state, guarded by epochMu and
-	// rebuilt from the log on replay: xtxHeld tracks escrows a prepare is
-	// holding (home shard, pre-decision), xtxDone marks transactions whose
-	// terminal record (commit or abort) this shard has logged — the
-	// idempotency backstop for coordinator re-drives. See xtx.go.
-	xtxHeld map[string]*xtxHold
-	xtxDone map[string]bool
+	// Cross-shard sale state, guarded by epochMu and rebuilt from the log on
+	// replay (see xtx.go): xwants holds the open cross-shard wants by ticket
+	// seq (xwantsN their count, and xqueued the count of those still in the
+	// intake queue, for readers without the lock), xtxHeld the
+	// prepared sales awaiting a decision, xtxCommits the home commits since
+	// the last checkpoint cut, and xtxApplied, per xid stream, the number of
+	// the newest remote leg this shard logged.
+	xwants     map[uint64]*CrossWant
+	xwantsN    atomic.Int64
+	xqueued    atomic.Int64
+	xtxHeld    map[string]*xtxHold
+	xtxCommits []XTxCommit
+	xtxApplied map[string]uint64
 
 	policy   MatchPolicy
 	matchCap int
@@ -355,6 +357,10 @@ type Engine struct {
 	stRejected  atomic.Uint64 // admission rejections (durable; see replay)
 	stShed      atomic.Uint64 // queue-depth sheds (transient)
 	stAged      atomic.Uint64 // policy deferrals (durable)
+	// stXCommitted and stXAborted count this shard's home commits and
+	// xtx-aborted records (durable).
+	stXCommitted atomic.Uint64
+	stXAborted   atomic.Uint64
 	// stPriceNanos accumulates price-stage wall-clock time (transient, like
 	// BuildMillis) — always, not only when telemetry is enabled.
 	stPriceNanos atomic.Int64
@@ -399,21 +405,22 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		policy = PolicyFIFO{}
 	}
 	e := &Engine{
-		platform: p,
-		cfg:      cfg,
-		log:      log,
-		book:     book,
-		tickets:  map[uint64]*heldTicket{},
-		openReqs: map[string]string{},
-		reqMeta:  map[string]*reqMeta{},
-		xtxHeld:  map[string]*xtxHold{},
-		xtxDone:  map[string]bool{},
-		policy:   policy,
-		matchCap: cfg.EpochMatchCap,
-		adm:      newAdmission(cfg.Admission, cfg.EpochEvery),
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		started:  time.Now(),
+		platform:   p,
+		cfg:        cfg,
+		log:        log,
+		book:       book,
+		tickets:    map[uint64]*heldTicket{},
+		openReqs:   map[string]string{},
+		reqMeta:    map[string]*reqMeta{},
+		xwants:     map[uint64]*CrossWant{},
+		xtxHeld:    map[string]*xtxHold{},
+		xtxApplied: map[string]uint64{},
+		policy:     policy,
+		matchCap:   cfg.EpochMatchCap,
+		adm:        newAdmission(cfg.Admission, cfg.EpochEvery),
+		kick:       make(chan struct{}, 1),
+		stop:       make(chan struct{}),
+		started:    time.Now(),
 	}
 	e.m = newEngineMetrics(cfg.Metrics, cfg.ShardLabel)
 	if cfg.BuildDeadline > 0 {
@@ -493,7 +500,7 @@ func (e *Engine) Ticket(id string) (Ticket, bool) {
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	e.epochMu.Lock()
-	open := len(e.openReqs)
+	open := len(e.openReqs) + len(e.xwants)
 	e.epochMu.Unlock()
 	up := time.Since(e.started)
 	matched := e.stMatched.Load()
@@ -544,7 +551,7 @@ func (e *Engine) StatsLite() Stats {
 		Applied:      e.stApplied.Load(),
 		Matched:      e.stMatched.Load(),
 		Failed:       e.stFailed.Load(),
-		OpenRequests: e.platform.OpenRequestCount(),
+		OpenRequests: e.platform.OpenRequestCount() + e.CrossWantCount(),
 		Pending:      e.pending.Load(),
 		Events:       e.log.LastSeq(),
 		Rejected:     e.stRejected.Load(),
@@ -588,6 +595,12 @@ func (e *Engine) SubmitRequest(want dod.Want, f *wtp.Function) (string, error) {
 // epoch window, flushed at epoch end — so the shedding path itself never
 // writes to the WAL or contends on the epoch lock.
 func (e *Engine) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority int) (string, error) {
+	return e.submitRequest(want, f, priority, nil)
+}
+
+// submitRequest admits and queues a request; cross is a cross-shard want's
+// request (SubmitCrossShard), nil for one this shard clears.
+func (e *Engine) submitRequest(want dod.Want, f *wtp.Function, priority int, cross *core.RequestSpec) (string, error) {
 	if priority != int(int32(priority)) {
 		return "", fmt.Errorf("engine: priority %d past int32", priority)
 	}
@@ -616,7 +629,7 @@ func (e *Engine) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority 
 			return "", oerr
 		}
 	}
-	s := submission{kind: KindRequest, want: want, fn: f, priority: priority, t0: t0}
+	s := submission{kind: KindRequest, want: want, fn: f, priority: priority, cross: cross, t0: t0}
 	if e.m.on() {
 		s.tAdmit = time.Now()
 	}
@@ -663,6 +676,9 @@ func (e *Engine) enqueue(s submission, participant string) string {
 	e.tickets[s.seq] = &heldTicket{kind: uint8(slices.Index(ticketKinds[:], s.kind)), status: heldQueued,
 		participant: participant, priority: int32(s.priority)}
 	e.queue = append(e.queue, s)
+	if s.cross != nil {
+		e.xqueued.Add(1)
+	}
 	n := e.pending.Add(1)
 	e.m.depth.Add(1)
 	e.tmu.Unlock()
@@ -706,6 +722,11 @@ func (e *Engine) drain() []submission {
 	e.queue = nil
 	e.pending.Store(0)
 	e.m.depth.Add(-float64(len(batch)))
+	for i := 0; i < len(batch) && e.xqueued.Load() > 0; i++ {
+		if batch[i].cross != nil {
+			e.xqueued.Add(-1)
+		}
+	}
 	e.tmu.Unlock()
 	if n := len(batch); n > 0 {
 		e.appliedSeq = batch[n-1].seq
@@ -963,6 +984,14 @@ func (e *Engine) apply(ep uint64, s submission) {
 		}
 		if !e.platform.HasAccount(s.fn.Buyer) {
 			fail(fmt.Errorf("engine: buyer %q is not registered", s.fn.Buyer))
+			return
+		}
+		if s.cross != nil {
+			if err := s.fn.Validate(); err != nil {
+				fail(err)
+				return
+			}
+			e.fileCrossShard(ep, s)
 			return
 		}
 		reqID, err := e.platform.SubmitRequest(s.want, s.fn)

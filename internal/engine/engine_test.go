@@ -66,7 +66,7 @@ func waitTerminal(t *testing.T, e *Engine, tickets []string, deadline time.Durat
 			if !ok {
 				t.Fatalf("ticket %s vanished", id)
 			}
-			if tk.Status.Terminal() {
+			if tk.Status != TicketQueued && tk.Status != TicketApplied {
 				done++
 			}
 		}

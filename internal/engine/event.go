@@ -51,25 +51,25 @@ const (
 	EventValueReported EventKind = "value-reported"
 	EventEpochEnd      EventKind = "epoch-end"
 
-	// Cross-shard (federated) settlement records. A mashup whose candidate
-	// datasets span arbiter shards settles via an escrow-style two-phase
-	// commit: the federation coordinator drives prepare/commit/abort and each
-	// participant shard records its own leg as an ordinary WAL event, so
-	// recovery resolves in-doubt transactions from the logs alone. These are
-	// deliberately NOT EventTxSettled — the settlement book (folded from
-	// tx-settled) tracks only intra-shard settlements; federated ones are
-	// surfaced by the coordinator.
+	// Cross-shard sale records (see xtx.go). A mashup whose datasets span
+	// arbiter shards settles in a two-phase commit whose every durable fact
+	// is an event of the shards' own logs, so recovery resolves an
+	// interrupted sale from the logs alone. These are deliberately NOT
+	// EventTxSettled: the settlement book (folded from tx-settled) tracks
+	// only sales within one shard's ledger.
 	//
 	// EventXTxPrepared (home shard): the buyer's funds for TxID are held in a
-	// ledger escrow named after the transaction.
-	// EventXTxCommitted with XTxRole "home": the escrow pays the arbiter, the
-	// home-shard seller cuts transfer locally, and the remote cuts are
-	// withdrawn from this shard's supply (they re-enter on the sellers'
-	// shards, conserving the federation-wide total).
+	// ledger escrow named after the sale; the record carries the whole sale.
+	// EventXTxCommitted with XTxRole "home": the commit decision. The escrow
+	// pays the arbiter, the home-shard seller cuts transfer locally, the
+	// remote cuts are withdrawn from this shard's supply (they re-enter on
+	// the sellers' shards, conserving the federation-wide total), and the
+	// want closes.
 	// EventXTxCommitted with XTxRole "remote": this shard's sellers are paid
 	// the recorded cuts out of thin air — the exact micro-units the home
 	// shard withdrew.
-	// EventXTxAborted (home shard): the escrow refunds the buyer in full.
+	// EventXTxAborted (home shard): the escrow refunds the buyer in full and
+	// the want stays open; or, with an error and no TxID, the want fails.
 	EventXTxPrepared  EventKind = "xtx-prepared"
 	EventXTxCommitted EventKind = "xtx-committed"
 	EventXTxAborted   EventKind = "xtx-aborted"
@@ -150,9 +150,12 @@ type Event struct {
 	// settled on *other* shards. Replay withdraws their micro-unit sum from
 	// the home ledger, mirroring the deposits the remote shards replay.
 	RemoteCuts map[string]float64 `json:"remote_cuts,omitempty"`
-	Err        string             `json:"error,omitempty"`
-	Note       string             `json:"note,omitempty"`
-	Payload    *Payload           `json:"payload,omitempty"`
+	// CrossShard marks a request-filed record of a want whose columns span
+	// shards: the federation, not this shard's rounds, clears it.
+	CrossShard bool     `json:"cross_shard,omitempty"`
+	Err        string   `json:"error,omitempty"`
+	Note       string   `json:"note,omitempty"`
+	Payload    *Payload `json:"payload,omitempty"`
 }
 
 // Persister receives every event's record — its JSON, byte for byte

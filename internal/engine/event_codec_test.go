@@ -54,10 +54,16 @@ func codecCorpus(t testing.TB) []Event {
 			Price: 480, ArbiterCut: 48, SellerCuts: cuts, Reported: 480, Audited: true, ExPost: true},
 		{Kind: EventEpochEnd, Epoch: 4, UnmetColumns: map[string]int{"a": 2, "<b>": 1}, QuotaRefill: 0.5,
 			Note: "matched=1 unmet=1"},
-		{Kind: EventXTxPrepared, Epoch: 5, TxID: "xtx-000001", Participant: "b<1>", Price: 90},
-		{Kind: EventXTxCommitted, Epoch: 5, TxID: "xtx-000001", XTxRole: XTxRoleHome, Price: 90,
+		{Kind: EventRequestFiled, Epoch: 5, Ticket: "sub-000007", Participant: "b<1>", CrossShard: true,
+			Payload: &Payload{Request: spec}},
+		{Kind: EventXTxPrepared, Epoch: 5, TxID: "tx-0002", Ticket: "sub-000007", Participant: "b<1>", Price: 90,
+			ArbiterCut: 5, SellerCuts: cuts, RemoteCuts: map[string]float64{"s9": 40}, Satisfaction: 1,
+			Datasets: []string{"s1/d<0>", "s9/d0"}, XTxRole: XTxRoleHome},
+		{Kind: EventXTxCommitted, Epoch: 5, TxID: "tx-0002", Ticket: "sub-000007", XTxRole: XTxRoleHome, Price: 90,
 			SellerCuts: cuts, RemoteCuts: map[string]float64{"s9": 40}},
-		{Kind: EventXTxAborted, Epoch: 5, TxID: "xtx-000002"},
+		{Kind: EventXTxCommitted, Epoch: 5, TxID: "s0:tx-0002", XTxRole: XTxRoleRemote, SellerCuts: cuts},
+		{Kind: EventXTxAborted, Epoch: 5, TxID: "tx-0003", Ticket: "sub-000008", XTxRole: XTxRoleHome},
+		{Kind: EventXTxAborted, Epoch: 5, Ticket: "sub-000009", Err: "ledger: insufficient funds"},
 	}
 	for i := range evs {
 		evs[i].Seq = i + 1

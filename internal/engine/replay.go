@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -29,6 +30,10 @@ type Counters struct {
 	Applied   uint64 `json:"applied"`
 	Matched   uint64 `json:"matched"`
 	Failed    uint64 `json:"failed"`
+	// XTxCommitted and XTxAborted count a shard's home commits of
+	// cross-shard sales and its xtx-aborted records.
+	XTxCommitted uint64 `json:"xtx_committed,omitempty"`
+	XTxAborted   uint64 `json:"xtx_aborted,omitempty"`
 }
 
 // RequestMetaState is the durable policy metadata of one open request.
@@ -90,6 +95,12 @@ type SnapshotState struct {
 	Book           ledger.BookCut         `json:"-"`
 	Counters       Counters               `json:"counters"`
 	Policy         *PolicyState           `json:"policy,omitempty"`
+	// CrossWants are the open cross-shard wants, in filing order, and
+	// XTxApplied the newest remote leg logged per xid stream (see xtx.go).
+	// A checkpoint holds no prepared sale, and forgets the home commits
+	// before it: the federation cuts only once every remote leg is logged.
+	CrossWants []CrossWant       `json:"cross_wants,omitempty"`
+	XTxApplied map[string]uint64 `json:"xtx_applied,omitempty"`
 }
 
 // Snapshot captures a consistent checkpoint. It holds the epoch lock, so no
@@ -140,10 +151,16 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		OpenReqs:   map[string]string{},
 		Book:       e.book.Cut(),
 		Counters: Counters{
-			Applied: e.stApplied.Load(),
-			Matched: e.stMatched.Load(),
-			Failed:  e.stFailed.Load(),
+			Applied:      e.stApplied.Load(),
+			Matched:      e.stMatched.Load(),
+			Failed:       e.stFailed.Load(),
+			XTxCommitted: e.stXCommitted.Load(),
+			XTxAborted:   e.stXAborted.Load(),
 		},
+		XTxApplied: maps.Clone(e.xtxApplied),
+	}
+	for _, seq := range slices.Sorted(maps.Keys(e.xwants)) {
+		snap.CrossWants = append(snap.CrossWants, *e.xwants[seq])
 	}
 	for id, t := range e.openReqs {
 		snap.OpenReqs[id] = t
@@ -184,6 +201,7 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		ps.Buckets, ps.EpochAdmitted = e.adm.snapshotState()
 	}
 	snap.Policy = ps
+	e.xtxCommits = nil
 	return snap, nil
 }
 
@@ -264,6 +282,11 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 		for id, ticket := range snap.OpenReqs {
 			e.openReqs[id] = ticket
 		}
+		for _, w := range snap.CrossWants {
+			e.xwants[ticketSeq(w.Ticket)] = &w
+		}
+		e.xwantsN.Store(int64(len(e.xwants)))
+		maps.Copy(e.xtxApplied, snap.XTxApplied)
 		if ps := snap.Policy; ps != nil {
 			for _, rm := range ps.Requests {
 				e.reqMeta[rm.RequestID] = &reqMeta{
@@ -326,6 +349,8 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 	e.stApplied.Store(counters.Applied)
 	e.stMatched.Store(counters.Matched)
 	e.stFailed.Store(counters.Failed)
+	e.stXCommitted.Store(counters.XTxCommitted)
+	e.stXAborted.Store(counters.XTxAborted)
 	e.stMatchedAtBoot = counters.Matched
 	return e, nil
 }
@@ -372,6 +397,10 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 		// per admitted request, in event order.
 		if e.adm != nil {
 			e.adm.replayCommit(ev.Participant)
+		}
+		if ev.CrossShard {
+			c.Applied++
+			return e.replayCrossWant(ev, seq)
 		}
 		if ev.Payload == nil || ev.Payload.Request == nil {
 			// Code-task request: not durable. The ticket survives but its
@@ -474,34 +503,8 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 			e.adm.refill(ev.QuotaRefill)
 		}
 
-	case EventXTxPrepared:
-		// Home-shard prepare: re-hold the buyer's escrow and resume tracking
-		// it. Recovery (the federation coordinator, after every shard has
-		// replayed) resolves any still-held transaction from its own log.
-		if err := e.platform.XTxPrepare(ev.TxID, ev.Participant, ev.Price); err != nil {
-			return err
-		}
-		e.xtxHeld[ev.TxID] = &xtxHold{buyer: ev.Participant, price: ev.Price}
-
-	case EventXTxCommitted:
-		if ev.XTxRole == XTxRoleRemote {
-			if err := e.platform.XTxCommitRemote(ev.TxID, ev.SellerCuts); err != nil {
-				return err
-			}
-		} else {
-			if err := e.platform.XTxCommitHome(ev.TxID, ev.Price, ev.SellerCuts, ev.RemoteCuts); err != nil {
-				return err
-			}
-			delete(e.xtxHeld, ev.TxID)
-		}
-		e.xtxDone[ev.TxID] = true
-
-	case EventXTxAborted:
-		if err := e.platform.XTxAbort(ev.TxID); err != nil {
-			return err
-		}
-		delete(e.xtxHeld, ev.TxID)
-		e.xtxDone[ev.TxID] = true
+	case EventXTxPrepared, EventXTxCommitted, EventXTxAborted:
+		return e.replayXTx(ev, c)
 
 	case EventEpochStart, EventRequestUnmet:
 		// Structural markers; no platform mutation to replay.

@@ -20,10 +20,11 @@ import (
 
 // This file is the federation's crash harness: the 2PC kill matrix (a
 // simulated process death at every commit boundary, including boundaries
-// inside recovery itself) and the multi-shard restart fingerprints. All
-// durable runs use SyncAlways so the shard WALs hold exactly what the live
-// process saw — the interesting torn-prefix story is the single-engine WAL
-// suite's job; here the variable is where the COORDINATOR died.
+// inside recovery itself), the same failures resolved without a restart, and
+// the multi-shard restart fingerprints. Durable runs use SyncAlways, save the
+// kill matrix's -fsync epoch rows, so the shard WALs hold exactly what the
+// live process saw — the interesting torn-prefix story is the single-engine
+// WAL suite's job; here the variable is where the 2PC stopped.
 
 // fedConfig is the durable 2-shard config every crash test uses.
 func fedConfig(dir string, shards int) Config {
@@ -61,7 +62,7 @@ func runBaseline(t *testing.T) (map[string]ledger.Currency, [][]byte, ledger.Cur
 	if n := m.CoordRound(); n != 1 {
 		t.Fatalf("baseline round settled %d wants, want 1", n)
 	}
-	if got, _ := m.Ticket(tk); got.Status != engine.TicketDone || got.TxID != "xtx-000001" {
+	if got, _ := m.Ticket(tk); got.Status != engine.TicketDone || got.TxID != "s0:tx-0001" {
 		t.Fatalf("baseline ticket: %+v", got)
 	}
 	bals := accountBalances(m, fx)
@@ -81,27 +82,50 @@ func runBaseline(t *testing.T) (map[string]ledger.Currency, [][]byte, ledger.Cur
 	return bals, prints, supply
 }
 
-// killPoints are every 2PC boundary the live settle path crosses, in order.
-// Points at or after the durable commit decision must re-drive to the same
-// bytes; points before it resolve by presumed abort and retry.
-var killPoints = []struct {
-	point       string
-	afterDecide bool // decision durable as commit when the crash hit
-}{
-	{"begin", false},
-	{"prepared", false},
-	{"decided", true},
-	{"crash:home-committed", true},
-	{"crash:remote-committed-1", true},
-	{"want-done", true},
-	{"done", true},
+// killPoints are every 2PC boundary the live settle path crosses, in order:
+// before anything durable (the sale is matched), after the home shard's
+// prepare, after its commit (the decision, which also closes the want), after
+// each remote shard's leg, and after the sale is finished. Points after the
+// commit must re-drive to the same bytes; points before it resolve by
+// presumed abort, if anything was prepared, and retry.
+var killPoints = []killPoint{
+	{point: "begin", retryTx: "s0:tx-0001"},
+	{point: "prepared", inDoubt: true, aborts: 1, retryTx: "s0:tx-0002"},
+	{point: "crash:home-committed", afterCommit: true, inDoubt: true},
+	{point: "crash:remote-committed-1", afterCommit: true, inDoubt: true},
+	{point: "done", afterCommit: true},
 }
 
-// TestXTxKillMatrix kills the coordinator at every 2PC boundary, reboots
-// the federation from the logs, and asserts: total funds across all shard
-// ledgers are conserved; the transaction settles exactly once; and for
-// every kill at or after the durable commit decision the recovered shards
-// are byte-identical to the uncrashed baseline.
+type killPoint struct {
+	point       string
+	afterCommit bool // the home commit was durable when the kill hit
+	inDoubt     bool // the round left the sale in doubt: no checkpoint until resolved
+	// For kills before the commit: the aborts recovery logs, and the
+	// sale's ID when the want is retried.
+	aborts  uint64
+	retryTx string
+}
+
+// epochKills repeat two kills after the commit under -fsync epoch, the
+// default policy, which fsyncs only epoch ends and xtx-committed records.
+// At the kill, each shard in synced must have persisted through its head,
+// its newest record an xtx-committed: a power loss there keeps everything
+// recovery needs. "decided" dies right after the home commit, the sale's
+// decision, which also closes the want; "want-done" dies once the sale is
+// finished, every leg logged.
+var epochKills = []struct {
+	name, point string
+	synced      []int
+}{
+	{name: "decided", point: "crash:home-committed", synced: []int{0}},
+	{name: "want-done", point: "done", synced: []int{0, 1}},
+}
+
+// TestXTxKillMatrix kills the market at every 2PC boundary, reboots the
+// federation from its shard logs, and asserts: total funds across all shard
+// ledgers are conserved; the want settles exactly once; and for every kill
+// after the home commit the recovered shards are byte-identical to the
+// uncrashed baseline, history window included.
 func TestXTxKillMatrix(t *testing.T) {
 	xtxKillMatrix(t, false)
 	// The bounded-state variant: every shard keeps only a few events,
@@ -139,137 +163,164 @@ func tinyWindows(t *testing.T) {
 // interval) over small, pruned segments.
 func xtxKillMatrix(t *testing.T, checkpoints bool) {
 	baseBals, basePrints, baseSupply := runBaseline(t)
+	for _, kp := range killPoints {
+		killAndRecover(t, kp.point, kp, wal.SyncAlways, nil, checkpoints, baseBals, basePrints, baseSupply)
+	}
+	for _, ek := range epochKills {
+		i := slices.IndexFunc(killPoints, func(kp killPoint) bool { return kp.point == ek.point })
+		killAndRecover(t, ek.name, killPoints[i], wal.SyncEpoch, ek.synced, checkpoints, baseBals, basePrints, baseSupply)
+	}
+}
+
+// killAndRecover runs one row of the kill matrix as subtest name: the market
+// under sync dies at kp.point and reboots twice. Each shard in synced must
+// have persisted through its head at the kill, its newest record an
+// xtx-committed.
+func killAndRecover(t *testing.T, name string, kp killPoint, sync wal.SyncPolicy, synced []int, checkpoints bool,
+	baseBals map[string]ledger.Currency, basePrints [][]byte, baseSupply ledger.Currency) {
 	config := func(dir string) Config {
 		cfg := fedConfig(dir, 2)
+		cfg.Sync = sync
 		if checkpoints {
 			cfg.SegmentBytes, cfg.PruneOnSnapshot = 1<<10, true
 		}
 		return cfg
 	}
 
-	for _, kp := range killPoints {
-		t.Run(kp.point, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := config(dir)
-			cfg.testCrash = func(point string) error {
-				if point == kp.point {
-					return fmt.Errorf("injected death at %s", point)
-				}
+	t.Run(name, func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := config(dir)
+		var m *Market
+		cfg.testCrash = func(point string) error {
+			if point != kp.point {
 				return nil
 			}
-			m, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, s := range synced {
+				log := m.Shards()[s].Engine.Log()
+				head := log.LastSeq()
+				persisted, err := log.Persisted()
+				last := log.Since(head - 1)
+				if err != nil || persisted != head || len(last) != 1 || last[0].Kind != engine.EventXTxCommitted {
+					t.Errorf("shard %d log at the kill: persisted %d of %d (%v), newest %+v", s, persisted, head, err, last)
+				}
 			}
-			fx := newCrossShardFixture(t)
-			if checkpoints {
-				m.Start()
-				fx.drive(t, m)
-				waitCheckpointed(t, m)
-			} else {
-				fx.drive(t, m)
-			}
-			fx.submitSpanning(t, m)
-			settledLive := m.CoordRound()
-			if settledLive != 0 {
-				t.Fatalf("crashed settle still counted (%d)", settledLive)
-			}
-			// Money must never be CREATED mid-flight: between home-commit's
-			// withdraw and the remote deposits the supply may dip, never rise.
-			if got := m.TotalSupply(); got > baseSupply {
-				t.Fatalf("mid-crash supply %v exceeds baseline %v", got, baseSupply)
-			}
-			// Until recovery resolves it, the transaction the round left
-			// behind is in doubt: no checkpoint may cut a shard now — unless
-			// the kill came after its done record.
-			if _, err := m.SnapshotAll(); checkpoints && (err == nil) != (kp.point == "done") {
-				t.Fatalf("checkpoint after a kill at %s: err = %v", kp.point, err)
-			}
-			m.Stop()
+			return fmt.Errorf("injected death at %s", point)
+		}
+		m, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx := newCrossShardFixture(t)
+		if checkpoints {
+			m.Start()
+			fx.drive(t, m)
+			waitCheckpointed(t, m)
+		} else {
+			fx.drive(t, m)
+		}
+		tk := fx.submitSpanning(t, m)
+		if n := m.CoordRound(); n != 0 {
+			t.Fatalf("crashed settle still counted (%d)", n)
+		}
+		// The home commit closes the want: a kill after it finds the
+		// ticket done before any reboot.
+		if tv, _ := m.Ticket(tk); kp.afterCommit && (tv.Status != engine.TicketDone || tv.TxID != "s0:tx-0001") {
+			t.Fatalf("ticket at a kill after the home commit: %+v", tv)
+		}
+		// Money must never be CREATED mid-flight: between home-commit's
+		// withdraw and the remote deposits the supply may dip, never rise.
+		if got := m.TotalSupply(); got > baseSupply {
+			t.Fatalf("mid-crash supply %v exceeds baseline %v", got, baseSupply)
+		}
+		// Until recovery resolves it, a transaction the round left
+		// behind is in doubt: no checkpoint may cut a shard now.
+		if _, err := m.SnapshotAll(); checkpoints && (err == nil) == kp.inDoubt {
+			t.Fatalf("checkpoint after a kill at %s: err = %v", kp.point, err)
+		}
+		m.Stop()
 
-			// Reboot: every shard replays its WAL, then the coordinator
-			// resolves the in-doubt transaction from the two logs.
-			m2, err := Open(config(dir))
-			if err != nil {
-				t.Fatalf("recovery open: %v", err)
+		// Reboot: every shard replays its WAL, then the coordinator
+		// resolves the in-doubt transaction from the replayed shards.
+		m2, err := Open(config(dir))
+		if err != nil {
+			t.Fatalf("recovery open: %v", err)
+		}
+		if checkpoints {
+			m2.Start()
+		}
+		if got := m2.TotalSupply(); got != baseSupply {
+			t.Fatalf("post-recovery supply %v, want %v", got, baseSupply)
+		}
+		for _, sh := range m2.Shards() {
+			if i := sh.Platform.Arbiter.Ledger.VerifyChain(); i >= 0 {
+				t.Fatalf("shard %d audit chain corrupt at %d", sh.Index, i)
 			}
-			if checkpoints {
-				m2.Start()
+			if len(sh.Engine.XTxHeld()) != 0 {
+				t.Fatalf("shard %d left escrow in flight after recovery", sh.Index)
+			}
+		}
+
+		if kp.afterCommit {
+			// Durable commit: recovery re-drove the SAME xid to the same
+			// bytes, and the want is terminally done exactly once.
+			if pending, settled, _ := m2.CoordStats(); pending != 0 || settled != 1 {
+				t.Fatalf("coordinator counters after re-drive: pending=%d settled=%d", pending, settled)
+			}
+			if tv, ok := m2.Ticket(tk); !ok || tv.Status != engine.TicketDone || tv.TxID != "s0:tx-0001" {
+				t.Fatalf("recovered ticket: %+v", tv)
+			}
+			m2.Stop()
+			for i, sh := range m2.Shards() {
+				if got := shardFingerprint(t, sh); string(got) != string(basePrints[i]) {
+					t.Fatalf("shard %d diverged from uncrashed baseline after %s kill:\n--- baseline\n%s\n--- recovered\n%s",
+						i, kp.point, basePrints[i], got)
+				}
+			}
+		} else {
+			// No commit: presumed abort refunded any escrow and the want
+			// retries, under a fresh xid if one was drawn; the retry
+			// reaches the same economic outcome as the baseline.
+			if _, _, aborted := m2.CoordStats(); aborted != kp.aborts {
+				t.Fatalf("recovery logged %d aborts, want %d", aborted, kp.aborts)
+			}
+			if pending, _, _ := m2.CoordStats(); pending != 1 {
+				t.Fatalf("want not pending for retry (pending=%d)", pending)
+			}
+			if n := m2.CoordRound(); n != 1 {
+				t.Fatalf("retry round settled %d", n)
+			}
+			if tv, ok := m2.Ticket(tk); !ok || tv.Status != engine.TicketDone || tv.TxID != kp.retryTx {
+				t.Fatalf("retried ticket: %+v", tv)
+			}
+			fxBals := accountBalances(m2, fx)
+			for name, want := range baseBals {
+				if fxBals[name] != want {
+					t.Fatalf("balance %s = %v after retry, baseline %v", name, fxBals[name], want)
+				}
 			}
 			if got := m2.TotalSupply(); got != baseSupply {
-				t.Fatalf("post-recovery supply %v, want %v", got, baseSupply)
+				t.Fatalf("post-retry supply %v, want %v", got, baseSupply)
 			}
-			for _, sh := range m2.Shards() {
-				if i := sh.Platform.Arbiter.Ledger.VerifyChain(); i >= 0 {
-					t.Fatalf("shard %d audit chain corrupt at %d", sh.Index, i)
-				}
-				if sh.Engine.XTxInFlight() != 0 {
-					t.Fatalf("shard %d left escrow in flight after recovery", sh.Index)
-				}
-			}
+			m2.Stop()
+		}
 
-			if kp.afterDecide {
-				// Decided commit: recovery re-drove the SAME xid to the same
-				// bytes, and the want is terminally done exactly once.
-				if pending, settled, _ := m2.CoordStats(); pending != 0 || settled != 1 {
-					t.Fatalf("coordinator counters after re-drive: pending=%d settled=%d", pending, settled)
-				}
-				if tk, ok := m2.Ticket("x:000001"); !ok || tk.Status != engine.TicketDone || tk.TxID != "xtx-000001" {
-					t.Fatalf("recovered ticket: %+v", tk)
-				}
-				m2.Stop()
-				for i, sh := range m2.Shards() {
-					if got := shardFingerprint(t, sh); string(got) != string(basePrints[i]) {
-						t.Fatalf("shard %d diverged from uncrashed baseline after %s kill:\n--- baseline\n%s\n--- recovered\n%s",
-							i, kp.point, basePrints[i], got)
-					}
-				}
-			} else {
-				// Undecided: presumed abort refunded the escrow and the want
-				// retries under a fresh xid; the retry reaches the same
-				// economic outcome as the baseline.
-				if _, _, aborted := m2.CoordStats(); aborted != 1 {
-					t.Fatalf("presumed abort not counted (aborted=%d)", aborted)
-				}
-				if pending, _, _ := m2.CoordStats(); pending != 1 {
-					t.Fatalf("want not pending for retry (pending=%d)", pending)
-				}
-				if n := m2.CoordRound(); n != 1 {
-					t.Fatalf("retry round settled %d", n)
-				}
-				if tk, ok := m2.Ticket("x:000001"); !ok || tk.Status != engine.TicketDone || tk.TxID != "xtx-000002" {
-					t.Fatalf("retried ticket: %+v", tk)
-				}
-				fxBals := accountBalances(m2, fx)
-				for name, want := range baseBals {
-					if fxBals[name] != want {
-						t.Fatalf("balance %s = %v after retry, baseline %v", name, fxBals[name], want)
-					}
-				}
-				if got := m2.TotalSupply(); got != baseSupply {
-					t.Fatalf("post-retry supply %v, want %v", got, baseSupply)
-				}
-				m2.Stop()
+		// A further clean reboot must be a no-op: recovery is idempotent
+		// and replays to the exact same per-shard bytes.
+		m3, err := Open(config(dir))
+		if err != nil {
+			t.Fatalf("second recovery open: %v", err)
+		}
+		ref := make([][]byte, len(m2.Shards()))
+		for i, sh := range m2.Shards() {
+			ref[i] = shardFingerprint(t, sh)
+		}
+		m3.Stop()
+		for i, sh := range m3.Shards() {
+			if got := shardFingerprint(t, sh); string(got) != string(ref[i]) {
+				t.Fatalf("shard %d changed on an idle reboot after %s kill", i, kp.point)
 			}
-
-			// A further clean reboot must be a no-op: recovery is idempotent
-			// and replays to the exact same per-shard bytes.
-			m3, err := Open(config(dir))
-			if err != nil {
-				t.Fatalf("second recovery open: %v", err)
-			}
-			ref := make([][]byte, len(m2.Shards()))
-			for i, sh := range m2.Shards() {
-				ref[i] = shardFingerprint(t, sh)
-			}
-			m3.Stop()
-			for i, sh := range m3.Shards() {
-				if got := shardFingerprint(t, sh); string(got) != string(ref[i]) {
-					t.Fatalf("shard %d changed on an idle reboot after %s kill", i, kp.point)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // waitCheckpointed waits for the background checkpointer to have covered
@@ -286,17 +337,18 @@ func waitCheckpointed(t *testing.T, m *Market) {
 	}
 }
 
-// TestXTxDoubleCrashDuringRecovery kills the coordinator right after the
-// durable commit decision, then kills the RECOVERY at the home-commit
-// boundary, then recovers again — the re-drive must be idempotent through
-// both deaths and still land on the baseline bytes.
+// TestXTxDoubleCrashDuringRecovery kills the market right after the durable
+// home commit, then kills the RECOVERY right after it re-drove the remote
+// leg, then recovers again — the re-drive must be idempotent through both
+// deaths (the remote shard's replayed leg stops a second deposit) and still
+// land on the baseline bytes.
 func TestXTxDoubleCrashDuringRecovery(t *testing.T) {
 	_, basePrints, baseSupply := runBaseline(t)
 
 	dir := t.TempDir()
 	cfg := fedConfig(dir, 2)
 	cfg.testCrash = func(point string) error {
-		if point == "decided" {
+		if point == "crash:home-committed" {
 			return fmt.Errorf("injected death at %s", point)
 		}
 		return nil
@@ -311,24 +363,23 @@ func TestXTxDoubleCrashDuringRecovery(t *testing.T) {
 	m.CoordRound()
 	m.Stop()
 
-	// First recovery dies after re-driving the home commit: its xtx-committed
-	// event is durable in shard 0's WAL, but the remote leg and the
-	// coordinator's done record never happen.
+	// First recovery dies right after re-driving the remote leg: its
+	// xtx-committed event is durable in shard 1's WAL.
 	cfg2 := fedConfig(dir, 2)
 	cfg2.testCrash = func(point string) error {
-		if point == "recover-crash:home-committed" {
+		if point == "recover-crash:remote-committed-1" {
 			return fmt.Errorf("injected recovery death at %s", point)
 		}
 		return nil
 	}
 	if _, err := Open(cfg2); err == nil {
 		t.Fatal("recovery should have died at the injected boundary")
-	} else if !strings.Contains(err.Error(), "recover-crash:home-committed") {
+	} else if !strings.Contains(err.Error(), "recover-crash:remote-committed-1") {
 		t.Fatalf("unexpected recovery error: %v", err)
 	}
 
-	// Second recovery: the home leg replays as already-done, the remote leg
-	// re-drives, and everything finishes to the baseline bytes.
+	// Second recovery: the remote leg replays on shard 1, so nothing is
+	// re-driven, and everything lands on the baseline bytes.
 	m3, err := Open(fedConfig(dir, 2))
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
@@ -371,10 +422,7 @@ func driveMixedWorkload(t *testing.T, m *Market, shards int) {
 	openShare(t, m, xs, xs+"/d0", keyedRel(xs+"/d0", "xright", 30))
 	m.TriggerEpoch()
 	w, f := joinWant(xb, 900, "xleft", "xright")
-	tk := mustTk(m.SubmitRequest(w, f))
-	if shards > 1 && !strings.HasPrefix(tk, "x:") {
-		t.Fatalf("spanning want ticket %s missed the coordinator", tk)
-	}
+	mustTk(m.SubmitRequest(w, f))
 	m.TriggerEpoch()
 	if shards > 1 {
 		if _, settled, _ := m.CoordStats(); settled != 1 {
@@ -384,9 +432,8 @@ func driveMixedWorkload(t *testing.T, m *Market, shards int) {
 }
 
 // TestFederationRestartByteIdentical: shards=2 and shards=4 federations,
-// clean shutdown, reboot from the per-shard WALs + coordinator log — every
-// shard must come back byte-identical, including the cross-shard escrow
-// events in its WAL.
+// clean shutdown, reboot from the per-shard WALs — every shard must come back
+// byte-identical, including the cross-shard sale its WAL holds.
 func TestFederationRestartByteIdentical(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -488,7 +535,7 @@ func TestFederationSnapshotRestartByteIdentical(t *testing.T) {
 
 // TestSnapshotRefusedMidXTx: the engine-level guard — a shard holding a 2PC
 // escrow refuses to snapshot, so no lineage can ever capture in-transit
-// funds (SnapshotAll additionally serializes against settles).
+// funds (SnapshotAll additionally refuses while a sale is in doubt).
 func TestSnapshotRefusedMidXTx(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fedConfig(dir, 2)
@@ -507,7 +554,7 @@ func TestSnapshotRefusedMidXTx(t *testing.T) {
 	fx.drive(t, m)
 	fx.submitSpanning(t, m)
 	m.CoordRound() // dies with the escrow held on shard 0
-	if m.Shards()[0].Engine.XTxInFlight() != 1 {
+	if len(m.Shards()[0].Engine.XTxHeld()) != 1 {
 		t.Fatal("escrow should be in flight")
 	}
 	if _, err := m.Shards()[0].Engine.Snapshot(); err == nil {

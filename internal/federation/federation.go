@@ -5,8 +5,11 @@
 package federation
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -36,9 +39,9 @@ type Config struct {
 	// coordinator never sees a want).
 	Shards int
 	// Dir, when non-empty, makes the federation durable: each shard gets an
-	// independent WAL + snapshot lineage under <Dir>/shard-<i>, and the
-	// coordinator log lives at <Dir>/coord.log. A single shard keeps its
-	// lineage directly in Dir and has no coordinator log — the layout of a
+	// independent WAL + snapshot lineage under <Dir>/shard-<i>, which holds
+	// every durable fact of the cross-shard sales its participants take part
+	// in. A single shard keeps its lineage directly in Dir — the layout of a
 	// bare wal.Boot, so either can boot the other's directory. Empty = fully
 	// in-memory.
 	Dir string
@@ -52,8 +55,8 @@ type Config struct {
 	PruneOnSnapshot bool
 	// Engine is the per-shard engine template. Metrics and ShardLabel are
 	// managed by the federation; everything else applies to each shard
-	// verbatim (so EpochEvery > 0 gives every shard — and the coordinator —
-	// a periodic epoch).
+	// verbatim (so EpochEvery > 0 gives every shard an epoch, and the
+	// coordinator a round, on that period).
 	Engine engine.Config
 	// Platform is the per-shard market design. Every shard must share one
 	// design: the coordinator prices cross-shard mashups on a scratch
@@ -66,7 +69,7 @@ type Config struct {
 	// unlabelled engine and WAL families, exactly like a bare engine.
 	Metrics *obs.Registry
 
-	// testCrash, when non-nil, is the crash-injection hook for the 2PC kill
+	// testCrash, when non-nil, is the failure-injection hook for the 2PC kill
 	// matrix (in-package tests only): it fires at every named commit
 	// boundary, including the ones inside recovery, and a non-nil return
 	// abandons the attempt exactly where a process death would.
@@ -120,7 +123,9 @@ type Market struct {
 }
 
 func newMarket(cfg Config) *Market {
-	return &Market{cfg: cfg, router: newRouter(cfg.Shards), stop: make(chan struct{})}
+	m := &Market{cfg: cfg, router: newRouter(cfg.Shards), stop: make(chan struct{})}
+	m.coord = &coordinator{m: m, crash: cfg.testCrash}
+	return m
 }
 
 // Adopt wraps an existing platform + engine pair as a one-shard in-memory
@@ -130,32 +135,26 @@ func newMarket(cfg Config) *Market {
 func Adopt(p *core.Platform, eng *engine.Engine) *Market {
 	m := newMarket(Config{Shards: 1})
 	m.shards = []*Shard{{Platform: p, Engine: eng}}
-	m.coord = newCoordinator(m, nil)
 	return m
 }
 
 // Open boots a federated market: every shard recovers from its own WAL
-// (durable mode), the coordinator resolves in-doubt cross-shard
-// transactions from the logs, and the router is seeded from the recovered
-// catalogs. Engines are not started; call Start.
+// (durable mode), the coordinator resolves the cross-shard sales an
+// interruption left unfinished from the replayed shards, and the router is
+// seeded from the recovered catalogs. Engines are not started; call Start.
 func Open(cfg Config) (*Market, error) {
 	cfg = cfg.withDefaults()
 	m := newMarket(cfg)
 	single := cfg.Shards == 1
 
-	var coordRecs []coordRecord
-	var clog *coordLog
 	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, err
-		}
-		// One shard can never span, so it has no coordinator log to keep.
 		if !single {
-			var err error
-			clog, coordRecs, err = openCoordLog(cfg.Dir)
-			if err != nil {
+			if err := retireCoordLog(cfg.Dir); err != nil {
 				return nil, err
 			}
+		}
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, err
 		}
 	}
 
@@ -194,12 +193,10 @@ func Open(cfg Config) (*Market, error) {
 		m.shards = append(m.shards, sh)
 	}
 
-	// Coordinator recovery runs after every shard has replayed its WAL (so
-	// shard-side escrow state is current) and before engines start.
-	m.coord = newCoordinator(m, clog)
-	m.coord.crash = cfg.testCrash
+	// Recovery runs after every shard has replayed its WAL and before
+	// engines start.
 	m.coordMu.Lock()
-	err := m.coord.recover(coordRecs)
+	err := m.coord.recover()
 	m.coordMu.Unlock()
 	if err != nil {
 		m.closeLogs()
@@ -211,14 +208,50 @@ func Open(cfg Config) (*Market, error) {
 	return m, nil
 }
 
+// retireCoordLog deals with the coord.log an earlier release kept beside the
+// shard directories: JSON lines of want, want-done, begin, decide and done
+// records, which held the cross-shard decisions the shard WALs now hold. A
+// log whose every want reached want-done and every transaction done holds
+// nothing the shard WALs lack, and is renamed coord.log.retired. A pending
+// want or an unfinished transaction cannot be carried over: boot refuses the
+// directory, naming them, before anything in it is written.
+func retireCoordLog(dir string) error {
+	path := filepath.Join(dir, "coord.log")
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var open []string
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		var r struct{ Type, Ticket, Xid string }
+		if json.Unmarshal(line, &r) != nil {
+			continue // a blank line, or a torn tail no one was told of
+		}
+		switch r.Type {
+		case "want":
+			open = append(open, "want "+r.Ticket)
+		case "begin":
+			open = append(open, "transaction "+r.Xid)
+		case "want-done":
+			open = slices.DeleteFunc(open, func(s string) bool { return s == "want "+r.Ticket })
+		case "done":
+			open = slices.DeleteFunc(open, func(s string) bool { return s == "transaction "+r.Xid })
+		}
+	}
+	if len(open) > 0 {
+		return fmt.Errorf("federation: %s holds unfinished cross-shard work (%s): finish it with the release that wrote it, which resolves it at boot and settles the wants", path, strings.Join(open, ", "))
+	}
+	return os.Rename(path, path+".retired")
+}
+
 func (m *Market) closeLogs() {
 	for _, sh := range m.shards {
 		if sh.WAL != nil {
 			_ = sh.WAL.Close()
 		}
-	}
-	if m.coord != nil {
-		_ = m.coord.log.close()
 	}
 }
 
@@ -304,7 +337,7 @@ func (m *Market) ShardID(shard int, local string) string {
 }
 
 // splitID is the inverse of ShardID; ok is false for IDs naming no shard of
-// this market (coordinator tickets included).
+// this market.
 func (m *Market) splitID(id string) (shard int, local string, ok bool) {
 	if len(m.shards) == 1 {
 		return 0, id, true
@@ -327,10 +360,16 @@ func (m *Market) SubmitRegister(name string, funds float64) (string, error) {
 
 // SubmitShare files a dataset share with the seller's home shard and
 // optimistically indexes its columns for routing (the share applies at the
-// shard's next epoch; until then wants for those columns simply wait).
+// shard's next epoch; until then wants for those columns simply wait). A
+// dataset ID a different seller already holds on another shard is refused:
+// cross-shard matching mirrors every shard's catalog into one, where the two
+// could not both live.
 func (m *Market) SubmitShare(seller string, id catalog.DatasetID, rel *relation.Relation,
 	meta wtp.DatasetMeta, terms license.Terms) (string, error) {
 	s := HomeOf(seller, len(m.shards))
+	if err := m.router.claim(id, seller); err != nil {
+		return "", err
+	}
 	tk, err := m.shards[s].Engine.SubmitShare(seller, id, rel, meta, terms)
 	if err != nil {
 		return "", err
@@ -339,8 +378,9 @@ func (m *Market) SubmitShare(seller string, id catalog.DatasetID, rel *relation.
 	return m.ShardID(s, tk), nil
 }
 
-// SubmitRequest routes a buyer's want: to the home shard when its columns
-// resolve there, to the cross-shard coordinator when they span shards.
+// SubmitRequest files a buyer's want on the buyer's home shard: a request the
+// shard clears itself when its columns resolve there, a cross-shard want the
+// coordinator clears when they span shards.
 func (m *Market) SubmitRequest(want dod.Want, f *wtp.Function) (string, error) {
 	return m.SubmitRequestPriority(want, f, engine.PriorityNormal)
 }
@@ -348,25 +388,24 @@ func (m *Market) SubmitRequest(want dod.Want, f *wtp.Function) (string, error) {
 // SubmitRequestPriority is SubmitRequest with an explicit priority class.
 func (m *Market) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority int) (string, error) {
 	home := HomeOf(f.Buyer, len(m.shards))
+	submit := m.shards[home].Engine.SubmitRequestPriority
 	if m.router.spans(want, home) {
-		return m.coord.enqueue(want, f, priority)
+		submit = m.shards[home].Engine.SubmitCrossShard
 	}
-	tk, err := m.shards[home].Engine.SubmitRequestPriority(want, f, priority)
+	tk, err := submit(want, f, priority)
 	if err != nil {
 		return "", err
 	}
 	return m.ShardID(home, tk), nil
 }
 
-// SubmitReport files an ex-post value report for a shard-local transaction.
-// Cross-shard transactions settle up-front at the delivered price (the
-// escrowed 2PC pays out immediately), so "xtx-" IDs take no reports.
+// SubmitReport files an ex-post value report with the transaction's shard.
+// Cross-shard sales settle up-front at the delivered price (the escrowed 2PC
+// pays out immediately), so a report on one fails its ticket, like a report
+// on any sale that owes none.
 func (m *Market) SubmitReport(txID string, reported, trueValue float64) (string, error) {
 	s, local, ok := m.splitID(txID)
 	if !ok {
-		if strings.HasPrefix(txID, "xtx-") {
-			return "", fmt.Errorf("federation: cross-shard transaction %s settled up-front; no ex-post report", txID)
-		}
 		return "", fmt.Errorf("federation: unknown transaction %q", txID)
 	}
 	tk, err := m.shards[s].Engine.SubmitReport(local, reported, trueValue)
@@ -376,13 +415,9 @@ func (m *Market) SubmitReport(txID string, reported, trueValue float64) (string,
 	return m.ShardID(s, tk), nil
 }
 
-// Ticket resolves a federation ticket: coordinator tickets ("x:...") from
-// the coordinator, shard tickets from their shard with IDs rewritten back to
-// federation form.
+// Ticket resolves a federation ticket from its shard, with IDs rewritten back
+// to federation form.
 func (m *Market) Ticket(id string) (engine.Ticket, bool) {
-	if strings.HasPrefix(id, "x:") {
-		return m.coord.ticket(id)
-	}
 	s, local, ok := m.splitID(id)
 	if !ok {
 		return engine.Ticket{}, false
@@ -398,9 +433,8 @@ func (m *Market) Ticket(id string) (engine.Ticket, bool) {
 	return t, true
 }
 
-// TicketTrace returns the shard-local pipeline stages stamped on a shard
-// ticket (nil for coordinator tickets, with telemetry off, or once the span
-// is evicted).
+// TicketTrace returns the shard-local pipeline stages stamped on a ticket
+// (nil with telemetry off, or once the span is evicted).
 func (m *Market) TicketTrace(id string) map[obs.Stage]time.Time {
 	s, local, ok := m.splitID(id)
 	if !ok {
@@ -449,9 +483,17 @@ func (m *Market) TriggerEpoch() (uint64, bool) {
 	return slices.Max(epochs), m.CoordRound() > 0 || slices.Contains(counted, true)
 }
 
-// CoordRound runs one coordinator round (all pending cross-shard wants get
-// one settle attempt) under the coordinator mutex. Returns settles.
+// CoordRound runs one coordinator round: it first runs an epoch on each shard
+// whose intake still holds a cross-shard want, so a round settles every want
+// submitted before it; then, under the coordinator mutex, it resolves what a
+// failed round left in doubt and gives every open cross-shard want one
+// settle attempt. Returns the wants that reached an outcome.
 func (m *Market) CoordRound() int {
+	for _, sh := range m.shards {
+		if sh.Engine.QueuedCrossWants() > 0 {
+			sh.Engine.TriggerEpoch()
+		}
+	}
 	m.coordMu.Lock()
 	defer m.coordMu.Unlock()
 	return m.coord.round()
@@ -461,8 +503,8 @@ func (m *Market) CoordRound() int {
 
 // Stats merges every shard's engine stats into one market-wide view:
 // throughput counters sum; process-wide gauges (allocator counters, policy)
-// come from shard 0; cross-shard settles count as matches.
-// A one-shard market reports exactly its engine's own Stats.
+// come from shard 0. A cross-shard sale counts as a match on its buyer's
+// home shard. A one-shard market reports exactly its engine's own Stats.
 func (m *Market) Stats() engine.Stats {
 	per := m.ShardStats()
 	agg := per[0]
@@ -504,12 +546,6 @@ func (m *Market) Stats() engine.Stats {
 			agg.PersistErr = fmt.Sprintf("shard %d: %s", i, per[i].PersistErr)
 		}
 	}
-	settled, _ := m.coord.counters()
-	agg.Matched += settled
-	agg.OpenRequests += m.coord.pendingCount()
-	if agg.Uptime > 0 {
-		agg.MatchesPerSec += float64(settled) / agg.Uptime.Seconds()
-	}
 	return agg
 }
 
@@ -525,10 +561,14 @@ func (m *Market) ShardStats() []engine.Stats {
 	return out
 }
 
-// CoordStats reports the coordinator's own counters.
+// CoordStats reports the open cross-shard wants, and the sales committed and
+// the aborts logged on the buyers' home shards.
 func (m *Market) CoordStats() (pending int, settled, aborted uint64) {
-	settled, aborted = m.coord.counters()
-	return m.coord.pendingCount(), settled, aborted
+	for _, sh := range m.shards {
+		c, a := sh.Engine.XTxCounts()
+		pending, settled, aborted = pending+sh.Engine.CrossWantCount(), settled+c, aborted+a
+	}
+	return pending, settled, aborted
 }
 
 // --- snapshots ------------------------------------------------------------
@@ -547,8 +587,7 @@ type Checkpoint struct {
 // SnapshotAll checkpoints every shard: the one checkpoint path, behind POST
 // /snapshot, the drain snapshot and the background checkpointer. Every
 // shard's cut is taken under the coordinator mutex, so no shard can be
-// mid-2PC in the resulting snapshot set and the set is mutually consistent
-// with the coordinator log; archiving each shard's new settlements, encoding,
+// mid-2PC in the resulting snapshot set; archiving each shard's new settlements, encoding,
 // fsync and pruning run after it is released (ckMu keeps one checkpoint in
 // flight; see wal.WriteSnapshot for the order). With Config.PruneOnSnapshot
 // each write also drops the WAL segments the previous checkpoint covers; old
@@ -590,9 +629,9 @@ func (m *Market) cutAll() ([]*engine.SnapshotState, []time.Duration, error) {
 	m.coordMu.Lock()
 	defer m.coordMu.Unlock()
 	if xid := m.coord.inDoubt; xid != "" {
-		// A snapshot does not carry a shard's cross-shard bookkeeping, so a cut
-		// between two commit legs would let recovery apply one of them twice.
-		return nil, nil, fmt.Errorf("federation: checkpoint refused: cross-shard transaction %s is in doubt until a restart resolves it", xid)
+		// A cut forgets the home commits before it, so one between two commit
+		// legs would leave recovery nothing to re-drive the rest from.
+		return nil, nil, fmt.Errorf("federation: checkpoint refused: cross-shard transaction %s is in doubt until the next coordinator round resolves it", xid)
 	}
 	snaps := make([]*engine.SnapshotState, len(m.shards))
 	cuts := make([]time.Duration, len(m.shards))
@@ -655,11 +694,11 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 	reg.NewGaugeFunc("federation_shards", "Arbiter shards in this market.",
 		func() float64 { return float64(len(m.shards)) })
 	reg.NewGaugeFunc("federation_coordinator_pending_wants", "Cross-shard wants awaiting settlement.",
-		func() float64 { return float64(m.coord.pendingCount()) })
+		func() float64 { p, _, _ := m.CoordStats(); return float64(p) })
 	reg.NewCounterFunc("federation_xtx_committed_total", "Cross-shard transactions committed.",
-		func() float64 { s, _ := m.coord.counters(); return float64(s) })
+		func() float64 { _, s, _ := m.CoordStats(); return float64(s) })
 	reg.NewCounterFunc("federation_xtx_aborted_total", "Cross-shard attempts aborted.",
-		func() float64 { _, a := m.coord.counters(); return float64(a) })
+		func() float64 { _, _, a := m.CoordStats(); return float64(a) })
 	if len(m.shards) == 1 {
 		return
 	}
@@ -687,27 +726,14 @@ func registerFederationMetrics(reg *obs.Registry, m *Market) {
 		sum(func(s engine.Stats) float64 { return float64(s.Submitted) }))
 	reg.NewCounterFunc("engine_applied_total", "Submissions applied successfully (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.Applied) }))
-	reg.NewCounterFunc("engine_matched_total", "Requests settled by matching rounds (all shards + cross-shard).",
-		func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += float64(sh.Engine.StatsLite().Matched)
-			}
-			settled, _ := m.coord.counters()
-			return t + float64(settled)
-		})
+	reg.NewCounterFunc("engine_matched_total", "Requests settled by matching rounds and cross-shard sales (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.Matched) }))
 	reg.NewCounterFunc("engine_failed_total", "Submissions rejected at apply time (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.Failed) }))
 	reg.NewGaugeFunc("engine_pending_submissions", "Submissions queued for the next epoch (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.Pending) }))
-	reg.NewGaugeFunc("arbiter_open_requests", "Requests filed but not yet matched (all shards + coordinator queue).",
-		func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += float64(sh.Platform.OpenRequestCount())
-			}
-			return t + float64(m.coord.pendingCount())
-		})
+	reg.NewGaugeFunc("arbiter_open_requests", "Requests filed but not yet matched, cross-shard wants included (all shards).",
+		sum(func(s engine.Stats) float64 { return float64(s.OpenRequests) }))
 	reg.NewGaugeFunc("engine_events_held", "Events held in memory (all shards).",
 		sum(func(s engine.Stats) float64 { return float64(s.EventsHeld) }))
 	reg.NewGaugeFunc("engine_events_held_bytes", "Bytes the held events are indexed and kept in: 16 per event left in the WAL, plus the JSON of any held in memory (all shards).",

@@ -134,7 +134,7 @@ func TestShardTicketRoundTrip(t *testing.T) {
 	if !ok || s != 3 || local != "sub-000017" {
 		t.Fatalf("round trip gave (%d, %q, %v)", s, local, ok)
 	}
-	for _, bad := range []string{"x:000001", "sub-000001", "s:abc", "sx:1", ""} {
+	for _, bad := range []string{"sub-000001", "s:abc", "sx:1", ""} {
 		if _, _, ok := splitShardID(bad); ok {
 			t.Fatalf("splitShardID(%q) should fail", bad)
 		}
@@ -214,19 +214,22 @@ func (fx crossShardFixture) drive(t *testing.T, m *Market) {
 	m.TriggerEpoch()
 }
 
+// submitSpanning submits the want only a join across both shards covers,
+// which its buyer's home shard files at its next epoch.
 func (fx crossShardFixture) submitSpanning(t *testing.T, m *Market) string {
 	t.Helper()
 	w, f := joinWant(fx.buyer, 900, "a", "b")
 	tk := mustTk(m.SubmitRequest(w, f))
-	if !strings.HasPrefix(tk, "x:") {
-		t.Fatalf("spanning want got ticket %s, want coordinator ticket", tk)
+	if !strings.HasPrefix(tk, "s0:") {
+		t.Fatalf("spanning want got ticket %s, want one of its buyer's home shard 0", tk)
 	}
 	return tk
 }
 
-// TestCrossShardSettlement: a want spanning two shard catalogs goes to the
-// coordinator, settles via escrowed 2PC, pays the remote seller on its own
-// shard's ledger, and conserves total supply across the federation.
+// TestCrossShardSettlement: a want spanning two shard catalogs is filed on
+// its buyer's home shard, settles via escrowed 2PC, pays the remote seller on
+// its own shard's ledger, conserves total supply across the federation, and
+// leaves the sale, mashup included, in the home shard's history window.
 func TestCrossShardSettlement(t *testing.T) {
 	m, err := Open(Config{Shards: 2, Platform: core.Options{Design: testDesign}})
 	if err != nil {
@@ -245,8 +248,9 @@ func TestCrossShardSettlement(t *testing.T) {
 	if !ok || got.Status != engine.TicketDone {
 		t.Fatalf("cross-shard want did not settle: %+v", got)
 	}
-	if got.TxID != "xtx-000001" {
-		t.Fatalf("TxID %q, want xtx-000001", got.TxID)
+	// The home shard's arbiter counter draws the sale's ID.
+	if got.TxID != "s0:tx-0001" {
+		t.Fatalf("TxID %q, want s0:tx-0001", got.TxID)
 	}
 	if got.Price <= 0 {
 		t.Fatalf("settled at price %v", got.Price)
@@ -269,24 +273,31 @@ func TestCrossShardSettlement(t *testing.T) {
 			t.Fatalf("shard %d audit chain corrupt at %d", sh.Index, i)
 		}
 	}
-	if sh0 := m.Shards()[0]; sh0.Engine.XTxInFlight() != 0 {
+	if sh0 := m.Shards()[0]; len(sh0.Engine.XTxHeld()) != 0 {
 		t.Fatal("escrow left in flight after commit")
 	}
 	pending, settled, aborted := m.CoordStats()
 	if pending != 0 || settled != 1 || aborted != 0 {
 		t.Fatalf("coordinator counters: pending=%d settled=%d aborted=%d", pending, settled, aborted)
 	}
-	if st := m.Stats(); st.Matched != 1 {
-		t.Fatalf("aggregate Matched = %d, want 1 (the cross-shard settle)", st.Matched)
+	if st := m.Stats(); st.Matched != 1 || st.OpenRequests != 0 {
+		t.Fatalf("aggregate Matched = %d, OpenRequests = %d, want 1 (the cross-shard settle) and 0", st.Matched, st.OpenRequests)
 	}
-	// Reports against up-front-settled cross-shard transactions are refused.
-	if _, err := m.SubmitReport("xtx-000001", 100, 100); err == nil {
-		t.Fatal("report against an xtx should be refused")
+	hist := m.Shards()[0].Platform.Arbiter.History()
+	if len(hist) != 1 || hist[0].ID != "tx-0001" || hist[0].Mashup == nil || hist[0].Mashup.NumRows() == 0 ||
+		len(hist[0].Datasets) != 2 || len(hist[0].SellerCuts) != 2 {
+		t.Fatalf("home shard history %+v, want the sale with its mashup, both datasets and both cuts", hist)
+	}
+	// A cross-shard sale settled up-front: a report on it fails its ticket.
+	rtk := mustTk(m.SubmitReport(got.TxID, 100, 100))
+	m.TriggerEpoch()
+	if r, _ := m.Ticket(rtk); r.Status != engine.TicketFailed {
+		t.Fatalf("report on a cross-shard sale: %+v, want failed", r)
 	}
 }
 
 // TestUnmatchableSpanningWantStaysPending: a spanning want no mashup can
-// satisfy yet survives rounds in the coordinator queue instead of failing.
+// satisfy yet stays open across rounds instead of failing.
 func TestUnmatchableSpanningWantStaysPending(t *testing.T) {
 	m, err := Open(Config{Shards: 2, Platform: core.Options{Design: testDesign}})
 	if err != nil {
@@ -302,11 +313,14 @@ func TestUnmatchableSpanningWantStaysPending(t *testing.T) {
 	m.TriggerEpoch()
 	m.TriggerEpoch()
 	got, ok := m.Ticket(tk)
-	if !ok || got.Status != engine.TicketQueued {
-		t.Fatalf("unmatchable want should stay queued: %+v", got)
+	if !ok || got.Status != engine.TicketApplied {
+		t.Fatalf("unmatchable want should stay open: %+v", got)
 	}
 	if pending, _, _ := m.CoordStats(); pending != 1 {
 		t.Fatalf("pending wants = %d, want 1", pending)
+	}
+	if st := m.Stats(); st.OpenRequests != 1 {
+		t.Fatalf("aggregate OpenRequests = %d, want the open cross-shard want", st.OpenRequests)
 	}
 }
 
@@ -463,7 +477,7 @@ func TestSingleShardFederationMatchesBareEngine(t *testing.T) {
 
 // TestShardLabeledMetrics: every shard's per-shard families carry the shard
 // label, the unlabeled aggregates exist exactly once, and the federation's
-// own families report the coordinator's activity.
+// own families report the cross-shard sales.
 func TestShardLabeledMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m, err := Open(Config{Shards: 2, Platform: core.Options{Design: testDesign}, Metrics: reg})
@@ -488,6 +502,7 @@ func TestShardLabeledMetrics(t *testing.T) {
 		"engine_epochs_total",
 		"engine_matched_total",
 		"federation_xtx_committed_total 1",
+		"engine_matched_total 1",
 		"federation_shards 2",
 		"arbiter_round_seconds", // unlabeled histogram shared by both shard engines
 	} {
@@ -542,8 +557,7 @@ func TestSingleShardMetricsUnlabelled(t *testing.T) {
 	}
 }
 
-// TestAggregateStatsSumShards: counters sum across shards and the
-// coordinator's settles and queue fold into Matched/OpenRequests.
+// TestAggregateStatsSumShards: counters sum across shards.
 func TestAggregateStatsSumShards(t *testing.T) {
 	m, err := Open(Config{Shards: 4, Platform: core.Options{Design: testDesign}})
 	if err != nil {

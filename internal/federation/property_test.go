@@ -3,8 +3,12 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/ledger"
 )
 
@@ -16,9 +20,25 @@ import (
 // process death may mint or destroy money. After every recovery the
 // federation-wide supply equals exactly what was deposited, every shard's
 // audit chain verifies, no escrow is left in flight, and an aborted want
-// retried under a fresh xid still settles without moving the supply.
+// retried under a fresh xid still settles without moving the supply. Every
+// want settles exactly once: its ticket ends done, and the committed count
+// equals the rounds.
+//
+// Seeds 1 and 7 keep CI deterministic; FED_PROP_EXTRA_SEEDS=N adds N
+// time-derived ones, each named in its subtest for reproduction.
 func TestFundsConservationProperty(t *testing.T) {
-	for _, seed := range []int64{1, 7} {
+	seeds := []int64{1, 7}
+	if v := os.Getenv("FED_PROP_EXTRA_SEEDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("bad FED_PROP_EXTRA_SEEDS %q: %v", v, err)
+		}
+		base := time.Now().UnixNano()
+		for i := 0; i < n; i++ {
+			seeds = append(seeds, base+int64(i)*7919)
+		}
+	}
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 
@@ -92,7 +112,7 @@ func TestFundsConservationProperty(t *testing.T) {
 					if i := sh.Platform.Arbiter.Ledger.VerifyChain(); i >= 0 {
 						t.Fatalf("round %d (%s): shard %d audit chain corrupt at %d", round, point, sh.Index, i)
 					}
-					if sh.Engine.XTxInFlight() != 0 {
+					if len(sh.Engine.XTxHeld()) != 0 {
 						t.Fatalf("round %d (%s): shard %d escrow in flight after recovery", round, point, sh.Index)
 					}
 				}
@@ -106,8 +126,11 @@ func TestFundsConservationProperty(t *testing.T) {
 						t.Fatalf("round %d (%s): supply %v after retry, want %v", round, point, got, expected)
 					}
 				}
-				if tkv, ok := m2.Ticket(tk); !ok || !tkv.Status.Terminal() {
-					t.Fatalf("round %d (%s): want %s not terminal after recovery: %+v", round, point, tk, tkv)
+				if tkv, ok := m2.Ticket(tk); !ok || tkv.Status != engine.TicketDone {
+					t.Fatalf("round %d (%s): want %s not settled after recovery: %+v", round, point, tk, tkv)
+				}
+				if pending, committed, _ := m2.CoordStats(); pending != 0 || committed != uint64(round+1) {
+					t.Fatalf("round %d (%s): %d wants open and %d sales committed, want 0 and %d", round, point, pending, committed, round+1)
 				}
 				m2.Stop()
 			}

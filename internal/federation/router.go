@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/catalog"
 	"repro/internal/dod"
 	"repro/internal/relation"
 )
@@ -33,7 +34,7 @@ func shardTicket(shard int, id string) string {
 }
 
 // splitShardID parses a "s<i>:<id>" federation ID back into its shard and
-// local form. ok is false for coordinator tickets ("x:...") and bare IDs.
+// local form. ok is false for bare IDs.
 func splitShardID(id string) (shard int, local string, ok bool) {
 	if len(id) < 3 || id[0] != 's' {
 		return 0, "", false
@@ -52,7 +53,8 @@ func splitShardID(id string) (shard int, local string, ok bool) {
 // router is the federation's column-coverage index: which shards hold a
 // dataset carrying each column name. It decides, per want, whether the
 // buyer's home shard can clear it alone or the want must go to the
-// cross-shard coordinator. The index is advisory routing state, not ground
+// cross-shard coordinator. It also keeps who owns each dataset ID, so a
+// share cannot reuse an ID a seller on another shard holds. The index is advisory routing state, not ground
 // truth — it is rebuilt from the shard catalogs at Open and updated
 // optimistically at share time (a share applies at its shard's next epoch;
 // routing a want by a column that is still in intake just means the want
@@ -64,12 +66,33 @@ func splitShardID(id string) (shard int, local string, ok bool) {
 type router struct {
 	shards int
 
-	mu   sync.RWMutex
-	cols map[string]map[int]bool // column name -> shards carrying it
+	mu     sync.RWMutex
+	cols   map[string]map[int]bool      // column name -> shards carrying it
+	owners map[catalog.DatasetID]string // dataset ID -> the seller who shared it
 }
 
 func newRouter(shards int) *router {
-	return &router{shards: shards, cols: map[string]map[int]bool{}}
+	return &router{shards: shards, cols: map[string]map[int]bool{}, owners: map[catalog.DatasetID]string{}}
+}
+
+// claim records seller as id's owner, or refuses the ID when a different
+// seller on another shard already holds it. The claim is taken at submit
+// time, like the column index: a share that then fails at its shard's epoch
+// keeps the ID claimed.
+func (r *router) claim(id catalog.DatasetID, seller string) error {
+	if r.shards <= 1 {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	owner, ok := r.owners[id]
+	if ok && owner != seller && HomeOf(owner, r.shards) != HomeOf(seller, r.shards) {
+		return fmt.Errorf("federation: dataset %q is already shared by %s on shard %d", id, owner, HomeOf(owner, r.shards))
+	}
+	if !ok {
+		r.owners[id] = seller
+	}
+	return nil
 }
 
 // addRelation indexes a shared relation's schema for a shard.
@@ -96,6 +119,7 @@ func (r *router) seed(shards []*Shard) {
 	for _, sh := range shards {
 		for _, d := range sh.Platform.DatasetStates() {
 			r.addRelation(sh.Index, d.Relation)
+			r.owners[catalog.DatasetID(d.ID)] = d.Owner
 		}
 	}
 }

@@ -110,9 +110,11 @@
 //
 //	SyncAlways  fsync after every record — no record is lost once Append
 //	            returns; slowest (one fsync per event).
-//	SyncEpoch   fsync when an epoch-end record is written (and on rotation
-//	            and close) — a crash loses at most the current epoch, the
-//	            natural batching unit of the engine.
+//	SyncEpoch   fsync when an epoch-end or an xtx-committed record is
+//	            written (and on rotation and close) — a crash loses at most
+//	            the current epoch, the natural batching unit of the engine,
+//	            and never a cross-shard sale's commit once a seller's shard
+//	            has been paid.
 //	SyncOff     fsync only on rotation and close — a crash loses whatever
 //	            the OS had not flushed; fastest.
 //

@@ -427,7 +427,7 @@ func redrive(t *testing.T, e *engine.Engine, sc [][]op) {
 			k++
 			// Durable: applied, or terminal (failed, done, or since retired
 			// from the ticket window).
-			if tk, ok := e.Ticket(id); ok && (tk.Status.Terminal() || tk.Status == engine.TicketApplied) {
+			if tk, ok := e.Ticket(id); ok && tk.Status != engine.TicketQueued {
 				if tk.Status == engine.TicketApplied {
 					openInGroup = true
 				}

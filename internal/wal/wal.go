@@ -679,7 +679,10 @@ func (w *Log) PersistRecord(seq int, kind engine.EventKind, rec []byte) (engine.
 	case SyncAlways:
 		err = w.timedSync()
 	case SyncEpoch:
-		if kind == engine.EventEpochEnd {
+		// An xtx-committed record is synced like an epoch end: a home leg is
+		// a cross-shard sale's commit decision, which must be durable before
+		// any seller's shard is paid.
+		if kind == engine.EventEpochEnd || kind == engine.EventXTxCommitted {
 			err = w.timedSync()
 		}
 	}
