@@ -33,10 +33,14 @@
 // Gone naming /events). Its outcome stays in the event log, the record. The window is counted in
 // events of the stream, never in time, so a replay retires exactly the
 // tickets the live run did and snapshots carry only the held ones. The
-// window keys each ticket by its submission number and holds it flat — kind
-// and status as small codes, no ID string (the number derives it) — and
-// converts to and from the public Ticket only at Ticket, Snapshot and
-// Restore, so the wire form and the snapshot's ticket records are unchanged.
+// window packs each terminal ticket into one pointer-free record under its
+// submission number — kind and status as small codes, no ID string (the
+// number derives it), request and transaction IDs as the arbiter's counters
+// — in a ring in the order they turned terminal, found through an index of
+// ring positions; it converts to and from the public Ticket only at Ticket,
+// Snapshot and Restore, so the wire form and the snapshot's ticket records
+// are unchanged. A ticket turns only after the record that says so is
+// appended: a poller never reads an outcome the event log does not hold.
 //
 // # Epochs
 //

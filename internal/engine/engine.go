@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/retain"
 	"repro/internal/wtp"
 )
 
@@ -124,56 +122,6 @@ type Ticket struct {
 	// (the filing epoch) it measures how long the request waited.
 	MatchedEpoch uint64 `json:"matched_epoch,omitempty"`
 	Err          string `json:"error,omitempty"`
-}
-
-// heldTicket is a Ticket as the ticket window holds it, in 96 B: under its
-// submission seq, so without an ID (ticketID derives it), with its kind and
-// status as indexes into ticketKinds and ticketStatuses. The window holds it
-// behind a pointer: a map churned by a sliding window carries several empty
-// slots per entry, which cost 16 B each that way and 104 B each by value.
-type heldTicket struct {
-	kind, status                      uint8
-	priority                          int32
-	epoch, matchedEpoch               uint64
-	price                             float64
-	participant, requestID, txID, err string
-}
-
-// Held ticket statuses, indexes into ticketStatuses; the last two are
-// terminal. TicketRetired is never held.
-const (
-	heldQueued uint8 = iota
-	heldApplied
-	heldDone
-	heldFailed
-)
-
-var (
-	ticketStatuses = [...]TicketStatus{TicketQueued, TicketApplied, TicketDone, TicketFailed}
-	ticketKinds    = [...]SubmissionKind{KindRegister, KindShare, KindRequest, KindReport}
-)
-
-func (t heldTicket) terminal() bool { return t.status >= heldDone }
-
-// ticket is the held ticket of submission seq in its public form.
-func (t heldTicket) ticket(seq uint64) Ticket {
-	return Ticket{ID: ticketID(seq), Kind: ticketKinds[t.kind], Status: ticketStatuses[t.status],
-		Participant: t.participant, Epoch: t.epoch, RequestID: t.requestID, TxID: t.txID, Price: t.price,
-		Priority: int(t.priority), MatchedEpoch: t.matchedEpoch, Err: t.err}
-}
-
-// holdTicket is ticket's inverse. It refuses a ticket whose ID ticketID did
-// not write, whose kind or status is none of the constants (TicketRetired is
-// never held) or whose priority is past int32.
-func holdTicket(t Ticket) (uint64, *heldTicket, error) {
-	seq := ticketSeq(t.ID)
-	kind, status := slices.Index(ticketKinds[:], t.Kind), slices.Index(ticketStatuses[:], t.Status)
-	if seq == 0 || kind < 0 || status < 0 || t.Priority != int(int32(t.Priority)) {
-		return 0, nil, fmt.Errorf("engine: cannot hold ticket %q of kind %q, status %q, priority %d", t.ID, t.Kind, t.Status, t.Priority)
-	}
-	return seq, &heldTicket{kind: uint8(kind), status: uint8(status), priority: int32(t.Priority),
-		epoch: t.Epoch, matchedEpoch: t.MatchedEpoch, price: t.Price, participant: t.Participant,
-		requestID: t.RequestID, txID: t.TxID, err: t.Err}, nil
 }
 
 type submission struct {
@@ -306,19 +254,21 @@ type Engine struct {
 	// section takes the seq, files the ticket and appends. pending is
 	// len(queue), written under tmu and read without it.
 	//
-	// tickets holds every non-terminal ticket plus the newest
-	// retain.Windows.Tickets terminal ones, by submission seq; done lists the
-	// terminal ones' seqs in the order they turned terminal and retired
-	// counts the ones dropped off its front.
+	// tickets holds every queued and applied ticket, by submission seq; done
+	// the newest retain.Windows.Tickets terminal ones, packed, in the order
+	// they turned terminal; retired counts the ones dropped off its front.
 	// The held set is a pure function of the event stream: a replay holds
-	// the same one.
+	// the same one. xlegs holds the seqs of the cross-shard sales whose home
+	// commit is logged but whose remote legs are not yet applied, each with
+	// its sale's ID: Ticket serves those as still applied (xtx.go).
 	tmu     sync.Mutex
 	seq     uint64
 	queue   []submission
 	pending atomic.Int64
 	tickets map[uint64]*heldTicket
-	done    []uint64
+	done    ticketWindow
 	retired uint64
+	xlegs   map[uint64]string
 
 	epochMu  sync.Mutex // serializes epochs; guards openReqs, reqMeta
 	openReqs map[string]string
@@ -410,6 +360,7 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 		log:        log,
 		book:       book,
 		tickets:    map[uint64]*heldTicket{},
+		xlegs:      map[uint64]string{},
 		openReqs:   map[string]string{},
 		reqMeta:    map[string]*reqMeta{},
 		xwants:     map[uint64]*CrossWant{},
@@ -491,10 +442,16 @@ func (e *Engine) Ticket(id string) (Ticket, bool) {
 	if n == 0 || n > e.seq {
 		return Ticket{}, false
 	}
-	if t, ok := e.tickets[n]; ok {
-		return t.ticket(n), true
+	t, ok := e.heldTicketLocked(n)
+	if !ok {
+		return Ticket{ID: id, Status: TicketRetired}, true
 	}
-	return Ticket{ID: id, Status: TicketRetired}, true
+	if _, paying := e.xlegs[n]; paying {
+		// Committed at home, its remote legs in flight: it reads as it did
+		// before the commit until the sellers hold their cuts.
+		t.status, t.txID, t.price, t.matchedEpoch = heldApplied, "", 0, 0
+	}
+	return t.ticket(n), true
 }
 
 // Stats snapshots the engine counters.
@@ -539,7 +496,7 @@ func (e *Engine) Stats() Stats {
 // /metrics funcs use this, the full Stats serves /engine/stats.
 func (e *Engine) StatsLite() Stats {
 	e.tmu.Lock()
-	tickets, retired := len(e.tickets), e.retired
+	tickets, retired := len(e.tickets)+e.done.len(), e.retired
 	e.tmu.Unlock()
 	events, eventBytes, readBack, _ := e.log.Held()
 	_, audit := e.platform.Arbiter.Ledger.AuditSize()
@@ -734,41 +691,6 @@ func (e *Engine) drain() []submission {
 	return batch
 }
 
-// setTicket updates the held ticket of submission seq. One that turns
-// terminal joins the done window, which then retires its oldest tickets
-// beyond the ticket window.
-func (e *Engine) setTicket(seq uint64, f func(*heldTicket)) {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	t, ok := e.tickets[seq]
-	if !ok {
-		return
-	}
-	was := t.terminal()
-	f(t)
-	if !was && t.terminal() {
-		e.done = append(e.done, seq)
-		e.retireLocked()
-	}
-}
-
-// retireLocked trims the done window. Caller holds tmu. Once every
-// retain.Windows.Tickets retirements it rebuilds the ticket map: Go's map
-// keeps the slots its deletes empty, so a window that churns through one (an
-// insert per submission, a delete per retirement) holds ~178 B a ticket where
-// a rebuilt one holds ~143. The rebuild is ~16k inserts under tmu, once per
-// 16k retirements.
-func (e *Engine) retireLocked() {
-	w := retain.Sizes().Tickets
-	for len(e.done) > w {
-		delete(e.tickets, e.done[0])
-		e.done = e.done[1:]
-		if e.retired++; e.retired%uint64(w) == 0 {
-			e.tickets = maps.Clone(e.tickets)
-		}
-	}
-}
-
 // TriggerEpoch runs one epoch synchronously: drain intake, apply the batch,
 // run a policy-ordered matching round if requests are open, publish events.
 // Epochs with no work are skipped (returns the current epoch number and
@@ -944,12 +866,12 @@ func (e *Engine) apply(ep uint64, s submission) {
 	fail := func(err error) {
 		e.stFailed.Add(1)
 		e.m.tracer.Drop(s.ticket)
-		e.setTicket(s.seq, func(t *heldTicket) {
-			t.status, t.epoch, t.err = heldFailed, ep, err.Error()
-		})
 		e.log.Append(Event{Epoch: ep, Kind: EventRejected, Ticket: s.ticket,
 			Participant: e.ticketParticipant(s.seq), SubKind: s.kind,
 			Priority: s.priority, Err: err.Error()})
+		e.setTicket(s.seq, func(t *heldTicket) {
+			t.status, t.epoch, t.err = heldFailed, ep, err.Error()
+		})
 	}
 	switch s.kind {
 	case KindRegister:
@@ -958,22 +880,22 @@ func (e *Engine) apply(ep uint64, s submission) {
 			return
 		}
 		e.stApplied.Add(1)
-		e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ep })
 		e.log.Append(Event{Epoch: ep, Kind: EventRegistered, Ticket: s.ticket,
 			Participant: s.name, Price: s.funds})
+		e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ep })
 	case KindShare:
 		if err := e.platform.ShareDataset(s.seller, s.id, s.rel, s.meta, s.terms); err != nil {
 			fail(err)
 			return
 		}
 		e.stApplied.Add(1)
-		e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ep })
 		meta := s.meta
 		meta.Dataset = string(s.id)
 		e.log.Append(Event{Epoch: ep, Kind: EventDatasetShared, Ticket: s.ticket,
 			Participant: s.seller, Dataset: string(s.id),
 			Payload: &Payload{Relation: s.rel, Meta: &meta,
 				License: string(s.terms.Kind), TaxRate: s.terms.ExclusivityTaxRate}})
+		e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldDone, ep })
 	case KindRequest:
 		// Canonical quota consumption happens here, at apply time, so the
 		// bucket level is a pure function of the event stream (exactly one
@@ -1001,9 +923,6 @@ func (e *Engine) apply(ep uint64, s submission) {
 		}
 		e.stApplied.Add(1)
 		e.openReqs[reqID] = s.ticket
-		e.setTicket(s.seq, func(t *heldTicket) {
-			t.status, t.epoch, t.requestID = heldApplied, ep, reqID
-		})
 		// Payload is nil for non-serializable (code-package) tasks; such
 		// requests are served while the process lives but do not survive a
 		// replay (see doc.go, "Durability").
@@ -1014,6 +933,9 @@ func (e *Engine) apply(ep uint64, s submission) {
 		seq := e.log.Append(Event{Epoch: ep, Kind: EventRequestFiled, Ticket: s.ticket,
 			Participant: s.fn.Buyer, RequestID: reqID, Priority: s.priority, Payload: pl})
 		e.reqMeta[reqID] = &reqMeta{participant: s.fn.Buyer, priority: s.priority, filedEpoch: ep, filedSeq: seq}
+		e.setTicket(s.seq, func(t *heldTicket) {
+			t.status, t.epoch, t.requestID = heldApplied, ep, reqID
+		})
 	case KindReport:
 		out, err := e.platform.SettleReport(s.reportTx, s.reported, s.trueValue)
 		if err != nil {
@@ -1024,10 +946,6 @@ func (e *Engine) apply(ep uint64, s submission) {
 		if e.m.on() {
 			e.m.tracer.StampTx(s.reportTx, obs.StageReport, time.Now())
 		}
-		e.setTicket(s.seq, func(t *heldTicket) {
-			t.status, t.epoch, t.txID, t.price = heldDone, ep, out.TxID, out.Paid
-			t.participant = out.Buyer
-		})
 		ev := Event{Epoch: ep, Kind: EventValueReported, Ticket: s.ticket,
 			Participant: out.Buyer, RequestID: out.RequestID, TxID: out.TxID,
 			Price: out.Paid, ArbiterCut: out.ArbiterCut, SellerCuts: out.SellerCuts,
@@ -1035,6 +953,10 @@ func (e *Engine) apply(ep uint64, s submission) {
 			Note: fmt.Sprintf("reported=%.2f paid=%.2f audited=%v", s.reported, out.Paid, out.Audited)}
 		e.log.Append(ev)
 		e.recordSale(&ev)
+		e.setTicket(s.seq, func(t *heldTicket) {
+			t.status, t.epoch, t.txID, t.price = heldDone, ep, out.TxID, out.Paid
+			t.participant = out.Buyer
+		})
 	}
 }
 
@@ -1083,9 +1005,6 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 			e.m.tracer.Finish(ticket, time.Now())
 			e.m.tracer.AliasTx(tx.ID, ticket)
 		}
-		e.setTicket(ticketSeq(ticket), func(t *heldTicket) {
-			t.status, t.txID, t.price, t.matchedEpoch = heldDone, tx.ID, tx.Price, ep
-		})
 		ev := Event{Epoch: ep, Kind: EventTxSettled, Ticket: ticket,
 			Participant: tx.Buyer, RequestID: tx.RequestID, TxID: tx.ID,
 			Price: tx.Price, ArbiterCut: tx.ArbiterCut, SellerCuts: tx.SellerCuts,
@@ -1094,6 +1013,9 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 			Note: fmt.Sprintf("datasets=%v satisfaction=%.2f", tx.Datasets, tx.Satisfaction)}
 		e.log.Append(ev)
 		e.recordSale(&ev)
+		e.setTicket(ticketSeq(ticket), func(t *heldTicket) {
+			t.status, t.txID, t.price, t.matchedEpoch = heldDone, tx.ID, tx.Price, ep
+		})
 	}
 	for _, reqID := range res.Unsatisfied {
 		if ticket, ok := e.openReqs[reqID]; ok {
@@ -1102,14 +1024,4 @@ func (e *Engine) publishRound(ep uint64, res *arbiter.MatchResult) (matched, unm
 		}
 	}
 	return matched, unmet
-}
-
-// ticketParticipant reads the participant recorded at enqueue time.
-func (e *Engine) ticketParticipant(seq uint64) string {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	if t, ok := e.tickets[seq]; ok {
-		return t.participant
-	}
-	return ""
 }

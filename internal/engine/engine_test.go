@@ -377,7 +377,7 @@ func TestEventLogWaitAfter(t *testing.T) {
 	}
 }
 
-// TestHeldTicket: the ticket window holds a ticket in at most 96 B, without
+// TestHeldTicket: a queued or applied ticket is held in at most 96 B, without
 // its ID; the public form round-trips through it, only ticketID's
 // own IDs parse back to a seq, and Restore refuses a checkpoint ticket the
 // window cannot hold, naming the value.
@@ -417,11 +417,12 @@ func TestHeldTicket(t *testing.T) {
 	}
 }
 
-// TestTicketBytesAfterChurn pins what a held ticket costs once the window has
-// churned: ten and a half windows' worth of tickets pass through a full one
-// (so it ends between two rebuilds), and the live heap per held ticket, after
-// a forced GC, must stay at most 150 B. It measures 143 B; a map that is never
-// rebuilt keeps the slots its deletes empty and measures 178 B.
+// TestTicketBytesAfterChurn pins what a held terminal ticket costs once the
+// window has churned: ten and a half windows' worth of settled requests'
+// tickets pass through a full one, and the live heap per held ticket, after a
+// forced GC, must stay at most 64 B, its packed record and its share of the
+// ring's spare room and of the index. A ticket held as its own 96 B struct
+// behind a map slot measured 143 B (178 B when the map was never rebuilt).
 func TestTicketBytesAfterChurn(t *testing.T) {
 	heap := func() uint64 {
 		var ms runtime.MemStats
@@ -435,18 +436,53 @@ func TestTicketBytesAfterChurn(t *testing.T) {
 	e := &Engine{tickets: map[uint64]*heldTicket{}}
 	for seq := uint64(1); seq <= uint64(11*w+w/2); seq++ {
 		e.tmu.Lock()
-		e.tickets[seq] = &heldTicket{status: heldQueued, participant: "b1"}
+		e.tickets[seq] = &heldTicket{kind: 2, status: heldApplied, participant: fmt.Sprintf("buyer%03d", seq%500),
+			epoch: seq / 64, requestID: fmt.Sprintf("req-%04d", 2*seq), priority: 1}
 		e.tmu.Unlock()
-		e.setTicket(seq, func(t *heldTicket) { t.status = heldDone })
+		e.setTicket(seq, func(t *heldTicket) {
+			t.status, t.txID, t.price, t.matchedEpoch = heldDone, fmt.Sprintf("tx-%04d", 2*seq+1), 150, t.epoch+1
+		})
 	}
 	after := heap()
 	runtime.KeepAlive(e)
-	if len(e.tickets) != w || e.retired != uint64(10*w+w/2) {
-		t.Fatalf("window holds %d tickets, retired %d", len(e.tickets), e.retired)
+	if len(e.tickets) != 0 || e.done.len() != w || e.retired != uint64(10*w+w/2) {
+		t.Fatalf("window holds %d tickets (%d not terminal), retired %d", e.done.len(), len(e.tickets), e.retired)
 	}
 	per := (float64(after) - float64(before)) / float64(w)
 	t.Logf("%.1f B per held ticket", per)
-	if per > 150 {
-		t.Errorf("a held ticket costs %.1f B after churn, want <= 150", per)
+	if per > 64 {
+		t.Errorf("a held ticket costs %.1f B after churn, want <= 64", per)
+	}
+}
+
+// TestTicketWindowIndex churns the ticket window, with its index rebuilt
+// every few dozen pushes as if the ring's positions had run past what a slot
+// counts, and out-of-order turns, and checks that every held ticket is found
+// by seq with its own outcome and that no retired one is.
+func TestTicketWindowIndex(t *testing.T) {
+	defer func(span uint64) { slotSpan = span }(slotSpan)
+	slotSpan = 1 << 10
+	const window = 300
+	var w ticketWindow
+	var order []uint64 // seqs in the order they turned terminal
+	for i := uint64(1); i <= 20*window; i++ {
+		seq := i ^ 1 // neighbours turn terminal in swapped order
+		w.push(seq, &heldTicket{status: heldDone, txID: fmt.Sprintf("tx-%04d", seq)})
+		order = append(order, seq)
+		if w.len() > window {
+			w.pop()
+		}
+		if i%97 != 0 {
+			continue
+		}
+		held := order[len(order)-w.len():]
+		for _, s := range held {
+			if tk, ok := w.get(s); !ok || tk.txID != fmt.Sprintf("tx-%04d", s) {
+				t.Fatalf("after %d pushes: seq %d reads %+v (%v)", i, s, tk, ok)
+			}
+		}
+		if retired := order[max(0, len(order)-w.len()-1)]; len(order) > w.len() && w.has(retired) {
+			t.Fatalf("after %d pushes: retired seq %d still found", i, retired)
+		}
 	}
 }

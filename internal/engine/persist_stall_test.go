@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/license"
+	"repro/internal/wtp"
 )
 
 // gatedPersister blocks inside Persist until released — a stand-in for a
@@ -184,5 +187,82 @@ func concurrentReadersDuringPersist(t *testing.T, p Persister) {
 	}
 	if persisted, perr := l.Persisted(); persisted != total || perr != nil {
 		t.Fatalf("persisted = %d, %v; want %d, nil", persisted, perr, total)
+	}
+}
+
+// kindGate is a persister that blocks inside PersistRecord for records of
+// one kind until released, and passes every other record at once.
+type kindGate struct {
+	kind             EventKind
+	entered, release chan struct{}
+}
+
+func (g *kindGate) PersistRecord(_ int, kind EventKind, _ []byte) (Extent, error) {
+	if kind == g.kind {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return Extent{}, nil
+}
+
+// TestTicketTurnsAfterItsRecord: a ticket moves on only once the record
+// that says so is written. While the persister holds a submission's record
+// — a sale's tx-settled above all — a poller keeps reading the ticket as it
+// was; once the record is written, the ticket reads the outcome. Tickets
+// once turned first, so a crash in between un-sold a sale its buyer had been
+// told about.
+func TestTicketTurnsAfterItsRecord(t *testing.T) {
+	share := func(e *Engine) string {
+		return mustTicket(e.SubmitShare("s1", "s1/d", testRelation("s1/d", 10),
+			wtp.DatasetMeta{Dataset: "s1/d"}, license.Terms{Kind: license.Open}))
+	}
+	request := func(e *Engine) string {
+		want, fn := coverageRequest("b1", 200)
+		return mustTicket(e.SubmitRequest(want, fn))
+	}
+	register := func(e *Engine) string { return mustTicket(e.SubmitRegister("b1", 1000)) }
+	for _, c := range []struct {
+		name          string
+		gate          EventKind
+		setup         []func(*Engine) string
+		submit        func(*Engine) string
+		during, after TicketStatus
+	}{
+		{"sale", EventTxSettled, []func(*Engine) string{register, share}, request, TicketApplied, TicketDone},
+		{"register", EventRegistered, nil, register, TicketQueued, TicketDone},
+		{"share", EventDatasetShared, nil, share, TicketQueued, TicketDone},
+		{"request", EventRequestFiled, []func(*Engine) string{register}, request, TicketQueued, TicketApplied},
+		{"rejected", EventRejected, []func(*Engine) string{register}, register, TicketQueued, TicketFailed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := &kindGate{kind: c.gate, entered: make(chan struct{}), release: make(chan struct{})}
+			_, e := newTestEngine(t, Config{Persister: g})
+			defer e.Stop()
+			var open sync.Once
+			release := func() { open.Do(func() { close(g.release) }) }
+			defer release() // a failed check must not leave the epoch, and Stop, waiting
+			for _, step := range c.setup {
+				step(e)
+			}
+			e.TriggerEpoch()
+			tk := c.submit(e)
+			epoch := make(chan struct{})
+			go func() {
+				e.TriggerEpoch()
+				close(epoch)
+			}()
+			<-g.entered
+			for i := 0; i < 20; i++ {
+				if got, _ := e.Ticket(tk); got.Status != c.during {
+					t.Fatalf("ticket reads %+v while its %s record is being written, want %s", got, c.gate, c.during)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			release()
+			<-epoch
+			if got, _ := e.Ticket(tk); got.Status != c.after {
+				t.Fatalf("ticket reads %+v once its %s record is written, want %s", got, c.gate, c.after)
+			}
+		})
 	}
 }

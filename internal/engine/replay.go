@@ -177,10 +177,14 @@ func (e *Engine) Snapshot() (*SnapshotState, error) {
 		}
 	}
 	slices.Sort(applied)
-	snap.Tickets = make([]Ticket, 0, len(applied)+len(e.done))
-	for _, seq := range slices.Concat(applied, e.done) {
+	snap.Tickets = make([]Ticket, 0, len(applied)+e.done.len())
+	for _, seq := range applied {
 		snap.Tickets = append(snap.Tickets, e.tickets[seq].ticket(seq))
 	}
+	e.done.all(func(seq uint64, t heldTicket) bool {
+		snap.Tickets = append(snap.Tickets, t.ticket(seq))
+		return true
+	})
 	snap.TicketsRetired = e.retired
 	e.tmu.Unlock()
 	// Submitted counts what the checkpoint covers: every ticket that ever
@@ -265,7 +269,7 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 			return nil
 		}
 		epoch, submitSeq, counters = snap.Epoch, snap.SubmitSeq, snap.Counters
-		// Terminal tickets join the done window in the order listed; a
+		// Terminal tickets join the ticket window in the order listed; a
 		// pre-window snapshot holds every ticket ever issued and is trimmed.
 		e.retired = snap.TicketsRetired
 		for _, t := range snap.Tickets {
@@ -273,12 +277,13 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 			if err != nil {
 				return err
 			}
-			e.tickets[seq] = held
-			if held.terminal() {
-				e.done = append(e.done, seq)
+			if !held.terminal() {
+				e.tickets[seq] = held
+				continue
 			}
+			e.done.push(seq, held)
+			e.retireLocked()
 		}
-		e.retireLocked()
 		for id, ticket := range snap.OpenReqs {
 			e.openReqs[id] = ticket
 		}
@@ -344,7 +349,7 @@ func Restore(p *core.Platform, cfg Config, snap *SnapshotState, src EventSource)
 	e.epoch.Store(epoch)
 	e.seq = submitSeq
 	e.appliedSeq = submitSeq
-	counters.Submitted = e.retired + uint64(len(e.tickets))
+	counters.Submitted = e.retired + uint64(len(e.tickets)+e.done.len())
 	e.stSubmitted.Store(counters.Submitted)
 	e.stApplied.Store(counters.Applied)
 	e.stMatched.Store(counters.Matched)
@@ -364,7 +369,7 @@ func (e *Engine) replayEvent(ev Event, c *Counters) error {
 		return fmt.Errorf("cannot hold ticket %q of kind %q", ev.Ticket, ev.SubKind)
 	}
 	ensureTicket := func(kind SubmissionKind) {
-		if _, ok := e.tickets[seq]; !ok && seq != 0 {
+		if _, ok := e.tickets[seq]; !ok && seq != 0 && !e.done.has(seq) {
 			e.tickets[seq] = &heldTicket{kind: uint8(slices.Index(ticketKinds[:], kind)), status: heldQueued,
 				participant: ev.Participant}
 		}

@@ -28,7 +28,8 @@ import (
 //     shard and on others, datasets, satisfaction and the want's ticket.
 //   - xtx-committed, role home: the commit decision. The escrow pays the
 //     arbiter and the local sellers, the remote cuts leave this ledger, the
-//     want and its ticket close, and the sale enters the history window. The
+//     want closes (its ticket reads done once the federation reports the
+//     remote legs paid) and the sale enters the history window. The
 //     WAL syncs the record before XTxCommitHome returns, so no seller shard
 //     is paid before the decision is durable.
 //   - xtx-committed, role remote (a seller's shard): the cuts the home shard
@@ -96,9 +97,9 @@ func (e *Engine) fileCrossShard(ep uint64, s submission) {
 	e.stApplied.Add(1)
 	e.xwants[s.seq] = &CrossWant{Ticket: s.ticket, Priority: s.priority, Spec: s.cross}
 	e.xwantsN.Store(int64(len(e.xwants)))
-	e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldApplied, ep })
 	e.log.Append(Event{Epoch: ep, Kind: EventRequestFiled, Ticket: s.ticket, Participant: s.fn.Buyer,
 		Priority: s.priority, CrossShard: true, Payload: &Payload{Request: s.cross}})
+	e.setTicket(s.seq, func(t *heldTicket) { t.status, t.epoch = heldApplied, ep })
 }
 
 // CrossWants returns the open cross-shard wants in filing order.
@@ -181,7 +182,9 @@ func (e *Engine) closeCrossWant(seq uint64, f func(*heldTicket)) {
 // returns once the record is durable: the escrow pays the arbiter cut and the
 // local sellers, the remote cuts' micro-units leave this ledger (they reach
 // the sellers' shards through XTxCommitRemote), the want closes with the sale
-// and the sale, mashup included, enters the history window.
+// and the sale, mashup included, enters the history window. The want's
+// ticket reads applied until XTxLegsPaid: a client told the sale is done
+// finds every seller paid.
 func (e *Engine) XTxCommitHome(xid string) error {
 	e.epochMu.Lock()
 	defer e.epochMu.Unlock()
@@ -229,10 +232,28 @@ func (e *Engine) commitHome(ev Event, h *xtxHold) error {
 	e.platform.Arbiter.RecordCrossShard(&arbiter.Transaction{ID: ev.TxID, Buyer: ev.Participant,
 		Mashup: h.sale.Mashup, Datasets: h.sale.Datasets, Plan: h.sale.Plan,
 		Satisfaction: h.sale.Satisfaction, Price: ev.Price, ArbiterCut: ev.ArbiterCut, SellerCuts: cuts})
-	e.closeCrossWant(ticketSeq(ev.Ticket), func(t *heldTicket) {
+	seq := ticketSeq(ev.Ticket)
+	e.tmu.Lock()
+	e.xlegs[seq] = ev.TxID
+	e.tmu.Unlock()
+	e.closeCrossWant(seq, func(t *heldTicket) {
 		t.status, t.txID, t.price, t.matchedEpoch = heldDone, ev.TxID, ev.Price, ev.Epoch
 	})
 	return nil
+}
+
+// XTxLegsPaid tells the home shard that every remote leg of its committed
+// sale xid is applied, so the want's ticket reads done from now on. The
+// federation calls it after the legs, live and when recovery re-drives them;
+// it is a no-op for an ID with no legs outstanding.
+func (e *Engine) XTxLegsPaid(xid string) {
+	e.tmu.Lock()
+	defer e.tmu.Unlock()
+	for seq, id := range e.xlegs {
+		if id == xid {
+			delete(e.xlegs, seq)
+		}
+	}
 }
 
 // XTxCommitRemote applies a commit decision on a seller's shard: its

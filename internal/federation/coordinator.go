@@ -88,6 +88,7 @@ func (c *coordinator) recover() error {
 			if err := c.commitRemotes(home, cm.ID, cm.RemoteCuts, "recover-crash"); err != nil {
 				return fmt.Errorf("federation: re-drive xtx %s: %w", c.m.ShardID(home, cm.ID), err)
 			}
+			sh.Engine.XTxLegsPaid(cm.ID)
 		}
 	}
 	c.inDoubt = ""
@@ -181,6 +182,7 @@ func (c *coordinator) settle(home int, w engine.CrossWant) (bool, error) {
 	if err := c.commitRemotes(home, xid, sale.RemoteCuts, "crash"); err != nil {
 		return false, err
 	}
+	eng.XTxLegsPaid(xid)
 	c.inDoubt = ""
 	return true, c.crashAt("done")
 }

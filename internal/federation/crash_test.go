@@ -222,10 +222,18 @@ func killAndRecover(t *testing.T, name string, kp killPoint, sync wal.SyncPolicy
 		if n := m.CoordRound(); n != 0 {
 			t.Fatalf("crashed settle still counted (%d)", n)
 		}
-		// The home commit closes the want: a kill after it finds the
-		// ticket done before any reboot.
-		if tv, _ := m.Ticket(tk); kp.afterCommit && (tv.Status != engine.TicketDone || tv.TxID != "s0:tx-0001") {
-			t.Fatalf("ticket at a kill after the home commit: %+v", tv)
+		// The home commit closes the want, but its ticket reads done only
+		// once the coordinator reports the remote legs paid: a kill between
+		// the commit and that report finds it still applied, without a
+		// sale, until the reboot re-drives the legs.
+		if tv, _ := m.Ticket(tk); kp.afterCommit {
+			status, tx := engine.TicketDone, "s0:tx-0001"
+			if kp.inDoubt {
+				status, tx = engine.TicketApplied, ""
+			}
+			if tv.Status != status || tv.TxID != tx {
+				t.Fatalf("ticket at a kill after the home commit: %+v, want %s %q", tv, status, tx)
+			}
 		}
 		// Money must never be CREATED mid-flight: between home-commit's
 		// withdraw and the remote deposits the supply may dip, never rise.

@@ -81,11 +81,13 @@
 //	prepare: the home shard escrows the price under an ID its arbiter's
 //	counter draws (xtx-prepared, carrying the whole sale) → commit home,
 //	the decision: escrow pays arbiter cut + local seller cuts, remote cuts
-//	withdrawn, the want and its ticket close, the sale and its mashup enter
-//	the home history window (xtx-committed, role=home, synced before
-//	anything else happens) → commit remotes: each seller shard deposits
-//	its sellers' cuts (xtx-committed, role=remote, under the ID in
-//	federation form, "s0:tx-0005")
+//	withdrawn, the want closes, the sale and its mashup enter the home
+//	history window (xtx-committed, role=home, synced before anything else
+//	happens) → commit remotes: each seller shard deposits its sellers' cuts
+//	(xtx-committed, role=remote, under the ID in federation form,
+//	"s0:tx-0005") → the want's ticket reads done (Engine.XTxLegsPaid; it
+//	read applied until then, so no client told of the sale finds a seller
+//	unpaid)
 //
 // The withdraw/deposit pair moves value between shard ledgers while the
 // federation-wide total supply stays conserved — micro-unit exact, because

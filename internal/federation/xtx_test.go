@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
@@ -383,5 +385,55 @@ func TestCoordLogDirectoriesFromAnEarlierRelease(t *testing.T) {
 				t.Fatalf("a refused boot changed the directory:\n%v\n%v", before, after)
 			}
 		})
+	}
+}
+
+// TestCrossShardTicketWaitsForItsLegs holds a cross-shard sale between its
+// home commit and its remote legs, and polls the want's ticket and the
+// federation's supply meanwhile: the ticket must not read done while the
+// remote seller's cut is in flight, so a client that reads balances after a
+// done finds funds conserved. It read done from the home commit on, and a
+// benchmark verify that read balances then found them one remote cut short.
+func TestCrossShardTicketWaitsForItsLegs(t *testing.T) {
+	paused, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(resume) }) }
+	cfg := fedConfig(t.TempDir(), 2)
+	cfg.testCrash = func(point string) error {
+		if point == "crash:home-committed" {
+			close(paused)
+			<-resume
+		}
+		return nil
+	}
+	m, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	defer release() // a failed check must not leave the round waiting
+	fx := newCrossShardFixture(t)
+	fx.drive(t, m)
+	supply := m.TotalSupply()
+	tk := fx.submitSpanning(t, m)
+	epoch := make(chan struct{})
+	go func() {
+		m.TriggerEpoch()
+		close(epoch)
+	}()
+	<-paused
+	for i := 0; i < 20; i++ {
+		if got, _ := m.Ticket(tk); got.Status == engine.TicketDone {
+			t.Fatalf("ticket reads %+v with the remote legs in flight: supply %v of %v", got, m.TotalSupply(), supply)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	<-epoch
+	if got, _ := m.Ticket(tk); got.Status != engine.TicketDone || got.TxID != "s0:tx-0001" {
+		t.Fatalf("ticket reads %+v once the legs are paid, want done as s0:tx-0001", got)
+	}
+	if got := m.TotalSupply(); got != supply {
+		t.Fatalf("supply %v after the sale, want %v", got, supply)
 	}
 }

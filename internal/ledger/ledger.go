@@ -8,8 +8,10 @@ package ledger
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -53,6 +55,10 @@ const (
 	KindNote     EntryKind = "note"
 )
 
+// entryKinds are the audit entry kinds, in the order a packed audit record
+// numbers them.
+var entryKinds = [...]EntryKind{KindOpen, KindDeposit, KindWithdraw, KindTransfer, KindEscrow, KindRelease, KindRefund, KindNote}
+
 // AuditEntry is one tamper-evident log record. Hash covers the previous
 // entry's hash plus this entry's fields, forming a chain.
 type AuditEntry struct {
@@ -65,10 +71,11 @@ type AuditEntry struct {
 	Hash     string
 }
 
-// computeHash is the hex SHA-256 of the entry's fields and PrevHash, joined
-// by '|': Seq and Amount (micro-units) in decimal, the strings verbatim — the
-// bytes fmt's "%d|%s|%s|%s|%d|%s|%s" gives, built without fmt.
-func (e *AuditEntry) computeHash() string {
+// sum is the SHA-256 of the entry's fields and prev, the previous entry's
+// hash in hex, joined by '|': Seq and Amount (micro-units) in decimal, the
+// strings verbatim — the bytes fmt's "%d|%s|%s|%s|%d|%s|%s" gives, built
+// without fmt. The entry's own PrevHash and Hash are not read.
+func (e *AuditEntry) sum(prev []byte) [sha256.Size]byte {
 	var scratch [256]byte
 	b := strconv.AppendInt(scratch[:0], int64(e.Seq), 10)
 	b = append(append(b, '|'), e.Kind...)
@@ -76,11 +83,65 @@ func (e *AuditEntry) computeHash() string {
 	b = append(append(b, '|'), e.To...)
 	b = strconv.AppendInt(append(b, '|'), int64(e.Amount), 10)
 	b = append(append(b, '|'), e.Memo...)
-	b = append(append(b, '|'), e.PrevHash...)
-	sum := sha256.Sum256(b)
-	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], sum[:])
-	return string(out[:])
+	b = append(append(b, '|'), prev...)
+	return sha256.Sum256(b)
+}
+
+// chainHash is an entry's hash as the chain holds it. The zero value is the
+// empty hash the first entry ever appended chains to.
+type chainHash struct {
+	sum [sha256.Size]byte
+	ok  bool
+}
+
+// appendHex appends the hash in hex, or nothing for the empty hash.
+func (h *chainHash) appendHex(dst []byte) []byte {
+	if !h.ok {
+		return dst
+	}
+	return hex.AppendEncode(dst, h.sum[:])
+}
+
+// appendAuditRecord appends the packed form of entry e, whose hash is sum, to
+// dst — what the chain holds of it. Seq and the previous entry's hash follow
+// from its place in the chain, so it holds neither:
+//
+//	hash    32 bytes
+//	kind    1 byte, an index into entryKinds
+//	from    uvarint length, then the bytes
+//	to      uvarint length, then the bytes
+//	amount  varint
+//	memo    the record's remaining bytes
+func appendAuditRecord(dst []byte, sum *[sha256.Size]byte, e *AuditEntry) []byte {
+	kind := slices.Index(entryKinds[:], e.Kind)
+	if kind < 0 {
+		panic(fmt.Sprintf("ledger: audit entry kind %q", e.Kind))
+	}
+	dst = append(append(dst, sum[:]...), byte(kind))
+	dst = append(binary.AppendUvarint(dst, uint64(len(e.From))), e.From...)
+	dst = append(binary.AppendUvarint(dst, uint64(len(e.To))), e.To...)
+	dst = binary.AppendVarint(dst, int64(e.Amount))
+	return append(dst, e.Memo...)
+}
+
+// decodeAuditRecord is appendAuditRecord's inverse: it fills e's Kind, From,
+// To, Amount and Memo and returns the hash. Records come from
+// appendAuditRecord alone, so it does not check them.
+func decodeAuditRecord(rec []byte, e *AuditEntry) (sum [sha256.Size]byte) {
+	copy(sum[:], rec)
+	e.Kind = entryKinds[rec[sha256.Size]]
+	rec = rec[sha256.Size+1:]
+	str := func() string {
+		n, w := binary.Uvarint(rec)
+		s := string(rec[w : w+int(n)])
+		rec = rec[w+int(n):]
+		return s
+	}
+	e.From = str()
+	e.To = str()
+	amount, w := binary.Varint(rec)
+	e.Amount, e.Memo = Currency(amount), string(rec[w:])
+	return sum
 }
 
 // Ledger is a concurrency-safe double-entry ledger with escrow accounts.
@@ -89,16 +150,18 @@ type Ledger struct {
 	balances map[string]Currency
 	escrow   map[string]Currency // escrow ID -> held amount
 	escrowBy map[string]string   // escrow ID -> funding account
-	// log is the newest retain.Windows.Audit audit entries, a ring from
-	// oldest once full, entries how many were ever appended (the next Seq),
-	// anchor the hash of the last one dropped — what the oldest retained
-	// entry chains to. The chain is a verification window, not the record
+	// log is the newest retain.Windows.Audit audit entries, oldest first,
+	// each packed into one record (appendAuditRecord): its hash as 32 bytes,
+	// its fields, no pointer. entries counts every entry ever appended (the
+	// next Seq), anchor is the hash of the last one dropped — what the oldest
+	// retained entry chains to — and head the newest entry's (anchor while
+	// the log is empty). The chain is a verification window, not the record
 	// (that is the engine's event log): a restart begins a new one and
-	// nothing reads old entries back.
-	log     []AuditEntry
-	oldest  int
-	entries int
-	anchor  string
+	// nothing reads old entries back. Log and VerifyChain decode it.
+	log          retain.Ring
+	entries      int
+	anchor, head chainHash
+	scratch      []byte
 }
 
 // New creates an empty ledger.
@@ -111,24 +174,29 @@ func New() *Ledger {
 }
 
 func (l *Ledger) append(kind EntryKind, from, to string, amount Currency, memo string) {
-	e := AuditEntry{Seq: l.entries, Kind: kind, From: from, To: to, Amount: amount, Memo: memo, PrevHash: l.anchor}
-	if n := len(l.log); n > 0 {
-		e.PrevHash = l.entry(n - 1).Hash
-	}
-	e.Hash = e.computeHash()
+	e := AuditEntry{Seq: l.entries, Kind: kind, From: from, To: to, Amount: amount, Memo: memo}
+	var prev [2 * sha256.Size]byte
+	sum := e.sum(l.head.appendHex(prev[:0]))
+	l.scratch = appendAuditRecord(l.scratch[:0], &sum, &e)
+	l.log.Push(l.scratch)
+	l.head = chainHash{sum: sum, ok: true}
 	l.entries++
-	if l.oldest == 0 && len(l.log) < retain.Sizes().Audit {
-		l.log = append(l.log, e)
-		return
+	if l.log.Len() > retain.Sizes().Audit {
+		copy(l.anchor.sum[:], l.log.Pop())
+		l.anchor.ok = true
 	}
-	l.anchor = l.log[l.oldest].Hash
-	l.log[l.oldest] = e
-	l.oldest = (l.oldest + 1) % len(l.log)
 }
 
-// entry is the i-th retained audit entry, oldest first. Caller holds l.mu.
-func (l *Ledger) entry(i int) *AuditEntry {
-	return &l.log[(l.oldest+i)%len(l.log)]
+// auditEntries decodes the retained audit entries, oldest first, and yields
+// each with its hash; PrevHash and Hash are left empty. Caller holds l.mu.
+func (l *Ledger) auditEntries(yield func(e *AuditEntry, sum *[sha256.Size]byte) bool) {
+	seq := l.entries - l.log.Len()
+	l.log.All(func(_ uint64, rec []byte) bool {
+		e := AuditEntry{Seq: seq}
+		sum := decodeAuditRecord(rec, &e)
+		seq++
+		return yield(&e, &sum)
+	})
 }
 
 // Open creates an account with an initial balance. Opening an existing
@@ -316,8 +384,15 @@ func (l *Ledger) Note(memo string) {
 func (l *Ledger) Log() []AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AuditEntry, 0, len(l.log))
-	return append(append(out, l.log[l.oldest:]...), l.log[:l.oldest]...)
+	out := make([]AuditEntry, 0, l.log.Len())
+	prev := string(l.anchor.appendHex(nil))
+	l.auditEntries(func(e *AuditEntry, sum *[sha256.Size]byte) bool {
+		e.PrevHash, e.Hash = prev, hex.EncodeToString(sum[:])
+		out = append(out, *e)
+		prev = e.Hash
+		return true
+	})
+	return out
 }
 
 // AuditSize returns how many audit entries were ever appended and how many
@@ -325,7 +400,7 @@ func (l *Ledger) Log() []AuditEntry {
 func (l *Ledger) AuditSize() (total, held int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.entries, len(l.log)
+	return l.entries, l.log.Len()
 }
 
 // VerifyChain recomputes the hash chain over the retained entries, starting
@@ -335,15 +410,18 @@ func (l *Ledger) AuditSize() (total, held int) {
 func (l *Ledger) VerifyChain() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	bad := -1
 	prev := l.anchor
-	for i := range l.log {
-		e := l.entry(i)
-		if e.PrevHash != prev || e.computeHash() != e.Hash {
-			return e.Seq
+	l.auditEntries(func(e *AuditEntry, sum *[sha256.Size]byte) bool {
+		var buf [2 * sha256.Size]byte
+		if e.sum(prev.appendHex(buf[:0])) != *sum {
+			bad = e.Seq
+			return false
 		}
-		prev = e.Hash
-	}
-	return -1
+		prev = chainHash{sum: *sum, ok: true}
+		return true
+	})
+	return bad
 }
 
 // TotalSupply sums all balances plus escrowed funds. Conservation of money —

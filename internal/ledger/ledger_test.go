@@ -103,9 +103,7 @@ func TestAuditChain(t *testing.T) {
 	}
 	// Tamper with an internal copy — the ledger's own chain must still be intact,
 	// and a recomputed chain over tampered data must fail.
-	l.mu.Lock()
-	l.entry(2).Amount = FromFloat(999)
-	l.mu.Unlock()
+	tamper(t, l, 2, func(e *AuditEntry) { e.Amount = FromFloat(999) })
 	if i := l.VerifyChain(); i != 2 {
 		t.Errorf("tamper detected at %d, want 2", i)
 	}
@@ -211,16 +209,14 @@ func TestAuditWindow(t *testing.T) {
 		t.Fatalf("supply %v", l.TotalSupply())
 	}
 
-	l.mu.Lock()
-	l.entry(5).Memo = "doctored"
-	l.mu.Unlock()
+	tamper(t, l, 5, func(e *AuditEntry) { e.Memo = "doctored" })
 	if got := l.VerifyChain(); got != 39 {
 		t.Fatalf("tampered retained entry detected at %d, want seq 39", got)
 	}
+	tamper(t, l, 5, func(e *AuditEntry) { e.Memo = "t37" })
 	l.mu.Lock()
-	l.entry(5).Memo = "t37"
 	good := l.anchor
-	l.anchor = hashes[0]
+	l.anchor.sum = [32]byte(must(hex.DecodeString(hashes[0])))
 	l.mu.Unlock()
 	if got := l.VerifyChain(); got != 34 {
 		t.Fatalf("tampered anchor detected at %d, want the first retained seq 34", got)
@@ -233,6 +229,12 @@ func TestAuditWindow(t *testing.T) {
 	}
 }
 
+// computeHash is e's hash over its fields and PrevHash, in hex.
+func computeHash(e *AuditEntry) string {
+	sum := e.sum([]byte(e.PrevHash))
+	return hex.EncodeToString(sum[:])
+}
+
 // fmtHash is the audit hash as it was first written, through fmt: the form
 // computeHash must reproduce byte for byte, since a chain is only as
 // verifiable as its hashes are stable.
@@ -242,7 +244,7 @@ func fmtHash(e *AuditEntry) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestAuditHashMatchesFmt: computeHash gives exactly fmtHash's bytes for
+// TestAuditHashMatchesFmt: AuditEntry.sum gives exactly fmtHash's bytes for
 // random entries — negative, zero and extreme amounts and seqs, empty,
 // non-ASCII, invalid-UTF-8, '|'-bearing and longer-than-scratch strings —
 // and for the entries of a real chain whose window has wrapped, the first of
@@ -265,7 +267,7 @@ func TestAuditHashMatchesFmt(t *testing.T) {
 		case 3:
 			e.Memo = string(rune(rng.Intn(0x10ffff)))
 		}
-		if got, want := e.computeHash(), fmtHash(&e); got != want {
+		if got, want := computeHash(&e), fmtHash(&e); got != want {
 			t.Fatalf("entry %+v: hash %s, fmt gives %s", e, got, want)
 		}
 	}
@@ -279,8 +281,8 @@ func TestAuditHashMatchesFmt(t *testing.T) {
 	}
 	l.Note("")
 	log := l.Log()
-	if log[0].PrevHash != l.anchor || l.anchor == "" {
-		t.Fatalf("the window's first entry does not chain to the anchor %q", l.anchor)
+	if anchor := string(l.anchor.appendHex(nil)); log[0].PrevHash != anchor || anchor == "" {
+		t.Fatalf("the window's first entry does not chain to the anchor %q", anchor)
 	}
 	for _, e := range log {
 		if e.Hash != fmtHash(&e) {
@@ -290,15 +292,17 @@ func TestAuditHashMatchesFmt(t *testing.T) {
 }
 
 // TestAuditAppendAllocsOnceFull pins what an audit append costs once the
-// window is full: the window is a ring, so an append allocates the new
-// entry's hash and nothing else. A window that drops its oldest entry by
-// re-slicing re-copies itself every few thousand appends, 564 B per append
-// on average at the default 8,192 entries.
+// window is full: the window is a ring of packed records, each hash 32 raw
+// bytes in it, so an append of an entry no larger than the ones it replaces
+// allocates nothing. An AuditEntry ring allocated each entry's 64 B hex hash;
+// a window that drops its oldest entry by re-slicing re-copies itself every
+// few thousand appends, 564 B per append on average at the default 8,192
+// entries.
 func TestAuditAppendAllocsOnceFull(t *testing.T) {
 	l := New()
 	window := retain.Sizes().Audit
-	for i := 0; i < window; i++ {
-		l.Note("fill")
+	for i := 0; i < 2*window; i++ { // full, and its ring at its steady size
+		l.Note("steady")
 	}
 	const n = 1 << 14
 	var before, after runtime.MemStats
@@ -309,13 +313,52 @@ func TestAuditAppendAllocsOnceFull(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("an audit append allocates %.1f B once the window is full", per)
-	if per > 72 {
-		t.Fatalf("an audit append allocates %.1f B once the window is full, want at most 72: its 64 B hash and a little slack", per)
+	if per > 8 {
+		t.Fatalf("an audit append allocates %.1f B once the window is full, want at most 8", per)
 	}
 	if got := l.VerifyChain(); got != -1 {
 		t.Fatalf("wrapped chain reported corrupt at %d", got)
 	}
-	if total, held := l.AuditSize(); total != window+n || held != window {
-		t.Fatalf("window holds %d of %d, want %d of %d", held, total, window, window+n)
+	if total, held := l.AuditSize(); total != 2*window+n || held != window {
+		t.Fatalf("window holds %d of %d, want %d of %d", held, total, window, 2*window+n)
 	}
+}
+
+// tamper rewrites the i-th retained audit entry through edit, keeping the
+// hash the chain holds for it, as someone editing the ledger's memory would.
+func tamper(t *testing.T, l *Ledger, i int, edit func(*AuditEntry)) {
+	t.Helper()
+	log := l.Log()
+	edit(&log[i])
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log = retain.Ring{}
+	for _, e := range log {
+		sum := [32]byte(must(hex.DecodeString(e.Hash)))
+		l.log.Push(appendAuditRecord(nil, &sum, &e))
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// FuzzAuditRecord: an audit entry's fields and hash come back out of its
+// packed record exactly, whatever its strings and amount.
+func FuzzAuditRecord(f *testing.F) {
+	f.Add(byte(3), "buyer1", "seller2", int64(95_000_000), "revenue share tx-0002", "\x01")
+	f.Add(byte(7), "", "", int64(0), "", "")
+	f.Add(byte(0), "a|b", "ü\xff", int64(math.MinInt64), strings.Repeat("m", 300), strings.Repeat("\xff", 40))
+	f.Fuzz(func(t *testing.T, kind byte, from, to string, amount int64, memo, hash string) {
+		in := AuditEntry{Kind: entryKinds[int(kind)%len(entryKinds)], From: from, To: to, Amount: Currency(amount), Memo: memo}
+		var sum [32]byte
+		copy(sum[:], hash)
+		var out AuditEntry
+		if got := decodeAuditRecord(appendAuditRecord([]byte("prefix"), &sum, &in)[len("prefix"):], &out); got != sum || out != in {
+			t.Fatalf("packed %+v with hash %x, unpacked %+v with hash %x", in, sum, out, got)
+		}
+	})
 }

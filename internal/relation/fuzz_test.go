@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -148,13 +150,32 @@ func FuzzIterOps(f *testing.F) {
 	})
 }
 
+// exactNumEqual is Equal's reference for two numeric cells: both held as
+// exact big floats (an int64 needs 64 bits, a float64 53), compared there,
+// with NaN equal only to NaN.
+func exactNumEqual(a, b Value) bool {
+	exact := func(v Value) *big.Float {
+		if v.Kind() == KindInt {
+			return new(big.Float).SetInt64(v.AsInt())
+		}
+		return new(big.Float).SetFloat64(v.AsFloat())
+	}
+	if an, bn := math.IsNaN(a.AsFloat()), math.IsNaN(b.AsFloat()); an || bn {
+		return an && bn
+	}
+	return exact(a).Cmp(exact(b)) == 0
+}
+
 // FuzzValueRoundTrip: whatever ParseValue accepts, ParseValue of the value's
 // String form reads back to the same Key. This is the contract the JSON and
 // CSV codecs rely on: a share written to the WAL replays as the same cells.
 // A second parsed value pins the key's own contract, that two cells share a
 // key exactly when they are Equal (hash joins, distinct counts and groupings
 // key what the nested-loop join compares): for the pair, for the pair nested
-// in multi cells, and for multi cells holding both in either order.
+// in multi cells, and for multi cells holding both in either order. Two
+// numbers must also be Equal exactly when exactNumEqual, an exact big-number
+// comparison, says they are: Equal and Key once agreed while both took every
+// number through float64.
 func FuzzValueRoundTrip(f *testing.F) {
 	for _, seed := range []struct {
 		k, k2 Kind
@@ -162,7 +183,8 @@ func FuzzValueRoundTrip(f *testing.F) {
 	}{
 		{KindInt, KindInt, "-9223372036854775808", "+7"},
 		{KindFloat, KindFloat, "-0", "NaN"}, {KindFloat, KindFloat, "NaN", "nan"}, {KindFloat, KindInt, "-Inf", "0"}, {KindInt, KindFloat, "0", "-0"},
-		{KindFloat, KindFloat, "0x1p-2", "1e308"}, {KindInt, KindFloat, "9007199254740993", "9007199254740992"},
+		{KindFloat, KindFloat, "0x1p-2", "1e308"}, {KindInt, KindFloat, "9007199254740993", "9007199254740992"}, {KindInt, KindInt, "9007199254740993", "9007199254740992"},
+		{KindInt, KindFloat, "9223372036854775807", "9223372036854775808"},
 		{KindString, KindNull, "NULL", ""}, {KindBool, KindString, "T", "true"}, {KindBool, KindBool, "false", "0"},
 		{KindTime, KindTime, "2024-01-01T00:00:00.5+02:00", "2023-12-31T22:00:00.5Z"}, {KindTime, KindTime, "2024-01-01T00:00:00,25Z", "2024-01-01T00:00:00.25Z"},
 		{KindTime, KindTime, "0000-01-01T00:00:00+01:00", "9999-12-31T23:59:59.999999999Z"},
@@ -192,6 +214,11 @@ func FuzzValueRoundTrip(f *testing.F) {
 			}
 		}
 		a, b := vs[0], vs[1]
+		if a.IsNumeric() && b.IsNumeric() {
+			if eq, want := a.Equal(b), exactNumEqual(a, b); eq != want {
+				t.Fatalf("%v (%v) and %v (%v): Equal %v, exact comparison says %v", a, a.Kind(), b, b.Kind(), eq, want)
+			}
+		}
 		for _, p := range [][2]Value{{a, b},
 			{Multi(Sourced{"s", a}), Multi(Sourced{"s", b})},
 			{Multi(Sourced{"s", a}, Sourced{"s", b}), Multi(Sourced{"s", b}, Sourced{"s", a})},

@@ -169,11 +169,21 @@ func (v Value) AsMulti() []Sourced {
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Equal reports deep equality of two values: exactly when their Keys are
-// equal. Int and float compare numerically across kinds (Int(2) equals
-// Float(2.0)), and NaN equals NaN, as a join or a group by key takes it;
-// multi cells compare as ordered lists of sourced values.
+// equal. Numbers compare exactly: two ints as int64s, an int and a float only
+// when the float is integral and converts to that int (Int(2) equals
+// Float(2.0), Int(1<<53+1) equals no float), two floats as floats, NaN
+// equal to NaN, as a join or a group by key takes it; multi cells compare as
+// ordered lists of sourced values.
 func (v Value) Equal(o Value) bool {
 	if v.IsNumeric() && o.IsNumeric() {
+		switch {
+		case v.kind == KindInt && o.kind == KindInt:
+			return v.w == o.w
+		case v.kind == KindInt:
+			return floatIsInt(o.AsFloat(), int64(v.w))
+		case o.kind == KindInt:
+			return floatIsInt(v.AsFloat(), int64(o.w))
+		}
 		a, b := v.AsFloat(), o.AsFloat()
 		return a == b || math.IsNaN(a) && math.IsNaN(b)
 	}
@@ -204,9 +214,17 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
+// floatIsInt reports whether f is integral and converts to i exactly. The
+// range check comes first: converting a float at or past ±2^63 to int64 is
+// implementation-defined.
+func floatIsInt(f float64, i int64) bool {
+	return f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) && int64(f) == i
+}
+
 // Key returns a canonical string encoding usable as a hash-join key: two
 // values share it exactly when they are Equal. Numeric values of equal
-// magnitude share a key regardless of kind, zero regardless of its sign.
+// magnitude share a key regardless of kind, zero regardless of its sign; an
+// int no float64 holds exactly keys apart from every float.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // AppendKey appends the value's canonical Key encoding to dst and returns the
@@ -219,6 +237,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 		return append(dst, "\x00N"...)
 	case KindInt, KindFloat:
 		f := v.AsFloat()
+		if v.kind == KindInt && !floatIsInt(f, int64(v.w)) {
+			// No float equals this int: its decimal digits behind a '#',
+			// which no float's text holds.
+			return strconv.AppendInt(append(dst, "\x01#"...), int64(v.w), 10)
+		}
 		if f == 0 {
 			f = 0 // -0 == 0
 		}

@@ -198,7 +198,14 @@ func TestValueSemantics(t *testing.T) {
 		{"null", Null(), KindNull, 0, 0, "", false, "\x00N", "NULL", 0},
 		{"int0", Int(0), KindInt, 0, 0, "", false, "\x010", "0", 0},
 		{"intmin", Int(math.MinInt64), KindInt, math.MinInt64, -9.223372036854775808e18, "", false, "\x01-9.223372036854776e+18", "-9223372036854775808", 0},
-		{"intmax", Int(math.MaxInt64), KindInt, math.MaxInt64, 9.223372036854775807e18, "", false, "\x019.223372036854776e+18", "9223372036854775807", 0},
+		// No float64 holds 2^63-1: it keys apart from Float(2^63), which it
+		// once shared "\x019.223372036854776e+18" with.
+		{"intmax", Int(math.MaxInt64), KindInt, math.MaxInt64, 9.223372036854775807e18, "", false, "\x01#9223372036854775807", "9223372036854775807", 0},
+		// 2^53 and 2^53+1 are distinct int64s that round to the same float64;
+		// they were Equal, and keyed the same, when numbers compared as floats.
+		{"int2^53", Int(1 << 53), KindInt, 1 << 53, 1 << 53, "", false, "\x019.007199254740992e+15", "9007199254740992", 0},
+		{"int2^53+1", Int(1<<53 + 1), KindInt, 1<<53 + 1, 1 << 53, "", false, "\x01#9007199254740993", "9007199254740993", 0},
+		{"float2^53", Float(1 << 53), KindFloat, 0, 1 << 53, "", false, "\x019.007199254740992e+15", "9.007199254740992e+15", 0},
 		// Equal to int0, so it keys as int0 does; it keyed "\x01-0" once, and
 		// a hash join did not join the two cells a nested-loop join did.
 		{"float-0", Float(math.Copysign(0, -1)), KindFloat, 0, math.Copysign(0, -1), "", false, "\x010", "-0", 0},
@@ -231,8 +238,9 @@ func TestValueSemantics(t *testing.T) {
 	// times as instants in any zone. A pair is Equal exactly when it shares a
 	// key.
 	equal := map[[2]string]bool{
-		{"int0", "float-0"}:    true,
-		{"time+02", "timeutc"}: true,
+		{"int0", "float-0"}:      true,
+		{"int2^53", "float2^53"}: true,
+		{"time+02", "timeutc"}:   true,
 	}
 	for _, c := range cases {
 		v := c.v

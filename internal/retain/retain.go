@@ -30,9 +30,10 @@ type Windows struct {
 	// the fact — the benchmark's set-up posts 22 submissions before polling
 	// the first, its trace sampler fetches tickets while the request tracer
 	// holds their span (the newest 4096) — so the window is four times the
-	// tracer's: ~2.5 s of the cover burst. A held ticket costs ~143 B (a
-	// 96 B flat record, its number in the done list and its share of a map
-	// the window churns and rebuilds once a window), so ~2.3 MB in all.
+	// tracer's: ~2.5 s of the cover burst. A held ticket costs ~32 B (a
+	// packed record of ~20 B, its request and transaction IDs held as the
+	// arbiter's counters, plus its share of the ring's spare room and of an
+	// index of ring positions), so ~0.5 MB in all.
 	Tickets int
 	// History is how many completed transactions the arbiter keeps (each
 	// pins its mashup and cut maps). History is a recent-activity view, never
@@ -42,7 +43,8 @@ type Windows struct {
 	// Audit is how many entries the ledger's hash chain keeps. The chain is a
 	// verification window, not the record; it covers what a participant
 	// auditing the arbiter looks at, recent activity: at four to five entries
-	// per settlement, the last ~1,800 settlements, ~1.5 MB.
+	// per settlement, the last ~1,800 settlements. An entry is one packed
+	// record, its hash as 32 bytes: ~96 B each, ~0.8 MB in all.
 	Audit int
 	// Checkpoint is how many events a shard's log may run past its last
 	// checkpoint before the market writes the next one in the background, so

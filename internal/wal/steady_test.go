@@ -13,11 +13,12 @@ import (
 )
 
 // steadyHeapCeiling bounds TestSteadyStateIsBounded's live heap at either
-// sample: 10 % over the most it measures, 5.98-6.23 MB, with the event-log
-// window an index into the WAL, the audit window a ring and the ticket window
-// holding flat tickets (10.1-10.4 MB when the window held each event's JSON,
+// sample: 10 % over the most it measures, 2.26-2.30 MB, with the event-log
+// window an index into the WAL and the ticket and audit windows packed
+// records (5.98-6.23 MB when they held a struct per ticket and per audit
+// entry, 10.1-10.4 MB when the event window also held each event's JSON,
 // 11.6-11.9 MB when the tickets were Tickets with their IDs).
-const steadyHeapCeiling = 685 << 20 / 100 // 6.85 MB
+const steadyHeapCeiling = 253 << 20 / 100 // 2.53 MB
 
 // maxHeldBytesPerEvent is what the durable event log may hold per event in
 // its window: one index entry, the record itself being in the WAL. Holding
@@ -42,52 +43,16 @@ const maxHeldBytesPerEvent = 16
 // ~105 B (~87 B of it grants). Not run under the race detector, which
 // distorts both the timing and the heap.
 func TestSteadyStateIsBounded(t *testing.T) {
-	dir := t.TempDir()
-	p, e, w, _, err := Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: dir, Policy: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	defer e.Stop()
-	checkpointed := 0
-	checkpoint := func() {
-		t.Helper()
-		snap, err := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := WriteSnapshot(dir, snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := PruneAfterSnapshot(dir, w, true); err != nil {
-			t.Fatal(err)
-		}
-		checkpointed = snap.TakenAtSeq
-	}
-
-	const buyers, batch, half = 8, 50, 25000
-	for b := 0; b < buyers; b++ {
-		submitOp(e, op{kind: "register", name: fmt.Sprintf("b%d", b), funds: 1e9})
-	}
-	submitOp(e, op{kind: "share", name: "s1", ds: "s1/d0", rows: 40})
-	e.TriggerEpoch()
-
+	m := newSteadyMarket(t)
+	e, w := m.e, m.w
+	const half = 25000
 	type sample struct {
 		engine.Stats // the held windows, counters and open requests
 		heap         uint64
 	}
 	run := func(n int) sample {
 		t.Helper()
-		for i := 0; i < n; i += batch {
-			for j := 0; j < batch; j++ {
-				submitOp(e, op{kind: "request", name: fmt.Sprintf("b%d", (i+j)%buyers), offer: 150, cols: []string{"a", "b"}})
-			}
-			e.TriggerEpoch()
-			if e.Log().LastSeq()-checkpointed >= retain.Sizes().Checkpoint {
-				checkpoint()
-			}
-		}
-		checkpoint()
+		m.settle(n)
 		if held := e.Settlements().HeldBytes(); held != 0 {
 			t.Fatalf("the book still holds %d bytes of settlements after a checkpoint", held)
 		}
@@ -101,15 +66,12 @@ func TestSteadyStateIsBounded(t *testing.T) {
 		if segs, files := w.readState(); segs > 3 || files > 1 {
 			t.Fatalf("the WAL lists %d segments and holds %d files open for a window of %d events", segs, files, st.EventsHeld)
 		}
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return sample{Stats: st, heap: ms.HeapAlloc}
+		return sample{Stats: st, heap: liveHeap()}
 	}
 	at25 := run(half)
 	at50 := run(half)
-	if st := e.Stats(); st.Matched != 2*half || int(st.Matched) != p.Arbiter.Settled() || !e.Settlements().Cut().Conserved() {
-		t.Fatalf("matched %d of %d (arbiter %d)", st.Matched, 2*half, p.Arbiter.Settled())
+	if st := e.Stats(); st.Matched != 2*half || int(st.Matched) != m.p.Arbiter.Settled() || !e.Settlements().Cut().Conserved() {
+		t.Fatalf("matched %d of %d (arbiter %d)", st.Matched, 2*half, m.p.Arbiter.Settled())
 	}
 	for _, s := range []sample{at25, at50} {
 		t.Logf("at %d: events=%d (%d B) tickets=%d history=%d audit=%d held, open=%d, heap=%.2f MB", s.Matched,
@@ -153,5 +115,135 @@ func TestSteadyStateIsBounded(t *testing.T) {
 	if grown > half*25 {
 		t.Fatalf("live heap grew %.1f MB over 25k settlements (%.0f B each), want at most 25 B each",
 			float64(grown)/(1<<20), float64(grown)/half)
+	}
+}
+
+// steadyMarket is TestSteadyStateIsBounded's market: a WAL-backed one at the
+// windows in force, with eight funded buyers and one seller's dataset that
+// every request buys.
+type steadyMarket struct {
+	t            *testing.T
+	dir          string
+	p            *core.Platform
+	e            *engine.Engine
+	w            *Log
+	checkpointed int
+}
+
+func newSteadyMarket(t *testing.T) *steadyMarket {
+	t.Helper()
+	m := &steadyMarket{t: t, dir: t.TempDir()}
+	var err error
+	m.p, m.e, m.w, _, err = Boot(core.Options{Design: testDesign}, engine.Config{}, Options{Dir: m.dir, Policy: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.close)
+	for b := 0; b < steadyBuyers; b++ {
+		submitOp(m.e, op{kind: "register", name: fmt.Sprintf("b%d", b), funds: 1e9})
+	}
+	submitOp(m.e, op{kind: "share", name: "s1", ds: "s1/d0", rows: 40})
+	m.e.TriggerEpoch()
+	return m
+}
+
+const steadyBuyers = 8
+
+// close stops the market and lets it go; it runs at the test's end if not
+// before.
+func (m *steadyMarket) close() {
+	if m.w != nil {
+		m.e.Stop()
+		m.w.Close()
+		m.p, m.e, m.w = nil, nil, nil
+	}
+}
+
+// checkpoint snapshots the market and prunes its WAL, as a durable gateway's
+// background checkpoint does.
+func (m *steadyMarket) checkpoint() {
+	m.t.Helper()
+	snap, err := m.e.Snapshot()
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	if _, err := WriteSnapshot(m.dir, snap); err != nil {
+		m.t.Fatal(err)
+	}
+	if err := PruneAfterSnapshot(m.dir, m.w, true); err != nil {
+		m.t.Fatal(err)
+	}
+	m.checkpointed = snap.TakenAtSeq
+}
+
+// settle pushes n settling requests through the market, 50 an epoch,
+// checkpointing every retain.Windows.Checkpoint events and once more at the
+// end, as a drain would.
+func (m *steadyMarket) settle(n int) {
+	m.t.Helper()
+	const batch = 50
+	for i := 0; i < n; i += batch {
+		for j := 0; j < batch; j++ {
+			submitOp(m.e, op{kind: "request", name: fmt.Sprintf("b%d", (i+j)%steadyBuyers), offer: 150, cols: []string{"a", "b"}})
+		}
+		m.e.TriggerEpoch()
+		if m.e.Log().LastSeq()-m.checkpointed >= retain.Sizes().Checkpoint {
+			m.checkpoint()
+		}
+	}
+	m.checkpoint()
+}
+
+// liveHeap is the heap in use after a forced GC.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// windowBytesPerEntry runs TestSteadyStateIsBounded's script for n
+// settlements twice, at the windows in force and with one window shrunk to a
+// single entry by shrink, and returns the live heap the window's other
+// entries cost each: the difference between the two, over the window's size
+// less one. Everything else the two markets hold is the same.
+func windowBytesPerEntry(t *testing.T, n, window int, shrink func(*retain.Windows)) float64 {
+	t.Helper()
+	heap := func() uint64 {
+		m := newSteadyMarket(t)
+		m.settle(n)
+		h := liveHeap()
+		m.close()
+		return h
+	}
+	full := heap()
+	restore := retain.Shrink(shrink)
+	one := heap()
+	restore()
+	per := (float64(full) - float64(one)) / float64(window-1)
+	t.Logf("live heap %.2f MB with the window full, %.2f MB with one entry: %.1f B per entry",
+		float64(full)/(1<<20), float64(one)/(1<<20), per)
+	return per
+}
+
+// TestTicketBytesPerEntry pins what a held terminal ticket costs, its share
+// of the window's index included, at most 64 B. A settled request's ticket
+// packs into ~36 B. A ticket with its own 96 B struct, strings and map slot
+// cost ~186 B.
+func TestTicketBytesPerEntry(t *testing.T) {
+	w := retain.Sizes().Tickets
+	if per := windowBytesPerEntry(t, w+w/4, w, func(s *retain.Windows) { s.Tickets = 1 }); per > 64 {
+		t.Fatalf("a held ticket costs %.1f B, want at most 64", per)
+	}
+}
+
+// TestAuditBytesPerEntry pins what an entry of the ledger's audit chain
+// costs, at most 112 B: its hash as 32 bytes and its fields packed. A 112 B
+// struct with a 64-character hex hash and the previous entry's cost ~229 B.
+func TestAuditBytesPerEntry(t *testing.T) {
+	w := retain.Sizes().Audit
+	if per := windowBytesPerEntry(t, w, w, func(s *retain.Windows) { s.Audit = 1 }); per > 112 {
+		t.Fatalf("an audit entry costs %.1f B, want at most 112", per)
 	}
 }
